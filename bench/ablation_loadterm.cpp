@@ -14,6 +14,7 @@
 #include "common.hpp"
 #include "obs/obs_cli.hpp"
 #include "rom/local_stage.hpp"
+#include "sweep/scenario_result.hpp"
 
 int main(int argc, char** argv) {
   ms::util::CliParser cli("ablation_loadterm",
@@ -56,15 +57,17 @@ int main(int argc, char** argv) {
     const ms::core::ReferenceResult ref =
         ms::core::reference_array(setup.config, size, size, setup.reference_fem);
 
+    ms::sweep::ScenarioSpec spec;
+    spec.blocks_x = spec.blocks_y = size;
     ms::core::MoreStressSimulator sim_corrected(setup.config);
     const double err_corrected =
-        ms::core::field_error(ref, sim_corrected.simulate_array(size, size).von_mises);
+        ms::core::field_error(ref, sim_corrected.simulate(spec).array->von_mises);
 
     ms::core::SimulationConfig literal = setup.config;
     literal.local.uncorrected_eq19_load = true;
     ms::core::MoreStressSimulator sim_literal(literal);
     const double err_literal =
-        ms::core::field_error(ref, sim_literal.simulate_array(size, size).von_mises);
+        ms::core::field_error(ref, sim_literal.simulate(spec).array->von_mises);
 
     table.add_row({ms::util::strf("%dx%d", size, size), ms::util::percent_cell(err_corrected),
                    ms::util::percent_cell(err_literal),

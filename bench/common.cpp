@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "obs/obs_cli.hpp"
+#include "sweep/scenario_result.hpp"
 #include "util/log.hpp"
 #include "util/memory.hpp"
 #include "util/timer.hpp"
@@ -58,7 +59,9 @@ ArrayCaseResult run_array_case(const BenchSetup& setup, core::MoreStressSimulato
 
   // --- MORE-Stress (global stage only, like the paper's reported time) ----
   (void)simulator.prepare_local_stage(false);
-  core::ArrayResult rom = simulator.simulate_array(array_edge, array_edge);
+  sweep::ScenarioSpec spec;
+  spec.blocks_x = spec.blocks_y = array_edge;
+  const core::ArrayResult rom = *simulator.simulate(spec).array;
   result.rom_seconds = rom.stats.global_seconds();
   result.rom_bytes = rom.stats.memory_bytes;
   result.local_stage_seconds = rom.stats.local_stage_seconds;

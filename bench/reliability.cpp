@@ -18,6 +18,7 @@
 #include "obs/obs_cli.hpp"
 #include "obs/report.hpp"
 #include "reliability/rainflow.hpp"
+#include "sweep/scenario_result.hpp"
 #include "util/json.hpp"
 #include "util/timer.hpp"
 
@@ -57,7 +58,12 @@ int main(int argc, char** argv) {
   (void)sim.prepare_local_stage(/*with_dummy=*/false);
   ms::util::WallTimer timer;
   const ms::obs::RunReport before_case = ms::obs::RunReport::capture();
-  const ms::core::FatigueResult result = sim.simulate_array_fatigue(blocks, blocks, trace);
+  ms::sweep::ScenarioSpec spec;
+  spec.analysis = ms::sweep::AnalysisKind::kFatigue;
+  spec.load = ms::sweep::LoadKind::kTrace;
+  spec.blocks_x = spec.blocks_y = blocks;
+  spec.power_trace = std::make_shared<const ms::thermal::PowerTrace>(trace);
+  const ms::core::FatigueResult result = *sim.simulate(spec).fatigue;
   const double fatigue_seconds = timer.seconds();
   const ms::obs::RunReport after_case = ms::obs::RunReport::capture();
 

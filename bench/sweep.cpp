@@ -28,10 +28,12 @@
 namespace {
 
 /// Field-for-field bitwise comparison of a warm engine result against the
-/// cold legacy simulate_array_fatigue result for the same spec.
-bool bitwise_equal(const ms::sweep::ScenarioResult& warm, const ms::core::FatigueResult& cold) {
-  if (warm.fatigue == nullptr) return false;
+/// cold cache-less simulate(spec) result for the same spec.
+bool bitwise_equal(const ms::sweep::ScenarioResult& warm,
+                   const ms::sweep::ScenarioResult& cold_row) {
+  if (warm.fatigue == nullptr || cold_row.fatigue == nullptr) return false;
   const ms::core::FatigueResult& w = *warm.fatigue;
+  const ms::core::FatigueResult& cold = *cold_row.fatigue;
   return w.von_mises == cold.von_mises && w.stress == cold.stress &&
          w.solution == cold.solution && w.envelope_load.values() == cold.envelope_load.values() &&
          w.report.min_life_cycles == cold.report.min_life_cycles &&
@@ -93,23 +95,18 @@ int main(int argc, char** argv) {
   }
   const int num_scenarios = static_cast<int>(specs.size());
 
-  // --- cold baseline: legacy positional calls, no cache sharing ------------
-  // One simulator (the local-stage model is one-shot state the legacy flow
-  // also amortizes), but every query assembles and factorizes from scratch.
+  // --- cold baseline: simulate(spec) with no caches attached ---------------
+  // One simulator (the local-stage model is one-shot state every flow
+  // amortizes), but every query assembles and factorizes from scratch.
   ms::core::MoreStressSimulator cold_sim(config);
   (void)cold_sim.prepare_local_stage(/*with_dummy=*/false);
-  std::vector<ms::core::FatigueResult> cold_results;
+  std::vector<ms::sweep::ScenarioResult> cold_results;
   cold_results.reserve(specs.size());
   ms::util::WallTimer cold_timer;
-  for (const ms::sweep::ScenarioSpec& spec : specs) {
-    const ms::thermal::PowerTrace trace =
-        ms::sweep::make_power_trace(spec, ms::sweep::make_power_map(spec, config));
-    cold_results.push_back(
-        cold_sim.simulate_array_fatigue(spec.blocks_x, spec.blocks_y, trace, spec.fatigue));
-  }
+  for (const ms::sweep::ScenarioSpec& spec : specs) cold_results.push_back(cold_sim.simulate(spec));
   const double cold_seconds = cold_timer.seconds();
   const double cold_qps = num_scenarios / cold_seconds;
-  std::printf("=== cold: legacy simulate_array_fatigue per spec ===\n");
+  std::printf("=== cold: cache-less simulate(spec) per spec ===\n");
   std::printf("%d queries in %.3f s (%.2f queries/s)\n", num_scenarios, cold_seconds, cold_qps);
 
   // --- first engine pass: populates the shared caches, locks correctness ---
@@ -132,7 +129,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(first_stats.factor_cache_misses),
               static_cast<unsigned long long>(first_stats.model_cache_hits),
               static_cast<unsigned long long>(first_stats.model_cache_misses));
-  std::printf("bitwise identical to cold legacy results: %s\n", bitwise ? "yes" : "NO");
+  std::printf("bitwise identical to cold results: %s\n", bitwise ? "yes" : "NO");
 
   // --- warm pass: every operator factorization is a cache hit --------------
   ms::sweep::SweepStats warm_stats;

@@ -11,6 +11,7 @@
 #include "chiplet/submodel.hpp"
 #include "common.hpp"
 #include "obs/obs_cli.hpp"
+#include "sweep/scenario_result.hpp"
 #include "util/timer.hpp"
 
 namespace {
@@ -98,10 +99,14 @@ int main(int argc, char** argv) {
         return package.displacement_at(
             {p.x + loc.origin.x, p.y + loc.origin.y, p.z + loc.origin.z});
       };
+      ms::sweep::ScenarioSpec spec;
+      spec.kind = ms::sweep::ScenarioKind::kSubmodel;
+      spec.blocks_x = spec.blocks_y = array;
+      spec.dummy_rings = rings;
+      spec.displacement = displacement;
 
       // MORE-Stress.
-      const ms::core::ArrayResult rom =
-          simulator.simulate_submodel(array, array, rings, displacement);
+      const ms::core::ArrayResult rom = *simulator.simulate(spec).array;
       r.rom_seconds = rom.stats.global_seconds();
       r.rom_bytes = rom.stats.memory_bytes;
 

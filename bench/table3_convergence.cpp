@@ -8,6 +8,7 @@
 
 #include "common.hpp"
 #include "obs/obs_cli.hpp"
+#include "sweep/scenario_result.hpp"
 
 int main(int argc, char** argv) {
   ms::util::CliParser cli("table3_convergence", "Paper Table 3 / Fig. 6: node-count convergence");
@@ -49,7 +50,9 @@ int main(int argc, char** argv) {
         case_setup.config.local.nodes_z = nodes;
     ms::core::MoreStressSimulator simulator(case_setup.config);
     const double local_seconds = simulator.prepare_local_stage(false);
-    const ms::core::ArrayResult result = simulator.simulate_array(array, array);
+    ms::sweep::ScenarioSpec spec;
+    spec.blocks_x = spec.blocks_y = array;
+    const ms::core::ArrayResult result = *simulator.simulate(spec).array;
     Row row{nodes, simulator.tsv_model().num_element_dofs(), local_seconds,
             result.stats.global_seconds(), 0.0};
     if (reference.has_value()) row.error = ms::core::field_error(*reference, result.von_mises);

@@ -21,6 +21,7 @@
 #include "obs/obs_cli.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
+#include "sweep/scenario_result.hpp"
 #include "util/json.hpp"
 #include "util/timer.hpp"
 
@@ -30,6 +31,15 @@ double peak_of(const std::vector<double>& field) {
   double peak = 0.0;
   for (double v : field) peak = std::max(peak, v);
   return peak;
+}
+
+/// Steady power-map scenario of an edge x edge array driven by `power`.
+ms::sweep::ScenarioSpec power_spec(int edge, const ms::thermal::PowerMap& power) {
+  ms::sweep::ScenarioSpec spec;
+  spec.load = ms::sweep::LoadKind::kPower;
+  spec.blocks_x = spec.blocks_y = edge;
+  spec.power_map = std::make_shared<const ms::thermal::PowerMap>(power);
+  return spec;
 }
 
 }  // namespace
@@ -105,7 +115,7 @@ int main(int argc, char** argv) {
     // publish the same values the stats structs carry (regression-locked by
     // tests/obs), so the bench emits registry deltas.
     const ms::obs::RunReport before_case = ms::obs::RunReport::capture();
-    const ms::core::ThermalArrayResult result = sim.simulate_array_thermal(edge, edge, power);
+    const ms::core::ThermalResult result = *sim.simulate(power_spec(edge, power)).thermal;
     const ms::obs::RunReport after_case = ms::obs::RunReport::capture();
     const double thermal_seconds =
         after_case.delta(before_case, "thermal.steady.assemble_seconds") +
@@ -161,8 +171,12 @@ int main(int argc, char** argv) {
     ms::core::MoreStressSimulator transient_sim(transient_config);
     (void)transient_sim.prepare_local_stage(/*with_dummy=*/false);
     const ms::obs::RunReport before_case = ms::obs::RunReport::capture();
-    const ms::core::ThermalTransientArrayResult result =
-        transient_sim.simulate_array_thermal_transient(edge, edge, trace);
+    ms::sweep::ScenarioSpec spec;
+    spec.analysis = ms::sweep::AnalysisKind::kTransient;
+    spec.load = ms::sweep::LoadKind::kTrace;
+    spec.blocks_x = spec.blocks_y = edge;
+    spec.power_trace = std::make_shared<const ms::thermal::PowerTrace>(trace);
+    const ms::core::TransientResult result = *transient_sim.simulate(spec).transient;
     const ms::obs::RunReport after_case = ms::obs::RunReport::capture();
     const double factor_seconds = after_case.delta(before_case, "thermal.transient.factor_seconds");
     const double step_seconds = after_case.delta(before_case, "thermal.transient.step_seconds");
@@ -227,8 +241,8 @@ int main(int argc, char** argv) {
     // detail back out of the fem.* metrics it published.
     const ms::obs::RunReport before_package = ms::obs::RunReport::capture();
     ms::util::WallTimer timer;
-    const ms::chiplet::PackageModel package(geom, ms::chiplet::demo_coarse_spec(),
-                                            config.thermal_load);
+    const auto package = std::make_shared<const ms::chiplet::PackageModel>(
+        geom, ms::chiplet::demo_coarse_spec(), config.thermal_load);
     const double package_seconds = timer.seconds();
     const ms::obs::RunReport after_package = ms::obs::RunReport::capture();
     const double package_factor_seconds =
@@ -239,7 +253,7 @@ int main(int argc, char** argv) {
     std::printf("coarse package solve: %.2f s (%d dofs; factor %.2f s, %s ordering, "
                 "nnz(L) = %lld, fill %.2fx)\n",
                 package_seconds, static_cast<int>(after_package.value("fem.num_dofs")),
-                package_factor_seconds, package.stats().ordering.c_str(),
+                package_factor_seconds, package->stats().ordering.c_str(),
                 static_cast<long long>(package_factor_nnz), package_fill_ratio);
     (void)sim.prepare_local_stage(/*with_dummy=*/rings > 0);
 
@@ -252,8 +266,15 @@ int main(int argc, char** argv) {
         geom, loc, config.geometry.pitch, die_power, 10.0 * die_power);
 
     const ms::obs::RunReport before_case = ms::obs::RunReport::capture();
-    const ms::core::ThermalSubmodelResult result = sim.simulate_submodel_thermal(
-        submodel_edge, submodel_edge, rings, package, loc, power);
+    ms::sweep::ScenarioSpec spec;
+    spec.kind = ms::sweep::ScenarioKind::kSubmodel;
+    spec.load = ms::sweep::LoadKind::kPower;
+    spec.blocks_x = spec.blocks_y = submodel_edge;
+    spec.dummy_rings = rings;
+    spec.package = package;
+    spec.placement = loc;
+    spec.power_map = std::make_shared<const ms::thermal::PowerMap>(power);
+    const ms::core::ThermalResult result = *sim.simulate(spec).thermal;
     const ms::obs::RunReport after_case = ms::obs::RunReport::capture();
     const double thermal_seconds =
         after_case.delta(before_case, "thermal.steady.assemble_seconds") +
@@ -275,7 +296,7 @@ int main(int argc, char** argv) {
                           .set("package_factor_seconds", package_factor_seconds)
                           .set("package_factor_nnz", package_factor_nnz)
                           .set("package_fill_ratio", package_fill_ratio)
-                          .set("package_ordering", package.stats().ordering)
+                          .set("package_ordering", package->stats().ordering)
                           .set("thermal_seconds", thermal_seconds)
                           .set("thermal_dofs", static_cast<std::int64_t>(
                                                    after_case.value("thermal.steady.num_dofs")))
@@ -298,13 +319,14 @@ int main(int argc, char** argv) {
         edge, edge, config.geometry.pitch, cli.get_double("background"));
     const double mid = 0.5 * edge * config.geometry.pitch;
     power.add_gaussian_hotspot(mid, mid, 1.5 * config.geometry.pitch, cli.get_double("peak"));
+    const ms::sweep::ScenarioSpec spec = power_spec(edge, power);
     const bool was_enabled = ms::obs::tracing_enabled();
     const auto min_of_3 = [&](bool traced) {
       ms::obs::set_tracing_enabled(traced);
       double best = 0.0;
       for (int rep = 0; rep < 3; ++rep) {
         ms::util::WallTimer timer;  // wall clock: the registry cannot time itself
-        (void)sim.simulate_array_thermal(edge, edge, power);
+        (void)sim.simulate(spec);
         const double seconds = timer.seconds();
         if (rep == 0 || seconds < best) best = seconds;
       }

@@ -3,7 +3,7 @@
 // compute its stress through the sub-modeling path — coarse displacement
 // boundary conditions + dummy-block padding + the ROM global stage. A final
 // thermally coupled run puts an operational hotspot over the loc1 window and
-// reruns it through simulate_submodel_thermal (package conduction solve with
+// reruns it as a steady power-map scenario (package conduction solve with
 // TSV-aware per-block conductivity -> per-block ΔT -> same ROM path).
 //
 //   ./chiplet_submodel [--array 5] [--rings 2] [--pitch 15] [--power 30]
@@ -15,6 +15,7 @@
 #include "chiplet/submodel.hpp"
 #include "core/simulator.hpp"
 #include "obs/obs_cli.hpp"
+#include "sweep/scenario_result.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
@@ -48,10 +49,10 @@ int main(int argc, char** argv) {
   std::printf("solving coarse package model (%gx%g um substrate)...\n", geom.substrate_x,
               geom.substrate_y);
   ms::util::WallTimer timer;
-  const ms::chiplet::PackageModel package(geom, ms::chiplet::demo_coarse_spec(),
-                                          config.thermal_load);
+  const auto package = std::make_shared<const ms::chiplet::PackageModel>(
+      geom, ms::chiplet::demo_coarse_spec(), config.thermal_load);
   std::printf("coarse solve: %.1f s (%d dofs)\n\n", timer.seconds(),
-              static_cast<int>(package.stats().num_dofs));
+              static_cast<int>(package->stats().num_dofs));
 
   ms::core::MoreStressSimulator sim(config);
   const double local_seconds = sim.prepare_local_stage(/*with_dummy=*/rings > 0);
@@ -62,12 +63,17 @@ int main(int argc, char** argv) {
 
   ms::util::TextTable table(
       {"location", "origin (um)", "global time", "iters", "peak vM [MPa]", "mean vM [MPa]"});
+  ms::sweep::ScenarioSpec spec;
+  spec.kind = ms::sweep::ScenarioKind::kSubmodel;
+  spec.blocks_x = spec.blocks_y = array;
+  spec.dummy_rings = rings;
   for (const auto& loc : locations) {
-    const auto displacement = [&](const ms::mesh::Point3& p) {
-      return package.displacement_at(
+    // Boundary data: the coarse package displacement in the window's frame.
+    spec.displacement = [&](const ms::mesh::Point3& p) {
+      return package->displacement_at(
           {p.x + loc.origin.x, p.y + loc.origin.y, p.z + loc.origin.z});
     };
-    const ms::core::ArrayResult result = sim.simulate_submodel(array, array, rings, displacement);
+    const ms::core::ArrayResult result = *sim.simulate(spec).array;
     double peak = 0.0, mean = 0.0;
     for (double v : result.von_mises) {
       peak = std::max(peak, v);
@@ -90,8 +96,12 @@ int main(int argc, char** argv) {
   const ms::thermal::PowerMap power = ms::chiplet::demo_power_map(
       geom, loc, config.geometry.pitch, cli.get_double("power"), 10.0 * cli.get_double("power"));
 
-  const ms::core::ThermalSubmodelResult thermal =
-      sim.simulate_submodel_thermal(array, array, rings, package, loc, power);
+  spec.load = ms::sweep::LoadKind::kPower;
+  spec.displacement = nullptr;  // boundary data now comes from the package itself
+  spec.package = package;
+  spec.placement = loc;
+  spec.power_map = std::make_shared<const ms::thermal::PowerMap>(power);
+  const ms::core::ThermalResult thermal = *sim.simulate(spec).thermal;
   double peak = 0.0;
   for (double v : thermal.von_mises) peak = std::max(peak, v);
   std::printf(

@@ -9,6 +9,7 @@
 #include "core/report.hpp"
 #include "core/simulator.hpp"
 #include "obs/obs_cli.hpp"
+#include "sweep/scenario_result.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
@@ -43,7 +44,9 @@ int main(int argc, char** argv) {
     config.local.nodes_x = config.local.nodes_y = config.local.nodes_z = nodes;
     ms::core::MoreStressSimulator sim(config);
     const double local_seconds = sim.prepare_local_stage(false);
-    const ms::core::ArrayResult result = sim.simulate_array(array, array);
+    ms::sweep::ScenarioSpec spec;
+    spec.blocks_x = spec.blocks_y = array;
+    const ms::core::ArrayResult result = *sim.simulate(spec).array;
     const double error = ms::core::field_error(reference, result.von_mises);
     monotone = monotone && error < previous_error;
     previous_error = error;

@@ -31,6 +31,7 @@
 #include "core/simulator.hpp"
 #include "obs/obs_cli.hpp"
 #include "reliability/rainflow.hpp"
+#include "sweep/scenario_result.hpp"
 #include "util/cli.hpp"
 
 int main(int argc, char** argv) {
@@ -73,7 +74,12 @@ int main(int argc, char** argv) {
               blocks, cycles, 1e6 * period, 1e6 * config.coupling.transient.time_step);
 
   ms::core::MoreStressSimulator sim(config);
-  const ms::core::FatigueResult result = sim.simulate_array_fatigue(blocks, blocks, trace);
+  ms::sweep::ScenarioSpec spec;
+  spec.analysis = ms::sweep::AnalysisKind::kFatigue;
+  spec.load = ms::sweep::LoadKind::kTrace;
+  spec.blocks_x = spec.blocks_y = blocks;
+  spec.power_trace = std::make_shared<const ms::thermal::PowerTrace>(trace);
+  const ms::core::FatigueResult result = *sim.simulate(spec).fatigue;
 
   std::printf("transient: %d steps; ROM panel: %d rhs on %d factorization(s), "
               "factor %.3f s + triangular %.3f s; channels %.3f s, rainflow+damage %.3f s\n\n",

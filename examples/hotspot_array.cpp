@@ -16,6 +16,7 @@
 
 #include "core/simulator.hpp"
 #include "obs/obs_cli.hpp"
+#include "sweep/scenario_result.hpp"
 #include "util/cli.hpp"
 
 namespace {
@@ -93,7 +94,11 @@ int main(int argc, char** argv) {
               blocks, power.total_power(), power.peak_density());
 
   ms::core::MoreStressSimulator sim(config);
-  const ms::core::ThermalArrayResult result = sim.simulate_array_thermal(blocks, blocks, power);
+  ms::sweep::ScenarioSpec spec;
+  spec.load = ms::sweep::LoadKind::kPower;
+  spec.blocks_x = spec.blocks_y = blocks;
+  spec.power_map = std::make_shared<const ms::thermal::PowerMap>(power);
+  const ms::core::ThermalResult result = *sim.simulate(spec).thermal;
 
   std::printf("thermal solve:   %d dofs in %.3f s\n", static_cast<int>(result.thermal_stats.num_dofs),
               result.thermal_stats.total_seconds());
@@ -109,13 +114,14 @@ int main(int argc, char** argv) {
   print_block_map("per-block peak von Mises [MPa]", peaks, blocks, blocks);
 
   // Degenerate-case validation: a uniform power map must reproduce the
-  // scalar-DT path (simulate_array delegates to exactly this uniform-load
-  // overload, so the shared simulator's cached local stage can be reused).
-  const ms::thermal::PowerMap uniform =
-      ms::thermal::PowerMap::per_block(blocks, blocks, pitch, cli.get_double("background"));
-  const ms::core::ThermalArrayResult coupled = sim.simulate_array_thermal(blocks, blocks, uniform);
-  const ms::core::ArrayResult scalar = sim.simulate_array(
-      blocks, blocks, ms::rom::BlockLoadField::uniform(coupled.load.values().front()));
+  // scalar-DT scenario at the same DT (the shared simulator's cached local
+  // stage is reused).
+  spec.power_map = std::make_shared<const ms::thermal::PowerMap>(
+      ms::thermal::PowerMap::per_block(blocks, blocks, pitch, cli.get_double("background")));
+  const ms::core::ThermalResult coupled = *sim.simulate(spec).thermal;
+  spec.load = ms::sweep::LoadKind::kUniform;
+  spec.delta_t = coupled.load.values().front();
+  const ms::core::ArrayResult scalar = *sim.simulate(spec).array;
   double peak = 0.0, max_diff = 0.0;
   for (std::size_t i = 0; i < scalar.von_mises.size(); ++i) {
     peak = std::max(peak, std::abs(scalar.von_mises[i]));

@@ -11,6 +11,7 @@
 #include "core/report.hpp"
 #include "core/simulator.hpp"
 #include "obs/obs_cli.hpp"
+#include "sweep/scenario_result.hpp"
 #include "util/cli.hpp"
 #include "util/memory.hpp"
 #include "util/table.hpp"
@@ -42,7 +43,9 @@ int main(int argc, char** argv) {
               static_cast<int>(sim.tsv_model().fine_mesh_dofs),
               static_cast<int>(sim.tsv_model().num_element_dofs()));
 
-  ms::core::ArrayResult result = sim.simulate_array(blocks, blocks);
+  ms::sweep::ScenarioSpec spec;  // scenario 1: uniform dT = config.thermal_load
+  spec.blocks_x = spec.blocks_y = blocks;
+  const ms::core::ArrayResult result = *sim.simulate(spec).array;
   double peak = 0.0;
   for (double v : result.von_mises) peak = std::max(peak, v);
   std::printf("global stage:          %.2f s (%d dofs, %d iterations)\n",

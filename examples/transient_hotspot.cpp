@@ -22,6 +22,7 @@
 
 #include "core/simulator.hpp"
 #include "obs/obs_cli.hpp"
+#include "sweep/scenario_result.hpp"
 #include "util/cli.hpp"
 
 namespace {
@@ -103,8 +104,12 @@ int main(int argc, char** argv) {
               config.coupling.transient.scheme.c_str());
 
   ms::core::MoreStressSimulator sim(config);
-  const ms::core::ThermalTransientArrayResult result =
-      sim.simulate_array_thermal_transient(blocks, blocks, trace);
+  ms::sweep::ScenarioSpec spec;
+  spec.analysis = ms::sweep::AnalysisKind::kTransient;
+  spec.load = ms::sweep::LoadKind::kTrace;
+  spec.blocks_x = spec.blocks_y = blocks;
+  spec.power_trace = std::make_shared<const ms::thermal::PowerTrace>(trace);
+  const ms::core::TransientResult result = *sim.simulate(spec).transient;
 
   std::printf("transient solve: %d dofs, %d steps; assemble %.3f s, factor %.3f s, "
               "stepping %.3f s\n",

@@ -12,6 +12,7 @@
 #include "core/simulator.hpp"
 #include "fem/assembler.hpp"
 #include "obs/obs_cli.hpp"
+#include "sweep/scenario_result.hpp"
 #include "util/cli.hpp"
 #include "util/memory.hpp"
 #include "util/table.hpp"
@@ -60,7 +61,9 @@ int main(int argc, char** argv) {
   ms::util::TextTable table({"array", "global dofs", "fine-FEM dofs (equiv)", "global time",
                              "memory", "iters", "peak vM [MPa]"});
   for (int size : parse_sizes(cli.get_string("sizes"))) {
-    const ms::core::ArrayResult result = sim.simulate_array(size, size);
+    ms::sweep::ScenarioSpec spec;
+    spec.blocks_x = spec.blocks_y = size;
+    const ms::core::ArrayResult result = *sim.simulate(spec).array;
     double peak = 0.0;
     for (double v : result.von_mises) peak = std::max(peak, v);
     const long fine_nodes = (block_edge_nodes * size + 1) * (block_edge_nodes * size + 1) *

@@ -1,8 +1,7 @@
 #pragma once
 // The per-scenario option structs, consolidated in one header so every
-// consumer — SimulationConfig, the legacy simulate_* signatures, and
-// sweep::ScenarioSpec — embeds the same definitions instead of re-plumbing
-// them per entry point. The solver-level structs they compose
+// consumer — SimulationConfig and sweep::ScenarioSpec — embeds the same
+// definitions instead of re-plumbing them. The solver-level structs they compose
 // (rom::GlobalSolveOptions, rom::LocalStageOptions, thermal::*SolveOptions)
 // stay with their subsystems; this header is the core-facing aggregation.
 
@@ -10,12 +9,12 @@
 
 namespace ms::core {
 
-/// Controls of the conduction -> ROM coupling (simulate_array_thermal and
-/// simulate_submodel_thermal): the coarse thermal meshes, the conduction
-/// solve, and the reference temperature the per-block ΔT is measured from.
+/// Controls of the conduction -> ROM coupling (power-map and trace
+/// scenarios): the coarse thermal meshes, the conduction solve, and the
+/// reference temperature the per-block ΔT is measured from.
 struct ThermalCouplingOptions {
   thermal::ThermalSolveOptions solve;  ///< sink/ambient + conduction solver
-  /// Transient-run controls (simulate_array_thermal_transient): time step,
+  /// Transient and fatigue controls (trace scenarios): time step,
   /// step count, θ-scheme, capacitance lumping. The sink/ambient data is
   /// taken from `solve` so steady and transient runs see one boundary model.
   thermal::TransientSolveOptions transient;
@@ -31,7 +30,7 @@ struct ThermalCouplingOptions {
   /// dummy blocks (bulk Si) vs active blocks (anisotropic in-plane /
   /// through-plane); kViaAveraged keeps the PR-1 single isotropic average.
   thermal::ConductivityModel conductivity_model = thermal::ConductivityModel::kTsvAware;
-  // Package conduction mesh (simulate_submodel_thermal only):
+  // Package conduction mesh (sub-model power-map and trace scenarios only):
   int package_coarse_elems_xy = 24;      ///< plan resolution outside the window
   int package_elems_z_substrate = 3;
   int package_elems_z_die = 3;

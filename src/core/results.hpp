@@ -1,5 +1,5 @@
 #pragma once
-// Result structs of every simulate_* scenario, split out of simulator.hpp
+// Result structs of every simulate(spec) scenario, split out of simulator.hpp
 // so consumers that only carry results around (sweep::ScenarioResult, report
 // writers) need not pull in the simulator, the package model, or the solver
 // entry points.
@@ -58,46 +58,29 @@ struct ArrayResult {
   RunStats stats;
 };
 
-/// Result of a coupled power-map run: the stress fields of ArrayResult plus
-/// the temperature solution and the per-block ΔT it induced (load.values()
-/// holds the raw y-major ΔT vector).
-struct ThermalArrayResult : ArrayResult {
+/// Result of a steady power-map run (array or sub-model scenario): the stress
+/// fields of ArrayResult plus the temperature solution and the per-block ΔT
+/// it induced (load.values() holds the raw y-major ΔT vector). On a
+/// sub-model the temperature lives on the package mesh and the load covers
+/// the padded window, dummy rings included.
+struct ThermalResult : ArrayResult {
   thermal::TemperatureField temperature;  ///< nodal field on the thermal mesh
   rom::BlockLoadField load;               ///< per-block ΔT fed to the ROM
   thermal::ThermalSolveStats thermal_stats;
 };
 
-/// Result of a transient power-trace run. The ArrayResult base holds the
-/// stress at the per-block *peak-envelope* ΔT — per block, the recorded ΔT
-/// of largest magnitude (signed), i.e. the worst instantaneous thermal
-/// state over the trace whether ΔT is measured from ambient (heating) or
-/// from a reflow reference (cooling). `snapshots` holds full ROM runs at
-/// user-selected recorded steps for time-resolved views.
-struct ThermalTransientArrayResult : ArrayResult {
+/// Result of a transient power-trace run (array or sub-model scenario). The
+/// ArrayResult base holds the stress at the per-block *peak-envelope* ΔT —
+/// per block, the recorded ΔT of largest magnitude (signed), i.e. the worst
+/// instantaneous thermal state over the trace whether ΔT is measured from
+/// ambient (heating) or from a reflow reference (cooling). `snapshots` holds
+/// full ROM runs at user-selected recorded steps (array scenarios only).
+struct TransientResult : ArrayResult {
   thermal::TransientTemperatureResult transient;  ///< ΔT histories + envelope
   rom::BlockLoadField envelope_load;              ///< per-block peak ΔT fed to the ROM
   thermal::TransientSolveStats thermal_stats;
   std::vector<int> snapshot_steps;                ///< indices into transient.times
   std::vector<ArrayResult> snapshots;             ///< one ROM run per requested step
-};
-
-/// Result of a coupled sub-model run: stress fields over the inner TSV
-/// region plus the package-wide temperature solution and the per-block ΔT
-/// of the padded window (dummy rings included, y-major).
-struct ThermalSubmodelResult : ArrayResult {
-  thermal::TemperatureField temperature;  ///< nodal field on the package mesh
-  rom::BlockLoadField load;               ///< padded-window per-block ΔT
-  thermal::ThermalSolveStats thermal_stats;
-};
-
-/// Result of a transient sub-model run (scenario 2 marched through a power
-/// trace): the ArrayResult base holds the stress of the inner TSV region at
-/// the padded-window peak-envelope ΔT; `transient` records the windowed
-/// per-block ΔT history on the package conduction mesh.
-struct ThermalTransientSubmodelResult : ArrayResult {
-  thermal::TransientTemperatureResult transient;  ///< windowed ΔT histories
-  rom::BlockLoadField envelope_load;              ///< padded-window peak ΔT
-  thermal::TransientSolveStats thermal_stats;
 };
 
 /// Result of a cycle-resolved fatigue run (array or sub-model scenario).

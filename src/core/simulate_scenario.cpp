@@ -1,7 +1,7 @@
-// MoreStressSimulator::simulate(const sweep::ScenarioSpec&) — the one
-// declarative entry point. Dispatches on kind/analysis/load to the exact
-// internals the legacy simulate_* shims use, so every query is bit-identical
-// to the corresponding positional call (asserted by tests/sweep).
+// MoreStressSimulator::simulate(const sweep::ScenarioSpec&) — the one entry
+// point. The spec's kind fixes the window (standalone array or padded
+// sub-model) and the thermal model (array mesh or package stack); its
+// analysis fixes the stress stage, which is the same for both kinds.
 
 #include <algorithm>
 #include <cmath>
@@ -28,14 +28,12 @@ double peak_of(const std::vector<double>& field) {
 double max_shift_of(const sweep::ScenarioResult& result) {
   double shift = result.base().stats.diagonal_shift;
   const auto fold = [&shift](double s) { shift = std::max(shift, s); };
-  if (result.thermal_array) fold(result.thermal_array->thermal_stats.diagonal_shift);
-  if (result.thermal_submodel) fold(result.thermal_submodel->thermal_stats.diagonal_shift);
-  if (result.transient_array) {
-    fold(result.transient_array->thermal_stats.diagonal_shift);
-    for (const ArrayResult& snapshot : result.transient_array->snapshots)
+  if (result.thermal) fold(result.thermal->thermal_stats.diagonal_shift);
+  if (result.transient) {
+    fold(result.transient->thermal_stats.diagonal_shift);
+    for (const ArrayResult& snapshot : result.transient->snapshots)
       fold(snapshot.stats.diagonal_shift);
   }
-  if (result.transient_submodel) fold(result.transient_submodel->thermal_stats.diagonal_shift);
   if (result.fatigue) {
     fold(result.fatigue->thermal_stats.diagonal_shift);
     fold(result.fatigue->solve_stats.diagonal_shift);
@@ -53,7 +51,7 @@ struct ResolvedPackage {
 /// config's thermal load (the same package every example/bench uses). The
 /// sweep engine pre-resolves this per padded size and shares it across
 /// scenarios via the payload slot — building a package is itself a coarse
-/// FEM solve.
+/// FEM solve, so only specs that read it get here (ScenarioSpec::reads_package).
 ResolvedPackage resolve_package(const sweep::ScenarioSpec& spec, const SimulationConfig& config) {
   ResolvedPackage resolved;
   const int padded_x = spec.blocks_x + 2 * spec.dummy_rings;
@@ -76,8 +74,7 @@ ResolvedPackage resolve_package(const sweep::ScenarioSpec& spec, const Simulatio
   return resolved;
 }
 
-/// The package's own coarse displacement in the window's local frame — the
-/// same boundary data every simulate_submodel_* path derives internally.
+/// The package's own coarse displacement in the window's local frame.
 std::function<std::array<double, 3>(const mesh::Point3&)> package_boundary_of(
     const ResolvedPackage& resolved) {
   const chiplet::DisplacementField local =
@@ -88,139 +85,130 @@ std::function<std::array<double, 3>(const mesh::Point3&)> package_boundary_of(
   return [local, keep](const mesh::Point3& p) { return local(p); };
 }
 
+/// Recorded-history indices the fatigue panel solves: every stride-th record
+/// starting at the initial state, the last record always included (the
+/// envelope of a relaxing trace lives there).
+std::vector<int> select_history_steps(std::size_t num_records, int stride) {
+  if (stride < 1) throw std::invalid_argument("FatigueOptions: record_stride must be >= 1");
+  std::vector<int> steps;
+  for (std::size_t r = 0; r < num_records; r += static_cast<std::size_t>(stride)) {
+    steps.push_back(static_cast<int>(r));
+  }
+  if (steps.empty() || steps.back() != static_cast<int>(num_records) - 1) {
+    steps.push_back(static_cast<int>(num_records) - 1);
+  }
+  return steps;
+}
+
+/// Per-block ΔT loads of the selected recorded steps.
+std::vector<rom::BlockLoadField> loads_of_steps(const thermal::TransientTemperatureResult& t,
+                                                const std::vector<int>& steps) {
+  std::vector<rom::BlockLoadField> loads;
+  loads.reserve(steps.size());
+  for (int step : steps) {
+    if (step < 0 || static_cast<std::size_t>(step) >= t.num_records()) {
+      throw std::invalid_argument("snapshot step outside the recorded history");
+    }
+    loads.emplace_back(t.blocks_x, t.blocks_y, la::Vec(t.block_delta_t[step]));
+  }
+  return loads;
+}
+
 }  // namespace
 
 sweep::ScenarioResult MoreStressSimulator::simulate(const sweep::ScenarioSpec& spec) {
   spec.validate();
-
-  // A transient time-step override runs under an adjusted config with the
-  // same caches and (shared) local-stage models — bit-identical to a
-  // simulator constructed with that config outright.
-  if (spec.time_step != 0.0 && spec.analysis != sweep::AnalysisKind::kSteady &&
-      spec.time_step != config_.coupling.transient.time_step) {
-    SimulationConfig adjusted = config_;
-    adjusted.coupling.transient.time_step = spec.time_step;
-    MoreStressSimulator shadow(adjusted);
-    shadow.cache_dir_ = cache_dir_;
-    shadow.factor_cache_ = factor_cache_;
-    shadow.model_cache_ = model_cache_;
-    shadow.tsv_model_ = tsv_model_;
-    shadow.dummy_model_ = dummy_model_;
-    sweep::ScenarioSpec resolved = spec;
-    resolved.time_step = 0.0;
-    sweep::ScenarioResult result = shadow.simulate(resolved);
-    // Models the shadow built on demand flow back so repeated overrides on
-    // this simulator stay warm even without an attached model cache.
-    if (tsv_model_ == nullptr) tsv_model_ = shadow.tsv_model_;
-    if (dummy_model_ == nullptr) dummy_model_ = shadow.dummy_model_;
-    return result;
-  }
-
   util::WallTimer timer;
   sweep::ScenarioResult result;
   result.name = spec.name;
   result.kind = spec.kind;
   result.analysis = spec.analysis;
 
+  const bool submodel = spec.kind == sweep::ScenarioKind::kSubmodel;
   const int bx = spec.blocks_x;
   const int by = spec.blocks_y;
+  ResolvedPackage resolved;
+  if (spec.reads_package()) resolved = resolve_package(spec, config_);
+  const Window window =
+      submodel ? submodel_window(bx, by, spec.dummy_rings,
+                                 spec.reads_package() ? package_boundary_of(resolved)
+                                                      : spec.displacement)
+               : array_window(bx, by);
 
-  if (spec.kind == sweep::ScenarioKind::kArray) {
-    switch (spec.analysis) {
-      case sweep::AnalysisKind::kSteady: {
-        if (spec.load == sweep::LoadKind::kUniform) {
-          const rom::BlockLoadField load =
-              spec.load_field != nullptr
-                  ? *spec.load_field
-                  : rom::BlockLoadField::uniform(
-                        std::isnan(spec.delta_t) ? config_.thermal_load : spec.delta_t);
-          result.array = std::make_shared<ArrayResult>(simulate_array(bx, by, load));
-        } else {
-          const thermal::PowerMap power = spec.power_map != nullptr
-                                              ? *spec.power_map
-                                              : sweep::make_power_map(spec, config_);
-          result.thermal_array =
-              std::make_shared<ThermalArrayResult>(simulate_array_thermal(bx, by, power));
-        }
+  const auto power_map = [&]() {
+    if (spec.power_map != nullptr) return *spec.power_map;
+    return submodel ? sweep::make_power_map(spec, config_, resolved.package->geometry(),
+                                            resolved.placement)
+                    : sweep::make_power_map(spec, config_);
+  };
+  const double time_step =
+      spec.time_step != 0.0 ? spec.time_step : config_.coupling.transient.time_step;
+  // The thermal march both trace analyses share; returns the trace duration.
+  const auto march = [&](thermal::TransientTemperatureResult& transient,
+                         thermal::TransientSolveStats& stats) {
+    const thermal::PowerTrace trace = spec.power_trace != nullptr
+                                          ? *spec.power_trace
+                                          : sweep::make_power_trace(spec, power_map());
+    transient = submodel ? run_submodel_transient(window, *resolved.package, resolved.placement,
+                                                  trace, time_step, &stats)
+                         : run_array_transient(bx, by, trace, time_step, &stats);
+    return trace.duration();
+  };
+
+  switch (spec.analysis) {
+    case sweep::AnalysisKind::kSteady: {
+      if (spec.load == sweep::LoadKind::kUniform) {
+        const rom::BlockLoadField load =
+            spec.load_field != nullptr
+                ? *spec.load_field
+                : rom::BlockLoadField::uniform(
+                      std::isnan(spec.delta_t) ? config_.thermal_load : spec.delta_t);
+        result.array = std::make_shared<ArrayResult>(run_global(window, load));
         break;
       }
-      case sweep::AnalysisKind::kTransient: {
-        const thermal::PowerTrace trace =
-            spec.power_trace != nullptr
-                ? *spec.power_trace
-                : sweep::make_power_trace(spec, sweep::make_power_map(spec, config_));
-        result.transient_array = std::make_shared<ThermalTransientArrayResult>(
-            simulate_array_thermal_transient(bx, by, trace, spec.snapshot_steps));
-        break;
+      auto thermal = std::make_shared<ThermalResult>();
+      if (submodel) {
+        run_submodel_steady(window, *resolved.package, resolved.placement, power_map(), *thermal);
+      } else {
+        run_array_steady(bx, by, power_map(), *thermal);
       }
-      case sweep::AnalysisKind::kFatigue: {
-        const thermal::PowerTrace trace =
-            spec.power_trace != nullptr
-                ? *spec.power_trace
-                : sweep::make_power_trace(spec, sweep::make_power_map(spec, config_));
-        result.fatigue = std::make_shared<FatigueResult>(
-            simulate_array_fatigue(bx, by, trace, spec.fatigue));
-        break;
-      }
+      static_cast<ArrayResult&>(*thermal) = run_global(window, thermal->load);
+      result.thermal = std::move(thermal);
+      break;
     }
-  } else {
-    const ResolvedPackage resolved = resolve_package(spec, config_);
-    switch (spec.analysis) {
-      case sweep::AnalysisKind::kSteady: {
-        if (spec.load == sweep::LoadKind::kUniform) {
-          const auto boundary = spec.displacement ? spec.displacement
-                                                  : package_boundary_of(resolved);
-          if (spec.load_field == nullptr && std::isnan(spec.delta_t)) {
-            result.array = std::make_shared<ArrayResult>(
-                simulate_submodel(bx, by, spec.dummy_rings, boundary));
-          } else {
-            // ΔT override: the legacy path hard-codes config.thermal_load, so
-            // drive the shared core with the custom load directly.
-            const int padded_x = bx + 2 * spec.dummy_rings;
-            const int padded_y = by + 2 * spec.dummy_rings;
-            const rom::BlockLoadField load =
-                spec.load_field != nullptr ? *spec.load_field
-                                           : rom::BlockLoadField::uniform(spec.delta_t);
-            result.array = std::make_shared<ArrayResult>(run_submodel(
-                bx, by, spec.dummy_rings,
-                mesh::padded_tsv_mask(padded_x, padded_y, spec.dummy_rings), boundary, load));
-          }
-        } else {
-          const thermal::PowerMap power =
-              spec.power_map != nullptr
-                  ? *spec.power_map
-                  : sweep::make_power_map(spec, config_, resolved.package->geometry(),
-                                          resolved.placement);
-          result.thermal_submodel =
-              std::make_shared<ThermalSubmodelResult>(simulate_submodel_thermal(
-                  bx, by, spec.dummy_rings, *resolved.package, resolved.placement, power));
-        }
-        break;
-      }
-      case sweep::AnalysisKind::kTransient: {
-        const thermal::PowerTrace trace =
-            spec.power_trace != nullptr
-                ? *spec.power_trace
-                : sweep::make_power_trace(
-                      spec, sweep::make_power_map(spec, config_, resolved.package->geometry(),
-                                                  resolved.placement));
-        result.transient_submodel = std::make_shared<ThermalTransientSubmodelResult>(
-            simulate_submodel_thermal_transient(bx, by, spec.dummy_rings, *resolved.package,
-                                                resolved.placement, trace));
-        break;
-      }
-      case sweep::AnalysisKind::kFatigue: {
-        const thermal::PowerTrace trace =
-            spec.power_trace != nullptr
-                ? *spec.power_trace
-                : sweep::make_power_trace(
-                      spec, sweep::make_power_map(spec, config_, resolved.package->geometry(),
-                                                  resolved.placement));
-        result.fatigue = std::make_shared<FatigueResult>(simulate_submodel_fatigue(
-            bx, by, spec.dummy_rings, *resolved.package, resolved.placement, trace,
-            spec.fatigue));
-        break;
-      }
+    case sweep::AnalysisKind::kTransient: {
+      // The envelope and every requested snapshot share the global operator:
+      // one assembly + one factorization + one multi-RHS panel.
+      auto transient = std::make_shared<TransientResult>();
+      march(transient->transient, transient->thermal_stats);
+      transient->envelope_load = rom::BlockLoadField(window.blocks_x, window.blocks_y,
+                                                     Vec(transient->transient.peak_envelope));
+      transient->snapshot_steps = spec.snapshot_steps;
+      static_cast<ArrayResult&>(*transient) =
+          run_global(window, transient->envelope_load,
+                     loads_of_steps(transient->transient, spec.snapshot_steps),
+                     &transient->snapshots);
+      result.transient = std::move(transient);
+      break;
+    }
+    case sweep::AnalysisKind::kFatigue: {
+      auto fatigue = std::make_shared<FatigueResult>();
+      const double duration = march(fatigue->transient, fatigue->thermal_stats);
+      fatigue->envelope_load = rom::BlockLoadField(window.blocks_x, window.blocks_y,
+                                                   Vec(fatigue->transient.peak_envelope));
+      fatigue->history_steps = select_history_steps(fatigue->transient.num_records(),
+                                                    spec.fatigue.record_stride);
+      std::vector<double> step_times;
+      for (int step : fatigue->history_steps) step_times.push_back(fatigue->transient.times[step]);
+      static_cast<ArrayResult&>(*fatigue) = run_fatigue_panel(
+          window, fatigue->envelope_load,
+          loads_of_steps(fatigue->transient, fatigue->history_steps), step_times,
+          &fatigue->history, &fatigue->solve_stats, &fatigue->history_seconds);
+      util::WallTimer assess_timer;
+      fatigue->report = assess_fatigue(fatigue->history, duration, spec.fatigue);
+      fatigue->reliability_seconds = assess_timer.seconds();
+      result.fatigue = std::move(fatigue);
+      break;
     }
   }
 

@@ -7,7 +7,6 @@
 #include <memory>
 #include <stdexcept>
 
-#include "chiplet/displacement_field.hpp"
 #include "chiplet/package_thermal.hpp"
 #include "core/health.hpp"
 #include "obs/metrics.hpp"
@@ -143,44 +142,38 @@ void publish_run_stats(const RunStats& s) {
   reg.gauge("core.run.fill_ratio").set(s.fill_ratio);
 }
 
-/// Report range of a standalone array: every block.
-rom::BlockRange full_range(int blocks_x, int blocks_y) {
-  rom::BlockRange range;
-  range.bx0 = 0;
-  range.bx1 = blocks_x;
-  range.by0 = 0;
-  range.by1 = blocks_y;
-  return range;
-}
-
-/// Report range of a padded sub-model window: the inner TSV region.
-rom::BlockRange inner_range(int dummy_rings, int tsv_blocks_x, int tsv_blocks_y) {
-  rom::BlockRange range;
-  range.bx0 = dummy_rings;
-  range.bx1 = dummy_rings + tsv_blocks_x;
-  range.by0 = dummy_rings;
-  range.by1 = dummy_rings + tsv_blocks_y;
-  return range;
-}
-
-/// The sub-model boundary data: the package's own coarse displacement,
-/// expressed in the window's local frame. The returned closure owns its
-/// DisplacementField by value (the field itself only references the package's
-/// mesh and solution, which must outlive the closure — true everywhere the
-/// package is a caller argument).
-std::function<std::array<double, 3>(const mesh::Point3&)> package_boundary(
-    const chiplet::PackageModel& package, const chiplet::SubmodelPlacement& placement) {
-  const chiplet::DisplacementField local =
-      chiplet::DisplacementField(package.mesh(), package.displacement())
-          .shifted(placement.origin);
-  return [local](const mesh::Point3& p) { return local(p); };
-}
-
 }  // namespace
 
-std::string MoreStressSimulator::global_factor_key(int blocks_x, int blocks_y,
-                                                   const rom::BlockMask& mask, bool uses_dummy,
-                                                   const fem::DirichletBc& bc) {
+rom::BlockGrid MoreStressSimulator::block_grid(int blocks_x, int blocks_y) const {
+  return rom::BlockGrid(blocks_x, blocks_y, config_.local.nodes_x, config_.local.nodes_y,
+                        config_.local.nodes_z, config_.geometry.pitch, config_.geometry.height);
+}
+
+MoreStressSimulator::Window MoreStressSimulator::array_window(int blocks_x, int blocks_y) const {
+  const rom::BlockGrid grid = block_grid(blocks_x, blocks_y);
+  Window window;
+  window.blocks_x = blocks_x;
+  window.blocks_y = blocks_y;
+  window.bc = rom::clamp_top_bottom(grid);
+  window.report = rom::BlockRange::all(grid);
+  return window;
+}
+
+MoreStressSimulator::Window MoreStressSimulator::submodel_window(
+    int tsv_blocks_x, int tsv_blocks_y, int dummy_rings, const Displacement& boundary) const {
+  Window window;
+  window.blocks_x = tsv_blocks_x + 2 * dummy_rings;
+  window.blocks_y = tsv_blocks_y + 2 * dummy_rings;
+  const rom::BlockGrid grid = block_grid(window.blocks_x, window.blocks_y);
+  window.mask = mesh::padded_tsv_mask(window.blocks_x, window.blocks_y, dummy_rings);
+  window.bc = rom::submodel_boundary(grid, boundary);
+  window.report = {dummy_rings, dummy_rings + tsv_blocks_x, dummy_rings,
+                   dummy_rings + tsv_blocks_y};
+  window.uses_dummy = dummy_rings > 0;
+  return window;
+}
+
+std::string MoreStressSimulator::global_factor_key(const Window& window) {
   // The key must determine the assembled operator's values and the
   // constrained-dof set — BC *values* are lifted against the cached unlifted
   // operator, so they vary freely under one key. The reduced element
@@ -190,42 +183,35 @@ std::string MoreStressSimulator::global_factor_key(int blocks_x, int blocks_y,
   const rom::RomModel& tsv = tsv_model();
   std::uint64_t h = util::fnv1a(tsv.element_stiffness.data());
   h = util::fnv1a(tsv.element_load, h);
-  if (uses_dummy) {
+  if (window.uses_dummy) {
     const rom::RomModel& dummy = dummy_model();
     h = util::fnv1a(dummy.element_stiffness.data(), h);
     h = util::fnv1a(dummy.element_load, h);
   }
-  h = util::fnv1a(mask, h);
-  h = util::fnv1a(bc.dofs, h);
+  h = util::fnv1a(window.mask, h);
+  h = util::fnv1a(window.bc.dofs, h);
   const la::SparseCholesky::Options& factor = config_.global.factor;
   char buf[192];
-  std::snprintf(buf, sizeof(buf), "glob_b%dx%d_n%d%d%d_d%d_o%d_m%d_w%d_r%.3g_%016llx", blocks_x,
-                blocks_y, config_.local.nodes_x, config_.local.nodes_y, config_.local.nodes_z,
-                uses_dummy ? 1 : 0, static_cast<int>(factor.ordering),
-                static_cast<int>(factor.method), static_cast<int>(factor.max_supernode_width),
-                factor.relax_supernodes, static_cast<unsigned long long>(h));
+  std::snprintf(buf, sizeof(buf), "glob_b%dx%d_n%d%d%d_d%d_o%d_m%d_w%d_r%.3g_%016llx",
+                window.blocks_x, window.blocks_y, config_.local.nodes_x, config_.local.nodes_y,
+                config_.local.nodes_z, window.uses_dummy ? 1 : 0,
+                static_cast<int>(factor.ordering), static_cast<int>(factor.method),
+                static_cast<int>(factor.max_supernode_width), factor.relax_supernodes,
+                static_cast<unsigned long long>(h));
   return buf;
 }
 
-ArrayResult MoreStressSimulator::run_global(int blocks_x, int blocks_y,
-                                            const rom::BlockMask& mask,
-                                            const fem::DirichletBc& bc,
-                                            const rom::BlockRange& report_range,
-                                            bool uses_dummy, const rom::BlockLoadField& load) {
-  return run_global_multi(blocks_x, blocks_y, mask, bc, report_range, uses_dummy, load, {},
-                          nullptr);
-}
-
-ArrayResult MoreStressSimulator::run_panel(
-    int blocks_x, int blocks_y, const rom::BlockMask& mask, const fem::DirichletBc& bc,
-    const rom::BlockRange& report_range, bool uses_dummy, const rom::BlockLoadField& primary_load,
-    const std::vector<rom::BlockLoadField>& extra_loads,
-    rom::GlobalSolveStats* solve_stats_out, double* consume_seconds,
-    const PanelConsumer& consumer) {
+ArrayResult MoreStressSimulator::run_panel(const Window& window,
+                                           const rom::BlockLoadField& primary_load,
+                                           const std::vector<rom::BlockLoadField>& extra_loads,
+                                           rom::GlobalSolveStats* solve_stats_out,
+                                           double* consume_seconds,
+                                           const PanelConsumer& consumer) {
   MS_TRACE_SCOPE("core.global.panel");
   cancel_.check("global.panel");
   const rom::RomModel& tsv = tsv_model();
-  const rom::RomModel* dummy = uses_dummy ? &dummy_model() : nullptr;
+  const rom::RomModel* dummy = window.uses_dummy ? &dummy_model() : nullptr;
+  const rom::BlockMask& mask = window.mask;
 
   ArrayResult result;
   result.stats.local_stage_seconds =
@@ -236,13 +222,11 @@ ArrayResult MoreStressSimulator::run_panel(
   const bool cache_global = factor_cache_ != nullptr && solve_options.method == "direct";
   if (cache_global) {
     solve_options.factor_cache = factor_cache_;
-    solve_options.factor_key = global_factor_key(blocks_x, blocks_y, mask, uses_dummy, bc);
+    solve_options.factor_key = global_factor_key(window);
   }
 
   util::WallTimer timer;
-  const rom::BlockGrid grid(blocks_x, blocks_y, config_.local.nodes_x, config_.local.nodes_y,
-                            config_.local.nodes_z, config_.geometry.pitch,
-                            config_.geometry.height);
+  const rom::BlockGrid grid = block_grid(window.blocks_x, window.blocks_y);
   rom::GlobalProblem problem;
   std::vector<Vec> extra_rhs;
   {
@@ -269,8 +253,8 @@ ArrayResult MoreStressSimulator::run_panel(
   cancel_.check("global.solve");
   timer.reset();
   rom::GlobalSolveStats panel_stats;
-  std::vector<Vec> solutions =
-      rom::solve_global_multi(problem, std::move(extra_rhs), bc, solve_options, &panel_stats);
+  std::vector<Vec> solutions = rom::solve_global_multi(problem, std::move(extra_rhs), window.bc,
+                                                       solve_options, &panel_stats);
   const bool check = config_.robustness.check_finite;
   for (const Vec& solution : solutions) {
     require_finite(check, "global.solve", "global solution", solution);
@@ -284,15 +268,15 @@ ArrayResult MoreStressSimulator::run_panel(
   {
     MS_TRACE_SCOPE("core.global.reconstruct");
     result.stress = rom::reconstruct_plane_stress(grid, tsv, dummy, mask, result.solution,
-                                                  primary_load, report_range);
+                                                  primary_load, window.report);
     result.von_mises = fem::to_von_mises(result.stress);
   }
   require_finite(check, "global.reconstruct", "von Mises field", result.von_mises.data(),
                  result.von_mises.size());
   result.stats.reconstruct_seconds = timer.seconds();
 
-  result.region_blocks_x = report_range.width();
-  result.region_blocks_y = report_range.height();
+  result.region_blocks_x = window.report.width();
+  result.region_blocks_y = window.report.height();
   result.samples_per_block = tsv.samples_per_block;
   result.stats.memory_bytes = panel_stats.matrix_bytes + panel_stats.solver_bytes +
                               tsv.memory_bytes() +
@@ -303,10 +287,7 @@ ArrayResult MoreStressSimulator::run_panel(
   timer.reset();
   if (consumer) {
     MS_TRACE_SCOPE("core.global.consume");
-    const PanelCaseContext ctx{grid,         tsv,
-                               dummy,        mask,
-                               report_range, result.stats,
-                               tsv.samples_per_block};
+    const PanelCaseContext ctx{grid, tsv, dummy, window, result.stats};
     // Consumers write disjoint slots (documented contract), so cases
     // parallelize; each case sees the completed primary stats.
 #ifdef _OPENMP
@@ -321,11 +302,9 @@ ArrayResult MoreStressSimulator::run_panel(
   return result;
 }
 
-ArrayResult MoreStressSimulator::run_global_multi(
-    int blocks_x, int blocks_y, const rom::BlockMask& mask, const fem::DirichletBc& bc,
-    const rom::BlockRange& report_range, bool uses_dummy, const rom::BlockLoadField& load,
-    const std::vector<rom::BlockLoadField>& extra_loads,
-    std::vector<ArrayResult>* extra_results) {
+ArrayResult MoreStressSimulator::run_global(const Window& window, const rom::BlockLoadField& load,
+                                            const std::vector<rom::BlockLoadField>& extra_loads,
+                                            std::vector<ArrayResult>* extra_results) {
   PanelConsumer consumer;
   if (extra_results != nullptr) {
     extra_results->clear();
@@ -336,40 +315,19 @@ ArrayResult MoreStressSimulator::run_global_multi(
       extra.stats = ctx.base_stats;  // shared assembly/factorization cost
       extra.solution = std::move(solution);
       util::WallTimer reconstruct_timer;
-      extra.stress = rom::reconstruct_plane_stress(ctx.grid, ctx.tsv, ctx.dummy, ctx.mask,
-                                                   extra.solution, load_c, ctx.report_range);
+      extra.stress =
+          rom::reconstruct_plane_stress(ctx.grid, ctx.tsv, ctx.dummy, ctx.window.mask,
+                                        extra.solution, load_c, ctx.window.report);
       extra.von_mises = fem::to_von_mises(extra.stress);
       extra.stats.reconstruct_seconds = reconstruct_timer.seconds();
-      extra.region_blocks_x = ctx.report_range.width();
-      extra.region_blocks_y = ctx.report_range.height();
-      extra.samples_per_block = ctx.samples_per_block;
+      extra.region_blocks_x = ctx.window.report.width();
+      extra.region_blocks_y = ctx.window.report.height();
+      extra.samples_per_block = ctx.tsv.samples_per_block;
     };
   }
-  ArrayResult result = run_panel(blocks_x, blocks_y, mask, bc, report_range, uses_dummy, load,
-                                 extra_loads, nullptr, nullptr, consumer);
+  ArrayResult result = run_panel(window, load, extra_loads, nullptr, nullptr, consumer);
   publish_run_stats(result.stats);
   return result;
-}
-
-ArrayResult MoreStressSimulator::simulate_array(int blocks_x, int blocks_y) {
-  return simulate_array(blocks_x, blocks_y, rom::BlockLoadField::uniform(config_.thermal_load));
-}
-
-ArrayResult MoreStressSimulator::run_array(int blocks_x, int blocks_y,
-                                           const rom::BlockLoadField& load,
-                                           const std::vector<rom::BlockLoadField>& extra_loads,
-                                           std::vector<ArrayResult>* extra_results) {
-  const rom::BlockGrid grid(blocks_x, blocks_y, config_.local.nodes_x, config_.local.nodes_y,
-                            config_.local.nodes_z, config_.geometry.pitch,
-                            config_.geometry.height);
-  const fem::DirichletBc bc = rom::clamp_top_bottom(grid);
-  return run_global_multi(blocks_x, blocks_y, {}, bc, full_range(blocks_x, blocks_y),
-                          /*uses_dummy=*/false, load, extra_loads, extra_results);
-}
-
-ArrayResult MoreStressSimulator::simulate_array(int blocks_x, int blocks_y,
-                                                const rom::BlockLoadField& load) {
-  return run_array(blocks_x, blocks_y, load, {}, nullptr);
 }
 
 namespace {
@@ -389,32 +347,25 @@ chiplet::PackageThermalSpec package_thermal_spec(const ThermalCouplingOptions& c
   return spec;
 }
 
-/// Shared validation of the padded sub-model window arguments (every
-/// scenario-2 entry point that takes a placement).
-void require_padded_window(int dummy_rings, const chiplet::SubmodelPlacement& placement, int bx,
-                           int by, const char* caller) {
-  if (dummy_rings < 0) {
-    throw std::invalid_argument(std::string(caller) + ": dummy_rings >= 0");
-  }
-  if (placement.blocks_x != bx || placement.blocks_y != by) {
-    throw std::invalid_argument(std::string(caller) +
-                                ": placement must cover the padded window "
-                                "(tsv_blocks + 2*dummy_rings per axis)");
+/// The sub-model placement must cover the padded window exactly.
+void require_padded_window(const chiplet::SubmodelPlacement& placement, int padded_x,
+                           int padded_y) {
+  if (placement.blocks_x != padded_x || placement.blocks_y != padded_y) {
+    throw std::invalid_argument(
+        "sub-model: placement must cover the padded window "
+        "(tsv_blocks + 2*dummy_rings per axis)");
   }
 }
 
-/// Both array coupling paths reject power maps that do not cover the array
-/// plan exactly: density_at is 0 outside the map, so a mismatched footprint
-/// would silently drop heat.
-void require_array_footprint(const thermal::PowerMap& power, int blocks_x, int blocks_y,
-                             double pitch, const char* caller) {
-  const double extent_x = blocks_x * pitch;
-  const double extent_y = blocks_y * pitch;
+/// Power maps must cover the thermal model's plan exactly (the array
+/// footprint, or the package plan): density_at is 0 outside the map, so a
+/// mismatched footprint would silently drop heat.
+void require_footprint(const thermal::PowerMap& power, double extent_x, double extent_y,
+                       const char* what) {
   if (std::abs(power.width() - extent_x) > 1e-9 * extent_x ||
       std::abs(power.height() - extent_y) > 1e-9 * extent_y) {
-    throw std::invalid_argument(std::string(caller) +
-                                ": power map footprint must match the array extent "
-                                "(use PowerMap::per_block or zero tiles for unpowered regions)");
+    throw std::invalid_argument(std::string("power map footprint must match the ") + what +
+                                " (zero tiles for unpowered regions are fine)");
   }
 }
 
@@ -465,6 +416,15 @@ std::string thermal_transient_key(const mesh::HexMesh& mesh,
   return buf;
 }
 
+/// Every keyframe of a trace must satisfy the footprint rule.
+void require_trace_footprint(const thermal::PowerTrace& trace, double extent_x, double extent_y,
+                             const char* what) {
+  if (trace.num_keyframes() == 0) throw std::invalid_argument("transient: trace has no keyframes");
+  for (std::size_t i = 0; i < trace.num_keyframes(); ++i) {
+    require_footprint(trace.keyframe(i), extent_x, extent_y, what);
+  }
+}
+
 }  // namespace
 
 thermal::ThermalSolveOptions MoreStressSimulator::steady_solve_options(
@@ -479,10 +439,11 @@ thermal::ThermalSolveOptions MoreStressSimulator::steady_solve_options(
 }
 
 thermal::TransientSolveOptions MoreStressSimulator::transient_solve_options(
-    const std::string& factor_key) const {
+    const std::string& factor_key, double time_step) const {
   // One boundary model for steady and transient runs: the sink/ambient data
   // rides in coupling.solve, the stepping controls in coupling.transient.
   thermal::TransientSolveOptions options = config_.coupling.transient;
+  options.time_step = time_step;
   options.base = config_.coupling.solve;
   options.base.cancel = cancel_;
   if (factor_cache_ != nullptr && !factor_key.empty()) {
@@ -492,49 +453,69 @@ thermal::TransientSolveOptions MoreStressSimulator::transient_solve_options(
   return options;
 }
 
-ThermalArrayResult MoreStressSimulator::simulate_array_thermal(int blocks_x, int blocks_y,
-                                                               const thermal::PowerMap& power) {
-  MS_TRACE_SCOPE("core.simulate.array_thermal");
+void MoreStressSimulator::run_array_steady(int blocks_x, int blocks_y,
+                                           const thermal::PowerMap& power, ThermalResult& out) {
+  MS_TRACE_SCOPE("core.thermal.array_steady");
   const ThermalCouplingOptions& coupling = config_.coupling;
-  require_array_footprint(power, blocks_x, blocks_y, config_.geometry.pitch,
-                          "simulate_array_thermal");
+  require_footprint(power, blocks_x * config_.geometry.pitch, blocks_y * config_.geometry.pitch,
+                    "array extent");
   const mesh::HexMesh thermal_mesh = thermal::build_array_thermal_mesh(
       config_.geometry, blocks_x, blocks_y, coupling.elems_per_block_xy, coupling.elems_z);
   const thermal::ConductivityField conductivities = thermal::array_block_conductivities(
       thermal_mesh, config_.geometry, config_.materials, blocks_x, blocks_y, /*tsv_mask=*/{},
       coupling.conductivity_model);
 
-  ThermalArrayResult result;
   const thermal::ThermalSolveOptions solve = steady_solve_options(
       factor_cache_ != nullptr ? thermal_steady_key(thermal_mesh, conductivities, coupling.solve)
                                : std::string());
-  result.temperature =
-      thermal::solve_power_map(thermal_mesh, conductivities, power, solve, &result.thermal_stats);
+  out.temperature =
+      thermal::solve_power_map(thermal_mesh, conductivities, power, solve, &out.thermal_stats);
 
   std::vector<double> delta_t =
-      result.temperature.block_averages(blocks_x, blocks_y, config_.geometry.pitch);
+      out.temperature.block_averages(blocks_x, blocks_y, config_.geometry.pitch);
   for (double& dt : delta_t) dt -= coupling.stress_free_temperature;
   require_finite(config_.robustness.check_finite, "thermal.steady", "per-block dT field",
                  delta_t.data(), delta_t.size());
-  result.load = rom::BlockLoadField(blocks_x, blocks_y, std::move(delta_t));
+  out.load = rom::BlockLoadField(blocks_x, blocks_y, std::move(delta_t));
+}
 
-  static_cast<ArrayResult&>(result) = simulate_array(blocks_x, blocks_y, result.load);
-  MS_LOG_DEBUG("thermal coupling: %d x %d blocks, dT in [%.3f, %.3f] C", blocks_x, blocks_y,
-               result.load.min(), result.load.max());
-  return result;
+void MoreStressSimulator::run_submodel_steady(const Window& window,
+                                              const chiplet::PackageModel& package,
+                                              const chiplet::SubmodelPlacement& placement,
+                                              const thermal::PowerMap& power,
+                                              ThermalResult& out) {
+  MS_TRACE_SCOPE("core.thermal.submodel_steady");
+  const chiplet::PackageGeometry& geometry = package.geometry();
+  require_padded_window(placement, window.blocks_x, window.blocks_y);
+  require_footprint(power, geometry.substrate_x, geometry.substrate_y, "package plan");
+  const ThermalCouplingOptions& coupling = config_.coupling;
+  const chiplet::PackageThermalModel thermal_model = chiplet::build_package_thermal_model(
+      geometry, config_.geometry, placement, window.mask, config_.materials,
+      package_thermal_spec(coupling));
+
+  const thermal::ThermalSolveOptions solve = steady_solve_options(
+      factor_cache_ != nullptr
+          ? thermal_steady_key(thermal_model.mesh, thermal_model.conductivity, coupling.solve)
+          : std::string());
+  out.temperature = thermal::solve_power_map(thermal_model.mesh, thermal_model.conductivity,
+                                             power, solve, &out.thermal_stats);
+
+  std::vector<double> delta_t = out.temperature.block_averages(
+      window.blocks_x, window.blocks_y, config_.geometry.pitch, placement.origin,
+      geometry.interposer_z0(), geometry.interposer_z1());
+  for (double& dt : delta_t) dt -= coupling.stress_free_temperature;
+  require_finite(config_.robustness.check_finite, "thermal.steady", "per-block dT field",
+                 delta_t.data(), delta_t.size());
+  out.load = rom::BlockLoadField(window.blocks_x, window.blocks_y, std::move(delta_t));
 }
 
 thermal::TransientTemperatureResult MoreStressSimulator::run_array_transient(
-    int blocks_x, int blocks_y, const thermal::PowerTrace& trace,
+    int blocks_x, int blocks_y, const thermal::PowerTrace& trace, double time_step,
     thermal::TransientSolveStats* stats) {
+  MS_TRACE_SCOPE("core.thermal.array_transient");
   const ThermalCouplingOptions& coupling = config_.coupling;
-  if (trace.num_keyframes() == 0) {
-    throw std::invalid_argument("array transient: trace has no keyframes");
-  }
-  for (std::size_t i = 0; i < trace.num_keyframes(); ++i) {
-    require_array_footprint(trace.keyframe(i), blocks_x, blocks_y, config_.geometry.pitch,
-                            "array transient");
-  }
+  require_trace_footprint(trace, blocks_x * config_.geometry.pitch,
+                          blocks_y * config_.geometry.pitch, "array extent");
   const mesh::HexMesh thermal_mesh = thermal::build_array_thermal_mesh(
       config_.geometry, blocks_x, blocks_y, coupling.elems_per_block_xy, coupling.elems_z);
   const thermal::ConductivityField conductivities = thermal::array_block_conductivities(
@@ -548,92 +529,56 @@ thermal::TransientTemperatureResult MoreStressSimulator::run_array_transient(
   std::string factor_key;
   if (factor_cache_ != nullptr) {
     factor_key = thermal_transient_key(thermal_mesh, conductivities, capacities,
-                                       transient_solve_options(std::string()));
+                                       transient_solve_options(std::string(), time_step));
   }
-  const thermal::TransientSolveOptions options = transient_solve_options(factor_key);
   thermal::TransientTemperatureResult transient = thermal::solve_power_trace(
       thermal_mesh, conductivities, capacities, trace,
       block_reduction(blocks_x, blocks_y, config_.geometry.pitch,
                       coupling.stress_free_temperature),
-      options, stats);
+      transient_solve_options(factor_key, time_step), stats);
   require_finite(config_.robustness.check_finite, "thermal.transient", "dT peak envelope",
                  transient.peak_envelope.data(), transient.peak_envelope.size());
   return transient;
 }
 
-ThermalTransientArrayResult MoreStressSimulator::simulate_array_thermal_transient(
-    int blocks_x, int blocks_y, const thermal::PowerTrace& trace,
-    const std::vector<int>& snapshot_steps) {
-  MS_TRACE_SCOPE("core.simulate.array_transient");
-  ThermalTransientArrayResult result;
-  result.transient = run_array_transient(blocks_x, blocks_y, trace, &result.thermal_stats);
+thermal::TransientTemperatureResult MoreStressSimulator::run_submodel_transient(
+    const Window& window, const chiplet::PackageModel& package,
+    const chiplet::SubmodelPlacement& placement, const thermal::PowerTrace& trace,
+    double time_step, thermal::TransientSolveStats* stats) {
+  MS_TRACE_SCOPE("core.thermal.submodel_transient");
+  const chiplet::PackageGeometry& geometry = package.geometry();
+  require_padded_window(placement, window.blocks_x, window.blocks_y);
+  require_trace_footprint(trace, geometry.substrate_x, geometry.substrate_y, "package plan");
+  const ThermalCouplingOptions& coupling = config_.coupling;
+  const chiplet::PackageThermalModel thermal_model = chiplet::build_package_thermal_model(
+      geometry, config_.geometry, placement, window.mask, config_.materials,
+      package_thermal_spec(coupling));
 
-  result.envelope_load =
-      rom::BlockLoadField(blocks_x, blocks_y, Vec(result.transient.peak_envelope));
-
-  // The envelope and every requested snapshot share the global operator, so
-  // they run as one assembly + one factorization + one multi-RHS panel (the
-  // direct path); iterative paths still reuse the single assembly.
-  std::vector<rom::BlockLoadField> snapshot_loads;
-  snapshot_loads.reserve(snapshot_steps.size());
-  for (int step : snapshot_steps) {
-    if (step < 0 || static_cast<std::size_t>(step) >= result.transient.num_records()) {
-      throw std::invalid_argument(
-          "simulate_array_thermal_transient: snapshot step outside the recorded history");
-    }
-    snapshot_loads.emplace_back(blocks_x, blocks_y, Vec(result.transient.block_delta_t[step]));
+  std::string factor_key;
+  if (factor_cache_ != nullptr) {
+    factor_key = thermal_transient_key(thermal_model.mesh, thermal_model.conductivity,
+                                       thermal_model.capacity,
+                                       transient_solve_options(std::string(), time_step));
   }
-  result.snapshot_steps = snapshot_steps;
-  static_cast<ArrayResult&>(result) = run_array(blocks_x, blocks_y, result.envelope_load,
-                                                snapshot_loads, &result.snapshots);
-  MS_LOG_DEBUG("transient thermal coupling: %d x %d blocks, %d steps, envelope dT in "
-               "[%.3f, %.3f] C",
-               blocks_x, blocks_y, result.thermal_stats.num_steps, result.envelope_load.min(),
-               result.envelope_load.max());
-  return result;
+  // The sub-model window only sees the interposer layer, exactly like the
+  // steady path's windowed block_averages reduction.
+  thermal::BlockReduction reduction =
+      block_reduction(window.blocks_x, window.blocks_y, config_.geometry.pitch,
+                      coupling.stress_free_temperature);
+  reduction.windowed = true;
+  reduction.origin = placement.origin;
+  reduction.z0 = geometry.interposer_z0();
+  reduction.z1 = geometry.interposer_z1();
+  thermal::TransientTemperatureResult transient = thermal::solve_power_trace(
+      thermal_model.mesh, thermal_model.conductivity, thermal_model.capacity, trace, reduction,
+      transient_solve_options(factor_key, time_step), stats);
+  require_finite(config_.robustness.check_finite, "thermal.transient", "dT peak envelope",
+                 transient.peak_envelope.data(), transient.peak_envelope.size());
+  return transient;
 }
-
-namespace {
-
-/// Recorded-history indices the fatigue panel solves: every stride-th record
-/// starting at the initial state, the last record always included (the
-/// envelope of a relaxing trace lives there).
-std::vector<int> select_history_steps(std::size_t num_records, int stride) {
-  if (stride < 1) throw std::invalid_argument("FatigueOptions: record_stride must be >= 1");
-  std::vector<int> steps;
-  for (std::size_t r = 0; r < num_records; r += static_cast<std::size_t>(stride)) {
-    steps.push_back(static_cast<int>(r));
-  }
-  if (steps.empty() || steps.back() != static_cast<int>(num_records) - 1) {
-    steps.push_back(static_cast<int>(num_records) - 1);
-  }
-  return steps;
-}
-
-/// Per-step BlockLoadFields of the selected records.
-std::vector<rom::BlockLoadField> loads_of_steps(const thermal::TransientTemperatureResult& t,
-                                                const std::vector<int>& steps) {
-  std::vector<rom::BlockLoadField> loads;
-  loads.reserve(steps.size());
-  for (int step : steps) {
-    loads.emplace_back(t.blocks_x, t.blocks_y, la::Vec(t.block_delta_t[step]));
-  }
-  return loads;
-}
-
-std::vector<double> times_of_steps(const thermal::TransientTemperatureResult& t,
-                                   const std::vector<int>& steps) {
-  std::vector<double> times;
-  times.reserve(steps.size());
-  for (int step : steps) times.push_back(t.times[step]);
-  return times;
-}
-
-}  // namespace
 
 ArrayResult MoreStressSimulator::run_fatigue_panel(
-    int blocks_x, int blocks_y, const rom::BlockMask& mask, const fem::DirichletBc& bc,
-    const rom::BlockRange& report_range, bool uses_dummy, const rom::BlockLoadField& envelope_load,
+    const Window& window, const rom::BlockLoadField& envelope_load,
     const std::vector<rom::BlockLoadField>& step_loads, const std::vector<double>& step_times,
     reliability::StressHistory* history, rom::GlobalSolveStats* solve_stats,
     double* history_seconds) {
@@ -642,7 +587,7 @@ ArrayResult MoreStressSimulator::run_fatigue_panel(
   // reduction runs once afterwards, batched over all steps per block
   // (reliability/channel_extract.hpp), instead of rebuilding the dense
   // plane-stress field step by step.
-  *history = reliability::StressHistory(report_range.width(), report_range.height());
+  *history = reliability::StressHistory(window.report.width(), window.report.height());
   history->resize_steps(step_times);
   std::vector<Vec> step_solutions(step_loads.size());
   const PanelConsumer stash_step = [&step_solutions](std::size_t s, Vec& solution,
@@ -655,20 +600,17 @@ ArrayResult MoreStressSimulator::run_fatigue_panel(
   // one multi-RHS panel against a single factorization on the direct path.
   rom::GlobalSolveStats panel_stats;
   double consume_seconds = 0.0;
-  ArrayResult result = run_panel(blocks_x, blocks_y, mask, bc, report_range, uses_dummy,
-                                 envelope_load, step_loads, &panel_stats, &consume_seconds,
-                                 stash_step);
+  ArrayResult result = run_panel(window, envelope_load, step_loads, &panel_stats,
+                                 &consume_seconds, stash_step);
   if (solve_stats != nullptr) *solve_stats = panel_stats;
 
   util::WallTimer extract_timer;
   {
     MS_TRACE_SCOPE("core.fatigue.channel_extract");
-    const rom::BlockGrid grid(blocks_x, blocks_y, config_.local.nodes_x, config_.local.nodes_y,
-                              config_.local.nodes_z, config_.geometry.pitch,
-                              config_.geometry.height);
-    reliability::extract_channel_history(grid, tsv_model(),
-                                         uses_dummy ? &dummy_model() : nullptr, mask,
-                                         step_solutions, step_loads, report_range, *history);
+    reliability::extract_channel_history(
+        block_grid(window.blocks_x, window.blocks_y), tsv_model(),
+        window.uses_dummy ? &dummy_model() : nullptr, window.mask, step_solutions, step_loads,
+        window.report, *history);
   }
   require_finite(config_.robustness.check_finite, "fatigue.channels", "channel history",
                  history->raw_data().data(), history->raw_data().size());
@@ -710,223 +652,6 @@ reliability::ReliabilityReport MoreStressSimulator::assess_fatigue(
                    channel.damage.data(), channel.damage.size());
   }
   return report;
-}
-
-FatigueResult MoreStressSimulator::simulate_array_fatigue(int blocks_x, int blocks_y,
-                                                          const thermal::PowerTrace& trace,
-                                                          const FatigueOptions& options) {
-  MS_TRACE_SCOPE("core.simulate.array_fatigue");
-  FatigueResult result;
-  result.transient = run_array_transient(blocks_x, blocks_y, trace, &result.thermal_stats);
-  result.envelope_load =
-      rom::BlockLoadField(blocks_x, blocks_y, Vec(result.transient.peak_envelope));
-
-  result.history_steps = select_history_steps(result.transient.num_records(),
-                                              options.record_stride);
-  const std::vector<rom::BlockLoadField> step_loads =
-      loads_of_steps(result.transient, result.history_steps);
-  const std::vector<double> step_times = times_of_steps(result.transient, result.history_steps);
-
-  const rom::BlockGrid grid(blocks_x, blocks_y, config_.local.nodes_x, config_.local.nodes_y,
-                            config_.local.nodes_z, config_.geometry.pitch,
-                            config_.geometry.height);
-  const fem::DirichletBc bc = rom::clamp_top_bottom(grid);
-  static_cast<ArrayResult&>(result) = run_fatigue_panel(
-      blocks_x, blocks_y, {}, bc, full_range(blocks_x, blocks_y), /*uses_dummy=*/false,
-      result.envelope_load, step_loads, step_times, &result.history, &result.solve_stats,
-      &result.history_seconds);
-
-  util::WallTimer timer;
-  result.report = assess_fatigue(result.history, trace.duration(), options);
-  result.reliability_seconds = timer.seconds();
-  MS_LOG_DEBUG("array fatigue: %d x %d blocks, %d history steps in one panel, min lifetime "
-               "%.3g traces",
-               blocks_x, blocks_y, static_cast<int>(result.history_steps.size()),
-               result.report.min_life_cycles);
-  return result;
-}
-
-ArrayResult MoreStressSimulator::run_submodel(
-    int tsv_blocks_x, int tsv_blocks_y, int dummy_rings, const rom::BlockMask& mask,
-    const std::function<std::array<double, 3>(const mesh::Point3&)>& displacement,
-    const rom::BlockLoadField& load) {
-  // dummy_rings is validated by both public entry points.
-  const int bx = tsv_blocks_x + 2 * dummy_rings;
-  const int by = tsv_blocks_y + 2 * dummy_rings;
-  const rom::BlockGrid grid(bx, by, config_.local.nodes_x, config_.local.nodes_y,
-                            config_.local.nodes_z, config_.geometry.pitch,
-                            config_.geometry.height);
-  const fem::DirichletBc bc = rom::submodel_boundary(grid, displacement);
-  return run_global(bx, by, mask, bc, inner_range(dummy_rings, tsv_blocks_x, tsv_blocks_y),
-                    /*uses_dummy=*/dummy_rings > 0, load);
-}
-
-ArrayResult MoreStressSimulator::simulate_submodel(
-    int tsv_blocks_x, int tsv_blocks_y, int dummy_rings,
-    const std::function<std::array<double, 3>(const mesh::Point3&)>& displacement) {
-  if (dummy_rings < 0) throw std::invalid_argument("simulate_submodel: dummy_rings >= 0");
-  const int bx = tsv_blocks_x + 2 * dummy_rings;
-  const int by = tsv_blocks_y + 2 * dummy_rings;
-  return run_submodel(tsv_blocks_x, tsv_blocks_y, dummy_rings,
-                      mesh::padded_tsv_mask(bx, by, dummy_rings), displacement,
-                      rom::BlockLoadField::uniform(config_.thermal_load));
-}
-
-ThermalSubmodelResult MoreStressSimulator::simulate_submodel_thermal(
-    int tsv_blocks_x, int tsv_blocks_y, int dummy_rings, const chiplet::PackageModel& package,
-    const chiplet::SubmodelPlacement& placement, const thermal::PowerMap& power) {
-  const int bx = tsv_blocks_x + 2 * dummy_rings;
-  const int by = tsv_blocks_y + 2 * dummy_rings;
-  require_padded_window(dummy_rings, placement, bx, by, "simulate_submodel_thermal");
-  const chiplet::PackageGeometry& geometry = package.geometry();
-  // Like the array path: a power map that does not cover the package plan
-  // would silently drop heat at the top face.
-  if (std::abs(power.width() - geometry.substrate_x) > 1e-9 * geometry.substrate_x ||
-      std::abs(power.height() - geometry.substrate_y) > 1e-9 * geometry.substrate_y) {
-    throw std::invalid_argument(
-        "simulate_submodel_thermal: power map footprint must match the package plan "
-        "(zero tiles outside the die are fine)");
-  }
-  const ThermalCouplingOptions& coupling = config_.coupling;
-  const rom::BlockMask mask = mesh::padded_tsv_mask(bx, by, dummy_rings);
-
-  const chiplet::PackageThermalModel thermal_model = chiplet::build_package_thermal_model(
-      geometry, config_.geometry, placement, mask, config_.materials,
-      package_thermal_spec(coupling));
-
-  ThermalSubmodelResult result;
-  const thermal::ThermalSolveOptions solve = steady_solve_options(
-      factor_cache_ != nullptr
-          ? thermal_steady_key(thermal_model.mesh, thermal_model.conductivity, coupling.solve)
-          : std::string());
-  result.temperature = thermal::solve_power_map(thermal_model.mesh, thermal_model.conductivity,
-                                                power, solve, &result.thermal_stats);
-
-  std::vector<double> delta_t = result.temperature.block_averages(
-      bx, by, config_.geometry.pitch, placement.origin, geometry.interposer_z0(),
-      geometry.interposer_z1());
-  for (double& dt : delta_t) dt -= coupling.stress_free_temperature;
-  require_finite(config_.robustness.check_finite, "thermal.steady", "per-block dT field",
-                 delta_t.data(), delta_t.size());
-  result.load = rom::BlockLoadField(bx, by, std::move(delta_t));
-
-  static_cast<ArrayResult&>(result) =
-      run_submodel(tsv_blocks_x, tsv_blocks_y, dummy_rings, mask,
-                   package_boundary(package, placement), result.load);
-  MS_LOG_DEBUG("submodel thermal coupling: %d x %d padded blocks at (%.0f, %.0f), dT in "
-               "[%.3f, %.3f] C",
-               bx, by, placement.origin.x, placement.origin.y, result.load.min(),
-               result.load.max());
-  return result;
-}
-
-thermal::TransientTemperatureResult MoreStressSimulator::run_submodel_transient(
-    int padded_x, int padded_y, const chiplet::PackageModel& package,
-    const chiplet::SubmodelPlacement& placement, const rom::BlockMask& mask,
-    const thermal::PowerTrace& trace, thermal::TransientSolveStats* stats) {
-  const chiplet::PackageGeometry& geometry = package.geometry();
-  if (trace.num_keyframes() == 0) {
-    throw std::invalid_argument("submodel transient: trace has no keyframes");
-  }
-  for (std::size_t i = 0; i < trace.num_keyframes(); ++i) {
-    const thermal::PowerMap& map = trace.keyframe(i);
-    if (std::abs(map.width() - geometry.substrate_x) > 1e-9 * geometry.substrate_x ||
-        std::abs(map.height() - geometry.substrate_y) > 1e-9 * geometry.substrate_y) {
-      throw std::invalid_argument(
-          "submodel transient: every keyframe must match the package plan "
-          "(zero tiles outside the die are fine)");
-    }
-  }
-  const ThermalCouplingOptions& coupling = config_.coupling;
-  const chiplet::PackageThermalModel thermal_model = chiplet::build_package_thermal_model(
-      geometry, config_.geometry, placement, mask, config_.materials,
-      package_thermal_spec(coupling));
-
-  std::string factor_key;
-  if (factor_cache_ != nullptr) {
-    factor_key = thermal_transient_key(thermal_model.mesh, thermal_model.conductivity,
-                                       thermal_model.capacity,
-                                       transient_solve_options(std::string()));
-  }
-  const thermal::TransientSolveOptions options = transient_solve_options(factor_key);
-  // The sub-model window only sees the interposer layer, exactly like the
-  // steady path's windowed block_averages reduction.
-  thermal::BlockReduction reduction = block_reduction(padded_x, padded_y, config_.geometry.pitch,
-                                                      coupling.stress_free_temperature);
-  reduction.windowed = true;
-  reduction.origin = placement.origin;
-  reduction.z0 = geometry.interposer_z0();
-  reduction.z1 = geometry.interposer_z1();
-  thermal::TransientTemperatureResult transient =
-      thermal::solve_power_trace(thermal_model.mesh, thermal_model.conductivity,
-                                 thermal_model.capacity, trace, reduction, options, stats);
-  require_finite(config_.robustness.check_finite, "thermal.transient", "dT peak envelope",
-                 transient.peak_envelope.data(), transient.peak_envelope.size());
-  return transient;
-}
-
-ThermalTransientSubmodelResult MoreStressSimulator::simulate_submodel_thermal_transient(
-    int tsv_blocks_x, int tsv_blocks_y, int dummy_rings, const chiplet::PackageModel& package,
-    const chiplet::SubmodelPlacement& placement, const thermal::PowerTrace& trace) {
-  const int bx = tsv_blocks_x + 2 * dummy_rings;
-  const int by = tsv_blocks_y + 2 * dummy_rings;
-  require_padded_window(dummy_rings, placement, bx, by, "simulate_submodel_thermal_transient");
-  const rom::BlockMask mask = mesh::padded_tsv_mask(bx, by, dummy_rings);
-
-  ThermalTransientSubmodelResult result;
-  result.transient =
-      run_submodel_transient(bx, by, package, placement, mask, trace, &result.thermal_stats);
-  result.envelope_load = rom::BlockLoadField(bx, by, Vec(result.transient.peak_envelope));
-
-  static_cast<ArrayResult&>(result) =
-      run_submodel(tsv_blocks_x, tsv_blocks_y, dummy_rings, mask,
-                   package_boundary(package, placement), result.envelope_load);
-  MS_LOG_DEBUG("submodel transient: %d x %d padded blocks, %d steps, envelope dT in "
-               "[%.3f, %.3f] C",
-               bx, by, result.thermal_stats.num_steps, result.envelope_load.min(),
-               result.envelope_load.max());
-  return result;
-}
-
-FatigueResult MoreStressSimulator::simulate_submodel_fatigue(
-    int tsv_blocks_x, int tsv_blocks_y, int dummy_rings, const chiplet::PackageModel& package,
-    const chiplet::SubmodelPlacement& placement, const thermal::PowerTrace& trace,
-    const FatigueOptions& options) {
-  MS_TRACE_SCOPE("core.simulate.submodel_fatigue");
-  const int bx = tsv_blocks_x + 2 * dummy_rings;
-  const int by = tsv_blocks_y + 2 * dummy_rings;
-  require_padded_window(dummy_rings, placement, bx, by, "simulate_submodel_fatigue");
-  const rom::BlockMask mask = mesh::padded_tsv_mask(bx, by, dummy_rings);
-
-  FatigueResult result;
-  result.transient =
-      run_submodel_transient(bx, by, package, placement, mask, trace, &result.thermal_stats);
-  result.envelope_load = rom::BlockLoadField(bx, by, Vec(result.transient.peak_envelope));
-
-  result.history_steps = select_history_steps(result.transient.num_records(),
-                                              options.record_stride);
-  const std::vector<rom::BlockLoadField> step_loads =
-      loads_of_steps(result.transient, result.history_steps);
-  const std::vector<double> step_times = times_of_steps(result.transient, result.history_steps);
-
-  const rom::BlockGrid grid(bx, by, config_.local.nodes_x, config_.local.nodes_y,
-                            config_.local.nodes_z, config_.geometry.pitch,
-                            config_.geometry.height);
-  const fem::DirichletBc bc =
-      rom::submodel_boundary(grid, package_boundary(package, placement));
-  static_cast<ArrayResult&>(result) = run_fatigue_panel(
-      bx, by, mask, bc, inner_range(dummy_rings, tsv_blocks_x, tsv_blocks_y),
-      /*uses_dummy=*/dummy_rings > 0, result.envelope_load, step_loads, step_times,
-      &result.history, &result.solve_stats, &result.history_seconds);
-
-  util::WallTimer timer;
-  result.report = assess_fatigue(result.history, trace.duration(), options);
-  result.reliability_seconds = timer.seconds();
-  MS_LOG_DEBUG("submodel fatigue: %d x %d padded blocks, %d history steps in one panel, min "
-               "lifetime %.3g traces",
-               bx, by, static_cast<int>(result.history_steps.size()),
-               result.report.min_life_cycles);
-  return result;
 }
 
 }  // namespace ms::core

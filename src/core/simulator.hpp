@@ -1,21 +1,18 @@
 #pragma once
 // MoreStressSimulator — the public entry point of the library.
 //
-//   ms::core::SimulationConfig config = ms::core::SimulationConfig::paper_default();
-//   ms::core::MoreStressSimulator sim(config);
-//   auto result = sim.simulate_array(20, 20);             // scenario 1
-//   // result.von_mises is the mid-plane field; result.stats has cost data.
+//   ms::core::MoreStressSimulator sim(ms::core::SimulationConfig::paper_default());
+//   ms::sweep::ScenarioSpec spec;                  // scenario 1, uniform ΔT
+//   spec.blocks_x = spec.blocks_y = 20;
+//   const ms::sweep::ScenarioResult result = sim.simulate(spec);
+//   // result.array->von_mises is the mid-plane field; .stats has cost data.
 //
 // The one-shot local stage runs lazily on first use and is cached for the
 // lifetime of the simulator (and optionally on disk), exactly mirroring the
 // paper's "perform once, reuse for arbitrary array sizes/loads/locations".
-//
-// The preferred entry point is `simulate(const sweep::ScenarioSpec&)` — one
-// declarative description covering every scenario kind (array / submodel x
-// steady / transient / fatigue). The eight simulate_* methods below remain
-// as source-compatible shims over the same internals and are considered
-// deprecated in the docs; new call sites should build a ScenarioSpec (see
-// sweep/scenario_spec.hpp and the README "Sweep" section).
+// simulate(spec) is the only way to run a scenario: one declarative
+// description covers every kind (array / submodel x steady / transient /
+// fatigue), see sweep/scenario_spec.hpp.
 
 #include <functional>
 #include <memory>
@@ -51,108 +48,21 @@ class MoreStressSimulator {
  public:
   explicit MoreStressSimulator(SimulationConfig config);
 
-  /// One declarative entry point for every scenario: dispatches on
-  /// spec.kind / spec.analysis / spec.load to the same internals the
-  /// simulate_* shims use, bit-identical to the corresponding legacy call
-  /// (the equivalence lock in tests/sweep asserts this per scenario kind).
-  /// Defined in core/simulate_scenario.cpp.
+  /// Run one scenario: the kind picks the window (standalone array, or a
+  /// dummy-ring padded sub-model in a package), the analysis and load pick
+  /// the thermal stage (none, steady conduction, or a θ-stepper march), and
+  /// the stress stage is one global assembly + factorization shared by every
+  /// load case of the query. Exactly one payload slot of the result is set:
+  ///   * steady + uniform ΔT (or a per-block load_field)  -> array
+  ///   * steady + power map: conduction -> per-block ΔT   -> thermal
+  ///   * transient trace: stress at the per-block peak ΔT envelope, plus
+  ///     full fields at spec.snapshot_steps                -> transient
+  ///   * fatigue trace: every recorded step (record_stride) solved in the
+  ///     envelope's panel, reduced to per-block stress channels, then
+  ///     rainflow-counted and Miner-summed per block       -> fatigue
+  /// Sub-model fields cover the inner TSV region only. Defined in
+  /// core/simulate_scenario.cpp.
   [[nodiscard]] sweep::ScenarioResult simulate(const sweep::ScenarioSpec& spec);
-
-  /// Scenario 1: standalone nx x ny TSV array, top/bottom clamped, uniform
-  /// ΔT = config.thermal_load. (Deprecated shim — prefer simulate(spec).)
-  [[nodiscard]] ArrayResult simulate_array(int blocks_x, int blocks_y);
-
-  /// Scenario 1 with an explicit per-block ΔT field instead of the scalar.
-  /// (Deprecated shim — prefer simulate(spec).)
-  [[nodiscard]] ArrayResult simulate_array(int blocks_x, int blocks_y,
-                                           const rom::BlockLoadField& load);
-
-  /// Scenario 3: operational hotspots. Solves steady-state conduction for
-  /// `power` on a coarse array thermal mesh (effective via-averaged
-  /// conductivity), reduces the temperature field to per-block ΔT relative
-  /// to config.coupling.stress_free_temperature, and runs the ROM stress
-  /// path with that non-uniform load. A uniform power map degenerates to the
-  /// scalar-ΔT path exactly (same assembly/reconstruction code).
-  /// (Deprecated shim — prefer simulate(spec).)
-  [[nodiscard]] ThermalArrayResult simulate_array_thermal(int blocks_x, int blocks_y,
-                                                          const thermal::PowerMap& power);
-
-  /// Scenario 3, time domain: operational power *traces*. Marches transient
-  /// conduction through `trace` on the coarse array thermal mesh (implicit
-  /// θ-scheme per config.coupling.transient, one factorization for the whole
-  /// trace), records the per-block ΔT history, and runs the ROM stress path
-  /// at the per-block peak envelope — the worst transient state, which a
-  /// steady solve of any single instant underestimates. `snapshot_steps`
-  /// (indices into the recorded history, 0 = initial state) additionally
-  /// reconstruct full stress fields at those instants. A constant trace
-  /// relaxes to the steady-state solution, so it reproduces
-  /// simulate_array_thermal exactly (same mesh, conductivities, and ROM
-  /// path) once the horizon passes a few thermal time constants.
-  /// (Deprecated shim — prefer simulate(spec).)
-  [[nodiscard]] ThermalTransientArrayResult simulate_array_thermal_transient(
-      int blocks_x, int blocks_y, const thermal::PowerTrace& trace,
-      const std::vector<int>& snapshot_steps = {});
-
-  /// Scenario 3, cycle-resolved fatigue: march `trace` like the transient
-  /// path, then ROM-solve *every* recorded step (subject to
-  /// options.record_stride) as one batched multi-RHS panel against the
-  /// shared global factorization, reduce each reconstructed field to
-  /// per-block stress channels (von Mises peak, first principal,
-  /// through-plane bump shear), rainflow-count every block's channel history
-  /// (ASTM E1049), and accumulate fatigue damage by Miner's rule under the
-  /// standard model set (Basquin/Coffin-Manson on Cu, Engelmaier solder).
-  /// The result's report names the life-limiting block, channel, and
-  /// dominant cycle class. (Deprecated shim — prefer simulate(spec).)
-  [[nodiscard]] FatigueResult simulate_array_fatigue(int blocks_x, int blocks_y,
-                                                     const thermal::PowerTrace& trace,
-                                                     const FatigueOptions& options = {});
-
-  /// Scenario 2: TSV array embedded in a package. `displacement` supplies
-  /// the coarse-solution boundary data (in the sub-model local frame);
-  /// `dummy_rings` pads the array per Sec. 4.4. The reported field covers
-  /// only the inner TSV region (the region of interest).
-  /// (Deprecated shim — prefer simulate(spec).)
-  [[nodiscard]] ArrayResult simulate_submodel(
-      int tsv_blocks_x, int tsv_blocks_y, int dummy_rings,
-      const std::function<std::array<double, 3>(const mesh::Point3&)>& displacement);
-
-  /// Scenario 2 with operational heat: solves steady-state conduction for
-  /// `power` (a map over the full package plan, heat entering at the die
-  /// top) on a package conduction mesh with per-block TSV-aware effective
-  /// conductivity in the sub-model window, reduces the interposer-layer
-  /// temperature to per-block ΔT of the padded window, and runs the
-  /// sub-modeling ROM path with that non-uniform load and the package's own
-  /// displacement field as boundary data. `placement` must cover the padded
-  /// window (tsv_blocks + 2*dummy_rings per axis, from standard_locations or
-  /// hand-built). A plan-uniform package + uniform power degenerates to the
-  /// scalar-ΔT simulate_submodel path exactly.
-  /// (Deprecated shim — prefer simulate(spec).)
-  [[nodiscard]] ThermalSubmodelResult simulate_submodel_thermal(
-      int tsv_blocks_x, int tsv_blocks_y, int dummy_rings,
-      const chiplet::PackageModel& package, const chiplet::SubmodelPlacement& placement,
-      const thermal::PowerMap& power);
-
-  /// Scenario 2, time domain: march the package conduction mesh through a
-  /// power trace with the same θ-stepper the array path uses, reduce every
-  /// recorded state to the padded window's per-block ΔT (interposer layer
-  /// only), and run the sub-modeling ROM path at the peak envelope with the
-  /// package's own displacement field as boundary data. A constant trace
-  /// relaxes to simulate_submodel_thermal exactly.
-  /// (Deprecated shim — prefer simulate(spec).)
-  [[nodiscard]] ThermalTransientSubmodelResult simulate_submodel_thermal_transient(
-      int tsv_blocks_x, int tsv_blocks_y, int dummy_rings,
-      const chiplet::PackageModel& package, const chiplet::SubmodelPlacement& placement,
-      const thermal::PowerTrace& trace);
-
-  /// Scenario 2, cycle-resolved fatigue: the sub-model counterpart of
-  /// simulate_array_fatigue — package-mesh transient, windowed per-step ΔT,
-  /// one batched panel of per-step ROM solves over the padded window, and
-  /// the same rainflow/Miner reduction over the inner TSV region.
-  /// (Deprecated shim — prefer simulate(spec).)
-  [[nodiscard]] FatigueResult simulate_submodel_fatigue(
-      int tsv_blocks_x, int tsv_blocks_y, int dummy_rings,
-      const chiplet::PackageModel& package, const chiplet::SubmodelPlacement& placement,
-      const thermal::PowerTrace& trace, const FatigueOptions& options = {});
 
   /// Force the local stage now (otherwise lazy). Returns its wall time,
   /// 0 when already cached.
@@ -186,16 +96,34 @@ class MoreStressSimulator {
   [[nodiscard]] const rom::RomModel& dummy_model();
 
  private:
+  using Displacement = std::function<std::array<double, 3>(const mesh::Point3&)>;
+
+  /// Where the global stage runs: the (padded) block grid, its TSV/dummy
+  /// mask, the boundary data, and the block range whose fields are reported.
+  /// A standalone array is all-TSV, clamped top/bottom and reported whole; a
+  /// sub-model is dummy-ring padded, driven by the package displacement on
+  /// its outer faces and reported over the inner TSV region only.
+  struct Window {
+    int blocks_x = 0;
+    int blocks_y = 0;
+    rom::BlockMask mask;
+    fem::DirichletBc bc;
+    rom::BlockRange report;
+    bool uses_dummy = false;
+  };
+  [[nodiscard]] rom::BlockGrid block_grid(int blocks_x, int blocks_y) const;
+  [[nodiscard]] Window array_window(int blocks_x, int blocks_y) const;
+  [[nodiscard]] Window submodel_window(int tsv_blocks_x, int tsv_blocks_y, int dummy_rings,
+                                       const Displacement& boundary) const;
+
   /// Read-only context handed to a PanelConsumer alongside each extra
   /// solution: everything needed to reconstruct fields for that case.
   struct PanelCaseContext {
     const rom::BlockGrid& grid;
     const rom::RomModel& tsv;
     const rom::RomModel* dummy;
-    const rom::BlockMask& mask;
-    const rom::BlockRange& report_range;
+    const Window& window;
     const RunStats& base_stats;  ///< primary result's completed stats
-    int samples_per_block;
   };
   /// Called once per entry of `extra_loads` with the case index, that case's
   /// global solution (mutable — consumers may move from it), and its load.
@@ -204,68 +132,59 @@ class MoreStressSimulator {
   using PanelConsumer =
       std::function<void(std::size_t case_idx, Vec& solution, const rom::BlockLoadField& load,
                          const PanelCaseContext& ctx)>;
-  /// The one multi-RHS panel core both run_global_multi and run_fatigue_panel
-  /// are built on: assemble the global operator once, solve
-  /// [primary | extras] as a single panel (one factorization on the direct
-  /// path), reconstruct the primary case fully, then hand every extra
-  /// solution to `consumer`. `consume_seconds` (optional) receives the wall
-  /// time of the consumer loop. The returned stats do NOT yet include
-  /// consumer-specific memory — wrappers account for what they retain.
-  /// With a factor cache attached, a resident key skips the operator
-  /// assembly entirely (load vectors only) and the factorization.
-  ArrayResult run_panel(int blocks_x, int blocks_y, const rom::BlockMask& mask,
-                        const fem::DirichletBc& bc, const rom::BlockRange& report_range,
-                        bool uses_dummy, const rom::BlockLoadField& primary_load,
+  /// The one multi-RHS panel core both run_global and run_fatigue_panel are
+  /// built on: assemble the global operator once, solve [primary | extras]
+  /// as a single panel (one factorization on the direct path), reconstruct
+  /// the primary case fully, then hand every extra solution to `consumer`.
+  /// `consume_seconds` (optional) receives the wall time of the consumer
+  /// loop. The returned stats do NOT yet include consumer-specific memory —
+  /// wrappers account for what they retain. With a factor cache attached, a
+  /// resident key skips the operator assembly entirely (load vectors only)
+  /// and the factorization.
+  ArrayResult run_panel(const Window& window, const rom::BlockLoadField& primary_load,
                         const std::vector<rom::BlockLoadField>& extra_loads,
                         rom::GlobalSolveStats* solve_stats_out, double* consume_seconds,
                         const PanelConsumer& consumer);
-  ArrayResult run_global(int blocks_x, int blocks_y, const rom::BlockMask& mask,
-                         const fem::DirichletBc& bc, const rom::BlockRange& report_range,
-                         bool uses_dummy, const rom::BlockLoadField& load);
-  /// Like run_global, but additionally solves one load case per entry of
-  /// `extra_loads` against the same assembled and lifted operator — on the
-  /// direct path all cases share one factorization and run as a multi-RHS
-  /// panel. Per-case results land in `extra_results` (same order).
-  ArrayResult run_global_multi(int blocks_x, int blocks_y, const rom::BlockMask& mask,
-                               const fem::DirichletBc& bc, const rom::BlockRange& report_range,
-                               bool uses_dummy, const rom::BlockLoadField& load,
-                               const std::vector<rom::BlockLoadField>& extra_loads,
-                               std::vector<ArrayResult>* extra_results);
-  /// Standalone-array policy (all-TSV mask, clamped top/bottom, full report
-  /// range) shared by simulate_array and the transient envelope+snapshot
-  /// batch, so the two paths cannot drift apart.
-  ArrayResult run_array(int blocks_x, int blocks_y, const rom::BlockLoadField& load,
-                        const std::vector<rom::BlockLoadField>& extra_loads,
-                        std::vector<ArrayResult>* extra_results);
-  ArrayResult run_submodel(
-      int tsv_blocks_x, int tsv_blocks_y, int dummy_rings, const rom::BlockMask& mask,
-      const std::function<std::array<double, 3>(const mesh::Point3&)>& displacement,
-      const rom::BlockLoadField& load);
-  /// The batched fatigue core shared by both scenarios: assemble the global
-  /// operator once, solve [envelope | one case per step load] as a single
-  /// multi-RHS panel, reconstruct the envelope fully (the returned
-  /// ArrayResult), and reduce every step's reconstructed field straight into
-  /// `history` (full per-step fields are never retained).
-  ArrayResult run_fatigue_panel(int blocks_x, int blocks_y, const rom::BlockMask& mask,
-                                const fem::DirichletBc& bc, const rom::BlockRange& report_range,
-                                bool uses_dummy, const rom::BlockLoadField& envelope_load,
+  /// Global stage for `load`, plus one fully reconstructed case per entry of
+  /// `extra_loads` (transient snapshots) against the same assembled and
+  /// lifted operator — on the direct path all cases share one factorization
+  /// and run as a multi-RHS panel. Per-case results land in `extra_results`.
+  ArrayResult run_global(const Window& window, const rom::BlockLoadField& load,
+                         const std::vector<rom::BlockLoadField>& extra_loads = {},
+                         std::vector<ArrayResult>* extra_results = nullptr);
+  /// The batched fatigue core shared by both scenarios: solve [envelope |
+  /// one case per step load] as a single multi-RHS panel, reconstruct the
+  /// envelope fully (the returned ArrayResult), and reduce every step's
+  /// solution straight into `history` (full per-step fields are never
+  /// retained).
+  ArrayResult run_fatigue_panel(const Window& window, const rom::BlockLoadField& envelope_load,
                                 const std::vector<rom::BlockLoadField>& step_loads,
                                 const std::vector<double>& step_times,
                                 reliability::StressHistory* history,
                                 rom::GlobalSolveStats* solve_stats, double* history_seconds);
-  /// Transient conduction of the standalone array (mesh + conductivity +
-  /// capacity + per-block reduction), shared by the envelope and fatigue
-  /// paths.
+  /// Steady conduction of `power` on the coarse array thermal mesh, reduced
+  /// to per-block ΔT relative to coupling.stress_free_temperature: fills
+  /// `out`'s temperature, thermal_stats and load.
+  void run_array_steady(int blocks_x, int blocks_y, const thermal::PowerMap& power,
+                        ThermalResult& out);
+  /// Steady conduction of `power` (a map over the full package plan, heat
+  /// entering at the die top) on the package stack mesh, reduced to the
+  /// padded window's per-block ΔT (interposer layer only).
+  void run_submodel_steady(const Window& window, const chiplet::PackageModel& package,
+                           const chiplet::SubmodelPlacement& placement,
+                           const thermal::PowerMap& power, ThermalResult& out);
+  /// θ-stepper march of the standalone array's conduction mesh through
+  /// `trace`, recording the per-block ΔT history and its peak envelope.
   thermal::TransientTemperatureResult run_array_transient(int blocks_x, int blocks_y,
                                                           const thermal::PowerTrace& trace,
+                                                          double time_step,
                                                           thermal::TransientSolveStats* stats);
-  /// Transient conduction of the package stack with the windowed per-step
-  /// reduction (padded sub-model window, interposer layer), shared by the
-  /// sub-model transient and fatigue paths.
+  /// The package counterpart: the same θ-stepper on the package stack mesh
+  /// with the windowed per-step reduction (padded window, interposer layer).
   thermal::TransientTemperatureResult run_submodel_transient(
-      int padded_x, int padded_y, const chiplet::PackageModel& package,
-      const chiplet::SubmodelPlacement& placement, const rom::BlockMask& mask,
-      const thermal::PowerTrace& trace, thermal::TransientSolveStats* stats);
+      const Window& window, const chiplet::PackageModel& package,
+      const chiplet::SubmodelPlacement& placement, const thermal::PowerTrace& trace,
+      double time_step, thermal::TransientSolveStats* stats);
   /// Rainflow + Miner reduction of a recorded history under the standard
   /// model set (options parameterize bins and the Engelmaier channel).
   reliability::ReliabilityReport assess_fatigue(const reliability::StressHistory& history,
@@ -279,13 +198,14 @@ class MoreStressSimulator {
   /// Factor-cache key of the lifted global operator: model fingerprints and
   /// load hashes (covering materials), mask, constrained-dof set, and the
   /// factorization options. Forces the needed models to exist.
-  std::string global_factor_key(int blocks_x, int blocks_y, const rom::BlockMask& mask,
-                                bool uses_dummy, const fem::DirichletBc& bc);
+  std::string global_factor_key(const Window& window);
   /// One source of truth for "transient options = coupling.transient with
-  /// coupling.solve as boundary model" (was duplicated per scenario), plus
-  /// the factor-cache wiring when a cache is attached.
+  /// coupling.solve as boundary model", stepping at `time_step` (a spec's
+  /// override or the config's step — the factor key hashes the step, so an
+  /// override keys its own factorization), plus the factor-cache wiring when
+  /// a cache is attached.
   [[nodiscard]] thermal::TransientSolveOptions transient_solve_options(
-      const std::string& factor_key) const;
+      const std::string& factor_key, double time_step) const;
   /// coupling.solve with the factor-cache wiring (steady conduction paths).
   [[nodiscard]] thermal::ThermalSolveOptions steady_solve_options(
       const std::string& factor_key) const;

@@ -10,7 +10,6 @@
 
 #include "la/cg.hpp"
 #include "la/cholesky.hpp"
-#include "la/gmres.hpp"
 #include "la/shift_retry.hpp"
 #include "obs/metrics.hpp"
 #include "obs/query_scope.hpp"
@@ -187,28 +186,6 @@ std::vector<Vec> solve_global_multi(GlobalProblem& problem, std::vector<Vec> ext
       }
     }
     solver_bytes = 5 * static_cast<std::size_t>(n) * sizeof(double) + precond->memory_bytes();
-  } else if (options.method == "gmres") {
-    auto precond = la::make_preconditioner(options.precond, problem.stiffness);
-    la::GmresOptions gopts;
-    gopts.rel_tol = options.rel_tol;
-    gopts.max_iterations = options.max_iterations;
-    gopts.restart = options.gmres_restart;
-    converged = true;
-    for (idx_t c = 0; c < num_cases; ++c) {
-      const la::IterativeResult result =
-          la::gmres(problem.stiffness, rhs_cases[c], solutions[c], precond.get(), gopts);
-      iterations += result.iterations;
-      converged = converged && result.converged;
-      if (result.breakdown) {
-        throw core::SimError(core::SimErrorCode::kDidNotConverge, "rom.global.solve",
-                             std::string("GMRES breakdown: ") + result.breakdown_reason,
-                             "iterations=" + std::to_string(result.iterations) + " residual=" +
-                                 std::to_string(result.residual_norm));
-      }
-    }
-    solver_bytes = (static_cast<std::size_t>(options.gmres_restart) + 4) *
-                       static_cast<std::size_t>(n) * sizeof(double) +
-                   precond->memory_bytes();
   } else {
     throw std::invalid_argument("solve_global: unknown method '" + options.method + "'");
   }

@@ -1,8 +1,8 @@
 #pragma once
 // The result of one simulate(spec) query: headline metrics every scenario
-// kind shares (peak stress, lifetime, wall time) plus the full legacy result
-// payload — exactly one of the shared_ptr slots is set, matching the
-// scenario's kind/analysis. Payloads are shared_ptr so ScenarioResults are
+// kind shares (peak stress, lifetime, wall time) plus the full result payload
+// — exactly one of the shared_ptr slots is set, matching the scenario's
+// analysis and load. Payloads are shared_ptr so ScenarioResults are
 // cheap to collect, sort, and copy into Pareto tables.
 
 #include <limits>
@@ -78,20 +78,16 @@ struct ScenarioResult {
   std::vector<obs::FlightRecord> flight;
 
   // --- full payload (exactly one set) ---------------------------------------
-  std::shared_ptr<core::ArrayResult> array;
-  std::shared_ptr<core::ThermalArrayResult> thermal_array;
-  std::shared_ptr<core::ThermalTransientArrayResult> transient_array;
-  std::shared_ptr<core::ThermalSubmodelResult> thermal_submodel;
-  std::shared_ptr<core::ThermalTransientSubmodelResult> transient_submodel;
-  std::shared_ptr<core::FatigueResult> fatigue;
+  std::shared_ptr<core::ArrayResult> array;            ///< steady, uniform load
+  std::shared_ptr<core::ThermalResult> thermal;        ///< steady, power map
+  std::shared_ptr<core::TransientResult> transient;    ///< transient envelope
+  std::shared_ptr<core::FatigueResult> fatigue;        ///< cycle-resolved fatigue
 
   /// The payload viewed as its common ArrayResult base (fields + stats).
   [[nodiscard]] const core::ArrayResult& base() const {
     if (array) return *array;
-    if (thermal_array) return *thermal_array;
-    if (transient_array) return *transient_array;
-    if (thermal_submodel) return *thermal_submodel;
-    if (transient_submodel) return *transient_submodel;
+    if (thermal) return *thermal;
+    if (transient) return *transient;
     if (fatigue) return *fatigue;
     throw std::logic_error("ScenarioResult '" + name + "' carries no payload");
   }

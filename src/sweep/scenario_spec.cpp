@@ -246,6 +246,10 @@ void ScenarioSpec::validate() const {
   }
 }
 
+bool ScenarioSpec::reads_package() const {
+  return kind == ScenarioKind::kSubmodel && !(load == LoadKind::kUniform && displacement);
+}
+
 std::string ScenarioSpec::to_config_text() const {
   if (has_programmatic_payload()) {
     throw std::logic_error("scenario '" + name +

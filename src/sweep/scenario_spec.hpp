@@ -4,8 +4,8 @@
 // MoreStressSimulator::simulate(). A ScenarioSpec names the scenario kind
 // (standalone array or embedded sub-model), the analysis (steady-state,
 // transient envelope, or cycle-resolved fatigue), the load (uniform ΔT,
-// steady power map, or time-domain power trace), and every knob the legacy
-// simulate_* signatures took positionally — in one value type that is
+// steady power map, or time-domain power trace), and every knob of the
+// query — in one value type that is
 //
 //   * parseable from `key = value` config text (parse_scenarios below, with
 //     line-numbered diagnostics and a [defaults] section),
@@ -14,9 +14,6 @@
 //     declarative schema), and
 //   * serializable back to canonical config text (to_config_text) such that
 //     parse(to_config_text(s)) == s round-trips exactly.
-//
-// simulate(spec) is bit-identical to the corresponding legacy simulate_*
-// call — the equivalence locks in tests/sweep assert this per scenario kind.
 
 #include <array>
 #include <cmath>
@@ -99,9 +96,8 @@ struct ScenarioSpec {
   PowerSpec power;  ///< kPower / kTrace synthesis inputs
   TraceSpec trace;  ///< kTrace synthesis inputs
   /// Transient time step override [s]; 0 defers to
-  /// config.coupling.transient.time_step. A non-zero override runs the query
-  /// under an adjusted config (same caches), still bit-identical to a
-  /// simulator constructed with that config.
+  /// config.coupling.transient.time_step. An override steps (and keys its
+  /// factorization) exactly like a simulator whose config carries that step.
   double time_step = 0.0;
   /// Recorded-history indices to fully reconstruct (kArray + kTransient only).
   std::vector<int> snapshot_steps;
@@ -118,8 +114,8 @@ struct ScenarioSpec {
   /// Placement paired with `package`; blocks_x == 0 means "derive from
   /// standard_locations(location)".
   chiplet::SubmodelPlacement placement;
-  /// kSubmodel + kUniform boundary data override (legacy simulate_submodel's
-  /// displacement argument); null derives it from the (demo) package.
+  /// kSubmodel + kUniform boundary data override; null derives it from the
+  /// (demo) package's own coarse displacement.
   std::function<std::array<double, 3>(const mesh::Point3&)> displacement;
 
   /// Throws std::invalid_argument naming the offending field when the
@@ -128,6 +124,12 @@ struct ScenarioSpec {
   void validate() const;
 
   [[nodiscard]] bool has_programmatic_payload() const;
+
+  /// True when running the spec reads a package (and placement): every
+  /// sub-model except a uniform load with its own `displacement`. Only such
+  /// specs get the demo package built or attached — building one is a
+  /// coarse FEM solve.
+  [[nodiscard]] bool reads_package() const;
 
   /// Canonical `[name]` config-text section: every declarative key, numbers
   /// printed with %.17g so parse(to_config_text(s)) == s exactly. Throws
@@ -159,8 +161,8 @@ std::vector<ScenarioSpec> parse_scenario_file(const std::string& path);
 
 /// Synthesize the declarative power map of an array scenario: one tile per
 /// block at power.background, plus the Gaussian hotspot when hotspot_peak is
-/// non-zero. Exposed so equivalence tests and benches can drive the legacy
-/// entry points with bit-identical inputs.
+/// non-zero. Exposed so tests and benches can build the same map as a
+/// power_map payload.
 [[nodiscard]] thermal::PowerMap make_power_map(const ScenarioSpec& spec,
                                                const core::SimulationConfig& config);
 

@@ -114,8 +114,7 @@ ScenarioResult SweepEngine::query(ScenarioSpec spec, core::CancelToken cancel,
     simulator.set_model_cache(&model_cache_);
   }
   if (!options_.cache_dir.empty()) simulator.set_cache_directory(options_.cache_dir);
-  if (spec.kind == ScenarioKind::kSubmodel && spec.package == nullptr &&
-      options_.share_caches) {
+  if (spec.reads_package() && spec.package == nullptr && options_.share_caches) {
     const int padded = std::max(spec.blocks_x, spec.blocks_y) + 2 * spec.dummy_rings;
     spec.package = shared_package(padded);
   }

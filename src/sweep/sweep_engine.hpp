@@ -9,11 +9,11 @@
 //     factorization; warm queries skip assembly and refactorization, and
 //   * one demo PackageModel per padded window size — the coarse package
 //     solve behind sub-model scenarios is resolved once and passed to every
-//     scenario via the spec's payload slot.
+//     scenario that reads a package via the spec's payload slot.
 //
 // Every scenario still runs on a *fresh* MoreStressSimulator wired to the
-// shared caches, so results are bit-identical to cold one-off runs of the
-// legacy simulate_* entry points (the cache-correctness tests assert this).
+// shared caches, so results are bit-identical to cold one-off simulate(spec)
+// runs without caches (the cache-correctness tests assert this).
 // enqueue() returns a std::future for async collection; run() preserves
 // input order and marks the (peak stress ↓, lifetime ↑) Pareto frontier.
 

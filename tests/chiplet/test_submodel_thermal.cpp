@@ -1,7 +1,7 @@
 // Scenario-2 thermal coupling: power map -> package conduction -> per-block
 // ΔT in the sub-model window -> ROM sub-modeling path. Pins the degenerate
-// uniform case to the scalar-ΔT simulate_submodel path (mirror of the PR-1
-// array regression), validates against the brute-force reference FEM via the
+// uniform case to the scalar-ΔT sub-model scenario (mirror of the array
+// regression), validates against the brute-force reference FEM via the
 // shared harness, and sanity-checks the hotspot physics and input guards.
 
 #include <gtest/gtest.h>
@@ -10,6 +10,8 @@
 #include <cmath>
 
 #include "chiplet/package_thermal.hpp"
+#include "sweep/scenario_result.hpp"
+#include "util/scenario_specs.hpp"
 #include "util/validation_harness.hpp"
 
 namespace ms::chiplet {
@@ -56,13 +58,17 @@ TEST(SubmodelThermal, UniformPowerMatchesScalarDeltaTPath) {
   const int blocks = 3;
   const double plan = blocks * config.geometry.pitch;
   const PackageGeometry geometry = slab_geometry(plan, config.geometry.height);
-  const PackageModel package(geometry, {6, 6, 2, 2, 2}, config.thermal_load);
+  const auto package = std::make_shared<const PackageModel>(
+      geometry, CoarseMeshSpec{6, 6, 2, 2, 2}, config.thermal_load);
   const SubmodelPlacement placement{{0.0, 0.0, geometry.interposer_z0()}, blocks, blocks, "slab"};
 
   const thermal::PowerMap power(1, 1, plan, plan, 50.0);
   core::MoreStressSimulator sim(config);
-  const core::ThermalSubmodelResult coupled =
-      sim.simulate_submodel_thermal(blocks, blocks, /*dummy_rings=*/0, package, placement, power);
+  const core::ThermalResult coupled =
+      *sim.simulate(specs::with_power(
+                        specs::submodel_spec(blocks, blocks, /*dummy_rings=*/0, package, placement),
+                        power))
+           .thermal;
 
   // Plan-uniform stack + uniform power: the window ΔT must be uniform ...
   ASSERT_EQ(coupled.load.values().size(), static_cast<std::size_t>(blocks * blocks));
@@ -76,12 +82,12 @@ TEST(SubmodelThermal, UniformPowerMatchesScalarDeltaTPath) {
   core::SimulationConfig scalar_config = test_config();
   scalar_config.thermal_load = coupled.load.values().front();
   core::MoreStressSimulator scalar_sim(scalar_config);
-  const auto displacement = [&](const mesh::Point3& p) {
-    return package.displacement_at({p.x + placement.origin.x, p.y + placement.origin.y,
-                                    p.z + placement.origin.z});
+  sweep::ScenarioSpec scalar_spec = specs::submodel_spec(blocks, blocks, /*dummy_rings=*/0);
+  scalar_spec.displacement = [&](const mesh::Point3& p) {
+    return package->displacement_at({p.x + placement.origin.x, p.y + placement.origin.y,
+                                     p.z + placement.origin.z});
   };
-  const core::ArrayResult scalar =
-      scalar_sim.simulate_submodel(blocks, blocks, /*dummy_rings=*/0, displacement);
+  const core::ArrayResult scalar = *scalar_sim.simulate(scalar_spec).array;
 
   ASSERT_EQ(scalar.von_mises.size(), coupled.von_mises.size());
   double peak = 0.0;
@@ -95,7 +101,8 @@ TEST(SubmodelThermal, UniformPowerMatchesScalarDeltaTPath) {
 TEST(SubmodelThermal, MatchesReferenceFemWithinBand) {
   core::SimulationConfig config = test_config();
   const PackageGeometry geometry = small_package();
-  const PackageModel package(geometry, {10, 10, 2, 2, 2}, config.thermal_load);
+  const auto package = std::make_shared<const PackageModel>(
+      geometry, CoarseMeshSpec{10, 10, 2, 2, 2}, config.thermal_load);
   const int tsv = 2, rings = 1;
   const int padded = tsv + 2 * rings;
   const auto locations =
@@ -121,7 +128,8 @@ TEST(SubmodelThermal, HotspotOverWindowHeatsNearestBlocks) {
   core::SimulationConfig config = test_config();
   config.local.samples_per_block = 6;
   const PackageGeometry geometry = small_package();
-  const PackageModel package(geometry, {10, 10, 2, 2, 2}, config.thermal_load);
+  const auto package = std::make_shared<const PackageModel>(
+      geometry, CoarseMeshSpec{10, 10, 2, 2, 2}, config.thermal_load);
   const int padded = 3;
   const auto locations =
       standard_locations(geometry, config.geometry.pitch, padded, padded);
@@ -134,8 +142,9 @@ TEST(SubmodelThermal, HotspotOverWindowHeatsNearestBlocks) {
   power.add_gaussian_hotspot(cx, cy, config.geometry.pitch, 400.0);
 
   core::MoreStressSimulator sim(config);
-  const core::ThermalSubmodelResult result =
-      sim.simulate_submodel_thermal(padded, padded, 0, package, loc, power);
+  const core::ThermalResult result =
+      *sim.simulate(specs::with_power(specs::submodel_spec(padded, padded, 0, package, loc), power))
+           .thermal;
 
   const auto& dt = result.load.values();
   ASSERT_EQ(dt.size(), 9u);
@@ -181,22 +190,25 @@ TEST(SubmodelThermal, DummyRingBlocksConductLikeBulkSilicon) {
 TEST(SubmodelThermal, RejectsBadInputs) {
   core::SimulationConfig config = test_config();
   const PackageGeometry geometry = small_package();
-  const PackageModel package(geometry, {6, 6, 2, 2, 2}, config.thermal_load);
+  const auto package = std::make_shared<const PackageModel>(
+      geometry, CoarseMeshSpec{6, 6, 2, 2, 2}, config.thermal_load);
   const auto locations = standard_locations(geometry, config.geometry.pitch, 3, 3);
   core::MoreStressSimulator sim(config);
 
   const thermal::PowerMap good(4, 4, geometry.substrate_x, geometry.substrate_y, 10.0);
+  const auto run = [&](int tsv, int rings, const SubmodelPlacement& placement,
+                       const thermal::PowerMap& power) {
+    return sim.simulate(
+        specs::with_power(specs::submodel_spec(tsv, tsv, rings, package, placement), power));
+  };
   // Placement covers 3x3 but tsv+rings asks for 4x4.
-  EXPECT_THROW((void)sim.simulate_submodel_thermal(2, 2, 1, package, locations[0], good),
-               std::invalid_argument);
+  EXPECT_THROW((void)run(2, 1, locations[0], good), std::invalid_argument);
   // Power map footprint must match the package plan.
   const thermal::PowerMap small(4, 4, 50.0, 50.0, 10.0);
-  EXPECT_THROW((void)sim.simulate_submodel_thermal(3, 3, 0, package, locations[0], small),
-               std::invalid_argument);
+  EXPECT_THROW((void)run(3, 0, locations[0], small), std::invalid_argument);
   // Window outside the interposer.
   const SubmodelPlacement outside{{-100.0, 0.0, geometry.interposer_z0()}, 3, 3, "bad"};
-  EXPECT_THROW((void)sim.simulate_submodel_thermal(3, 3, 0, package, outside, good),
-               std::invalid_argument);
+  EXPECT_THROW((void)run(3, 0, outside, good), std::invalid_argument);
 }
 
 TEST(SubmodelTransient, ConstantTraceRelaxesToSteadySubmodelPath) {
@@ -207,7 +219,8 @@ TEST(SubmodelTransient, ConstantTraceRelaxesToSteadySubmodelPath) {
   // comparison tolerance.
   config.coupling.transient.time_step = 0.1;
   const PackageGeometry geometry = small_package();
-  const PackageModel package(geometry, {10, 10, 2, 2, 2}, config.thermal_load);
+  const auto package = std::make_shared<const PackageModel>(
+      geometry, CoarseMeshSpec{10, 10, 2, 2, 2}, config.thermal_load);
   const int padded = 3;
   const auto locations = standard_locations(geometry, config.geometry.pitch, padded, padded);
   const SubmodelPlacement& loc = locations[0];
@@ -218,10 +231,11 @@ TEST(SubmodelTransient, ConstantTraceRelaxesToSteadySubmodelPath) {
                              config.geometry.pitch, 150.0);
 
   core::MoreStressSimulator sim(config);
-  const core::ThermalSubmodelResult steady =
-      sim.simulate_submodel_thermal(padded, padded, 0, package, loc, power);
-  const core::ThermalTransientSubmodelResult transient = sim.simulate_submodel_thermal_transient(
-      padded, padded, 0, package, loc, thermal::PowerTrace::constant(power, 4.0));
+  const sweep::ScenarioSpec window = specs::submodel_spec(padded, padded, 0, package, loc);
+  const core::ThermalResult steady = *sim.simulate(specs::with_power(window, power)).thermal;
+  const core::TransientResult transient =
+      *sim.simulate(specs::with_trace(window, thermal::PowerTrace::constant(power, 4.0)))
+           .transient;
 
   // The windowed per-step reduction relaxes to the steady windowed ΔT ...
   const auto& steady_dt = steady.load.values();
@@ -249,7 +263,8 @@ TEST(SubmodelFatigue, PulsedPackageTraceBatchesOnePanelAndReportsDamage) {
   config.local.samples_per_block = 6;
   config.coupling.transient.time_step = 0.02;
   const PackageGeometry geometry = small_package();
-  const PackageModel package(geometry, {10, 10, 2, 2, 2}, config.thermal_load);
+  const auto package = std::make_shared<const PackageModel>(
+      geometry, CoarseMeshSpec{10, 10, 2, 2, 2}, config.thermal_load);
   const int tsv = 2, rings = 1;
   const int padded = tsv + 2 * rings;
   const auto locations = standard_locations(geometry, config.geometry.pitch, padded, padded);
@@ -265,7 +280,9 @@ TEST(SubmodelFatigue, PulsedPackageTraceBatchesOnePanelAndReportsDamage) {
 
   core::MoreStressSimulator sim(config);
   const core::FatigueResult result =
-      sim.simulate_submodel_fatigue(tsv, tsv, rings, package, loc, trace);
+      *sim.simulate(specs::with_trace(specs::submodel_spec(tsv, tsv, rings, package, loc), trace,
+                                      sweep::AnalysisKind::kFatigue))
+           .fatigue;
 
   // The history covers the inner TSV region only, one channel record per
   // recorded step, batched as one panel on a single factorization.

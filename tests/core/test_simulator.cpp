@@ -7,6 +7,8 @@
 #include <filesystem>
 
 #include "core/report.hpp"
+#include "sweep/scenario_result.hpp"
+#include "util/scenario_specs.hpp"
 
 namespace ms::core {
 namespace {
@@ -40,7 +42,7 @@ TEST(Simulator, LocalStageIsLazyAndCached) {
 
 TEST(Simulator, ArrayResultShapesAndStats) {
   MoreStressSimulator sim(small_config());
-  const ArrayResult result = sim.simulate_array(3, 2);
+  const ArrayResult result = *sim.simulate(specs::array_spec(3, 2)).array;
   EXPECT_EQ(result.region_blocks_x, 3);
   EXPECT_EQ(result.region_blocks_y, 2);
   EXPECT_EQ(result.samples_per_block, 10);
@@ -74,7 +76,9 @@ TEST(Simulator, SubmodelUsesDummyRingsAndReportsInnerRegion) {
   const auto linear = [](const mesh::Point3& p) {
     return std::array<double, 3>{1e-4 * p.x, 1e-4 * p.y, -2e-4 * p.z};
   };
-  const ArrayResult result = sim.simulate_submodel(2, 2, 1, linear);
+  sweep::ScenarioSpec spec = specs::submodel_spec(2, 2, 1);
+  spec.displacement = linear;
+  const ArrayResult result = *sim.simulate(spec).array;
   EXPECT_EQ(result.region_blocks_x, 2);
   EXPECT_EQ(result.von_mises.size(), static_cast<std::size_t>(2 * 10) * (2 * 10));
   EXPECT_TRUE(result.stats.converged);
@@ -82,8 +86,9 @@ TEST(Simulator, SubmodelUsesDummyRingsAndReportsInnerRegion) {
 
 TEST(Simulator, SubmodelRejectsNegativeRings) {
   MoreStressSimulator sim(small_config());
-  const auto zero = [](const mesh::Point3&) { return std::array<double, 3>{0, 0, 0}; };
-  EXPECT_THROW(sim.simulate_submodel(2, 2, -1, zero), std::invalid_argument);
+  sweep::ScenarioSpec spec = specs::submodel_spec(2, 2, -1);
+  spec.displacement = [](const mesh::Point3&) { return std::array<double, 3>{0, 0, 0}; };
+  EXPECT_THROW((void)sim.simulate(spec), std::invalid_argument);
 }
 
 TEST(Simulator, StressScalesLinearlyWithThermalLoad) {
@@ -91,8 +96,8 @@ TEST(Simulator, StressScalesLinearlyWithThermalLoad) {
   SimulationConfig c2 = small_config();
   c2.thermal_load = 2.0 * c1.thermal_load;
   MoreStressSimulator sim1(c1), sim2(c2);
-  const auto r1 = sim1.simulate_array(2, 2);
-  const auto r2 = sim2.simulate_array(2, 2);
+  const ArrayResult r1 = *sim1.simulate(specs::array_spec(2, 2)).array;
+  const ArrayResult r2 = *sim2.simulate(specs::array_spec(2, 2)).array;
   double max_vm = 0.0;
   for (double v : r1.von_mises) max_vm = std::max(max_vm, v);
   for (std::size_t i = 0; i < r1.von_mises.size(); ++i) {
@@ -109,7 +114,7 @@ TEST(ReferenceHelpers, ArrayReferenceMatchesShapes) {
   EXPECT_GT(ref.stats.num_dofs, 0);
 
   MoreStressSimulator sim(config);
-  const ArrayResult rom = sim.simulate_array(2, 2);
+  const ArrayResult rom = *sim.simulate(specs::array_spec(2, 2)).array;
   const double err = field_error(ref, rom.von_mises);
   EXPECT_GT(err, 0.0);
   EXPECT_LT(err, 0.10);  // (3,3,3) nodes on a 2x2 array: coarse but sane

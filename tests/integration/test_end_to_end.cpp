@@ -17,6 +17,8 @@
 #include "fem/stress.hpp"
 #include "mesh/tsv_block.hpp"
 #include "rom/local_stage.hpp"
+#include "sweep/scenario_result.hpp"
+#include "util/scenario_specs.hpp"
 
 namespace ms {
 namespace {
@@ -110,7 +112,7 @@ TEST_P(EndToEndConvergence, ErrorWithinBand) {
   const int nodes = GetParam();
   core::SimulationConfig config = test_config(nodes);
   core::MoreStressSimulator sim(config);
-  const core::ArrayResult rom = sim.simulate_array(2, 2);
+  const core::ArrayResult rom = *sim.simulate(specs::array_spec(2, 2)).array;
 
   fem::FemSolveOptions options;
   options.method = "direct";
@@ -132,7 +134,7 @@ TEST(EndToEnd, ErrorDecreasesMonotonicallyWithNodes) {
   double previous = 1e9;
   for (int nodes : {2, 3, 4, 5}) {
     core::MoreStressSimulator sim(test_config(nodes));
-    const core::ArrayResult rom = sim.simulate_array(2, 2);
+    const core::ArrayResult rom = *sim.simulate(specs::array_spec(2, 2)).array;
     const double err = core::field_error(ref, rom.von_mises);
     EXPECT_LT(err, previous) << "nodes=" << nodes;
     previous = err;
@@ -150,7 +152,9 @@ TEST(EndToEnd, RomIsExactWhenBoundaryIsResolved) {
   const auto smooth = [](const mesh::Point3& p) {
     return std::array<double, 3>{1e-4 * p.x * p.x / 15.0, -2e-4 * p.y, 1e-4 * (p.z - 25.0)};
   };
-  const core::ArrayResult rom = sim.simulate_submodel(1, 1, 0, smooth);
+  sweep::ScenarioSpec spec = specs::submodel_spec(1, 1, 0);
+  spec.displacement = smooth;
+  const core::ArrayResult rom = *sim.simulate(spec).array;
 
   // Fine reference: boundary values = Lagrange interpolation of smooth() at
   // the surface nodes (NOT smooth() itself — the quadratic x-term is outside
@@ -194,7 +198,7 @@ TEST(EndToEnd, RomBeatsSuperpositionOnTightPitch) {
   core::SimulationConfig config = test_config(4);
   config.geometry.pitch = 10.0;
   core::MoreStressSimulator sim(config);
-  const core::ArrayResult rom = sim.simulate_array(3, 3);
+  const core::ArrayResult rom = *sim.simulate(specs::array_spec(3, 3)).array;
 
   fem::FemSolveOptions options;
   options.method = "direct";

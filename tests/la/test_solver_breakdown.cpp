@@ -1,6 +1,6 @@
-// Iterative-solver breakdown: on an indefinite or singular operator CG and
-// GMRES must report a *structured* failure (breakdown flag + reason) instead
-// of silently stalling, diverging, or emitting NaN into the solution. The
+// Iterative-solver breakdown: on an indefinite or non-finite operator CG
+// must report a *structured* failure (breakdown flag + reason) instead of
+// silently stalling, diverging, or emitting NaN into the solution. The
 // sweep engine turns these into kDidNotConverge scenario failures, so the
 // contract here is load-bearing for the robustness layer.
 
@@ -11,7 +11,6 @@
 #include <string>
 
 #include "la/cg.hpp"
-#include "la/gmres.hpp"
 #include "la/vec.hpp"
 
 namespace ms::la {
@@ -54,36 +53,6 @@ TEST(SolverBreakdown, CgReportsNonFiniteOperator) {
   EXPECT_EQ(std::string(result.breakdown_reason), "non-finite curvature p.Ap");
 }
 
-TEST(SolverBreakdown, GmresReportsSingularOperator) {
-  // diag(1, 1, 0) with b touching the null space: no x satisfies Ax = b, so
-  // GMRES must end in a structured breakdown (rank-deficient Hessenberg or
-  // stagnation across a restart — both count) with a finite iterate.
-  const CsrMatrix a = diagonal({1.0, 1.0, 0.0});
-  const Vec b(3, 1.0);
-  Vec x(3, 0.0);
-  GmresOptions options;
-  options.restart = 3;
-  options.max_iterations = 60;
-  const IterativeResult result = gmres(a, b, x, nullptr, options);
-  EXPECT_FALSE(result.converged);
-  EXPECT_TRUE(result.breakdown);
-  EXPECT_NE(std::string(result.breakdown_reason), "");
-  EXPECT_TRUE(all_finite(x));
-}
-
-TEST(SolverBreakdown, GmresReportsNonFiniteOperator) {
-  TripletList t(2, 2);
-  t.add(0, 0, 1.0);
-  t.add(1, 1, std::numeric_limits<double>::infinity());
-  const CsrMatrix a = CsrMatrix::from_triplets(t);
-  const Vec b(2, 1.0);
-  Vec x(2, 0.0);
-  const IterativeResult result = gmres(a, b, x, nullptr, {});
-  EXPECT_FALSE(result.converged);
-  EXPECT_TRUE(result.breakdown);
-  EXPECT_NE(std::string(result.breakdown_reason), "");
-}
-
 TEST(SolverBreakdown, HealthySystemsStillConvergeCleanly) {
   // The breakdown guards must not misfire on a well-posed SPD solve.
   const CsrMatrix a = diagonal({4.0, 3.0, 2.0, 1.0});
@@ -92,13 +61,8 @@ TEST(SolverBreakdown, HealthySystemsStillConvergeCleanly) {
   const IterativeResult cg = conjugate_gradient(a, b, x_cg, nullptr, {});
   EXPECT_TRUE(cg.converged);
   EXPECT_FALSE(cg.breakdown);
-  Vec x_gm(4, 0.0);
-  const IterativeResult gm = gmres(a, b, x_gm, nullptr, {});
-  EXPECT_TRUE(gm.converged);
-  EXPECT_FALSE(gm.breakdown);
   for (std::size_t i = 0; i < 4; ++i) {
     EXPECT_NEAR(x_cg[i], 1.0 / static_cast<double>(4 - i), 1e-8);
-    EXPECT_NEAR(x_gm[i], 1.0 / static_cast<double>(4 - i), 1e-8);
   }
 }
 

@@ -6,8 +6,10 @@
 
 #include "core/simulator.hpp"
 #include "obs/metrics.hpp"
+#include "sweep/scenario_result.hpp"
 #include "thermal/power_map.hpp"
 #include "util/json.hpp"
+#include "util/scenario_specs.hpp"
 
 namespace ms::obs {
 namespace {
@@ -95,7 +97,8 @@ TEST(RunReport, MatchesLegacyStatsOnArrayThermalRun) {
   // Zero the global registry so each histogram sees exactly one record and
   // its sum equals the recorded value with no accumulation rounding.
   MetricRegistry::global().reset();
-  const core::ThermalArrayResult result = sim.simulate_array_thermal(blocks, blocks, power);
+  const core::ThermalResult result =
+      *sim.simulate(specs::with_power(specs::array_spec(blocks, blocks), power)).thermal;
   const RunReport report = RunReport::capture();
 
   // Global (ROM) stage: core.run.* mirrors core::RunStats.

@@ -14,6 +14,8 @@
 
 #include "core/simulator.hpp"
 #include "reliability/rainflow.hpp"
+#include "sweep/scenario_result.hpp"
+#include "util/scenario_specs.hpp"
 
 namespace ms::core {
 namespace {
@@ -67,9 +69,10 @@ TEST(FatigueCoupling, ConstantTraceMatchesEnvelopePathAndCountsOneHalfCycle) {
   ASSERT_TRUE(trace.is_constant());
 
   MoreStressSimulator sim(config);
-  const FatigueResult fatigue = sim.simulate_array_fatigue(blocks, blocks, trace);
-  const ThermalTransientArrayResult envelope =
-      sim.simulate_array_thermal_transient(blocks, blocks, trace);
+  const sweep::ScenarioSpec array = specs::array_spec(blocks, blocks);
+  const FatigueResult fatigue =
+      *sim.simulate(specs::with_trace(array, trace, sweep::AnalysisKind::kFatigue)).fatigue;
+  const TransientResult envelope = *sim.simulate(specs::with_trace(array, trace)).transient;
 
   // The fatigue result's base solve *is* the envelope solve.
   ASSERT_EQ(fatigue.von_mises.size(), envelope.von_mises.size());
@@ -129,7 +132,10 @@ TEST(FatigueCoupling, PulsedHotspotLocalizesDamageAndReportsLifetime) {
   FatigueOptions options;
   options.range_bins = 6;
   options.mean_bins = 3;
-  const FatigueResult result = sim.simulate_array_fatigue(blocks, blocks, trace, options);
+  sweep::ScenarioSpec spec = specs::with_trace(specs::array_spec(blocks, blocks), trace,
+                                               sweep::AnalysisKind::kFatigue);
+  spec.fatigue = options;
+  const FatigueResult result = *sim.simulate(spec).fatigue;
 
   // Three channels assessed under the standard model set.
   ASSERT_EQ(result.report.channels.size(), 3u);
@@ -174,7 +180,8 @@ TEST(FatigueCoupling, PulsedHotspotLocalizesDamageAndReportsLifetime) {
   // Strided recording still spans the whole history.
   FatigueOptions strided = options;
   strided.record_stride = 4;
-  const FatigueResult coarse = sim.simulate_array_fatigue(blocks, blocks, trace, strided);
+  spec.fatigue = strided;
+  const FatigueResult coarse = *sim.simulate(spec).fatigue;
   EXPECT_LT(coarse.history.num_steps(), result.history.num_steps());
   EXPECT_EQ(coarse.history_steps.back(),
             static_cast<int>(coarse.transient.num_records()) - 1);

@@ -1,20 +1,18 @@
-// Equivalence locks: simulate(spec) must be bit-identical to the legacy
-// simulate_* call it replaces — same fields, same stress tensors, same
-// global solution, compared with == (no tolerance). Both calls run on one
-// simulator (shared local-stage model, no caches), so any drift is a real
-// dispatch bug, not numerical noise.
+// simulate(spec) locks for the spec fields whose meaning is "same as the
+// config": an overridden transient time step or sub-model ΔT must reproduce
+// the config-driven run bit for bit (fields compared with ==, no tolerance),
+// overrides must not rebuild the one-shot local stage, and a sub-model that
+// brings its own boundary data must not build the demo package.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <array>
-#include <cmath>
-#include <memory>
 
-#include "chiplet/package_model.hpp"
 #include "core/simulator.hpp"
+#include "obs/metrics.hpp"
 #include "sweep/scenario_result.hpp"
 #include "sweep/scenario_spec.hpp"
+#include "sweep/sweep_engine.hpp"
 
 namespace ms::sweep {
 namespace {
@@ -35,197 +33,30 @@ void expect_bitwise(const core::ArrayResult& a, const core::ArrayResult& b) {
   EXPECT_EQ(a.solution, b.solution);
 }
 
-TEST(SimulateSpec, ArraySteadyUniformMatchesLegacy) {
-  core::MoreStressSimulator sim(small_config());
-  const core::ArrayResult legacy = sim.simulate_array(3, 2);
-
-  ScenarioSpec spec;
-  spec.blocks_x = 3;
-  spec.blocks_y = 2;
-  const ScenarioResult result = sim.simulate(spec);
-  ASSERT_NE(result.array, nullptr);
-  expect_bitwise(*result.array, legacy);
-  EXPECT_EQ(result.peak_von_mises,
-            *std::max_element(legacy.von_mises.begin(), legacy.von_mises.end()));
-  EXPECT_TRUE(std::isnan(result.min_life_log10));
-}
-
-TEST(SimulateSpec, ArraySteadyLoadFieldPayloadMatchesLegacy) {
-  core::MoreStressSimulator sim(small_config());
-  rom::BlockLoadField load = rom::BlockLoadField::uniform(-100.0);
-  const core::ArrayResult legacy = sim.simulate_array(2, 2, load);
-
-  ScenarioSpec spec;
-  spec.blocks_x = 2;
-  spec.blocks_y = 2;
-  spec.load_field = std::make_shared<rom::BlockLoadField>(load);
-  const ScenarioResult result = sim.simulate(spec);
-  ASSERT_NE(result.array, nullptr);
-  expect_bitwise(*result.array, legacy);
-}
-
-TEST(SimulateSpec, ArraySteadyPowerMatchesLegacy) {
-  const core::SimulationConfig config = small_config();
-  core::MoreStressSimulator sim(config);
-
-  ScenarioSpec spec;
-  spec.load = LoadKind::kPower;
-  spec.blocks_x = 3;
-  spec.blocks_y = 3;
-  spec.power.background = 25.0;
-  spec.power.hotspot_peak = 300.0;
-
-  const core::ThermalArrayResult legacy =
-      sim.simulate_array_thermal(3, 3, make_power_map(spec, config));
-  const ScenarioResult result = sim.simulate(spec);
-  ASSERT_NE(result.thermal_array, nullptr);
-  expect_bitwise(*result.thermal_array, legacy);
-  EXPECT_EQ(result.thermal_array->load.values(), legacy.load.values());
-  EXPECT_EQ(result.thermal_array->temperature.nodal(), legacy.temperature.nodal());
-}
-
-TEST(SimulateSpec, ArrayTransientMatchesLegacyWithSnapshots) {
-  const core::SimulationConfig config = small_config();
-  core::MoreStressSimulator sim(config);
-
+ScenarioSpec transient_spec() {
   ScenarioSpec spec;
   spec.analysis = AnalysisKind::kTransient;
   spec.load = LoadKind::kTrace;
-  spec.blocks_x = 3;
+  spec.blocks_x = 2;
   spec.blocks_y = 2;
-  spec.power.background = 30.0;
-  spec.power.hotspot_peak = 200.0;
+  spec.power.background = 25.0;
   spec.trace.period = 6e-5;
   spec.trace.duty = 0.5;
   spec.trace.cycles = 1;
-  spec.snapshot_steps = {0, 2};
-
-  const thermal::PowerTrace trace = make_power_trace(spec, make_power_map(spec, config));
-  const core::ThermalTransientArrayResult legacy =
-      sim.simulate_array_thermal_transient(3, 2, trace, spec.snapshot_steps);
-  const ScenarioResult result = sim.simulate(spec);
-  ASSERT_NE(result.transient_array, nullptr);
-  expect_bitwise(*result.transient_array, legacy);
-  EXPECT_EQ(result.transient_array->envelope_load.values(), legacy.envelope_load.values());
-  ASSERT_EQ(result.transient_array->snapshots.size(), legacy.snapshots.size());
-  for (std::size_t i = 0; i < legacy.snapshots.size(); ++i) {
-    expect_bitwise(result.transient_array->snapshots[i], legacy.snapshots[i]);
-  }
+  return spec;
 }
 
-TEST(SimulateSpec, ArrayFatigueMatchesLegacy) {
-  const core::SimulationConfig config = small_config();
-  core::MoreStressSimulator sim(config);
-
+/// Sub-model spec with its own (linear) boundary data: no package is read.
+ScenarioSpec displacement_submodel_spec() {
   ScenarioSpec spec;
-  spec.analysis = AnalysisKind::kFatigue;
-  spec.load = LoadKind::kTrace;
+  spec.kind = ScenarioKind::kSubmodel;
   spec.blocks_x = 2;
   spec.blocks_y = 2;
-  spec.power.background = 20.0;
-  spec.power.hotspot_peak = 350.0;
-  spec.trace.period = 6e-5;
-  spec.trace.duty = 0.25;
-  spec.trace.cycles = 2;
-
-  const thermal::PowerTrace trace = make_power_trace(spec, make_power_map(spec, config));
-  const core::FatigueResult legacy = sim.simulate_array_fatigue(2, 2, trace, spec.fatigue);
-  const ScenarioResult result = sim.simulate(spec);
-  ASSERT_NE(result.fatigue, nullptr);
-  expect_bitwise(*result.fatigue, legacy);
-  EXPECT_EQ(result.fatigue->report.min_life_cycles, legacy.report.min_life_cycles);
-  EXPECT_EQ(result.fatigue->report.min_life_channel, legacy.report.min_life_channel);
-  EXPECT_EQ(result.min_life_log10, std::log10(legacy.report.min_life_cycles));
-  EXPECT_EQ(result.min_life_seconds, legacy.report.min_life_seconds);
-}
-
-TEST(SimulateSpec, SubmodelSteadyUniformDisplacementMatchesLegacy) {
-  core::MoreStressSimulator sim(small_config());
-  const auto linear = [](const mesh::Point3& p) {
+  spec.dummy_rings = 1;
+  spec.displacement = [](const mesh::Point3& p) {
     return std::array<double, 3>{1e-4 * p.x, 1e-4 * p.y, -2e-4 * p.z};
   };
-  const core::ArrayResult legacy = sim.simulate_submodel(2, 2, 1, linear);
-
-  ScenarioSpec spec;
-  spec.kind = ScenarioKind::kSubmodel;
-  spec.blocks_x = 2;
-  spec.blocks_y = 2;
-  spec.dummy_rings = 1;
-  spec.displacement = linear;
-  const ScenarioResult result = sim.simulate(spec);
-  ASSERT_NE(result.array, nullptr);
-  expect_bitwise(*result.array, legacy);
-}
-
-TEST(SimulateSpec, SubmodelThermalMatchesLegacyWithSharedPackage) {
-  const core::SimulationConfig config = small_config();
-  core::MoreStressSimulator sim(config);
-
-  // Pre-build the demo package once and hand it to both calls via the
-  // payload slot — the same object the sweep engine would share.
-  const int padded = 2 + 2 * 1;
-  const chiplet::PackageGeometry geometry =
-      chiplet::demo_package_geometry(config.geometry.pitch, padded, config.geometry.height);
-  const auto package = std::make_shared<const chiplet::PackageModel>(
-      geometry, chiplet::demo_coarse_spec(), config.thermal_load);
-  const chiplet::SubmodelPlacement placement =
-      chiplet::standard_locations(package->geometry(), config.geometry.pitch, padded, padded)[1];
-
-  ScenarioSpec spec;
-  spec.kind = ScenarioKind::kSubmodel;
-  spec.load = LoadKind::kPower;
-  spec.blocks_x = 2;
-  spec.blocks_y = 2;
-  spec.dummy_rings = 1;
-  spec.package = package;
-  spec.placement = placement;
-  spec.power.background = 15.0;
-  spec.power.hotspot_peak = 250.0;
-
-  const thermal::PowerMap power = make_power_map(spec, config, package->geometry(), placement);
-  const core::ThermalSubmodelResult legacy =
-      sim.simulate_submodel_thermal(2, 2, 1, *package, placement, power);
-  const ScenarioResult result = sim.simulate(spec);
-  ASSERT_NE(result.thermal_submodel, nullptr);
-  expect_bitwise(*result.thermal_submodel, legacy);
-  EXPECT_EQ(result.thermal_submodel->load.values(), legacy.load.values());
-}
-
-TEST(SimulateSpec, SubmodelFatigueMatchesLegacy) {
-  const core::SimulationConfig config = small_config();
-  core::MoreStressSimulator sim(config);
-
-  const int padded = 2 + 2 * 1;
-  const chiplet::PackageGeometry geometry =
-      chiplet::demo_package_geometry(config.geometry.pitch, padded, config.geometry.height);
-  const auto package = std::make_shared<const chiplet::PackageModel>(
-      geometry, chiplet::demo_coarse_spec(), config.thermal_load);
-  const chiplet::SubmodelPlacement placement =
-      chiplet::standard_locations(package->geometry(), config.geometry.pitch, padded, padded)[0];
-
-  ScenarioSpec spec;
-  spec.kind = ScenarioKind::kSubmodel;
-  spec.analysis = AnalysisKind::kFatigue;
-  spec.load = LoadKind::kTrace;
-  spec.blocks_x = 2;
-  spec.blocks_y = 2;
-  spec.dummy_rings = 1;
-  spec.package = package;
-  spec.placement = placement;
-  spec.power.background = 20.0;
-  spec.power.hotspot_peak = 300.0;
-  spec.trace.period = 6e-5;
-  spec.trace.duty = 0.5;
-  spec.trace.cycles = 1;
-
-  const thermal::PowerTrace trace =
-      make_power_trace(spec, make_power_map(spec, config, package->geometry(), placement));
-  const core::FatigueResult legacy =
-      sim.simulate_submodel_fatigue(2, 2, 1, *package, placement, trace, spec.fatigue);
-  const ScenarioResult result = sim.simulate(spec);
-  ASSERT_NE(result.fatigue, nullptr);
-  expect_bitwise(*result.fatigue, legacy);
-  EXPECT_EQ(result.fatigue->report.min_life_cycles, legacy.report.min_life_cycles);
+  return spec;
 }
 
 TEST(SimulateSpec, TimeStepOverrideMatchesAdjustedConfig) {
@@ -234,28 +65,70 @@ TEST(SimulateSpec, TimeStepOverrideMatchesAdjustedConfig) {
   core::SimulationConfig adjusted = small_config();
   adjusted.coupling.transient.time_step = 1.5e-5;
   core::MoreStressSimulator reference(adjusted);
-
-  ScenarioSpec spec;
-  spec.analysis = AnalysisKind::kTransient;
-  spec.load = LoadKind::kTrace;
-  spec.blocks_x = 2;
-  spec.blocks_y = 2;
-  spec.power.background = 25.0;
-  spec.trace.period = 6e-5;
-  spec.trace.duty = 0.5;
-  spec.trace.cycles = 1;
-
-  const thermal::PowerTrace trace =
-      make_power_trace(spec, make_power_map(spec, small_config()));
-  const core::ThermalTransientArrayResult legacy =
-      reference.simulate_array_thermal_transient(2, 2, trace, {});
+  const ScenarioResult expected = reference.simulate(transient_spec());
 
   core::MoreStressSimulator sim(small_config());
+  ScenarioSpec spec = transient_spec();
   spec.time_step = 1.5e-5;
   const ScenarioResult result = sim.simulate(spec);
-  ASSERT_NE(result.transient_array, nullptr);
-  expect_bitwise(*result.transient_array, legacy);
-  EXPECT_EQ(result.transient_array->transient.times, legacy.transient.times);
+  ASSERT_NE(result.transient, nullptr);
+  ASSERT_NE(expected.transient, nullptr);
+  expect_bitwise(*result.transient, *expected.transient);
+  EXPECT_EQ(result.transient->transient.times, expected.transient->transient.times);
+  EXPECT_EQ(result.transient->envelope_load.values(),
+            expected.transient->envelope_load.values());
+}
+
+TEST(SimulateSpec, TimeStepOverridesRunTheLocalStageOnce) {
+  // No model cache attached: the simulator's own models must serve every
+  // overridden query, so the local stage runs for the first query only.
+  core::MoreStressSimulator sim(small_config());
+  const obs::Histogram& stages =
+      obs::MetricRegistry::global().histogram("rom.local.stage_seconds");
+  const std::int64_t before = stages.count();
+  for (double step : {1.5e-5, 2.0e-5}) {
+    ScenarioSpec spec = transient_spec();
+    spec.time_step = step;
+    ASSERT_NE(sim.simulate(spec).transient, nullptr);
+  }
+  EXPECT_EQ(stages.count() - before, 1);
+  EXPECT_EQ(sim.prepare_local_stage(false), 0.0);
+}
+
+TEST(SimulateSpec, SubmodelDeltaTEqualToConfigMatchesDefault) {
+  // delta_t == config.thermal_load and an unset delta_t are the same query.
+  const core::SimulationConfig config = small_config();
+  core::MoreStressSimulator sim(config);
+  ScenarioSpec spec = displacement_submodel_spec();
+  const ScenarioResult defaulted = sim.simulate(spec);
+  spec.delta_t = config.thermal_load;
+  const ScenarioResult explicit_dt = sim.simulate(spec);
+  ASSERT_NE(defaulted.array, nullptr);
+  ASSERT_NE(explicit_dt.array, nullptr);
+  expect_bitwise(*explicit_dt.array, *defaulted.array);
+}
+
+TEST(SimulateSpec, DisplacementSubmodelBuildsNoPackage) {
+  // Building the demo package is a coarse FEM solve; a uniform sub-model
+  // with its own boundary data never reads it, directly or via the engine.
+  const ScenarioSpec spec = displacement_submodel_spec();
+  ASSERT_FALSE(spec.reads_package());
+  const obs::Counter& fem_solves = obs::MetricRegistry::global().counter("fem.solves");
+
+  core::MoreStressSimulator sim(small_config());
+  std::int64_t before = fem_solves.value();
+  ASSERT_NE(sim.simulate(spec).array, nullptr);
+  EXPECT_EQ(fem_solves.value(), before);
+
+  SweepOptions options;
+  options.config = small_config();
+  options.num_threads = 1;
+  SweepEngine engine(options);
+  before = fem_solves.value();
+  const std::vector<ScenarioResult> rows = engine.run({spec});
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows.front().status, ScenarioStatus::kOk);
+  EXPECT_EQ(fem_solves.value(), before);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Conduction -> ROM coupling: power-map ΔT sanity on the array thermal
-// mesh, and the regression pinning simulate_array_thermal with a uniform
-// power map to the scalar-ΔT simulate_array path.
+// mesh, and the regression pinning a steady power-map scenario with a
+// uniform map to the scalar-ΔT scenario.
 
 #include <gtest/gtest.h>
 
@@ -8,6 +8,8 @@
 #include <cmath>
 
 #include "core/simulator.hpp"
+#include "sweep/scenario_result.hpp"
+#include "util/scenario_specs.hpp"
 #include "thermal/conduction_assembler.hpp"
 #include "thermal/thermal_solver.hpp"
 
@@ -32,7 +34,8 @@ TEST(ThermalCoupling, UniformPowerGivesUniformBlockDeltaT) {
   MoreStressSimulator sim(config);
   const thermal::PowerMap power =
       thermal::PowerMap::per_block(3, 3, config.geometry.pitch, 40.0);
-  const ThermalArrayResult result = sim.simulate_array_thermal(3, 3, power);
+  const ThermalResult result =
+      *sim.simulate(specs::with_power(specs::array_spec(3, 3), power)).thermal;
 
   ASSERT_EQ(result.load.values().size(), 9u);
   for (double dt : result.load.values()) {
@@ -49,7 +52,8 @@ TEST(ThermalCoupling, HotspotHeatsCentreBlocksMost) {
   thermal::PowerMap power = thermal::PowerMap::per_block(5, 5, config.geometry.pitch, 5.0);
   const double mid = 2.5 * config.geometry.pitch;
   power.add_gaussian_hotspot(mid, mid, config.geometry.pitch, 400.0);
-  const ThermalArrayResult result = sim.simulate_array_thermal(5, 5, power);
+  const ThermalResult result =
+      *sim.simulate(specs::with_power(specs::array_spec(5, 5), power)).thermal;
 
   const auto& dt = result.load.values();
   const double centre = dt[2 * 5 + 2];
@@ -84,13 +88,14 @@ TEST(ThermalCoupling, UniformPowerMatchesScalarDeltaTPath) {
   MoreStressSimulator sim(config);
   const thermal::PowerMap power =
       thermal::PowerMap::per_block(3, 3, config.geometry.pitch, 80.0);
-  const ThermalArrayResult coupled = sim.simulate_array_thermal(3, 3, power);
+  const ThermalResult coupled =
+      *sim.simulate(specs::with_power(specs::array_spec(3, 3), power)).thermal;
 
   // Re-run the scalar-ΔT path at exactly the coupled ΔT.
   SimulationConfig scalar_config = test_config();
   scalar_config.thermal_load = coupled.load.values().front();
   MoreStressSimulator scalar_sim(scalar_config);
-  const ArrayResult scalar = scalar_sim.simulate_array(3, 3);
+  const ArrayResult scalar = *scalar_sim.simulate(specs::array_spec(3, 3)).array;
 
   ASSERT_EQ(scalar.von_mises.size(), coupled.von_mises.size());
   double peak = 0.0;
@@ -102,13 +107,15 @@ TEST(ThermalCoupling, UniformPowerMatchesScalarDeltaTPath) {
 }
 
 TEST(ThermalCoupling, UniformLoadFieldMatchesScalarAssembly) {
-  // The BlockLoadField plumbing itself: scalar and uniform-field overloads
-  // must produce identical systems and fields.
+  // The BlockLoadField plumbing itself: the scalar ΔT and a uniform
+  // load_field payload must produce identical systems and fields.
   SimulationConfig config = test_config();
   MoreStressSimulator sim(config);
-  const ArrayResult a = sim.simulate_array(2, 2);
-  const ArrayResult b =
-      sim.simulate_array(2, 2, rom::BlockLoadField::uniform(config.thermal_load));
+  const ArrayResult a = *sim.simulate(specs::array_spec(2, 2)).array;
+  sweep::ScenarioSpec field_spec = specs::array_spec(2, 2);
+  field_spec.load_field = std::make_shared<const rom::BlockLoadField>(
+      rom::BlockLoadField::uniform(config.thermal_load));
+  const ArrayResult b = *sim.simulate(field_spec).array;
   ASSERT_EQ(a.von_mises.size(), b.von_mises.size());
   for (std::size_t i = 0; i < a.von_mises.size(); ++i) {
     EXPECT_DOUBLE_EQ(a.von_mises[i], b.von_mises[i]);
@@ -120,7 +127,8 @@ TEST(ThermalCoupling, RejectsMismatchedPowerMapFootprint) {
   MoreStressSimulator sim(config);
   // A 2x2-block map would silently leave most of a 3x3 array unpowered.
   const thermal::PowerMap small = thermal::PowerMap::per_block(2, 2, config.geometry.pitch, 10.0);
-  EXPECT_THROW((void)sim.simulate_array_thermal(3, 3, small), std::invalid_argument);
+  EXPECT_THROW((void)sim.simulate(specs::with_power(specs::array_spec(3, 3), small)),
+               std::invalid_argument);
 }
 
 TEST(ThermalCoupling, BlockLoadFieldValidatesExtent) {

@@ -2,7 +2,7 @@
 // solver (constant trace), against the analytic lumped-RC cooling curve
 // (single near-isothermal body with a convective sink), the Crank–Nicolson
 // 2nd-order convergence sweep, and the peak-envelope invariants of pulsed
-// traces. The coupled path (simulate_array_thermal_transient) is
+// traces. The coupled path (an array transient scenario) is
 // regression-locked to the steady thermal coupling for constant traces.
 
 #include <gtest/gtest.h>
@@ -11,9 +11,11 @@
 #include <cmath>
 
 #include "core/simulator.hpp"
+#include "sweep/scenario_result.hpp"
 #include "thermal/conduction_assembler.hpp"
 #include "thermal/power_trace.hpp"
 #include "thermal/thermal_solver.hpp"
+#include "util/scenario_specs.hpp"
 #include "util/validation_harness.hpp"
 
 namespace ms::thermal {
@@ -259,9 +261,12 @@ TEST(TransientCoupling, ConstantTraceReproducesSteadyCoupling) {
 
   thermal::PowerMap power = thermal::PowerMap::per_block(3, 3, config.geometry.pitch, 30.0);
   power.set_tile(1, 1, 90.0);
-  const ThermalArrayResult steady = sim.simulate_array_thermal(3, 3, power);
-  const ThermalTransientArrayResult transient = sim.simulate_array_thermal_transient(
-      3, 3, thermal::PowerTrace::constant(power, 1e-2), {0});
+  const ThermalResult steady =
+      *sim.simulate(specs::with_power(specs::array_spec(3, 3), power)).thermal;
+  sweep::ScenarioSpec spec =
+      specs::with_trace(specs::array_spec(3, 3), thermal::PowerTrace::constant(power, 1e-2));
+  spec.snapshot_steps = {0};
+  const TransientResult transient = *sim.simulate(spec).transient;
 
   // Per-block envelope ΔT matches the steady reduction to 1e-8 (relative).
   ASSERT_EQ(transient.envelope_load.values().size(), steady.load.values().size());
@@ -297,7 +302,8 @@ TEST(TransientCoupling, PulsedTraceEnvelopeExceedsFinalState) {
   // One 50 us pulse then 50 us of cool-down: the envelope must remember the
   // pulse the final state has already forgotten.
   const thermal::PowerTrace trace = thermal::PowerTrace::square_wave(low, high, 1e-4, 0.5, 1);
-  const ThermalTransientArrayResult result = sim.simulate_array_thermal_transient(3, 3, trace);
+  sweep::ScenarioSpec spec = specs::with_trace(specs::array_spec(3, 3), trace);
+  const TransientResult result = *sim.simulate(spec).transient;
 
   const std::size_t centre = 1 * 3 + 1;
   EXPECT_GT(result.envelope_load.values()[centre],
@@ -308,8 +314,8 @@ TEST(TransientCoupling, PulsedTraceEnvelopeExceedsFinalState) {
       EXPECT_GE(result.envelope_load.values()[b], blocks[b]);
     }
   }
-  EXPECT_THROW(sim.simulate_array_thermal_transient(3, 3, trace, {9999}),
-               std::invalid_argument);
+  spec.snapshot_steps = {9999};
+  EXPECT_THROW((void)sim.simulate(spec), std::invalid_argument);
 }
 
 TEST(TransientCoupling, SnapshotStressesValidateAgainstBatchedReferenceFem) {

@@ -14,6 +14,7 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "chiplet/displacement_field.hpp"
@@ -24,6 +25,8 @@
 #include "fem/stress.hpp"
 #include "mesh/tsv_block.hpp"
 #include "rom/reconstruct.hpp"
+#include "sweep/scenario_result.hpp"
+#include "util/scenario_specs.hpp"
 
 namespace ms::testutil {
 
@@ -94,7 +97,8 @@ inline double displacement_max_error(const std::vector<std::array<double, 3>>& r
 inline ValidationReport validate_array_thermal(const core::SimulationConfig& config, int blocks_x,
                                                int blocks_y, const thermal::PowerMap& power) {
   core::MoreStressSimulator sim(config);
-  const core::ThermalArrayResult rom = sim.simulate_array_thermal(blocks_x, blocks_y, power);
+  const core::ThermalResult rom =
+      *sim.simulate(specs::with_power(specs::array_spec(blocks_x, blocks_y), power)).thermal;
 
   const mesh::HexMesh fine =
       mesh::build_array_mesh(config.geometry, config.mesh_spec, blocks_x, blocks_y);
@@ -142,8 +146,9 @@ inline TransientValidationReport validate_array_thermal_transient(
     const core::SimulationConfig& config, int blocks_x, int blocks_y,
     const thermal::PowerTrace& trace, const std::vector<int>& snapshot_steps) {
   core::MoreStressSimulator sim(config);
-  const core::ThermalTransientArrayResult rom =
-      sim.simulate_array_thermal_transient(blocks_x, blocks_y, trace, snapshot_steps);
+  sweep::ScenarioSpec spec = specs::with_trace(specs::array_spec(blocks_x, blocks_y), trace);
+  spec.snapshot_steps = snapshot_steps;
+  const core::TransientResult rom = *sim.simulate(spec).transient;
 
   const mesh::HexMesh fine =
       mesh::build_array_mesh(config.geometry, config.mesh_spec, blocks_x, blocks_y);
@@ -184,21 +189,23 @@ inline TransientValidationReport validate_array_thermal_transient(
 /// Scenario 2 (package sub-model, power-map driven): ROM vs brute-force FEM
 /// of the padded window under the same coarse-displacement boundary data and
 /// the same per-block ΔT field. Fields cover the inner TSV region only.
-inline ValidationReport validate_submodel_thermal(const core::SimulationConfig& config,
-                                                  const chiplet::PackageModel& package,
-                                                  const chiplet::SubmodelPlacement& placement,
-                                                  int tsv_blocks_x, int tsv_blocks_y,
-                                                  int dummy_rings,
-                                                  const thermal::PowerMap& power) {
+inline ValidationReport validate_submodel_thermal(
+    const core::SimulationConfig& config,
+    const std::shared_ptr<const chiplet::PackageModel>& package,
+    const chiplet::SubmodelPlacement& placement, int tsv_blocks_x, int tsv_blocks_y,
+    int dummy_rings, const thermal::PowerMap& power) {
   core::MoreStressSimulator sim(config);
-  const core::ThermalSubmodelResult rom = sim.simulate_submodel_thermal(
-      tsv_blocks_x, tsv_blocks_y, dummy_rings, package, placement, power);
+  const core::ThermalResult rom =
+      *sim.simulate(specs::with_power(specs::submodel_spec(tsv_blocks_x, tsv_blocks_y,
+                                                           dummy_rings, package, placement),
+                                      power))
+           .thermal;
 
   const int bx = tsv_blocks_x + 2 * dummy_rings;
   const int by = tsv_blocks_y + 2 * dummy_rings;
   const mesh::HexMesh fine = mesh::build_array_mesh(
       config.geometry, config.mesh_spec, bx, by, mesh::padded_tsv_mask(bx, by, dummy_rings));
-  const fem::DirichletBc bc = chiplet::fine_submodel_bc(fine, package, placement);
+  const fem::DirichletBc bc = chiplet::fine_submodel_bc(fine, *package, placement);
   const la::Vec dt = per_element_delta_t(fine, rom.load, bx, by, config.geometry.pitch);
   fem::FemSolveOptions options;
   options.method = "direct";
