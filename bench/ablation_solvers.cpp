@@ -56,12 +56,12 @@ int main(int argc, char** argv) {
       max_diff = std::max(max_diff, std::fabs(result.von_mises[i] - reference_field[i]));
     }
     table.add_row({c.method, c.precond,
-                   ms::util::format_seconds(result.stats.solve_seconds),
-                   ms::util::strf("%d", static_cast<int>(result.stats.iterations)),
+                   ms::util::format_seconds(result.stats.solve.solve_seconds),
+                   ms::util::strf("%d", static_cast<int>(result.stats.solve.iterations)),
                    ms::util::strf("%.2e MPa", max_diff)});
   }
   std::fputs(table.render().c_str(), stdout);
-  std::printf("\nglobal dofs: %d\n", static_cast<int>(runs.front().second.stats.global_dofs));
+  std::printf("\nglobal dofs: %d\n", static_cast<int>(runs.front().second.stats.solve.num_dofs));
   ms::obs::write_cli_outputs(cli);
   return 0;
 }

@@ -184,8 +184,9 @@ void BM_SparseCholeskySolve(benchmark::State& state) {
   const la::idx_t nrhs = static_cast<la::idx_t>(state.range(1));
   la::Vec b(static_cast<std::size_t>(a.rows()) * nrhs, 1.0);
   la::Vec x(b.size());
+  la::Vec work;  // reused across iterations, like a solver's scratch
   for (auto _ : state) {
-    chol.solve_multi(b.data(), x.data(), nrhs);
+    chol.solve_multi_with(b.data(), x.data(), nrhs, work);
     benchmark::DoNotOptimize(x.data());
   }
   state.SetItemsProcessed(state.iterations() * nrhs);
@@ -270,19 +271,20 @@ ms::util::JsonObject solver_case(const char* scenario, const la::CsrMatrix& a, i
   const la::SparseCholesky tuned(a, amd_sn);
   const la::idx_t n = a.rows();
   la::Vec b1(n, 1.0), x1(n);
+  la::Vec work;  // one scratch buffer reused across repetitions
   const int solve_reps = 5;
   const double baseline_solve = best_seconds(solve_reps, [&] {
-    baseline.solve_multi(b1.data(), x1.data(), 1);
+    baseline.solve_multi_with(b1.data(), x1.data(), 1, work);
     benchmark::DoNotOptimize(x1.data());
   });
   const double tuned_solve = best_seconds(solve_reps, [&] {
-    tuned.solve_multi(b1.data(), x1.data(), 1);
+    tuned.solve_multi_with(b1.data(), x1.data(), 1, work);
     benchmark::DoNotOptimize(x1.data());
   });
   const la::idx_t panel = 8;
   la::Vec b8(static_cast<std::size_t>(n) * panel, 1.0), x8(b8.size());
   const double tuned_panel = best_seconds(solve_reps, [&] {
-    tuned.solve_multi(b8.data(), x8.data(), panel);
+    tuned.solve_multi_with(b8.data(), x8.data(), panel, work);
     benchmark::DoNotOptimize(x8.data());
   });
 

@@ -77,19 +77,19 @@ int main(int argc, char** argv) {
       after_case.delta(before_case, "thermal.transient.factor_seconds") +
       after_case.delta(before_case, "thermal.transient.step_seconds");
   const double panel_seconds = after_case.delta(before_case, "core.run.assemble_seconds") +
-                               after_case.delta(before_case, "core.run.solve_seconds");
+                               after_case.delta(before_case, "rom.global.solve_seconds");
   const double damage_seconds = after_case.delta(before_case, "reliability.assess_seconds");
   std::printf("%5dx%-3d %8d %8d %12.3f %12.3f %12.3f %12.3f %12.3f\n", blocks, blocks,
-              result.thermal_stats.num_steps, static_cast<int>(result.solve_stats.num_rhs),
+              result.thermal_stats.num_steps, static_cast<int>(result.stats.solve.num_rhs),
               thermal_seconds, panel_seconds, result.history_seconds, damage_seconds,
               fatigue_seconds);
   const double min_life_log10 = std::log10(result.report.min_life_cycles);
   std::printf("min lifetime: 1e%.3f trace passes (channel %s); factor %.3f s for %d rhs "
               "(%.2f ms/rhs triangular)\n",
               min_life_log10, ms::reliability::channel_name(result.report.min_life_channel),
-              result.solve_stats.factor_seconds, static_cast<int>(result.solve_stats.num_rhs),
-              1e3 * result.solve_stats.triangular_seconds /
-                  std::max<ms::la::idx_t>(result.solve_stats.num_rhs, 1));
+              result.stats.solve.factor_seconds, static_cast<int>(result.stats.solve.num_rhs),
+              1e3 * result.stats.solve.triangular_seconds /
+                  std::max<ms::la::idx_t>(result.stats.solve.num_rhs, 1));
 
   // Fraction of point-steps the reduced-basis screen actually evaluated in
   // full — the cost of channel extraction scales with this, and a regression
@@ -109,8 +109,8 @@ int main(int argc, char** argv) {
           .set("scenario", "array_fatigue")
           .set("edge", blocks)
           .set("num_steps", result.thermal_stats.num_steps)
-          .set("num_rhs", static_cast<std::int64_t>(result.solve_stats.num_rhs))
-          .set("num_factorizations", result.solve_stats.num_factorizations)
+          .set("num_rhs", static_cast<std::int64_t>(result.stats.solve.num_rhs))
+          .set("num_factorizations", result.stats.solve.num_factorizations)
           .set("thermal_seconds", thermal_seconds)
           .set("panel_seconds", panel_seconds)
           .set("panel_factor_seconds", after_case.delta(before_case, "rom.global.factor_seconds"))
@@ -119,7 +119,7 @@ int main(int argc, char** argv) {
           .set("channel_extraction_seconds", result.history_seconds)
           .set("damage_seconds", damage_seconds)
           .set("fatigue_seconds", fatigue_seconds)
-          .set("global_dofs", static_cast<std::int64_t>(result.stats.global_dofs))
+          .set("global_dofs", static_cast<std::int64_t>(result.stats.solve.num_dofs))
           .set("peak_von_mises", peak_vm)
           .set("min_life_log10", min_life_log10)
           .set("screen_evaluated_fraction", screen_fraction)

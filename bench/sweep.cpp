@@ -138,7 +138,7 @@ int main(int argc, char** argv) {
   std::int64_t warm_factorizations = 0;
   int pareto_count = 0;
   for (const ms::sweep::ScenarioResult& r : warm) {
-    if (r.fatigue != nullptr) warm_factorizations += r.fatigue->solve_stats.num_factorizations;
+    if (r.fatigue != nullptr) warm_factorizations += r.fatigue->stats.solve.num_factorizations;
     pareto_count += r.pareto_optimal ? 1 : 0;
   }
   std::printf("\n=== warm: shared factorizations + models ===\n");

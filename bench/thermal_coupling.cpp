@@ -121,7 +121,7 @@ int main(int argc, char** argv) {
         after_case.delta(before_case, "thermal.steady.assemble_seconds") +
         after_case.delta(before_case, "thermal.steady.solve_seconds");
     const double global_seconds = after_case.delta(before_case, "core.run.assemble_seconds") +
-                                  after_case.delta(before_case, "core.run.solve_seconds") +
+                                  after_case.delta(before_case, "rom.global.solve_seconds") +
                                   after_case.delta(before_case, "core.run.reconstruct_seconds");
     const double peak = peak_of(result.von_mises);
     std::printf("%5dx%-3d %12.3f %12.3f %12.3f %12.3f %10.1f\n", edge, edge, thermal_seconds,
@@ -132,7 +132,7 @@ int main(int argc, char** argv) {
         .set("thermal_seconds", thermal_seconds)
         .set("thermal_dofs", static_cast<std::int64_t>(after_case.value("thermal.steady.num_dofs")))
         .set("global_seconds", global_seconds)
-        .set("global_dofs", static_cast<std::int64_t>(after_case.value("core.run.global_dofs")))
+        .set("global_dofs", static_cast<std::int64_t>(after_case.value("rom.global.num_dofs")))
         .set("dt_min", result.load.min())
         .set("dt_max", result.load.max())
         .set("peak_von_mises", peak)
@@ -145,9 +145,9 @@ int main(int argc, char** argv) {
       record.set("global_factor_seconds", factor_seconds)
           .set("global_factor_nnz", factor_nnz)
           .set("global_fill_ratio", after_case.value("rom.global.fill_ratio"))
-          .set("global_ordering", result.stats.solver_ordering);
+          .set("global_ordering", result.stats.solve.ordering);
       std::printf("   global factor: %s ordering, nnz(L) = %lld (fill %.2fx, %.3fs)\n",
-                  result.stats.solver_ordering.c_str(), static_cast<long long>(factor_nnz),
+                  result.stats.solve.ordering.c_str(), static_cast<long long>(factor_nnz),
                   after_case.value("rom.global.fill_ratio"), factor_seconds);
     }
     records.push_back(std::move(record));
@@ -184,7 +184,7 @@ int main(int argc, char** argv) {
         after_case.delta(before_case, "thermal.transient.assemble_seconds") + factor_seconds +
         step_seconds;
     const double global_seconds = after_case.delta(before_case, "core.run.assemble_seconds") +
-                                  after_case.delta(before_case, "core.run.solve_seconds") +
+                                  after_case.delta(before_case, "rom.global.solve_seconds") +
                                   after_case.delta(before_case, "core.run.reconstruct_seconds");
     const auto num_steps =
         static_cast<int>(after_case.count_delta(before_case, "thermal.transient.steps"));
@@ -280,7 +280,7 @@ int main(int argc, char** argv) {
         after_case.delta(before_case, "thermal.steady.assemble_seconds") +
         after_case.delta(before_case, "thermal.steady.solve_seconds");
     const double global_seconds = after_case.delta(before_case, "core.run.assemble_seconds") +
-                                  after_case.delta(before_case, "core.run.solve_seconds") +
+                                  after_case.delta(before_case, "rom.global.solve_seconds") +
                                   after_case.delta(before_case, "core.run.reconstruct_seconds");
     const double peak = peak_of(result.von_mises);
     std::printf("%8s %12s %12s %12s %12s %10s\n", "submodel", "thermal[s]", "global[s]",
@@ -302,7 +302,7 @@ int main(int argc, char** argv) {
                                                    after_case.value("thermal.steady.num_dofs")))
                           .set("global_seconds", global_seconds)
                           .set("global_dofs",
-                               static_cast<std::int64_t>(after_case.value("core.run.global_dofs")))
+                               static_cast<std::int64_t>(after_case.value("rom.global.num_dofs")))
                           .set("dt_min", result.load.min())
                           .set("dt_max", result.load.max())
                           .set("peak_von_mises", peak)

@@ -82,7 +82,7 @@ int main(int argc, char** argv) {
     mean /= static_cast<double>(result.von_mises.size());
     table.add_row({loc.label, ms::util::strf("(%.0f, %.0f)", loc.origin.x, loc.origin.y),
                    ms::util::format_seconds(result.stats.global_seconds()),
-                   ms::util::strf("%d", static_cast<int>(result.stats.iterations)),
+                   ms::util::strf("%d", static_cast<int>(result.stats.solve.iterations)),
                    ms::util::strf("%.0f", peak), ms::util::strf("%.0f", mean)});
     std::fflush(stdout);
   }

@@ -83,9 +83,9 @@ int main(int argc, char** argv) {
 
   std::printf("transient: %d steps; ROM panel: %d rhs on %d factorization(s), "
               "factor %.3f s + triangular %.3f s; channels %.3f s, rainflow+damage %.3f s\n\n",
-              result.thermal_stats.num_steps, static_cast<int>(result.solve_stats.num_rhs),
-              result.solve_stats.num_factorizations, result.solve_stats.factor_seconds,
-              result.solve_stats.triangular_seconds, result.history_seconds,
+              result.thermal_stats.num_steps, static_cast<int>(result.stats.solve.num_rhs),
+              result.stats.solve.num_factorizations, result.stats.solve.factor_seconds,
+              result.stats.solve.triangular_seconds, result.history_seconds,
               result.reliability_seconds);
   std::printf("%s\n", ms::core::format_reliability(result.report).c_str());
 
@@ -131,12 +131,12 @@ int main(int argc, char** argv) {
   ok = ok && ratio > 0.8 && ratio < 1.25;
 
   // --- self-check 3: one factorization, one panel ---------------------------
-  const bool batched = result.solve_stats.num_factorizations == 1 &&
-                       result.solve_stats.num_rhs ==
+  const bool batched = result.stats.solve.num_factorizations == 1 &&
+                       result.stats.solve.num_rhs ==
                            static_cast<ms::la::idx_t>(result.history_steps.size()) + 1;
   std::printf("batched panel: %d rhs, %d factorization(s) %s\n",
-              static_cast<int>(result.solve_stats.num_rhs),
-              result.solve_stats.num_factorizations, batched ? "OK" : "FAIL");
+              static_cast<int>(result.stats.solve.num_rhs),
+              result.stats.solve.num_factorizations, batched ? "OK" : "FAIL");
   ok = ok && batched;
 
   ms::obs::write_cli_outputs(cli);

@@ -103,7 +103,7 @@ int main(int argc, char** argv) {
   std::printf("thermal solve:   %d dofs in %.3f s\n", static_cast<int>(result.thermal_stats.num_dofs),
               result.thermal_stats.total_seconds());
   std::printf("global stage:    %.3f s (%d dofs)\n", result.stats.global_seconds(),
-              static_cast<int>(result.stats.global_dofs));
+              static_cast<int>(result.stats.solve.num_dofs));
   std::printf("die temperature: %.2f .. %.2f C\n\n", result.temperature.min(),
               result.temperature.max());
 

@@ -49,8 +49,8 @@ int main(int argc, char** argv) {
   double peak = 0.0;
   for (double v : result.von_mises) peak = std::max(peak, v);
   std::printf("global stage:          %.2f s (%d dofs, %d iterations)\n",
-              result.stats.global_seconds(), static_cast<int>(result.stats.global_dofs),
-              static_cast<int>(result.stats.iterations));
+              result.stats.global_seconds(), static_cast<int>(result.stats.solve.num_dofs),
+              static_cast<int>(result.stats.solve.iterations));
   std::printf("estimated memory:      %s\n",
               ms::util::format_bytes(result.stats.memory_bytes).c_str());
   std::printf("peak von Mises:        %.1f MPa\n", peak);

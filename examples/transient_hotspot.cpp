@@ -117,7 +117,7 @@ int main(int argc, char** argv) {
               result.thermal_stats.assemble_seconds, result.thermal_stats.factor_seconds,
               result.thermal_stats.step_seconds);
   std::printf("global stage:    %.3f s (%d dofs)\n\n", result.stats.global_seconds(),
-              static_cast<int>(result.stats.global_dofs));
+              static_cast<int>(result.stats.solve.num_dofs));
 
   print_block_map("per-block peak-envelope dT [C]", result.transient.peak_envelope, blocks,
                   blocks);

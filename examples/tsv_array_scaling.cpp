@@ -69,11 +69,11 @@ int main(int argc, char** argv) {
     const long fine_nodes = (block_edge_nodes * size + 1) * (block_edge_nodes * size + 1) *
                             (static_cast<long>(lines.z.size()));
     table.add_row({ms::util::strf("%dx%d", size, size),
-                   ms::util::strf("%d", static_cast<int>(result.stats.global_dofs)),
+                   ms::util::strf("%d", static_cast<int>(result.stats.solve.num_dofs)),
                    ms::util::strf("%ld", 3 * fine_nodes),
                    ms::util::format_seconds(result.stats.global_seconds()),
                    ms::util::format_bytes(result.stats.memory_bytes),
-                   ms::util::strf("%d", static_cast<int>(result.stats.iterations)),
+                   ms::util::strf("%d", static_cast<int>(result.stats.solve.iterations)),
                    ms::util::strf("%.0f", peak)});
     std::fflush(stdout);
   }

@@ -21,7 +21,6 @@ struct SimulationConfig {
   rom::GlobalSolveOptions global;  ///< reduced-system solver
   double thermal_load = -250.0;    ///< uniform ΔT [°C]: reflow 275°C -> room 25°C
   ThermalCouplingOptions coupling; ///< power-map -> ΔT coupling (thermal runs)
-  RobustnessOptions robustness;    ///< numeric health guards (core/health.hpp)
 
   /// The paper's default configuration (Sec. 5.2): p=15, d=5, t=0.5, h=50,
   /// ΔT=-250, (4,4,4) nodes.

@@ -4,8 +4,7 @@
 // next stage (global solve output, ΔT fields, channel histories, damage
 // maps) and converts a NaN/Inf escape into a classified SimError instead of
 // letting it flow silently into lifetime maps. Guards sit OFF the hot inner
-// loops — once per field per query — and are gated by
-// SimulationConfig::robustness.check_finite.
+// loops — once per field per query — and are always on.
 
 #include <cstddef>
 
@@ -16,18 +15,16 @@
 namespace ms::core {
 
 /// Throw SimError(kNonFiniteField) naming `stage`/`what` if any of x[0..n)
-/// is NaN/Inf. No-op when `enabled` is false or the field is empty.
-inline void require_finite(bool enabled, const char* stage, const char* what, const double* x,
-                           std::size_t n) {
-  if (!enabled || n == 0) return;
-  if (la::all_finite(x, n)) return;
+/// is NaN/Inf. No-op when the field is empty.
+inline void require_finite(const char* stage, const char* what, const double* x, std::size_t n) {
+  if (n == 0 || la::all_finite(x, n)) return;
   obs::MetricRegistry::global().counter("robustness.nonfinite_detected").add(1);
   throw SimError(SimErrorCode::kNonFiniteField, stage,
                  std::string("non-finite values in ") + what);
 }
 
-inline void require_finite(bool enabled, const char* stage, const char* what, const la::Vec& x) {
-  require_finite(enabled, stage, what, x.data(), x.size());
+inline void require_finite(const char* stage, const char* what, const la::Vec& x) {
+  require_finite(stage, what, x.data(), x.size());
 }
 
 }  // namespace ms::core

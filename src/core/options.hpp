@@ -37,16 +37,6 @@ struct ThermalCouplingOptions {
   double package_filler_conductivity = 0.5;  ///< mold/underfill [W/(m K)]
 };
 
-/// Numeric-health policy of a simulation run (see core/health.hpp and
-/// DESIGN.md "Failure semantics").
-struct RobustnessOptions {
-  /// Run la::all_finite sweeps at stage boundaries (global solve output,
-  /// ΔT fields, channel histories, damage maps) and fail the query with a
-  /// classified kNonFiniteField error instead of letting NaN/Inf flow into
-  /// lifetime maps. One O(n) pass per field per query, off the hot loops.
-  bool check_finite = true;
-};
-
 /// Controls of the cycle-resolved fatigue scenarios.
 struct FatigueOptions {
   /// ROM-solve every k-th recorded transient step (the last recorded step is

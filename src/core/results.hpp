@@ -4,7 +4,6 @@
 // writers) need not pull in the simulator, the package model, or the solver
 // entry points.
 
-#include <string>
 #include <vector>
 
 #include "fem/stress.hpp"
@@ -21,30 +20,19 @@ namespace ms::core {
 using la::idx_t;
 using la::Vec;
 
-/// Cost/quality record of one global-stage run.
+/// Cost/quality record of one global-stage run: the stages around the
+/// solve, plus the global solve's own record (dofs, iterations, factor
+/// detail, shift) as the solver reported it.
 struct RunStats {
   double local_stage_seconds = 0.0;   ///< one-shot cost (amortized)
   double assemble_seconds = 0.0;
-  double solve_seconds = 0.0;
   double reconstruct_seconds = 0.0;
-  idx_t global_dofs = 0;
-  idx_t iterations = 0;
-  bool converged = false;
   std::size_t memory_bytes = 0;       ///< models + matrix + solver workspace
-  // Direct-path factorization detail (zero / empty on iterative paths):
-  double factor_seconds = 0.0;        ///< inside solve_seconds
-  la::offset_t factor_nnz = 0;        ///< nnz(L) of the global factor
-  double fill_ratio = 0.0;            ///< nnz(L) / nnz(tril(K))
-  std::string solver_ordering;        ///< "amd" / "rcm" / "natural"
-  /// Set when the global factorization was rescued by the diagonal
-  /// shift-retry ladder (la/shift_retry.hpp): results are usable but solve
-  /// A + shift*I rather than A.
-  bool degraded = false;
-  double diagonal_shift = 0.0;
+  rom::GlobalSolveStats solve;        ///< the one global solve (panel) of this run
 
   /// Paper's "computational time of our algorithm": the global stage only.
   [[nodiscard]] double global_seconds() const {
-    return assemble_seconds + solve_seconds + reconstruct_seconds;
+    return assemble_seconds + solve.solve_seconds + reconstruct_seconds;
   }
 };
 
@@ -88,8 +76,8 @@ struct TransientResult : ArrayResult {
 /// stress states ride in `history` as per-block channel records — the full
 /// fields are reduced step by step and never kept. The envelope and every
 /// recorded step share one global assembly and one factorization
-/// (solve_stats.num_factorizations == 1 on the direct path,
-/// solve_stats.num_rhs == history steps + 1).
+/// (stats.solve.num_factorizations == 1 on a cold direct solve,
+/// stats.solve.num_rhs == history steps + 1).
 struct FatigueResult : ArrayResult {
   thermal::TransientTemperatureResult transient;  ///< per-block ΔT histories
   rom::BlockLoadField envelope_load;              ///< peak ΔT fed to the base solve
@@ -97,7 +85,6 @@ struct FatigueResult : ArrayResult {
   std::vector<int> history_steps;           ///< recorded-history indices ROM-solved
   reliability::StressHistory history;       ///< per-step per-block channel peaks
   reliability::ReliabilityReport report;    ///< rainflow + Miner verdict
-  rom::GlobalSolveStats solve_stats;        ///< the one batched envelope+steps panel
   double history_seconds = 0.0;             ///< per-step reconstruction + reduction
   double reliability_seconds = 0.0;         ///< rainflow counting + damage models
 };

@@ -26,18 +26,15 @@ double peak_of(const std::vector<double>& field) {
 /// Largest diagonal shift any solve behind this result took (0 = no solver
 /// needed the shift-retry ladder; the scenario then reports kDegraded).
 double max_shift_of(const sweep::ScenarioResult& result) {
-  double shift = result.base().stats.diagonal_shift;
+  double shift = result.base().stats.solve.diagonal_shift;
   const auto fold = [&shift](double s) { shift = std::max(shift, s); };
   if (result.thermal) fold(result.thermal->thermal_stats.diagonal_shift);
   if (result.transient) {
     fold(result.transient->thermal_stats.diagonal_shift);
     for (const ArrayResult& snapshot : result.transient->snapshots)
-      fold(snapshot.stats.diagonal_shift);
+      fold(snapshot.stats.solve.diagonal_shift);
   }
-  if (result.fatigue) {
-    fold(result.fatigue->thermal_stats.diagonal_shift);
-    fold(result.fatigue->solve_stats.diagonal_shift);
-  }
+  if (result.fatigue) fold(result.fatigue->thermal_stats.diagonal_shift);
   return shift;
 }
 
@@ -203,7 +200,7 @@ sweep::ScenarioResult MoreStressSimulator::simulate(const sweep::ScenarioSpec& s
       static_cast<ArrayResult&>(*fatigue) = run_fatigue_panel(
           window, fatigue->envelope_load,
           loads_of_steps(fatigue->transient, fatigue->history_steps), step_times,
-          &fatigue->history, &fatigue->solve_stats, &fatigue->history_seconds);
+          &fatigue->history, &fatigue->history_seconds);
       util::WallTimer assess_timer;
       fatigue->report = assess_fatigue(fatigue->history, duration, spec.fatigue);
       fatigue->reliability_seconds = assess_timer.seconds();

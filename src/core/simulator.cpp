@@ -108,38 +108,15 @@ double MoreStressSimulator::prepare_local_stage(bool with_dummy) {
 
 namespace {
 
-/// One place that maps GlobalSolveStats onto RunStats — the multi-load and
-/// fatigue panels must report solver detail identically.
-void copy_solve_stats(RunStats& stats, const rom::GlobalSolveStats& solve) {
-  stats.solve_seconds = solve.solve_seconds;
-  stats.global_dofs = solve.num_dofs;
-  stats.iterations = solve.iterations;
-  stats.converged = solve.converged;
-  stats.factor_seconds = solve.factor_seconds;
-  stats.factor_nnz = solve.factor_nnz;
-  stats.fill_ratio = solve.fill_ratio;
-  stats.solver_ordering = solve.ordering;
-  stats.degraded = solve.degraded;
-  stats.diagonal_shift = solve.diagonal_shift;
-}
-
-/// Mirror a completed run's RunStats into the registry — the same values the
-/// struct reports, so RunReport and the struct cannot disagree (asserted by
-/// the regression lock in tests/obs).
+/// Mirror the stages a completed run adds around its global solve into the
+/// registry — the same values RunStats reports (asserted by the regression
+/// lock in tests/obs). The solve itself published rom.global.* already.
 void publish_run_stats(const RunStats& s) {
   auto& reg = obs::MetricRegistry::global();
-  reg.counter("core.run.count").add(1);
   reg.histogram("core.run.assemble_seconds").record(s.assemble_seconds);
-  reg.histogram("core.run.solve_seconds").record(s.solve_seconds);
   reg.histogram("core.run.reconstruct_seconds").record(s.reconstruct_seconds);
-  reg.histogram("core.run.factor_seconds").record(s.factor_seconds);
   reg.gauge("core.run.local_stage_seconds").set(s.local_stage_seconds);
-  reg.gauge("core.run.global_dofs").set(static_cast<double>(s.global_dofs));
-  reg.gauge("core.run.iterations").set(static_cast<double>(s.iterations));
-  reg.gauge("core.run.converged").set(s.converged ? 1.0 : 0.0);
   reg.gauge("core.run.memory_bytes").set(static_cast<double>(s.memory_bytes));
-  reg.gauge("core.run.factor_nnz").set(static_cast<double>(s.factor_nnz));
-  reg.gauge("core.run.fill_ratio").set(s.fill_ratio);
 }
 
 }  // namespace
@@ -204,7 +181,6 @@ std::string MoreStressSimulator::global_factor_key(const Window& window) {
 ArrayResult MoreStressSimulator::run_panel(const Window& window,
                                            const rom::BlockLoadField& primary_load,
                                            const std::vector<rom::BlockLoadField>& extra_loads,
-                                           rom::GlobalSolveStats* solve_stats_out,
                                            double* consume_seconds,
                                            const PanelConsumer& consumer) {
   MS_TRACE_SCOPE("core.global.panel");
@@ -251,17 +227,12 @@ ArrayResult MoreStressSimulator::run_panel(const Window& window,
   result.stats.assemble_seconds = timer.seconds();
 
   cancel_.check("global.solve");
-  timer.reset();
-  rom::GlobalSolveStats panel_stats;
   std::vector<Vec> solutions = rom::solve_global_multi(problem, std::move(extra_rhs), window.bc,
-                                                       solve_options, &panel_stats);
-  const bool check = config_.robustness.check_finite;
+                                                       solve_options, &result.stats.solve);
   for (const Vec& solution : solutions) {
-    require_finite(check, "global.solve", "global solution", solution);
+    require_finite("global.solve", "global solution", solution);
   }
   result.solution = std::move(solutions.front());
-  copy_solve_stats(result.stats, panel_stats);
-  if (solve_stats_out != nullptr) *solve_stats_out = panel_stats;
 
   cancel_.check("global.reconstruct");
   timer.reset();
@@ -271,14 +242,14 @@ ArrayResult MoreStressSimulator::run_panel(const Window& window,
                                                   primary_load, window.report);
     result.von_mises = fem::to_von_mises(result.stress);
   }
-  require_finite(check, "global.reconstruct", "von Mises field", result.von_mises.data(),
+  require_finite("global.reconstruct", "von Mises field", result.von_mises.data(),
                  result.von_mises.size());
   result.stats.reconstruct_seconds = timer.seconds();
 
   result.region_blocks_x = window.report.width();
   result.region_blocks_y = window.report.height();
   result.samples_per_block = tsv.samples_per_block;
-  result.stats.memory_bytes = panel_stats.matrix_bytes + panel_stats.solver_bytes +
+  result.stats.memory_bytes = result.stats.solve.matrix_bytes + result.stats.solve.solver_bytes +
                               tsv.memory_bytes() +
                               (dummy != nullptr ? dummy->memory_bytes() : 0) +
                               result.stress.size() * sizeof(fem::Stress6) +
@@ -325,7 +296,7 @@ ArrayResult MoreStressSimulator::run_global(const Window& window, const rom::Blo
       extra.samples_per_block = ctx.tsv.samples_per_block;
     };
   }
-  ArrayResult result = run_panel(window, load, extra_loads, nullptr, nullptr, consumer);
+  ArrayResult result = run_panel(window, load, extra_loads, nullptr, consumer);
   publish_run_stats(result.stats);
   return result;
 }
@@ -474,8 +445,7 @@ void MoreStressSimulator::run_array_steady(int blocks_x, int blocks_y,
   std::vector<double> delta_t =
       out.temperature.block_averages(blocks_x, blocks_y, config_.geometry.pitch);
   for (double& dt : delta_t) dt -= coupling.stress_free_temperature;
-  require_finite(config_.robustness.check_finite, "thermal.steady", "per-block dT field",
-                 delta_t.data(), delta_t.size());
+  require_finite("thermal.steady", "per-block dT field", delta_t.data(), delta_t.size());
   out.load = rom::BlockLoadField(blocks_x, blocks_y, std::move(delta_t));
 }
 
@@ -504,8 +474,7 @@ void MoreStressSimulator::run_submodel_steady(const Window& window,
       window.blocks_x, window.blocks_y, config_.geometry.pitch, placement.origin,
       geometry.interposer_z0(), geometry.interposer_z1());
   for (double& dt : delta_t) dt -= coupling.stress_free_temperature;
-  require_finite(config_.robustness.check_finite, "thermal.steady", "per-block dT field",
-                 delta_t.data(), delta_t.size());
+  require_finite("thermal.steady", "per-block dT field", delta_t.data(), delta_t.size());
   out.load = rom::BlockLoadField(window.blocks_x, window.blocks_y, std::move(delta_t));
 }
 
@@ -536,7 +505,7 @@ thermal::TransientTemperatureResult MoreStressSimulator::run_array_transient(
       block_reduction(blocks_x, blocks_y, config_.geometry.pitch,
                       coupling.stress_free_temperature),
       transient_solve_options(factor_key, time_step), stats);
-  require_finite(config_.robustness.check_finite, "thermal.transient", "dT peak envelope",
+  require_finite("thermal.transient", "dT peak envelope",
                  transient.peak_envelope.data(), transient.peak_envelope.size());
   return transient;
 }
@@ -572,7 +541,7 @@ thermal::TransientTemperatureResult MoreStressSimulator::run_submodel_transient(
   thermal::TransientTemperatureResult transient = thermal::solve_power_trace(
       thermal_model.mesh, thermal_model.conductivity, thermal_model.capacity, trace, reduction,
       transient_solve_options(factor_key, time_step), stats);
-  require_finite(config_.robustness.check_finite, "thermal.transient", "dT peak envelope",
+  require_finite("thermal.transient", "dT peak envelope",
                  transient.peak_envelope.data(), transient.peak_envelope.size());
   return transient;
 }
@@ -580,8 +549,7 @@ thermal::TransientTemperatureResult MoreStressSimulator::run_submodel_transient(
 ArrayResult MoreStressSimulator::run_fatigue_panel(
     const Window& window, const rom::BlockLoadField& envelope_load,
     const std::vector<rom::BlockLoadField>& step_loads, const std::vector<double>& step_times,
-    reliability::StressHistory* history, rom::GlobalSolveStats* solve_stats,
-    double* history_seconds) {
+    reliability::StressHistory* history, double* history_seconds) {
   MS_TRACE_SCOPE("core.fatigue.panel");
   // The panel consumer only stashes each step's solution; the channel
   // reduction runs once afterwards, batched over all steps per block
@@ -598,11 +566,8 @@ ArrayResult MoreStressSimulator::run_fatigue_panel(
 
   // The whole fatigue history — envelope plus every selected step — runs as
   // one multi-RHS panel against a single factorization on the direct path.
-  rom::GlobalSolveStats panel_stats;
   double consume_seconds = 0.0;
-  ArrayResult result = run_panel(window, envelope_load, step_loads, &panel_stats,
-                                 &consume_seconds, stash_step);
-  if (solve_stats != nullptr) *solve_stats = panel_stats;
+  ArrayResult result = run_panel(window, envelope_load, step_loads, &consume_seconds, stash_step);
 
   util::WallTimer extract_timer;
   {
@@ -612,14 +577,14 @@ ArrayResult MoreStressSimulator::run_fatigue_panel(
         window.uses_dummy ? &dummy_model() : nullptr, window.mask, step_solutions, step_loads,
         window.report, *history);
   }
-  require_finite(config_.robustness.check_finite, "fatigue.channels", "channel history",
+  require_finite("fatigue.channels", "channel history",
                  history->raw_data().data(), history->raw_data().size());
   if (history_seconds != nullptr) *history_seconds = consume_seconds + extract_timer.seconds();
   // The multi-RHS panel is the allocation that scales with trace length:
   // num_rhs right-hand sides and as many solutions held simultaneously, plus
   // the retained channel history.
-  result.stats.memory_bytes += 2 * static_cast<std::size_t>(panel_stats.num_rhs) *
-                                   static_cast<std::size_t>(panel_stats.num_dofs) *
+  result.stats.memory_bytes += 2 * static_cast<std::size_t>(result.stats.solve.num_rhs) *
+                                   static_cast<std::size_t>(result.stats.solve.num_dofs) *
                                    sizeof(double) +
                                history->memory_bytes();
   publish_run_stats(result.stats);
@@ -648,8 +613,7 @@ reliability::ReliabilityReport MoreStressSimulator::assess_fatigue(
   // Damage maps must be finite (cycles_to_failure is legitimately +inf on
   // damage-free blocks, so only the Miner sums are swept).
   for (const reliability::ChannelAssessment& channel : report.channels) {
-    require_finite(config_.robustness.check_finite, "fatigue.damage", "damage map",
-                   channel.damage.data(), channel.damage.size());
+    require_finite("fatigue.damage", "damage map", channel.damage.data(), channel.damage.size());
   }
   return report;
 }

@@ -143,8 +143,7 @@ class MoreStressSimulator {
   /// and the factorization.
   ArrayResult run_panel(const Window& window, const rom::BlockLoadField& primary_load,
                         const std::vector<rom::BlockLoadField>& extra_loads,
-                        rom::GlobalSolveStats* solve_stats_out, double* consume_seconds,
-                        const PanelConsumer& consumer);
+                        double* consume_seconds, const PanelConsumer& consumer);
   /// Global stage for `load`, plus one fully reconstructed case per entry of
   /// `extra_loads` (transient snapshots) against the same assembled and
   /// lifted operator — on the direct path all cases share one factorization
@@ -160,8 +159,7 @@ class MoreStressSimulator {
   ArrayResult run_fatigue_panel(const Window& window, const rom::BlockLoadField& envelope_load,
                                 const std::vector<rom::BlockLoadField>& step_loads,
                                 const std::vector<double>& step_times,
-                                reliability::StressHistory* history,
-                                rom::GlobalSolveStats* solve_stats, double* history_seconds);
+                                reliability::StressHistory* history, double* history_seconds);
   /// Steady conduction of `power` on the coarse array thermal mesh, reduced
   /// to per-block ΔT relative to coupling.stress_free_temperature: fills
   /// `out`'s temperature, thermal_stats and load.

@@ -1,7 +1,12 @@
 #include "fem/dirichlet.hpp"
 
 #include <cassert>
+#include <memory>
 #include <stdexcept>
+#include <utility>
+
+#include "util/fault_injector.hpp"
+#include "util/timer.hpp"
 
 namespace ms::fem {
 
@@ -118,6 +123,60 @@ void apply_dirichlet(CsrMatrix& a, std::vector<Vec>& rhss, const DirichletBc& bc
   for (Vec& rhs : rhss) ptrs.push_back(&rhs);
   apply_dirichlet_rhs_impl(a, ptrs.data(), ptrs.size(), bc);
   apply_dirichlet_matrix(a, bc);
+}
+
+la::FactorCache::Entry fetch_factor(CsrMatrix& a, const DirichletBc& bc,
+                                    const FactorSource& source, bool keep_unlifted,
+                                    la::FactorStats& stats) {
+  util::WallTimer timer;
+  la::FactorCache* cache = source.shared_cache();
+  const auto build = [&]() {
+    // Cancellation and fault checks live inside the builder on purpose: a
+    // cancelled or injected-fault build throws, the cache clears the slot
+    // (waiters retry), and no pending slot is ever poisoned.
+    const std::string site = std::string(source.stage) + ".factor_build";
+    source.cancel.check(site.c_str());
+    if (util::FaultInjector::enabled()) util::FaultInjector::global().fire(site.c_str());
+    if (a.rows() == 0) {
+      throw std::logic_error(site + ": a factor build needs the assembled operator");
+    }
+    la::FactorCache::Entry fresh;
+    if (cache != nullptr && keep_unlifted) fresh.matrix = std::make_shared<const CsrMatrix>(a);
+    apply_dirichlet_matrix(a, bc);
+    la::ShiftRetryResult factored = la::factor_with_shift_retry(
+        a, source.factor, source.shift_retry, (std::string(source.stage) + ".factor").c_str());
+    fresh.factor = std::move(factored.factor);
+    fresh.diagonal_shift = factored.shift;
+    return fresh;
+  };
+  bool built = true;
+  la::FactorCache::Entry entry =
+      cache != nullptr ? cache->get_or_create(source.key, build, &built) : build();
+  stats.factor_seconds = timer.seconds();
+  stats.factor_nnz = entry.factor->factor_nnz();
+  stats.fill_ratio = entry.factor->fill_ratio();
+  stats.num_supernodes = entry.factor->num_supernodes();
+  stats.ordering = entry.factor->ordering_name();
+  stats.num_factorizations = built ? 1 : 0;
+  stats.degraded = entry.diagonal_shift != 0.0;
+  stats.diagonal_shift = entry.diagonal_shift;
+  return entry;
+}
+
+DirectSolve solve_direct(CsrMatrix& a, std::vector<Vec>& rhss, const DirichletBc& bc,
+                         const FactorSource& source, la::FactorStats& stats) {
+  // Without a cache nothing keeps an unlifted copy, so the rhs half reads
+  // `a` before the build lifts it; with one, it reads the entry's copy
+  // (which a warm caller need not have assembled).
+  const bool cached = source.shared_cache() != nullptr;
+  if (!cached) apply_dirichlet_rhs(a, rhss, bc);
+  DirectSolve direct;
+  direct.entry = fetch_factor(a, bc, source, /*keep_unlifted=*/true, stats);
+  if (cached) apply_dirichlet_rhs(*direct.entry.matrix, rhss, bc);
+  util::WallTimer timer;
+  direct.solutions = direct.entry.factor->solve_multi(rhss);
+  direct.triangular_seconds = timer.seconds();
+  return direct;
 }
 
 DofPartition partition_dofs(idx_t num_dofs, const std::vector<idx_t>& bc_dofs) {

@@ -2,10 +2,16 @@
 // Dirichlet boundary conditions via the "lifting" procedure the paper uses
 // (Sec. 4.2): constrained rows become identity rows with the prescribed
 // value on the right-hand side, and the coupling columns are moved to the
-// RHS of the free rows so the operator stays symmetric (and SPD).
+// RHS of the free rows so the operator stays symmetric (and SPD). The one
+// direct-solve path every factorizing solver shares (lift, factor once,
+// solve the panel — cached across calls or not) lives here too.
 
+#include <string>
 #include <vector>
 
+#include "core/cancel.hpp"
+#include "la/factor_cache.hpp"
+#include "la/shift_retry.hpp"
 #include "la/sparse.hpp"
 
 namespace ms::fem {
@@ -55,6 +61,51 @@ void apply_dirichlet(CsrMatrix& a, std::vector<Vec>& rhss, const DirichletBc& bc
 void apply_dirichlet_rhs(const CsrMatrix& a, Vec& rhs, const DirichletBc& bc);
 void apply_dirichlet_rhs(const CsrMatrix& a, std::vector<Vec>& rhss, const DirichletBc& bc);
 void apply_dirichlet_matrix(CsrMatrix& a, const DirichletBc& bc);
+
+/// Where a direct solve takes the factor of its lifted operator from. With
+/// `cache` set and `key` non-empty the factor is shared under the key (which
+/// must determine the operator's values and the constrained-dof set; BC
+/// values may differ between callers); otherwise it is built for the call
+/// alone. `stage` prefixes the build's cancel check and fault probe
+/// ("<stage>.factor_build") and the shift-retry site ("<stage>.factor").
+struct FactorSource {
+  const la::SparseCholesky::Options& factor;
+  const la::ShiftRetryOptions& shift_retry;
+  la::FactorCache* cache;
+  const std::string& key;
+  const core::CancelToken& cancel;
+  const char* stage;
+
+  /// The cache the factor is shared through, or null when built for the call.
+  [[nodiscard]] la::FactorCache* shared_cache() const { return key.empty() ? nullptr : cache; }
+};
+
+/// The factor half of a direct solve: the factorization of `a` after the
+/// matrix half of `bc`'s lifting, from the cache (built at most once per
+/// key) or built here. The build runs the cancel check and the fault probe,
+/// lifts `a` in place and factors it with the shift-retry ladder; it copies
+/// the unlifted `a` into the entry only for a cache and only when
+/// `keep_unlifted` (later hits lift their rhs against that copy). On a hit
+/// `a` is left as passed, and may be unassembled. `stats` receives the
+/// factor detail.
+la::FactorCache::Entry fetch_factor(CsrMatrix& a, const DirichletBc& bc,
+                                    const FactorSource& source, bool keep_unlifted,
+                                    la::FactorStats& stats);
+
+/// What solve_direct produced and solved with.
+struct DirectSolve {
+  std::vector<Vec> solutions;       ///< one per right-hand side, in order
+  la::FactorCache::Entry entry;     ///< `matrix` is set only with a cache
+  double triangular_seconds = 0.0;  ///< the panel's forward/backward sweeps
+};
+
+/// The one direct-solve path: lift `rhss` in place against the unlifted
+/// operator (`a` itself before the build lifts it, or the cached copy),
+/// fetch the factor, and solve every case as one multi-RHS panel. Without a
+/// cache `a` is left lifted and no copy of it is made. Cached or not, warm
+/// or cold, the solutions are bit-identical.
+DirectSolve solve_direct(CsrMatrix& a, std::vector<Vec>& rhss, const DirichletBc& bc,
+                         const FactorSource& source, la::FactorStats& stats);
 
 /// Partition dofs into free/constrained maps for reduced-system extraction:
 /// free_map[dof] = free index or -1; bc_map[dof] = constrained index or -1.

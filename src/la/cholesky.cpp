@@ -137,7 +137,6 @@ SparseCholesky::SparseCholesky(const CsrMatrix& a, Options options) : options_(o
       factorize(pa);
     }
   }
-  work_.assign(n_, 0.0);
   metrics.factorizations.add(1);
   metrics.factor_nnz.set(static_cast<double>(factor_nnz()));
   metrics.fill_ratio.set(fill_ratio());
@@ -182,23 +181,10 @@ void SparseCholesky::factorize(const CsrMatrix& a) {
   }
 }
 
-void SparseCholesky::solve_inplace(const Vec& b, Vec& x) const { solve_with(b, x, work_); }
-
 void SparseCholesky::solve_with(const Vec& b, Vec& x, Vec& work) const {
   assert(static_cast<idx_t>(b.size()) == n_);
   x.resize(n_);
   solve_multi_with(b.data(), x.data(), 1, work);
-}
-
-void SparseCholesky::solve_multi(const double* b, double* x, idx_t nrhs) const {
-  solve_multi_with(b, x, nrhs, work_);
-}
-
-Vec SparseCholesky::solve_multi(const Vec& b, idx_t nrhs) const {
-  assert(static_cast<idx_t>(b.size()) == n_ * nrhs);
-  Vec x(b.size());
-  solve_multi(b.data(), x.data(), nrhs);
-  return x;
 }
 
 std::vector<Vec> SparseCholesky::solve_multi(const std::vector<Vec>& cases) const {
@@ -210,7 +196,8 @@ std::vector<Vec> SparseCholesky::solve_multi(const std::vector<Vec>& cases) cons
               panel.begin() + static_cast<std::size_t>(c) * n_);
   }
   Vec x_panel(panel.size());
-  solve_multi(panel.data(), x_panel.data(), num_cases);
+  Vec work;
+  solve_multi_with(panel.data(), x_panel.data(), num_cases, work);
   std::vector<Vec> solutions(cases.size());
   for (idx_t c = 0; c < num_cases; ++c) {
     solutions[c].assign(x_panel.begin() + static_cast<std::size_t>(c) * n_,
@@ -277,8 +264,8 @@ void SparseCholesky::solve_multi_with(const double* b, double* x, idx_t nrhs, Ve
 }
 
 Vec SparseCholesky::solve(const Vec& b) const {
-  Vec x;
-  solve_inplace(b, x);
+  Vec x, work;
+  solve_with(b, x, work);
   return x;
 }
 
@@ -311,8 +298,7 @@ const char* SparseCholesky::method_name() const {
 }
 
 std::size_t SparseCholesky::memory_bytes() const {
-  std::size_t bytes = 2 * perm_.perm.size() * sizeof(idx_t) + work_.size() * sizeof(double) +
-                      permuted_matrix_bytes_;
+  std::size_t bytes = 2 * perm_.perm.size() * sizeof(idx_t) + permuted_matrix_bytes_;
   if (options_.method == Method::kSupernodal) {
     bytes += snf_.memory_bytes();
   } else {

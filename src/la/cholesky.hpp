@@ -14,7 +14,7 @@
 // land consecutively (fill-neutral).
 //
 // This is the workhorse of the one-shot local stage (one factorization,
-// n+1 basis solves — batched via solve_multi), the global direct path, the
+// n+1 basis solves — batched via solve_multi_with), the global direct path, the
 // transient θ-stepper, the package model, and the reference-FEM harness.
 
 #include <cstddef>
@@ -61,33 +61,23 @@ class SparseCholesky {
   explicit SparseCholesky(const CsrMatrix& a);
   SparseCholesky(const CsrMatrix& a, Options options);
 
+  // The factor never changes after construction and every solve keeps its
+  // scratch local to the call (or in the caller's `work`), so one factor may
+  // be solved from many threads at once through any entry point.
+
   /// Solve A x = b.
   [[nodiscard]] Vec solve(const Vec& b) const;
 
-  /// Solve in permuted space with preallocated workspace (hot path for
-  /// repeated solves): x and b are in original ordering.
-  void solve_inplace(const Vec& b, Vec& x) const;
-
-  /// Same, but with caller-provided scratch instead of the shared member
-  /// workspace — safe to call concurrently from multiple threads on one
-  /// factor (the factor itself is immutable after construction). `work` is
-  /// resized on first use.
+  /// Same, with caller-provided scratch reused across calls (hot path for
+  /// repeated solves). `work` is resized on first use.
   void solve_with(const Vec& b, Vec& x, Vec& work) const;
 
   /// Multi-RHS panel solve: b and x are column-major n x nrhs blocks (each
-  /// right-hand side one contiguous column). The factor is traversed once
-  /// for the whole panel, so nrhs solves cost roughly one factor sweep of
-  /// memory traffic instead of nrhs. Per column, the arithmetic matches the
-  /// single-RHS path bitwise.
-  void solve_multi(const double* b, double* x, idx_t nrhs) const;
-
-  /// Thread-safe variant with caller-provided scratch (resized to
-  /// n * nrhs).
+  /// right-hand side one contiguous column), `work` is resized to n * nrhs.
+  /// The factor is traversed once for the whole panel, so nrhs solves cost
+  /// roughly one factor sweep of memory traffic instead of nrhs. Per column,
+  /// the arithmetic matches the single-RHS path bitwise.
   void solve_multi_with(const double* b, double* x, idx_t nrhs, Vec& work) const;
-
-  /// Convenience: solve for each column of a column-major panel stored as a
-  /// Vec of size order() * nrhs.
-  [[nodiscard]] Vec solve_multi(const Vec& b, idx_t nrhs) const;
 
   /// Convenience: pack separate right-hand sides into one panel, solve, and
   /// unpack — one solution per input case.
@@ -110,10 +100,10 @@ class SparseCholesky {
   [[nodiscard]] const char* method_name() const;
 
   /// Bytes held to produce and apply the factor: the factor itself
-  /// (values + patterns + supernode metadata), the permutation, the solve
-  /// workspace, and the permuted copy of the matrix the numeric phase
-  /// consumed (freed after construction but part of the peak footprint the
-  /// memory ledger must own).
+  /// (values + patterns + supernode metadata), the permutation, and the
+  /// permuted copy of the matrix the numeric phase consumed (freed after
+  /// construction but part of the peak footprint the memory ledger must
+  /// own).
   [[nodiscard]] std::size_t memory_bytes() const;
 
   /// Export L (permuted ordering, compressed sparse column, diagonal first
@@ -139,8 +129,6 @@ class SparseCholesky {
 
   // Supernodal back end.
   SupernodalFactor snf_;
-
-  mutable Vec work_;  // permuted rhs/solution scratch
 };
 
 }  // namespace ms::la

@@ -15,9 +15,8 @@
 // key, exactly one runs the builder while the rest wait on the slot, so
 // `num_factorizations` stays deterministic (one per distinct key) no matter
 // the thread schedule. Entries are never evicted; the owning engine's
-// lifetime bounds the cache. Shared SparseCholesky factors must be solved
-// through the *_with(scratch) entry points — the scratch-less overloads
-// mutate a member workspace and are not safe to share across threads.
+// lifetime bounds the cache. A SparseCholesky holds no mutable state, so a
+// shared factor may be solved from many threads through any entry point.
 
 #include <atomic>
 #include <condition_variable>
@@ -32,6 +31,24 @@
 #include "la/sparse.hpp"
 
 namespace ms::la {
+
+/// Factorization detail of one direct solve, filled once from the factor
+/// it solved with (zero / empty on iterative paths). The solver stats
+/// structs inherit it, so `stats.factor_nnz` reads the same on all of them.
+struct FactorStats {
+  double factor_seconds = 0.0;  ///< obtaining the factor: the build, or the cache lookup
+  offset_t factor_nnz = 0;      ///< nnz(L), diagonal included
+  double fill_ratio = 0.0;      ///< nnz(L) / nnz(tril(A))
+  idx_t num_supernodes = 0;     ///< 0 on the simplicial back end
+  std::string ordering;         ///< "amd" / "rcm" / "natural"
+  /// Factorizations this call ran: 1 on a build, 0 on a cache hit (and on
+  /// iterative paths) — the batching invariant fatigue runs assert.
+  int num_factorizations = 0;
+  /// Set when the factorization needed the diagonal shift-retry ladder
+  /// (la/shift_retry.hpp): the solution solves A + shift*I, not A.
+  bool degraded = false;
+  double diagonal_shift = 0.0;
+};
 
 class FactorCache {
  public:

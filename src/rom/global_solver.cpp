@@ -1,16 +1,12 @@
 #include "rom/global_solver.hpp"
 
-#include <algorithm>
 #include <limits>
-#include <memory>
 #include <stdexcept>
 #include <utility>
 
 #include "core/sim_error.hpp"
-
+#include "fem/dirichlet.hpp"
 #include "la/cg.hpp"
-#include "la/cholesky.hpp"
-#include "la/shift_retry.hpp"
 #include "obs/metrics.hpp"
 #include "obs/query_scope.hpp"
 #include "obs/trace.hpp"
@@ -69,13 +65,6 @@ std::vector<Vec> solve_global_multi(GlobalProblem& problem, std::vector<Vec> ext
     }
     rhs_cases.push_back(std::move(rhs));
   }
-  const bool use_cache = options.method == "direct" && options.factor_cache != nullptr &&
-                         !options.factor_key.empty();
-  if (!use_cache) {
-    fem::apply_dirichlet(problem.stiffness, rhs_cases, bc);
-    problem.rhs = rhs_cases.front();  // keep the lifted primary rhs visible
-  }
-
   util::WallTimer timer;
   const idx_t n = problem.num_dofs;
   const idx_t num_cases = static_cast<idx_t>(rhs_cases.size());
@@ -84,89 +73,22 @@ std::vector<Vec> solve_global_multi(GlobalProblem& problem, std::vector<Vec> ext
   bool converged = false;
   std::size_t matrix_bytes = problem.stiffness.memory_bytes();
   std::size_t solver_bytes = 0;
-  double factor_seconds = 0.0;
   double triangular_seconds = 0.0;
   GlobalSolveStats local;
 
-  if (use_cache) {
-    // Memoized direct path: fetch (or build exactly once, single-flight)
-    // the factorization of the lifted operator, lift the right-hand sides
-    // against the retained unlifted operator, and run the panel through the
-    // thread-safe scratch entry point. Bit-identical to the branch below:
-    // the split lifting reproduces the fused one (fem/dirichlet.hpp) and
-    // solve_multi_with is the same arithmetic as solve_multi per column.
-    bool built = false;
-    const la::FactorCache::Entry entry = options.factor_cache->get_or_create(
-        options.factor_key,
-        [&]() {
-          // Cancellation/fault checks live inside the builder on purpose: a
-          // cancelled or injected-fault build throws, the cache clears the
-          // slot (waiters retry), and no pending slot is ever poisoned.
-          options.cancel.check("rom.global.factor_build");
-          if (util::FaultInjector::enabled()) {
-            util::FaultInjector::global().fire("rom.global.factor_build");
-          }
-          if (problem.stiffness.rows() != problem.num_dofs) {
-            throw std::logic_error(
-                "solve_global_multi: factor-cache miss requires an assembled stiffness");
-          }
-          la::FactorCache::Entry fresh;
-          fresh.matrix = std::make_shared<la::CsrMatrix>(problem.stiffness);
-          fem::apply_dirichlet_matrix(problem.stiffness, bc);
-          la::ShiftRetryResult factored = la::factor_with_shift_retry(
-              problem.stiffness, options.factor, options.shift_retry, "rom.global.factor");
-          fresh.factor = std::move(factored.factor);
-          fresh.diagonal_shift = factored.shift;
-          return fresh;
-        },
-        &built);
-    local.degraded = entry.diagonal_shift != 0.0;
-    local.diagonal_shift = entry.diagonal_shift;
-    factor_seconds = timer.seconds();
-    fem::apply_dirichlet_rhs(*entry.matrix, rhs_cases, bc);
-    problem.rhs = rhs_cases.front();
-    util::WallTimer solve_timer;
-    Vec panel(static_cast<std::size_t>(n) * num_cases);
-    Vec panel_x(panel.size());
-    for (idx_t c = 0; c < num_cases; ++c) {
-      std::copy(rhs_cases[c].begin(), rhs_cases[c].end(),
-                panel.begin() + static_cast<std::size_t>(c) * n);
-    }
-    Vec scratch;
-    entry.factor->solve_multi_with(panel.data(), panel_x.data(), num_cases, scratch);
-    for (idx_t c = 0; c < num_cases; ++c) {
-      const auto offset = static_cast<std::size_t>(c) * n;
-      solutions[c].assign(panel_x.begin() + offset, panel_x.begin() + offset + n);
-    }
-    triangular_seconds = solve_timer.seconds();
+  if (options.method == "direct") {
+    // One factor sweep for the whole panel; with a factor cache attached a
+    // resident key skips the build (and the caller may skip the assembly).
+    const fem::FactorSource source{options.factor, options.shift_retry, options.factor_cache,
+                                   options.factor_key, options.cancel, "rom.global"};
+    fem::DirectSolve direct = fem::solve_direct(problem.stiffness, rhs_cases, bc, source, local);
+    solutions = std::move(direct.solutions);
+    triangular_seconds = direct.triangular_seconds;
     converged = true;
-    matrix_bytes = entry.matrix->memory_bytes();
-    solver_bytes = entry.factor->memory_bytes();
-    local.factor_nnz = entry.factor->factor_nnz();
-    local.fill_ratio = entry.factor->fill_ratio();
-    local.num_supernodes = entry.factor->num_supernodes();
-    local.ordering = entry.factor->ordering_name();
-    local.num_factorizations = built ? 1 : 0;
-  } else if (options.method == "direct") {
-    options.cancel.check("rom.global.factor");
-    la::ShiftRetryResult factored = la::factor_with_shift_retry(
-        problem.stiffness, options.factor, options.shift_retry, "rom.global.factor");
-    const la::SparseCholesky& chol = *factored.factor;
-    local.degraded = factored.degraded();
-    local.diagonal_shift = factored.shift;
-    factor_seconds = timer.seconds();
-    util::WallTimer solve_timer;
-    // One factor sweep for the whole panel.
-    solutions = chol.solve_multi(rhs_cases);
-    triangular_seconds = solve_timer.seconds();
-    converged = true;
-    solver_bytes = chol.memory_bytes();
-    local.factor_nnz = chol.factor_nnz();
-    local.fill_ratio = chol.fill_ratio();
-    local.num_supernodes = chol.num_supernodes();
-    local.ordering = chol.ordering_name();
-    local.num_factorizations = 1;
+    if (direct.entry.matrix != nullptr) matrix_bytes = direct.entry.matrix->memory_bytes();
+    solver_bytes = direct.entry.factor->memory_bytes();
   } else if (options.method == "cg") {
+    fem::apply_dirichlet(problem.stiffness, rhs_cases, bc);
     auto precond = la::make_preconditioner(options.precond, problem.stiffness);
     la::IterativeOptions iter;
     iter.rel_tol = options.rel_tol;
@@ -200,12 +122,10 @@ std::vector<Vec> solve_global_multi(GlobalProblem& problem, std::vector<Vec> ext
     solutions.front().front() = std::numeric_limits<double>::quiet_NaN();
   }
 
+  problem.rhs = std::move(rhs_cases.front());  // keep the lifted primary rhs visible
   local.num_dofs = problem.num_dofs;
   local.num_rhs = num_cases;
-  // num_factorizations: set per branch above — 1 on a cold direct solve,
-  // 0 on a factor-cache hit and on iterative paths.
   local.solve_seconds = timer.seconds();
-  local.factor_seconds = factor_seconds;
   local.triangular_seconds = triangular_seconds;
   local.iterations = iterations;
   local.converged = converged;

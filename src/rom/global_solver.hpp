@@ -42,28 +42,18 @@ struct GlobalSolveOptions {
   core::CancelToken cancel;
 };
 
-struct GlobalSolveStats {
+/// One global solve's record; the factor detail (one factorization per
+/// call no matter how many RHS on a cold direct solve, 0 on a cache hit and
+/// on iterative paths) comes from la::FactorStats.
+struct GlobalSolveStats : la::FactorStats {
   idx_t num_dofs = 0;
   double solve_seconds = 0.0;     ///< total: factorization + triangular solves
   idx_t iterations = 0;
   bool converged = false;
   idx_t num_rhs = 0;              ///< right-hand sides solved in this call
-  /// Factorizations performed: 1 on the direct path no matter how many RHS
-  /// (the batching invariant fatigue runs assert), 0 on iterative paths.
-  int num_factorizations = 0;
   std::size_t matrix_bytes = 0;
   std::size_t solver_bytes = 0;
-  // Direct-path factorization detail (zero / empty on iterative paths):
-  double factor_seconds = 0.0;    ///< the one Cholesky factorization
   double triangular_seconds = 0.0;///< forward/backward substitutions only
-  la::offset_t factor_nnz = 0;    ///< nnz(L), diagonal included
-  double fill_ratio = 0.0;        ///< nnz(L) / nnz(tril(A))
-  idx_t num_supernodes = 0;       ///< 0 on the simplicial back end
-  std::string ordering;           ///< "amd" / "rcm" / "natural"
-  /// Set when the factorization needed the diagonal shift-retry ladder: the
-  /// solution solves A + shift*I, not A (close, but not the exact operator).
-  bool degraded = false;
-  double diagonal_shift = 0.0;
 };
 
 /// Apply `bc` by lifting, then solve. Returns the nodal displacement vector.
@@ -72,8 +62,9 @@ Vec solve_global(GlobalProblem& problem, const DirichletBc& bc,
 
 /// Multi-load variant: solve problem.rhs plus every vector of `extra_rhs`
 /// against the same lifted operator. The direct path factors once and runs
-/// all cases as one multi-RHS panel through SparseCholesky::solve_multi;
-/// iterative paths loop. Returns one solution per case — index 0 is
+/// all cases as one multi-RHS panel (fem::solve_direct); iterative paths
+/// loop. problem.stiffness is left lifted unless a cache hit skipped the
+/// build. Returns one solution per case — index 0 is
 /// problem.rhs, index 1 + k is extra_rhs[k]. All right-hand sides must be
 /// unlifted (the lifting is applied here, like solve_global does).
 std::vector<Vec> solve_global_multi(GlobalProblem& problem, std::vector<Vec> extra_rhs,

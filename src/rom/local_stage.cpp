@@ -81,7 +81,7 @@ RomModel run_local_stage(const mesh::TsvGeometry& geometry, const mesh::BlockMes
   assemble_span.end();
 
   // One factorization, n+1 solves (paper Sec. 4.2). The right-hand sides are
-  // batched into column panels and solved through solve_multi, so the factor
+  // batched into column panels and solved through solve_multi_with, so the factor
   // streams through the cache once per panel instead of once per solve;
   // panels only share the immutable factor, so they parallelize
   // embarrassingly with per-thread workspaces.

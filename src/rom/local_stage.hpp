@@ -31,7 +31,7 @@ struct LocalStageOptions {
   /// supernodal/simplicial back end).
   la::SparseCholesky::Options factor;
   /// The n+1 basis right-hand sides are solved in column panels of this
-  /// width through SparseCholesky::solve_multi, so the factor is streamed
+  /// width through SparseCholesky::solve_multi_with, so the factor is streamed
   /// once per panel instead of once per solve.
   int rhs_panel = 8;
   /// Verification switch: use the element load exactly as printed in the

@@ -11,7 +11,6 @@
 #include "la/cg.hpp"
 #include "la/cholesky.hpp"
 #include "la/precond.hpp"
-#include "la/shift_retry.hpp"
 #include "obs/metrics.hpp"
 #include "obs/query_scope.hpp"
 #include "obs/trace.hpp"
@@ -76,18 +75,19 @@ TemperatureField solve_power_map(const mesh::HexMesh& mesh, const ConductivityFi
         "solve_power_map: sink film coefficient must be >= 0 (0 = ideal sink)");
   }
   MS_TRACE_SCOPE("thermal.steady.solve");
-  const bool use_cache = options.method == "direct" && options.factor_cache != nullptr &&
-                         !options.factor_key.empty();
   ThermalSolveStats local;
   util::WallTimer timer;
   la::TripletList triplets;
   Vec rhs;
   fem::DirichletBc bc;
   CsrMatrix k;
+  const fem::FactorSource source{options.factor, options.shift_retry, options.factor_cache,
+                                 options.factor_key, options.cancel, "thermal.steady"};
   // On a resident cache hit the operator never needs assembling — only the
   // load vector and the constrained-dof set (the cached entry keeps the
-  // unlifted matrix for the rhs lifting below).
-  const bool skip_matrix = use_cache && options.factor_cache->contains(options.factor_key);
+  // unlifted matrix for the rhs lifting).
+  la::FactorCache* cache = options.method == "direct" ? source.shared_cache() : nullptr;
+  const bool skip_matrix = cache != nullptr && cache->contains(options.factor_key);
   {
     MS_TRACE_SCOPE("thermal.steady.assemble");
     if (!skip_matrix) {
@@ -113,63 +113,20 @@ TemperatureField solve_power_map(const mesh::HexMesh& mesh, const ConductivityFi
       }
     }
 
-    if (!skip_matrix) {
-      k = CsrMatrix::from_triplets(triplets);
-      if (!use_cache) fem::apply_dirichlet(k, rhs, bc);
-    }
+    if (!skip_matrix) k = CsrMatrix::from_triplets(triplets);
   }
   local.num_dofs = static_cast<idx_t>(mesh.num_nodes());
   local.assemble_seconds = timer.seconds();
 
   timer.reset();
   Vec t;
-  if (use_cache) {
-    // Memoized direct path: bit-identical to the uncached branch below —
-    // the split lifting reproduces the fused one (fem/dirichlet.hpp) and
-    // solve() is solve_with() on the member scratch.
-    bool built = false;
-    const la::FactorCache::Entry entry = options.factor_cache->get_or_create(
-        options.factor_key,
-        [&]() {
-          options.cancel.check("thermal.steady.factor_build");
-          la::FactorCache::Entry fresh;
-          fresh.matrix = std::make_shared<la::CsrMatrix>(k);
-          fem::apply_dirichlet_matrix(k, bc);
-          la::ShiftRetryResult factored = la::factor_with_shift_retry(
-              k, options.factor, options.shift_retry, "thermal.steady.factor");
-          fresh.factor = std::move(factored.factor);
-          fresh.diagonal_shift = factored.shift;
-          return fresh;
-        },
-        &built);
-    (void)built;
-    local.degraded = entry.diagonal_shift != 0.0;
-    local.diagonal_shift = entry.diagonal_shift;
-    local.factor_seconds = timer.seconds();
-    local.factor_nnz = entry.factor->factor_nnz();
-    local.fill_ratio = entry.factor->fill_ratio();
-    local.ordering = entry.factor->ordering_name();
-    fem::apply_dirichlet_rhs(*entry.matrix, rhs, bc);
-    Vec scratch;
-    entry.factor->solve_with(rhs, t, scratch);
-    local.iterations = 0;
-    local.converged = true;
-  } else if (options.method == "direct") {
-    options.cancel.check("thermal.steady.factor");
-    la::ShiftRetryResult factored =
-        la::factor_with_shift_retry(k, options.factor, options.shift_retry,
-                                    "thermal.steady.factor");
-    const la::SparseCholesky& chol = *factored.factor;
-    local.degraded = factored.degraded();
-    local.diagonal_shift = factored.shift;
-    local.factor_seconds = timer.seconds();
-    local.factor_nnz = chol.factor_nnz();
-    local.fill_ratio = chol.fill_ratio();
-    local.ordering = chol.ordering_name();
-    t = chol.solve(rhs);
-    local.iterations = 0;
+  if (options.method == "direct") {
+    std::vector<Vec> cases;
+    cases.push_back(std::move(rhs));
+    t = std::move(fem::solve_direct(k, cases, bc, source, local).solutions.front());
     local.converged = true;
   } else if (options.method == "cg") {
+    fem::apply_dirichlet(k, rhs, bc);
     t.assign(rhs.size(), options.ambient);  // warm start at the sink value
     const la::JacobiPreconditioner precond(k);
     la::IterativeOptions iter;
@@ -305,7 +262,7 @@ TransientTemperatureResult solve_power_trace(const mesh::HexMesh& mesh,
 
   // The sink value is constant in time, so the Dirichlet column correction
   // A(free, constrained) * T_sink is one fixed vector: compute it before the
-  // lifting zeroes those columns, then subtract it from every step's rhs.
+  // factor build lifts A, then subtract it from every step's rhs.
   std::vector<char> constrained(static_cast<std::size_t>(n), 0);
   Vec corr(static_cast<std::size_t>(n), 0.0);
   if (!bc.dofs.empty()) {
@@ -315,8 +272,6 @@ TransientTemperatureResult solve_power_trace(const mesh::HexMesh& mesh,
       constrained[bc.dofs[i]] = 1;
     }
     a.mul(sink, corr);
-    Vec dummy(static_cast<std::size_t>(n), 0.0);
-    fem::apply_dirichlet(a, dummy, bc);
   }
   // Power loads are linear in the map, so precompute one load vector per
   // keyframe and blend vectors per step instead of re-assembling; this is
@@ -333,38 +288,13 @@ TransientTemperatureResult solve_power_trace(const mesh::HexMesh& mesh,
 
   timer.reset();
   // The stepping operator's factorization is shareable across traces: the
-  // assembly above is cheap and the unlifted A is needed for the correction
-  // term regardless, so only the factor itself is memoized (Entry.matrix
-  // stays null). solve_with(scratch) below is solve_inplace's own backend,
-  // so warm and cold steps are bitwise identical.
-  options.base.cancel.check("thermal.transient.factor");
-  std::shared_ptr<const la::SparseCholesky> factor;
-  const bool use_cache = options.base.factor_cache != nullptr && !options.base.factor_key.empty();
-  if (use_cache) {
-    const la::FactorCache::Entry entry = options.base.factor_cache->get_or_create(
-        options.base.factor_key, [&]() {
-          options.base.cancel.check("thermal.transient.factor_build");
-          la::FactorCache::Entry fresh;
-          la::ShiftRetryResult factored = la::factor_with_shift_retry(
-              a, options.base.factor, options.base.shift_retry, "thermal.transient.factor");
-          fresh.factor = std::move(factored.factor);
-          fresh.diagonal_shift = factored.shift;
-          return fresh;
-        });
-    factor = entry.factor;
-    local.degraded = entry.diagonal_shift != 0.0;
-    local.diagonal_shift = entry.diagonal_shift;
-  } else {
-    la::ShiftRetryResult factored = la::factor_with_shift_retry(
-        a, options.base.factor, options.base.shift_retry, "thermal.transient.factor");
-    factor = factored.factor;
-    local.degraded = factored.degraded();
-    local.diagonal_shift = factored.shift;
-  }
-  local.factor_seconds = timer.seconds();
-  local.factor_nnz = factor->factor_nnz();
-  local.fill_ratio = factor->fill_ratio();
-  local.ordering = factor->ordering_name();
+  // assembly above is cheap and the correction term is already taken, so
+  // only the factor itself is memoized (Entry.matrix stays null).
+  const fem::FactorSource source{options.base.factor, options.base.shift_retry,
+                                 options.base.factor_cache, options.base.factor_key,
+                                 options.base.cancel, "thermal.transient"};
+  const std::shared_ptr<const la::SparseCholesky> factor =
+      fem::fetch_factor(a, bc, source, /*keep_unlifted=*/false, local).factor;
 
   obs::ScopedSpan step_span("thermal.transient.step");
   timer.reset();

@@ -54,20 +54,14 @@ struct ThermalSolveOptions {
   core::CancelToken cancel;
 };
 
-struct ThermalSolveStats {
+/// Steady conduction record; la::FactorStats holds the direct path's
+/// factor detail (zero / empty on the cg path).
+struct ThermalSolveStats : la::FactorStats {
   idx_t num_dofs = 0;
   double assemble_seconds = 0.0;
   double solve_seconds = 0.0;
   idx_t iterations = 0;          ///< 0 on the direct path
   bool converged = false;
-  // Direct-path factorization detail (zero / empty on the cg path):
-  double factor_seconds = 0.0;
-  la::offset_t factor_nnz = 0;
-  double fill_ratio = 0.0;
-  std::string ordering;
-  /// Set when the factorization needed the diagonal shift-retry ladder.
-  bool degraded = false;
-  double diagonal_shift = 0.0;
   [[nodiscard]] double total_seconds() const { return assemble_seconds + solve_seconds; }
 };
 
@@ -111,18 +105,13 @@ struct TransientSolveOptions {
   ThermalSolveOptions base;
 };
 
-struct TransientSolveStats {
+/// Transient march record; la::FactorStats describes the one factor of the
+/// stepping operator M/Δt + θK.
+struct TransientSolveStats : la::FactorStats {
   idx_t num_dofs = 0;
   int num_steps = 0;
   double assemble_seconds = 0.0;
-  double factor_seconds = 0.0;   ///< the one M/Δt + θK factorization
   double step_seconds = 0.0;     ///< all per-step rhs builds + triangular solves
-  la::offset_t factor_nnz = 0;   ///< nnz(L) of the stepping operator
-  double fill_ratio = 0.0;       ///< nnz(L) / nnz(tril(M/Δt + θK))
-  std::string ordering;          ///< ordering used by the factorization
-  /// Set when the stepping factorization needed the shift-retry ladder.
-  bool degraded = false;
-  double diagonal_shift = 0.0;
   [[nodiscard]] double total_seconds() const {
     return assemble_seconds + factor_seconds + step_seconds;
   }

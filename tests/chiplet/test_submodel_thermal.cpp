@@ -289,8 +289,8 @@ TEST(SubmodelFatigue, PulsedPackageTraceBatchesOnePanelAndReportsDamage) {
   EXPECT_EQ(result.history.blocks_x(), tsv);
   EXPECT_EQ(result.history.blocks_y(), tsv);
   EXPECT_EQ(result.history.num_steps(), result.transient.num_records());
-  EXPECT_EQ(result.solve_stats.num_factorizations, 1);
-  EXPECT_EQ(result.solve_stats.num_rhs,
+  EXPECT_EQ(result.stats.solve.num_factorizations, 1);
+  EXPECT_EQ(result.stats.solve.num_rhs,
             static_cast<la::idx_t>(result.history_steps.size()) + 1);
 
   // Pulsed heat at reflow-free reference: real cycles, real damage.

@@ -48,8 +48,8 @@ TEST(Simulator, ArrayResultShapesAndStats) {
   EXPECT_EQ(result.samples_per_block, 10);
   EXPECT_EQ(result.von_mises.size(), static_cast<std::size_t>(3 * 10) * (2 * 10));
   EXPECT_EQ(result.stress.size(), result.von_mises.size());
-  EXPECT_TRUE(result.stats.converged);
-  EXPECT_GT(result.stats.global_dofs, 0);
+  EXPECT_TRUE(result.stats.solve.converged);
+  EXPECT_GT(result.stats.solve.num_dofs, 0);
   EXPECT_GT(result.stats.memory_bytes, 0u);
   EXPECT_GT(result.stats.global_seconds(), 0.0);
 }
@@ -81,7 +81,7 @@ TEST(Simulator, SubmodelUsesDummyRingsAndReportsInnerRegion) {
   const ArrayResult result = *sim.simulate(spec).array;
   EXPECT_EQ(result.region_blocks_x, 2);
   EXPECT_EQ(result.von_mises.size(), static_cast<std::size_t>(2 * 10) * (2 * 10));
-  EXPECT_TRUE(result.stats.converged);
+  EXPECT_TRUE(result.stats.solve.converged);
 }
 
 TEST(Simulator, SubmodelRejectsNegativeRings) {

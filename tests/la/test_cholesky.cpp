@@ -136,11 +136,12 @@ TEST(SparseCholesky, SolveMultiMatchesColumnwiseSolvesBitwise) {
   for (const auto method :
        {SparseCholesky::Method::kSupernodal, SparseCholesky::Method::kSimplicial}) {
     const SparseCholesky chol(a, make_options(SparseCholesky::Ordering::kAmd, method));
-    const Vec x_panel = chol.solve_multi(panel, nrhs);
+    Vec x_panel(panel.size()), work;
+    chol.solve_multi_with(panel.data(), x_panel.data(), nrhs, work);
     for (idx_t r = 0; r < nrhs; ++r) {
       const Vec b(panel.begin() + static_cast<std::size_t>(r) * n,
                   panel.begin() + static_cast<std::size_t>(r + 1) * n);
-      Vec x, work;
+      Vec x;
       chol.solve_with(b, x, work);
       for (idx_t i = 0; i < n; ++i) {
         ASSERT_EQ(x_panel[static_cast<std::size_t>(r) * n + i], x[i])
@@ -175,11 +176,11 @@ TEST(SparseCholesky, RejectsRectangular) {
 TEST(SparseCholesky, MultipleSolvesReuseFactor) {
   const CsrMatrix a = laplacian_2d(6);
   const SparseCholesky chol(a);
-  Vec x;
+  Vec x, work;
   for (int rhs = 0; rhs < 5; ++rhs) {
     Vec b(a.rows());
     for (idx_t i = 0; i < a.rows(); ++i) b[i] = std::sin(0.2 * i + rhs);
-    chol.solve_inplace(b, x);
+    chol.solve_with(b, x, work);
     Vec ax;
     a.mul(x, ax);
     EXPECT_LT(max_abs_diff(ax, b), 1e-10);

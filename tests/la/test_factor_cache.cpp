@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -157,6 +158,39 @@ TEST(FactorCache, WaitersRetryAfterBuilderFailure) {
     EXPECT_EQ(factor, shared);
   }
   EXPECT_NE(shared, nullptr);
+}
+
+TEST(FactorCache, SharedFactorSolvesConcurrentlyThroughEveryEntryPoint) {
+  // A factor holds no mutable state: threads solving one cached entry at
+  // once through solve() and solve_multi(cases) all get the serial answers
+  // bit for bit (the TSan job runs this suite, so a shared scratch races).
+  FactorCache cache;
+  const FactorCache::Entry entry = cache.get_or_create("k", [] { return build_entry(12); });
+  const auto n = static_cast<std::size_t>(entry.matrix->rows());
+  std::vector<Vec> cases(3, Vec(n));
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    for (std::size_t i = 0; i < n; ++i) cases[c][i] = std::sin(0.1 * static_cast<double>(i + c));
+  }
+  const Vec serial_one = entry.factor->solve(cases[0]);
+  const std::vector<Vec> serial_panel = entry.factor->solve_multi(cases);
+
+  constexpr int kThreads = 8;
+  constexpr int kRounds = 20;
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      const auto shared = cache.get_or_create("k", [] { return build_entry(12); });
+      for (int r = 0; r < kRounds; ++r) {
+        if (shared.factor->solve(cases[0]) != serial_one) mismatches.fetch_add(1);
+        if (shared.factor->solve_multi(cases) != serial_panel) mismatches.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(cache.misses(), 1u);
 }
 
 TEST(FactorCache, ClearDropsEntriesButCallersKeepTheirs) {

@@ -154,8 +154,8 @@ TEST(Supernodal, MultiRhsPanelMatchesSingleSolvesOnBlockMatrix) {
       panel[static_cast<std::size_t>(r) * n + i] = std::sin(0.011 * i * (r + 1));
     }
   }
-  const Vec x_panel = chol.solve_multi(panel, nrhs);
-  Vec x, work;
+  Vec x_panel(panel.size()), x, work;
+  chol.solve_multi_with(panel.data(), x_panel.data(), nrhs, work);
   for (idx_t r = 0; r < nrhs; ++r) {
     const Vec b(panel.begin() + static_cast<std::size_t>(r) * n,
                 panel.begin() + static_cast<std::size_t>(r + 1) * n);

@@ -108,10 +108,10 @@ TEST(FatigueCoupling, ConstantTraceMatchesEnvelopePathAndCountsOneHalfCycle) {
 
   // Batching invariant: the envelope plus every recorded step ran as one
   // multi-RHS panel against a single factorization.
-  EXPECT_EQ(fatigue.solve_stats.num_factorizations, 1);
-  EXPECT_EQ(fatigue.solve_stats.num_rhs,
+  EXPECT_EQ(fatigue.stats.solve.num_factorizations, 1);
+  EXPECT_EQ(fatigue.stats.solve.num_rhs,
             static_cast<la::idx_t>(fatigue.history_steps.size()) + 1);
-  EXPECT_GT(fatigue.solve_stats.factor_nnz, 0);
+  EXPECT_GT(fatigue.stats.solve.factor_nnz, 0);
   EXPECT_EQ(fatigue.history.num_steps(), fatigue.history_steps.size());
   EXPECT_EQ(fatigue.history_steps.size(), fatigue.transient.num_records());
 }

@@ -76,19 +76,18 @@ TEST(CancelToken, ChildDeadlineIsIndependentOfParent) {
 
 TEST(HealthGuard, RequireFiniteClassifiesNonFiniteFields) {
   const double clean[3] = {1.0, -2.0, 3.0};
-  EXPECT_NO_THROW(require_finite(true, "stage", "field", clean, 3));
+  EXPECT_NO_THROW(require_finite("stage", "field", clean, 3));
   const double dirty[3] = {1.0, std::numeric_limits<double>::quiet_NaN(), 3.0};
   try {
-    require_finite(true, "global.solve", "global solution", dirty, 3);
+    require_finite("global.solve", "global solution", dirty, 3);
     FAIL() << "expected SimError";
   } catch (const SimError& e) {
     EXPECT_EQ(e.code(), SimErrorCode::kNonFiniteField);
     EXPECT_EQ(e.stage(), "global.solve");
   }
-  // The config knob really disables the sweep.
-  EXPECT_NO_THROW(require_finite(false, "stage", "field", dirty, 3));
   const double inf[1] = {std::numeric_limits<double>::infinity()};
-  EXPECT_THROW(require_finite(true, "stage", "field", inf, 1), SimError);
+  EXPECT_THROW(require_finite("stage", "field", inf, 1), SimError);
+  EXPECT_NO_THROW(require_finite("stage", "empty field", inf, 0));
 }
 
 }  // namespace

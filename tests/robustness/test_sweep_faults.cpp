@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "core/sim_error.hpp"
+#include "core/simulator.hpp"
 #include "sweep/scenario_result.hpp"
 #include "sweep/scenario_spec.hpp"
 #include "sweep/sweep_engine.hpp"
@@ -113,6 +114,24 @@ TEST(SweepFaults, InjectedBuilderThrowFailsOneRowAndBatchCompletes) {
   EXPECT_EQ(stats.factor_cache_hits, ref_stats.factor_cache_hits - 1);
   EXPECT_EQ(stats.model_cache_misses, ref_stats.model_cache_misses);
   EXPECT_EQ(stats.model_cache_hits, ref_stats.model_cache_hits);
+}
+
+TEST(SweepFaults, FactorBuildProbeFiresOnACachelessSimulator) {
+  // A simulator with no factor cache builds its global factor through the
+  // same builder the cache runs, so the build probe fires there too.
+  core::MoreStressSimulator sim(small_config());
+  const ScenarioSpec spec = steady_family(1).front();
+  util::FaultInjector::global().configure("rom.global.factor_build:throw:1:1");
+  std::string site;
+  try {
+    (void)sim.simulate(spec);
+  } catch (const util::InjectedFault& e) {
+    site = e.site();
+  }
+  const std::uint64_t fired = util::FaultInjector::global().fired_count("rom.global.factor_build");
+  util::FaultInjector::global().reset();
+  EXPECT_EQ(site, "rom.global.factor_build");
+  EXPECT_EQ(fired, 1u);
 }
 
 TEST(SweepFaults, NanPayloadFailsClassifiedAndLeavesCacheCountersAlone) {

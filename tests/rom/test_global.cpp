@@ -124,6 +124,68 @@ TEST(GlobalSolver, SubmodelBoundaryInterpolatesCallback) {
   }
 }
 
+TEST(GlobalSolver, DirectPanelIsBitIdenticalWithoutCacheColdAndWarm) {
+  // The one direct-solve path: a call without a cache, a cold cache, and a
+  // warm cache whose caller leaves the operator unassembled solve the same
+  // 3-case panel bit for bit from the same factor. Non-zero boundary values
+  // make the rhs half of the lifting non-trivial.
+  const BlockGrid grid = make_grid(3, 2);
+  const std::function<std::array<double, 3>(const mesh::Point3&)> field =
+      [](const mesh::Point3& p) {
+        return std::array<double, 3>{1e-3 * p.x, -2e-3 * p.y, 5e-4 * p.z};
+      };
+  const fem::DirichletBc bc = submodel_boundary(grid, field);
+  const BlockLoadField hot(3, 2, Vec{-250.0, -200.0, -150.0, -120.0, -90.0, -60.0});
+  const auto extra_rhs = [&] {
+    return std::vector<Vec>{
+        assemble_global_rhs(grid, tsv_model(), nullptr, {}, hot),
+        assemble_global_rhs(grid, tsv_model(), nullptr, {}, BlockLoadField::uniform(-100.0))};
+  };
+  GlobalSolveOptions options;
+  options.method = "direct";
+
+  GlobalProblem plain = assemble_global(grid, tsv_model(), nullptr, {}, -250.0);
+  GlobalSolveStats plain_stats;
+  const std::vector<Vec> expected =
+      solve_global_multi(plain, extra_rhs(), bc, options, &plain_stats);
+  ASSERT_EQ(expected.size(), 3u);
+  // Without a cache the caller's operator is left lifted, as apply_dirichlet
+  // leaves it (and no unlifted copy exists to hold instead).
+  GlobalProblem lifted = assemble_global(grid, tsv_model(), nullptr, {}, -250.0);
+  fem::apply_dirichlet(lifted.stiffness, lifted.rhs, bc);
+  EXPECT_EQ(plain.stiffness.row_ptr(), lifted.stiffness.row_ptr());
+  EXPECT_EQ(plain.stiffness.col_idx(), lifted.stiffness.col_idx());
+  EXPECT_EQ(plain.stiffness.values(), lifted.stiffness.values());
+  EXPECT_EQ(plain.rhs, lifted.rhs);
+
+  la::FactorCache cache;
+  options.factor_cache = &cache;
+  options.factor_key = "global";
+  GlobalProblem cold = assemble_global(grid, tsv_model(), nullptr, {}, -250.0);
+  GlobalSolveStats cold_stats;
+  const std::vector<Vec> cold_x = solve_global_multi(cold, extra_rhs(), bc, options, &cold_stats);
+  GlobalProblem warm;  // resident key: the load vectors only
+  warm.num_dofs = grid.num_dofs();
+  warm.rhs = assemble_global_rhs(grid, tsv_model(), nullptr, {}, BlockLoadField::uniform(-250.0));
+  GlobalSolveStats warm_stats;
+  const std::vector<Vec> warm_x = solve_global_multi(warm, extra_rhs(), bc, options, &warm_stats);
+
+  EXPECT_EQ(cold_x, expected);
+  EXPECT_EQ(warm_x, expected);
+  for (const GlobalSolveStats* s : {&cold_stats, &warm_stats}) {
+    EXPECT_EQ(s->factor_nnz, plain_stats.factor_nnz);
+    EXPECT_EQ(s->fill_ratio, plain_stats.fill_ratio);
+    EXPECT_EQ(s->num_supernodes, plain_stats.num_supernodes);
+    EXPECT_EQ(s->ordering, plain_stats.ordering);
+  }
+  EXPECT_GT(plain_stats.factor_nnz, 0);
+  EXPECT_EQ(plain_stats.num_factorizations, 1);
+  EXPECT_EQ(cold_stats.num_factorizations, 1);
+  EXPECT_EQ(warm_stats.num_factorizations, 0);
+  EXPECT_EQ(cache.misses(), 1u);
+  EXPECT_EQ(cache.hits(), 1u);
+}
+
 TEST(Reconstruct, RegionShapesAndSubregion) {
   const BlockGrid grid = make_grid(3, 3);
   GlobalProblem problem = assemble_global(grid, tsv_model(), nullptr, {}, -250.0);

@@ -113,8 +113,8 @@ TEST_F(QueryTelemetryTest, PerRowTelemetryReconcilesExactlyWithSweepStats) {
     ASSERT_NE(r.fatigue, nullptr) << r.name;
     // Row-level identities against the payload's own solver bookkeeping.
     EXPECT_EQ(r.telemetry.count("factorizations"),
-              r.fatigue->solve_stats.num_factorizations) << r.name;
-    EXPECT_EQ(r.telemetry.count("rhs"), r.fatigue->solve_stats.num_rhs) << r.name;
+              r.fatigue->stats.solve.num_factorizations) << r.name;
+    EXPECT_EQ(r.telemetry.count("rhs"), r.fatigue->stats.solve.num_rhs) << r.name;
     EXPECT_GE(r.telemetry.count("global.solves"), 1) << r.name;
     // Stage durations and the queue wait are present on every row.
     EXPECT_EQ(r.telemetry.seconds.count("queue_wait_seconds"), 1u) << r.name;

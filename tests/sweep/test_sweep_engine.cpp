@@ -102,7 +102,7 @@ TEST(SweepEngine, SharedCachesAreBitIdenticalToColdRuns) {
   // GlobalSolveStats agrees: only the first scenario factorized.
   std::int64_t factorizations = 0;
   for (const ScenarioResult& r : warm) {
-    factorizations += r.fatigue->solve_stats.num_factorizations;
+    factorizations += r.fatigue->stats.solve.num_factorizations;
   }
   EXPECT_EQ(factorizations, 1);
 }

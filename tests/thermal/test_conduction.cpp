@@ -133,6 +133,44 @@ TEST(ConductionSlab, CgAndDirectAgree) {
   }
 }
 
+TEST(ConductionSlab, DirectSolveIsBitIdenticalWithoutCacheColdAndWarm) {
+  // The one direct-solve path: no cache, a cold cache, and a warm cache (the
+  // resident key skips the operator assembly) give the same field bit for
+  // bit from the same factor. The ambient sink makes the lifting non-trivial.
+  const mesh::HexMesh mesh = bar_mesh(20.0, 50.0, 3, 4);
+  const Vec conductivities(static_cast<std::size_t>(mesh.num_elems()), 149.0);
+  PowerMap power(2, 2, 20.0, 20.0, 1.0);
+  power.set_tile(0, 0, 4.0);
+
+  ThermalSolveOptions options;
+  options.method = "direct";
+  options.ambient = 40.0;
+  ThermalSolveStats plain_stats;
+  const TemperatureField expected =
+      solve_power_map(mesh, conductivities, power, options, &plain_stats);
+
+  la::FactorCache cache;
+  options.factor_cache = &cache;
+  options.factor_key = "steady";
+  ThermalSolveStats cold_stats, warm_stats;
+  const TemperatureField cold = solve_power_map(mesh, conductivities, power, options, &cold_stats);
+  const TemperatureField warm = solve_power_map(mesh, conductivities, power, options, &warm_stats);
+
+  EXPECT_EQ(cold.nodal(), expected.nodal());
+  EXPECT_EQ(warm.nodal(), expected.nodal());
+  for (const ThermalSolveStats* s : {&cold_stats, &warm_stats}) {
+    EXPECT_EQ(s->factor_nnz, plain_stats.factor_nnz);
+    EXPECT_EQ(s->fill_ratio, plain_stats.fill_ratio);
+    EXPECT_EQ(s->num_supernodes, plain_stats.num_supernodes);
+    EXPECT_EQ(s->ordering, plain_stats.ordering);
+  }
+  EXPECT_GT(plain_stats.factor_nnz, 0);
+  EXPECT_EQ(plain_stats.num_factorizations, 1);
+  EXPECT_EQ(cold_stats.num_factorizations, 1);
+  EXPECT_EQ(warm_stats.num_factorizations, 0);
+  EXPECT_EQ(cache.hits(), 1u);
+}
+
 TEST(EffectiveConductivity, LiesBetweenConstituentsAndExceedsSilicon) {
   const mesh::TsvGeometry geometry{15.0, 5.0, 0.5, 50.0};
   const fem::MaterialTable materials = fem::MaterialTable::standard();

@@ -209,6 +209,55 @@ TEST(TransientConduction, PeakEnvelopeDominatesEveryRecordedState) {
   EXPECT_EQ(result.num_records(), result.block_delta_t.size());
 }
 
+TEST(TransientConduction, StepperIsBitIdenticalWithoutCacheColdAndWarm) {
+  // The stepper takes its factor through the one factor-fetching path: no
+  // cache, a cold cache and a warm cache march the same history bit for bit
+  // from the same factor of M/dt + theta K.
+  const mesh::HexMesh mesh = bar_mesh(30.0, 50.0, 3, 4);
+  const la::Vec k(static_cast<std::size_t>(mesh.num_elems()), 149.0);
+  const la::Vec c(static_cast<std::size_t>(mesh.num_elems()), 1.63e6);
+  const PowerMap low(3, 3, 30.0, 30.0, 10.0);
+  PowerMap high = low;
+  high.add_gaussian_hotspot(15.0, 15.0, 8.0, 300.0);
+  const PowerTrace trace = PowerTrace::square_wave(low, high, 60e-6, 0.4, 2);
+  BlockReduction reduction;
+  reduction.blocks_x = reduction.blocks_y = 3;
+  reduction.pitch = 10.0;
+  reduction.reference = 25.0;
+
+  TransientSolveOptions options;
+  options.time_step = 1e-5;
+  options.scheme = "crank-nicolson";
+  TransientSolveStats plain_stats;
+  const TransientTemperatureResult expected =
+      solve_power_trace(mesh, k, c, trace, reduction, options, &plain_stats);
+
+  la::FactorCache cache;
+  options.base.factor_cache = &cache;
+  options.base.factor_key = "stepper";
+  TransientSolveStats cold_stats, warm_stats;
+  const TransientTemperatureResult cold =
+      solve_power_trace(mesh, k, c, trace, reduction, options, &cold_stats);
+  const TransientTemperatureResult warm =
+      solve_power_trace(mesh, k, c, trace, reduction, options, &warm_stats);
+
+  for (const TransientTemperatureResult* r : {&cold, &warm}) {
+    EXPECT_EQ(r->block_delta_t, expected.block_delta_t);
+    EXPECT_EQ(r->final_field.nodal(), expected.final_field.nodal());
+  }
+  for (const TransientSolveStats* s : {&cold_stats, &warm_stats}) {
+    EXPECT_EQ(s->factor_nnz, plain_stats.factor_nnz);
+    EXPECT_EQ(s->fill_ratio, plain_stats.fill_ratio);
+    EXPECT_EQ(s->num_supernodes, plain_stats.num_supernodes);
+    EXPECT_EQ(s->ordering, plain_stats.ordering);
+  }
+  EXPECT_GT(plain_stats.factor_nnz, 0);
+  EXPECT_EQ(plain_stats.num_factorizations, 1);
+  EXPECT_EQ(cold_stats.num_factorizations, 1);
+  EXPECT_EQ(warm_stats.num_factorizations, 0);
+  EXPECT_EQ(cache.hits(), 1u);
+}
+
 TEST(TransientConduction, RejectsBadOptions) {
   const mesh::HexMesh mesh = bar_mesh(10.0, 20.0, 1, 1);
   const la::Vec k(1, 100.0);

@@ -3,7 +3,9 @@
 committed baseline and fail on significant slowdowns.
 
 Cases are matched by (scenario, edge, rings); the compared metrics are every
-"*_seconds" field both records share. CI machines differ in speed from the
+"*_seconds" field both records share. A case or field the baseline has and the
+current run lacks fails the gate by name, so an emitter cannot drop a gated
+field silently. CI machines differ in speed from the
 machine that produced the baseline, so raw ratios are useless on their own:
 the gate first estimates the machine scale as the *median* new/base ratio
 over all timing metrics, then flags any metric whose ratio exceeds
@@ -122,6 +124,11 @@ def main():
     failures = []
     if missing:
         failures.append(f"cases missing from the current run: {missing}")
+    for key, base_case in sorted(baseline.items(), key=str):
+        if key not in current:
+            continue
+        for field in sorted(set(base_case) - set(current[key])):
+            failures.append(f"{key} {field}: field missing from the current run")
 
     # Machine scale: median of all timing ratios over non-trivial baselines.
     pairs = []  # (key, metric, base, new)
