@@ -113,4 +113,10 @@ fem::Stress6 PackageModel::stress_at(const mesh::Point3& p) const {
   return fem::stress_at(mesh_, materials_, u_, thermal_load_, p);
 }
 
+std::shared_ptr<const PackageModel> build_demo_package(double pitch, int padded_blocks,
+                                                       double tsv_height, double thermal_load) {
+  return std::make_shared<const PackageModel>(
+      demo_package_geometry(pitch, padded_blocks, tsv_height), demo_coarse_spec(), thermal_load);
+}
+
 }  // namespace ms::chiplet

@@ -8,6 +8,8 @@
 // the sub-model boundary conditions; its stress field supplies the
 // superposition baseline's background.
 
+#include <memory>
+
 #include "fem/material.hpp"
 #include "fem/solver.hpp"
 #include "fem/stress.hpp"
@@ -99,5 +101,11 @@ class PackageModel {
   Vec u_;
   fem::FemSolveStats stats_;
 };
+
+/// The package a sub-model scenario without a package payload runs in:
+/// demo_package_geometry for the padded window, demo_coarse_spec, solved
+/// for `thermal_load`.
+std::shared_ptr<const PackageModel> build_demo_package(double pitch, int padded_blocks,
+                                                       double tsv_height, double thermal_load);
 
 }  // namespace ms::chiplet

@@ -44,23 +44,19 @@ struct ResolvedPackage {
 };
 
 /// The package a sub-model scenario runs in: the spec's payload when given,
-/// else the demo package sized to the padded window and solved for the
-/// config's thermal load (the same package every example/bench uses). The
-/// sweep engine pre-resolves this per padded size and shares it across
-/// scenarios via the payload slot — building a package is itself a coarse
-/// FEM solve, so only specs that read it get here (ScenarioSpec::reads_package).
+/// else the demo package sized to the padded window. The sweep engine
+/// memoizes that package per padded size and passes it in the payload slot;
+/// building one is itself a coarse FEM solve, so only specs that read it get
+/// here (ScenarioSpec::reads_package).
 ResolvedPackage resolve_package(const sweep::ScenarioSpec& spec, const SimulationConfig& config) {
   ResolvedPackage resolved;
   const int padded_x = spec.blocks_x + 2 * spec.dummy_rings;
   const int padded_y = spec.blocks_y + 2 * spec.dummy_rings;
-  if (spec.package != nullptr) {
-    resolved.package = spec.package;
-  } else {
-    const chiplet::PackageGeometry geometry = chiplet::demo_package_geometry(
-        config.geometry.pitch, std::max(padded_x, padded_y), config.geometry.height);
-    resolved.package = std::make_shared<chiplet::PackageModel>(
-        geometry, chiplet::demo_coarse_spec(), config.thermal_load);
-  }
+  resolved.package = spec.package != nullptr
+                         ? spec.package
+                         : chiplet::build_demo_package(config.geometry.pitch,
+                                                       std::max(padded_x, padded_y),
+                                                       config.geometry.height, config.thermal_load);
   if (spec.placement.blocks_x != 0) {
     resolved.placement = spec.placement;
   } else {

@@ -39,13 +39,11 @@ MoreStressSimulator::MoreStressSimulator(SimulationConfig config) : config_(std:
 }
 
 std::string MoreStressSimulator::model_fingerprint(rom::BlockKind kind) const {
-  char buf[256];
-  std::snprintf(buf, sizeof(buf), "rom_%s_p%.3g_d%.3g_t%.3g_h%.3g_m%dx%d_n%d%d%d_s%d.bin",
-                kind == rom::BlockKind::Tsv ? "tsv" : "dummy", config_.geometry.pitch,
-                config_.geometry.diameter, config_.geometry.liner_thickness,
-                config_.geometry.height, config_.mesh_spec.elems_xy, config_.mesh_spec.elems_z,
-                config_.local.nodes_x, config_.local.nodes_y, config_.local.nodes_z,
-                config_.local.samples_per_block);
+  const std::uint64_t h = rom::local_stage_fingerprint(config_.geometry, config_.mesh_spec,
+                                                       config_.materials, kind, config_.local);
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "rom_%s_%016llx.bin",
+                kind == rom::BlockKind::Tsv ? "tsv" : "dummy", static_cast<unsigned long long>(h));
   return buf;
 }
 
@@ -169,7 +167,7 @@ std::string MoreStressSimulator::global_factor_key(const Window& window) {
   h = util::fnv1a(window.bc.dofs, h);
   const la::SparseCholesky::Options& factor = config_.global.factor;
   char buf[192];
-  std::snprintf(buf, sizeof(buf), "glob_b%dx%d_n%d%d%d_d%d_o%d_m%d_w%d_r%.3g_%016llx",
+  std::snprintf(buf, sizeof(buf), "glob_b%dx%d_n%d%d%d_d%d_o%d_m%d_w%d_r%.17g_%016llx",
                 window.blocks_x, window.blocks_y, config_.local.nodes_x, config_.local.nodes_y,
                 config_.local.nodes_z, window.uses_dummy ? 1 : 0,
                 static_cast<int>(factor.ordering), static_cast<int>(factor.method),

@@ -189,8 +189,10 @@ class MoreStressSimulator {
                                                 double trace_duration,
                                                 const FatigueOptions& options) const;
   const rom::RomModel& model_for(rom::BlockKind kind);
-  /// The one-shot model's identity string (geometry/mesh/nodes/samples) —
-  /// the on-disk cache's file name and the ModelCache key.
+  /// The one-shot model's key — the exact rom::local_stage_fingerprint of
+  /// every local-stage input (geometry, mesh, materials, kind, all of
+  /// config.local) — used as the on-disk cache's file name and the
+  /// ModelCache key, so no cache serves a model built for other inputs.
   [[nodiscard]] std::string model_fingerprint(rom::BlockKind kind) const;
   [[nodiscard]] std::string cache_path(rom::BlockKind kind) const;
   /// Factor-cache key of the lifted global operator: model fingerprints and

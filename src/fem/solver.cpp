@@ -9,7 +9,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/log.hpp"
-#include "util/memory.hpp"
 
 namespace ms::fem {
 
@@ -42,10 +41,6 @@ std::vector<Vec> solve_assembled_cases(AssembledSystem& sys, std::vector<Vec> rh
   apply_dirichlet(sys.stiffness, rhs_cases, bc);
   const double assemble_seconds = timer.seconds();
   FemSolveStats local;
-
-  util::ScopedLedgerBytes matrix_mem(sys.stiffness.memory_bytes() +
-                                     (rhs_cases.size() + 1) * rhs_cases.front().size() *
-                                         sizeof(double));
 
   timer.reset();
   const idx_t num_cases = static_cast<idx_t>(rhs_cases.size());
@@ -86,7 +81,6 @@ std::vector<Vec> solve_assembled_cases(AssembledSystem& sys, std::vector<Vec> rh
   } else {
     throw std::invalid_argument("solve_thermal_stress: unknown method '" + options.method + "'");
   }
-  util::ScopedLedgerBytes solver_mem(solver_bytes);
 
   local.num_dofs = sys.num_dofs;
   local.assemble_seconds = assemble_seconds;

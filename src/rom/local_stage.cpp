@@ -10,6 +10,7 @@
 #include "la/cholesky.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "util/hash.hpp"
 #include "util/log.hpp"
 #include "util/timer.hpp"
 
@@ -278,6 +279,42 @@ RomModel run_local_stage(const mesh::TsvGeometry& geometry, const mesh::BlockMes
                kind == BlockKind::Tsv ? "tsv" : "dummy", static_cast<int>(num_dofs),
                static_cast<int>(n), model.local_stage_seconds);
   return model;
+}
+
+std::uint64_t local_stage_fingerprint(const mesh::TsvGeometry& geometry,
+                                      const mesh::BlockMeshSpec& spec,
+                                      const fem::MaterialTable& materials, BlockKind kind,
+                                      const LocalStageOptions& options) {
+  using util::fnv1a_value;
+  std::uint64_t h = util::kFnvOffsetBasis;
+  for (double v : {geometry.pitch, geometry.diameter, geometry.liner_thickness, geometry.height}) {
+    h = fnv1a_value(v, h);
+  }
+  for (int v : {spec.elems_xy, spec.elems_z, options.nodes_x, options.nodes_y, options.nodes_z,
+                options.samples_per_block, options.rhs_panel}) {
+    h = fnv1a_value(v, h);
+  }
+  for (bool v : {options.sample_displacements, options.uncorrected_eq19_load,
+                 options.factor.parallel_numeric}) {
+    h = fnv1a_value(v, h);
+  }
+  h = fnv1a_value(kind, h);
+  h = fnv1a_value(options.factor.ordering, h);
+  h = fnv1a_value(options.factor.method, h);
+  h = fnv1a_value(options.factor.max_supernode_width, h);
+  h = fnv1a_value(options.factor.relax_supernodes, h);
+  h = fnv1a_value(materials.size(), h);
+  for (std::size_t id = 0; id < materials.size(); ++id) {
+    const fem::Material& m = materials.at(static_cast<mesh::MaterialId>(id));
+    h = fnv1a_value(m.name.size(), h);
+    h = util::fnv1a_bytes(m.name.data(), m.name.size(), h);
+    for (double v : {m.youngs_modulus, m.poisson_ratio, m.cte, m.conductivity,
+                     m.volumetric_heat_capacity, m.fatigue_strength, m.fatigue_strength_exponent,
+                     m.fatigue_ductility, m.fatigue_ductility_exponent, m.ultimate_strength}) {
+      h = fnv1a_value(v, h);
+    }
+  }
+  return h;
 }
 
 }  // namespace ms::rom

@@ -15,6 +15,8 @@
 // local stage cheap; it is the direct analogue of the paper's one-time
 // LU/Cholesky decomposition.
 
+#include <cstdint>
+
 #include "fem/material.hpp"
 #include "la/cholesky.hpp"
 #include "rom/rom_model.hpp"
@@ -48,5 +50,14 @@ struct LocalStageOptions {
 RomModel run_local_stage(const mesh::TsvGeometry& geometry, const mesh::BlockMeshSpec& spec,
                          const fem::MaterialTable& materials, BlockKind kind,
                          const LocalStageOptions& options);
+
+/// Exact hash of every run_local_stage input (each field's bits, every
+/// material's every field, all of `options`): the key a cached model is
+/// stored and found under. A field added to any of these inputs must be
+/// folded in here too.
+std::uint64_t local_stage_fingerprint(const mesh::TsvGeometry& geometry,
+                                      const mesh::BlockMeshSpec& spec,
+                                      const fem::MaterialTable& materials, BlockKind kind,
+                                      const LocalStageOptions& options);
 
 }  // namespace ms::rom

@@ -6,50 +6,22 @@
 // model — so the sweep engine keys models by the same fingerprint the
 // on-disk cache uses and hands all simulators shared immutable instances.
 //
-// Single-flight like la::FactorCache: concurrent workers racing on one key
-// run the local stage exactly once. Complements (does not replace) the
-// on-disk cache — the builder a simulator passes in typically checks disk
-// first.
+// A util::SingleFlightCache recorded as `rom.model_cache.*`: concurrent
+// workers racing on one key run the local stage exactly once. Complements
+// (does not replace) the on-disk cache — the builder a simulator passes in
+// checks disk first.
 
-#include <atomic>
-#include <condition_variable>
-#include <cstdint>
-#include <functional>
 #include <memory>
-#include <mutex>
-#include <string>
-#include <unordered_map>
 
 #include "rom/rom_model.hpp"
+#include "util/single_flight_cache.hpp"
 
 namespace ms::rom {
 
-class ModelCache {
+class ModelCache : public util::SingleFlightCache<std::shared_ptr<const RomModel>> {
  public:
   using ModelPtr = std::shared_ptr<const RomModel>;
-
-  /// Return the model under `key`, running `build` if absent. Single-flight:
-  /// concurrent callers of one absent key block until the one in-flight
-  /// build publishes. A throwing builder clears the slot and rethrows.
-  ModelPtr get_or_create(const std::string& key, const std::function<ModelPtr()>& build);
-
-  [[nodiscard]] bool contains(const std::string& key) const;
-  [[nodiscard]] std::size_t size() const;
-  [[nodiscard]] std::uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  [[nodiscard]] std::uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
-  void clear();
-
- private:
-  struct Slot {
-    bool ready = false;
-    ModelPtr model;
-  };
-
-  mutable std::mutex mutex_;
-  std::condition_variable ready_cv_;
-  std::unordered_map<std::string, Slot> slots_;
-  std::atomic<std::uint64_t> hits_{0};
-  std::atomic<std::uint64_t> misses_{0};
+  ModelCache() : SingleFlightCache("rom.model_cache") {}
 };
 
 }  // namespace ms::rom

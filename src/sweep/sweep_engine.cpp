@@ -63,21 +63,6 @@ void SweepEngine::worker_loop() {
   }
 }
 
-std::shared_ptr<const chiplet::PackageModel> SweepEngine::shared_package(int padded_blocks) {
-  const std::lock_guard<std::mutex> lock(package_mutex_);
-  auto it = packages_.find(padded_blocks);
-  if (it != packages_.end()) return it->second;
-  // Built under the lock: concurrent workers needing the same package wait
-  // rather than duplicating a coarse FEM solve; distinct sizes are rare
-  // enough that serializing them is cheaper than a single-flight slot here.
-  const chiplet::PackageGeometry geometry = chiplet::demo_package_geometry(
-      options_.config.geometry.pitch, padded_blocks, options_.config.geometry.height);
-  auto package = std::make_shared<const chiplet::PackageModel>(
-      geometry, chiplet::demo_coarse_spec(), options_.config.thermal_load);
-  packages_.emplace(padded_blocks, package);
-  return package;
-}
-
 SweepEngine::QueryContext SweepEngine::capture_context() {
   QueryContext context;
   context.parent_span = obs::current_span_id();
@@ -116,7 +101,11 @@ ScenarioResult SweepEngine::query(ScenarioSpec spec, core::CancelToken cancel,
   if (!options_.cache_dir.empty()) simulator.set_cache_directory(options_.cache_dir);
   if (spec.reads_package() && spec.package == nullptr && options_.share_caches) {
     const int padded = std::max(spec.blocks_x, spec.blocks_y) + 2 * spec.dummy_rings;
-    spec.package = shared_package(padded);
+    spec.package = package_cache_.get_or_create(std::to_string(padded), [this, padded] {
+      const core::SimulationConfig& config = options_.config;
+      return chiplet::build_demo_package(config.geometry.pitch, padded, config.geometry.height,
+                                         config.thermal_load);
+    });
   }
   ScenarioResult result = simulator.simulate(spec);
 

@@ -7,9 +7,12 @@
 //   * one la::FactorCache — scenarios whose global-stage (or conduction)
 //     operator has identical values and boundary structure share a single
 //     factorization; warm queries skip assembly and refactorization, and
-//   * one demo PackageModel per padded window size — the coarse package
-//     solve behind sub-model scenarios is resolved once and passed to every
-//     scenario that reads a package via the spec's payload slot.
+//   * one demo PackageModel per padded window size
+//     (`sweep.package_cache`) — the coarse package solve behind sub-model
+//     scenarios runs once and is passed to every scenario that reads a
+//     package via the spec's payload slot.
+//
+// All three are util::SingleFlightCache instances.
 //
 // Every scenario still runs on a *fresh* MoreStressSimulator wired to the
 // shared caches, so results are bit-identical to cold one-off simulate(spec)
@@ -23,12 +26,12 @@
 #include <cstdint>
 #include <deque>
 #include <future>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
 
+#include "chiplet/package_model.hpp"
 #include "core/cancel.hpp"
 #include "core/config.hpp"
 #include "la/factor_cache.hpp"
@@ -36,6 +39,7 @@
 #include "rom/model_cache.hpp"
 #include "sweep/scenario_result.hpp"
 #include "sweep/scenario_spec.hpp"
+#include "util/single_flight_cache.hpp"
 
 namespace ms::sweep {
 
@@ -134,16 +138,14 @@ class SweepEngine {
                                const std::shared_ptr<BatchControl>& control,
                                const QueryContext& context);
   std::future<ScenarioResult> enqueue_task(std::packaged_task<ScenarioResult()> task);
-  /// Demo package shared across sub-model scenarios of one padded size.
-  std::shared_ptr<const chiplet::PackageModel> shared_package(int padded_blocks);
   void worker_loop();
 
   SweepOptions options_;
   la::FactorCache factor_cache_;
   rom::ModelCache model_cache_;
-
-  std::mutex package_mutex_;
-  std::map<int, std::shared_ptr<const chiplet::PackageModel>> packages_;
+  /// Demo packages keyed by padded window size.
+  util::SingleFlightCache<std::shared_ptr<const chiplet::PackageModel>> package_cache_{
+      "sweep.package_cache"};
 
   std::mutex queue_mutex_;
   std::condition_variable queue_cv_;

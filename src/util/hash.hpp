@@ -1,12 +1,14 @@
 #pragma once
-// FNV-1a fingerprinting for cache keys. Not cryptographic — the sweep
-// engine's factorization / ROM-model caches key on a human-readable prefix
-// (geometry, mesh, options) plus an FNV hash of the bulk numeric inputs
-// (constrained-dof sets, conductivity fields, element load vectors), so two
-// scenarios collide only if every keyed input matches.
+// FNV-1a fingerprinting for cache keys. Not cryptographic — a ROM-model key
+// is one hash over the exact bits of every local-stage input, and the
+// factorization keys are a readable prefix (block counts, solver options)
+// plus a hash of the bulk numeric inputs (element matrices, constrained-dof
+// sets, conductivity fields), so two scenarios collide only if every keyed
+// input matches.
 
 #include <cstddef>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 namespace ms::util {
@@ -23,6 +25,15 @@ inline std::uint64_t fnv1a_bytes(const void* data, std::size_t size,
     state *= kFnvPrime;
   }
   return state;
+}
+
+/// Fold one scalar's bits: two doubles fold alike only when they are the
+/// same value, which a rounded rendering such as %.3g does not guarantee.
+template <typename T>
+std::uint64_t fnv1a_value(T value, std::uint64_t state = kFnvOffsetBasis) {
+  static_assert(std::is_arithmetic_v<T> || std::is_enum_v<T>,
+                "fold struct fields one by one: padding bytes are indeterminate");
+  return fnv1a_bytes(&value, sizeof(T), state);
 }
 
 /// Fold a trivially-copyable vector's payload (raw object bytes).

@@ -1,61 +1,11 @@
 #include "util/memory.hpp"
 
-#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 
 namespace ms::util {
-
-MemoryLedger& MemoryLedger::instance() {
-  static MemoryLedger ledger;
-  return ledger;
-}
-
-void MemoryLedger::allocate(std::size_t bytes) {
-  current_ += bytes;
-  peak_ = std::max(peak_, current_);
-}
-
-void MemoryLedger::release(std::size_t bytes) {
-  current_ = bytes > current_ ? 0 : current_ - bytes;
-}
-
-void MemoryLedger::reset_peak() { peak_ = current_; }
-
-void MemoryLedger::reset_all() {
-  current_ = 0;
-  peak_ = 0;
-}
-
-ScopedLedgerBytes::ScopedLedgerBytes(std::size_t bytes) : bytes_(bytes) {
-  MemoryLedger::instance().allocate(bytes_);
-}
-
-ScopedLedgerBytes::ScopedLedgerBytes(ScopedLedgerBytes&& other) noexcept : bytes_(other.bytes_) {
-  other.bytes_ = 0;
-}
-
-ScopedLedgerBytes& ScopedLedgerBytes::operator=(ScopedLedgerBytes&& other) noexcept {
-  if (this != &other) {
-    if (bytes_ != 0) MemoryLedger::instance().release(bytes_);
-    bytes_ = other.bytes_;
-    other.bytes_ = 0;
-  }
-  return *this;
-}
-
-ScopedLedgerBytes::~ScopedLedgerBytes() {
-  if (bytes_ != 0) MemoryLedger::instance().release(bytes_);
-}
-
-void ScopedLedgerBytes::resize(std::size_t bytes) {
-  auto& ledger = MemoryLedger::instance();
-  if (bytes_ != 0) ledger.release(bytes_);
-  bytes_ = bytes;
-  if (bytes_ != 0) ledger.allocate(bytes_);
-}
 
 namespace {
 

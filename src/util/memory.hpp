@@ -1,63 +1,12 @@
 #pragma once
-// Memory accounting.
-//
-// The paper reports the peak memory of each method. All of our methods run in
-// one process, so the OS high-water mark cannot attribute memory to a method.
-// We therefore keep an *analytic ledger*: every solver/matrix registers the
-// bytes it holds resident, and the ledger tracks the running sum and its peak
-// between explicit resets. Peak RSS from /proc is also exposed for context.
+// Process memory readouts (/proc) and the byte formatting the benchmark
+// tables use. Per-solve analytic figures live on the stats records
+// (fem::FemSolveStats::matrix_bytes / solver_bytes, RunStats::memory_bytes).
 
 #include <cstddef>
-#include <cstdint>
 #include <string>
 
 namespace ms::util {
-
-/// Process-wide analytic memory ledger (single-threaded use).
-class MemoryLedger {
- public:
-  /// The singleton ledger used by all library components.
-  static MemoryLedger& instance();
-
-  /// Register `bytes` as newly resident; updates the peak.
-  void allocate(std::size_t bytes);
-
-  /// Unregister `bytes` (clamped at zero to stay robust to mismatches).
-  void release(std::size_t bytes);
-
-  /// Forget the peak and restart tracking from the current level.
-  void reset_peak();
-
-  /// Zero everything (used between benchmark cases).
-  void reset_all();
-
-  [[nodiscard]] std::size_t current_bytes() const { return current_; }
-  [[nodiscard]] std::size_t peak_bytes() const { return peak_; }
-
- private:
-  std::size_t current_ = 0;
-  std::size_t peak_ = 0;
-};
-
-/// RAII registration of a block of analytic memory.
-class ScopedLedgerBytes {
- public:
-  ScopedLedgerBytes() = default;
-  explicit ScopedLedgerBytes(std::size_t bytes);
-  ScopedLedgerBytes(const ScopedLedgerBytes&) = delete;
-  ScopedLedgerBytes& operator=(const ScopedLedgerBytes&) = delete;
-  ScopedLedgerBytes(ScopedLedgerBytes&& other) noexcept;
-  ScopedLedgerBytes& operator=(ScopedLedgerBytes&& other) noexcept;
-  ~ScopedLedgerBytes();
-
-  /// Change the registered size (e.g. after a structure grows).
-  void resize(std::size_t bytes);
-
-  [[nodiscard]] std::size_t bytes() const { return bytes_; }
-
- private:
-  std::size_t bytes_ = 0;
-};
 
 /// Peak resident set size of this process in bytes (VmHWM), 0 if unavailable.
 std::size_t peak_rss_bytes();

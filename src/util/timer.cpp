@@ -1,44 +1,8 @@
 #include "util/timer.hpp"
 
-#include <cmath>
 #include <cstdio>
-#include <vector>
 
 namespace ms::util {
-
-void PhaseTimer::add(const std::string& name, double seconds) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto [it, inserted] = index_.try_emplace(name, phases_.size());
-  if (inserted) {
-    phases_.emplace_back(name, seconds);
-  } else {
-    phases_[it->second].second += seconds;
-  }
-}
-
-double PhaseTimer::total(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = index_.find(name);
-  return it != index_.end() ? phases_[it->second].second : 0.0;
-}
-
-double PhaseTimer::grand_total() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  double sum = 0.0;
-  for (const auto& [phase, total] : phases_) sum += total;
-  return sum;
-}
-
-std::string PhaseTimer::summary() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::string out;
-  char buf[128];
-  for (const auto& [phase, total] : phases_) {
-    std::snprintf(buf, sizeof(buf), "%s%s=%.3fs", out.empty() ? "" : " ", phase.c_str(), total);
-    out += buf;
-  }
-  return out;
-}
 
 std::string format_seconds(double seconds) {
   char buf[64];

@@ -3,11 +3,7 @@
 // run-statistics reported alongside every solve.
 
 #include <chrono>
-#include <mutex>
 #include <string>
-#include <unordered_map>
-#include <utility>
-#include <vector>
 
 namespace ms::util {
 
@@ -29,29 +25,6 @@ class WallTimer {
  private:
   using clock_t = std::chrono::steady_clock;
   clock_t::time_point start_;
-};
-
-/// Accumulates named phase durations (local stage, assembly, solve, ...).
-/// add() is O(1) via a name->slot index and safe to call from concurrent
-/// OpenMP threads; summary() keeps first-recorded (insertion) order.
-class PhaseTimer {
- public:
-  /// Add `seconds` to the phase `name` (created on first use).
-  void add(const std::string& name, double seconds);
-
-  /// Total seconds recorded for `name` (0 if never recorded).
-  [[nodiscard]] double total(const std::string& name) const;
-
-  /// Sum over all phases.
-  [[nodiscard]] double grand_total() const;
-
-  /// One-line "name=1.23s name2=0.45s" summary for logs.
-  [[nodiscard]] std::string summary() const;
-
- private:
-  mutable std::mutex mutex_;
-  std::unordered_map<std::string, std::size_t> index_;  // name -> phases_ slot
-  std::vector<std::pair<std::string, double>> phases_;  // insertion order
 };
 
 /// Human-friendly duration string ("431 ms", "12.8 s", "5m02s").

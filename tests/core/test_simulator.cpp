@@ -71,6 +71,39 @@ TEST(Simulator, DiskCacheRoundTrip) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(Simulator, SharedCacheDirServesOnlyModelsBuiltForTheSameInputs) {
+  // The model key covers every local-stage input exactly: a pitch change
+  // below any rounded rendering, or a material change, must build its own
+  // model rather than load the one already in a shared cache directory.
+  const auto dir = std::filesystem::temp_directory_path() / "ms_rom_key_test";
+  std::filesystem::remove_all(dir);
+  const SimulationConfig base = small_config();
+  {
+    MoreStressSimulator seed(base);
+    seed.set_cache_directory(dir.string());
+    (void)seed.tsv_model();
+  }
+
+  SimulationConfig pitch = base;
+  pitch.geometry.pitch = 15.001;
+  fem::Material stiffer_copper = fem::copper();
+  stiffer_copper.youngs_modulus *= 1.2;
+  SimulationConfig copper = base;
+  copper.materials = fem::MaterialTable(
+      {fem::silicon(), stiffer_copper, fem::sio2_liner(), fem::organic_substrate()});
+
+  for (const SimulationConfig& config : {pitch, copper}) {
+    MoreStressSimulator cached(config);
+    cached.set_cache_directory(dir.string());
+    MoreStressSimulator fresh(config);
+    const ArrayResult from_dir = *cached.simulate(specs::array_spec(2, 2)).array;
+    const ArrayResult no_cache = *fresh.simulate(specs::array_spec(2, 2)).array;
+    EXPECT_EQ(from_dir.von_mises, no_cache.von_mises);
+    EXPECT_EQ(from_dir.solution, no_cache.solution);
+  }
+  std::filesystem::remove_all(dir);
+}
+
 TEST(Simulator, SubmodelUsesDummyRingsAndReportsInnerRegion) {
   MoreStressSimulator sim(small_config());
   const auto linear = [](const mesh::Point3& p) {

@@ -81,8 +81,11 @@ TEST_F(TraceTest, ScopedSpanEndIsIdempotent) {
 TEST_F(TraceTest, OpenMpRegionsBalanceAcrossThreads) {
   set_tracing_enabled(true);
   constexpr int kIterations = 64;
+  // Static: every thread of the team gets iterations, so the spans come from
+  // more than one thread even when busy cores let one thread drain a
+  // dynamic schedule alone.
 #ifdef _OPENMP
-#pragma omp parallel for schedule(dynamic)
+#pragma omp parallel for schedule(static)
 #endif
   for (int i = 0; i < kIterations; ++i) {
     MS_TRACE_SCOPE("panel");

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "core/simulator.hpp"
+#include "obs/metrics.hpp"
 #include "sweep/scenario_result.hpp"
 #include "sweep/scenario_spec.hpp"
 #include "sweep/sweep_engine.hpp"
@@ -80,6 +81,9 @@ TEST(SweepEngine, SharedCachesAreBitIdenticalToColdRuns) {
   warm_options.share_caches = true;
   warm_options.num_threads = 2;
   SweepEngine warm_engine(warm_options);
+  auto& registry = obs::MetricRegistry::global();
+  const std::int64_t factor_misses0 = registry.counter_value("la.factor_cache.misses");
+  const std::int64_t model_misses0 = registry.counter_value("rom.model_cache.misses");
   SweepStats warm_stats;
   const std::vector<ScenarioResult> warm = warm_engine.run(specs, &warm_stats);
 
@@ -98,6 +102,9 @@ TEST(SweepEngine, SharedCachesAreBitIdenticalToColdRuns) {
   EXPECT_EQ(warm_stats.factor_cache_misses, 2u);
   EXPECT_EQ(warm_stats.factor_cache_hits,
             static_cast<std::uint64_t>(2 * specs.size() - 2));
+  // The registry records each cache under its own metric name.
+  EXPECT_EQ(registry.counter_value("la.factor_cache.misses") - factor_misses0, 2);
+  EXPECT_EQ(registry.counter_value("rom.model_cache.misses") - model_misses0, 1);
 
   // GlobalSolveStats agrees: only the first scenario factorized.
   std::int64_t factorizations = 0;
@@ -105,6 +112,48 @@ TEST(SweepEngine, SharedCachesAreBitIdenticalToColdRuns) {
     factorizations += r.fatigue->stats.solve.num_factorizations;
   }
   EXPECT_EQ(factorizations, 1);
+}
+
+TEST(SweepEngine, SubmodelScenariosShareOneDemoPackage) {
+  // Sub-model specs without a package payload run in the engine's demo
+  // package: one coarse package solve per padded size, shared by every row,
+  // each row bit-identical to a cache-less simulate(spec) that builds its
+  // own package.
+  std::vector<ScenarioSpec> specs;
+  for (int location = 1; location <= 4; ++location) {
+    ScenarioSpec spec;
+    spec.name = "loc" + std::to_string(location);
+    spec.kind = ScenarioKind::kSubmodel;
+    spec.blocks_x = 2;
+    spec.blocks_y = 2;
+    spec.dummy_rings = 1;
+    spec.location = location;
+    specs.push_back(std::move(spec));
+  }
+  auto& registry = obs::MetricRegistry::global();
+  const std::int64_t misses0 = registry.counter_value("sweep.package_cache.misses");
+  const std::int64_t hits0 = registry.counter_value("sweep.package_cache.hits");
+
+  SweepOptions options;
+  options.config = small_config();
+  options.num_threads = 2;
+  SweepEngine engine(options);
+  const std::vector<ScenarioResult> rows = engine.run(specs);
+
+  EXPECT_EQ(registry.counter_value("sweep.package_cache.misses") - misses0, 1);
+  EXPECT_EQ(registry.counter_value("sweep.package_cache.hits") - hits0, 3);
+  ASSERT_EQ(rows.size(), specs.size());
+  std::int64_t row_misses = 0;
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    ASSERT_NE(rows[i].array, nullptr) << specs[i].name;
+    row_misses += rows[i].telemetry.count("package_cache.misses");
+    core::MoreStressSimulator cold(small_config());
+    const ScenarioResult expected = cold.simulate(specs[i]);
+    EXPECT_EQ(rows[i].array->von_mises, expected.array->von_mises) << specs[i].name;
+    EXPECT_EQ(rows[i].array->stress, expected.array->stress) << specs[i].name;
+    EXPECT_EQ(rows[i].array->solution, expected.array->solution) << specs[i].name;
+  }
+  EXPECT_EQ(row_misses, 1);
 }
 
 TEST(SweepEngine, RunMarksTheParetoFrontier) {

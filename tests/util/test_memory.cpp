@@ -5,51 +5,6 @@
 namespace ms::util {
 namespace {
 
-class MemoryLedgerTest : public ::testing::Test {
- protected:
-  void SetUp() override { MemoryLedger::instance().reset_all(); }
-  void TearDown() override { MemoryLedger::instance().reset_all(); }
-};
-
-TEST_F(MemoryLedgerTest, TracksCurrentAndPeak) {
-  auto& ledger = MemoryLedger::instance();
-  ledger.allocate(100);
-  ledger.allocate(50);
-  EXPECT_EQ(ledger.current_bytes(), 150u);
-  EXPECT_EQ(ledger.peak_bytes(), 150u);
-  ledger.release(100);
-  EXPECT_EQ(ledger.current_bytes(), 50u);
-  EXPECT_EQ(ledger.peak_bytes(), 150u);
-}
-
-TEST_F(MemoryLedgerTest, ReleaseClampsAtZero) {
-  auto& ledger = MemoryLedger::instance();
-  ledger.allocate(10);
-  ledger.release(25);
-  EXPECT_EQ(ledger.current_bytes(), 0u);
-}
-
-TEST_F(MemoryLedgerTest, ResetPeakKeepsCurrent) {
-  auto& ledger = MemoryLedger::instance();
-  ledger.allocate(100);
-  ledger.release(60);
-  ledger.reset_peak();
-  EXPECT_EQ(ledger.peak_bytes(), 40u);
-}
-
-TEST_F(MemoryLedgerTest, ScopedBytesRegisterAndUnregister) {
-  auto& ledger = MemoryLedger::instance();
-  {
-    ScopedLedgerBytes bytes(1000);
-    EXPECT_EQ(ledger.current_bytes(), 1000u);
-    ScopedLedgerBytes moved = std::move(bytes);
-    EXPECT_EQ(ledger.current_bytes(), 1000u);
-    moved.resize(500);
-    EXPECT_EQ(ledger.current_bytes(), 500u);
-  }
-  EXPECT_EQ(ledger.current_bytes(), 0u);
-}
-
 TEST(MemoryRss, ReportsPlausibleValues) {
   const std::size_t rss = current_rss_bytes();
   const std::size_t peak = peak_rss_bytes();

@@ -2,9 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <string>
 #include <thread>
-#include <vector>
 
 namespace ms::util {
 namespace {
@@ -23,56 +21,6 @@ TEST(WallTimer, ResetRestartsClock) {
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
   timer.reset();
   EXPECT_LT(timer.seconds(), 0.009);
-}
-
-TEST(PhaseTimer, AccumulatesByName) {
-  PhaseTimer phases;
-  phases.add("assemble", 1.0);
-  phases.add("solve", 2.0);
-  phases.add("assemble", 0.5);
-  EXPECT_DOUBLE_EQ(phases.total("assemble"), 1.5);
-  EXPECT_DOUBLE_EQ(phases.total("solve"), 2.0);
-  EXPECT_DOUBLE_EQ(phases.total("missing"), 0.0);
-  EXPECT_DOUBLE_EQ(phases.grand_total(), 3.5);
-}
-
-TEST(PhaseTimer, SummaryMentionsAllPhases) {
-  PhaseTimer phases;
-  phases.add("a", 1.0);
-  phases.add("b", 2.0);
-  const std::string s = phases.summary();
-  EXPECT_NE(s.find("a="), std::string::npos);
-  EXPECT_NE(s.find("b="), std::string::npos);
-}
-
-TEST(PhaseTimer, SummaryKeepsInsertionOrder) {
-  PhaseTimer phases;
-  phases.add("zeta", 1.0);
-  phases.add("alpha", 2.0);
-  phases.add("zeta", 0.25);  // accumulation must not move the phase
-  const std::string s = phases.summary();
-  EXPECT_LT(s.find("zeta="), s.find("alpha="));
-}
-
-TEST(PhaseTimer, ConcurrentAddsAccumulateExactly) {
-  PhaseTimer phases;
-  constexpr int kThreads = 4;
-  constexpr int kPerThread = 1000;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&phases, t] {
-      for (int i = 0; i < kPerThread; ++i) {
-        phases.add("shared", 0.001);
-        phases.add("own" + std::to_string(t), 0.002);
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_NEAR(phases.total("shared"), kThreads * kPerThread * 0.001, 1e-9);
-  for (int t = 0; t < kThreads; ++t) {
-    EXPECT_NEAR(phases.total("own" + std::to_string(t)), kPerThread * 0.002, 1e-9);
-  }
-  EXPECT_NEAR(phases.grand_total(), kThreads * kPerThread * 0.003, 1e-9);
 }
 
 TEST(FormatSeconds, PicksSensibleUnits) {
