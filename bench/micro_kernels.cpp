@@ -1,11 +1,11 @@
 // Micro-benchmarks (google-benchmark) of the kernels the two stages spend
-// their time in: CSR matvec, sparse Cholesky factor+solve (RCM vs AMD,
-// simplicial vs supernodal, single-RHS vs panel), CG iterations, hex8
+// their time in: CSR matvec, AMD ordering, sparse Cholesky factor+solve
+// (single-RHS vs panel), CG iterations, hex8
 // element integration, FEM assembly, and the local-stage / global-stage
 // building blocks at unit-block scale.
 //
 // Besides the google-benchmark cases, `--solver-json PATH` runs a fixed
-// solver-comparison suite (block + package matrices) with wall timers and
+// direct-solver suite (block + package matrices) with wall timers and
 // emits a bench_gate-compatible BENCH_solver.json, so the direct-solver
 // stack is covered by the CI regression gate:
 //
@@ -84,14 +84,6 @@ const la::CsrMatrix& package_matrix() {
   return a;
 }
 
-la::SparseCholesky::Options solver_options(la::SparseCholesky::Ordering ordering,
-                                           la::SparseCholesky::Method method) {
-  la::SparseCholesky::Options o;
-  o.ordering = ordering;
-  o.method = method;
-  return o;
-}
-
 void BM_Hex8Stiffness(benchmark::State& state) {
   const fem::Material mat = fem::silicon();
   for (auto _ : state) {
@@ -130,14 +122,6 @@ void BM_CsrMatvec(benchmark::State& state) {
 }
 BENCHMARK(BM_CsrMatvec);
 
-void BM_RcmOrdering(benchmark::State& state) {
-  const la::CsrMatrix& a = block_matrix();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(la::reverse_cuthill_mckee(a).perm.data());
-  }
-}
-BENCHMARK(BM_RcmOrdering);
-
 void BM_AmdOrdering(benchmark::State& state) {
   const la::CsrMatrix& a = block_matrix();
   for (auto _ : state) {
@@ -146,42 +130,23 @@ void BM_AmdOrdering(benchmark::State& state) {
 }
 BENCHMARK(BM_AmdOrdering);
 
-/// Factorization back-end comparison on the local-stage block matrix.
-/// Arg 0: 0 = RCM + simplicial (the historical default), 1 = AMD +
-/// simplicial, 2 = AMD + supernodal (the new default).
+/// Factorization of the local-stage block matrix.
 void BM_SparseCholeskyFactor(benchmark::State& state) {
   const la::CsrMatrix& a = block_matrix();
-  la::SparseCholesky::Options options;
-  switch (state.range(0)) {
-    case 0: options = solver_options(la::SparseCholesky::Ordering::kRcm,
-                                     la::SparseCholesky::Method::kSimplicial);
-      break;
-    case 1: options = solver_options(la::SparseCholesky::Ordering::kAmd,
-                                     la::SparseCholesky::Method::kSimplicial);
-      break;
-    default: options = solver_options(la::SparseCholesky::Ordering::kAmd,
-                                      la::SparseCholesky::Method::kSupernodal);
-      break;
-  }
   for (auto _ : state) {
-    la::SparseCholesky chol(a, options);
+    la::SparseCholesky chol(a);
     benchmark::DoNotOptimize(chol.factor_nnz());
   }
 }
-BENCHMARK(BM_SparseCholeskyFactor)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_SparseCholeskyFactor);
 
-/// Triangular solves on the factored block matrix. Arg 0 as above; arg 1 is
-/// the RHS panel width (1 = the classic one-at-a-time path). Reported time
-/// is per panel, so divide by the width for per-RHS cost.
+/// Triangular solves on the factored block matrix. The arg is the RHS panel
+/// width (1 = the one-at-a-time path). Reported time is per panel, so
+/// divide by the width for per-RHS cost.
 void BM_SparseCholeskySolve(benchmark::State& state) {
   const la::CsrMatrix& a = block_matrix();
-  la::SparseCholesky::Options options =
-      state.range(0) == 0 ? solver_options(la::SparseCholesky::Ordering::kRcm,
-                                           la::SparseCholesky::Method::kSimplicial)
-                          : solver_options(la::SparseCholesky::Ordering::kAmd,
-                                           la::SparseCholesky::Method::kSupernodal);
-  const la::SparseCholesky chol(a, options);
-  const la::idx_t nrhs = static_cast<la::idx_t>(state.range(1));
+  const la::SparseCholesky chol(a);
+  const la::idx_t nrhs = static_cast<la::idx_t>(state.range(0));
   la::Vec b(static_cast<std::size_t>(a.rows()) * nrhs, 1.0);
   la::Vec x(b.size());
   la::Vec work;  // reused across iterations, like a solver's scratch
@@ -191,7 +156,7 @@ void BM_SparseCholeskySolve(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * nrhs);
 }
-BENCHMARK(BM_SparseCholeskySolve)->Args({0, 1})->Args({2, 1})->Args({2, 8});
+BENCHMARK(BM_SparseCholeskySolve)->Arg(1)->Arg(8);
 
 void BM_CgUnitBlock(benchmark::State& state) {
   // CG with SSOR on the clamped unit block (reference-solver inner loop).
@@ -243,77 +208,48 @@ double best_seconds(int reps, Fn&& fn) {
   return best;
 }
 
-/// One matrix's comparison record: the historical default (RCM +
-/// simplicial) against the new default (AMD + supernodal), factor and
-/// triangular-solve wall times plus nnz(L). Solve times are per RHS.
+/// One matrix's record: factor and triangular-solve wall times (solve times
+/// per RHS, single and in an 8-wide panel) plus the factor's size.
 ms::util::JsonObject solver_case(const char* scenario, const la::CsrMatrix& a, int factor_reps) {
-  const auto rcm_si = solver_options(la::SparseCholesky::Ordering::kRcm,
-                                     la::SparseCholesky::Method::kSimplicial);
-  const auto amd_si = solver_options(la::SparseCholesky::Ordering::kAmd,
-                                     la::SparseCholesky::Method::kSimplicial);
-  const auto amd_sn = solver_options(la::SparseCholesky::Ordering::kAmd,
-                                     la::SparseCholesky::Method::kSupernodal);
-
-  const double rcm_si_factor = best_seconds(factor_reps, [&] {
-    la::SparseCholesky chol(a, rcm_si);
-    benchmark::DoNotOptimize(chol.factor_nnz());
-  });
-  const double amd_si_factor = best_seconds(factor_reps, [&] {
-    la::SparseCholesky chol(a, amd_si);
-    benchmark::DoNotOptimize(chol.factor_nnz());
-  });
-  const double amd_sn_factor = best_seconds(factor_reps, [&] {
-    la::SparseCholesky chol(a, amd_sn);
+  const double factor_seconds = best_seconds(factor_reps, [&] {
+    la::SparseCholesky chol(a);
     benchmark::DoNotOptimize(chol.factor_nnz());
   });
 
-  const la::SparseCholesky baseline(a, rcm_si);
-  const la::SparseCholesky tuned(a, amd_sn);
+  const la::SparseCholesky chol(a);
   const la::idx_t n = a.rows();
   la::Vec b1(n, 1.0), x1(n);
   la::Vec work;  // one scratch buffer reused across repetitions
   const int solve_reps = 5;
-  const double baseline_solve = best_seconds(solve_reps, [&] {
-    baseline.solve_multi_with(b1.data(), x1.data(), 1, work);
-    benchmark::DoNotOptimize(x1.data());
-  });
-  const double tuned_solve = best_seconds(solve_reps, [&] {
-    tuned.solve_multi_with(b1.data(), x1.data(), 1, work);
+  const double solve_seconds = best_seconds(solve_reps, [&] {
+    chol.solve_multi_with(b1.data(), x1.data(), 1, work);
     benchmark::DoNotOptimize(x1.data());
   });
   const la::idx_t panel = 8;
   la::Vec b8(static_cast<std::size_t>(n) * panel, 1.0), x8(b8.size());
-  const double tuned_panel = best_seconds(solve_reps, [&] {
-    tuned.solve_multi_with(b8.data(), x8.data(), panel, work);
+  const double panel_seconds = best_seconds(solve_reps, [&] {
+    chol.solve_multi_with(b8.data(), x8.data(), panel, work);
     benchmark::DoNotOptimize(x8.data());
   });
 
-  std::printf("%-16s n=%6d nnz(L): rcm %9lld -> amd %9lld (%.2fx)  factor: %8.4fs -> %8.4fs "
-              "(%.2fx)  solve/rhs: %.6fs -> %.6fs (panel8 %.6fs)\n",
-              scenario, static_cast<int>(n), static_cast<long long>(baseline.factor_nnz()),
-              static_cast<long long>(tuned.factor_nnz()),
-              static_cast<double>(baseline.factor_nnz()) /
-                  static_cast<double>(tuned.factor_nnz()),
-              rcm_si_factor, amd_sn_factor, rcm_si_factor / amd_sn_factor, baseline_solve,
-              tuned_solve, tuned_panel / panel);
+  std::printf("%-16s n=%6d nnz(L) %9lld (fill %.2fx)  factor: %8.4fs  solve/rhs: %.6fs "
+              "(panel8 %.6fs)\n",
+              scenario, static_cast<int>(n), static_cast<long long>(chol.factor_nnz()),
+              chol.fill_ratio(), factor_seconds, solve_seconds, panel_seconds / panel);
 
   return ms::util::JsonObject()
       .set("scenario", scenario)
       .set("edge", static_cast<std::int64_t>(n))
-      .set("rcm_simplicial_factor_seconds", rcm_si_factor)
-      .set("amd_simplicial_factor_seconds", amd_si_factor)
-      .set("amd_supernodal_factor_seconds", amd_sn_factor)
-      .set("rcm_simplicial_solve_seconds", baseline_solve)
-      .set("amd_supernodal_solve_seconds", tuned_solve)
-      .set("amd_supernodal_panel8_per_rhs_seconds", tuned_panel / panel)
-      .set("rcm_factor_nnz", static_cast<std::int64_t>(baseline.factor_nnz()))
-      .set("amd_factor_nnz", static_cast<std::int64_t>(tuned.factor_nnz()))
-      .set("amd_fill_ratio", tuned.fill_ratio())
-      .set("num_supernodes", static_cast<std::int64_t>(tuned.num_supernodes()));
+      .set("amd_supernodal_factor_seconds", factor_seconds)
+      .set("amd_supernodal_solve_seconds", solve_seconds)
+      .set("amd_supernodal_panel8_per_rhs_seconds", panel_seconds / panel)
+      .set("amd_factor_nnz", static_cast<std::int64_t>(chol.factor_nnz()))
+      .set("amd_fill_ratio", chol.fill_ratio())
+      .set("num_supernodes", static_cast<std::int64_t>(chol.num_supernodes()));
 }
 
 void run_solver_suite(const std::string& json_path) {
-  std::printf("=== direct-solver suite (RCM+simplicial vs AMD+supernodal) ===\n");
+  std::printf("=== direct-solver suite (AMD + supernodal) ===\n");
   std::vector<ms::util::JsonObject> records;
   records.push_back(solver_case("solver_block", block_matrix(), 5));
   records.push_back(solver_case("solver_package", package_matrix(), 3));

@@ -38,12 +38,16 @@ MoreStressSimulator::MoreStressSimulator(SimulationConfig config) : config_(std:
   config_.mesh_spec.validate();
 }
 
+std::uint64_t MoreStressSimulator::model_inputs_hash(rom::BlockKind kind) const {
+  return rom::local_stage_fingerprint(config_.geometry, config_.mesh_spec, config_.materials, kind,
+                                      config_.local);
+}
+
 std::string MoreStressSimulator::model_fingerprint(rom::BlockKind kind) const {
-  const std::uint64_t h = rom::local_stage_fingerprint(config_.geometry, config_.mesh_spec,
-                                                       config_.materials, kind, config_.local);
   char buf[64];
   std::snprintf(buf, sizeof(buf), "rom_%s_%016llx.bin",
-                kind == rom::BlockKind::Tsv ? "tsv" : "dummy", static_cast<unsigned long long>(h));
+                kind == rom::BlockKind::Tsv ? "tsv" : "dummy",
+                static_cast<unsigned long long>(model_inputs_hash(kind)));
   return buf;
 }
 
@@ -63,10 +67,12 @@ const rom::RomModel& MoreStressSimulator::model_for(rom::BlockKind kind) {
     if (!cache_dir_.empty()) {
       const std::string path = cache_path(kind);
       if (std::filesystem::exists(path)) {
-        // A stale or truncated cache file (e.g. written by an older format
-        // revision) must not abort the run — recompute and overwrite it.
+        // A stale, truncated or foreign cache file (an older format revision,
+        // or one stamped for other inputs) must not abort the run — recompute
+        // and overwrite it.
         try {
-          auto loaded = std::make_shared<rom::RomModel>(rom::RomModel::load(path));
+          auto loaded =
+              std::make_shared<rom::RomModel>(rom::RomModel::load(path, model_inputs_hash(kind)));
           MS_LOG_INFO("loaded cached ROM model from %s", path.c_str());
           return loaded;
         } catch (const std::exception& e) {
@@ -79,7 +85,7 @@ const rom::RomModel& MoreStressSimulator::model_for(rom::BlockKind kind) {
         config_.geometry, config_.mesh_spec, config_.materials, kind, config_.local));
     if (!cache_dir_.empty()) {
       std::filesystem::create_directories(cache_dir_);
-      fresh->save(cache_path(kind));
+      fresh->save(cache_path(kind), model_inputs_hash(kind));
     }
     return fresh;
   };
@@ -165,13 +171,10 @@ std::string MoreStressSimulator::global_factor_key(const Window& window) {
   }
   h = util::fnv1a(window.mask, h);
   h = util::fnv1a(window.bc.dofs, h);
-  const la::SparseCholesky::Options& factor = config_.global.factor;
-  char buf[192];
-  std::snprintf(buf, sizeof(buf), "glob_b%dx%d_n%d%d%d_d%d_o%d_m%d_w%d_r%.17g_%016llx",
-                window.blocks_x, window.blocks_y, config_.local.nodes_x, config_.local.nodes_y,
+  char buf[128];
+  std::snprintf(buf, sizeof(buf), "glob_b%dx%d_n%d%d%d_d%d_%016llx", window.blocks_x,
+                window.blocks_y, config_.local.nodes_x, config_.local.nodes_y,
                 config_.local.nodes_z, window.uses_dummy ? 1 : 0,
-                static_cast<int>(factor.ordering), static_cast<int>(factor.method),
-                static_cast<int>(factor.max_supernode_width), factor.relax_supernodes,
                 static_cast<unsigned long long>(h));
   return buf;
 }
@@ -359,11 +362,10 @@ std::string thermal_steady_key(const mesh::HexMesh& mesh,
                                const thermal::ThermalSolveOptions& solve) {
   std::uint64_t h = util::fnv1a(conductivity.in_plane);
   h = util::fnv1a(conductivity.through_plane, h);
-  char buf[192];
-  std::snprintf(buf, sizeof(buf), "thermS_n%lld_e%lld_f%.17g_o%d_m%d_%016llx",
+  char buf[160];
+  std::snprintf(buf, sizeof(buf), "thermS_n%lld_e%lld_f%.17g_%016llx",
                 static_cast<long long>(mesh.num_nodes()), static_cast<long long>(mesh.num_elems()),
-                solve.sink_film_coefficient, static_cast<int>(solve.factor.ordering),
-                static_cast<int>(solve.factor.method), static_cast<unsigned long long>(h));
+                solve.sink_film_coefficient, static_cast<unsigned long long>(h));
   return buf;
 }
 
@@ -377,11 +379,10 @@ std::string thermal_transient_key(const mesh::HexMesh& mesh,
   h = util::fnv1a(conductivity.through_plane, h);
   h = util::fnv1a(capacities, h);
   char buf[224];
-  std::snprintf(buf, sizeof(buf), "thermT_n%lld_e%lld_f%.17g_dt%.17g_%s_l%d_o%d_m%d_%016llx",
+  std::snprintf(buf, sizeof(buf), "thermT_n%lld_e%lld_f%.17g_dt%.17g_%s_l%d_%016llx",
                 static_cast<long long>(mesh.num_nodes()), static_cast<long long>(mesh.num_elems()),
                 options.base.sink_film_coefficient, options.time_step, options.scheme.c_str(),
-                options.lumped_capacitance ? 1 : 0, static_cast<int>(options.base.factor.ordering),
-                static_cast<int>(options.base.factor.method), static_cast<unsigned long long>(h));
+                options.lumped_capacitance ? 1 : 0, static_cast<unsigned long long>(h));
   return buf;
 }
 

@@ -189,15 +189,18 @@ class MoreStressSimulator {
                                                 double trace_duration,
                                                 const FatigueOptions& options) const;
   const rom::RomModel& model_for(rom::BlockKind kind);
-  /// The one-shot model's key — the exact rom::local_stage_fingerprint of
-  /// every local-stage input (geometry, mesh, materials, kind, all of
-  /// config.local) — used as the on-disk cache's file name and the
-  /// ModelCache key, so no cache serves a model built for other inputs.
+  /// The exact rom::local_stage_fingerprint of every local-stage input
+  /// (geometry, mesh, materials, kind, all of config.local); a saved model
+  /// file carries it in its header and is loaded only under it.
+  [[nodiscard]] std::uint64_t model_inputs_hash(rom::BlockKind kind) const;
+  /// The one-shot model's key, named after model_inputs_hash — used as the
+  /// on-disk cache's file name and the ModelCache key, so no cache serves a
+  /// model built for other inputs.
   [[nodiscard]] std::string model_fingerprint(rom::BlockKind kind) const;
   [[nodiscard]] std::string cache_path(rom::BlockKind kind) const;
   /// Factor-cache key of the lifted global operator: model fingerprints and
-  /// load hashes (covering materials), mask, constrained-dof set, and the
-  /// factorization options. Forces the needed models to exist.
+  /// load hashes (covering materials), mask, and constrained-dof set. Forces
+  /// the needed models to exist.
   std::string global_factor_key(const Window& window);
   /// One source of truth for "transient options = coupling.transient with
   /// coupling.solve as boundary model", stepping at `time_step` (a spec's

@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "la/shift_retry.hpp"
 #include "util/fault_injector.hpp"
 #include "util/timer.hpp"
 
@@ -143,8 +144,8 @@ la::FactorCache::Entry fetch_factor(CsrMatrix& a, const DirichletBc& bc,
     la::FactorCache::Entry fresh;
     if (cache != nullptr && keep_unlifted) fresh.matrix = std::make_shared<const CsrMatrix>(a);
     apply_dirichlet_matrix(a, bc);
-    la::ShiftRetryResult factored = la::factor_with_shift_retry(
-        a, source.factor, source.shift_retry, (std::string(source.stage) + ".factor").c_str());
+    la::ShiftRetryResult factored =
+        la::factor_with_shift_retry(a, (std::string(source.stage) + ".factor").c_str());
     fresh.factor = std::move(factored.factor);
     fresh.diagonal_shift = factored.shift;
     return fresh;

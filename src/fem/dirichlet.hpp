@@ -11,7 +11,6 @@
 
 #include "core/cancel.hpp"
 #include "la/factor_cache.hpp"
-#include "la/shift_retry.hpp"
 #include "la/sparse.hpp"
 
 namespace ms::fem {
@@ -69,8 +68,6 @@ void apply_dirichlet_matrix(CsrMatrix& a, const DirichletBc& bc);
 /// alone. `stage` prefixes the build's cancel check and fault probe
 /// ("<stage>.factor_build") and the shift-retry site ("<stage>.factor").
 struct FactorSource {
-  const la::SparseCholesky::Options& factor;
-  const la::ShiftRetryOptions& shift_retry;
   la::FactorCache* cache;
   const std::string& key;
   const core::CancelToken& cancel;

@@ -49,7 +49,7 @@ std::vector<Vec> solve_assembled_cases(AssembledSystem& sys, std::vector<Vec> rh
   bool converged = false;
   std::size_t solver_bytes = 0;
   if (options.method == "direct") {
-    la::SparseCholesky chol(sys.stiffness, options.factor);
+    const la::SparseCholesky chol(sys.stiffness);
     const double factor_seconds = timer.seconds();
     solutions = chol.solve_multi(rhs_cases);
     converged = true;

@@ -9,7 +9,6 @@
 
 #include "fem/assembler.hpp"
 #include "fem/dirichlet.hpp"
-#include "la/cholesky.hpp"
 #include "util/timer.hpp"
 
 namespace ms::fem {
@@ -19,8 +18,6 @@ struct FemSolveOptions {
   std::string precond = "ssor";   ///< for cg: "none", "jacobi", "ssor"
   double rel_tol = 1e-7;
   idx_t max_iterations = 30000;
-  /// Direct-path factorization: ordering + supernodal/simplicial back end.
-  la::SparseCholesky::Options factor;
 };
 
 struct FemSolveStats {
@@ -35,7 +32,7 @@ struct FemSolveStats {
   double factor_seconds = 0.0;    ///< the one Cholesky factorization
   la::offset_t factor_nnz = 0;    ///< nnz(L), diagonal included
   double fill_ratio = 0.0;        ///< nnz(L) / nnz(tril(A))
-  std::string ordering;           ///< "amd" / "rcm" / "natural"
+  std::string ordering;           ///< fill-reducing ordering ("amd")
   [[nodiscard]] double total_seconds() const { return assemble_seconds + solve_seconds; }
   [[nodiscard]] std::size_t total_bytes() const { return matrix_bytes + solver_bytes; }
 };

@@ -10,7 +10,7 @@ IterativeResult conjugate_gradient(const std::function<void(const Vec&, Vec&)>& 
   const std::size_t n = b.size();
   IterativeResult result;
   result.rhs_norm = norm2(b);
-  const double target = std::max(options.rel_tol * result.rhs_norm, options.abs_tol);
+  const double target = options.rel_tol * result.rhs_norm;
 
   if (!options.use_initial_guess || x.size() != n) x.assign(n, 0.0);
 

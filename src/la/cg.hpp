@@ -12,7 +12,6 @@ namespace ms::la {
 
 struct IterativeOptions {
   double rel_tol = 1e-9;       ///< stop when |r| <= rel_tol * |b|
-  double abs_tol = 0.0;        ///< additional absolute floor on |r|
   idx_t max_iterations = 10000;
   bool use_initial_guess = false;  ///< if set, x is used as the starting point
 };

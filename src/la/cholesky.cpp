@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <stdexcept>
-
-#include "la/errors.hpp"
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -53,9 +50,7 @@ CholeskyMetrics& chol_metrics() {
 
 }  // namespace
 
-SparseCholesky::SparseCholesky(const CsrMatrix& a) : SparseCholesky(a, Options{}) {}
-
-SparseCholesky::SparseCholesky(const CsrMatrix& a, Options options) : options_(options) {
+SparseCholesky::SparseCholesky(const CsrMatrix& a, Options /*options*/) {
   if (a.rows() != a.cols()) throw std::invalid_argument("SparseCholesky: matrix must be square");
   CholeskyMetrics& metrics = chol_metrics();
   MS_TRACE_SCOPE("la.cholesky.factor");
@@ -64,121 +59,56 @@ SparseCholesky::SparseCholesky(const CsrMatrix& a, Options options) : options_(o
   {
     MS_TRACE_SCOPE("la.cholesky.ordering");
     obs::ScopedDuration timer(metrics.ordering_seconds);
-    switch (options_.ordering) {
-      case Ordering::kAmd: perm_ = amd_ordering(a); break;
-      case Ordering::kRcm: perm_ = reverse_cuthill_mckee(a); break;
-      case Ordering::kNatural: perm_ = Permutation::identity(n_); break;
-    }
+    perm_ = amd_ordering(a);
   }
-  // The natural ordering works on `a` directly; the others factor a
-  // permuted copy (kept only through construction, but owned by the memory
-  // ledger as part of the peak footprint).
+  // The numeric phase factors a permuted copy (kept only through
+  // construction, but owned by the memory ledger as part of the peak
+  // footprint).
   CsrMatrix permuted;
-  const CsrMatrix* pa_ptr = &a;
-  std::vector<idx_t> counts;
-  std::vector<idx_t> parent;
   {
     MS_TRACE_SCOPE("la.cholesky.symbolic");
     obs::ScopedDuration timer(metrics.symbolic_seconds);
-    if (options_.ordering != Ordering::kNatural) {
-      permuted = permute_symmetric(a, perm_);
-      pa_ptr = &permuted;
-    }
-    parent = elimination_tree(*pa_ptr);
-    if (options_.ordering != Ordering::kNatural) {
-      // Postorder the elimination tree so supernode columns land consecutively
-      // (fill-neutral relabeling). kNatural skips this: it promises the
-      // unpermuted matrix.
-      const std::vector<idx_t> post = etree_postorder(parent);
-      if (!is_identity_order(post)) {
-        Permutation p2;
-        p2.perm = post;
-        p2.inv_perm.assign(n_, 0);
-        for (idx_t i = 0; i < n_; ++i) p2.inv_perm[p2.perm[i]] = i;
-        perm_ = perm_.then(p2);
-        permuted = permute_symmetric(permuted, p2);  // == P2 (P A P^T) P2^T
-        // A postorder is etree-consistent (children numbered before parents),
-        // so the tree of the relabeled matrix is the relabeled tree — no
-        // second symbolic sweep needed.
-        std::vector<idx_t> relabeled(static_cast<std::size_t>(n_));
-        for (idx_t v = 0; v < n_; ++v) {
-          relabeled[p2.inv_perm[v]] = parent[v] == -1 ? -1 : p2.inv_perm[parent[v]];
-        }
-        parent = std::move(relabeled);
+    permuted = permute_symmetric(a, perm_);
+    std::vector<idx_t> parent = elimination_tree(permuted);
+    // Postorder the elimination tree so supernode columns land consecutively
+    // (fill-neutral relabeling).
+    const std::vector<idx_t> post = etree_postorder(parent);
+    if (!is_identity_order(post)) {
+      Permutation p2;
+      p2.perm = post;
+      p2.inv_perm.assign(n_, 0);
+      for (idx_t i = 0; i < n_; ++i) p2.inv_perm[p2.perm[i]] = i;
+      perm_ = perm_.then(p2);
+      permuted = permute_symmetric(permuted, p2);  // == P2 (P A P^T) P2^T
+      // A postorder is etree-consistent (children numbered before parents),
+      // so the tree of the relabeled matrix is the relabeled tree — no
+      // second symbolic sweep needed.
+      std::vector<idx_t> relabeled(static_cast<std::size_t>(n_));
+      for (idx_t v = 0; v < n_; ++v) {
+        relabeled[p2.inv_perm[v]] = parent[v] == -1 ? -1 : p2.inv_perm[parent[v]];
       }
+      parent = std::move(relabeled);
     }
-    const CsrMatrix& sym = *pa_ptr;
     matrix_lower_nnz_ = 0;
     for (idx_t r = 0; r < n_; ++r) {
-      const offset_t end = sym.row_ptr()[static_cast<std::size_t>(r) + 1];
-      for (offset_t p = sym.row_ptr()[r]; p < end; ++p) {
-        if (sym.col_idx()[p] <= r) ++matrix_lower_nnz_;
+      const offset_t end = permuted.row_ptr()[static_cast<std::size_t>(r) + 1];
+      for (offset_t p = permuted.row_ptr()[r]; p < end; ++p) {
+        if (permuted.col_idx()[p] <= r) ++matrix_lower_nnz_;
       }
     }
-    permuted_matrix_bytes_ = options_.ordering == Ordering::kNatural ? 0 : sym.memory_bytes();
-    counts = cholesky_column_counts(sym, parent);
-    if (options_.method == Method::kSupernodal) {
-      snf_ = analyze_supernodes(sym, parent, counts, options_.max_supernode_width,
-                                options_.relax_supernodes);
-    }
+    permuted_matrix_bytes_ = permuted.memory_bytes();
+    const std::vector<idx_t> counts = cholesky_column_counts(permuted, parent);
+    snf_ = analyze_supernodes(permuted, parent, counts, kMaxSupernodeWidth);
   }
-  const CsrMatrix& pa = *pa_ptr;
   {
     MS_TRACE_SCOPE("la.cholesky.numeric");
     obs::ScopedDuration timer(metrics.numeric_seconds);
-    if (options_.method == Method::kSupernodal) {
-      factorize_supernodal(pa, snf_, options_.parallel_numeric);
-    } else {
-      parent_ = std::move(parent);
-      lp_.assign(static_cast<std::size_t>(n_) + 1, 0);
-      for (idx_t j = 0; j < n_; ++j) lp_[static_cast<std::size_t>(j) + 1] = lp_[j] + counts[j];
-      li_.assign(static_cast<std::size_t>(lp_[n_]), 0);
-      lx_.assign(static_cast<std::size_t>(lp_[n_]), 0.0);
-      factorize(pa);
-    }
+    factorize_supernodal(permuted, snf_, /*parallel=*/true);
   }
   metrics.factorizations.add(1);
   metrics.factor_nnz.set(static_cast<double>(factor_nnz()));
   metrics.fill_ratio.set(fill_ratio());
   metrics.num_supernodes.set(static_cast<double>(num_supernodes()));
-}
-
-void SparseCholesky::factorize(const CsrMatrix& a) {
-  std::vector<offset_t> fill(lp_.begin(), lp_.end() - 1);  // next free slot per column
-  std::vector<idx_t> s(n_), mark(n_, -1);
-  Vec x(n_, 0.0);
-
-  for (idx_t k = 0; k < n_; ++k) {
-    // Scatter the lower part of (permuted) row k of A into x.
-    const idx_t top = ereach(a, k, parent_, s, mark, k);
-    double d = 0.0;
-    {
-      const offset_t end = a.row_ptr()[static_cast<std::size_t>(k) + 1];
-      for (offset_t p = a.row_ptr()[k]; p < end; ++p) {
-        const idx_t i = a.col_idx()[p];
-        if (i < k) {
-          x[i] = a.values()[p];
-        } else if (i == k) {
-          d = a.values()[p];
-        }
-      }
-    }
-    // Up-looking triangular solve over the pattern (topological order).
-    for (idx_t t = top; t < n_; ++t) {
-      const idx_t j = s[t];
-      const double lkj = x[j] / lx_[lp_[j]];  // divide by L(j,j)
-      x[j] = 0.0;
-      for (offset_t p = lp_[j] + 1; p < fill[j]; ++p) x[li_[p]] -= lx_[p] * lkj;
-      d -= lkj * lkj;
-      li_[fill[j]] = k;
-      lx_[fill[j]] = lkj;
-      ++fill[j];
-    }
-    if (d <= 0.0) throw NotPositiveDefiniteError();
-    li_[fill[k]] = k;
-    lx_[fill[k]] = std::sqrt(d);
-    ++fill[k];
-  }
 }
 
 void SparseCholesky::solve_with(const Vec& b, Vec& x, Vec& work) const {
@@ -222,40 +152,8 @@ void SparseCholesky::solve_multi_with(const double* b, double* x, idx_t nrhs, Ve
     double* yi = y + static_cast<std::size_t>(i) * nrhs;
     for (idx_t r = 0; r < nrhs; ++r) yi[r] = b[static_cast<std::size_t>(r) * n_ + src];
   }
-  if (options_.method == Method::kSupernodal) {
-    supernodal_forward_solve(snf_, y, nrhs);
-    supernodal_backward_solve(snf_, y, nrhs);
-  } else {
-    // Forward solve L y = Pb (L is CSC; first entry of column j is the
-    // diagonal). Per case the operation order matches the single-RHS path
-    // exactly, so batched and one-at-a-time solves agree bitwise.
-    for (idx_t j = 0; j < n_; ++j) {
-      const double d = lx_[lp_[j]];
-      double* yj = y + static_cast<std::size_t>(j) * nrhs;
-      for (idx_t r = 0; r < nrhs; ++r) yj[r] /= d;
-      const offset_t end = lp_[static_cast<std::size_t>(j) + 1];
-      for (offset_t p = lp_[j] + 1; p < end; ++p) {
-        const double l = lx_[p];
-        double* yi = y + static_cast<std::size_t>(li_[p]) * nrhs;
-        for (idx_t r = 0; r < nrhs; ++r) yi[r] -= l * yj[r];
-      }
-    }
-    // Backward solve L^T z = y, with local running sums per case so the
-    // column sweep is not serialized on a store-to-load chain through y[j].
-    std::vector<double> acc(static_cast<std::size_t>(nrhs));
-    for (idx_t j = n_ - 1; j >= 0; --j) {
-      double* yj = y + static_cast<std::size_t>(j) * nrhs;
-      for (idx_t r = 0; r < nrhs; ++r) acc[r] = yj[r];
-      const offset_t end = lp_[static_cast<std::size_t>(j) + 1];
-      for (offset_t p = lp_[j] + 1; p < end; ++p) {
-        const double l = lx_[p];
-        const double* yi = y + static_cast<std::size_t>(li_[p]) * nrhs;
-        for (idx_t r = 0; r < nrhs; ++r) acc[r] -= l * yi[r];
-      }
-      const double d = lx_[lp_[j]];
-      for (idx_t r = 0; r < nrhs; ++r) yj[r] = acc[r] / d;
-    }
-  }
+  supernodal_forward_solve(snf_, y, nrhs);
+  supernodal_backward_solve(snf_, y, nrhs);
   for (idx_t i = 0; i < n_; ++i) {
     const idx_t dst = perm_.perm[i];
     const double* yi = y + static_cast<std::size_t>(i) * nrhs;
@@ -269,53 +167,18 @@ Vec SparseCholesky::solve(const Vec& b) const {
   return x;
 }
 
-offset_t SparseCholesky::factor_nnz() const {
-  return options_.method == Method::kSupernodal ? snf_.factor_nnz()
-                                                : static_cast<offset_t>(lx_.size());
-}
-
 double SparseCholesky::fill_ratio() const {
   return matrix_lower_nnz_ > 0
              ? static_cast<double>(factor_nnz()) / static_cast<double>(matrix_lower_nnz_)
              : 1.0;
 }
 
-idx_t SparseCholesky::num_supernodes() const {
-  return options_.method == Method::kSupernodal ? snf_.num_supernodes : 0;
-}
-
-const char* SparseCholesky::ordering_name() const {
-  switch (options_.ordering) {
-    case Ordering::kAmd: return "amd";
-    case Ordering::kRcm: return "rcm";
-    case Ordering::kNatural: return "natural";
-  }
-  return "?";
-}
-
-const char* SparseCholesky::method_name() const {
-  return options_.method == Method::kSupernodal ? "supernodal" : "simplicial";
-}
-
 std::size_t SparseCholesky::memory_bytes() const {
-  std::size_t bytes = 2 * perm_.perm.size() * sizeof(idx_t) + permuted_matrix_bytes_;
-  if (options_.method == Method::kSupernodal) {
-    bytes += snf_.memory_bytes();
-  } else {
-    bytes += lx_.size() * sizeof(double) + li_.size() * sizeof(idx_t) +
-             lp_.size() * sizeof(offset_t) + parent_.size() * sizeof(idx_t);
-  }
-  return bytes;
+  return 2 * perm_.perm.size() * sizeof(idx_t) + permuted_matrix_bytes_ + snf_.memory_bytes();
 }
 
 void SparseCholesky::extract_factor(std::vector<offset_t>& col_ptr, std::vector<idx_t>& row_idx,
                                     std::vector<double>& values) const {
-  if (options_.method == Method::kSimplicial) {
-    col_ptr = lp_;
-    row_idx = li_;
-    values = lx_;
-    return;
-  }
   col_ptr.assign(static_cast<std::size_t>(n_) + 1, 0);
   for (idx_t s = 0; s < snf_.num_supernodes; ++s) {
     const idx_t c0 = snf_.super_start[s];

@@ -6,7 +6,7 @@
 // sides; the factorization — the dominant cost of every direct path — can
 // be built once and shared. FactorCache maps an opaque string key (composed
 // by the caller from everything that determines the lifted operator: mesh,
-// materials, mask, factor options, and the constrained-dof *set* — BC
+// materials, mask, and the constrained-dof *set* — BC
 // values excluded, see DESIGN.md) to a factorized operator plus, when the
 // caller needs right-hand-side lifting against the original matrix, the
 // unlifted operator it was built from.
@@ -32,8 +32,8 @@ struct FactorStats {
   double factor_seconds = 0.0;  ///< obtaining the factor: the build, or the cache lookup
   offset_t factor_nnz = 0;      ///< nnz(L), diagonal included
   double fill_ratio = 0.0;      ///< nnz(L) / nnz(tril(A))
-  idx_t num_supernodes = 0;     ///< 0 on the simplicial back end
-  std::string ordering;         ///< "amd" / "rcm" / "natural"
+  idx_t num_supernodes = 0;     ///< panels of the supernodal factor
+  std::string ordering;         ///< fill-reducing ordering ("amd")
   /// Factorizations this call ran: 1 on a build, 0 on a cache hit (and on
   /// iterative paths) — the batching invariant fatigue runs assert.
   int num_factorizations = 0;

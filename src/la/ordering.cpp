@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
-#include <cstdlib>
-#include <queue>
 
 namespace ms::la {
 
@@ -28,85 +26,6 @@ Permutation Permutation::then(const Permutation& second) const {
   for (idx_t i = 0; i < n; ++i) out.perm[i] = perm[second.perm[i]];
   for (idx_t i = 0; i < n; ++i) out.inv_perm[out.perm[i]] = i;
   return out;
-}
-
-namespace {
-
-/// BFS from `start`, returning the node visited last (approximates a
-/// peripheral node after a couple of sweeps).
-idx_t bfs_far_node(const CsrMatrix& a, idx_t start, std::vector<int>& mark, int stamp) {
-  std::queue<idx_t> q;
-  q.push(start);
-  mark[start] = stamp;
-  idx_t last = start;
-  while (!q.empty()) {
-    const idx_t u = q.front();
-    q.pop();
-    last = u;
-    const offset_t end = a.row_ptr()[static_cast<std::size_t>(u) + 1];
-    for (offset_t k = a.row_ptr()[u]; k < end; ++k) {
-      const idx_t v = a.col_idx()[k];
-      if (mark[v] != stamp) {
-        mark[v] = stamp;
-        q.push(v);
-      }
-    }
-  }
-  return last;
-}
-
-}  // namespace
-
-Permutation reverse_cuthill_mckee(const CsrMatrix& a) {
-  assert(a.rows() == a.cols());
-  const idx_t n = a.rows();
-  std::vector<idx_t> degree(n);
-  for (idx_t i = 0; i < n; ++i) {
-    degree[i] = static_cast<idx_t>(a.row_ptr()[static_cast<std::size_t>(i) + 1] - a.row_ptr()[i]);
-  }
-
-  std::vector<idx_t> order;
-  order.reserve(n);
-  std::vector<bool> visited(n, false);
-  std::vector<int> mark(n, -1);
-  int stamp = 0;
-
-  for (idx_t seed = 0; seed < n; ++seed) {
-    if (visited[seed]) continue;
-    // Pick a pseudo-peripheral start: two BFS sweeps from the component seed.
-    idx_t start = bfs_far_node(a, seed, mark, stamp++);
-    start = bfs_far_node(a, start, mark, stamp++);
-
-    // Cuthill-McKee BFS, neighbors in increasing-degree order.
-    std::queue<idx_t> q;
-    q.push(start);
-    visited[start] = true;
-    std::vector<idx_t> nbrs;
-    while (!q.empty()) {
-      const idx_t u = q.front();
-      q.pop();
-      order.push_back(u);
-      nbrs.clear();
-      const offset_t end = a.row_ptr()[static_cast<std::size_t>(u) + 1];
-      for (offset_t k = a.row_ptr()[u]; k < end; ++k) {
-        const idx_t v = a.col_idx()[k];
-        if (!visited[v]) {
-          visited[v] = true;
-          nbrs.push_back(v);
-        }
-      }
-      std::sort(nbrs.begin(), nbrs.end(),
-                [&](idx_t x, idx_t y) { return degree[x] < degree[y]; });
-      for (idx_t v : nbrs) q.push(v);
-    }
-  }
-  std::reverse(order.begin(), order.end());
-
-  Permutation p;
-  p.perm = std::move(order);
-  p.inv_perm.assign(n, 0);
-  for (idx_t i = 0; i < n; ++i) p.inv_perm[p.perm[i]] = i;
-  return p;
 }
 
 namespace {
@@ -496,17 +415,6 @@ Vec unpermute_vector(const Vec& x, const Permutation& p) {
   Vec y(x.size());
   for (idx_t i = 0; i < p.size(); ++i) y[p.perm[i]] = x[i];
   return y;
-}
-
-idx_t bandwidth(const CsrMatrix& a) {
-  idx_t bw = 0;
-  for (idx_t r = 0; r < a.rows(); ++r) {
-    const offset_t end = a.row_ptr()[static_cast<std::size_t>(r) + 1];
-    for (offset_t k = a.row_ptr()[r]; k < end; ++k) {
-      bw = std::max(bw, static_cast<idx_t>(std::abs(static_cast<long>(a.col_idx()[k]) - r)));
-    }
-  }
-  return bw;
 }
 
 }  // namespace ms::la

@@ -1,9 +1,7 @@
 #pragma once
-// Fill-reducing / bandwidth-reducing orderings for the sparse Cholesky
-// factorization. Reverse Cuthill-McKee keeps the band tight on chain-like
-// graphs; approximate minimum degree (the default for the direct solver)
-// produces far less fill on the 3D hex-mesh matrices this repository
-// assembles. Both are deterministic.
+// Fill-reducing ordering for the sparse Cholesky factorization: approximate
+// minimum degree, which produces far less fill than a bandwidth ordering on
+// the 3D hex-mesh matrices this repository assembles. Deterministic.
 
 #include <vector>
 
@@ -26,10 +24,6 @@ struct Permutation {
   [[nodiscard]] Permutation then(const Permutation& second) const;
 };
 
-/// Reverse Cuthill-McKee ordering of a structurally symmetric matrix.
-/// Components are seeded from minimum-degree pseudo-peripheral nodes.
-Permutation reverse_cuthill_mckee(const CsrMatrix& a);
-
 /// Approximate minimum degree ordering (Amestoy/Davis/Duff) of a
 /// structurally symmetric matrix: quotient-graph elimination with element
 /// absorption (aggressive), mass elimination, and indistinguishable-node
@@ -48,8 +42,5 @@ Vec permute_vector(const Vec& x, const Permutation& p);
 
 /// Inverse apply: out[perm[new]] = in[new].
 Vec unpermute_vector(const Vec& x, const Permutation& p);
-
-/// Bandwidth max |i - j| over stored entries (diagnostic for tests).
-idx_t bandwidth(const CsrMatrix& a);
 
 }  // namespace ms::la

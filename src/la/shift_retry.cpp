@@ -11,6 +11,9 @@
 namespace ms::la {
 namespace {
 
+constexpr double kInitialShiftScale = 1e-12;  // sigma_0 = scale * ||diag||_inf
+constexpr int kMaxShiftedAttempts = 8;        // after the clean attempt
+
 /// Overwrite the stored diagonal of `m` with base_diag[i] + shift. Returns
 /// false if some row stores no diagonal entry (can't shift in place).
 bool set_shifted_diagonal(CsrMatrix& m, const Vec& base_diag, double shift) {
@@ -33,31 +36,29 @@ bool set_shifted_diagonal(CsrMatrix& m, const Vec& base_diag, double shift) {
 
 }  // namespace
 
-ShiftRetryResult factor_with_shift_retry(const CsrMatrix& a, const SparseCholesky::Options& options,
-                                         const ShiftRetryOptions& retry, const char* stage) {
+ShiftRetryResult factor_with_shift_retry(const CsrMatrix& a, const char* stage) {
   ShiftRetryResult result;
   // The `spd` fault action simulates a pivot breakdown of the clean attempt,
   // driving the retry ladder without needing a genuinely indefinite operator.
-  bool inject_breakdown = util::FaultInjector::enabled() &&
-                          util::FaultInjector::global().consume(stage) == util::FaultAction::kSpd;
+  const bool inject_breakdown =
+      util::FaultInjector::enabled() &&
+      util::FaultInjector::global().consume(stage) == util::FaultAction::kSpd;
   if (!inject_breakdown) {
     try {
-      result.factor = std::make_shared<SparseCholesky>(a, options);
+      result.factor = std::make_shared<SparseCholesky>(a);
       return result;
     } catch (const NotPositiveDefiniteError&) {
-      if (!retry.enabled) throw;
+      // Fall through to the shifted ladder.
     }
-  } else if (!retry.enabled) {
-    throw NotPositiveDefiniteError(std::string("injected breakdown at ") + stage);
   }
 
   const Vec base_diag = a.diagonal();
   double diag_norm = norm_inf(base_diag);
-  double shift = retry.initial_scale * (diag_norm > 0.0 ? diag_norm : 1.0);
+  double shift = kInitialShiftScale * (diag_norm > 0.0 ? diag_norm : 1.0);
   CsrMatrix shifted = a;  // one copy, diagonal rewritten per attempt
 
   auto& retries = obs::MetricRegistry::global().counter("robustness.spd_shift_retries");
-  for (int attempt = 0; attempt < retry.max_attempts; ++attempt, shift *= 2.0) {
+  for (int attempt = 0; attempt < kMaxShiftedAttempts; ++attempt, shift *= 2.0) {
     ++result.attempts;
     retries.add(1);
     if (!set_shifted_diagonal(shifted, base_diag, shift)) {
@@ -65,13 +66,13 @@ ShiftRetryResult factor_with_shift_retry(const CsrMatrix& a, const SparseCholesk
                                      ": matrix stores no diagonal entry, cannot shift-retry");
     }
     try {
-      result.factor = std::make_shared<SparseCholesky>(shifted, options);
+      result.factor = std::make_shared<SparseCholesky>(shifted);
       result.shift = shift;
       MS_LOG_WARN("%s: factored with diagonal shift %.3e after %d attempts (degraded)", stage,
                   shift, result.attempts);
       return result;
     } catch (const NotPositiveDefiniteError&) {
-      if (attempt + 1 == retry.max_attempts) {
+      if (attempt + 1 == kMaxShiftedAttempts) {
         throw NotPositiveDefiniteError(std::string(stage) + ": still indefinite after " +
                                        std::to_string(result.attempts) +
                                        " attempts, final shift " + std::to_string(shift));

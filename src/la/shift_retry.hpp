@@ -3,8 +3,8 @@
 // non-positive pivot (ill-conditioned stiffness, bad material inputs), retry
 // with an escalating diagonal shift A + sigma*I:
 //
-//   sigma_0 = initial_scale * ||diag(A)||_inf    (1e-12 scale by default)
-//   sigma_{k+1} = 2 * sigma_k                    (up to max_attempts tries)
+//   sigma_0 = 1e-12 * ||diag(A)||_inf
+//   sigma_{k+1} = 2 * sigma_k                    (up to 8 shifted tries)
 //
 // A shifted factorization is a usable preconditioner-quality solve, not the
 // exact operator, so the result is flagged degraded() and the shift is
@@ -18,12 +18,6 @@
 
 namespace ms::la {
 
-struct ShiftRetryOptions {
-  bool enabled = true;         ///< false = plain factorization, no recovery
-  double initial_scale = 1e-12;  ///< sigma_0 = initial_scale * ||diag||_inf
-  int max_attempts = 8;        ///< shifted retries after the clean attempt
-};
-
 struct ShiftRetryResult {
   std::shared_ptr<SparseCholesky> factor;
   double shift = 0.0;  ///< final diagonal shift (0 = clean factorization)
@@ -34,7 +28,6 @@ struct ShiftRetryResult {
 /// Factor `a` (SPD expected), retrying with escalating diagonal shifts on
 /// pivot breakdown. `stage` names the call site for fault-injection probes
 /// and metrics. Throws NotPositiveDefiniteError if all attempts fail.
-ShiftRetryResult factor_with_shift_retry(const CsrMatrix& a, const SparseCholesky::Options& options,
-                                         const ShiftRetryOptions& retry, const char* stage);
+ShiftRetryResult factor_with_shift_retry(const CsrMatrix& a, const char* stage);
 
 }  // namespace ms::la

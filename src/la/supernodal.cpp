@@ -104,8 +104,7 @@ std::size_t SupernodalFactor::memory_bytes() const {
 }
 
 SupernodalFactor analyze_supernodes(const CsrMatrix& a, const std::vector<idx_t>& parent,
-                                    const std::vector<idx_t>& counts, idx_t max_width,
-                                    double relax_fill) {
+                                    const std::vector<idx_t>& counts, idx_t max_width) {
   const idx_t n = a.rows();
   if (max_width < 1) max_width = 1;
 
@@ -114,69 +113,12 @@ SupernodalFactor analyze_supernodes(const CsrMatrix& a, const std::vector<idx_t>
   f.col_super.assign(n, 0);
 
   // Fundamental supernodes (width-capped).
-  std::vector<idx_t> fund_start;
   for (idx_t j = 0; j < n; ++j) {
     const bool extend = j > 0 && parent[j - 1] == j && counts[j] == counts[j - 1] - 1 &&
-                        j - fund_start.back() < max_width;
-    if (!extend) fund_start.push_back(j);
+                        j - f.super_start.back() < max_width;
+    if (!extend) f.super_start.push_back(j);
   }
-  fund_start.push_back(n);
-  const idx_t num_fund = static_cast<idx_t>(fund_start.size()) - 1;
-
-  // Supernode layout after (optional) relaxed amalgamation. Per supernode:
-  // start column, pattern size m, and the leading column of its *last*
-  // fundamental member — the merged below-diagonal rows are exactly that
-  // member's below rows (every earlier member's pattern is contained in the
-  // later columns plus that row set, by the etree parent chain).
-  std::vector<idx_t> start_cols, pattern_lead;
-  std::vector<offset_t> pattern_m;
-  const auto trapezoid = [](offset_t m, offset_t w) { return m * w - w * (w - 1) / 2; };
-  if (relax_fill > 0.0 && num_fund > 1) {
-    idx_t cur_start = fund_start[0];
-    idx_t cur_lead = fund_start[0];
-    offset_t cur_m = counts[fund_start[0]];
-    offset_t cur_true = trapezoid(cur_m, fund_start[1] - fund_start[0]);
-    const auto flush = [&]() {
-      start_cols.push_back(cur_start);
-      pattern_lead.push_back(cur_lead);
-      pattern_m.push_back(cur_m);
-    };
-    for (idx_t fi = 1; fi < num_fund; ++fi) {
-      const idx_t c0 = fund_start[fi];
-      const idx_t c1 = fund_start[static_cast<std::size_t>(fi) + 1];
-      const offset_t m = counts[c0];
-      const offset_t trap = trapezoid(m, c1 - c0);
-      // Merge only an adjacent etree child/parent pair: the parent of the
-      // running group's last column must be this supernode's first column
-      // (pattern containment), the merged panel must respect the width cap,
-      // and the cumulative explicit zeros must stay under the relax cap.
-      if (parent[c0 - 1] == c0 && c1 - cur_start <= max_width) {
-        const offset_t new_m = (c0 - cur_start) + m;
-        const offset_t new_trap = trapezoid(new_m, c1 - cur_start);
-        const offset_t zeros = new_trap - cur_true - trap;
-        if (static_cast<double>(zeros) <= relax_fill * static_cast<double>(new_trap)) {
-          cur_lead = c0;
-          cur_m = new_m;
-          cur_true += trap;
-          continue;
-        }
-      }
-      flush();
-      cur_start = c0;
-      cur_lead = c0;
-      cur_m = m;
-      cur_true = trap;
-    }
-    flush();
-  } else {
-    start_cols.assign(fund_start.begin(), fund_start.end() - 1);
-    pattern_lead = start_cols;
-    pattern_m.reserve(start_cols.size());
-    for (idx_t c : start_cols) pattern_m.push_back(counts[c]);
-  }
-
-  f.num_supernodes = static_cast<idx_t>(start_cols.size());
-  f.super_start = std::move(start_cols);
+  f.num_supernodes = static_cast<idx_t>(f.super_start.size());
   f.super_start.push_back(n);
   for (idx_t s = 0; s < f.num_supernodes; ++s) {
     for (idx_t j = f.super_start[s]; j < f.super_start[static_cast<std::size_t>(s) + 1]; ++j) {
@@ -184,12 +126,12 @@ SupernodalFactor analyze_supernodes(const CsrMatrix& a, const std::vector<idx_t>
     }
   }
 
-  // Pattern sizes: every column of a supernode shares the merged pattern of
-  // size pattern_m[s] (== counts[first column] when no amalgamation ran).
+  // Pattern sizes: every column of a supernode shares its first column's
+  // pattern of counts[first column] rows.
   f.row_start.assign(static_cast<std::size_t>(f.num_supernodes) + 1, 0);
   f.val_start.assign(static_cast<std::size_t>(f.num_supernodes) + 1, 0);
   for (idx_t s = 0; s < f.num_supernodes; ++s) {
-    const offset_t m = pattern_m[s];
+    const offset_t m = counts[f.super_start[s]];
     const offset_t w = f.super_start[static_cast<std::size_t>(s) + 1] - f.super_start[s];
     f.row_start[static_cast<std::size_t>(s) + 1] = f.row_start[s] + m;
     f.val_start[static_cast<std::size_t>(s) + 1] = f.val_start[s] + m * w;
@@ -199,8 +141,7 @@ SupernodalFactor analyze_supernodes(const CsrMatrix& a, const std::vector<idx_t>
 
   // Fill patterns: own columns first, then the below rows in ascending order
   // via the row sweep (k ascending appends ascending rows). Row k belongs to
-  // supernode s's pattern iff L(k, lead) != 0 for the pattern-defining lead
-  // column (the first column of the last fundamental member), i.e. the lead
+  // supernode s's pattern iff L(k, first column of s) != 0, i.e. that column
   // shows up in ereach(k).
   std::vector<offset_t> fill(f.num_supernodes);
   std::vector<idx_t> lead_super(n, -1);
@@ -210,7 +151,7 @@ SupernodalFactor analyze_supernodes(const CsrMatrix& a, const std::vector<idx_t>
     offset_t pos = f.row_start[s];
     for (idx_t j = c0; j < c1; ++j) f.rows[pos++] = j;
     fill[s] = pos;
-    lead_super[pattern_lead[s]] = s;
+    lead_super[c0] = s;
   }
   std::vector<idx_t> stack(n), mark(n, -1);
   for (idx_t k = 0; k < n; ++k) {
@@ -222,11 +163,9 @@ SupernodalFactor analyze_supernodes(const CsrMatrix& a, const std::vector<idx_t>
       }
     }
   }
-#ifndef NDEBUG
   for (idx_t s = 0; s < f.num_supernodes; ++s) {
     assert(fill[s] == f.row_start[static_cast<std::size_t>(s) + 1]);
   }
-#endif
   return f;
 }
 

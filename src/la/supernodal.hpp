@@ -25,8 +25,8 @@ std::vector<idx_t> elimination_tree(const CsrMatrix& a);
 /// Pattern of row k of L: nodes on etree paths from the below-diagonal
 /// entries of (permuted) row k up to k. Returns the entries in s[top..n-1]
 /// in topological order; `mark` is an n-sized stamp array (callers pass a
-/// fresh `stamp` per row instead of clearing it). Shared by the simplicial
-/// numeric phase and the supernodal symbolic phase.
+/// fresh `stamp` per row instead of clearing it). Drives the column counts
+/// and the supernodal symbolic phase.
 idx_t ereach(const CsrMatrix& a, idx_t k, const std::vector<idx_t>& parent, std::vector<idx_t>& s,
              std::vector<idx_t>& mark, idx_t stamp);
 
@@ -68,22 +68,8 @@ struct SupernodalFactor {
 /// columns so panels stay register-tile friendly) and collect each
 /// supernode's row pattern. Panels are allocated zeroed, ready for the
 /// numeric phase.
-///
-/// `relax_fill` > 0 additionally runs relaxed amalgamation: an adjacent
-/// child/parent pair of supernodes (the etree parent of the child's last
-/// column is the parent's first column) merges into one wider panel when the
-/// explicit zeros this introduces stay within relax_fill of the merged
-/// trapezoid. The merged pattern is the union — the child's own columns plus
-/// the parent's rows, a superset of every member column's true pattern — so
-/// the padded entries are *exact* zeros through the numeric phase (every
-/// eliminated term is structurally zero) and the factor values are unchanged;
-/// only the storage (factor_nnz counts the padded trapezoids) and the panel
-/// shapes differ. Near-identical column structure, abundant in AMD-ordered
-/// FEM matrices just below the fundamental-supernode threshold, then factors
-/// as wider rank-k panels.
 SupernodalFactor analyze_supernodes(const CsrMatrix& a, const std::vector<idx_t>& parent,
-                                    const std::vector<idx_t>& counts, idx_t max_width,
-                                    double relax_fill = 0.0);
+                                    const std::vector<idx_t>& counts, idx_t max_width);
 
 /// Numeric phase: left-looking supernodal factorization of the (permuted)
 /// matrix whose symbolic analysis produced `f`. Descendant updates are dense
@@ -96,13 +82,14 @@ SupernodalFactor analyze_supernodes(const CsrMatrix& a, const std::vector<idx_t>
 /// is a contiguous, descendant-closed supernode range, so its supernodes see
 /// only updates that originate inside the range — then the remaining "top"
 /// supernodes factor serially, consuming the updates the subtrees deferred
-/// in subtree-index order. `parallel` runs phase one under OpenMP; because
-/// the partition and every per-panel floating-point order are fixed by the
+/// in subtree-index order. `parallel` runs phase one under OpenMP
+/// (SparseCholesky always sets it; only tests factor serially); because the
+/// partition and every per-panel floating-point order are fixed by the
 /// matrix alone, the factor is bitwise identical with the flag on or off and
 /// for any thread count. When the column order is not etree-postordered the
 /// subtree ranges can fail closure; the partition is then discarded and the
 /// whole factorization runs as the serial top phase.
-void factorize_supernodal(const CsrMatrix& a, SupernodalFactor& f, bool parallel = false);
+void factorize_supernodal(const CsrMatrix& a, SupernodalFactor& f, bool parallel);
 
 /// Triangular solves over a multi-RHS block in *row-major* layout:
 /// x[i * nrhs + r] is dof i of case r. The layout keeps the right-hand sides

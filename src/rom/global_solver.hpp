@@ -10,7 +10,6 @@
 #include "core/cancel.hpp"
 #include "la/cholesky.hpp"
 #include "la/factor_cache.hpp"
-#include "la/shift_retry.hpp"
 #include "rom/global_assembler.hpp"
 
 namespace ms::rom {
@@ -20,7 +19,9 @@ struct GlobalSolveOptions {
   std::string precond = "jacobi"; ///< for the iterative paths
   double rel_tol = 1e-9;
   idx_t max_iterations = 20000;
-  /// Direct-path factorization: ordering + supernodal/simplicial back end.
+  /// Empty (SparseCholesky has one configuration); kept only because the
+  /// benchmark of record (perfbench/src/replay.cpp) passes it to
+  /// SparseCholesky's two-argument constructor.
   la::SparseCholesky::Options factor;
   /// Cross-call factorization memoization (direct path only; iterative
   /// paths ignore it). When `factor_cache` is set and `factor_key` is
@@ -34,9 +35,6 @@ struct GlobalSolveOptions {
   /// returned solutions are bit-identical to the uncached path.
   la::FactorCache* factor_cache = nullptr;
   std::string factor_key;
-  /// SPD breakdown recovery for the direct paths (see la/shift_retry.hpp).
-  /// A rescued factorization marks the stats degraded and records the shift.
-  la::ShiftRetryOptions shift_retry;
   /// Cooperative cancellation/deadline token, checked at the factorization
   /// boundary (inert by default — no cost for non-sweep callers).
   core::CancelToken cancel;
@@ -57,6 +55,10 @@ struct GlobalSolveStats : la::FactorStats {
 };
 
 /// Apply `bc` by lifting, then solve. Returns the nodal displacement vector.
+/// The direct path recovers an SPD breakdown with the diagonal shift-retry
+/// ladder (la/shift_retry.hpp; the stats record the shift as degraded). A
+/// CG solve that breaks down or stops at max_iterations throws
+/// SimError(kDidNotConverge).
 Vec solve_global(GlobalProblem& problem, const DirichletBc& bc,
                  const GlobalSolveOptions& options = {}, GlobalSolveStats* stats = nullptr);
 

@@ -23,6 +23,10 @@ using fem::kVoigt;
 using la::CsrMatrix;
 using la::SparseCholesky;
 
+/// Basis right-hand sides per multi-RHS panel solve: the widest fixed-width
+/// kernel of the supernodal triangular solves.
+constexpr idx_t kPanelWidth = 8;
+
 /// Node-level interpolation weights: W(b, m) = L3D(position of boundary mesh
 /// node b; surface node m). Stored dense — both dimensions are small.
 DenseMatrix boundary_weights(const mesh::HexMesh& mesh, const std::vector<idx_t>& bnodes,
@@ -82,16 +86,15 @@ RomModel run_local_stage(const mesh::TsvGeometry& geometry, const mesh::BlockMes
   assemble_span.end();
 
   // One factorization, n+1 solves (paper Sec. 4.2). The right-hand sides are
-  // batched into column panels and solved through solve_multi_with, so the factor
-  // streams through the cache once per panel instead of once per solve;
-  // panels only share the immutable factor, so they parallelize
-  // embarrassingly with per-thread workspaces.
-  const SparseCholesky chol(a_ff, options.factor);
+  // batched into column panels of kPanelWidth and solved through
+  // solve_multi_with, so the factor streams through the cache once per panel
+  // instead of once per solve; panels only share the immutable factor, so
+  // they parallelize embarrassingly with per-thread workspaces.
+  const SparseCholesky chol(a_ff);
 
   // Basis fields F = [f_0 ... f_{n-1}, f_T] as full fine-mesh vectors.
   const idx_t total_rhs = n + 1;  // interpolation bases + the thermal basis
-  const idx_t panel_width = std::max(1, options.rhs_panel);
-  const idx_t num_panels = (total_rhs + panel_width - 1) / panel_width;
+  const idx_t num_panels = (total_rhs + kPanelWidth - 1) / kPanelWidth;
   obs::MetricRegistry::global().counter("rom.local.panels").add(num_panels);
   std::vector<Vec> basis(static_cast<std::size_t>(total_rhs));
 #ifdef _OPENMP
@@ -99,15 +102,15 @@ RomModel run_local_stage(const mesh::TsvGeometry& geometry, const mesh::BlockMes
 #endif
   {
     Vec u_bc(part.num_bc), rhs_f(part.num_free);
-    Vec rhs_panel, bc_panel, x_panel, chol_work;
+    Vec rhs_block, bc_panel, x_panel, chol_work;
 #ifdef _OPENMP
 #pragma omp for schedule(dynamic)
 #endif
     for (idx_t panel = 0; panel < num_panels; ++panel) {
       MS_TRACE_SCOPE("rom.local.panel_solve");
-      const idx_t i0 = panel * panel_width;
-      const idx_t cols = std::min(panel_width, total_rhs - i0);
-      rhs_panel.assign(static_cast<std::size_t>(part.num_free) * cols, 0.0);
+      const idx_t i0 = panel * kPanelWidth;
+      const idx_t cols = std::min(kPanelWidth, total_rhs - i0);
+      rhs_block.assign(static_cast<std::size_t>(part.num_free) * cols, 0.0);
       bc_panel.assign(static_cast<std::size_t>(part.num_bc) * cols, 0.0);
       for (idx_t col = 0; col < cols; ++col) {
         const idx_t i = i0 + col;
@@ -133,10 +136,10 @@ RomModel run_local_stage(const mesh::TsvGeometry& geometry, const mesh::BlockMes
           }
         }
         std::copy(rhs_f.begin(), rhs_f.end(),
-                  rhs_panel.begin() + static_cast<std::size_t>(col) * part.num_free);
+                  rhs_block.begin() + static_cast<std::size_t>(col) * part.num_free);
       }
       x_panel.resize(static_cast<std::size_t>(part.num_free) * cols);
-      chol.solve_multi_with(rhs_panel.data(), x_panel.data(), cols, chol_work);
+      chol.solve_multi_with(rhs_block.data(), x_panel.data(), cols, chol_work);
       for (idx_t col = 0; col < cols; ++col) {
         const idx_t i = i0 + col;
         const double* alpha_f = x_panel.data() + static_cast<std::size_t>(col) * part.num_free;
@@ -291,18 +294,13 @@ std::uint64_t local_stage_fingerprint(const mesh::TsvGeometry& geometry,
     h = fnv1a_value(v, h);
   }
   for (int v : {spec.elems_xy, spec.elems_z, options.nodes_x, options.nodes_y, options.nodes_z,
-                options.samples_per_block, options.rhs_panel}) {
+                options.samples_per_block}) {
     h = fnv1a_value(v, h);
   }
-  for (bool v : {options.sample_displacements, options.uncorrected_eq19_load,
-                 options.factor.parallel_numeric}) {
+  for (bool v : {options.sample_displacements, options.uncorrected_eq19_load}) {
     h = fnv1a_value(v, h);
   }
   h = fnv1a_value(kind, h);
-  h = fnv1a_value(options.factor.ordering, h);
-  h = fnv1a_value(options.factor.method, h);
-  h = fnv1a_value(options.factor.max_supernode_width, h);
-  h = fnv1a_value(options.factor.relax_supernodes, h);
   h = fnv1a_value(materials.size(), h);
   for (std::size_t id = 0; id < materials.size(); ++id) {
     const fem::Material& m = materials.at(static_cast<mesh::MaterialId>(id));

@@ -18,7 +18,6 @@
 #include <cstdint>
 
 #include "fem/material.hpp"
-#include "la/cholesky.hpp"
 #include "rom/rom_model.hpp"
 
 namespace ms::rom {
@@ -29,13 +28,6 @@ struct LocalStageOptions {
   int nodes_z = 4;
   int samples_per_block = 100;      ///< s: mid-plane sample grid is s x s
   bool sample_displacements = true; ///< also store per-basis displacements
-  /// Direct-solver configuration of the one A_ff factorization (ordering +
-  /// supernodal/simplicial back end).
-  la::SparseCholesky::Options factor;
-  /// The n+1 basis right-hand sides are solved in column panels of this
-  /// width through SparseCholesky::solve_multi_with, so the factor is streamed
-  /// once per panel instead of once per solve.
-  int rhs_panel = 8;
   /// Verification switch: use the element load exactly as printed in the
   /// paper's Eq. 19 (b_i = f_i^T b_local) instead of the explicitly
   /// reaction-corrected form b_i = f_i^T (b_local - A_local f_T). The two are
@@ -53,8 +45,8 @@ RomModel run_local_stage(const mesh::TsvGeometry& geometry, const mesh::BlockMes
 
 /// Exact hash of every run_local_stage input (each field's bits, every
 /// material's every field, all of `options`): the key a cached model is
-/// stored and found under. A field added to any of these inputs must be
-/// folded in here too.
+/// stored and found under, and the stamp a saved model file carries. A
+/// field added to any of these inputs must be folded in here too.
 std::uint64_t local_stage_fingerprint(const mesh::TsvGeometry& geometry,
                                       const mesh::BlockMeshSpec& spec,
                                       const fem::MaterialTable& materials, BlockKind kind,

@@ -8,7 +8,7 @@
 namespace ms::rom {
 namespace {
 
-constexpr char kMagic[8] = {'M', 'S', 'R', 'O', 'M', '0', '0', '3'};
+constexpr char kMagic[8] = {'M', 'S', 'R', 'O', 'M', '0', '0', '4'};
 
 struct FileCloser {
   void operator()(std::FILE* f) const {
@@ -97,10 +97,11 @@ bool RomModel::compatible_with(const RomModel& other) const {
          mesh_spec.elems_z == other.mesh_spec.elems_z;
 }
 
-void RomModel::save(const std::string& path) const {
+void RomModel::save(const std::string& path, std::uint64_t fingerprint) const {
   FilePtr f(std::fopen(path.c_str(), "wb"));
   if (f == nullptr) throw std::runtime_error("RomModel::save: cannot open " + path);
   write_bytes(f.get(), kMagic, sizeof(kMagic));
+  write_pod<std::uint64_t>(f.get(), fingerprint);
   write_pod<std::uint8_t>(f.get(), static_cast<std::uint8_t>(kind));
   write_pod<double>(f.get(), geometry.pitch);
   write_pod<double>(f.get(), geometry.diameter);
@@ -121,13 +122,16 @@ void RomModel::save(const std::string& path) const {
   write_matrix(f.get(), bump_shear_samples);
 }
 
-RomModel RomModel::load(const std::string& path) {
+RomModel RomModel::load(const std::string& path, std::uint64_t fingerprint) {
   FilePtr f(std::fopen(path.c_str(), "rb"));
   if (f == nullptr) throw std::runtime_error("RomModel::load: cannot open " + path);
   char magic[sizeof(kMagic)];
   read_bytes(f.get(), magic, sizeof(magic));
   if (std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
     throw std::runtime_error("RomModel::load: bad magic in " + path);
+  }
+  if (read_pod<std::uint64_t>(f.get()) != fingerprint) {
+    throw std::runtime_error("RomModel::load: " + path + " was built for other inputs");
   }
   RomModel m;
   m.kind = static_cast<BlockKind>(read_pod<std::uint8_t>(f.get()));

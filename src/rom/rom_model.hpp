@@ -66,10 +66,12 @@ struct RomModel {
   /// Resident bytes of the dense payloads (for the memory ledger).
   [[nodiscard]] std::size_t memory_bytes() const;
 
-  /// Binary (de)serialization; throws std::runtime_error on I/O failure or
-  /// format mismatch. Enables "perform the local stage once, reuse forever".
-  void save(const std::string& path) const;
-  static RomModel load(const std::string& path);
+  /// Binary (de)serialization; enables "perform the local stage once, reuse
+  /// forever". The header stamps the local_stage_fingerprint of the inputs
+  /// the model was built from, and load throws std::runtime_error on I/O
+  /// failure, a format mismatch, or a file stamped for other inputs.
+  void save(const std::string& path, std::uint64_t fingerprint) const;
+  static RomModel load(const std::string& path, std::uint64_t fingerprint);
 
   /// Two models are compatible for hybrid assembly (TSV + dummy in one
   /// array) when geometry, mesh spec, and node counts agree.

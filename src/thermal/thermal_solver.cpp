@@ -81,8 +81,8 @@ TemperatureField solve_power_map(const mesh::HexMesh& mesh, const ConductivityFi
   Vec rhs;
   fem::DirichletBc bc;
   CsrMatrix k;
-  const fem::FactorSource source{options.factor, options.shift_retry, options.factor_cache,
-                                 options.factor_key, options.cancel, "thermal.steady"};
+  const fem::FactorSource source{options.factor_cache, options.factor_key, options.cancel,
+                                 "thermal.steady"};
   // On a resident cache hit the operator never needs assembling — only the
   // load vector and the constrained-dof set (the cached entry keeps the
   // unlifted matrix for the rhs lifting).
@@ -290,8 +290,7 @@ TransientTemperatureResult solve_power_trace(const mesh::HexMesh& mesh,
   // The stepping operator's factorization is shareable across traces: the
   // assembly above is cheap and the correction term is already taken, so
   // only the factor itself is memoized (Entry.matrix stays null).
-  const fem::FactorSource source{options.base.factor, options.base.shift_retry,
-                                 options.base.factor_cache, options.base.factor_key,
+  const fem::FactorSource source{options.base.factor_cache, options.base.factor_key,
                                  options.base.cancel, "thermal.transient"};
   const std::shared_ptr<const la::SparseCholesky> factor =
       fem::fetch_factor(a, bc, source, /*keep_unlifted=*/false, local).factor;

@@ -16,9 +16,7 @@
 
 #include "core/cancel.hpp"
 #include "fem/material.hpp"
-#include "la/cholesky.hpp"
 #include "la/factor_cache.hpp"
-#include "la/shift_retry.hpp"
 #include "mesh/tsv_block.hpp"
 #include "thermal/conduction_assembler.hpp"
 #include "thermal/power_map.hpp"
@@ -35,9 +33,6 @@ struct ThermalSolveOptions {
   /// Film coefficient of the z-min sink [W/(m^2 K)]; 0 means an ideal sink
   /// (Dirichlet T = ambient on the whole z-min face).
   double sink_film_coefficient = 0.0;
-  /// Direct-path (and transient θ-stepper) factorization: ordering +
-  /// supernodal/simplicial back end.
-  la::SparseCholesky::Options factor;
   /// Cross-call factorization memoization (direct path and θ-stepper only;
   /// cg ignores it). When `factor_cache` is set and `factor_key` non-empty,
   /// the factorization is shared under the key. The key must determine the
@@ -47,8 +42,6 @@ struct ThermalSolveOptions {
   /// callers sharing a key. Results are bit-identical warm or cold.
   la::FactorCache* factor_cache = nullptr;
   std::string factor_key;
-  /// SPD breakdown recovery for the factorizing paths (see la/shift_retry.hpp).
-  la::ShiftRetryOptions shift_retry;
   /// Cooperative cancellation/deadline token, checked at the factorization
   /// boundary and at every transient trace step (inert by default).
   core::CancelToken cancel;

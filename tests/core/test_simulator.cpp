@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include <filesystem>
+#include <vector>
 
 #include "core/report.hpp"
 #include "sweep/scenario_result.hpp"
@@ -101,6 +102,49 @@ TEST(Simulator, SharedCacheDirServesOnlyModelsBuiltForTheSameInputs) {
     EXPECT_EQ(from_dir.von_mises, no_cache.von_mises);
     EXPECT_EQ(from_dir.solution, no_cache.solution);
   }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(Simulator, ModelFileCopiedUnderAnotherConfigsNameIsRebuilt) {
+  // A model file is stamped with the fingerprint of the inputs it was built
+  // for, so a file that lands under another config's name (copied, or
+  // written by a different build) is rebuilt instead of served.
+  const auto base_dir = std::filesystem::temp_directory_path() / "ms_rom_copy_base";
+  const auto dir = std::filesystem::temp_directory_path() / "ms_rom_copy_test";
+  std::filesystem::remove_all(base_dir);
+  std::filesystem::remove_all(dir);
+  const SimulationConfig base = small_config();
+  fem::Material stiffer_copper = fem::copper();
+  stiffer_copper.youngs_modulus *= 1.2;
+  SimulationConfig copper = base;
+  copper.materials = fem::MaterialTable(
+      {fem::silicon(), stiffer_copper, fem::sio2_liner(), fem::organic_substrate()});
+  const auto only_file = [](const std::filesystem::path& d) {
+    std::vector<std::filesystem::path> files;
+    for (const auto& entry : std::filesystem::directory_iterator(d)) files.push_back(entry.path());
+    EXPECT_EQ(files.size(), 1u);
+    return files.front();
+  };
+  {
+    MoreStressSimulator seed(base);
+    seed.set_cache_directory(base_dir.string());
+    (void)seed.tsv_model();
+    MoreStressSimulator named(copper);
+    named.set_cache_directory(dir.string());
+    (void)named.tsv_model();
+  }
+  // Overwrite the copper config's file with the base config's model.
+  std::filesystem::copy_file(only_file(base_dir), only_file(dir),
+                             std::filesystem::copy_options::overwrite_existing);
+
+  MoreStressSimulator cached(copper);
+  cached.set_cache_directory(dir.string());
+  MoreStressSimulator fresh(copper);
+  const ArrayResult from_dir = *cached.simulate(specs::array_spec(2, 2)).array;
+  const ArrayResult no_cache = *fresh.simulate(specs::array_spec(2, 2)).array;
+  EXPECT_EQ(from_dir.von_mises, no_cache.von_mises);
+  EXPECT_EQ(from_dir.solution, no_cache.solution);
+  std::filesystem::remove_all(base_dir);
   std::filesystem::remove_all(dir);
 }
 

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <utility>
 
+#include "la/cholesky_oracles.hpp"
 #include "la/dense.hpp"
 
 namespace ms::la {
@@ -30,14 +33,6 @@ Vec smooth_rhs(idx_t n) {
   Vec b(n);
   for (idx_t i = 0; i < n; ++i) b[i] = std::sin(0.1 * i) + 0.3 * std::cos(0.05 * i);
   return b;
-}
-
-SparseCholesky::Options make_options(SparseCholesky::Ordering ordering,
-                                     SparseCholesky::Method method) {
-  SparseCholesky::Options o;
-  o.ordering = ordering;
-  o.method = method;
-  return o;
 }
 
 class CholeskyGridSizes : public ::testing::TestWithParam<int> {};
@@ -68,57 +63,53 @@ TEST(SparseCholesky, MatchesDenseCholesky) {
 }
 
 TEST(SparseCholesky, AllOrderingsAndMethodsAgree) {
+  // The supernodal AMD solve against the simplicial oracle under AMD, RCM
+  // and the natural ordering: every ordering factors the same operator.
   const CsrMatrix a = laplacian_2d(7);
   const Vec b = smooth_rhs(a.rows());
-  const Vec reference = SparseCholesky(a).solve(b);
-  for (const auto ordering : {SparseCholesky::Ordering::kAmd, SparseCholesky::Ordering::kRcm,
-                              SparseCholesky::Ordering::kNatural}) {
-    for (const auto method :
-         {SparseCholesky::Method::kSupernodal, SparseCholesky::Method::kSimplicial}) {
-      const SparseCholesky chol(a, make_options(ordering, method));
-      EXPECT_LT(max_abs_diff(chol.solve(b), reference), 1e-11)
-          << chol.ordering_name() << "/" << chol.method_name();
-    }
+  const SparseCholesky chol(a);
+  const Vec x = chol.solve(b);
+  const std::pair<const char*, Permutation> orderings[] = {
+      {"amd", chol.permutation()},
+      {"rcm", oracle::reverse_cuthill_mckee(a)},
+      {"natural", Permutation::identity(a.rows())}};
+  for (const auto& [name, p] : orderings) {
+    const oracle::SimplicialFactor si = oracle::simplicial_cholesky(a, p);
+    EXPECT_LT(max_abs_diff(oracle::simplicial_solve(si, b), x), 1e-11) << name;
   }
 }
 
 TEST(SparseCholesky, AmdReducesFillBelowRcm) {
   // On a 2-D grid AMD must not lose to RCM; the decisive 3-D case is covered
-  // in test_ordering / test_supernodal with FEM matrices.
+  // in test_ordering with mesh matrices.
   const CsrMatrix a = laplacian_2d(15);
-  const SparseCholesky amd(a, make_options(SparseCholesky::Ordering::kAmd,
-                                           SparseCholesky::Method::kSimplicial));
-  const SparseCholesky rcm(a, make_options(SparseCholesky::Ordering::kRcm,
-                                           SparseCholesky::Method::kSimplicial));
-  EXPECT_LE(amd.factor_nnz(), rcm.factor_nnz());
+  const SparseCholesky amd(a);
+  const oracle::SimplicialFactor rcm =
+      oracle::simplicial_cholesky(a, oracle::reverse_cuthill_mckee(a));
+  EXPECT_LE(amd.factor_nnz(), rcm.nnz());
   EXPECT_GT(amd.factor_nnz(), a.nnz() / 2);  // sanity: factor holds the matrix
   EXPECT_GT(amd.fill_ratio(), 1.0);
   EXPECT_EQ(std::string(amd.ordering_name()), "amd");
-  EXPECT_EQ(std::string(rcm.ordering_name()), "rcm");
 }
 
 TEST(SparseCholesky, SupernodalAndSimplicialFactorsMatch) {
   const CsrMatrix a = laplacian_2d(12);
-  const SparseCholesky sn(a, make_options(SparseCholesky::Ordering::kAmd,
-                                          SparseCholesky::Method::kSupernodal));
-  const SparseCholesky si(a, make_options(SparseCholesky::Ordering::kAmd,
-                                          SparseCholesky::Method::kSimplicial));
-  ASSERT_EQ(sn.factor_nnz(), si.factor_nnz());
+  const SparseCholesky sn(a);
+  const oracle::SimplicialFactor si = oracle::simplicial_cholesky(a, sn.permutation());
+  ASSERT_EQ(sn.factor_nnz(), si.nnz());
   EXPECT_GT(sn.num_supernodes(), 0);
   EXPECT_LT(sn.num_supernodes(), sn.order());  // panels really group columns
-  EXPECT_EQ(si.num_supernodes(), 0);
 
-  std::vector<offset_t> cp_sn, cp_si;
-  std::vector<idx_t> ri_sn, ri_si;
-  std::vector<double> v_sn, v_si;
+  std::vector<offset_t> cp_sn;
+  std::vector<idx_t> ri_sn;
+  std::vector<double> v_sn;
   sn.extract_factor(cp_sn, ri_sn, v_sn);
-  si.extract_factor(cp_si, ri_si, v_si);
-  ASSERT_EQ(cp_sn, cp_si);
-  ASSERT_EQ(ri_sn, ri_si);
+  ASSERT_EQ(cp_sn, si.col_ptr);
+  ASSERT_EQ(ri_sn, si.row_idx);
   double max_l = 0.0, max_diff = 0.0;
-  for (std::size_t k = 0; k < v_si.size(); ++k) {
-    max_l = std::max(max_l, std::abs(v_si[k]));
-    max_diff = std::max(max_diff, std::abs(v_sn[k] - v_si[k]));
+  for (std::size_t k = 0; k < si.values.size(); ++k) {
+    max_l = std::max(max_l, std::abs(si.values[k]));
+    max_diff = std::max(max_diff, std::abs(v_sn[k] - si.values[k]));
   }
   EXPECT_LT(max_diff / max_l, 1e-12);
 }
@@ -133,20 +124,16 @@ TEST(SparseCholesky, SolveMultiMatchesColumnwiseSolvesBitwise) {
       panel[static_cast<std::size_t>(r) * n + i] = std::cos(0.07 * i + r);
     }
   }
-  for (const auto method :
-       {SparseCholesky::Method::kSupernodal, SparseCholesky::Method::kSimplicial}) {
-    const SparseCholesky chol(a, make_options(SparseCholesky::Ordering::kAmd, method));
-    Vec x_panel(panel.size()), work;
-    chol.solve_multi_with(panel.data(), x_panel.data(), nrhs, work);
-    for (idx_t r = 0; r < nrhs; ++r) {
-      const Vec b(panel.begin() + static_cast<std::size_t>(r) * n,
-                  panel.begin() + static_cast<std::size_t>(r + 1) * n);
-      Vec x;
-      chol.solve_with(b, x, work);
-      for (idx_t i = 0; i < n; ++i) {
-        ASSERT_EQ(x_panel[static_cast<std::size_t>(r) * n + i], x[i])
-            << chol.method_name() << " rhs " << r << " dof " << i;
-      }
+  const SparseCholesky chol(a);
+  Vec x_panel(panel.size()), work;
+  chol.solve_multi_with(panel.data(), x_panel.data(), nrhs, work);
+  for (idx_t r = 0; r < nrhs; ++r) {
+    const Vec b(panel.begin() + static_cast<std::size_t>(r) * n,
+                panel.begin() + static_cast<std::size_t>(r + 1) * n);
+    Vec x;
+    chol.solve_with(b, x, work);
+    for (idx_t i = 0; i < n; ++i) {
+      ASSERT_EQ(x_panel[static_cast<std::size_t>(r) * n + i], x[i]) << "rhs " << r << " dof " << i;
     }
   }
 }
@@ -156,13 +143,10 @@ TEST(SparseCholesky, RejectsIndefinite) {
   t.add(0, 0, 1.0);
   t.add(1, 1, -1.0);
   const CsrMatrix a = CsrMatrix::from_triplets(t);
-  // Both back ends under the AMD default, plus the simplicial fallback.
+  // The supernodal factor, and the simplicial oracle under the natural
+  // ordering (which meets the negative pivot last).
   EXPECT_THROW(SparseCholesky{a}, std::runtime_error);
-  EXPECT_THROW(SparseCholesky(a, make_options(SparseCholesky::Ordering::kAmd,
-                                              SparseCholesky::Method::kSimplicial)),
-               std::runtime_error);
-  EXPECT_THROW(SparseCholesky(a, make_options(SparseCholesky::Ordering::kNatural,
-                                              SparseCholesky::Method::kSupernodal)),
+  EXPECT_THROW((void)oracle::simplicial_cholesky(a, Permutation::identity(2)),
                std::runtime_error);
 }
 
@@ -195,16 +179,10 @@ TEST(SparseCholesky, MemoryBytesCoversFactorAndPermutedMatrix) {
   const std::size_t floor_bytes = static_cast<std::size_t>(chol.factor_nnz()) * sizeof(double) +
                                   a.memory_bytes() +
                                   2 * static_cast<std::size_t>(a.rows()) * sizeof(idx_t);
-  EXPECT_GE(chol.memory_bytes(), floor_bytes);
+  // The row patterns and supernode metadata are part of the ledger too, so
+  // the floor is strict.
+  EXPECT_GT(chol.memory_bytes(), floor_bytes);
   EXPECT_EQ(chol.order(), 64);
-
-  // The supernode metadata must be part of the supernodal ledger: the same
-  // factor reported without it (pattern + values only) is a strict floor.
-  const SparseCholesky natural(a, make_options(SparseCholesky::Ordering::kNatural,
-                                               SparseCholesky::Method::kSupernodal));
-  EXPECT_GE(natural.memory_bytes(),
-            static_cast<std::size_t>(natural.factor_nnz()) * sizeof(double));
-  EXPECT_GT(natural.memory_bytes(), 0u);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
-// Supernodal back end against the matrices the production solve paths
+// Supernodal factorization against the matrices the production solve paths
 // actually factor: the TSV unit-block interior (local stage) and the coarse
-// package stiffness (scenario 2). The simplicial up-looking factorization is
-// the reference.
+// package stiffness (scenario 2). The simplicial up-looking factorization in
+// la/cholesky_oracles.hpp is the reference.
 
 #include "la/supernodal.hpp"
 
@@ -13,6 +13,7 @@
 #include "fem/assembler.hpp"
 #include "fem/dirichlet.hpp"
 #include "la/cholesky.hpp"
+#include "la/cholesky_oracles.hpp"
 #include "mesh/tsv_block.hpp"
 
 namespace ms::la {
@@ -47,27 +48,20 @@ CsrMatrix package_matrix() {
   return sys.stiffness;
 }
 
-SparseCholesky::Options with_method(SparseCholesky::Method method) {
-  SparseCholesky::Options o;
-  o.method = method;
-  return o;
-}
-
 void expect_factors_match(const CsrMatrix& a, double tol) {
-  const SparseCholesky sn(a, with_method(SparseCholesky::Method::kSupernodal));
-  const SparseCholesky si(a, with_method(SparseCholesky::Method::kSimplicial));
-  ASSERT_EQ(sn.factor_nnz(), si.factor_nnz());
-  std::vector<offset_t> cp_sn, cp_si;
-  std::vector<idx_t> ri_sn, ri_si;
-  std::vector<double> v_sn, v_si;
+  const SparseCholesky sn(a);
+  const oracle::SimplicialFactor si = oracle::simplicial_cholesky(a, sn.permutation());
+  ASSERT_EQ(sn.factor_nnz(), si.nnz());
+  std::vector<offset_t> cp_sn;
+  std::vector<idx_t> ri_sn;
+  std::vector<double> v_sn;
   sn.extract_factor(cp_sn, ri_sn, v_sn);
-  si.extract_factor(cp_si, ri_si, v_si);
-  ASSERT_EQ(cp_sn, cp_si);
-  ASSERT_EQ(ri_sn, ri_si);
+  ASSERT_EQ(cp_sn, si.col_ptr);
+  ASSERT_EQ(ri_sn, si.row_idx);
   double max_l = 0.0, max_diff = 0.0;
-  for (std::size_t k = 0; k < v_si.size(); ++k) {
-    max_l = std::max(max_l, std::abs(v_si[k]));
-    max_diff = std::max(max_diff, std::abs(v_sn[k] - v_si[k]));
+  for (std::size_t k = 0; k < si.values.size(); ++k) {
+    max_l = std::max(max_l, std::abs(si.values[k]));
+    max_diff = std::max(max_diff, std::abs(v_sn[k] - si.values[k]));
   }
   EXPECT_LT(max_diff / max_l, tol) << "relative factor mismatch";
 }
@@ -205,26 +199,20 @@ TEST(Supernodal, EtreePostorderIsValidPermutation) {
 TEST(Supernodal, ParallelNumericMatchesSerialBitwise) {
   // The phased numeric factorization partitions the elimination tree with a
   // thread-count-independent weight target, so the OpenMP subtree pass must
-  // reproduce the serial pass bit for bit — on the fundamental supernodes
-  // and on amalgamated (padded) panels alike.
-  for (const double relax : {0.0, 0.25}) {
-    for (const CsrMatrix& a : {tsv_block_matrix(), package_matrix()}) {
-      SparseCholesky::Options serial = with_method(SparseCholesky::Method::kSupernodal);
-      serial.relax_supernodes = relax;
-      serial.parallel_numeric = false;
-      SparseCholesky::Options parallel = serial;
-      parallel.parallel_numeric = true;
-      const SparseCholesky cs(a, serial);
-      const SparseCholesky cp(a, parallel);
-      std::vector<offset_t> cp_s, cp_p;
-      std::vector<idx_t> ri_s, ri_p;
-      std::vector<double> v_s, v_p;
-      cs.extract_factor(cp_s, ri_s, v_s);
-      cp.extract_factor(cp_p, ri_p, v_p);
-      ASSERT_EQ(cp_s, cp_p);
-      ASSERT_EQ(ri_s, ri_p);
-      ASSERT_EQ(v_s, v_p) << "relax = " << relax;
-    }
+  // reproduce the serial pass bit for bit on the matrix SparseCholesky
+  // factors (AMD + etree postorder).
+  for (const CsrMatrix& a : {tsv_block_matrix(), package_matrix()}) {
+    const SparseCholesky chol(a);
+    const CsrMatrix pa = permute_symmetric(a, chol.permutation());
+    const std::vector<idx_t> parent = elimination_tree(pa);
+    const std::vector<idx_t> counts = cholesky_column_counts(pa, parent);
+    SupernodalFactor serial =
+        analyze_supernodes(pa, parent, counts, SparseCholesky::kMaxSupernodeWidth);
+    ASSERT_EQ(serial.num_supernodes, chol.num_supernodes());
+    SupernodalFactor parallel = serial;
+    factorize_supernodal(pa, serial, /*parallel=*/false);
+    factorize_supernodal(pa, parallel, /*parallel=*/true);
+    ASSERT_EQ(serial.values, parallel.values) << "n = " << a.rows();
   }
 }
 
@@ -241,95 +229,7 @@ TEST(Supernodal, ParallelNumericStillThrowsOnIndefiniteMatrix) {
     }
   }
   const CsrMatrix indefinite = CsrMatrix::from_triplets(t);
-  SparseCholesky::Options options;  // AMD + supernodal + parallel defaults
-  options.parallel_numeric = true;
-  EXPECT_THROW(SparseCholesky(indefinite, options), std::runtime_error);
-}
-
-/// Scatter an extract_factor CSC export into a dense lower triangle.
-std::vector<double> densify_factor(const SparseCholesky& chol, idx_t n) {
-  std::vector<offset_t> cp;
-  std::vector<idx_t> ri;
-  std::vector<double> v;
-  chol.extract_factor(cp, ri, v);
-  std::vector<double> dense(static_cast<std::size_t>(n) * n, 0.0);
-  for (idx_t j = 0; j < n; ++j) {
-    for (offset_t p = cp[j]; p < cp[static_cast<std::size_t>(j) + 1]; ++p) {
-      dense[static_cast<std::size_t>(j) * n + ri[p]] = v[p];
-    }
-  }
-  return dense;
-}
-
-TEST(Amalgamation, RelaxedFactorLocksToSimplicialAt1em12) {
-  // The padded entries of an amalgamated panel are *structural* zeros: every
-  // term of their elimination is outside the fill pattern, so the relaxed
-  // factor must equal the simplicial factor entry for entry (padding
-  // included, as exact zeros) under the same AMD + postorder permutation.
-  const CsrMatrix a = tsv_block_matrix();
-  const idx_t n = a.rows();
-  SparseCholesky::Options relaxed = with_method(SparseCholesky::Method::kSupernodal);
-  relaxed.relax_supernodes = 0.25;
-  const SparseCholesky sn(a, relaxed);
-  const SparseCholesky si(a, with_method(SparseCholesky::Method::kSimplicial));
-
-  const std::vector<double> dense_sn = densify_factor(sn, n);
-  const std::vector<double> dense_si = densify_factor(si, n);
-  double max_l = 0.0, max_diff = 0.0;
-  for (std::size_t k = 0; k < dense_si.size(); ++k) {
-    max_l = std::max(max_l, std::abs(dense_si[k]));
-    max_diff = std::max(max_diff, std::abs(dense_sn[k] - dense_si[k]));
-  }
-  ASSERT_GT(max_l, 0.0);
-  EXPECT_LT(max_diff / max_l, 1e-12) << "relative factor mismatch";
-}
-
-TEST(Amalgamation, MergesPanelsUnderTheFillGrowthCap) {
-  const CsrMatrix a = tsv_block_matrix();
-  const std::vector<idx_t> parent = elimination_tree(a);
-  const std::vector<idx_t> counts = cholesky_column_counts(a, parent);
-  const SupernodalFactor fundamental = analyze_supernodes(a, parent, counts, 48);
-  const SupernodalFactor relaxed = analyze_supernodes(a, parent, counts, 48, 0.25);
-  expect_valid_supernode_partition(relaxed);
-
-  // Amalgamation must actually merge (fewer, wider panels) without ever
-  // exceeding the width cap ...
-  EXPECT_LT(relaxed.num_supernodes, fundamental.num_supernodes);
-  for (idx_t s = 0; s < relaxed.num_supernodes; ++s) {
-    ASSERT_LE(relaxed.super_start[static_cast<std::size_t>(s) + 1] - relaxed.super_start[s], 48);
-  }
-  // ... while the padding stays within the global consequence of the
-  // per-merge cap: padded trapezoids within 25% of the true nonzeros.
-  ASSERT_GE(relaxed.factor_nnz(), fundamental.factor_nnz());
-  EXPECT_LT(static_cast<double>(relaxed.factor_nnz()),
-            1.25 * static_cast<double>(fundamental.factor_nnz()));
-}
-
-TEST(Amalgamation, HonorsWidthCapAndSolvesAccurately) {
-  const CsrMatrix a = package_matrix();
-  const idx_t n = a.rows();
-  SparseCholesky::Options options;  // AMD + supernodal defaults
-  options.max_supernode_width = 24;
-  options.relax_supernodes = 0.3;
-  const SparseCholesky chol(a, options);
-  EXPECT_GT(chol.num_supernodes(), 0);
-
-  SparseCholesky::Options plain = options;
-  plain.relax_supernodes = 0.0;
-  const SparseCholesky reference(a, plain);
-  EXPECT_LT(chol.num_supernodes(), reference.num_supernodes());
-
-  Vec b(n);
-  for (idx_t i = 0; i < n; ++i) b[i] = std::cos(0.02 * i) + 0.7;
-  const Vec x = chol.solve(b);
-  Vec ax;
-  a.mul(x, ax);
-  double scale = 0.0, err = 0.0;
-  for (idx_t i = 0; i < n; ++i) {
-    scale = std::max(scale, std::abs(b[i]));
-    err = std::max(err, std::abs(ax[i] - b[i]));
-  }
-  EXPECT_LT(err / scale, 1e-9);
+  EXPECT_THROW(SparseCholesky{indefinite}, std::runtime_error);
 }
 
 }  // namespace

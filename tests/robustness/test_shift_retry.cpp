@@ -28,7 +28,7 @@ CsrMatrix spd_tridiagonal(idx_t n) {
 TEST(ShiftRetry, CleanMatrixFactorsWithoutShift) {
   util::FaultInjector::global().reset();
   const CsrMatrix a = spd_tridiagonal(12);
-  const ShiftRetryResult result = factor_with_shift_retry(a, {}, {}, "test.factor");
+  const ShiftRetryResult result = factor_with_shift_retry(a, "test.factor");
   ASSERT_NE(result.factor, nullptr);
   EXPECT_EQ(result.shift, 0.0);
   EXPECT_EQ(result.attempts, 1);
@@ -38,11 +38,11 @@ TEST(ShiftRetry, CleanMatrixFactorsWithoutShift) {
 TEST(ShiftRetry, InjectedBreakdownEscalatesToFirstWorkingShift) {
   util::FaultInjector::global().configure("test.factor:spd:1:1");
   const CsrMatrix a = spd_tridiagonal(12);
-  const ShiftRetryResult result = factor_with_shift_retry(a, {}, {}, "test.factor");
+  const ShiftRetryResult result = factor_with_shift_retry(a, "test.factor");
   util::FaultInjector::global().reset();
 
   // The matrix itself is SPD, so the very first ladder rung succeeds:
-  // shift = initial_scale * ||diag||_inf = 1e-12 * 4. Attempts counts the
+  // shift = 1e-12 * ||diag||_inf = 1e-12 * 4. Attempts counts the
   // (simulated) clean try plus the one shifted refactorization.
   ASSERT_NE(result.factor, nullptr);
   EXPECT_TRUE(result.degraded());
@@ -57,26 +57,16 @@ TEST(ShiftRetry, InjectedBreakdownEscalatesToFirstWorkingShift) {
   for (std::size_t i = 0; i < 12; ++i) EXPECT_NEAR(ax[i], 1.0, 1e-8);
 }
 
-TEST(ShiftRetry, DisabledRetryRethrowsInjectedBreakdown) {
-  util::FaultInjector::global().configure("test.factor:spd:1:1");
-  const CsrMatrix a = spd_tridiagonal(6);
-  ShiftRetryOptions retry;
-  retry.enabled = false;
-  EXPECT_THROW((void)factor_with_shift_retry(a, {}, retry, "test.factor"),
-               NotPositiveDefiniteError);
-  util::FaultInjector::global().reset();
-}
-
 TEST(ShiftRetry, HopelesslyIndefiniteMatrixStillFailsClassified) {
   util::FaultInjector::global().reset();
-  // diag(1, -1): the ladder caps at initial_scale * 2^max_attempts * ||diag||,
+  // diag(1, -1): the ladder caps at 1e-12 * 2^7 * ||diag||,
   // far below the unit shift this operator would need.
   TripletList t(2, 2);
   t.add(0, 0, 1.0);
   t.add(1, 1, -1.0);
   const CsrMatrix a = CsrMatrix::from_triplets(t);
   try {
-    (void)factor_with_shift_retry(a, {}, {}, "test.factor");
+    (void)factor_with_shift_retry(a, "test.factor");
     FAIL() << "expected NotPositiveDefiniteError";
   } catch (const NotPositiveDefiniteError& e) {
     EXPECT_NE(std::string(e.what()).find("test.factor"), std::string::npos);

@@ -116,6 +116,28 @@ TEST(SweepFaults, InjectedBuilderThrowFailsOneRowAndBatchCompletes) {
   EXPECT_EQ(stats.model_cache_hits, ref_stats.model_cache_hits);
 }
 
+TEST(SweepFaults, GlobalCgAtIterationCapFailsTheRow) {
+  // A CG global solve that runs out of iterations is a failed row, classified
+  // like the steady conduction path's cap, never an ok row carrying the
+  // unconverged field.
+  util::FaultInjector::global().reset();
+  SweepOptions options = serial_options();
+  options.config.global.method = "cg";
+  options.config.global.max_iterations = 2;
+  ScenarioSpec spec;
+  spec.name = "capped";
+  spec.blocks_x = 3;
+  spec.blocks_y = 3;
+  SweepEngine engine(options);
+  SweepStats stats;
+  const std::vector<ScenarioResult> results = engine.run({spec}, &stats);
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_EQ(results[0].status, ScenarioStatus::kFailed);
+  EXPECT_EQ(results[0].error.code, core::SimErrorCode::kDidNotConverge);
+  EXPECT_EQ(results[0].error.stage, "rom.global.solve");
+  EXPECT_EQ(stats.num_failed, 1);
+}
+
 TEST(SweepFaults, FactorBuildProbeFiresOnACachelessSimulator) {
   // A simulator with no factor cache builds its global factor through the
   // same builder the cache runs, so the build probe fires there too.

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "core/sim_error.hpp"
 #include "rom/global_assembler.hpp"
 #include "rom/global_solver.hpp"
 #include "rom/local_stage.hpp"
@@ -104,6 +105,25 @@ TEST(GlobalSolver, ClampedDofsStayZero) {
   double max_mid = 0.0;
   for (idx_t d = 0; d < grid.num_dofs(); ++d) max_mid = std::max(max_mid, std::fabs(u[d]));
   EXPECT_GT(max_mid, 1e-4);
+}
+
+TEST(GlobalSolver, CgAtIterationCapThrowsDidNotConverge) {
+  // Stopping at max_iterations without a breakdown is a failed solve, not a
+  // result: the caller must not receive the unconverged iterate.
+  const BlockGrid grid = make_grid(3, 3);
+  GlobalProblem problem = assemble_global(grid, tsv_model(), nullptr, {}, -250.0);
+  GlobalSolveOptions options;
+  options.method = "cg";
+  options.max_iterations = 2;
+  try {
+    (void)solve_global(problem, clamp_top_bottom(grid), options);
+    FAIL() << "expected SimError(kDidNotConverge)";
+  } catch (const core::SimError& e) {
+    EXPECT_EQ(e.code(), core::SimErrorCode::kDidNotConverge);
+    EXPECT_EQ(e.stage(), "rom.global.solve");
+    EXPECT_NE(e.context().find("iterations=2"), std::string::npos) << e.context();
+    EXPECT_NE(e.context().find("residual="), std::string::npos) << e.context();
+  }
 }
 
 TEST(GlobalSolver, SubmodelBoundaryInterpolatesCallback) {

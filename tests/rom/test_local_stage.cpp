@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <functional>
+#include <set>
+#include <vector>
 
 #include "fem/assembler.hpp"
 #include "fem/solver.hpp"
@@ -113,6 +117,63 @@ TEST(LocalStage, FinerInterpolationEnrichesModel) {
   EXPECT_EQ(coarse.num_element_dofs(), 24);
   EXPECT_EQ(fine.num_element_dofs(), 168);
   EXPECT_GT(fine.element_stiffness.rows(), coarse.element_stiffness.rows());
+}
+
+TEST(LocalStage, FingerprintSeparatesEveryInput) {
+  // Every input run_local_stage reads, perturbed one at a time, must move
+  // the fingerprint a cached model is filed and stamped under, and no two
+  // perturbations may collide.
+  struct Inputs {
+    mesh::TsvGeometry geometry = small_geometry();
+    mesh::BlockMeshSpec spec = small_spec();
+    std::vector<fem::Material> materials = {fem::silicon(), fem::copper(), fem::sio2_liner(),
+                                            fem::organic_substrate()};
+    BlockKind kind = BlockKind::Tsv;
+    LocalStageOptions options = small_options();
+  };
+  const auto fingerprint = [](const Inputs& in) {
+    return local_stage_fingerprint(in.geometry, in.spec, fem::MaterialTable(in.materials),
+                                   in.kind, in.options);
+  };
+  // Scales a non-zero value (keeping Poisson's ratio valid), sets a zero one.
+  const auto nudge = [](double& v) { v = v == 0.0 ? 0.125 : 0.9 * v; };
+  using Perturb = std::function<void(Inputs&)>;
+  const std::vector<Perturb> perturbations = {
+      [&](Inputs& in) { nudge(in.geometry.pitch); },
+      [&](Inputs& in) { nudge(in.geometry.diameter); },
+      [&](Inputs& in) { nudge(in.geometry.liner_thickness); },
+      [&](Inputs& in) { nudge(in.geometry.height); },
+      [](Inputs& in) { ++in.spec.elems_xy; },
+      [](Inputs& in) { ++in.spec.elems_z; },
+      [](Inputs& in) { ++in.options.nodes_x; },
+      [](Inputs& in) { ++in.options.nodes_y; },
+      [](Inputs& in) { ++in.options.nodes_z; },
+      [](Inputs& in) { ++in.options.samples_per_block; },
+      [](Inputs& in) { in.options.sample_displacements = !in.options.sample_displacements; },
+      [](Inputs& in) { in.options.uncorrected_eq19_load = !in.options.uncorrected_eq19_load; },
+      [](Inputs& in) { in.kind = BlockKind::Dummy; },
+      [](Inputs& in) { in.materials[1].name += "-alloy"; },
+      [&](Inputs& in) { nudge(in.materials[1].youngs_modulus); },
+      [&](Inputs& in) { nudge(in.materials[1].poisson_ratio); },
+      [&](Inputs& in) { nudge(in.materials[1].cte); },
+      [&](Inputs& in) { nudge(in.materials[1].conductivity); },
+      [&](Inputs& in) { nudge(in.materials[1].volumetric_heat_capacity); },
+      [&](Inputs& in) { nudge(in.materials[1].fatigue_strength); },
+      [&](Inputs& in) { nudge(in.materials[1].fatigue_strength_exponent); },
+      [&](Inputs& in) { nudge(in.materials[1].fatigue_ductility); },
+      [&](Inputs& in) { nudge(in.materials[1].fatigue_ductility_exponent); },
+      [&](Inputs& in) { nudge(in.materials[1].ultimate_strength); },
+  };
+  ASSERT_EQ(perturbations.size(), 24u);
+  const std::uint64_t base = fingerprint(Inputs{});
+  std::set<std::uint64_t> seen{base};
+  for (std::size_t i = 0; i < perturbations.size(); ++i) {
+    Inputs in;
+    perturbations[i](in);
+    const std::uint64_t h = fingerprint(in);
+    EXPECT_NE(h, base) << "perturbation " << i;
+    EXPECT_TRUE(seen.insert(h).second) << "perturbation " << i << " collides";
+  }
 }
 
 }  // namespace

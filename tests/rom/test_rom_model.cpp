@@ -41,8 +41,8 @@ TEST(RomModel, ElementDofCount) {
 TEST(RomModel, SaveLoadRoundTrip) {
   const RomModel original = tiny_model();
   const std::string path = std::filesystem::temp_directory_path() / "ms_rom_test.bin";
-  original.save(path);
-  const RomModel loaded = RomModel::load(path);
+  original.save(path, 0x1234);
+  const RomModel loaded = RomModel::load(path, 0x1234);
   std::remove(path.c_str());
 
   EXPECT_EQ(loaded.kind, original.kind);
@@ -60,14 +60,29 @@ TEST(RomModel, SaveLoadRoundTrip) {
 }
 
 TEST(RomModel, LoadRejectsMissingAndCorrupt) {
-  EXPECT_THROW(RomModel::load("/nonexistent/path.bin"), std::runtime_error);
+  EXPECT_THROW(RomModel::load("/nonexistent/path.bin", 0), std::runtime_error);
   const std::string path = std::filesystem::temp_directory_path() / "ms_rom_corrupt.bin";
   {
     std::FILE* f = std::fopen(path.c_str(), "wb");
     std::fputs("not a rom model", f);
     std::fclose(f);
   }
-  EXPECT_THROW(RomModel::load(path), std::runtime_error);
+  EXPECT_THROW(RomModel::load(path, 0), std::runtime_error);
+  std::remove(path.c_str());
+}
+
+TEST(RomModel, LoadRejectsFileStampedForOtherInputs) {
+  const std::string path = std::filesystem::temp_directory_path() / "ms_rom_stamp.bin";
+  tiny_model().save(path, 0x1234);
+  EXPECT_THROW(RomModel::load(path, 0x1235), std::runtime_error);
+  EXPECT_NO_THROW(RomModel::load(path, 0x1234));
+  // A file of the previous format revision carries no stamp at all.
+  {
+    std::FILE* f = std::fopen(path.c_str(), "r+b");
+    std::fputs("MSROM003", f);
+    std::fclose(f);
+  }
+  EXPECT_THROW(RomModel::load(path, 0x1234), std::runtime_error);
   std::remove(path.c_str());
 }
 

@@ -65,9 +65,9 @@ def load_cases(path):
 
 
 VALUE_FIELDS = ("peak_von_mises", "dt_min", "dt_max", "envelope_dt_max", "time_average_dt_max",
-                # Solver determinism tripwires: orderings and supernode
+                # Solver determinism tripwires: the ordering and supernode
                 # detection are deterministic, so factor fill may not drift.
-                "rcm_factor_nnz", "amd_factor_nnz", "amd_fill_ratio", "num_supernodes",
+                "amd_factor_nnz", "amd_fill_ratio", "num_supernodes",
                 "stepper_factor_nnz", "stepper_fill_ratio",
                 "package_factor_nnz", "package_fill_ratio",
                 # Reliability tripwires: the batched fatigue panel must keep
