@@ -61,15 +61,13 @@ SparseCholesky::SparseCholesky(const CsrMatrix& a, Options /*options*/) {
     obs::ScopedDuration timer(metrics.ordering_seconds);
     perm_ = amd_ordering(a);
   }
-  // The numeric phase factors a permuted copy (kept only through
-  // construction, but owned by the memory ledger as part of the peak
-  // footprint).
-  CsrMatrix permuted;
+  // The numeric phase's subtree partition reuses the symbolic etree.
+  std::vector<idx_t> parent;
   {
     MS_TRACE_SCOPE("la.cholesky.symbolic");
     obs::ScopedDuration timer(metrics.symbolic_seconds);
-    permuted = permute_symmetric(a, perm_);
-    std::vector<idx_t> parent = elimination_tree(permuted);
+    LowerPattern pattern = lower_pattern(a, perm_);
+    parent = elimination_tree(pattern);
     // Postorder the elimination tree so supernode columns land consecutively
     // (fill-neutral relabeling).
     const std::vector<idx_t> post = etree_postorder(parent);
@@ -79,31 +77,33 @@ SparseCholesky::SparseCholesky(const CsrMatrix& a, Options /*options*/) {
       p2.inv_perm.assign(n_, 0);
       for (idx_t i = 0; i < n_; ++i) p2.inv_perm[p2.perm[i]] = i;
       perm_ = perm_.then(p2);
-      permuted = permute_symmetric(permuted, p2);  // == P2 (P A P^T) P2^T
       // A postorder is etree-consistent (children numbered before parents),
       // so the tree of the relabeled matrix is the relabeled tree — no
-      // second symbolic sweep needed.
+      // second etree sweep. Only the pattern is rebuilt, under the composed
+      // permutation.
       std::vector<idx_t> relabeled(static_cast<std::size_t>(n_));
       for (idx_t v = 0; v < n_; ++v) {
         relabeled[p2.inv_perm[v]] = parent[v] == -1 ? -1 : p2.inv_perm[parent[v]];
       }
       parent = std::move(relabeled);
+      pattern = LowerPattern{};  // release before rebuilding
+      pattern = lower_pattern(a, perm_);
     }
-    matrix_lower_nnz_ = 0;
+    // nnz(tril(P A P^T)): the strictly-lower pattern plus the stored
+    // diagonal, which a symmetric permutation keeps on the diagonal.
+    matrix_lower_nnz_ = pattern.nnz();
     for (idx_t r = 0; r < n_; ++r) {
-      const offset_t end = permuted.row_ptr()[static_cast<std::size_t>(r) + 1];
-      for (offset_t p = permuted.row_ptr()[r]; p < end; ++p) {
-        if (permuted.col_idx()[p] <= r) ++matrix_lower_nnz_;
-      }
+      const auto first = a.col_idx().begin() + a.row_ptr()[r];
+      const auto last = a.col_idx().begin() + a.row_ptr()[static_cast<std::size_t>(r) + 1];
+      if (std::binary_search(first, last, r)) ++matrix_lower_nnz_;
     }
-    permuted_matrix_bytes_ = permuted.memory_bytes();
-    const std::vector<idx_t> counts = cholesky_column_counts(permuted, parent);
-    snf_ = analyze_supernodes(permuted, parent, counts, kMaxSupernodeWidth);
+    const std::vector<idx_t> counts = cholesky_column_counts(pattern, parent);
+    snf_ = analyze_supernodes(pattern, parent, counts, kMaxSupernodeWidth);
   }
   {
     MS_TRACE_SCOPE("la.cholesky.numeric");
     obs::ScopedDuration timer(metrics.numeric_seconds);
-    factorize_supernodal(permuted, snf_, /*parallel=*/true);
+    factorize_supernodal(a, perm_, parent, snf_, /*parallel=*/true);
   }
   metrics.factorizations.add(1);
   metrics.factor_nnz.set(static_cast<double>(factor_nnz()));
@@ -174,39 +174,12 @@ double SparseCholesky::fill_ratio() const {
 }
 
 std::size_t SparseCholesky::memory_bytes() const {
-  return 2 * perm_.perm.size() * sizeof(idx_t) + permuted_matrix_bytes_ + snf_.memory_bytes();
+  return 2 * perm_.perm.size() * sizeof(idx_t) + snf_.memory_bytes();
 }
 
 void SparseCholesky::extract_factor(std::vector<offset_t>& col_ptr, std::vector<idx_t>& row_idx,
                                     std::vector<double>& values) const {
-  col_ptr.assign(static_cast<std::size_t>(n_) + 1, 0);
-  for (idx_t s = 0; s < snf_.num_supernodes; ++s) {
-    const idx_t c0 = snf_.super_start[s];
-    const idx_t w = snf_.super_start[static_cast<std::size_t>(s) + 1] - c0;
-    const offset_t m = snf_.row_start[static_cast<std::size_t>(s) + 1] - snf_.row_start[s];
-    for (idx_t j = 0; j < w; ++j) {
-      col_ptr[static_cast<std::size_t>(c0 + j) + 1] = m - j;
-    }
-  }
-  for (idx_t j = 0; j < n_; ++j) col_ptr[static_cast<std::size_t>(j) + 1] += col_ptr[j];
-  row_idx.assign(static_cast<std::size_t>(col_ptr[n_]), 0);
-  values.assign(static_cast<std::size_t>(col_ptr[n_]), 0.0);
-  for (idx_t s = 0; s < snf_.num_supernodes; ++s) {
-    const idx_t c0 = snf_.super_start[s];
-    const idx_t w = snf_.super_start[static_cast<std::size_t>(s) + 1] - c0;
-    const offset_t r0 = snf_.row_start[s];
-    const idx_t m = static_cast<idx_t>(snf_.row_start[static_cast<std::size_t>(s) + 1] - r0);
-    const idx_t* rs = snf_.rows.data() + r0;
-    const double* panel = snf_.values.data() + snf_.val_start[s];
-    for (idx_t j = 0; j < w; ++j) {
-      offset_t out = col_ptr[c0 + j];
-      for (idx_t i = j; i < m; ++i) {
-        row_idx[out] = rs[i];
-        values[out] = panel[static_cast<std::size_t>(j) * m + i];
-        ++out;
-      }
-    }
-  }
+  snf_.extract(col_ptr, row_idx, values);
 }
 
 }  // namespace ms::la

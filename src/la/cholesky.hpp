@@ -3,10 +3,13 @@
 // solve path runs:
 //
 //  - approximate minimum degree ordering (far less fill than a bandwidth
-//    ordering on 3D hex meshes), with the permuted matrix additionally
-//    postordered by its elimination tree so supernode columns land
-//    consecutively (fill-neutral);
-//  - a supernodal numeric phase: columns with identical structure are
+//    ordering on 3D hex meshes), additionally postordered by its
+//    elimination tree so supernode columns land consecutively
+//    (fill-neutral);
+//  - a symbolic phase over the values-free strictly-lower pattern of
+//    P A P^T (no permuted copy of A's values is ever built);
+//  - a supernodal numeric phase that scatters A's values straight into the
+//    panels through the permutation: columns with identical structure are
 //    factored as dense column panels of at most 48 columns with
 //    register-tiled rank-k updates, independent elimination-tree subtrees
 //    in parallel under OpenMP (bitwise identical to the serial order).
@@ -79,10 +82,10 @@ class SparseCholesky {
   [[nodiscard]] const Permutation& permutation() const { return perm_; }
 
   /// Bytes held to produce and apply the factor: the factor itself
-  /// (values + patterns + supernode metadata), the permutation, and the
-  /// permuted copy of the matrix the numeric phase consumed (freed after
-  /// construction but part of the peak footprint the memory ledger must
-  /// own).
+  /// (values + row patterns + supernode metadata) and the two permutation
+  /// arrays. Construction makes no copy of the matrix: the symbolic phase's
+  /// lower pattern (about half of A's column indices) is released before the
+  /// factor values are allocated, so it never adds to the peak.
   [[nodiscard]] std::size_t memory_bytes() const;
 
   /// Export L (permuted ordering, compressed sparse column, diagonal first
@@ -93,8 +96,7 @@ class SparseCholesky {
  private:
   idx_t n_ = 0;
   Permutation perm_;
-  offset_t matrix_lower_nnz_ = 0;       // nnz(tril(A)), for fill_ratio
-  std::size_t permuted_matrix_bytes_ = 0;
+  offset_t matrix_lower_nnz_ = 0;  // nnz(tril(A)), for fill_ratio
   SupernodalFactor snf_;
 };
 

@@ -390,21 +390,6 @@ Permutation amd_ordering(const CsrMatrix& a) {
   return out;
 }
 
-CsrMatrix permute_symmetric(const CsrMatrix& a, const Permutation& p) {
-  assert(a.rows() == a.cols());
-  assert(p.size() == a.rows());
-  TripletList t(a.rows(), a.cols());
-  t.reserve(static_cast<std::size_t>(a.nnz()));
-  for (idx_t r = 0; r < a.rows(); ++r) {
-    const idx_t nr = p.inv_perm[r];
-    const offset_t end = a.row_ptr()[static_cast<std::size_t>(r) + 1];
-    for (offset_t k = a.row_ptr()[r]; k < end; ++k) {
-      t.add(nr, p.inv_perm[a.col_idx()[k]], a.values()[k]);
-    }
-  }
-  return CsrMatrix::from_triplets(t);
-}
-
 Vec permute_vector(const Vec& x, const Permutation& p) {
   Vec y(x.size());
   for (idx_t i = 0; i < p.size(); ++i) y[i] = x[p.perm[i]];

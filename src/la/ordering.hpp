@@ -34,9 +34,6 @@ struct Permutation {
 /// than under RCM.
 Permutation amd_ordering(const CsrMatrix& a);
 
-/// B = P A P^T for a symmetric permutation (perm[new] = old).
-CsrMatrix permute_symmetric(const CsrMatrix& a, const Permutation& p);
-
 /// Apply: out[new] = in[perm[new]] (gather into permuted ordering).
 Vec permute_vector(const Vec& x, const Permutation& p);
 

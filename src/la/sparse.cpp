@@ -35,15 +35,16 @@ CsrMatrix CsrMatrix::from_triplets(const TripletList& t, bool drop_zeros) {
     }
   }
 
-  // Sort each row by column and merge duplicates.
-  m.row_ptr_.assign(static_cast<std::size_t>(m.rows_) + 1, 0);
-  std::vector<idx_t> out_cols;
-  std::vector<double> out_vals;
-  out_cols.reserve(nnz_in);
-  out_vals.reserve(nnz_in);
+  // Sort each row by column and merge duplicates in place: the merged rows
+  // are compacted to the front of the bucketed arrays, which become the CSR
+  // arrays. Each row is copied out before any of it is overwritten, and the
+  // write cursor `out` never passes the row's bucket start, because every
+  // kept entry consumes at least one bucketed one. `count` turns into the
+  // row pointer as the cursor passes each row.
+  offset_t out = 0;
+  offset_t begin = 0;
   std::vector<std::pair<idx_t, double>> row_buf;
   for (idx_t r = 0; r < m.rows_; ++r) {
-    const offset_t begin = count[r];
     const offset_t end = count[static_cast<std::size_t>(r) + 1];
     row_buf.clear();
     for (offset_t k = begin; k < end; ++k) row_buf.emplace_back(cols[k], vals[k]);
@@ -54,13 +55,21 @@ CsrMatrix CsrMatrix::from_triplets(const TripletList& t, bool drop_zeros) {
       double sum = 0.0;
       while (k < row_buf.size() && row_buf[k].first == col) sum += row_buf[k++].second;
       if (drop_zeros && sum == 0.0) continue;
-      out_cols.push_back(col);
-      out_vals.push_back(sum);
+      cols[out] = col;
+      vals[out] = sum;
+      ++out;
     }
-    m.row_ptr_[static_cast<std::size_t>(r) + 1] = static_cast<offset_t>(out_cols.size());
+    count[static_cast<std::size_t>(r) + 1] = out;
+    begin = end;
   }
-  m.col_idx_ = std::move(out_cols);
-  m.values_ = std::move(out_vals);
+  // Shrinking to fit would copy both arrays while the triplets and the
+  // buckets are still alive, raising the assembly peak; the arrays keep the
+  // bucketed capacity instead.
+  cols.resize(out);
+  vals.resize(out);
+  m.row_ptr_ = std::move(count);
+  m.col_idx_ = std::move(cols);
+  m.values_ = std::move(vals);
   return m;
 }
 

@@ -9,15 +9,41 @@
 
 namespace ms::la {
 
-idx_t ereach(const CsrMatrix& a, idx_t k, const std::vector<idx_t>& parent, std::vector<idx_t>& s,
-             std::vector<idx_t>& mark, idx_t stamp) {
+LowerPattern lower_pattern(const CsrMatrix& a, const Permutation& p) {
+  assert(a.rows() == a.cols() && p.size() == a.rows());
   const idx_t n = a.rows();
-  idx_t top = n;
+  const auto& rp = a.row_ptr();
+  const auto& ci = a.col_idx();
+  LowerPattern pattern;
+  pattern.n = n;
+  pattern.row_ptr.assign(static_cast<std::size_t>(n) + 1, 0);
+  for (idx_t k = 0; k < n; ++k) {
+    const idx_t r = p.perm[k];
+    offset_t count = 0;
+    for (offset_t q = rp[r]; q < rp[static_cast<std::size_t>(r) + 1]; ++q) {
+      if (p.inv_perm[ci[q]] < k) ++count;
+    }
+    pattern.row_ptr[static_cast<std::size_t>(k) + 1] = pattern.row_ptr[k] + count;
+  }
+  pattern.col_idx.resize(static_cast<std::size_t>(pattern.row_ptr[n]));
+  offset_t out = 0;
+  for (idx_t k = 0; k < n; ++k) {
+    const idx_t r = p.perm[k];
+    for (offset_t q = rp[r]; q < rp[static_cast<std::size_t>(r) + 1]; ++q) {
+      const idx_t i = p.inv_perm[ci[q]];
+      if (i < k) pattern.col_idx[out++] = i;
+    }
+  }
+  return pattern;
+}
+
+idx_t ereach(const LowerPattern& a, idx_t k, const std::vector<idx_t>& parent,
+             std::vector<idx_t>& s, std::vector<idx_t>& mark, idx_t stamp) {
+  idx_t top = a.n;
   mark[k] = stamp;
-  const offset_t end = a.row_ptr()[static_cast<std::size_t>(k) + 1];
-  for (offset_t p = a.row_ptr()[k]; p < end; ++p) {
-    idx_t i = a.col_idx()[p];
-    if (i >= k) break;  // columns are sorted; only strictly-lower entries seed
+  const offset_t end = a.row_ptr[static_cast<std::size_t>(k) + 1];
+  for (offset_t p = a.row_ptr[k]; p < end; ++p) {
+    idx_t i = a.col_idx[p];
     idx_t len = 0;
     for (; mark[i] != stamp; i = parent[i]) {
       s[len++] = i;
@@ -28,14 +54,13 @@ idx_t ereach(const CsrMatrix& a, idx_t k, const std::vector<idx_t>& parent, std:
   return top;
 }
 
-std::vector<idx_t> elimination_tree(const CsrMatrix& a) {
-  const idx_t n = a.rows();
+std::vector<idx_t> elimination_tree(const LowerPattern& a) {
+  const idx_t n = a.n;
   std::vector<idx_t> parent(n, -1), ancestor(n, -1);
   for (idx_t k = 0; k < n; ++k) {
-    const offset_t end = a.row_ptr()[static_cast<std::size_t>(k) + 1];
-    for (offset_t p = a.row_ptr()[k]; p < end; ++p) {
-      idx_t i = a.col_idx()[p];
-      if (i >= k) break;
+    const offset_t end = a.row_ptr[static_cast<std::size_t>(k) + 1];
+    for (offset_t p = a.row_ptr[k]; p < end; ++p) {
+      idx_t i = a.col_idx[p];
       while (i != -1 && i != k) {
         const idx_t next = ancestor[i];
         ancestor[i] = k;
@@ -47,8 +72,8 @@ std::vector<idx_t> elimination_tree(const CsrMatrix& a) {
   return parent;
 }
 
-std::vector<idx_t> cholesky_column_counts(const CsrMatrix& a, const std::vector<idx_t>& parent) {
-  const idx_t n = a.rows();
+std::vector<idx_t> cholesky_column_counts(const LowerPattern& a, const std::vector<idx_t>& parent) {
+  const idx_t n = a.n;
   std::vector<idx_t> counts(n, 1), s(n), mark(n, -1);
   for (idx_t k = 0; k < n; ++k) {
     const idx_t top = ereach(a, k, parent, s, mark, k);
@@ -103,9 +128,41 @@ std::size_t SupernodalFactor::memory_bytes() const {
          (row_start.size() + val_start.size()) * sizeof(offset_t);
 }
 
-SupernodalFactor analyze_supernodes(const CsrMatrix& a, const std::vector<idx_t>& parent,
+void SupernodalFactor::extract(std::vector<offset_t>& col_ptr, std::vector<idx_t>& row_idx,
+                               std::vector<double>& out_values) const {
+  col_ptr.assign(static_cast<std::size_t>(n) + 1, 0);
+  for (idx_t s = 0; s < num_supernodes; ++s) {
+    const idx_t c0 = super_start[s];
+    const idx_t w = super_start[static_cast<std::size_t>(s) + 1] - c0;
+    const offset_t m = row_start[static_cast<std::size_t>(s) + 1] - row_start[s];
+    for (idx_t j = 0; j < w; ++j) {
+      col_ptr[static_cast<std::size_t>(c0 + j) + 1] = m - j;
+    }
+  }
+  for (idx_t j = 0; j < n; ++j) col_ptr[static_cast<std::size_t>(j) + 1] += col_ptr[j];
+  row_idx.assign(static_cast<std::size_t>(col_ptr[n]), 0);
+  out_values.assign(static_cast<std::size_t>(col_ptr[n]), 0.0);
+  for (idx_t s = 0; s < num_supernodes; ++s) {
+    const idx_t c0 = super_start[s];
+    const idx_t w = super_start[static_cast<std::size_t>(s) + 1] - c0;
+    const offset_t r0 = row_start[s];
+    const idx_t m = static_cast<idx_t>(row_start[static_cast<std::size_t>(s) + 1] - r0);
+    const idx_t* rs = rows.data() + r0;
+    const double* panel = values.data() + val_start[s];
+    for (idx_t j = 0; j < w; ++j) {
+      offset_t out = col_ptr[c0 + j];
+      for (idx_t i = j; i < m; ++i) {
+        row_idx[out] = rs[i];
+        out_values[out] = panel[static_cast<std::size_t>(j) * m + i];
+        ++out;
+      }
+    }
+  }
+}
+
+SupernodalFactor analyze_supernodes(const LowerPattern& a, const std::vector<idx_t>& parent,
                                     const std::vector<idx_t>& counts, idx_t max_width) {
-  const idx_t n = a.rows();
+  const idx_t n = a.n;
   if (max_width < 1) max_width = 1;
 
   SupernodalFactor f;
@@ -137,7 +194,6 @@ SupernodalFactor analyze_supernodes(const CsrMatrix& a, const std::vector<idx_t>
     f.val_start[static_cast<std::size_t>(s) + 1] = f.val_start[s] + m * w;
   }
   f.rows.assign(static_cast<std::size_t>(f.row_start[f.num_supernodes]), 0);
-  f.values.assign(static_cast<std::size_t>(f.val_start[f.num_supernodes]), 0.0);
 
   // Fill patterns: own columns first, then the below rows in ascending order
   // via the row sweep (k ascending appends ascending rows). Row k belongs to
@@ -242,14 +298,17 @@ PanelRef panel_of(SupernodalFactor& f, idx_t s) {
   return p;
 }
 
-/// Scatter the lower triangle of the (permuted) matrix columns. A is
-/// symmetric full storage, so column j reads row j's entries at i >= j.
-void scatter_panel(const CsrMatrix& a, const PanelRef& p, const std::vector<idx_t>& relmap) {
+/// Scatter the lower triangle of P A P^T's panel columns straight from A.
+/// A is symmetric full storage, so permuted column j is row perm[j] of A,
+/// keeping the entries whose permuted index i = inv_perm[col] is >= j.
+void scatter_panel(const CsrMatrix& a, const Permutation& perm, const PanelRef& p,
+                   const std::vector<idx_t>& relmap) {
   for (idx_t j = p.c0; j < p.c1; ++j) {
     double* col = p.panel + static_cast<std::size_t>(j - p.c0) * p.m;
-    const offset_t end = a.row_ptr()[static_cast<std::size_t>(j) + 1];
-    for (offset_t q = a.row_ptr()[j]; q < end; ++q) {
-      const idx_t i = a.col_idx()[q];
+    const idx_t r = perm.perm[j];
+    const offset_t end = a.row_ptr()[static_cast<std::size_t>(r) + 1];
+    for (offset_t q = a.row_ptr()[r]; q < end; ++q) {
+      const idx_t i = perm.inv_perm[a.col_idx()[q]];
       if (i >= j) col[relmap[i]] = a.values()[q];
     }
   }
@@ -316,7 +375,7 @@ struct SubtreePartition {
   std::vector<idx_t> sub_of;       ///< supernode -> subtree index or -1
 };
 
-SubtreePartition partition_subtrees(const CsrMatrix& a, const SupernodalFactor& f) {
+SubtreePartition partition_subtrees(const std::vector<idx_t>& parent, const SupernodalFactor& f) {
   const idx_t n = f.n;
   const idx_t ns = f.num_supernodes;
   SubtreePartition part;
@@ -348,7 +407,6 @@ SubtreePartition partition_subtrees(const CsrMatrix& a, const SupernodalFactor& 
 
   // Column-level minimum descendant per scalar-etree subtree. parent[j] > j
   // always, so one ascending sweep finalizes each column before propagating.
-  const std::vector<idx_t> parent = elimination_tree(a);
   std::vector<idx_t> min_desc(n);
   for (idx_t j = 0; j < n; ++j) min_desc[j] = j;
   for (idx_t j = 0; j < n; ++j) {
@@ -404,13 +462,17 @@ SubtreePartition partition_subtrees(const CsrMatrix& a, const SupernodalFactor& 
 
 }  // namespace
 
-void factorize_supernodal(const CsrMatrix& a, SupernodalFactor& f, bool parallel) {
+void factorize_supernodal(const CsrMatrix& a, const Permutation& perm,
+                          const std::vector<idx_t>& parent, SupernodalFactor& f, bool parallel) {
+  assert(a.rows() == f.n && perm.size() == f.n && static_cast<idx_t>(parent.size()) == f.n);
   const idx_t n = f.n;
   const idx_t ns = f.num_supernodes;
   std::vector<idx_t> dptr(ns, 0);
-  std::fill(f.values.begin(), f.values.end(), 0.0);  // allow refactorization
+  // Zeroed panels (also on refactorization): entries of L that A does not
+  // store start from zero.
+  f.values.assign(static_cast<std::size_t>(f.val_start[ns]), 0.0);
 
-  const SubtreePartition part = partition_subtrees(a, f);
+  const SubtreePartition part = partition_subtrees(parent, f);
   const idx_t nsub = static_cast<idx_t>(part.lo.size());
 
   // Phase 1: factor the light subtrees. Each subtree is descendant-closed,
@@ -437,7 +499,7 @@ void factorize_supernodal(const CsrMatrix& a, SupernodalFactor& f, bool parallel
         for (idx_t s = part.lo[t]; s <= part.hi[t]; ++s) {
           const PanelRef p = panel_of(f, s);
           for (idx_t i = 0; i < p.m; ++i) relmap[p.rs[i]] = i;
-          scatter_panel(a, p, relmap);
+          scatter_panel(a, perm, p, relmap);
           idx_t d = head[s];
           head[s] = -1;
           while (d != -1) {
@@ -493,7 +555,7 @@ void factorize_supernodal(const CsrMatrix& a, SupernodalFactor& f, bool parallel
     if (part.sub_of[s] != -1) continue;
     const PanelRef p = panel_of(f, s);
     for (idx_t i = 0; i < p.m; ++i) relmap[p.rs[i]] = i;
-    scatter_panel(a, p, relmap);
+    scatter_panel(a, perm, p, relmap);
     for (std::size_t qi = 0; qi < pending[s].size(); ++qi) {
       const idx_t d = pending[s][qi];
       const idx_t tgt = apply_descendant_update(f, dptr, d, p, relmap, scratch);

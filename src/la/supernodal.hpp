@@ -1,38 +1,59 @@
 #pragma once
 // Supernodal Cholesky machinery: shared symbolic analysis (elimination tree,
-// column counts, postorder), fundamental-supernode detection, a left-looking
-// blocked numeric factorization built on register-tiled dense kernels (no
-// external BLAS), and multi-RHS triangular panel solves.
+// column counts, postorder) over the permuted matrix's pattern alone,
+// fundamental-supernode detection, a left-looking blocked numeric
+// factorization built on register-tiled dense kernels (no external BLAS),
+// and multi-RHS triangular panel solves.
 //
 // Columns with identical below-diagonal structure (fundamental supernodes,
 // abundant after an AMD ordering of FEM matrices) are stored as one dense
 // column-major panel, so the numeric phase runs as dense rank-k updates —
 // cache-friendly and SIMD-friendly — instead of the scalar column-at-a-time
-// up-looking loop. SparseCholesky drives this module; it is exposed so tests
-// and benches can exercise the pieces directly.
+// up-looking loop. No phase materialises P A P^T's values: the symbolic
+// phase reads a values-free lower pattern, and the numeric phase scatters
+// A's values straight into the panels through the permutation.
+// SparseCholesky drives this module; it is exposed so tests and benches can
+// exercise the pieces directly.
 
 #include <cstddef>
 #include <vector>
 
+#include "la/ordering.hpp"
 #include "la/sparse.hpp"
 
 namespace ms::la {
 
-/// Elimination tree of a symmetric CSR matrix (parent per column, -1 at
-/// roots), via the ancestor path-compression sweep.
-std::vector<idx_t> elimination_tree(const CsrMatrix& a);
+/// Strictly-lower pattern of a symmetrically permuted matrix, without
+/// values: row k lists the columns i < k stored in row k of P A P^T, in A's
+/// column order (not sorted). It is all the symbolic phase reads.
+struct LowerPattern {
+  idx_t n = 0;
+  std::vector<offset_t> row_ptr;  ///< size n + 1
+  std::vector<idx_t> col_idx;
 
-/// Pattern of row k of L: nodes on etree paths from the below-diagonal
-/// entries of (permuted) row k up to k. Returns the entries in s[top..n-1]
-/// in topological order; `mark` is an n-sized stamp array (callers pass a
-/// fresh `stamp` per row instead of clearing it). Drives the column counts
-/// and the supernodal symbolic phase.
-idx_t ereach(const CsrMatrix& a, idx_t k, const std::vector<idx_t>& parent, std::vector<idx_t>& s,
-             std::vector<idx_t>& mark, idx_t stamp);
+  [[nodiscard]] offset_t nnz() const { return row_ptr.empty() ? 0 : row_ptr.back(); }
+};
+
+/// Pattern of tril(P A P^T, -1) for perm[new] = old, built in two O(nnz(A))
+/// counting passes over A's column indices (row k reads row perm[k] of A and
+/// keeps the columns whose inv_perm is below k). No values, no sort.
+LowerPattern lower_pattern(const CsrMatrix& a, const Permutation& p);
+
+/// Elimination tree (parent per column, -1 at roots), via the ancestor
+/// path-compression sweep.
+std::vector<idx_t> elimination_tree(const LowerPattern& a);
+
+/// Pattern of row k of L: nodes on etree paths from the entries of pattern
+/// row k up to k. Returns the entries in s[top..n-1] in topological order;
+/// `mark` is an n-sized stamp array (callers pass a fresh `stamp` per row
+/// instead of clearing it). Drives the column counts and the supernodal
+/// symbolic phase.
+idx_t ereach(const LowerPattern& a, idx_t k, const std::vector<idx_t>& parent,
+             std::vector<idx_t>& s, std::vector<idx_t>& mark, idx_t stamp);
 
 /// Column counts of the Cholesky factor L (diagonal included), via a
 /// symbolic row-pattern sweep over the elimination tree.
-std::vector<idx_t> cholesky_column_counts(const CsrMatrix& a, const std::vector<idx_t>& parent);
+std::vector<idx_t> cholesky_column_counts(const LowerPattern& a, const std::vector<idx_t>& parent);
 
 /// Postorder of the elimination tree: post[new] = old column, children
 /// visited in ascending order, roots ascending. Reordering columns by the
@@ -61,20 +82,29 @@ struct SupernodalFactor {
   /// included — that is what is actually allocated) plus the pattern and
   /// supernode metadata arrays.
   [[nodiscard]] std::size_t memory_bytes() const;
+
+  /// Export L in compressed sparse column form (diagonal first and rows
+  /// ascending per column), for tests and diagnostics.
+  void extract(std::vector<offset_t>& col_ptr, std::vector<idx_t>& row_idx,
+               std::vector<double>& values) const;
 };
 
 /// Symbolic phase: detect fundamental supernodes (columns j-1, j merge when
 /// parent[j-1] == j and counts[j] == counts[j-1] - 1, capped at `max_width`
 /// columns so panels stay register-tile friendly) and collect each
-/// supernode's row pattern. Panels are allocated zeroed, ready for the
-/// numeric phase.
-SupernodalFactor analyze_supernodes(const CsrMatrix& a, const std::vector<idx_t>& parent,
+/// supernode's row pattern. The value panels are sized but not allocated:
+/// the numeric phase allocates them, so the caller can release the lower
+/// pattern first.
+SupernodalFactor analyze_supernodes(const LowerPattern& a, const std::vector<idx_t>& parent,
                                     const std::vector<idx_t>& counts, idx_t max_width);
 
-/// Numeric phase: left-looking supernodal factorization of the (permuted)
-/// matrix whose symbolic analysis produced `f`. Descendant updates are dense
-/// C = B1 * B2^T rank-k products (register-tiled), followed by a fused dense
-/// panel factorization. Throws std::runtime_error on a non-positive pivot.
+/// Numeric phase: left-looking supernodal factorization of P A P^T, where
+/// `p` and the elimination tree `parent` are the ones the symbolic analysis
+/// that produced `f` used. A is read in place: each panel column j scatters
+/// row p.perm[j] of A, its columns mapped through p.inv_perm, so no permuted
+/// copy of A exists. Descendant updates are dense C = B1 * B2^T rank-k
+/// products (register-tiled), followed by a fused dense panel
+/// factorization. Throws std::runtime_error on a non-positive pivot.
 ///
 /// The work is scheduled in two phases over a deterministic partition of the
 /// elimination tree: disjoint light subtrees (target weight = total panel
@@ -89,7 +119,8 @@ SupernodalFactor analyze_supernodes(const CsrMatrix& a, const std::vector<idx_t>
 /// for any thread count. When the column order is not etree-postordered the
 /// subtree ranges can fail closure; the partition is then discarded and the
 /// whole factorization runs as the serial top phase.
-void factorize_supernodal(const CsrMatrix& a, SupernodalFactor& f, bool parallel);
+void factorize_supernodal(const CsrMatrix& a, const Permutation& p,
+                          const std::vector<idx_t>& parent, SupernodalFactor& f, bool parallel);
 
 /// Triangular solves over a multi-RHS block in *row-major* layout:
 /// x[i * nrhs + r] is dof i of case r. The layout keeps the right-hand sides

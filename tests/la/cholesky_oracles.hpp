@@ -2,6 +2,9 @@
 // Reference implementations the direct-solver tests compare against. None
 // of them runs in a solve path:
 //
+//  - symmetric permutation: P A P^T as an explicit value copy. Factoring
+//    the copy in natural order is the reference for SparseCholesky, which
+//    reads A through the permutation instead (the cross-path bitwise lock).
 //  - simplicial Cholesky: the scalar up-looking column-at-a-time
 //    factorization (CSparse style) of P A P^T, and its triangular solve.
 //    Under the permutation SparseCholesky reports, its factor must match
@@ -21,6 +24,20 @@
 
 namespace ms::la::oracle {
 
+/// B = P A P^T for a symmetric permutation (perm[new] = old).
+inline CsrMatrix permute_symmetric(const CsrMatrix& a, const Permutation& p) {
+  TripletList t(a.rows(), a.cols());
+  t.reserve(static_cast<std::size_t>(a.nnz()));
+  for (idx_t r = 0; r < a.rows(); ++r) {
+    const idx_t nr = p.inv_perm[r];
+    const offset_t end = a.row_ptr()[static_cast<std::size_t>(r) + 1];
+    for (offset_t k = a.row_ptr()[r]; k < end; ++k) {
+      t.add(nr, p.inv_perm[a.col_idx()[k]], a.values()[k]);
+    }
+  }
+  return CsrMatrix::from_triplets(t);
+}
+
 /// L of P A P^T in compressed sparse column form, diagonal first and rows
 /// ascending per column (the SparseCholesky::extract_factor layout).
 struct SimplicialFactor {
@@ -39,8 +56,11 @@ struct SimplicialFactor {
 inline SimplicialFactor simplicial_cholesky(const CsrMatrix& a, const Permutation& p) {
   const CsrMatrix pa = permute_symmetric(a, p);
   const idx_t n = pa.rows();
-  const std::vector<idx_t> parent = elimination_tree(pa);
-  const std::vector<idx_t> counts = cholesky_column_counts(pa, parent);
+  // Pattern of the sorted copy, so each row's reach is visited in the
+  // copy's column order.
+  const LowerPattern pattern = lower_pattern(pa, Permutation::identity(n));
+  const std::vector<idx_t> parent = elimination_tree(pattern);
+  const std::vector<idx_t> counts = cholesky_column_counts(pattern, parent);
   SimplicialFactor f;
   f.perm = p;
   f.col_ptr.assign(static_cast<std::size_t>(n) + 1, 0);
@@ -53,7 +73,7 @@ inline SimplicialFactor simplicial_cholesky(const CsrMatrix& a, const Permutatio
   Vec x(n, 0.0);
   for (idx_t k = 0; k < n; ++k) {
     // Scatter the lower part of row k into x.
-    const idx_t top = ereach(pa, k, parent, s, mark, k);
+    const idx_t top = ereach(pattern, k, parent, s, mark, k);
     double d = 0.0;
     for (offset_t q = pa.row_ptr()[k]; q < pa.row_ptr()[static_cast<std::size_t>(k) + 1]; ++q) {
       const idx_t i = pa.col_idx()[q];

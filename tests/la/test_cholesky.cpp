@@ -171,16 +171,20 @@ TEST(SparseCholesky, MultipleSolvesReuseFactor) {
   }
 }
 
-TEST(SparseCholesky, MemoryBytesCoversFactorAndPermutedMatrix) {
+TEST(SparseCholesky, MemoryBytesCoversFactorAndPermutation) {
   const CsrMatrix a = laplacian_2d(8);
   const SparseCholesky chol(a);
-  // The ledger must own at least the factor values, the permuted matrix
-  // copy the numeric phase consumed, and the two permutation arrays.
-  const std::size_t floor_bytes = static_cast<std::size_t>(chol.factor_nnz()) * sizeof(double) +
-                                  a.memory_bytes() +
-                                  2 * static_cast<std::size_t>(a.rows()) * sizeof(idx_t);
-  // The row patterns and supernode metadata are part of the ledger too, so
-  // the floor is strict.
+  const std::size_t n = static_cast<std::size_t>(a.rows());
+  // No copy of the matrix is made, so the ledger owns the factor and the
+  // two permutation arrays. Every column's own row lies in its supernode's
+  // pattern, so the row patterns hold at least n indices, and the
+  // column-to-supernode map holds exactly n.
+  const std::size_t factor_values = static_cast<std::size_t>(chol.factor_nnz()) * sizeof(double);
+  const std::size_t patterns_and_map = 2 * n * sizeof(idx_t);
+  const std::size_t permutation = 2 * n * sizeof(idx_t);
+  const std::size_t floor_bytes = factor_values + patterns_and_map + permutation;
+  // The supernode boundaries and panel offsets are part of the ledger too,
+  // so the floor is strict.
   EXPECT_GT(chol.memory_bytes(), floor_bytes);
   EXPECT_EQ(chol.order(), 64);
 }

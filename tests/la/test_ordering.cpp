@@ -49,7 +49,7 @@ TEST(Permutation, PermuteUnpermuteInverse) {
 TEST(Rcm, ReducesBandwidthOfShuffledChain) {
   const CsrMatrix a = shuffled_laplacian(60, 17);
   const Permutation p = oracle::reverse_cuthill_mckee(a);
-  const CsrMatrix pa = permute_symmetric(a, p);
+  const CsrMatrix pa = oracle::permute_symmetric(a, p);
   // A path graph has bandwidth 1 under the right ordering; RCM must find it.
   EXPECT_LE(oracle::bandwidth(pa), 2);
   EXPECT_GT(oracle::bandwidth(a), 5);  // the shuffle really did scatter it
@@ -59,7 +59,7 @@ TEST(Rcm, PermutedMatrixKeepsSpectrumProxy) {
   // Check P A P^T x' = (A x)' for consistency.
   const CsrMatrix a = shuffled_laplacian(30, 5);
   const Permutation p = oracle::reverse_cuthill_mckee(a);
-  const CsrMatrix pa = permute_symmetric(a, p);
+  const CsrMatrix pa = oracle::permute_symmetric(a, p);
   Vec x(30);
   for (idx_t i = 0; i < 30; ++i) x[i] = std::sin(static_cast<double>(i));
   Vec ax, pax;
@@ -114,7 +114,7 @@ CsrMatrix laplacian_3d(idx_t m) {
 
 /// nnz(L) of the Cholesky factor under permutation `p` (symbolic only).
 offset_t symbolic_factor_nnz(const CsrMatrix& a, const Permutation& p) {
-  const CsrMatrix pa = permute_symmetric(a, p);
+  const CsrMatrix pa = oracle::permute_symmetric(a, p);
   const idx_t n = pa.rows();
   std::vector<idx_t> parent(n, -1), ancestor(n, -1);
   for (idx_t k = 0; k < n; ++k) {

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <random>
+#include <utility>
+#include <vector>
+
 namespace ms::la {
 namespace {
 
@@ -41,6 +46,69 @@ TEST(CsrMatrix, DropZerosControlsCancelledEntries) {
   t.add(0, 1, 2.0);
   EXPECT_EQ(CsrMatrix::from_triplets(t, false).nnz(), 2);
   EXPECT_EQ(CsrMatrix::from_triplets(t, true).nnz(), 1);
+}
+
+TEST(CsrMatrix, FromTripletsMatchesMapReferenceOnRandomTriplets) {
+  // Seeded random triplets in unsorted order: heavy duplication, explicit
+  // zeros, rows that never receive a triplet (r % 5 == 4) and rows whose
+  // entries all cancel (r % 5 == 3; the negations arrive last, in reverse).
+  // Small-integer values keep every sum exact in any order, so the CSR
+  // arrays must equal a std::map accumulation exactly, with drop_zeros off
+  // (zeros kept) and on (zeros dropped, cancelled rows end up empty).
+  int rows_merged_empty = 0;
+  for (unsigned seed = 1; seed <= 24; ++seed) {
+    std::mt19937 rng(seed);
+    const idx_t rows = 1 + static_cast<idx_t>(rng() % 40);
+    const idx_t cols = 1 + static_cast<idx_t>(rng() % 12);
+    TripletList t(rows, cols);
+    std::map<std::pair<idx_t, idx_t>, double> sums;
+    std::vector<std::pair<idx_t, idx_t>> cancel_at;
+    std::vector<double> cancel_by;
+    const unsigned count = rng() % 400;
+    for (unsigned k = 0; k < count; ++k) {
+      const idx_t r = static_cast<idx_t>(rng() % static_cast<unsigned>(rows));
+      const idx_t c = static_cast<idx_t>(rng() % static_cast<unsigned>(cols));
+      const double v = static_cast<double>(static_cast<int>(rng() % 7) - 3);  // -3..3
+      if (r % 5 == 4) continue;
+      t.add(r, c, v);
+      sums[{r, c}] += v;
+      if (r % 5 == 3) {
+        cancel_at.emplace_back(r, c);
+        cancel_by.push_back(-v);
+      }
+    }
+    for (std::size_t k = cancel_at.size(); k-- > 0;) {
+      t.add(cancel_at[k].first, cancel_at[k].second, cancel_by[k]);
+      sums[cancel_at[k]] += cancel_by[k];
+    }
+
+    for (const bool drop_zeros : {false, true}) {
+      std::vector<offset_t> row_ptr(static_cast<std::size_t>(rows) + 1, 0);
+      std::vector<idx_t> col_idx;
+      std::vector<double> values;
+      for (const auto& [at, sum] : sums) {
+        if (drop_zeros && sum == 0.0) continue;
+        ++row_ptr[static_cast<std::size_t>(at.first) + 1];
+        col_idx.push_back(at.second);
+        values.push_back(sum);
+      }
+      for (idx_t r = 0; r < rows; ++r) row_ptr[static_cast<std::size_t>(r) + 1] += row_ptr[r];
+
+      const CsrMatrix m = CsrMatrix::from_triplets(t, drop_zeros);
+      ASSERT_EQ(m.rows(), rows);
+      ASSERT_EQ(m.cols(), cols);
+      EXPECT_EQ(m.row_ptr(), row_ptr) << "seed " << seed << ", drop_zeros " << drop_zeros;
+      EXPECT_EQ(m.col_idx(), col_idx) << "seed " << seed << ", drop_zeros " << drop_zeros;
+      EXPECT_EQ(m.values(), values) << "seed " << seed << ", drop_zeros " << drop_zeros;
+      if (drop_zeros) {
+        for (const auto& [r, c] : cancel_at) {
+          if (m.row_ptr()[r] == m.row_ptr()[static_cast<std::size_t>(r) + 1]) ++rows_merged_empty;
+        }
+      }
+    }
+  }
+  // The seeds must actually exercise rows that merge down to empty.
+  EXPECT_GT(rows_merged_empty, 0);
 }
 
 TEST(CsrMatrix, MulMatchesDense) {

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "chiplet/package_model.hpp"
 #include "fem/assembler.hpp"
@@ -95,22 +96,27 @@ TEST(Supernodal, PackageFactorMatchesSimplicial) {
   expect_factors_match(package_matrix(), 1e-12);
 }
 
+/// Strictly-lower pattern of `a` in its own (natural) ordering.
+LowerPattern natural_pattern(const CsrMatrix& a) {
+  return lower_pattern(a, Permutation::identity(a.rows()));
+}
+
 TEST(Supernodal, PartitionIsValidAndGroupsFemColumns) {
-  const CsrMatrix a = tsv_block_matrix();
-  const std::vector<idx_t> parent = elimination_tree(a);
-  const std::vector<idx_t> counts = cholesky_column_counts(a, parent);
-  const SupernodalFactor f = analyze_supernodes(a, parent, counts, 48);
+  const LowerPattern pattern = natural_pattern(tsv_block_matrix());
+  const std::vector<idx_t> parent = elimination_tree(pattern);
+  const std::vector<idx_t> counts = cholesky_column_counts(pattern, parent);
+  const SupernodalFactor f = analyze_supernodes(pattern, parent, counts, 48);
   expect_valid_supernode_partition(f);
   // 3 dofs per node share structure, so panels must actually group columns.
   EXPECT_LT(4 * f.num_supernodes, 3 * f.n);
 }
 
 TEST(Supernodal, WidthCapIsHonored) {
-  const CsrMatrix a = tsv_block_matrix();
-  const std::vector<idx_t> parent = elimination_tree(a);
-  const std::vector<idx_t> counts = cholesky_column_counts(a, parent);
+  const LowerPattern pattern = natural_pattern(tsv_block_matrix());
+  const std::vector<idx_t> parent = elimination_tree(pattern);
+  const std::vector<idx_t> counts = cholesky_column_counts(pattern, parent);
   for (const idx_t cap : {1, 4, 16}) {
-    const SupernodalFactor f = analyze_supernodes(a, parent, counts, cap);
+    const SupernodalFactor f = analyze_supernodes(pattern, parent, counts, cap);
     expect_valid_supernode_partition(f);
     for (idx_t s = 0; s < f.num_supernodes; ++s) {
       ASSERT_LE(f.super_start[static_cast<std::size_t>(s) + 1] - f.super_start[s], cap);
@@ -180,7 +186,7 @@ TEST(Supernodal, SyrkKernelMatchesNaiveProduct) {
 
 TEST(Supernodal, EtreePostorderIsValidPermutation) {
   const CsrMatrix a = package_matrix();
-  const std::vector<idx_t> parent = elimination_tree(a);
+  const std::vector<idx_t> parent = elimination_tree(natural_pattern(a));
   const std::vector<idx_t> post = etree_postorder(parent);
   ASSERT_EQ(post.size(), static_cast<std::size_t>(a.rows()));
   std::vector<char> seen(a.rows(), 0);
@@ -200,19 +206,64 @@ TEST(Supernodal, ParallelNumericMatchesSerialBitwise) {
   // The phased numeric factorization partitions the elimination tree with a
   // thread-count-independent weight target, so the OpenMP subtree pass must
   // reproduce the serial pass bit for bit on the matrix SparseCholesky
-  // factors (AMD + etree postorder).
+  // factors (AMD + etree postorder, read through the permutation).
   for (const CsrMatrix& a : {tsv_block_matrix(), package_matrix()}) {
     const SparseCholesky chol(a);
-    const CsrMatrix pa = permute_symmetric(a, chol.permutation());
-    const std::vector<idx_t> parent = elimination_tree(pa);
-    const std::vector<idx_t> counts = cholesky_column_counts(pa, parent);
+    const LowerPattern pattern = lower_pattern(a, chol.permutation());
+    const std::vector<idx_t> parent = elimination_tree(pattern);
+    const std::vector<idx_t> counts = cholesky_column_counts(pattern, parent);
     SupernodalFactor serial =
-        analyze_supernodes(pa, parent, counts, SparseCholesky::kMaxSupernodeWidth);
+        analyze_supernodes(pattern, parent, counts, SparseCholesky::kMaxSupernodeWidth);
     ASSERT_EQ(serial.num_supernodes, chol.num_supernodes());
     SupernodalFactor parallel = serial;
-    factorize_supernodal(pa, serial, /*parallel=*/false);
-    factorize_supernodal(pa, parallel, /*parallel=*/true);
+    factorize_supernodal(a, chol.permutation(), parent, serial, /*parallel=*/false);
+    factorize_supernodal(a, chol.permutation(), parent, parallel, /*parallel=*/true);
     ASSERT_EQ(serial.values, parallel.values) << "n = " << a.rows();
+  }
+}
+
+TEST(Supernodal, PermutedScatterMatchesPermutedCopyBitwise) {
+  // SparseCholesky never builds P A P^T: its symbolic phase reads a
+  // values-free pattern and its numeric phase scatters A through the
+  // permutation. The path it replaced factored an explicit P A P^T copy in
+  // natural order. Both must give the same factor bit for bit, with the
+  // copy's numeric phase run serial and parallel, and the same statistics.
+  for (const CsrMatrix& a : {tsv_block_matrix(), package_matrix()}) {
+    const SparseCholesky chol(a);
+    std::vector<offset_t> col_ptr;
+    std::vector<idx_t> row_idx;
+    std::vector<double> values;
+    chol.extract_factor(col_ptr, row_idx, values);
+
+    const CsrMatrix pa = oracle::permute_symmetric(a, chol.permutation());
+    const Permutation identity = Permutation::identity(pa.rows());
+    const LowerPattern pattern = lower_pattern(pa, identity);
+    const std::vector<idx_t> parent = elimination_tree(pattern);
+    const std::vector<idx_t> counts = cholesky_column_counts(pattern, parent);
+    offset_t lower_nnz = 0;  // nnz(tril(P A P^T)), the fill-ratio base
+    for (idx_t r = 0; r < pa.rows(); ++r) {
+      for (offset_t q = pa.row_ptr()[r]; q < pa.row_ptr()[static_cast<std::size_t>(r) + 1]; ++q) {
+        if (pa.col_idx()[q] <= r) ++lower_nnz;
+      }
+    }
+    for (const bool parallel : {false, true}) {
+      SupernodalFactor copy_path =
+          analyze_supernodes(pattern, parent, counts, SparseCholesky::kMaxSupernodeWidth);
+      factorize_supernodal(pa, identity, parent, copy_path, parallel);
+      EXPECT_EQ(copy_path.num_supernodes, chol.num_supernodes());
+      EXPECT_EQ(copy_path.factor_nnz(), chol.factor_nnz());
+      EXPECT_EQ(static_cast<double>(copy_path.factor_nnz()) / static_cast<double>(lower_nnz),
+                chol.fill_ratio());
+      std::vector<offset_t> copy_col_ptr;
+      std::vector<idx_t> copy_row_idx;
+      std::vector<double> copy_values;
+      copy_path.extract(copy_col_ptr, copy_row_idx, copy_values);
+      ASSERT_EQ(copy_col_ptr, col_ptr) << "n = " << a.rows();
+      ASSERT_EQ(copy_row_idx, row_idx) << "n = " << a.rows();
+      ASSERT_EQ(copy_values.size(), values.size());
+      EXPECT_EQ(std::memcmp(copy_values.data(), values.data(), values.size() * sizeof(double)), 0)
+          << "n = " << a.rows() << ", parallel = " << parallel;
+    }
   }
 }
 

@@ -15,11 +15,13 @@ namespace ms::util {
 namespace {
 
 /// Redirects stderr to a temp file for the duration of one scope so tests
-/// can assert on what log_message actually wrote.
+/// can assert on what log_message actually wrote. The file name carries the
+/// process id: a parallel ctest runs each test as its own process, and a
+/// shared name would let them truncate and delete each other's capture.
 class StderrCapture {
  public:
   StderrCapture() {
-    path_ = ::testing::TempDir() + "ms_log_capture.txt";
+    path_ = ::testing::TempDir() + "ms_log_capture_" + std::to_string(getpid()) + ".txt";
     std::fflush(stderr);
     saved_fd_ = dup(fileno(stderr));
     FILE* file = std::freopen(path_.c_str(), "w", stderr);
