@@ -1,11 +1,20 @@
 #include "la/supernodal.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <cmath>
-#include <stdexcept>
+#include <cstdint>
+#include <exception>
+#include <mutex>
+#include <utility>
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 #include "la/errors.hpp"
+#include "util/fault_injector.hpp"
 
 namespace ms::la {
 
@@ -225,14 +234,16 @@ SupernodalFactor analyze_supernodes(const LowerPattern& a, const std::vector<idx
   return f;
 }
 
-void syrk_panel_lower(const double* a, idx_t lda, idx_t ni, idx_t nj, idx_t k, double* c,
-                      idx_t ldc) {
+void syrk_panel_lower(const double* a, idx_t lda, idx_t i_begin, idx_t i_end, idx_t nj, idx_t k,
+                      double* c, idx_t ldc) {
   constexpr idx_t kTile = 4;
   for (idx_t j0 = 0; j0 < nj; j0 += kTile) {
     const idx_t jb = std::min(kTile, nj - j0);
-    // Tiles entirely above the i >= j trapezoid are never consumed.
-    for (idx_t i0 = j0 - (j0 % kTile); i0 < ni; i0 += kTile) {
-      const idx_t ib = std::min(kTile, ni - i0);
+    // Tiles entirely above the i >= j trapezoid are never consumed. Both
+    // tile shapes sum each entry over t ascending from zero, so where the
+    // row grid starts does not change any value.
+    for (idx_t i0 = std::max(i_begin, j0); i0 < i_end; i0 += kTile) {
+      const idx_t ib = std::min(kTile, i_end - i0);
       if (ib == kTile && jb == kTile) {
         double acc00 = 0, acc10 = 0, acc20 = 0, acc30 = 0;
         double acc01 = 0, acc11 = 0, acc21 = 0, acc31 = 0;
@@ -250,7 +261,7 @@ void syrk_panel_lower(const double* a, idx_t lda, idx_t ni, idx_t nj, idx_t k, d
           ai += lda;
           aj += lda;
         }
-        double* c0p = c + static_cast<std::size_t>(j0) * ldc + i0;
+        double* c0p = c + static_cast<std::size_t>(j0) * ldc + (i0 - i_begin);
         double* c1p = c0p + ldc;
         double* c2p = c1p + ldc;
         double* c3p = c2p + ldc;
@@ -268,7 +279,7 @@ void syrk_panel_lower(const double* a, idx_t lda, idx_t ni, idx_t nj, idx_t k, d
           }
         }
         for (idx_t jj = 0; jj < jb; ++jj) {
-          double* out = c + static_cast<std::size_t>(j0 + jj) * ldc + i0;
+          double* out = c + static_cast<std::size_t>(j0 + jj) * ldc + (i0 - i_begin);
           for (idx_t ii = 0; ii < ib; ++ii) out[ii] = acc[jj][ii];
         }
       }
@@ -277,6 +288,15 @@ void syrk_panel_lower(const double* a, idx_t lda, idx_t ni, idx_t nj, idx_t k, d
 }
 
 namespace {
+
+/// Pending rank-k multiply-adds above which a top supernode is factored by
+/// the whole OpenMP team, split by panel rows. It stands for the fixed cost
+/// of one team fork: waking the workers, the two barriers and the join,
+/// tens of microseconds, about what one core spends on this many
+/// multiply-adds in the register-tiled kernel. That cost belongs to the
+/// host's OpenMP runtime, not to the matrix or the caller, and the split
+/// leaves the factor bitwise unchanged, so it is a constant, not an option.
+constexpr double kRowSplitWork = 2e5;
 
 /// Resolved view of one supernode's dense panel.
 struct PanelRef {
@@ -314,44 +334,79 @@ void scatter_panel(const CsrMatrix& a, const Permutation& perm, const PanelRef& 
   }
 }
 
-/// Apply descendant d's pending rank-k update to the rows of panel p that it
-/// reaches (all its unconsumed rows < p.c1) and advance d's row cursor.
-/// Returns the supernode of d's next unconsumed row, or -1 when exhausted.
-idx_t apply_descendant_update(SupernodalFactor& f, std::vector<idx_t>& dptr, idx_t d,
-                              const PanelRef& p, const std::vector<idx_t>& relmap,
-                              std::vector<double>& scratch) {
-  const offset_t dr0 = f.row_start[d];
-  const idx_t dm = static_cast<idx_t>(f.row_start[static_cast<std::size_t>(d) + 1] - dr0);
-  const idx_t dw = f.super_start[static_cast<std::size_t>(d) + 1] - f.super_start[d];
-  const idx_t* drows = f.rows.data() + dr0;
-  const double* dpanel = f.values.data() + f.val_start[d];
-  const idx_t q0 = dptr[d];
-  idx_t q1 = q0;
-  while (q1 < dm && drows[q1] < p.c1) ++q1;
-  const idx_t nj = q1 - q0;
-  const idx_t ni = dm - q0;
-  scratch.resize(static_cast<std::size_t>(ni) * nj);
-  syrk_panel_lower(dpanel + q0, dm, ni, nj, dw, scratch.data(), ni);
-  for (idx_t jj = 0; jj < nj; ++jj) {
-    double* col = p.panel + static_cast<std::size_t>(drows[q0 + jj] - p.c0) * p.m;
-    const double* src = scratch.data() + static_cast<std::size_t>(jj) * ni;
-    for (idx_t ii = jj; ii < ni; ++ii) col[relmap[drows[q0 + ii]]] -= src[ii];
+/// Descendant d's pending rank-k update of one panel, k = d's width: rows
+/// [q0, dm) of d's pattern are the panel rows it reaches, and the first
+/// q1 - q0 of them are panel columns.
+struct PendingUpdate {
+  idx_t d = 0, k = 0, q0 = 0, q1 = 0, dm = 0;
+
+  /// Multiply-adds of the rank-k product, ni * nj * k.
+  [[nodiscard]] double work() const {
+    return static_cast<double>(dm - q0) * static_cast<double>(q1 - q0) * k;
   }
-  if (q1 == dm) return -1;
-  dptr[d] = q1;
-  return f.col_super[drows[q1]];
+};
+
+PendingUpdate pending_update(const SupernodalFactor& f, const std::vector<idx_t>& dptr, idx_t d,
+                             const PanelRef& p) {
+  PendingUpdate u;
+  u.d = d;
+  u.k = f.super_start[static_cast<std::size_t>(d) + 1] - f.super_start[d];
+  const offset_t dr0 = f.row_start[d];
+  u.dm = static_cast<idx_t>(f.row_start[static_cast<std::size_t>(d) + 1] - dr0);
+  const idx_t* drows = f.rows.data() + dr0;
+  u.q0 = dptr[d];
+  u.q1 = u.q0;
+  while (u.q1 < u.dm && drows[u.q1] < p.c1) ++u.q1;
+  return u;
 }
 
-/// Fused dense panel factorization: Cholesky of the w x w diagonal block
-/// with the below-diagonal rows updated and scaled in the same column sweep
-/// (the columns below the diagonal become L's off-diagonal block).
-void dense_panel_factorize(const PanelRef& p) {
+/// Subtract update u from the panel rows [r_begin, r_end) of p. d's reached
+/// rows ascend and all lie in p's pattern, so the ones landing in the slice
+/// are one contiguous run; the kernel computes only that run, and every
+/// entry receives the same value as from a whole-panel call.
+void apply_update(const SupernodalFactor& f, const PendingUpdate& u, const PanelRef& p,
+                  const std::vector<idx_t>& relmap, idx_t r_begin, idx_t r_end,
+                  std::vector<double>& scratch) {
+  const idx_t* drows = f.rows.data() + f.row_start[u.d] + u.q0;
+  const idx_t ni = u.dm - u.q0;
+  const idx_t nj = u.q1 - u.q0;
+  // Index of d's first reached row at or after panel row r.
+  const auto first_at = [&](idx_t r) {
+    if (r == p.m) return ni;
+    return static_cast<idx_t>(std::lower_bound(drows, drows + ni, p.rs[r]) - drows);
+  };
+  const idx_t i_begin = first_at(r_begin);
+  const idx_t i_end = first_at(r_end);
+  if (i_begin >= i_end) return;
+  const idx_t ldc = i_end - i_begin;
+  scratch.resize(static_cast<std::size_t>(ldc) * nj);
+  const double* dpanel = f.values.data() + f.val_start[u.d] + u.q0;
+  syrk_panel_lower(dpanel, u.dm, i_begin, i_end, nj, u.k, scratch.data(), ldc);
+  for (idx_t jj = 0; jj < nj; ++jj) {
+    double* col = p.panel + static_cast<std::size_t>(drows[jj] - p.c0) * p.m;
+    const double* src = scratch.data() + static_cast<std::size_t>(jj) * ldc;
+    for (idx_t ii = std::max(jj, i_begin); ii < i_end; ++ii) {
+      col[relmap[drows[ii]]] -= src[ii - i_begin];
+    }
+  }
+}
+
+/// Advance d's row cursor past update u. Returns the supernode of d's next
+/// unconsumed row, or -1 when d is exhausted.
+idx_t advance_update(const SupernodalFactor& f, std::vector<idx_t>& dptr, const PendingUpdate& u) {
+  if (u.q1 == u.dm) return -1;
+  dptr[u.d] = u.q1;
+  return f.col_super[f.rows[f.row_start[u.d] + u.q1]];
+}
+
+/// Cholesky of panel p's w x w diagonal block, column by column.
+void factor_diagonal_block(const PanelRef& p) {
   for (idx_t j = 0; j < p.w; ++j) {
     double* colj = p.panel + static_cast<std::size_t>(j) * p.m;
     for (idx_t t = 0; t < j; ++t) {
       const double ljt = p.panel[static_cast<std::size_t>(t) * p.m + j];
       const double* colt = p.panel + static_cast<std::size_t>(t) * p.m;
-      for (idx_t i = j; i < p.m; ++i) colj[i] -= ljt * colt[i];
+      for (idx_t i = j; i < p.w; ++i) colj[i] -= ljt * colt[i];
     }
     const double diag = colj[j];
     if (diag <= 0.0) {
@@ -360,14 +415,93 @@ void dense_panel_factorize(const PanelRef& p) {
     const double root = std::sqrt(diag);
     colj[j] = root;
     const double inv = 1.0 / root;
-    for (idx_t i = j + 1; i < p.m; ++i) colj[i] *= inv;
+    for (idx_t i = j + 1; i < p.w; ++i) colj[i] *= inv;
   }
+}
+
+/// Below-diagonal rows [i_begin, i_end) (i_begin >= w) of the panel
+/// factorization, once the diagonal block is factored: column by column,
+/// each row takes the earlier columns' updates in ascending order, then the
+/// column's reciprocal pivot. Rows are independent, so any row split
+/// reproduces the whole-panel sweep bit for bit.
+void factor_rows_below(const PanelRef& p, idx_t i_begin, idx_t i_end) {
+  for (idx_t j = 0; j < p.w; ++j) {
+    double* colj = p.panel + static_cast<std::size_t>(j) * p.m;
+    for (idx_t t = 0; t < j; ++t) {
+      const double ljt = p.panel[static_cast<std::size_t>(t) * p.m + j];
+      const double* colt = p.panel + static_cast<std::size_t>(t) * p.m;
+      for (idx_t i = i_begin; i < i_end; ++i) colj[i] -= ljt * colt[i];
+    }
+    const double inv = 1.0 / colj[j];
+    for (idx_t i = i_begin; i < i_end; ++i) colj[i] *= inv;
+  }
+}
+
+/// First exception thrown by any thread of an OpenMP region. Exceptions may
+/// not leave a region, so each thread's work runs through run(), and the
+/// exception is rethrown unchanged after the join.
+class TeamError {
+ public:
+  /// Run fn unless an earlier call failed; capture the first throw.
+  template <typename Fn>
+  void run(Fn&& fn) {
+    if (failed_.load(std::memory_order_acquire)) return;
+    try {
+      fn();
+    } catch (...) {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      if (!error_) error_ = std::current_exception();
+      failed_.store(true, std::memory_order_release);
+    }
+  }
+
+  void rethrow() const {
+    if (error_) std::rethrow_exception(error_);
+  }
+
+ private:
+  std::atomic<bool> failed_{false};
+  std::mutex mutex_;
+  std::exception_ptr error_;
+};
+
+void numeric_fault_probe() {
+  if (util::FaultInjector::enabled()) util::FaultInjector::global().fire("la.numeric");
+}
+
+/// The calling thread's place in the innermost OpenMP team.
+struct TeamMember {
+  std::int64_t rank = 0, size = 1;
+
+  /// This member's contiguous share [first, second) of [lo, hi).
+  [[nodiscard]] std::pair<idx_t, idx_t> slice(idx_t lo, idx_t hi) const {
+    const std::int64_t len = hi - lo;
+    return {static_cast<idx_t>(lo + len * rank / size),
+            static_cast<idx_t>(lo + len * (rank + 1) / size)};
+  }
+};
+
+TeamMember team_member() {
+  TeamMember m;
+#ifdef _OPENMP
+  m.rank = omp_get_thread_num();
+  m.size = omp_get_num_threads();
+#endif
+  return m;
+}
+
+int max_team_size() {
+#ifdef _OPENMP
+  return omp_get_max_threads();
+#else
+  return 1;
+#endif
 }
 
 /// Deterministic elimination-tree partition for the two-phase numeric
 /// factorization: disjoint supernodal subtrees of bounded weight, each a
 /// contiguous descendant-closed supernode range [lo[i], hi[i]]. sub_of maps
-/// each supernode to its subtree (or -1 for the serial top set). Returns
+/// each supernode to its subtree (or -1 for the top set). Returns
 /// empty ranges when the column order defeats the contiguity/closure
 /// invariants (possible without an etree postorder).
 struct SubtreePartition {
@@ -479,24 +613,21 @@ void factorize_supernodal(const CsrMatrix& a, const Permutation& perm,
   // so its supernodes consume updates that originate inside its range only;
   // the shared head/next_d/dptr slots it touches are its own, which makes
   // the loop race-free. Updates whose next target row lies beyond the
-  // subtree are deferred for the serial top phase. Within a subtree the
-  // work is the old serial left-looking loop verbatim, so phase-1 panels
-  // are bitwise independent of the thread count.
+  // subtree are deferred for the top phase. Within a subtree the work is
+  // the serial left-looking loop, so phase-1 panels are bitwise independent
+  // of the thread count.
   std::vector<idx_t> head(ns, -1), next_d(ns, -1);
   std::vector<std::vector<idx_t>> deferred(nsub);
-  bool failed = false;
+  TeamError subtree_error;
 #pragma omp parallel if (parallel)
   {
     std::vector<idx_t> relmap(n, -1);
     std::vector<double> scratch;
 #pragma omp for schedule(dynamic)
     for (idx_t t = 0; t < nsub; ++t) {
-      bool already_failed;
-#pragma omp atomic read
-      already_failed = failed;
-      if (already_failed) continue;
-      try {
+      subtree_error.run([&] {
         for (idx_t s = part.lo[t]; s <= part.hi[t]; ++s) {
+          numeric_fault_probe();
           const PanelRef p = panel_of(f, s);
           for (idx_t i = 0; i < p.m; ++i) relmap[p.rs[i]] = i;
           scatter_panel(a, perm, p, relmap);
@@ -504,7 +635,9 @@ void factorize_supernodal(const CsrMatrix& a, const Permutation& perm,
           head[s] = -1;
           while (d != -1) {
             const idx_t d_after = next_d[d];
-            const idx_t tgt = apply_descendant_update(f, dptr, d, p, relmap, scratch);
+            const PendingUpdate u = pending_update(f, dptr, d, p);
+            apply_update(f, u, p, relmap, 0, p.m, scratch);
+            const idx_t tgt = advance_update(f, dptr, u);
             if (tgt != -1) {
               if (tgt <= part.hi[t]) {
                 next_d[d] = head[tgt];
@@ -515,7 +648,8 @@ void factorize_supernodal(const CsrMatrix& a, const Permutation& perm,
             }
             d = d_after;
           }
-          dense_panel_factorize(p);
+          factor_diagonal_block(p);
+          factor_rows_below(p, p.w, p.m);
           if (p.m > p.w) {
             dptr[s] = p.w;
             const idx_t tgt = f.col_super[p.rs[p.w]];
@@ -527,22 +661,26 @@ void factorize_supernodal(const CsrMatrix& a, const Permutation& perm,
             }
           }
         }
-      } catch (const std::exception&) {
-        // Exceptions may not escape an OpenMP region; rethrown below.
-#pragma omp atomic write
-        failed = true;
-      }
+      });
     }
   }
-  if (failed) throw NotPositiveDefiniteError();
+  subtree_error.rethrow();
 
-  // Phase 2 (serial): the remaining top supernodes, ascending. Pending
-  // update lists are seeded from the deferred lists in subtree-index order
-  // — each list's internal order is thread-invariant, so the concatenation
-  // is deterministic without sorting. Every deferred or top-phase update
+  // Phase 2: the remaining top supernodes, ascending. Pending update lists
+  // are seeded from the deferred lists in subtree-index order — each list's
+  // internal order is thread-invariant, so the concatenation is
+  // deterministic without sorting. Every deferred or top-phase update
   // targets a top supernode (its target is an etree ancestor of a subtree
   // root, and wsub grows monotonically along ancestors), so the vectors
   // below are complete by the time each supernode is reached.
+  //
+  // A supernode whose pending rank-k work exceeds kRowSplitWork is factored
+  // by the whole team, split by panel rows: each thread applies every
+  // pending update, in pending order, to its own row slice, one thread
+  // factors the diagonal block, and each thread then finishes its slice of
+  // the rows below it. Every entry receives the same operations in the same
+  // order as with a team of one, so the factor does not depend on the team
+  // size. Cursors advance after the join, in pending order.
   std::vector<std::vector<idx_t>> pending(ns);
   for (idx_t t = 0; t < nsub; ++t) {
     for (const idx_t d : deferred[t]) {
@@ -550,21 +688,46 @@ void factorize_supernodal(const CsrMatrix& a, const Permutation& perm,
     }
   }
   std::vector<idx_t> relmap(n, -1);
-  std::vector<double> scratch;
+  std::vector<std::vector<double>> scratch(static_cast<std::size_t>(max_team_size()));
+  std::vector<PendingUpdate> updates;
   for (idx_t s = 0; s < ns; ++s) {
     if (part.sub_of[s] != -1) continue;
+    numeric_fault_probe();
     const PanelRef p = panel_of(f, s);
     for (idx_t i = 0; i < p.m; ++i) relmap[p.rs[i]] = i;
     scatter_panel(a, perm, p, relmap);
-    for (std::size_t qi = 0; qi < pending[s].size(); ++qi) {
-      const idx_t d = pending[s][qi];
-      const idx_t tgt = apply_descendant_update(f, dptr, d, p, relmap, scratch);
+    updates.clear();
+    double work = 0.0;
+    for (const idx_t d : pending[s]) {
+      updates.push_back(pending_update(f, dptr, d, p));
+      work += updates.back().work();
+    }
+    TeamError panel_error;
+#pragma omp parallel if (parallel && work > kRowSplitWork)
+    {
+      const TeamMember me = team_member();
+      panel_error.run([&] {
+        const auto [lo, hi] = me.slice(0, p.m);
+        for (const PendingUpdate& u : updates) {
+          apply_update(f, u, p, relmap, lo, hi, scratch[static_cast<std::size_t>(me.rank)]);
+        }
+      });
+#pragma omp barrier
+#pragma omp single
+      panel_error.run([&] { factor_diagonal_block(p); });
+      panel_error.run([&] {
+        const auto [lo, hi] = me.slice(p.w, p.m);
+        factor_rows_below(p, lo, hi);
+      });
+    }
+    panel_error.rethrow();
+    for (const PendingUpdate& u : updates) {
+      const idx_t tgt = advance_update(f, dptr, u);
       if (tgt != -1) {
         assert(part.sub_of[tgt] == -1);
-        pending[tgt].push_back(d);
+        pending[tgt].push_back(u.d);
       }
     }
-    dense_panel_factorize(p);
     if (p.m > p.w) {
       dptr[s] = p.w;
       pending[f.col_super[p.rs[p.w]]].push_back(s);

@@ -103,22 +103,28 @@ SupernodalFactor analyze_supernodes(const LowerPattern& a, const std::vector<idx
 /// that produced `f` used. A is read in place: each panel column j scatters
 /// row p.perm[j] of A, its columns mapped through p.inv_perm, so no permuted
 /// copy of A exists. Descendant updates are dense C = B1 * B2^T rank-k
-/// products (register-tiled), followed by a fused dense panel
-/// factorization. Throws std::runtime_error on a non-positive pivot.
+/// products (register-tiled), followed by a dense panel factorization
+/// (diagonal block, then the rows below it). Throws NotPositiveDefiniteError
+/// on a non-positive pivot; any other exception (an injected `la.numeric`
+/// fault, std::bad_alloc) propagates unchanged, also from inside an OpenMP
+/// team.
 ///
 /// The work is scheduled in two phases over a deterministic partition of the
 /// elimination tree: disjoint light subtrees (target weight = total panel
-/// weight / 64, independent of the thread count) factor first — each subtree
-/// is a contiguous, descendant-closed supernode range, so its supernodes see
-/// only updates that originate inside the range — then the remaining "top"
-/// supernodes factor serially, consuming the updates the subtrees deferred
-/// in subtree-index order. `parallel` runs phase one under OpenMP
-/// (SparseCholesky always sets it; only tests factor serially); because the
-/// partition and every per-panel floating-point order are fixed by the
-/// matrix alone, the factor is bitwise identical with the flag on or off and
-/// for any thread count. When the column order is not etree-postordered the
-/// subtree ranges can fail closure; the partition is then discarded and the
-/// whole factorization runs as the serial top phase.
+/// weight / 64, independent of the thread count) factor first, one subtree
+/// per thread — each subtree is a contiguous, descendant-closed supernode
+/// range, so its supernodes see only updates that originate inside the
+/// range — then the remaining "top" supernodes factor in ascending order,
+/// consuming the updates the subtrees deferred in subtree-index order. A top
+/// supernode whose pending rank-k work exceeds a fixed fork-cost constant is
+/// factored by the whole team, split by panel rows; the rest run on one
+/// thread. `parallel` enables both OpenMP phases (SparseCholesky always sets
+/// it; only tests factor serially). Because the partition and every
+/// per-entry floating-point order are fixed by the matrix alone, the factor
+/// is bitwise identical with the flag on or off and for any thread count.
+/// When the column order is not etree-postordered the subtree ranges can
+/// fail closure; the partition is then discarded and the whole
+/// factorization runs as the top phase.
 void factorize_supernodal(const CsrMatrix& a, const Permutation& p,
                           const std::vector<idx_t>& parent, SupernodalFactor& f, bool parallel);
 
@@ -132,11 +138,14 @@ void supernodal_forward_solve(const SupernodalFactor& f, double* x, idx_t nrhs);
 void supernodal_backward_solve(const SupernodalFactor& f, double* x, idx_t nrhs);
 
 /// Register-tiled dense kernel behind the descendant updates (exposed for
-/// tests/benches): C(i, j) = sum_t A(i, t) * A(j, t) for i in [0, ni),
-/// j in [0, nj), with A column-major (ni x k, leading dimension lda >= ni)
-/// and C column-major (ldc >= ni). Only the tiles touching i >= j are
-/// computed — callers consume the lower trapezoid.
-void syrk_panel_lower(const double* a, idx_t lda, idx_t ni, idx_t nj, idx_t k, double* c,
-                      idx_t ldc);
+/// tests/benches): C(i, j) = sum_t A(i, t) * A(j, t) for rows i in
+/// [i_begin, i_end) and j in [0, nj), with A column-major (k columns,
+/// leading dimension lda >= max(i_end, nj)) and C column-major, row i at
+/// offset i - i_begin (ldc >= i_end - i_begin). Only the tiles touching
+/// i >= j are computed — callers consume the lower trapezoid. Each entry is
+/// summed over t ascending whatever the range, so a row range reproduces
+/// the same rows of the full-range call bitwise.
+void syrk_panel_lower(const double* a, idx_t lda, idx_t i_begin, idx_t i_end, idx_t nj, idx_t k,
+                      double* c, idx_t ldc);
 
 }  // namespace ms::la

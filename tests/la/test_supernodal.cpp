@@ -7,15 +7,27 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <string>
+#include <utility>
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 #include "chiplet/package_model.hpp"
 #include "fem/assembler.hpp"
 #include "fem/dirichlet.hpp"
 #include "la/cholesky.hpp"
 #include "la/cholesky_oracles.hpp"
+#include "la/errors.hpp"
+#include "la/shift_retry.hpp"
 #include "mesh/tsv_block.hpp"
+#include "obs/metrics.hpp"
+#include "util/fault_injector.hpp"
 
 namespace ms::la {
 namespace {
@@ -96,6 +108,27 @@ TEST(Supernodal, PackageFactorMatchesSimplicial) {
   expect_factors_match(package_matrix(), 1e-12);
 }
 
+/// Sets the OpenMP team size for its scope and restores the previous one.
+class TeamSizeScope {
+ public:
+  explicit TeamSizeScope([[maybe_unused]] int threads) {
+#ifdef _OPENMP
+    saved_ = omp_get_max_threads();
+    omp_set_num_threads(threads);
+#endif
+  }
+  ~TeamSizeScope() {
+#ifdef _OPENMP
+    omp_set_num_threads(saved_);
+#endif
+  }
+  TeamSizeScope(const TeamSizeScope&) = delete;
+  TeamSizeScope& operator=(const TeamSizeScope&) = delete;
+
+ private:
+  int saved_ = 1;
+};
+
 /// Strictly-lower pattern of `a` in its own (natural) ordering.
 LowerPattern natural_pattern(const CsrMatrix& a) {
   return lower_pattern(a, Permutation::identity(a.rows()));
@@ -171,7 +204,7 @@ TEST(Supernodal, SyrkKernelMatchesNaiveProduct) {
   std::vector<double> a(static_cast<std::size_t>(lda) * k);
   for (std::size_t i = 0; i < a.size(); ++i) a[i] = std::sin(0.37 * static_cast<double>(i));
   std::vector<double> c(static_cast<std::size_t>(ldc) * nj, -99.0);
-  syrk_panel_lower(a.data(), lda, ni, nj, k, c.data(), ldc);
+  syrk_panel_lower(a.data(), lda, 0, ni, nj, k, c.data(), ldc);
   for (idx_t j = 0; j < nj; ++j) {
     for (idx_t i = j; i < ni; ++i) {  // the consumed trapezoid
       double ref = 0.0;
@@ -180,6 +213,24 @@ TEST(Supernodal, SyrkKernelMatchesNaiveProduct) {
       }
       EXPECT_NEAR(c[static_cast<std::size_t>(j) * ldc + i], ref, 1e-13 * (1.0 + std::abs(ref)))
           << "entry (" << i << ", " << j << ")";
+    }
+  }
+  // A row range [i_begin, i_end) reproduces the same rows of the full call
+  // bit for bit, also when it starts off the 4-row tile grid, so the top
+  // phase's row slices cannot change a factor entry.
+  const std::vector<std::pair<idx_t, idx_t>> ranges = {{0, 13}, {0, 3}, {4, 12}, {5, 11},
+                                                       {3, 13}, {7, 8}, {10, 13}};
+  for (const auto& [i_begin, i_end] : ranges) {
+    const idx_t ld = i_end - i_begin;
+    std::vector<double> slice(static_cast<std::size_t>(ld) * nj, -77.0);
+    syrk_panel_lower(a.data(), lda, i_begin, i_end, nj, k, slice.data(), ld);
+    for (idx_t j = 0; j < nj; ++j) {
+      for (idx_t i = std::max(i_begin, j); i < i_end; ++i) {
+        const double full = c[static_cast<std::size_t>(j) * ldc + i];
+        const double part = slice[static_cast<std::size_t>(j) * ld + (i - i_begin)];
+        EXPECT_EQ(std::memcmp(&full, &part, sizeof(double)), 0)
+            << "rows [" << i_begin << ", " << i_end << "), entry (" << i << ", " << j << ")";
+      }
     }
   }
 }
@@ -268,7 +319,7 @@ TEST(Supernodal, PermutedScatterMatchesPermutedCopyBitwise) {
 }
 
 TEST(Supernodal, ParallelNumericStillThrowsOnIndefiniteMatrix) {
-  // The subtree pass may not leak exceptions out of its OpenMP region; the
+  // Neither OpenMP phase may leak exceptions out of its region; the
   // non-positive-pivot failure must still surface as the usual throw.
   const CsrMatrix a = tsv_block_matrix();
   TripletList t(a.rows(), a.cols());
@@ -280,7 +331,69 @@ TEST(Supernodal, ParallelNumericStillThrowsOnIndefiniteMatrix) {
     }
   }
   const CsrMatrix indefinite = CsrMatrix::from_triplets(t);
-  EXPECT_THROW(SparseCholesky{indefinite}, std::runtime_error);
+  EXPECT_THROW(SparseCholesky{indefinite}, NotPositiveDefiniteError);
+
+  // A late breakdown: only the last pivot, in the top phase's root
+  // supernode (row-split at team size 4), fails. AMD reads the pattern
+  // alone, so the flipped matrix keeps chol's permutation.
+  const CsrMatrix package = package_matrix();
+  const SparseCholesky chol(package);
+  CsrMatrix late = package;
+  const idx_t last = chol.permutation().perm[static_cast<std::size_t>(package.rows()) - 1];
+  for (offset_t p = late.row_ptr()[last]; p < late.row_ptr()[static_cast<std::size_t>(last) + 1];
+       ++p) {
+    if (late.col_idx()[p] == last) late.values()[p] = -late.values()[p];
+  }
+  for (const int threads : {1, 4}) {
+    const TeamSizeScope team(threads);
+    EXPECT_THROW(SparseCholesky{late}, NotPositiveDefiniteError) << "team size " << threads;
+  }
+}
+
+TEST(Supernodal, RowSplitTopPhaseIsBitwiseAtEveryTeamSize) {
+  // The package matrix's top supernodes carry enough pending work to be
+  // split by rows across the team. Every team size, uneven splits included,
+  // must reproduce the serial factor bit for bit.
+  const CsrMatrix a = package_matrix();
+  const SparseCholesky chol(a);
+  const LowerPattern pattern = lower_pattern(a, chol.permutation());
+  const std::vector<idx_t> parent = elimination_tree(pattern);
+  const std::vector<idx_t> counts = cholesky_column_counts(pattern, parent);
+  const SupernodalFactor symbolic =
+      analyze_supernodes(pattern, parent, counts, SparseCholesky::kMaxSupernodeWidth);
+  SupernodalFactor serial = symbolic;
+  factorize_supernodal(a, chol.permutation(), parent, serial, /*parallel=*/false);
+  for (const int threads : {1, 2, 3, 4}) {
+    const TeamSizeScope team(threads);
+    SupernodalFactor split = symbolic;
+    factorize_supernodal(a, chol.permutation(), parent, split, /*parallel=*/true);
+    ASSERT_EQ(split.values.size(), serial.values.size());
+    EXPECT_EQ(std::memcmp(split.values.data(), serial.values.data(),
+                          serial.values.size() * sizeof(double)),
+              0)
+        << "team size " << threads;
+  }
+}
+
+TEST(Supernodal, NumericFaultSurfacesUnchangedWithoutShiftRetry) {
+  // An exception that is not a pivot breakdown (here the injected
+  // `la.numeric` fault, first panel) leaves the OpenMP region unchanged,
+  // so the shift-retry ladder does not refactor for it.
+  const CsrMatrix a = package_matrix();
+  obs::Counter& retries =
+      obs::MetricRegistry::global().counter("robustness.spd_shift_retries");
+  const std::int64_t retries_before = retries.value();
+  util::FaultInjector::global().configure("la.numeric:throw:1:1");
+  std::string site;
+  try {
+    (void)factor_with_shift_retry(a, "test.factor");
+  } catch (const util::InjectedFault& e) {
+    site = e.site();
+  }
+  EXPECT_EQ(util::FaultInjector::global().fired_count("la.numeric"), 1u);
+  util::FaultInjector::global().reset();
+  EXPECT_EQ(site, "la.numeric");
+  EXPECT_EQ(retries.value(), retries_before);
 }
 
 }  // namespace

@@ -229,6 +229,27 @@ TEST(SweepFaults, WorkerProbeFailsScenarioWithFaultInjectedCode) {
   EXPECT_EQ(results[2].status, ScenarioStatus::kOk);
 }
 
+TEST(SweepFaults, NumericPhaseFaultKeepsItsClassification) {
+  // The first panel the numeric phase factors throws from inside an OpenMP
+  // region. The exception must reach the row unchanged: fault-injected at
+  // its probe, not a pivot breakdown that the shift-retry ladder refactors.
+  util::FaultInjector::global().configure("la.numeric:throw:1:1");
+  SweepEngine engine(serial_options());
+  SweepStats stats;
+  const std::vector<ScenarioResult> results = engine.run(steady_family(3), &stats);
+  const std::uint64_t fired = util::FaultInjector::global().fired_count("la.numeric");
+  util::FaultInjector::global().reset();
+
+  EXPECT_EQ(fired, 1u);
+  ASSERT_EQ(results.size(), 3u);
+  EXPECT_EQ(results[0].status, ScenarioStatus::kFailed);
+  EXPECT_EQ(results[0].error.code, core::SimErrorCode::kFaultInjected);
+  EXPECT_EQ(results[0].error.stage, "la.numeric");
+  EXPECT_EQ(results[1].status, ScenarioStatus::kOk);
+  EXPECT_EQ(results[2].status, ScenarioStatus::kOk);
+  EXPECT_EQ(stats.num_degraded, 0);
+}
+
 TEST(SweepFaults, ExpiredDeadlineFailsEveryRowWithoutKillingTheBatch) {
   util::FaultInjector::global().reset();
   SweepOptions options = serial_options();
