@@ -89,6 +89,55 @@ DenseMatrix DenseMatrix::identity(idx_t n) {
   return m;
 }
 
+namespace {
+
+/// NR (1 or 2) consecutive matrix rows, starting at a, times the panel:
+/// 4-column tiles, so each row value loaded feeds 4 * NR independent
+/// accumulator chains, then the remaining columns one at a time.
+template <int NR>
+void rows_tile(const double* a, idx_t nk, const double* cols, idx_t num_cols, double* out) {
+  idx_t t = 0;
+  for (; t + 4 <= num_cols; t += 4) {
+    const double* k0 = cols + static_cast<std::size_t>(t) * nk;
+    double acc[NR][4] = {};
+    for (idx_t k = 0; k < nk; ++k) {
+      for (int r = 0; r < NR; ++r) {
+        const double v = a[static_cast<std::size_t>(r) * nk + k];
+        for (int c = 0; c < 4; ++c) acc[r][c] += v * k0[static_cast<std::size_t>(c) * nk + k];
+      }
+    }
+    for (int r = 0; r < NR; ++r) {
+      for (int c = 0; c < 4; ++c) out[static_cast<std::size_t>(r) * num_cols + t + c] = acc[r][c];
+    }
+  }
+  for (; t < num_cols; ++t) {
+    const double* kc = cols + static_cast<std::size_t>(t) * nk;
+    double acc[NR] = {};
+    for (idx_t k = 0; k < nk; ++k) {
+      for (int r = 0; r < NR; ++r) acc[r] += a[static_cast<std::size_t>(r) * nk + k] * kc[k];
+    }
+    for (int r = 0; r < NR; ++r) out[static_cast<std::size_t>(r) * num_cols + t] = acc[r];
+  }
+}
+
+}  // namespace
+
+void rows_times_cols(const DenseMatrix& m, idx_t row0, int nr, const double* cols,
+                     idx_t num_cols, double* out) {
+  assert(row0 >= 0 && row0 + nr <= m.rows());
+  const idx_t nk = m.cols();
+  const double* a = m.data().data() + static_cast<std::size_t>(row0) * nk;
+  int ri = 0;
+  for (; ri + 2 <= nr; ri += 2) {
+    rows_tile<2>(a + static_cast<std::size_t>(ri) * nk, nk, cols, num_cols,
+                 out + static_cast<std::size_t>(ri) * num_cols);
+  }
+  if (ri < nr) {
+    rows_tile<1>(a + static_cast<std::size_t>(ri) * nk, nk, cols, num_cols,
+                 out + static_cast<std::size_t>(ri) * num_cols);
+  }
+}
+
 DenseLu::DenseLu(const DenseMatrix& a) : lu_(a), perm_(a.rows()) {
   if (a.rows() != a.cols()) throw std::invalid_argument("DenseLu: matrix must be square");
   const idx_t n = lu_.rows();

@@ -2,7 +2,8 @@
 // Dense row-major matrix with the factorizations the ROM layer needs:
 // LU with partial pivoting (general square solves) and Cholesky (SPD element
 // matrices). Sizes here are small (element matrices, reduced models), so
-// clarity wins over blocking.
+// clarity wins over blocking — except in rows_times_cols, the register-tiled
+// product that field reconstruction and channel extraction share.
 
 #include <cstddef>
 #include <vector>
@@ -53,6 +54,15 @@ class DenseMatrix {
   idx_t cols_ = 0;
   std::vector<double> data_;
 };
+
+/// out[ri * num_cols + j] = sum_k m(row0 + ri, k) * cols[j * m.cols() + k]
+/// for ri < nr, j < num_cols: rows [row0, row0 + nr) of m times a
+/// column-major panel of num_cols columns, each m.cols() long. Every output
+/// entry is one k-ascending accumulator that starts from zero — the order
+/// of DenseMatrix::mul's per-row sum — so the product is bitwise the same
+/// as num_cols separate GEMVs, whatever the tiling.
+void rows_times_cols(const DenseMatrix& m, idx_t row0, int nr, const double* cols,
+                     idx_t num_cols, double* out);
 
 /// LU factorization with partial pivoting of a square matrix.
 class DenseLu {

@@ -9,11 +9,8 @@
 #include <mutex>
 #include <utility>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 #include "la/errors.hpp"
+#include "la/team.hpp"
 #include "util/fault_injector.hpp"
 
 namespace ms::la {
@@ -467,35 +464,6 @@ class TeamError {
 
 void numeric_fault_probe() {
   if (util::FaultInjector::enabled()) util::FaultInjector::global().fire("la.numeric");
-}
-
-/// The calling thread's place in the innermost OpenMP team.
-struct TeamMember {
-  std::int64_t rank = 0, size = 1;
-
-  /// This member's contiguous share [first, second) of [lo, hi).
-  [[nodiscard]] std::pair<idx_t, idx_t> slice(idx_t lo, idx_t hi) const {
-    const std::int64_t len = hi - lo;
-    return {static_cast<idx_t>(lo + len * rank / size),
-            static_cast<idx_t>(lo + len * (rank + 1) / size)};
-  }
-};
-
-TeamMember team_member() {
-  TeamMember m;
-#ifdef _OPENMP
-  m.rank = omp_get_thread_num();
-  m.size = omp_get_num_threads();
-#endif
-  return m;
-}
-
-int max_team_size() {
-#ifdef _OPENMP
-  return omp_get_max_threads();
-#else
-  return 1;
-#endif
 }
 
 /// Deterministic elimination-tree partition for the two-phase numeric

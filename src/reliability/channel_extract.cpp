@@ -16,47 +16,6 @@ using la::idx_t;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// out[ri * num_cols + j] = sum_k m(row0 + ri, k) * cols[j * nk + k].
-/// Each output entry is one independent k-ascending accumulator — the same
-/// summation order as the naive per-step GEMV in rom::reconstruct_* — tiled
-/// 2 rows x 4 columns so the row data loaded from the (row-major) sample
-/// matrix amortizes over eight accumulator chains. nr must be even.
-void rows_times_cols(const la::DenseMatrix& m, idx_t row0, int nr, const double* cols,
-                     idx_t num_cols, idx_t nk, double* out) {
-  for (int ri = 0; ri < nr; ri += 2) {
-    const double* a0 = m.data().data() + static_cast<std::size_t>(row0 + ri) * nk;
-    const double* a1 = a0 + nk;
-    double* o0 = out + static_cast<std::size_t>(ri) * num_cols;
-    double* o1 = o0 + num_cols;
-    idx_t t = 0;
-    for (; t + 4 <= num_cols; t += 4) {
-      const double* k0 = cols + static_cast<std::size_t>(t) * nk;
-      const double* k1 = k0 + nk;
-      const double* k2 = k1 + nk;
-      const double* k3 = k2 + nk;
-      double a00 = 0, a01 = 0, a02 = 0, a03 = 0;
-      double a10 = 0, a11 = 0, a12 = 0, a13 = 0;
-      for (idx_t k = 0; k < nk; ++k) {
-        const double r0 = a0[k], r1 = a1[k];
-        a00 += r0 * k0[k]; a01 += r0 * k1[k]; a02 += r0 * k2[k]; a03 += r0 * k3[k];
-        a10 += r1 * k0[k]; a11 += r1 * k1[k]; a12 += r1 * k2[k]; a13 += r1 * k3[k];
-      }
-      o0[t] = a00; o0[t + 1] = a01; o0[t + 2] = a02; o0[t + 3] = a03;
-      o1[t] = a10; o1[t + 1] = a11; o1[t + 2] = a12; o1[t + 3] = a13;
-    }
-    for (; t < num_cols; ++t) {
-      const double* kc = cols + static_cast<std::size_t>(t) * nk;
-      double s0 = 0, s1 = 0;
-      for (idx_t k = 0; k < nk; ++k) {
-        s0 += a0[k] * kc[k];
-        s1 += a1[k] * kc[k];
-      }
-      o0[t] = s0;
-      o1[t] = s1;
-    }
-  }
-}
-
 /// Squared von Mises stress: the argument of the sqrt in fem::von_mises,
 /// term for term, so taking sqrt of the running maximum afterwards yields
 /// the exact same double as maximizing fem::von_mises itself.
@@ -149,6 +108,9 @@ void extract_channel_history(const rom::BlockGrid& grid, const rom::RomModel& ts
   }
   if (history.blocks_x() != range.width() || history.blocks_y() != range.height()) {
     throw std::invalid_argument("extract_channel_history: history extent must match the range");
+  }
+  if (dummy_model != nullptr && !tsv_model.compatible_with(*dummy_model)) {
+    throw std::invalid_argument("extract_channel_history: dummy model incompatible with TSV model");
   }
   if (tsv_model.bump_shear_samples.rows() == 0 ||
       (dummy_model != nullptr && dummy_model->bump_shear_samples.rows() == 0)) {
@@ -311,9 +273,9 @@ void extract_channel_history(const rom::BlockGrid& grid, const rom::RomModel& ts
           // Projected responses of this point's eight rows to the basis,
           // then per step the projected channels plus the residual band
           // decide whether the exact column can possibly set a peak.
-          rows_times_cols(model->stress_samples, 6 * pt, 6, qbasis.data(), rank, nk, p6.data());
-          rows_times_cols(model->bump_shear_samples, 2 * pt, 2, qbasis.data(), rank, nk,
-                          p2.data());
+          la::rows_times_cols(model->stress_samples, 6 * pt, 6, qbasis.data(), rank, p6.data());
+          la::rows_times_cols(model->bump_shear_samples, 2 * pt, 2, qbasis.data(), rank,
+                              p2.data());
           const double avm = po.a_vm[pt], ap1 = po.a_p1[pt], ash = po.a_sh[pt];
           m = 0;
           for (idx_t t = 0; t < num_steps; ++t) {
@@ -360,8 +322,8 @@ void extract_channel_history(const rom::BlockGrid& grid, const rom::RomModel& ts
         }
         evaluated += m;
         const double* panel = use_screen ? scratch.data() : coefs.data();
-        rows_times_cols(model->stress_samples, 6 * pt, 6, panel, m, nk, vals6.data());
-        rows_times_cols(model->bump_shear_samples, 2 * pt, 2, panel, m, nk, vals2.data());
+        la::rows_times_cols(model->stress_samples, 6 * pt, 6, panel, m, vals6.data());
+        la::rows_times_cols(model->bump_shear_samples, 2 * pt, 2, panel, m, vals2.data());
         for (idx_t j = 0; j < m; ++j) {
           const idx_t t = use_screen ? sel[j] : j;
           const double sxx = vals6[j];

@@ -7,9 +7,10 @@
 // column), each sample point's stored basis rows multiply K as a small dense
 // product, and the pointwise channel values reduce to per-block peaks — the
 // model's sample matrices stream through memory once per block instead of
-// once per (block, step). The per-entry summation order matches the naive
-// per-step GEMV in rom::reconstruct_*, so the result locks to the full-field
-// path at rounding level (see tests/reliability/test_channel_extract.cpp).
+// once per (block, step). Both this and rom::reconstruct_* multiply through
+// la::rows_times_cols, so the per-entry summation order is the same and the
+// result locks to the full-field path at rounding level (see
+// tests/reliability/test_channel_extract.cpp).
 
 #include <vector>
 

@@ -1,42 +1,110 @@
 #include "rom/reconstruct.hpp"
 
+#include <algorithm>
 #include <stdexcept>
+#include <string>
+
+#include "la/team.hpp"
 
 namespace ms::rom {
 namespace {
 
-/// Shared driver: for each block in range, form the coefficient vector
-/// [u_block; thermal_load] and emit rows_per_pt values per sample point into
-/// the region-wide y-major output array.
-template <typename Emit>
-void for_each_block_samples(const BlockGrid& grid, const RomModel& tsv_model,
-                            const RomModel* dummy_model, const BlockMask& mask, const Vec& u,
-                            const BlockLoadField& load, const BlockRange& range,
-                            const Emit& emit) {
+/// The three variants in one: R values per sample point, read from
+/// the sample matrix `samples` (R * s^2 rows, n + 1 columns) of each model.
+///
+/// For each model the range uses, its blocks' coefficient vectors
+/// [u_block; ΔT_block] gather into one column-major (n + 1) x nb panel, and
+/// each sample point's R rows multiply that panel in one la::rows_times_cols
+/// call; the OpenMP team splits the sample points. Every output entry is one
+/// k-ascending accumulator from zero computed by one thread, so the field is
+/// bitwise the same as one GEMV per block, at every team size. Validation
+/// and buffers come first: nothing in the parallel region throws or
+/// allocates.
+template <int R>
+std::vector<std::array<double, R>> reconstruct_samples(
+    const std::string& caller, DenseMatrix RomModel::*samples, const char* what,
+    const BlockGrid& grid, const RomModel& tsv_model, const RomModel* dummy_model,
+    const BlockMask& mask, const Vec& u, const BlockLoadField& load, const BlockRange& range) {
   if (range.bx0 < 0 || range.bx1 > grid.blocks_x() || range.by0 < 0 ||
       range.by1 > grid.blocks_y() || range.width() <= 0 || range.height() <= 0) {
-    throw std::invalid_argument("reconstruct: block range out of bounds");
+    throw std::invalid_argument(caller + ": block range out of bounds");
   }
   if (!mask.empty() && mask.size() != static_cast<std::size_t>(grid.num_blocks())) {
-    throw std::invalid_argument("reconstruct: mask size must be blocks_x*blocks_y");
+    throw std::invalid_argument(caller + ": mask size must be blocks_x*blocks_y");
   }
   load.validate_extent(grid.blocks_x(), grid.blocks_y());
+  if (dummy_model != nullptr && !tsv_model.compatible_with(*dummy_model)) {
+    throw std::invalid_argument(caller + ": dummy model incompatible with TSV model");
+  }
+
+  const int s = tsv_model.samples_per_block;
   const idx_t n = tsv_model.num_element_dofs();
-  Vec coef(static_cast<std::size_t>(n) + 1);
-  for (int by = range.by0; by < range.by1; ++by) {
-    for (int bx = range.bx0; bx < range.bx1; ++bx) {
-      const bool is_tsv =
-          mask.empty() || mask[static_cast<std::size_t>(by) * grid.blocks_x() + bx] != 0;
-      const RomModel* model = is_tsv ? &tsv_model : dummy_model;
-      if (model == nullptr) {
-        throw std::invalid_argument("reconstruct: mask selects dummy blocks but no model");
-      }
-      const std::vector<idx_t> dofs = grid.block_dofs(bx, by);
-      for (idx_t i = 0; i < n; ++i) coef[i] = u[dofs[i]];
-      coef[n] = load.at(bx, by);
-      emit(*model, bx, by, coef);
+  const idx_t nk = n + 1;
+  const idx_t npts = static_cast<idx_t>(s) * s;
+  const int bw = range.width();
+  const int num_blocks = bw * range.height();
+
+  // The range's blocks per model, y-major: [0] TSV, [1] dummy.
+  std::vector<int> blocks_of[2];
+  for (int b = 0; b < num_blocks; ++b) {
+    const std::size_t gb =
+        static_cast<std::size_t>(range.by0 + b / bw) * grid.blocks_x() + range.bx0 + b % bw;
+    const bool is_dummy = !mask.empty() && mask[gb] == 0;
+    blocks_of[is_dummy ? 1 : 0].push_back(b);
+  }
+  const RomModel* models[2] = {&tsv_model, dummy_model};
+  if (!blocks_of[1].empty() && dummy_model == nullptr) {
+    throw std::invalid_argument(caller + ": mask selects dummy blocks but no model");
+  }
+  // The TSV model sets the shape, so it is always checked; the dummy only
+  // where the range uses it.
+  for (int m = 0; m < 2; ++m) {
+    if (m == 1 && blocks_of[1].empty()) continue;
+    const DenseMatrix& sm = models[m]->*samples;
+    if (sm.rows() != R * npts || sm.cols() != nk) {
+      throw std::logic_error(caller + ": " + (m == 0 ? "TSV" : "dummy") + " model carries no " +
+                             what + " samples of " + std::to_string(R * npts) + " x " +
+                             std::to_string(nk) + " (rebuild the local stage)");
     }
   }
+
+  const std::size_t width = static_cast<std::size_t>(bw) * s;
+  std::vector<std::array<double, R>> out(width * static_cast<std::size_t>(range.height()) * s);
+  const std::size_t max_nb = std::max(blocks_of[0].size(), blocks_of[1].size());
+  std::vector<double> panel(static_cast<std::size_t>(nk) * max_nb);
+  std::vector<std::size_t> origin(max_nb);  // output index of each block's first point
+  std::vector<double> vals(static_cast<std::size_t>(la::max_team_size()) * R * max_nb);
+
+  for (int m = 0; m < 2; ++m) {
+    const std::vector<int>& blocks = blocks_of[m];
+    if (blocks.empty()) continue;
+    const DenseMatrix& sm = models[m]->*samples;
+    const idx_t nb = static_cast<idx_t>(blocks.size());
+    for (idx_t j = 0; j < nb; ++j) {
+      const int bx = range.bx0 + blocks[j] % bw;
+      const int by = range.by0 + blocks[j] / bw;
+      const std::vector<idx_t> dofs = grid.block_dofs(bx, by);
+      double* col = panel.data() + static_cast<std::size_t>(j) * nk;
+      for (idx_t i = 0; i < n; ++i) col[i] = u[dofs[i]];
+      col[n] = load.at(bx, by);
+      origin[j] = static_cast<std::size_t>(by - range.by0) * s * width +
+                  static_cast<std::size_t>(bx - range.bx0) * s;
+    }
+#pragma omp parallel
+    {
+      double* v = vals.data() + static_cast<std::size_t>(la::team_member().rank) * R * nb;
+#pragma omp for schedule(static)
+      for (idx_t pt = 0; pt < npts; ++pt) {
+        la::rows_times_cols(sm, R * pt, R, panel.data(), nb, v);
+        const std::size_t offset = static_cast<std::size_t>(pt / s) * width + pt % s;
+        for (idx_t j = 0; j < nb; ++j) {
+          std::array<double, R>& point = out[origin[j] + offset];
+          for (int r = 0; r < R; ++r) point[r] = v[static_cast<std::size_t>(r) * nb + j];
+        }
+      }
+    }
+  }
+  return out;
 }
 
 }  // namespace
@@ -47,31 +115,9 @@ std::vector<fem::Stress6> reconstruct_plane_stress(const BlockGrid& grid,
                                                    const BlockMask& mask, const Vec& u,
                                                    const BlockLoadField& load,
                                                    const BlockRange& range) {
-  const int s = tsv_model.samples_per_block;
-  const std::size_t width = static_cast<std::size_t>(range.width()) * s;
-  std::vector<fem::Stress6> out(width * static_cast<std::size_t>(range.height()) * s);
-
-  for_each_block_samples(
-      grid, tsv_model, dummy_model, mask, u, load, range,
-      [&](const RomModel& model, int bx, int by, const Vec& coef) {
-        const la::DenseMatrix& sm = model.stress_samples;
-        for (int my = 0; my < s; ++my) {
-          for (int mx = 0; mx < s; ++mx) {
-            const idx_t pt = static_cast<idx_t>(my) * s + mx;
-            const std::size_t gidx =
-                (static_cast<std::size_t>(by - range.by0) * s + my) * width +
-                static_cast<std::size_t>(bx - range.bx0) * s + mx;
-            fem::Stress6& sigma = out[gidx];
-            for (int r = 0; r < fem::kVoigt; ++r) {
-              const idx_t row = 6 * pt + r;
-              double sum = 0.0;
-              for (idx_t col = 0; col < sm.cols(); ++col) sum += sm(row, col) * coef[col];
-              sigma[r] = sum;
-            }
-          }
-        }
-      });
-  return out;
+  return reconstruct_samples<fem::kVoigt>(
+      "reconstruct_plane_stress", &RomModel::stress_samples, "mid-plane stress", grid, tsv_model,
+      dummy_model, mask, u, load, range);
 }
 
 std::vector<double> reconstruct_plane_von_mises(const BlockGrid& grid, const RomModel& tsv_model,
@@ -86,68 +132,19 @@ std::vector<double> reconstruct_plane_von_mises(const BlockGrid& grid, const Rom
 std::vector<std::array<double, 3>> reconstruct_plane_displacement(
     const BlockGrid& grid, const RomModel& tsv_model, const RomModel* dummy_model,
     const BlockMask& mask, const Vec& u, const BlockLoadField& load, const BlockRange& range) {
-  if (tsv_model.displacement_samples.rows() == 0) {
-    throw std::logic_error(
-        "reconstruct_plane_displacement: displacement sampling disabled in the local stage");
-  }
-  const int s = tsv_model.samples_per_block;
-  const std::size_t width = static_cast<std::size_t>(range.width()) * s;
-  std::vector<std::array<double, 3>> out(width * static_cast<std::size_t>(range.height()) * s);
-
-  for_each_block_samples(
-      grid, tsv_model, dummy_model, mask, u, load, range,
-      [&](const RomModel& model, int bx, int by, const Vec& coef) {
-        const la::DenseMatrix& dm = model.displacement_samples;
-        for (int my = 0; my < s; ++my) {
-          for (int mx = 0; mx < s; ++mx) {
-            const idx_t pt = static_cast<idx_t>(my) * s + mx;
-            const std::size_t gidx =
-                (static_cast<std::size_t>(by - range.by0) * s + my) * width +
-                static_cast<std::size_t>(bx - range.bx0) * s + mx;
-            for (int c = 0; c < 3; ++c) {
-              const idx_t row = 3 * pt + c;
-              double sum = 0.0;
-              for (idx_t col = 0; col < dm.cols(); ++col) sum += dm(row, col) * coef[col];
-              out[gidx][c] = sum;
-            }
-          }
-        }
-      });
-  return out;
+  return reconstruct_samples<3>(
+      "reconstruct_plane_displacement", &RomModel::displacement_samples,
+      "displacement", grid, tsv_model, dummy_model, mask,
+      u, load, range);
 }
 
 std::vector<std::array<double, 2>> reconstruct_bump_plane_shear(
     const BlockGrid& grid, const RomModel& tsv_model, const RomModel* dummy_model,
     const BlockMask& mask, const Vec& u, const BlockLoadField& load, const BlockRange& range) {
-  if (tsv_model.bump_shear_samples.rows() == 0) {
-    throw std::logic_error(
-        "reconstruct_bump_plane_shear: model carries no bump-plane samples (rebuild the local "
-        "stage)");
-  }
-  const int s = tsv_model.samples_per_block;
-  const std::size_t width = static_cast<std::size_t>(range.width()) * s;
-  std::vector<std::array<double, 2>> out(width * static_cast<std::size_t>(range.height()) * s);
-
-  for_each_block_samples(
-      grid, tsv_model, dummy_model, mask, u, load, range,
-      [&](const RomModel& model, int bx, int by, const Vec& coef) {
-        const la::DenseMatrix& bm = model.bump_shear_samples;
-        for (int my = 0; my < s; ++my) {
-          for (int mx = 0; mx < s; ++mx) {
-            const idx_t pt = static_cast<idx_t>(my) * s + mx;
-            const std::size_t gidx =
-                (static_cast<std::size_t>(by - range.by0) * s + my) * width +
-                static_cast<std::size_t>(bx - range.bx0) * s + mx;
-            for (int c = 0; c < 2; ++c) {
-              const idx_t row = 2 * pt + c;
-              double sum = 0.0;
-              for (idx_t col = 0; col < bm.cols(); ++col) sum += bm(row, col) * coef[col];
-              out[gidx][c] = sum;
-            }
-          }
-        }
-      });
-  return out;
+  return reconstruct_samples<2>(
+      "reconstruct_bump_plane_shear", &RomModel::bump_shear_samples,
+      "bump-plane shear", grid, tsv_model, dummy_model, mask, u, load,
+      range);
 }
 
 }  // namespace ms::rom

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 namespace ms::la {
 namespace {
@@ -75,6 +77,34 @@ TEST(DenseMatrix, SymmetryError) {
   EXPECT_DOUBLE_EQ(a.symmetry_error(), 0.0);
   a(0, 2) = 5.0;
   EXPECT_DOUBLE_EQ(a.symmetry_error(), 5.0);
+}
+
+TEST(DenseMatrix, RowsTimesColsMatchesNaiveProduct) {
+  // Every tile shape of the kernel (row pairs, the odd last row, 4-column
+  // tiles and their 1-3 column tails) bit for bit against one k-ascending
+  // sum per entry; the slot past the product must stay untouched.
+  const idx_t nk = 37;
+  const idx_t row0 = 5;
+  const DenseMatrix m = random_matrix(row0 + 6, nk, 5);
+  const DenseMatrix panel = random_matrix(11, nk, 6);  // row j = column j of the panel
+  constexpr double kSentinel = 7.25;
+  for (const int nr : {1, 2, 3, 6}) {
+    for (idx_t num_cols = 0; num_cols <= 11; ++num_cols) {
+      const std::size_t size = static_cast<std::size_t>(nr) * num_cols;
+      std::vector<double> out(size + 1, kSentinel);
+      rows_times_cols(m, row0, nr, panel.data().data(), num_cols, out.data());
+      std::vector<double> expected(size + 1, kSentinel);
+      for (int ri = 0; ri < nr; ++ri) {
+        for (idx_t j = 0; j < num_cols; ++j) {
+          double sum = 0.0;
+          for (idx_t k = 0; k < nk; ++k) sum += m(row0 + ri, k) * panel(j, k);
+          expected[static_cast<std::size_t>(ri) * num_cols + j] = sum;
+        }
+      }
+      EXPECT_EQ(std::memcmp(out.data(), expected.data(), out.size() * sizeof(double)), 0)
+          << "nr " << nr << ", num_cols " << num_cols;
+    }
+  }
 }
 
 class DenseLuProperty : public ::testing::TestWithParam<int> {};

@@ -14,10 +14,6 @@
 #include <string>
 #include <utility>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 #include "chiplet/package_model.hpp"
 #include "fem/assembler.hpp"
 #include "fem/dirichlet.hpp"
@@ -28,6 +24,7 @@
 #include "mesh/tsv_block.hpp"
 #include "obs/metrics.hpp"
 #include "util/fault_injector.hpp"
+#include "util/team_size_scope.hpp"
 
 namespace ms::la {
 namespace {
@@ -107,27 +104,6 @@ TEST(Supernodal, TsvBlockFactorMatchesSimplicial) {
 TEST(Supernodal, PackageFactorMatchesSimplicial) {
   expect_factors_match(package_matrix(), 1e-12);
 }
-
-/// Sets the OpenMP team size for its scope and restores the previous one.
-class TeamSizeScope {
- public:
-  explicit TeamSizeScope([[maybe_unused]] int threads) {
-#ifdef _OPENMP
-    saved_ = omp_get_max_threads();
-    omp_set_num_threads(threads);
-#endif
-  }
-  ~TeamSizeScope() {
-#ifdef _OPENMP
-    omp_set_num_threads(saved_);
-#endif
-  }
-  TeamSizeScope(const TeamSizeScope&) = delete;
-  TeamSizeScope& operator=(const TeamSizeScope&) = delete;
-
- private:
-  int saved_ = 1;
-};
 
 /// Strictly-lower pattern of `a` in its own (natural) ordering.
 LowerPattern natural_pattern(const CsrMatrix& a) {
@@ -345,7 +321,7 @@ TEST(Supernodal, ParallelNumericStillThrowsOnIndefiniteMatrix) {
     if (late.col_idx()[p] == last) late.values()[p] = -late.values()[p];
   }
   for (const int threads : {1, 4}) {
-    const TeamSizeScope team(threads);
+    const testutil::TeamSizeScope team(threads);
     EXPECT_THROW(SparseCholesky{late}, NotPositiveDefiniteError) << "team size " << threads;
   }
 }
@@ -364,7 +340,7 @@ TEST(Supernodal, RowSplitTopPhaseIsBitwiseAtEveryTeamSize) {
   SupernodalFactor serial = symbolic;
   factorize_supernodal(a, chol.permutation(), parent, serial, /*parallel=*/false);
   for (const int threads : {1, 2, 3, 4}) {
-    const TeamSizeScope team(threads);
+    const testutil::TeamSizeScope team(threads);
     SupernodalFactor split = symbolic;
     factorize_supernodal(a, chol.permutation(), parent, split, /*parallel=*/true);
     ASSERT_EQ(split.values.size(), serial.values.size());

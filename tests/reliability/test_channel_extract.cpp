@@ -161,6 +161,12 @@ TEST(ChannelExtract, ValidatesItsInputs) {
   mask[0] = 1;
   EXPECT_THROW(extract_channel_history(grid, tsv, nullptr, mask, solutions, loads, range, history),
                std::invalid_argument);
+  // A dummy sampled at another resolution would be read with the TSV
+  // model's shape.
+  rom::RomModel coarse = model_of(rom::BlockKind::Dummy);
+  coarse.samples_per_block = 5;
+  EXPECT_THROW(extract_channel_history(grid, tsv, &coarse, mask, solutions, loads, range, history),
+               std::invalid_argument);
   // History extent must match the range.
   StressHistory wrong(1, 1);
   wrong.resize_steps({0.0, 1.0});

@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <random>
+#include <stdexcept>
 
 #include "core/sim_error.hpp"
 #include "rom/global_assembler.hpp"
 #include "rom/global_solver.hpp"
 #include "rom/local_stage.hpp"
 #include "rom/reconstruct.hpp"
+#include "util/team_size_scope.hpp"
 
 namespace ms::rom {
 namespace {
@@ -40,6 +44,180 @@ const RomModel& dummy_model() {
 }
 
 BlockGrid make_grid(int bx, int by) { return BlockGrid(bx, by, 3, 3, 3, 15.0, 50.0); }
+
+/// The per-block reconstruction that the batched product replaced, copied
+/// verbatim as the bitwise oracle: one add-latency-bound GEMV per block.
+namespace per_block_gemv {
+
+/// Shared loop: for each block in range, form the coefficient vector
+/// [u_block; thermal_load] and emit rows_per_pt values per sample point into
+/// the region-wide y-major output array.
+template <typename Emit>
+void for_each_block_samples(const BlockGrid& grid, const RomModel& tsv_model,
+                            const RomModel* dummy_model, const BlockMask& mask, const Vec& u,
+                            const BlockLoadField& load, const BlockRange& range,
+                            const Emit& emit) {
+  if (range.bx0 < 0 || range.bx1 > grid.blocks_x() || range.by0 < 0 ||
+      range.by1 > grid.blocks_y() || range.width() <= 0 || range.height() <= 0) {
+    throw std::invalid_argument("reconstruct: block range out of bounds");
+  }
+  if (!mask.empty() && mask.size() != static_cast<std::size_t>(grid.num_blocks())) {
+    throw std::invalid_argument("reconstruct: mask size must be blocks_x*blocks_y");
+  }
+  load.validate_extent(grid.blocks_x(), grid.blocks_y());
+  const idx_t n = tsv_model.num_element_dofs();
+  Vec coef(static_cast<std::size_t>(n) + 1);
+  for (int by = range.by0; by < range.by1; ++by) {
+    for (int bx = range.bx0; bx < range.bx1; ++bx) {
+      const bool is_tsv =
+          mask.empty() || mask[static_cast<std::size_t>(by) * grid.blocks_x() + bx] != 0;
+      const RomModel* model = is_tsv ? &tsv_model : dummy_model;
+      if (model == nullptr) {
+        throw std::invalid_argument("reconstruct: mask selects dummy blocks but no model");
+      }
+      const std::vector<idx_t> dofs = grid.block_dofs(bx, by);
+      for (idx_t i = 0; i < n; ++i) coef[i] = u[dofs[i]];
+      coef[n] = load.at(bx, by);
+      emit(*model, bx, by, coef);
+    }
+  }
+}
+
+std::vector<fem::Stress6> reconstruct_plane_stress(const BlockGrid& grid,
+                                                   const RomModel& tsv_model,
+                                                   const RomModel* dummy_model,
+                                                   const BlockMask& mask, const Vec& u,
+                                                   const BlockLoadField& load,
+                                                   const BlockRange& range) {
+  const int s = tsv_model.samples_per_block;
+  const std::size_t width = static_cast<std::size_t>(range.width()) * s;
+  std::vector<fem::Stress6> out(width * static_cast<std::size_t>(range.height()) * s);
+
+  for_each_block_samples(
+      grid, tsv_model, dummy_model, mask, u, load, range,
+      [&](const RomModel& model, int bx, int by, const Vec& coef) {
+        const la::DenseMatrix& sm = model.stress_samples;
+        for (int my = 0; my < s; ++my) {
+          for (int mx = 0; mx < s; ++mx) {
+            const idx_t pt = static_cast<idx_t>(my) * s + mx;
+            const std::size_t gidx =
+                (static_cast<std::size_t>(by - range.by0) * s + my) * width +
+                static_cast<std::size_t>(bx - range.bx0) * s + mx;
+            fem::Stress6& sigma = out[gidx];
+            for (int r = 0; r < fem::kVoigt; ++r) {
+              const idx_t row = 6 * pt + r;
+              double sum = 0.0;
+              for (idx_t col = 0; col < sm.cols(); ++col) sum += sm(row, col) * coef[col];
+              sigma[r] = sum;
+            }
+          }
+        }
+      });
+  return out;
+}
+
+std::vector<std::array<double, 3>> reconstruct_plane_displacement(
+    const BlockGrid& grid, const RomModel& tsv_model, const RomModel* dummy_model,
+    const BlockMask& mask, const Vec& u, const BlockLoadField& load, const BlockRange& range) {
+  if (tsv_model.displacement_samples.rows() == 0) {
+    throw std::logic_error(
+        "reconstruct_plane_displacement: displacement sampling disabled in the local stage");
+  }
+  const int s = tsv_model.samples_per_block;
+  const std::size_t width = static_cast<std::size_t>(range.width()) * s;
+  std::vector<std::array<double, 3>> out(width * static_cast<std::size_t>(range.height()) * s);
+
+  for_each_block_samples(
+      grid, tsv_model, dummy_model, mask, u, load, range,
+      [&](const RomModel& model, int bx, int by, const Vec& coef) {
+        const la::DenseMatrix& dm = model.displacement_samples;
+        for (int my = 0; my < s; ++my) {
+          for (int mx = 0; mx < s; ++mx) {
+            const idx_t pt = static_cast<idx_t>(my) * s + mx;
+            const std::size_t gidx =
+                (static_cast<std::size_t>(by - range.by0) * s + my) * width +
+                static_cast<std::size_t>(bx - range.bx0) * s + mx;
+            for (int c = 0; c < 3; ++c) {
+              const idx_t row = 3 * pt + c;
+              double sum = 0.0;
+              for (idx_t col = 0; col < dm.cols(); ++col) sum += dm(row, col) * coef[col];
+              out[gidx][c] = sum;
+            }
+          }
+        }
+      });
+  return out;
+}
+
+std::vector<std::array<double, 2>> reconstruct_bump_plane_shear(
+    const BlockGrid& grid, const RomModel& tsv_model, const RomModel* dummy_model,
+    const BlockMask& mask, const Vec& u, const BlockLoadField& load, const BlockRange& range) {
+  if (tsv_model.bump_shear_samples.rows() == 0) {
+    throw std::logic_error(
+        "reconstruct_bump_plane_shear: model carries no bump-plane samples (rebuild the local "
+        "stage)");
+  }
+  const int s = tsv_model.samples_per_block;
+  const std::size_t width = static_cast<std::size_t>(range.width()) * s;
+  std::vector<std::array<double, 2>> out(width * static_cast<std::size_t>(range.height()) * s);
+
+  for_each_block_samples(
+      grid, tsv_model, dummy_model, mask, u, load, range,
+      [&](const RomModel& model, int bx, int by, const Vec& coef) {
+        const la::DenseMatrix& bm = model.bump_shear_samples;
+        for (int my = 0; my < s; ++my) {
+          for (int mx = 0; mx < s; ++mx) {
+            const idx_t pt = static_cast<idx_t>(my) * s + mx;
+            const std::size_t gidx =
+                (static_cast<std::size_t>(by - range.by0) * s + my) * width +
+                static_cast<std::size_t>(bx - range.bx0) * s + mx;
+            for (int c = 0; c < 2; ++c) {
+              const idx_t row = 2 * pt + c;
+              double sum = 0.0;
+              for (idx_t col = 0; col < bm.cols(); ++col) sum += bm(row, col) * coef[col];
+              out[gidx][c] = sum;
+            }
+          }
+        }
+      });
+  return out;
+}
+
+}  // namespace per_block_gemv
+
+/// A model of make_grid's node counts whose sample matrices are seeded
+/// random, s x s points per block: all that reconstruction reads.
+RomModel random_sample_model(int s, BlockKind kind, unsigned seed) {
+  RomModel m;
+  m.kind = kind;
+  m.nodes_x = m.nodes_y = m.nodes_z = 3;
+  m.samples_per_block = s;
+  const idx_t nk = m.num_element_dofs() + 1;
+  std::mt19937_64 rng(seed);
+  std::uniform_real_distribution<double> dist(-1.0, 1.0);
+  const auto fill = [&](int rows_per_point) {
+    DenseMatrix d(static_cast<idx_t>(rows_per_point) * s * s, nk);
+    for (double& v : d.data()) v = dist(rng);
+    return d;
+  };
+  m.stress_samples = fill(6);
+  m.displacement_samples = fill(3);
+  m.bump_shear_samples = fill(2);
+  return m;
+}
+
+Vec random_vec(std::size_t size, double scale, unsigned seed) {
+  std::mt19937_64 rng(seed);
+  std::uniform_real_distribution<double> dist(-scale, scale);
+  Vec v(size);
+  for (double& x : v) x = dist(rng);
+  return v;
+}
+
+template <typename T>
+bool same_bits(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
+}
 
 TEST(GlobalAssembler, SystemShapeAndSymmetry) {
   const BlockGrid grid = make_grid(2, 2);
@@ -272,6 +450,105 @@ TEST(Reconstruct, DisplacementRequiresSampling) {
   EXPECT_THROW(reconstruct_plane_displacement(grid, stripped, nullptr, {}, u, -250.0,
                                               BlockRange::all(grid)),
                std::logic_error);
+}
+
+TEST(Reconstruct, BatchedMatchesPerBlockGemvBitwise) {
+  // The batched, team-parallel product against one GEMV per block, bit for
+  // bit: all three variants, with and without dummy blocks, over the full
+  // range and an inner one, at team sizes 1-4 (uneven point slices). The
+  // per-model block counts (15; 10 + 5; 4; 3 + 1) include ones that are no
+  // multiple of 4, so the kernel's column tails run.
+  const BlockGrid grid = make_grid(5, 3);
+  BlockMask mask(static_cast<std::size_t>(grid.num_blocks()));
+  for (int b = 0; b < grid.num_blocks(); ++b) {
+    mask[static_cast<std::size_t>(b)] = (b % 5 + b / 5) % 3 == 0 ? 0 : 1;
+  }
+  const Vec deltas = random_vec(static_cast<std::size_t>(grid.num_blocks()), 200.0, 7);
+  const BlockLoadField load(5, 3, deltas);
+  const Vec u = random_vec(static_cast<std::size_t>(grid.num_dofs()), 1e-3, 11);
+  for (const int s : {7, 10, 13}) {
+    const RomModel tsv = random_sample_model(s, BlockKind::Tsv, 100u + s);
+    const RomModel dummy = random_sample_model(s, BlockKind::Dummy, 200u + s);
+    for (const bool masked : {false, true}) {
+      const RomModel* dm = masked ? &dummy : nullptr;
+      const BlockMask& mk = masked ? mask : BlockMask{};
+      for (const BlockRange& range : {BlockRange::all(grid), BlockRange{1, 5, 1, 2}}) {
+        const auto stress =
+            per_block_gemv::reconstruct_plane_stress(grid, tsv, dm, mk, u, load, range);
+        const auto disp =
+            per_block_gemv::reconstruct_plane_displacement(grid, tsv, dm, mk, u, load, range);
+        const auto shear =
+            per_block_gemv::reconstruct_bump_plane_shear(grid, tsv, dm, mk, u, load, range);
+        for (const int threads : {1, 2, 3, 4}) {
+          const testutil::TeamSizeScope team(threads);
+          const std::string where = "s " + std::to_string(s) + (masked ? ", masked" : "") +
+                                    ", range width " + std::to_string(range.width()) +
+                                    ", team " + std::to_string(threads);
+          EXPECT_TRUE(
+              same_bits(reconstruct_plane_stress(grid, tsv, dm, mk, u, load, range), stress))
+              << where;
+          EXPECT_TRUE(
+              same_bits(reconstruct_plane_displacement(grid, tsv, dm, mk, u, load, range), disp))
+              << where;
+          EXPECT_TRUE(
+              same_bits(reconstruct_bump_plane_shear(grid, tsv, dm, mk, u, load, range), shear))
+              << where;
+        }
+      }
+    }
+  }
+}
+
+TEST(Reconstruct, RejectsDummyWithoutTheSamplesTheCallReads) {
+  // A dummy model lacking the sample matrix a variant reads used to
+  // reconstruct its blocks as zero (the loop ran over the dummy's own empty
+  // matrix). It must throw like a TSV model without them, wherever the range
+  // uses the dummy.
+  const BlockGrid grid = make_grid(3, 3);
+  const BlockMask ring{0, 0, 0, 0, 1, 0, 0, 0, 0};
+  const BlockRange all = BlockRange::all(grid);
+  const BlockLoadField load = BlockLoadField::uniform(-250.0);
+  const RomModel tsv = random_sample_model(7, BlockKind::Tsv, 1);
+  const Vec u = random_vec(static_cast<std::size_t>(grid.num_dofs()), 1e-3, 3);
+
+  RomModel no_disp = random_sample_model(7, BlockKind::Dummy, 2);
+  no_disp.displacement_samples = DenseMatrix();
+  EXPECT_THROW(reconstruct_plane_displacement(grid, tsv, &no_disp, ring, u, load, all),
+               std::logic_error);
+  EXPECT_NO_THROW(reconstruct_bump_plane_shear(grid, tsv, &no_disp, ring, u, load, all));
+  // The centre block is the ring's one TSV block: the dummy is not in use.
+  EXPECT_NO_THROW(
+      reconstruct_plane_displacement(grid, tsv, &no_disp, ring, u, load, BlockRange{1, 2, 1, 2}));
+
+  RomModel no_shear = random_sample_model(7, BlockKind::Dummy, 2);
+  no_shear.bump_shear_samples = DenseMatrix();
+  EXPECT_THROW(reconstruct_bump_plane_shear(grid, tsv, &no_shear, ring, u, load, all),
+               std::logic_error);
+  EXPECT_NO_THROW(reconstruct_plane_displacement(grid, tsv, &no_shear, ring, u, load, all));
+
+  RomModel no_stress = random_sample_model(7, BlockKind::Dummy, 2);
+  no_stress.stress_samples = DenseMatrix();
+  EXPECT_THROW(reconstruct_plane_stress(grid, tsv, &no_stress, ring, u, load, all),
+               std::logic_error);
+}
+
+TEST(Reconstruct, RejectsIncompatibleDummy) {
+  // A dummy sampled more coarsely than the TSV model used to be read with
+  // the TSV model's row count, past the end of its sample matrices.
+  // assemble_global rejects such a pair; reconstruction must too.
+  const BlockGrid grid = make_grid(3, 3);
+  const BlockMask ring{0, 0, 0, 0, 1, 0, 0, 0, 0};
+  const BlockRange all = BlockRange::all(grid);
+  const BlockLoadField load = BlockLoadField::uniform(-250.0);
+  const RomModel tsv = random_sample_model(10, BlockKind::Tsv, 1);
+  const RomModel coarse = random_sample_model(7, BlockKind::Dummy, 2);
+  const Vec u = random_vec(static_cast<std::size_t>(grid.num_dofs()), 1e-3, 3);
+  EXPECT_THROW(reconstruct_plane_displacement(grid, tsv, &coarse, ring, u, load, all),
+               std::invalid_argument);
+  EXPECT_THROW(reconstruct_bump_plane_shear(grid, tsv, &coarse, ring, u, load, all),
+               std::invalid_argument);
+  EXPECT_THROW(reconstruct_plane_stress(grid, tsv, &coarse, ring, u, load, all),
+               std::invalid_argument);
 }
 
 }  // namespace
