@@ -73,12 +73,34 @@ CsrMatrix CsrMatrix::from_triplets(const TripletList& t, bool drop_zeros) {
   return m;
 }
 
+namespace {
+
+/// The part of from_raw's contract it asserts (sparse.hpp).
+[[maybe_unused]] bool is_sorted_csr(idx_t rows, idx_t cols, const std::vector<offset_t>& row_ptr,
+                                    const std::vector<idx_t>& col_idx) {
+  if (row_ptr.front() != 0) return false;
+  for (idx_t r = 0; r < rows; ++r) {
+    const offset_t begin = row_ptr[r];
+    const offset_t end = row_ptr[static_cast<std::size_t>(r) + 1];
+    if (end < begin) return false;
+    for (offset_t k = begin; k < end; ++k) {
+      if (col_idx[k] < 0 || col_idx[k] >= cols || (k > begin && col_idx[k - 1] >= col_idx[k])) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+}  // namespace
+
 CsrMatrix CsrMatrix::from_raw(idx_t rows, idx_t cols, std::vector<offset_t> row_ptr,
                               std::vector<idx_t> col_idx, std::vector<double> values) {
   if (row_ptr.size() != static_cast<std::size_t>(rows) + 1 || col_idx.size() != values.size() ||
       row_ptr.back() != static_cast<offset_t>(values.size())) {
     throw std::invalid_argument("CsrMatrix::from_raw: inconsistent arrays");
   }
+  assert(is_sorted_csr(rows, cols, row_ptr, col_idx));
   CsrMatrix m;
   m.rows_ = rows;
   m.cols_ = cols;

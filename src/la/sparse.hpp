@@ -4,8 +4,6 @@
 // compression, which is exactly the FEM assembly semantic.
 
 #include <cstddef>
-#include <stdexcept>
-#include <utility>
 #include <vector>
 
 #include "la/vec.hpp"
@@ -29,21 +27,6 @@ class TripletList {
     is_.push_back(i);
     js_.push_back(j);
     vs_.push_back(v);
-  }
-
-  /// Adopt prebuilt parallel arrays (sizes must match): the fast path for
-  /// assemblers that fill fixed per-element slices concurrently and hand the
-  /// result over in one move instead of serial add() calls.
-  static TripletList from_parts(idx_t rows, idx_t cols, std::vector<idx_t> is,
-                                std::vector<idx_t> js, std::vector<double> vs) {
-    if (is.size() != js.size() || is.size() != vs.size()) {
-      throw std::invalid_argument("TripletList::from_parts: array sizes must match");
-    }
-    TripletList t(rows, cols);
-    t.is_ = std::move(is);
-    t.js_ = std::move(js);
-    t.vs_ = std::move(vs);
-    return t;
   }
 
   [[nodiscard]] std::size_t size() const { return vs_.size(); }
@@ -71,7 +54,9 @@ class CsrMatrix {
   /// structure is stable across value changes).
   static CsrMatrix from_triplets(const TripletList& t, bool drop_zeros = false);
 
-  /// Build directly from raw CSR arrays (must be sorted per row).
+  /// Adopt raw CSR arrays. Throws std::invalid_argument if their sizes
+  /// disagree; asserts the rest of the contract: row pointers start at 0
+  /// and never decrease, and each row's columns ascend strictly in [0, cols).
   static CsrMatrix from_raw(idx_t rows, idx_t cols, std::vector<offset_t> row_ptr,
                             std::vector<idx_t> col_idx, std::vector<double> values);
 

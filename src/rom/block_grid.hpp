@@ -36,6 +36,9 @@ class BlockGrid {
     return index_of_[(static_cast<std::size_t>(gk) * gy_ + gj) * gx_ + gi];
   }
 
+  /// Lattice point (gi, gj, gk) of a global node.
+  [[nodiscard]] const std::array<int, 3>& node_ijk(idx_t node) const { return ijk_[node]; }
+
   /// Physical position of a global node.
   [[nodiscard]] mesh::Point3 node_position(idx_t node) const;
 

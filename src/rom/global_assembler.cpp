@@ -1,5 +1,7 @@
 #include "rom/global_assembler.hpp"
 
+#include <algorithm>
+#include <cassert>
 #include <stdexcept>
 #include <string>
 
@@ -8,15 +10,39 @@
 namespace ms::rom {
 namespace {
 
-/// Stiffness and load must select block models identically; both assembly
-/// entry points go through these two helpers.
-void require_dummy_model(const BlockMask& mask, const RomModel* dummy_model,
-                         const char* caller) {
-  if (dummy_model != nullptr || mask.empty()) return;
-  for (std::uint8_t m : mask) {
-    if (m == 0) {
-      throw std::invalid_argument(std::string(caller) +
-                                  ": mask selects dummy blocks but no model");
+/// Everything either entry point reads, checked before any loop indexes by
+/// it: a mismatch would be read past an array's end, and inside the
+/// stiffness assembly's parallel region a throw would terminate instead of
+/// propagating. The TSV model sets the shape, so it is always checked; the
+/// dummy only where the mask uses it. `stiffness` adds the element
+/// stiffness of each model in use to the element load.
+void validate_inputs(const std::string& caller, const BlockGrid& grid, const RomModel& tsv_model,
+                     const RomModel* dummy_model, const BlockMask& mask,
+                     const BlockLoadField& load, bool stiffness) {
+  load.validate_extent(grid.blocks_x(), grid.blocks_y());
+  if (!mask.empty() && mask.size() != static_cast<std::size_t>(grid.num_blocks())) {
+    throw std::invalid_argument(caller + ": mask size must be blocks_x*blocks_y");
+  }
+  if (dummy_model != nullptr && !tsv_model.compatible_with(*dummy_model)) {
+    throw std::invalid_argument(caller + ": dummy model incompatible with TSV model");
+  }
+  const bool uses_dummy = std::find(mask.begin(), mask.end(), std::uint8_t{0}) != mask.end();
+  if (uses_dummy && dummy_model == nullptr) {
+    throw std::invalid_argument(caller + ": mask selects dummy blocks but no model");
+  }
+  const SurfaceNodeSet& sns = grid.surface_nodes();
+  if (sns.nx() != tsv_model.nodes_x || sns.ny() != tsv_model.nodes_y ||
+      sns.nz() != tsv_model.nodes_z) {
+    throw std::invalid_argument(caller + ": grid and model differ in nodes per block axis");
+  }
+  const idx_t n = tsv_model.num_element_dofs();
+  for (const RomModel* model : {&tsv_model, uses_dummy ? dummy_model : nullptr}) {
+    if (model == nullptr) continue;
+    if (model->element_load.size() != static_cast<std::size_t>(n) ||
+        (stiffness &&
+         (model->element_stiffness.rows() != n || model->element_stiffness.cols() != n))) {
+      throw std::invalid_argument(caller + ": " + (model == &tsv_model ? "TSV" : "dummy") +
+                                  " model element matrices missing");
     }
   }
 }
@@ -28,66 +54,128 @@ const RomModel& block_model(const RomModel& tsv_model, const RomModel* dummy_mod
   return is_tsv ? tsv_model : *dummy_model;
 }
 
+/// The blocks [lo, hi] along one axis that hold lattice line g, each block
+/// spanning `step` lattice intervals: one block, or two across a shared face.
+struct BlockSpan {
+  int lo, hi;
+};
+
+BlockSpan blocks_on_line(int g, int step, int num_blocks) {
+  const int b = g / step;
+  if (g % step != 0) return {b, b};
+  return {std::max(b - 1, 0), std::min(b, num_blocks - 1)};
+}
+
+/// The global stiffness straight into CSR, with no triplets and no sort.
+/// Node p couples to every surface node of the <= 4 blocks that hold it:
+/// the global nodes of the lattice box those blocks span, whose ids ascend
+/// when the box is walked k, j, i (the order BlockGrid numbers them in).
+/// Its three dof rows share that column list. The rows are counted first;
+/// then the OpenMP team splits the nodes, and each node fills its rows'
+/// columns and adds, block by block in ascending block id, that block's
+/// element-stiffness rows into them. A block's surface nodes ascend in
+/// global id too, so one forward walk of the row finds each one's slot.
+/// Every entry is thus a sum from zero over its blocks in ascending id, as
+/// a serial block-by-block assembly adds them, at every team size, and a
+/// symmetric element stiffness gives an exactly symmetric operator.
+CsrMatrix assemble_stiffness(const BlockGrid& grid, const RomModel& tsv_model,
+                             const RomModel* dummy_model, const BlockMask& mask) {
+  const SurfaceNodeSet& sns = grid.surface_nodes();
+  const int step_x = sns.nx() - 1;
+  const int step_y = sns.ny() - 1;
+  const int blocks_x = grid.blocks_x();
+  const idx_t num_nodes = grid.num_nodes();
+  const idx_t num_dofs = grid.num_dofs();
+
+  const auto spans_of = [&](idx_t p) {
+    const auto& [gi, gj, gk] = grid.node_ijk(p);
+    return std::pair{blocks_on_line(gi, step_x, blocks_x),
+                     blocks_on_line(gj, step_y, grid.blocks_y())};
+  };
+  const auto for_each_coupled_node = [&](const BlockSpan& sx, const BlockSpan& sy,
+                                         const auto& visit) {
+    for (int gk = 0; gk < grid.grid_z(); ++gk) {
+      for (int gj = sy.lo * step_y; gj <= (sy.hi + 1) * step_y; ++gj) {
+        for (int gi = sx.lo * step_x; gi <= (sx.hi + 1) * step_x; ++gi) {
+          const idx_t q = grid.node_at(gi, gj, gk);
+          if (q >= 0) visit(q);
+        }
+      }
+    }
+  };
+
+  std::vector<la::offset_t> row_ptr(static_cast<std::size_t>(num_dofs) + 1, 0);
+#ifdef _OPENMP
+#pragma omp parallel for schedule(static)
+#endif
+  for (idx_t p = 0; p < num_nodes; ++p) {
+    const auto [sx, sy] = spans_of(p);
+    la::offset_t len = 0;
+    for_each_coupled_node(sx, sy, [&](idx_t) { len += 3; });
+    for (int c = 0; c < 3; ++c) row_ptr[static_cast<std::size_t>(3 * p + c) + 1] = len;
+  }
+  for (std::size_t r = 0; r < static_cast<std::size_t>(num_dofs); ++r) row_ptr[r + 1] += row_ptr[r];
+
+  std::vector<idx_t> col_idx(static_cast<std::size_t>(row_ptr.back()));
+  std::vector<double> values(col_idx.size(), 0.0);
+#ifdef _OPENMP
+#pragma omp parallel for schedule(static)
+#endif
+  for (idx_t p = 0; p < num_nodes; ++p) {
+    const auto [sx, sy] = spans_of(p);
+    const la::offset_t r0 = row_ptr[static_cast<std::size_t>(3 * p)];
+    const la::offset_t len = row_ptr[static_cast<std::size_t>(3 * p) + 1] - r0;
+    idx_t* cols = col_idx.data() + r0;
+    la::offset_t t = 0;
+    for_each_coupled_node(sx, sy, [&](idx_t q) {
+      for (int c = 0; c < 3; ++c) cols[t++] = 3 * q + c;
+    });
+    std::copy_n(cols, len, cols + len);
+    std::copy_n(cols, len, cols + 2 * len);
+
+    const auto& [gi, gj, gk] = grid.node_ijk(p);
+    for (int by = sy.lo; by <= sy.hi; ++by) {
+      for (int bx = sx.lo; bx <= sx.hi; ++bx) {
+        const DenseMatrix& k =
+            block_model(tsv_model, dummy_model, mask, blocks_x, bx, by).element_stiffness;
+        const int ox = bx * step_x;
+        const int oy = by * step_y;
+        const idx_t mp = sns.index_of(gi - ox, gj - oy, gk);
+        la::offset_t slot = 0;
+        for (idx_t m = 0; m < sns.count(); ++m) {
+          const auto& [i, j, kk] = sns.node_ijk(m);
+          const idx_t col = 3 * grid.node_at(ox + i, oy + j, kk);
+          while (cols[slot] != col) {
+            slot += 3;
+            assert(slot < len);
+          }
+          for (int c = 0; c < 3; ++c) {
+            const double* src =
+                k.data().data() + static_cast<std::size_t>(3 * mp + c) * k.cols() + 3 * m;
+            double* dst = values.data() + r0 + c * len + slot;
+            dst[0] += src[0];
+            dst[1] += src[1];
+            dst[2] += src[2];
+          }
+        }
+      }
+    }
+  }
+  return CsrMatrix::from_raw(num_dofs, num_dofs, std::move(row_ptr), std::move(col_idx),
+                             std::move(values));
+}
+
 }  // namespace
 
 GlobalProblem assemble_global(const BlockGrid& grid, const RomModel& tsv_model,
                               const RomModel* dummy_model, const BlockMask& mask,
                               const BlockLoadField& load) {
   MS_TRACE_SCOPE("rom.global.assemble");
-  const idx_t n = tsv_model.num_element_dofs();
-  load.validate_extent(grid.blocks_x(), grid.blocks_y());
-  if (tsv_model.element_stiffness.rows() != n) {
-    throw std::invalid_argument("assemble_global: model element matrices missing");
-  }
-  if (!mask.empty() && mask.size() != static_cast<std::size_t>(grid.num_blocks())) {
-    throw std::invalid_argument("assemble_global: mask size must be blocks_x*blocks_y");
-  }
-  if (dummy_model != nullptr && !tsv_model.compatible_with(*dummy_model)) {
-    throw std::invalid_argument("assemble_global: dummy model incompatible with TSV model");
-  }
-
+  validate_inputs("assemble_global", grid, tsv_model, dummy_model, mask, load, true);
   GlobalProblem problem;
   problem.num_dofs = grid.num_dofs();
-  problem.rhs.assign(problem.num_dofs, 0.0);
-
-  // Validate before the parallel scatter: throwing from inside an OpenMP
-  // region would terminate instead of propagating.
-  require_dummy_model(mask, dummy_model, "assemble_global");
-
-  // Every block contributes exactly n^2 stiffness entries, so each block
-  // owns a fixed slice of the triplet arrays and the scatter parallelizes
-  // with no races and a bitwise-deterministic result (the slice layout is
-  // the serial push order). The rhs overlaps between neighbouring blocks;
-  // its accumulation stays serial — it is O(n) per block against the
-  // O(n^2) stiffness scatter — so its summation order is fixed too.
-  const std::size_t num_blocks = static_cast<std::size_t>(grid.num_blocks());
-  const std::size_t per_block = static_cast<std::size_t>(n) * n;
-  std::vector<idx_t> is(num_blocks * per_block);
-  std::vector<idx_t> js(num_blocks * per_block);
-  std::vector<double> vs(num_blocks * per_block);
-
-  const int blocks_x = grid.blocks_x();
-  const int blocks_y = grid.blocks_y();
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (int b = 0; b < blocks_x * blocks_y; ++b) {
-    const int bx = b % blocks_x;
-    const int by = b / blocks_x;
-    const RomModel& model = block_model(tsv_model, dummy_model, mask, blocks_x, bx, by);
-    const std::vector<idx_t> dofs = grid.block_dofs(bx, by);
-    std::size_t pos = static_cast<std::size_t>(b) * per_block;
-    for (idx_t i = 0; i < n; ++i) {
-      for (idx_t j = 0; j < n; ++j, ++pos) {
-        is[pos] = dofs[i];
-        js[pos] = dofs[j];
-        vs[pos] = model.element_stiffness(i, j);
-      }
-    }
-  }
   problem.rhs = assemble_global_rhs(grid, tsv_model, dummy_model, mask, load);
-  problem.stiffness = CsrMatrix::from_triplets(la::TripletList::from_parts(
-      problem.num_dofs, problem.num_dofs, std::move(is), std::move(js), std::move(vs)));
+  problem.stiffness = assemble_stiffness(grid, tsv_model, dummy_model, mask);
   return problem;
 }
 
@@ -95,9 +183,8 @@ Vec assemble_global_rhs(const BlockGrid& grid, const RomModel& tsv_model,
                         const RomModel* dummy_model, const BlockMask& mask,
                         const BlockLoadField& load) {
   MS_TRACE_SCOPE("rom.global.assemble_rhs");
+  validate_inputs("assemble_global_rhs", grid, tsv_model, dummy_model, mask, load, false);
   const idx_t n = tsv_model.num_element_dofs();
-  load.validate_extent(grid.blocks_x(), grid.blocks_y());
-  require_dummy_model(mask, dummy_model, "assemble_global_rhs");
   Vec rhs(static_cast<std::size_t>(grid.num_dofs()), 0.0);
   // Neighbouring blocks share surface dofs, so the accumulation stays serial
   // and its summation order fixed (bitwise-deterministic).

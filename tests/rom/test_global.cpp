@@ -2,8 +2,10 @@
 
 #include <cmath>
 #include <cstring>
+#include <map>
 #include <random>
 #include <stdexcept>
+#include <utility>
 
 #include "core/sim_error.hpp"
 #include "rom/global_assembler.hpp"
@@ -219,6 +221,51 @@ bool same_bits(const std::vector<T>& a, const std::vector<T>& b) {
   return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
 }
 
+/// A model of make_grid's node counts whose element stiffness (not
+/// symmetric) and load are seeded random: all that assembly reads.
+RomModel random_element_model(BlockKind kind, unsigned seed) {
+  RomModel m;
+  m.kind = kind;
+  m.nodes_x = m.nodes_y = m.nodes_z = 3;
+  const idx_t n = m.num_element_dofs();
+  m.element_stiffness = DenseMatrix(n, n);
+  m.element_stiffness.data() =
+      random_vec(static_cast<std::size_t>(n) * static_cast<std::size_t>(n), 1.0, seed);
+  m.element_load = random_vec(static_cast<std::size_t>(n), 1.0, seed + 1);
+  return m;
+}
+
+/// The stiffness as the serial triplet push order (block id, then element
+/// row, then element column) gives it: the triplets themselves, and per
+/// (row, col) their sum from zero in push order with the number of blocks
+/// that contributed.
+struct BlockOrderReference {
+  la::TripletList triplets;
+  std::map<std::pair<idx_t, idx_t>, std::pair<double, int>> sums;
+};
+
+BlockOrderReference block_order_reference(const BlockGrid& grid, const RomModel& tsv,
+                                          const RomModel* dummy, const BlockMask& mask) {
+  BlockOrderReference ref{la::TripletList(grid.num_dofs(), grid.num_dofs()), {}};
+  for (int by = 0; by < grid.blocks_y(); ++by) {
+    for (int bx = 0; bx < grid.blocks_x(); ++bx) {
+      const bool is_tsv =
+          mask.empty() || mask[static_cast<std::size_t>(by) * grid.blocks_x() + bx] != 0;
+      const DenseMatrix& k = (is_tsv ? tsv : *dummy).element_stiffness;
+      const std::vector<idx_t> dofs = grid.block_dofs(bx, by);
+      for (idx_t i = 0; i < k.rows(); ++i) {
+        for (idx_t j = 0; j < k.cols(); ++j) {
+          ref.triplets.add(dofs[i], dofs[j], k(i, j));
+          auto& [sum, blocks] = ref.sums[{dofs[i], dofs[j]}];
+          sum += k(i, j);
+          ++blocks;
+        }
+      }
+    }
+  }
+  return ref;
+}
+
 TEST(GlobalAssembler, SystemShapeAndSymmetry) {
   const BlockGrid grid = make_grid(2, 2);
   GlobalProblem problem = assemble_global(grid, tsv_model(), nullptr, {}, -250.0);
@@ -247,6 +294,121 @@ TEST(GlobalAssembler, RejectsBadMaskSize) {
   const BlockGrid grid = make_grid(2, 2);
   EXPECT_THROW(assemble_global(grid, tsv_model(), &dummy_model(), {1, 0}, -250.0),
                std::invalid_argument);
+}
+
+TEST(GlobalAssembler, RejectsGridOfOtherNodeCount) {
+  // The models have 3x3x3 nodes per block. A grid of fewer nodes per axis
+  // used to be read past the end of its blocks' dof lists; one of more, or
+  // of another node count along one axis, would put the models' matrices
+  // on the wrong nodes.
+  const BlockLoadField load = BlockLoadField::uniform(-250.0);
+  for (const std::array<int, 3> nodes : {std::array{2, 2, 2}, std::array{4, 4, 4},
+                                         std::array{3, 3, 4}}) {
+    const BlockGrid grid(2, 2, nodes[0], nodes[1], nodes[2], 15.0, 50.0);
+    EXPECT_THROW(assemble_global(grid, tsv_model(), nullptr, {}, load), std::invalid_argument);
+    EXPECT_THROW(assemble_global_rhs(grid, tsv_model(), nullptr, {}, load),
+                 std::invalid_argument);
+  }
+  // 2x2x14 and 4x4x4 nodes give the same 56 surface nodes, so equal dof
+  // counts do not make a grid fit a model.
+  RomModel model;
+  model.nodes_x = model.nodes_y = model.nodes_z = 4;
+  const idx_t n = model.num_element_dofs();
+  model.element_stiffness = DenseMatrix(n, n, 1.0);
+  model.element_load = Vec(static_cast<std::size_t>(n), 1.0);
+  const BlockGrid tall(2, 2, 2, 2, 14, 15.0, 50.0);
+  ASSERT_EQ(tall.surface_nodes().num_dofs(), n);
+  EXPECT_THROW(assemble_global(tall, model, nullptr, {}, load), std::invalid_argument);
+  EXPECT_THROW(assemble_global_rhs(tall, model, nullptr, {}, load), std::invalid_argument);
+  EXPECT_NO_THROW(assemble_global(BlockGrid(2, 2, 4, 4, 4, 15.0, 50.0), model, nullptr, {}, load));
+}
+
+TEST(GlobalAssembler, RejectsModelWithoutElementMatrices) {
+  // A model in use whose element matrices are missing used to be read past
+  // their end: the dummy's stiffness was never checked, nor either model's
+  // load vector. The dummy is checked only where the mask uses it.
+  const BlockGrid grid = make_grid(3, 3);
+  const BlockMask ring{0, 0, 0, 0, 1, 0, 0, 0, 0};
+  const BlockLoadField load = BlockLoadField::uniform(-250.0);
+
+  RomModel no_stiffness = dummy_model();
+  no_stiffness.element_stiffness = DenseMatrix();
+  EXPECT_THROW(assemble_global(grid, tsv_model(), &no_stiffness, ring, load),
+               std::invalid_argument);
+  EXPECT_NO_THROW(assemble_global_rhs(grid, tsv_model(), &no_stiffness, ring, load));
+  EXPECT_NO_THROW(assemble_global(grid, tsv_model(), &no_stiffness, {}, load));
+
+  RomModel no_load = dummy_model();
+  no_load.element_load.clear();
+  EXPECT_THROW(assemble_global(grid, tsv_model(), &no_load, ring, load), std::invalid_argument);
+  EXPECT_THROW(assemble_global_rhs(grid, tsv_model(), &no_load, ring, load),
+               std::invalid_argument);
+  EXPECT_NO_THROW(assemble_global_rhs(grid, tsv_model(), &no_load, {}, load));
+
+  RomModel tsv_no_stiffness = tsv_model();
+  tsv_no_stiffness.element_stiffness = DenseMatrix();
+  EXPECT_THROW(assemble_global(grid, tsv_no_stiffness, nullptr, {}, load),
+               std::invalid_argument);
+  RomModel tsv_no_load = tsv_model();
+  tsv_no_load.element_load.clear();
+  EXPECT_THROW(assemble_global(grid, tsv_no_load, nullptr, {}, load), std::invalid_argument);
+  EXPECT_THROW(assemble_global_rhs(grid, tsv_no_load, nullptr, {}, load),
+               std::invalid_argument);
+}
+
+TEST(GlobalAssembler, OperatorIsExactlySymmetric) {
+  // Interior block corners give four-block sums. Entries (i, j) and (j, i)
+  // add the same blocks' symmetric element entries in the same block
+  // order, so they agree bit for bit, TSV and dummy blocks mixed.
+  const BlockGrid grid = make_grid(4, 3);
+  const BlockMask mask{1, 0, 1, 1, 0, 1, 1, 0, 1, 1, 0, 1};
+  const GlobalProblem problem = assemble_global(grid, tsv_model(), &dummy_model(), mask, -250.0);
+  EXPECT_EQ(problem.stiffness.symmetry_error(), 0.0);
+}
+
+TEST(GlobalAssembler, MatchesBlockOrderReferenceBitwise) {
+  // The row-parallel CSR assembly against the serial block-order sums, bit
+  // for bit, at team sizes 1-4 (uneven node slices), on one block and on
+  // grids with 2 and 12 interior block corners (four-block sums), with and
+  // without dummy blocks.
+  // Its pattern must be from_triplets' on the same triplets, and so must
+  // every value that at most two blocks add: a two-term sum does not
+  // depend on the order that from_triplets' sort leaves.
+  const RomModel tsv = random_element_model(BlockKind::Tsv, 31);
+  const RomModel dummy = random_element_model(BlockKind::Dummy, 37);
+  for (const auto& [blocks_x, blocks_y] : {std::pair{1, 1}, std::pair{3, 2}, std::pair{5, 4}}) {
+    const BlockGrid grid = make_grid(blocks_x, blocks_y);
+    BlockMask mask(static_cast<std::size_t>(grid.num_blocks()));
+    for (int b = 0; b < grid.num_blocks(); ++b) mask[static_cast<std::size_t>(b)] = b % 2;
+    for (const bool masked : {false, true}) {
+      const RomModel* dm = masked ? &dummy : nullptr;
+      const BlockMask& mk = masked ? mask : BlockMask{};
+      const BlockOrderReference ref = block_order_reference(grid, tsv, dm, mk);
+      const CsrMatrix sorted = CsrMatrix::from_triplets(ref.triplets);
+      std::vector<double> expected;
+      for (const auto& entry : ref.sums) expected.push_back(entry.second.first);
+      for (const int threads : {1, 2, 3, 4}) {
+        const testutil::TeamSizeScope team(threads);
+        const std::string where = std::to_string(blocks_x) + "x" + std::to_string(blocks_y) +
+                                  (masked ? ", masked" : "") + ", team " +
+                                  std::to_string(threads);
+        const CsrMatrix a = assemble_global(grid, tsv, dm, mk, -250.0).stiffness;
+        EXPECT_TRUE(same_bits(a.values(), expected)) << where;
+        ASSERT_EQ(a.row_ptr(), sorted.row_ptr()) << where;
+        ASSERT_EQ(a.col_idx(), sorted.col_idx()) << where;
+        std::size_t k = 0;
+        int mismatches = 0;
+        for (const auto& entry : ref.sums) {
+          if (entry.second.second <= 2 &&
+              std::memcmp(&a.values()[k], &sorted.values()[k], sizeof(double)) != 0) {
+            ++mismatches;
+          }
+          ++k;
+        }
+        EXPECT_EQ(mismatches, 0) << where;
+      }
+    }
+  }
 }
 
 TEST(GlobalSolver, CgDirectAgree) {
