@@ -4,8 +4,8 @@
 // the same voxel treatment the mechanical coarse model uses, but carrying
 // per-element effective conductivities instead of stiffness. Grid lines
 // conform to every layer boundary AND to the unit-block boundaries of the
-// embedded sub-model window, so TemperatureField::block_averages reduces the
-// solved field to an exact per-block ΔT for the ROM global stage. Heat
+// embedded sub-model window, so the windowed thermal::BlockAverager reduces
+// the solved field to an exact per-block ΔT for the ROM global stage. Heat
 // enters through a PowerMap on the package top face (the die active layer)
 // and leaves through the substrate bottom sink installed by the thermal
 // solver.

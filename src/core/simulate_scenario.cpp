@@ -134,6 +134,10 @@ sweep::ScenarioResult MoreStressSimulator::simulate(const sweep::ScenarioSpec& s
                                             resolved.placement)
                     : sweep::make_power_map(spec, config_);
   };
+  // Only sub-models resolve a package, so an array's domain gets none.
+  const auto domain = [&]() {
+    return thermal_domain(window, resolved.package.get(), resolved.placement);
+  };
   const double time_step =
       spec.time_step != 0.0 ? spec.time_step : config_.coupling.transient.time_step;
   // The thermal march both trace analyses share; returns the trace duration.
@@ -142,9 +146,7 @@ sweep::ScenarioResult MoreStressSimulator::simulate(const sweep::ScenarioSpec& s
     const thermal::PowerTrace trace = spec.power_trace != nullptr
                                           ? *spec.power_trace
                                           : sweep::make_power_trace(spec, power_map());
-    transient = submodel ? run_submodel_transient(window, *resolved.package, resolved.placement,
-                                                  trace, time_step, &stats)
-                         : run_array_transient(bx, by, trace, time_step, &stats);
+    transient = run_transient(domain(), trace, time_step, &stats);
     return trace.duration();
   };
 
@@ -160,11 +162,7 @@ sweep::ScenarioResult MoreStressSimulator::simulate(const sweep::ScenarioSpec& s
         break;
       }
       auto thermal = std::make_shared<ThermalResult>();
-      if (submodel) {
-        run_submodel_steady(window, *resolved.package, resolved.placement, power_map(), *thermal);
-      } else {
-        run_array_steady(bx, by, power_map(), *thermal);
-      }
+      run_steady(domain(), power_map(), *thermal);
       static_cast<ArrayResult&>(*thermal) = run_global(window, thermal->load);
       result.thermal = std::move(thermal);
       break;

@@ -304,31 +304,6 @@ ArrayResult MoreStressSimulator::run_global(const Window& window, const rom::Blo
 
 namespace {
 
-/// One source of truth for the package conduction-mesh spec: the steady and
-/// transient scenario-2 paths must build byte-identical thermal models or
-/// the constant-trace == steady lock silently breaks.
-chiplet::PackageThermalSpec package_thermal_spec(const ThermalCouplingOptions& coupling) {
-  chiplet::PackageThermalSpec spec;
-  spec.elems_per_block_xy = coupling.elems_per_block_xy;
-  spec.coarse_elems_xy = coupling.package_coarse_elems_xy;
-  spec.elems_z_substrate = coupling.package_elems_z_substrate;
-  spec.elems_z_interposer = coupling.elems_z;
-  spec.elems_z_die = coupling.package_elems_z_die;
-  spec.filler_conductivity = coupling.package_filler_conductivity;
-  spec.conductivity_model = coupling.conductivity_model;
-  return spec;
-}
-
-/// The sub-model placement must cover the padded window exactly.
-void require_padded_window(const chiplet::SubmodelPlacement& placement, int padded_x,
-                           int padded_y) {
-  if (placement.blocks_x != padded_x || placement.blocks_y != padded_y) {
-    throw std::invalid_argument(
-        "sub-model: placement must cover the padded window "
-        "(tsv_blocks + 2*dummy_rings per axis)");
-  }
-}
-
 /// Power maps must cover the thermal model's plan exactly (the array
 /// footprint, or the package plan): density_at is 0 outside the map, so a
 /// mismatched footprint would silently drop heat.
@@ -339,17 +314,6 @@ void require_footprint(const thermal::PowerMap& power, double extent_x, double e
     throw std::invalid_argument(std::string("power map footprint must match the ") + what +
                                 " (zero tiles for unpowered regions are fine)");
   }
-}
-
-/// Non-windowed per-block ΔT reduction of a standalone array.
-thermal::BlockReduction block_reduction(int blocks_x, int blocks_y, double pitch,
-                                        double reference) {
-  thermal::BlockReduction reduction;
-  reduction.blocks_x = blocks_x;
-  reduction.blocks_y = blocks_y;
-  reduction.pitch = pitch;
-  reduction.reference = reference;
-  return reduction;
 }
 
 /// Factor-cache key of a steady conduction solve. The conductivity fields
@@ -386,160 +350,108 @@ std::string thermal_transient_key(const mesh::HexMesh& mesh,
   return buf;
 }
 
-/// Every keyframe of a trace must satisfy the footprint rule.
-void require_trace_footprint(const thermal::PowerTrace& trace, double extent_x, double extent_y,
-                             const char* what) {
-  if (trace.num_keyframes() == 0) throw std::invalid_argument("transient: trace has no keyframes");
-  for (std::size_t i = 0; i < trace.num_keyframes(); ++i) {
-    require_footprint(trace.keyframe(i), extent_x, extent_y, what);
-  }
-}
-
 }  // namespace
 
-thermal::ThermalSolveOptions MoreStressSimulator::steady_solve_options(
-    const std::string& factor_key) const {
-  thermal::ThermalSolveOptions options = config_.coupling.solve;
-  options.cancel = cancel_;
-  if (factor_cache_ != nullptr && !factor_key.empty()) {
-    options.factor_cache = factor_cache_;
-    options.factor_key = factor_key;
+MoreStressSimulator::ThermalDomain MoreStressSimulator::thermal_domain(
+    const Window& window, const chiplet::PackageModel* package,
+    const chiplet::SubmodelPlacement& placement) const {
+  MS_TRACE_SCOPE("core.thermal.domain");
+  const ThermalCouplingOptions& coupling = config_.coupling;
+  const double pitch = config_.geometry.pitch;
+  ThermalDomain domain;
+  domain.reduction.blocks_x = window.blocks_x;
+  domain.reduction.blocks_y = window.blocks_y;
+  domain.reduction.pitch = pitch;
+  domain.reduction.reference = coupling.stress_free_temperature;
+  if (package == nullptr) {
+    domain.mesh = thermal::build_array_thermal_mesh(config_.geometry, window.blocks_x,
+                                                    window.blocks_y, coupling.elems_per_block_xy,
+                                                    coupling.elems_z);
+    domain.conductivity = thermal::array_block_conductivities(
+        domain.mesh, config_.geometry, config_.materials, window.blocks_x, window.blocks_y,
+        window.mask, coupling.conductivity_model);
+    domain.capacity = thermal::array_block_capacities(
+        domain.mesh, config_.geometry, config_.materials, window.blocks_x, window.blocks_y,
+        window.mask, coupling.conductivity_model);
+    domain.plan_x = window.blocks_x * pitch;
+    domain.plan_y = window.blocks_y * pitch;
+    domain.plan_name = "array extent";
+    return domain;
   }
-  return options;
+  if (placement.blocks_x != window.blocks_x || placement.blocks_y != window.blocks_y) {
+    throw std::invalid_argument(
+        "sub-model: placement must cover the padded window "
+        "(tsv_blocks + 2*dummy_rings per axis)");
+  }
+  chiplet::PackageThermalSpec spec;
+  spec.elems_per_block_xy = coupling.elems_per_block_xy;
+  spec.coarse_elems_xy = coupling.package_coarse_elems_xy;
+  spec.elems_z_substrate = coupling.package_elems_z_substrate;
+  spec.elems_z_interposer = coupling.elems_z;
+  spec.elems_z_die = coupling.package_elems_z_die;
+  spec.filler_conductivity = coupling.package_filler_conductivity;
+  spec.conductivity_model = coupling.conductivity_model;
+  const chiplet::PackageGeometry& geometry = package->geometry();
+  chiplet::PackageThermalModel model = chiplet::build_package_thermal_model(
+      geometry, config_.geometry, placement, window.mask, config_.materials, spec);
+  domain.mesh = std::move(model.mesh);
+  domain.conductivity = std::move(model.conductivity);
+  domain.capacity = std::move(model.capacity);
+  // The sub-model window only sees the interposer layer.
+  domain.reduction.windowed = true;
+  domain.reduction.origin = placement.origin;
+  domain.reduction.z0 = geometry.interposer_z0();
+  domain.reduction.z1 = geometry.interposer_z1();
+  domain.plan_x = geometry.substrate_x;
+  domain.plan_y = geometry.substrate_y;
+  domain.plan_name = "package plan";
+  return domain;
 }
 
-thermal::TransientSolveOptions MoreStressSimulator::transient_solve_options(
-    const std::string& factor_key, double time_step) const {
+void MoreStressSimulator::run_steady(const ThermalDomain& domain, const thermal::PowerMap& power,
+                                     ThermalResult& out) {
+  MS_TRACE_SCOPE("core.thermal.steady");
+  require_footprint(power, domain.plan_x, domain.plan_y, domain.plan_name);
+  thermal::ThermalSolveOptions solve = config_.coupling.solve;
+  solve.cancel = cancel_;
+  if (factor_cache_ != nullptr) {
+    solve.factor_cache = factor_cache_;
+    solve.factor_key = thermal_steady_key(domain.mesh, domain.conductivity, solve);
+  }
+  out.temperature =
+      thermal::solve_power_map(domain.mesh, domain.conductivity, power, solve, &out.thermal_stats);
+
+  const thermal::BlockReduction& reduction = domain.reduction;
+  std::vector<double> delta_t =
+      thermal::block_averager(domain.mesh, reduction).reduce(out.temperature.nodal());
+  for (double& dt : delta_t) dt -= reduction.reference;
+  require_finite("thermal.steady", "per-block dT field", delta_t.data(), delta_t.size());
+  out.load = rom::BlockLoadField(reduction.blocks_x, reduction.blocks_y, std::move(delta_t));
+}
+
+thermal::TransientTemperatureResult MoreStressSimulator::run_transient(
+    const ThermalDomain& domain, const thermal::PowerTrace& trace, double time_step,
+    thermal::TransientSolveStats* stats) {
+  MS_TRACE_SCOPE("core.thermal.transient");
+  if (trace.num_keyframes() == 0) throw std::invalid_argument("transient: trace has no keyframes");
+  for (std::size_t i = 0; i < trace.num_keyframes(); ++i) {
+    require_footprint(trace.keyframe(i), domain.plan_x, domain.plan_y, domain.plan_name);
+  }
   // One boundary model for steady and transient runs: the sink/ambient data
-  // rides in coupling.solve, the stepping controls in coupling.transient.
+  // rides in coupling.solve, the stepping controls in coupling.transient. The
+  // factor key hashes the step, so an overridden step keys its own factor.
   thermal::TransientSolveOptions options = config_.coupling.transient;
   options.time_step = time_step;
   options.base = config_.coupling.solve;
   options.base.cancel = cancel_;
-  if (factor_cache_ != nullptr && !factor_key.empty()) {
+  if (factor_cache_ != nullptr) {
     options.base.factor_cache = factor_cache_;
-    options.base.factor_key = factor_key;
+    options.base.factor_key =
+        thermal_transient_key(domain.mesh, domain.conductivity, domain.capacity, options);
   }
-  return options;
-}
-
-void MoreStressSimulator::run_array_steady(int blocks_x, int blocks_y,
-                                           const thermal::PowerMap& power, ThermalResult& out) {
-  MS_TRACE_SCOPE("core.thermal.array_steady");
-  const ThermalCouplingOptions& coupling = config_.coupling;
-  require_footprint(power, blocks_x * config_.geometry.pitch, blocks_y * config_.geometry.pitch,
-                    "array extent");
-  const mesh::HexMesh thermal_mesh = thermal::build_array_thermal_mesh(
-      config_.geometry, blocks_x, blocks_y, coupling.elems_per_block_xy, coupling.elems_z);
-  const thermal::ConductivityField conductivities = thermal::array_block_conductivities(
-      thermal_mesh, config_.geometry, config_.materials, blocks_x, blocks_y, /*tsv_mask=*/{},
-      coupling.conductivity_model);
-
-  const thermal::ThermalSolveOptions solve = steady_solve_options(
-      factor_cache_ != nullptr ? thermal_steady_key(thermal_mesh, conductivities, coupling.solve)
-                               : std::string());
-  out.temperature =
-      thermal::solve_power_map(thermal_mesh, conductivities, power, solve, &out.thermal_stats);
-
-  std::vector<double> delta_t =
-      out.temperature.block_averages(blocks_x, blocks_y, config_.geometry.pitch);
-  for (double& dt : delta_t) dt -= coupling.stress_free_temperature;
-  require_finite("thermal.steady", "per-block dT field", delta_t.data(), delta_t.size());
-  out.load = rom::BlockLoadField(blocks_x, blocks_y, std::move(delta_t));
-}
-
-void MoreStressSimulator::run_submodel_steady(const Window& window,
-                                              const chiplet::PackageModel& package,
-                                              const chiplet::SubmodelPlacement& placement,
-                                              const thermal::PowerMap& power,
-                                              ThermalResult& out) {
-  MS_TRACE_SCOPE("core.thermal.submodel_steady");
-  const chiplet::PackageGeometry& geometry = package.geometry();
-  require_padded_window(placement, window.blocks_x, window.blocks_y);
-  require_footprint(power, geometry.substrate_x, geometry.substrate_y, "package plan");
-  const ThermalCouplingOptions& coupling = config_.coupling;
-  const chiplet::PackageThermalModel thermal_model = chiplet::build_package_thermal_model(
-      geometry, config_.geometry, placement, window.mask, config_.materials,
-      package_thermal_spec(coupling));
-
-  const thermal::ThermalSolveOptions solve = steady_solve_options(
-      factor_cache_ != nullptr
-          ? thermal_steady_key(thermal_model.mesh, thermal_model.conductivity, coupling.solve)
-          : std::string());
-  out.temperature = thermal::solve_power_map(thermal_model.mesh, thermal_model.conductivity,
-                                             power, solve, &out.thermal_stats);
-
-  std::vector<double> delta_t = out.temperature.block_averages(
-      window.blocks_x, window.blocks_y, config_.geometry.pitch, placement.origin,
-      geometry.interposer_z0(), geometry.interposer_z1());
-  for (double& dt : delta_t) dt -= coupling.stress_free_temperature;
-  require_finite("thermal.steady", "per-block dT field", delta_t.data(), delta_t.size());
-  out.load = rom::BlockLoadField(window.blocks_x, window.blocks_y, std::move(delta_t));
-}
-
-thermal::TransientTemperatureResult MoreStressSimulator::run_array_transient(
-    int blocks_x, int blocks_y, const thermal::PowerTrace& trace, double time_step,
-    thermal::TransientSolveStats* stats) {
-  MS_TRACE_SCOPE("core.thermal.array_transient");
-  const ThermalCouplingOptions& coupling = config_.coupling;
-  require_trace_footprint(trace, blocks_x * config_.geometry.pitch,
-                          blocks_y * config_.geometry.pitch, "array extent");
-  const mesh::HexMesh thermal_mesh = thermal::build_array_thermal_mesh(
-      config_.geometry, blocks_x, blocks_y, coupling.elems_per_block_xy, coupling.elems_z);
-  const thermal::ConductivityField conductivities = thermal::array_block_conductivities(
-      thermal_mesh, config_.geometry, config_.materials, blocks_x, blocks_y, /*tsv_mask=*/{},
-      coupling.conductivity_model);
-  const Vec capacities = thermal::array_block_capacities(thermal_mesh, config_.geometry,
-                                                         config_.materials, blocks_x, blocks_y,
-                                                         /*tsv_mask=*/{},
-                                                         coupling.conductivity_model);
-
-  std::string factor_key;
-  if (factor_cache_ != nullptr) {
-    factor_key = thermal_transient_key(thermal_mesh, conductivities, capacities,
-                                       transient_solve_options(std::string(), time_step));
-  }
-  thermal::TransientTemperatureResult transient = thermal::solve_power_trace(
-      thermal_mesh, conductivities, capacities, trace,
-      block_reduction(blocks_x, blocks_y, config_.geometry.pitch,
-                      coupling.stress_free_temperature),
-      transient_solve_options(factor_key, time_step), stats);
-  require_finite("thermal.transient", "dT peak envelope",
-                 transient.peak_envelope.data(), transient.peak_envelope.size());
-  return transient;
-}
-
-thermal::TransientTemperatureResult MoreStressSimulator::run_submodel_transient(
-    const Window& window, const chiplet::PackageModel& package,
-    const chiplet::SubmodelPlacement& placement, const thermal::PowerTrace& trace,
-    double time_step, thermal::TransientSolveStats* stats) {
-  MS_TRACE_SCOPE("core.thermal.submodel_transient");
-  const chiplet::PackageGeometry& geometry = package.geometry();
-  require_padded_window(placement, window.blocks_x, window.blocks_y);
-  require_trace_footprint(trace, geometry.substrate_x, geometry.substrate_y, "package plan");
-  const ThermalCouplingOptions& coupling = config_.coupling;
-  const chiplet::PackageThermalModel thermal_model = chiplet::build_package_thermal_model(
-      geometry, config_.geometry, placement, window.mask, config_.materials,
-      package_thermal_spec(coupling));
-
-  std::string factor_key;
-  if (factor_cache_ != nullptr) {
-    factor_key = thermal_transient_key(thermal_model.mesh, thermal_model.conductivity,
-                                       thermal_model.capacity,
-                                       transient_solve_options(std::string(), time_step));
-  }
-  // The sub-model window only sees the interposer layer, exactly like the
-  // steady path's windowed block_averages reduction.
-  thermal::BlockReduction reduction =
-      block_reduction(window.blocks_x, window.blocks_y, config_.geometry.pitch,
-                      coupling.stress_free_temperature);
-  reduction.windowed = true;
-  reduction.origin = placement.origin;
-  reduction.z0 = geometry.interposer_z0();
-  reduction.z1 = geometry.interposer_z1();
-  thermal::TransientTemperatureResult transient = thermal::solve_power_trace(
-      thermal_model.mesh, thermal_model.conductivity, thermal_model.capacity, trace, reduction,
-      transient_solve_options(factor_key, time_step), stats);
+  thermal::TransientTemperatureResult transient =
+      thermal::solve_power_trace(domain.mesh, domain.conductivity, domain.capacity, trace,
+                                 domain.reduction, options, stats);
   require_finite("thermal.transient", "dT peak envelope",
                  transient.peak_envelope.data(), transient.peak_envelope.size());
   return transient;

@@ -160,29 +160,37 @@ class MoreStressSimulator {
                                 const std::vector<rom::BlockLoadField>& step_loads,
                                 const std::vector<double>& step_times,
                                 reliability::StressHistory* history, double* history_seconds);
-  /// Steady conduction of `power` on the coarse array thermal mesh, reduced
-  /// to per-block ΔT relative to coupling.stress_free_temperature: fills
-  /// `out`'s temperature, thermal_stats and load.
-  void run_array_steady(int blocks_x, int blocks_y, const thermal::PowerMap& power,
-                        ThermalResult& out);
-  /// Steady conduction of `power` (a map over the full package plan, heat
-  /// entering at the die top) on the package stack mesh, reduced to the
-  /// padded window's per-block ΔT (interposer layer only).
-  void run_submodel_steady(const Window& window, const chiplet::PackageModel& package,
-                           const chiplet::SubmodelPlacement& placement,
-                           const thermal::PowerMap& power, ThermalResult& out);
-  /// θ-stepper march of the standalone array's conduction mesh through
-  /// `trace`, recording the per-block ΔT history and its peak envelope.
-  thermal::TransientTemperatureResult run_array_transient(int blocks_x, int blocks_y,
-                                                          const thermal::PowerTrace& trace,
-                                                          double time_step,
-                                                          thermal::TransientSolveStats* stats);
-  /// The package counterpart: the same θ-stepper on the package stack mesh
-  /// with the windowed per-step reduction (padded window, interposer layer).
-  thermal::TransientTemperatureResult run_submodel_transient(
-      const Window& window, const chiplet::PackageModel& package,
-      const chiplet::SubmodelPlacement& placement, const thermal::PowerTrace& trace,
-      double time_step, thermal::TransientSolveStats* stats);
+  /// Where the thermal stage runs: a conduction mesh with per-element
+  /// conductivities and heat capacities, the reduction of its nodal field to
+  /// the window's per-block ΔT (measured from coupling.stress_free_temperature),
+  /// and the plan a power map must cover. A standalone array conducts on its
+  /// own coarse mesh and averages whole blocks; a sub-model conducts on the
+  /// package stack and averages the padded window's interposer slab.
+  struct ThermalDomain {
+    mesh::HexMesh mesh;
+    thermal::ConductivityField conductivity;
+    Vec capacity;
+    thermal::BlockReduction reduction;
+    double plan_x = 0.0;
+    double plan_y = 0.0;
+    const char* plan_name = "";
+  };
+  /// The array's domain when `package` is null, else the package's around
+  /// the window at `placement` (which must cover the padded window exactly).
+  [[nodiscard]] ThermalDomain thermal_domain(const Window& window,
+                                             const chiplet::PackageModel* package,
+                                             const chiplet::SubmodelPlacement& placement) const;
+  /// Steady conduction of `power` on `domain`, reduced to per-block ΔT:
+  /// fills `out`'s temperature, thermal_stats and load.
+  void run_steady(const ThermalDomain& domain, const thermal::PowerMap& power,
+                  ThermalResult& out);
+  /// θ-stepper march of `domain` through `trace` at `time_step` (a spec's
+  /// override or the config's step), recording the per-block ΔT history and
+  /// its peak envelope.
+  thermal::TransientTemperatureResult run_transient(const ThermalDomain& domain,
+                                                    const thermal::PowerTrace& trace,
+                                                    double time_step,
+                                                    thermal::TransientSolveStats* stats);
   /// Rainflow + Miner reduction of a recorded history under the standard
   /// model set (options parameterize bins and the Engelmaier channel).
   reliability::ReliabilityReport assess_fatigue(const reliability::StressHistory& history,
@@ -202,16 +210,6 @@ class MoreStressSimulator {
   /// load hashes (covering materials), mask, and constrained-dof set. Forces
   /// the needed models to exist.
   std::string global_factor_key(const Window& window);
-  /// One source of truth for "transient options = coupling.transient with
-  /// coupling.solve as boundary model", stepping at `time_step` (a spec's
-  /// override or the config's step — the factor key hashes the step, so an
-  /// override keys its own factorization), plus the factor-cache wiring when
-  /// a cache is attached.
-  [[nodiscard]] thermal::TransientSolveOptions transient_solve_options(
-      const std::string& factor_key, double time_step) const;
-  /// coupling.solve with the factor-cache wiring (steady conduction paths).
-  [[nodiscard]] thermal::ThermalSolveOptions steady_solve_options(
-      const std::string& factor_key) const;
 
   SimulationConfig config_;
   std::shared_ptr<const rom::RomModel> tsv_model_;

@@ -95,22 +95,15 @@ void extract_channel_history(const rom::BlockGrid& grid, const rom::RomModel& ts
   MS_TRACE_SCOPE("reliability.channel_extract");
   obs::ScopedDuration timer(
       obs::MetricRegistry::global().histogram("reliability.channel_extract_seconds"));
-  if (range.bx0 < 0 || range.bx1 > grid.blocks_x() || range.by0 < 0 ||
-      range.by1 > grid.blocks_y() || range.width() <= 0 || range.height() <= 0) {
-    throw std::invalid_argument("extract_channel_history: block range out of bounds");
-  }
-  if (!mask.empty() && mask.size() != static_cast<std::size_t>(grid.num_blocks())) {
-    throw std::invalid_argument("extract_channel_history: mask size must be blocks_x*blocks_y");
-  }
+  const bool any_dummy =
+      rom::validate_block_inputs("extract_channel_history", grid, tsv_model, dummy_model, mask,
+                                 range, solutions.data(), solutions.size());
   if (solutions.size() != loads.size() || solutions.size() != history.num_steps()) {
     throw std::invalid_argument(
         "extract_channel_history: need one solution and load field per history step");
   }
   if (history.blocks_x() != range.width() || history.blocks_y() != range.height()) {
     throw std::invalid_argument("extract_channel_history: history extent must match the range");
-  }
-  if (dummy_model != nullptr && !tsv_model.compatible_with(*dummy_model)) {
-    throw std::invalid_argument("extract_channel_history: dummy model incompatible with TSV model");
   }
   if (tsv_model.bump_shear_samples.rows() == 0 ||
       (dummy_model != nullptr && dummy_model->bump_shear_samples.rows() == 0)) {
@@ -119,18 +112,6 @@ void extract_channel_history(const rom::BlockGrid& grid, const rom::RomModel& ts
   }
   for (const rom::BlockLoadField& load : loads) {
     load.validate_extent(grid.blocks_x(), grid.blocks_y());
-  }
-  bool any_dummy = false;
-  if (!mask.empty()) {
-    for (int by = range.by0; by < range.by1; ++by) {
-      for (int bx = range.bx0; bx < range.bx1; ++bx) {
-        any_dummy |= mask[static_cast<std::size_t>(by) * grid.blocks_x() + bx] == 0;
-      }
-    }
-    if (any_dummy && dummy_model == nullptr) {
-      throw std::invalid_argument(
-          "extract_channel_history: mask selects dummy blocks but no model");
-    }
   }
 
   const int s = tsv_model.samples_per_block;

@@ -11,30 +11,15 @@ namespace ms::rom {
 namespace {
 
 /// Everything either entry point reads, checked before any loop indexes by
-/// it: a mismatch would be read past an array's end, and inside the
-/// stiffness assembly's parallel region a throw would terminate instead of
-/// propagating. The TSV model sets the shape, so it is always checked; the
-/// dummy only where the mask uses it. `stiffness` adds the element
-/// stiffness of each model in use to the element load.
+/// it. The TSV model sets the shape, so it is always checked; the dummy
+/// only where the mask uses it. `stiffness` adds the element stiffness of
+/// each model in use to the element load.
 void validate_inputs(const std::string& caller, const BlockGrid& grid, const RomModel& tsv_model,
                      const RomModel* dummy_model, const BlockMask& mask,
                      const BlockLoadField& load, bool stiffness) {
+  const bool uses_dummy = validate_block_inputs(caller, grid, tsv_model, dummy_model, mask,
+                                                BlockRange::all(grid));
   load.validate_extent(grid.blocks_x(), grid.blocks_y());
-  if (!mask.empty() && mask.size() != static_cast<std::size_t>(grid.num_blocks())) {
-    throw std::invalid_argument(caller + ": mask size must be blocks_x*blocks_y");
-  }
-  if (dummy_model != nullptr && !tsv_model.compatible_with(*dummy_model)) {
-    throw std::invalid_argument(caller + ": dummy model incompatible with TSV model");
-  }
-  const bool uses_dummy = std::find(mask.begin(), mask.end(), std::uint8_t{0}) != mask.end();
-  if (uses_dummy && dummy_model == nullptr) {
-    throw std::invalid_argument(caller + ": mask selects dummy blocks but no model");
-  }
-  const SurfaceNodeSet& sns = grid.surface_nodes();
-  if (sns.nx() != tsv_model.nodes_x || sns.ny() != tsv_model.nodes_y ||
-      sns.nz() != tsv_model.nodes_z) {
-    throw std::invalid_argument(caller + ": grid and model differ in nodes per block axis");
-  }
   const idx_t n = tsv_model.num_element_dofs();
   for (const RomModel* model : {&tsv_model, uses_dummy ? dummy_model : nullptr}) {
     if (model == nullptr) continue;
@@ -166,6 +151,42 @@ CsrMatrix assemble_stiffness(const BlockGrid& grid, const RomModel& tsv_model,
 }
 
 }  // namespace
+
+bool validate_block_inputs(const std::string& caller, const BlockGrid& grid,
+                           const RomModel& tsv_model, const RomModel* dummy_model,
+                           const BlockMask& mask, const BlockRange& range,
+                           const Vec* solutions, std::size_t num_solutions) {
+  if (range.bx0 < 0 || range.bx1 > grid.blocks_x() || range.by0 < 0 ||
+      range.by1 > grid.blocks_y() || range.width() <= 0 || range.height() <= 0) {
+    throw std::invalid_argument(caller + ": block range out of bounds");
+  }
+  if (!mask.empty() && mask.size() != static_cast<std::size_t>(grid.num_blocks())) {
+    throw std::invalid_argument(caller + ": mask size must be blocks_x*blocks_y");
+  }
+  if (dummy_model != nullptr && !tsv_model.compatible_with(*dummy_model)) {
+    throw std::invalid_argument(caller + ": dummy model incompatible with TSV model");
+  }
+  bool uses_dummy = false;
+  for (int by = range.by0; by < range.by1 && !mask.empty(); ++by) {
+    for (int bx = range.bx0; bx < range.bx1; ++bx) {
+      uses_dummy |= mask[static_cast<std::size_t>(by) * grid.blocks_x() + bx] == 0;
+    }
+  }
+  if (uses_dummy && dummy_model == nullptr) {
+    throw std::invalid_argument(caller + ": mask selects dummy blocks but no model");
+  }
+  const SurfaceNodeSet& sns = grid.surface_nodes();
+  if (sns.nx() != tsv_model.nodes_x || sns.ny() != tsv_model.nodes_y ||
+      sns.nz() != tsv_model.nodes_z) {
+    throw std::invalid_argument(caller + ": grid and model differ in nodes per block axis");
+  }
+  for (std::size_t i = 0; i < num_solutions; ++i) {
+    if (solutions[i].size() != static_cast<std::size_t>(grid.num_dofs())) {
+      throw std::invalid_argument(caller + ": solution length differs from the grid's dof count");
+    }
+  }
+  return uses_dummy;
+}
 
 GlobalProblem assemble_global(const BlockGrid& grid, const RomModel& tsv_model,
                               const RomModel* dummy_model, const BlockMask& mask,

@@ -5,6 +5,7 @@
 // standalone arrays; interpolated coarse displacements for sub-modeling).
 
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "fem/dirichlet.hpp"
@@ -20,6 +21,21 @@ using la::CsrMatrix;
 /// Per-block model selection for hybrid arrays: mask[by * blocks_x + bx] is
 /// 1 for a TSV block, 0 for a dummy block. Empty mask = all TSV.
 using BlockMask = std::vector<std::uint8_t>;
+
+/// The inputs every pass over the blocks of `range` reads, checked before
+/// any loop indexes by them (a mismatch would be read past an array's end,
+/// and inside an OpenMP region a throw terminates instead of propagating):
+/// `range` lies in the grid, the mask has one entry per block, the dummy
+/// model is compatible with the TSV model, every dummy block of `range` has
+/// a model, the grid has the models' nodes per block axis, and each of the
+/// `num_solutions` solutions holds one value per grid dof. Throws
+/// std::invalid_argument prefixed with `caller`; returns whether `range`
+/// holds a dummy block. Model contents (element matrices, sample shapes)
+/// are each reader's own to check.
+bool validate_block_inputs(const std::string& caller, const BlockGrid& grid,
+                           const RomModel& tsv_model, const RomModel* dummy_model,
+                           const BlockMask& mask, const BlockRange& range,
+                           const Vec* solutions = nullptr, std::size_t num_solutions = 0);
 
 struct GlobalProblem {
   CsrMatrix stiffness;

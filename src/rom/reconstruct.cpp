@@ -25,17 +25,8 @@ std::vector<std::array<double, R>> reconstruct_samples(
     const std::string& caller, DenseMatrix RomModel::*samples, const char* what,
     const BlockGrid& grid, const RomModel& tsv_model, const RomModel* dummy_model,
     const BlockMask& mask, const Vec& u, const BlockLoadField& load, const BlockRange& range) {
-  if (range.bx0 < 0 || range.bx1 > grid.blocks_x() || range.by0 < 0 ||
-      range.by1 > grid.blocks_y() || range.width() <= 0 || range.height() <= 0) {
-    throw std::invalid_argument(caller + ": block range out of bounds");
-  }
-  if (!mask.empty() && mask.size() != static_cast<std::size_t>(grid.num_blocks())) {
-    throw std::invalid_argument(caller + ": mask size must be blocks_x*blocks_y");
-  }
+  validate_block_inputs(caller, grid, tsv_model, dummy_model, mask, range, &u, 1);
   load.validate_extent(grid.blocks_x(), grid.blocks_y());
-  if (dummy_model != nullptr && !tsv_model.compatible_with(*dummy_model)) {
-    throw std::invalid_argument(caller + ": dummy model incompatible with TSV model");
-  }
 
   const int s = tsv_model.samples_per_block;
   const idx_t n = tsv_model.num_element_dofs();
@@ -53,9 +44,6 @@ std::vector<std::array<double, R>> reconstruct_samples(
     blocks_of[is_dummy ? 1 : 0].push_back(b);
   }
   const RomModel* models[2] = {&tsv_model, dummy_model};
-  if (!blocks_of[1].empty() && dummy_model == nullptr) {
-    throw std::invalid_argument(caller + ": mask selects dummy blocks but no model");
-  }
   // The TSV model sets the shape, so it is always checked; the dummy only
   // where the range uses it.
   for (int m = 0; m < 2; ++m) {

@@ -12,18 +12,6 @@
 
 namespace ms::rom {
 
-/// Rectangular sub-region of blocks [bx0, bx1) x [by0, by1).
-struct BlockRange {
-  int bx0 = 0, bx1 = 0, by0 = 0, by1 = 0;
-
-  [[nodiscard]] int width() const { return bx1 - bx0; }
-  [[nodiscard]] int height() const { return by1 - by0; }
-
-  static BlockRange all(const BlockGrid& grid) {
-    return {0, grid.blocks_x(), 0, grid.blocks_y()};
-  }
-};
-
 /// Mid-plane von Mises field over `range`, y-major with s samples per block
 /// (same ordering as fem::sample_plane_stress on the region's plane grid).
 /// Each block's thermal column is scaled by its own ΔT from `load`.

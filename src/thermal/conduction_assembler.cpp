@@ -9,10 +9,6 @@
 
 namespace ms::thermal {
 
-la::TripletList conduction_triplets(const mesh::HexMesh& mesh, const Vec& conductivity_per_elem) {
-  return conduction_triplets(mesh, conductivity_per_elem, conductivity_per_elem);
-}
-
 la::TripletList conduction_triplets(const mesh::HexMesh& mesh, const Vec& in_plane_per_elem,
                                     const Vec& through_plane_per_elem) {
   if (in_plane_per_elem.size() != static_cast<std::size_t>(mesh.num_elems()) ||
@@ -36,27 +32,6 @@ la::TripletList conduction_triplets(const mesh::HexMesh& mesh, const Vec& in_pla
     }
   }
   return triplets;
-}
-
-CsrMatrix assemble_conduction(const mesh::HexMesh& mesh, const Vec& conductivity_per_elem) {
-  return CsrMatrix::from_triplets(conduction_triplets(mesh, conductivity_per_elem));
-}
-
-Vec conductivities_from_materials(const mesh::HexMesh& mesh, const fem::MaterialTable& materials) {
-  Vec k(static_cast<std::size_t>(mesh.num_elems()));
-  for (idx_t e = 0; e < mesh.num_elems(); ++e) {
-    const fem::Material& mat = materials.at(mesh.material(e));
-    if (mat.conductivity <= 0.0) {
-      throw std::invalid_argument("conduction: material '" + mat.name +
-                                  "' has no positive conductivity");
-    }
-    k[e] = mat.conductivity;
-  }
-  return k;
-}
-
-CsrMatrix assemble_conduction(const mesh::HexMesh& mesh, const fem::MaterialTable& materials) {
-  return assemble_conduction(mesh, conductivities_from_materials(mesh, materials));
 }
 
 la::TripletList capacitance_triplets(const mesh::HexMesh& mesh, const Vec& capacity_per_elem,
@@ -88,24 +63,6 @@ la::TripletList capacitance_triplets(const mesh::HexMesh& mesh, const Vec& capac
     }
   }
   return triplets;
-}
-
-CsrMatrix assemble_capacitance(const mesh::HexMesh& mesh, const Vec& capacity_per_elem,
-                               bool lumped) {
-  return CsrMatrix::from_triplets(capacitance_triplets(mesh, capacity_per_elem, lumped));
-}
-
-Vec capacities_from_materials(const mesh::HexMesh& mesh, const fem::MaterialTable& materials) {
-  Vec c(static_cast<std::size_t>(mesh.num_elems()));
-  for (idx_t e = 0; e < mesh.num_elems(); ++e) {
-    const fem::Material& mat = materials.at(mesh.material(e));
-    if (mat.volumetric_heat_capacity <= 0.0) {
-      throw std::invalid_argument("transient conduction: material '" + mat.name +
-                                  "' has no positive volumetric heat capacity");
-    }
-    c[e] = mat.volumetric_heat_capacity;
-  }
-  return c;
 }
 
 Vec assemble_power_load(const mesh::HexMesh& mesh, const PowerMap& power) {

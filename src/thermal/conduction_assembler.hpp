@@ -23,24 +23,12 @@ using la::CsrMatrix;
 using la::idx_t;
 using la::Vec;
 
-/// Conduction triplets with per-element conductivities (size num_elems);
-/// compose with boundary terms before compressing to CSR.
-la::TripletList conduction_triplets(const mesh::HexMesh& mesh, const Vec& conductivity_per_elem);
-
-/// Orthotropic variant: per-element in-plane (x = y) and through-plane (z)
-/// conductivities, the form the TSV-aware effective block model produces.
+/// Conduction triplets with per-element in-plane (x = y) and through-plane
+/// (z) conductivities (each of size num_elems), the form the TSV-aware
+/// effective block model produces; compose with boundary terms before
+/// compressing to CSR.
 la::TripletList conduction_triplets(const mesh::HexMesh& mesh, const Vec& in_plane_per_elem,
                                     const Vec& through_plane_per_elem);
-
-/// Conduction matrix with per-element conductivities, compressed.
-CsrMatrix assemble_conduction(const mesh::HexMesh& mesh, const Vec& conductivity_per_elem);
-
-/// Conduction matrix with conductivities from the material table (throws if
-/// any referenced material has no positive conductivity).
-CsrMatrix assemble_conduction(const mesh::HexMesh& mesh, const fem::MaterialTable& materials);
-
-/// Per-element conductivities looked up from the material table.
-Vec conductivities_from_materials(const mesh::HexMesh& mesh, const fem::MaterialTable& materials);
 
 /// Capacitance (thermal mass) triplets with per-element volumetric heat
 /// capacities (size num_elems, J/(m^3 K)): the M of the transient system
@@ -49,14 +37,6 @@ Vec conductivities_from_materials(const mesh::HexMesh& mesh, const fem::Material
 /// full tensor-product mass.
 la::TripletList capacitance_triplets(const mesh::HexMesh& mesh, const Vec& capacity_per_elem,
                                      bool lumped);
-
-/// Capacitance matrix, compressed.
-CsrMatrix assemble_capacitance(const mesh::HexMesh& mesh, const Vec& capacity_per_elem,
-                               bool lumped);
-
-/// Per-element volumetric heat capacities looked up from the material table
-/// (throws if any referenced material has no positive capacity).
-Vec capacities_from_materials(const mesh::HexMesh& mesh, const fem::MaterialTable& materials);
 
 /// Volume-weighted effective heat capacity of a TSV unit block [J/(m^3 K)].
 /// Unlike conductivity, the volume average is exact for capacity (it is an

@@ -28,11 +28,6 @@ double TemperatureField::min() const { return *std::min_element(t_.begin(), t_.e
 
 double TemperatureField::max() const { return *std::max_element(t_.begin(), t_.end()); }
 
-std::vector<double> TemperatureField::block_averages(int blocks_x, int blocks_y,
-                                                     double pitch) const {
-  return BlockAverager(mesh_, blocks_x, blocks_y, pitch).reduce(t_);
-}
-
 BlockAverager::BlockAverager(const mesh::HexMesh& mesh, int blocks_x, int blocks_y, double pitch)
     : blocks_x_(blocks_x), blocks_y_(blocks_y), num_nodes_(mesh.num_nodes()) {
   build(mesh, pitch, mesh::Point3{0.0, 0.0, 0.0}, 0.0, 0.0, /*windowed=*/false);
@@ -94,9 +89,8 @@ std::vector<double> BlockAverager::reduce(const Vec& nodal) const {
 std::vector<double> TemperatureField::block_averages(int blocks_x, int blocks_y, double pitch,
                                                      const mesh::Point3& origin, double z0,
                                                      double z1) const {
-  // Delegating keeps the steady and transient windowed reductions one
-  // implementation — the constant-trace == steady sub-model lock depends on
-  // them agreeing.
+  // Delegating keeps one windowed reduction: a caller composing the layer
+  // calls gets the simulator's per-block values bit for bit.
   return BlockAverager(mesh_, blocks_x, blocks_y, pitch, origin, z0, z1).reduce(t_);
 }
 

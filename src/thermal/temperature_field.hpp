@@ -30,18 +30,14 @@ class TemperatureField {
   [[nodiscard]] double min() const;
   [[nodiscard]] double max() const;
 
-  /// Volume-averaged temperature of each block footprint of a blocks_x x
-  /// blocks_y array with pitch p (y-major). Exact when block boundaries
-  /// coincide with mesh grid lines: the average of a trilinear function over
-  /// a box is the mean of its corner values, accumulated element-wise.
-  [[nodiscard]] std::vector<double> block_averages(int blocks_x, int blocks_y,
-                                                   double pitch) const;
-
-  /// Windowed variant for meshes larger than the block array (the package
-  /// thermal mesh): averages over the blocks_x x blocks_y window whose
-  /// lower-left plan corner is `origin` restricted to z in [z0, z1] (the
-  /// interposer layer). Elements with centroids outside the window are
-  /// ignored; throws if any block of the window has no covering element.
+  /// Volume-averaged temperature of each block (y-major) of the blocks_x x
+  /// blocks_y window of pitch p whose lower-left plan corner is `origin`,
+  /// restricted to z in [z0, z1] (the package mesh's interposer layer).
+  /// Elements with centroids outside the window are ignored; throws if any
+  /// block of the window has no covering element. Exact when block
+  /// boundaries coincide with mesh grid lines: the average of a trilinear
+  /// function over a box is the mean of its corner values, accumulated
+  /// element-wise.
   [[nodiscard]] std::vector<double> block_averages(int blocks_x, int blocks_y, double pitch,
                                                    const mesh::Point3& origin, double z0,
                                                    double z1) const;
@@ -53,10 +49,12 @@ class TemperatureField {
 
 /// Precomputed block reduction for repeated use (the transient stepper
 /// reduces every step): element -> block binning and volume weights are
-/// resolved once, so reduce() is a single pass over the elements. Reproduces
-/// TemperatureField::block_averages(blocks_x, blocks_y, pitch) exactly.
+/// resolved once, so reduce() is a single pass over the elements.
 class BlockAverager {
  public:
+  /// Whole-mesh variant for an array mesh: each element joins the
+  /// pitch-sized block (y-major) its centroid falls in, clamped into the
+  /// blocks_x x blocks_y footprint.
   BlockAverager(const mesh::HexMesh& mesh, int blocks_x, int blocks_y, double pitch);
 
   /// Windowed variant for meshes larger than the block array (the package

@@ -60,13 +60,6 @@ void publish_transient_stats(const TransientSolveStats& s) {
 
 }  // namespace
 
-TemperatureField solve_power_map(const mesh::HexMesh& mesh, const Vec& conductivity_per_elem,
-                                 const PowerMap& power, const ThermalSolveOptions& options,
-                                 ThermalSolveStats* stats) {
-  return solve_power_map(mesh, ConductivityField{conductivity_per_elem, conductivity_per_elem},
-                         power, options, stats);
-}
-
 TemperatureField solve_power_map(const mesh::HexMesh& mesh, const ConductivityField& conductivity,
                                  const PowerMap& power, const ThermalSolveOptions& options,
                                  ThermalSolveStats* stats) {
@@ -153,13 +146,6 @@ TemperatureField solve_power_map(const mesh::HexMesh& mesh, const ConductivityFi
   return TemperatureField(mesh, std::move(t));
 }
 
-TemperatureField solve_power_map(const mesh::HexMesh& mesh, const fem::MaterialTable& materials,
-                                 const PowerMap& power, const ThermalSolveOptions& options,
-                                 ThermalSolveStats* stats) {
-  return solve_power_map(mesh, conductivities_from_materials(mesh, materials), power, options,
-                         stats);
-}
-
 namespace {
 
 /// θ of the implicit scheme; throws on an unknown name.
@@ -171,6 +157,14 @@ double scheme_theta(const std::string& scheme) {
 }
 
 }  // namespace
+
+BlockAverager block_averager(const mesh::HexMesh& mesh, const BlockReduction& reduction) {
+  if (!reduction.windowed) {
+    return BlockAverager(mesh, reduction.blocks_x, reduction.blocks_y, reduction.pitch);
+  }
+  return BlockAverager(mesh, reduction.blocks_x, reduction.blocks_y, reduction.pitch,
+                       reduction.origin, reduction.z0, reduction.z1);
+}
 
 TransientTemperatureResult solve_power_trace(const mesh::HexMesh& mesh,
                                              const ConductivityField& conductivity,
@@ -316,11 +310,7 @@ TransientTemperatureResult solve_power_trace(const mesh::HexMesh& mesh,
   Vec t(static_cast<std::size_t>(n), t_init);
   for (std::size_t i = 0; i < bc.dofs.size(); ++i) t[bc.dofs[i]] = bc.values[i];
 
-  const BlockAverager averager =
-      reduction.windowed
-          ? BlockAverager(mesh, reduction.blocks_x, reduction.blocks_y, reduction.pitch,
-                          reduction.origin, reduction.z0, reduction.z1)
-          : BlockAverager(mesh, reduction.blocks_x, reduction.blocks_y, reduction.pitch);
+  const BlockAverager averager = block_averager(mesh, reduction);
   TransientTemperatureResult result;
   result.blocks_x = reduction.blocks_x;
   result.blocks_y = reduction.blocks_y;
@@ -402,28 +392,6 @@ TransientTemperatureResult solve_power_trace(const mesh::HexMesh& mesh,
 
   result.final_field = TemperatureField(mesh, std::move(t));
   return result;
-}
-
-TransientTemperatureResult solve_power_trace(const mesh::HexMesh& mesh,
-                                             const Vec& conductivity_per_elem,
-                                             const Vec& capacity_per_elem,
-                                             const PowerTrace& trace,
-                                             const BlockReduction& reduction,
-                                             const TransientSolveOptions& options,
-                                             TransientSolveStats* stats) {
-  return solve_power_trace(mesh, ConductivityField{conductivity_per_elem, conductivity_per_elem},
-                           capacity_per_elem, trace, reduction, options, stats);
-}
-
-TransientTemperatureResult solve_power_trace(const mesh::HexMesh& mesh,
-                                             const fem::MaterialTable& materials,
-                                             const PowerTrace& trace,
-                                             const BlockReduction& reduction,
-                                             const TransientSolveOptions& options,
-                                             TransientSolveStats* stats) {
-  return solve_power_trace(mesh, conductivities_from_materials(mesh, materials),
-                           capacities_from_materials(mesh, materials), trace, reduction, options,
-                           stats);
 }
 
 mesh::HexMesh build_array_thermal_mesh(const mesh::TsvGeometry& geometry, int blocks_x,

@@ -58,20 +58,11 @@ struct ThermalSolveStats : la::FactorStats {
   [[nodiscard]] double total_seconds() const { return assemble_seconds + solve_seconds; }
 };
 
-/// Solve conduction on `mesh` with per-element conductivities and the power
-/// map applied on the z-max face. Returns the nodal temperature field [C].
-TemperatureField solve_power_map(const mesh::HexMesh& mesh, const Vec& conductivity_per_elem,
-                                 const PowerMap& power, const ThermalSolveOptions& options = {},
-                                 ThermalSolveStats* stats = nullptr);
-
-/// Orthotropic variant: per-element in-plane (x = y) and through-plane (z)
-/// conductivities (the TSV-aware effective block model).
+/// Solve conduction on `mesh` with per-element in-plane (x = y) and
+/// through-plane (z) conductivities and the power map applied on the z-max
+/// face (an isotropic medium passes {k, k}). Returns the nodal temperature
+/// field [C].
 TemperatureField solve_power_map(const mesh::HexMesh& mesh, const ConductivityField& conductivity,
-                                 const PowerMap& power, const ThermalSolveOptions& options = {},
-                                 ThermalSolveStats* stats = nullptr);
-
-/// Same, with conductivities from the material table.
-TemperatureField solve_power_map(const mesh::HexMesh& mesh, const fem::MaterialTable& materials,
                                  const PowerMap& power, const ThermalSolveOptions& options = {},
                                  ThermalSolveStats* stats = nullptr);
 
@@ -128,6 +119,11 @@ struct BlockReduction {
   double z0 = 0.0, z1 = 0.0;  ///< window z-slab (windowed only)
 };
 
+/// The averager `reduction` describes on `mesh` (reference not applied): the
+/// steady and transient reductions both go through it, so a constant trace
+/// and a steady solve reduce one field to the same per-block values.
+BlockAverager block_averager(const mesh::HexMesh& mesh, const BlockReduction& reduction);
+
 /// March the transient conduction problem M dT/dt + K T = f(t) through
 /// `trace` with the implicit θ-scheme and record the per-block ΔT history
 /// plus its peak envelope. Heat enters at the z-max face per the trace; the
@@ -136,23 +132,6 @@ struct BlockReduction {
 TransientTemperatureResult solve_power_trace(const mesh::HexMesh& mesh,
                                              const ConductivityField& conductivity,
                                              const Vec& capacity_per_elem,
-                                             const PowerTrace& trace,
-                                             const BlockReduction& reduction,
-                                             const TransientSolveOptions& options = {},
-                                             TransientSolveStats* stats = nullptr);
-
-/// Isotropic variant (one conductivity per element).
-TransientTemperatureResult solve_power_trace(const mesh::HexMesh& mesh,
-                                             const Vec& conductivity_per_elem,
-                                             const Vec& capacity_per_elem,
-                                             const PowerTrace& trace,
-                                             const BlockReduction& reduction,
-                                             const TransientSolveOptions& options = {},
-                                             TransientSolveStats* stats = nullptr);
-
-/// Same, with conductivities and heat capacities from the material table.
-TransientTemperatureResult solve_power_trace(const mesh::HexMesh& mesh,
-                                             const fem::MaterialTable& materials,
                                              const PowerTrace& trace,
                                              const BlockReduction& reduction,
                                              const TransientSolveOptions& options = {},

@@ -150,7 +150,9 @@ TEST(SubmodelThermal, HotspotOverWindowHeatsNearestBlocks) {
   ASSERT_EQ(dt.size(), 9u);
   const double centre = dt[1 * 3 + 1];
   for (std::size_t i = 0; i < dt.size(); ++i) {
-    if (i != 4) EXPECT_GT(centre, dt[i]) << "block " << i;
+    if (i != 4) {
+      EXPECT_GT(centre, dt[i]) << "block " << i;
+    }
   }
   EXPECT_GT(result.load.min(), 0.0);
 }

@@ -22,7 +22,9 @@ TEST(Material, DMatrixStructure) {
   for (int i = 0; i < 3; ++i) {
     EXPECT_NEAR(d[i * kVoigt + i], lambda + 2 * mu, 1e-9);
     for (int j = 0; j < 3; ++j) {
-      if (i != j) EXPECT_NEAR(d[i * kVoigt + j], lambda, 1e-9);
+      if (i != j) {
+        EXPECT_NEAR(d[i * kVoigt + j], lambda, 1e-9);
+      }
     }
     EXPECT_NEAR(d[(i + 3) * kVoigt + (i + 3)], mu, 1e-9);
   }
@@ -61,7 +63,7 @@ TEST(MaterialTable, StandardSetMapsIds) {
   EXPECT_EQ(table.at(mesh::MaterialId::Copper).name, "Cu");
   EXPECT_EQ(table.at(mesh::MaterialId::Liner).name, "SiO2");
   EXPECT_EQ(table.at(mesh::MaterialId::Organic).name, "organic");
-  EXPECT_THROW(table.at(static_cast<mesh::MaterialId>(9)), std::out_of_range);
+  EXPECT_THROW((void)table.at(static_cast<mesh::MaterialId>(9)), std::out_of_range);
 }
 
 TEST(MaterialTable, CopperExpandsMoreThanSilicon) {

@@ -130,7 +130,9 @@ TEST(Supernodal, WidthCapIsHonored) {
     for (idx_t s = 0; s < f.num_supernodes; ++s) {
       ASSERT_LE(f.super_start[static_cast<std::size_t>(s) + 1] - f.super_start[s], cap);
     }
-    if (cap == 1) EXPECT_EQ(f.num_supernodes, f.n);
+    if (cap == 1) {
+      EXPECT_EQ(f.num_supernodes, f.n);
+    }
   }
 }
 
@@ -225,7 +227,9 @@ TEST(Supernodal, EtreePostorderIsValidPermutation) {
   }
   // Children precede parents.
   for (idx_t v = 0; v < a.rows(); ++v) {
-    if (parent[v] != -1) ASSERT_LT(position[v], position[parent[v]]);
+    if (parent[v] != -1) {
+      ASSERT_LT(position[v], position[parent[v]]);
+    }
   }
 }
 

@@ -65,7 +65,9 @@ TEST(Histogram, BinEdgesBracketTheirValues) {
   for (double v = 2e-6; v < 1e3; v *= 3.7) {
     const int bin = Histogram::bin_of(v);
     EXPECT_LE(Histogram::bin_lower(bin), v);
-    if (bin < Histogram::kNumBins - 1) EXPECT_LT(v, Histogram::bin_upper(bin));
+    if (bin < Histogram::kNumBins - 1) {
+      EXPECT_LT(v, Histogram::bin_upper(bin));
+    }
   }
   EXPECT_DOUBLE_EQ(Histogram::bin_lower(0), 0.0);  // bin 0 is open below
 }

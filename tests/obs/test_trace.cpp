@@ -97,7 +97,9 @@ TEST_F(TraceTest, OpenMpRegionsBalanceAcrossThreads) {
   std::set<std::int32_t> tids;
   for (const SpanEvent& e : events) tids.insert(e.tid);
 #ifdef _OPENMP
-  if (omp_get_max_threads() > 1) EXPECT_GT(tids.size(), 1u);
+  if (omp_get_max_threads() > 1) {
+    EXPECT_GT(tids.size(), 1u);
+  }
 #endif
   // Every thread's spans balanced: equal inner and outer counts.
   std::size_t inner = 0;

@@ -174,6 +174,40 @@ TEST(ChannelExtract, ValidatesItsInputs) {
                std::invalid_argument);
 }
 
+TEST(ChannelExtract, RejectsGridOfOtherNodeCount) {
+  // The model has 3x3x3 nodes per block. A grid of fewer nodes per axis
+  // used to be read past the end of its blocks' dof lists inside the
+  // extraction's parallel region.
+  const rom::RomModel& tsv = model_of(rom::BlockKind::Tsv);
+  for (const int nodes : {2, 4}) {
+    const rom::BlockGrid grid(2, 2, nodes, nodes, nodes, geometry().pitch, geometry().height);
+    const rom::BlockRange range = rom::BlockRange::all(grid);
+    const std::vector<rom::Vec> solutions(2, rom::Vec(grid.num_dofs(), 1e-4));
+    const std::vector<rom::BlockLoadField> loads(2, step_load(2, 2, 0));
+    StressHistory history(2, 2);
+    history.resize_steps({0.0, 1.0});
+    EXPECT_THROW(
+        extract_channel_history(grid, tsv, nullptr, {}, solutions, loads, range, history),
+        std::invalid_argument);
+  }
+}
+
+TEST(ChannelExtract, RejectsShortSolution) {
+  // A step solution shorter than the grid's dof count used to be read past
+  // its end inside the parallel region; the last block's dofs are the
+  // highest.
+  const rom::RomModel& tsv = model_of(rom::BlockKind::Tsv);
+  const rom::BlockGrid grid(2, 2, 3, 3, 3, geometry().pitch, geometry().height);
+  const rom::BlockRange range = rom::BlockRange::all(grid);
+  std::vector<rom::Vec> solutions(2, rom::Vec(grid.num_dofs(), 1e-4));
+  solutions.back().resize(static_cast<std::size_t>(grid.num_dofs() / 2));
+  const std::vector<rom::BlockLoadField> loads(2, step_load(2, 2, 0));
+  StressHistory history(2, 2);
+  history.resize_steps({0.0, 1.0});
+  EXPECT_THROW(extract_channel_history(grid, tsv, nullptr, {}, solutions, loads, range, history),
+               std::invalid_argument);
+}
+
 TEST(ChannelExtract, BumpPlaneSamplesMatchFineFemPlaneSample) {
   // The bump-plane sample matrix against an independent fine-FEM solve of
   // the same single-block Dirichlet problem: clamp every surface node to a

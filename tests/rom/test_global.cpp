@@ -713,5 +713,40 @@ TEST(Reconstruct, RejectsIncompatibleDummy) {
                std::invalid_argument);
 }
 
+TEST(Reconstruct, RejectsGridOfOtherNodeCount) {
+  // The models have 3x3x3 nodes per block. A grid of fewer nodes per axis
+  // used to be read past the end of its blocks' dof lists, inside the
+  // sample-point loop; one of more would put the samples on the wrong nodes.
+  const BlockLoadField load = BlockLoadField::uniform(-250.0);
+  const RomModel tsv = random_sample_model(7, BlockKind::Tsv, 1);
+  for (const std::array<int, 3> nodes : {std::array{2, 2, 2}, std::array{4, 4, 4}}) {
+    const BlockGrid grid(2, 2, nodes[0], nodes[1], nodes[2], 15.0, 50.0);
+    const BlockRange all = BlockRange::all(grid);
+    const Vec u = random_vec(static_cast<std::size_t>(grid.num_dofs()), 1e-3, 3);
+    EXPECT_THROW(reconstruct_plane_stress(grid, tsv, nullptr, {}, u, load, all),
+                 std::invalid_argument);
+    EXPECT_THROW(reconstruct_plane_displacement(grid, tsv, nullptr, {}, u, load, all),
+                 std::invalid_argument);
+    EXPECT_THROW(reconstruct_bump_plane_shear(grid, tsv, nullptr, {}, u, load, all),
+                 std::invalid_argument);
+  }
+}
+
+TEST(Reconstruct, RejectsShortSolution) {
+  // A solution shorter than the grid's dof count used to be read past its
+  // end; the last block's dofs are the highest.
+  const BlockGrid grid = make_grid(2, 2);
+  const BlockRange all = BlockRange::all(grid);
+  const BlockLoadField load = BlockLoadField::uniform(-250.0);
+  const RomModel tsv = random_sample_model(7, BlockKind::Tsv, 1);
+  const Vec half = random_vec(static_cast<std::size_t>(grid.num_dofs() / 2), 1e-3, 3);
+  EXPECT_THROW(reconstruct_plane_stress(grid, tsv, nullptr, {}, half, load, all),
+               std::invalid_argument);
+  EXPECT_THROW(reconstruct_plane_displacement(grid, tsv, nullptr, {}, half, load, all),
+               std::invalid_argument);
+  EXPECT_THROW(reconstruct_bump_plane_shear(grid, tsv, nullptr, {}, half, load, all),
+               std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace ms::rom

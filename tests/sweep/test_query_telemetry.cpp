@@ -202,7 +202,9 @@ TEST_F(QueryTelemetryTest, InjectedFaultRowsShipTelemetryAndFlightSnapshot) {
   EXPECT_TRUE(saw_failure_log);
   // The healthy row carries no snapshot — flight is a failure artifact.
   for (const ScenarioResult& r : results) {
-    if (!r.failed()) EXPECT_TRUE(r.flight.empty()) << r.name;
+    if (!r.failed()) {
+      EXPECT_TRUE(r.flight.empty()) << r.name;
+    }
   }
 }
 

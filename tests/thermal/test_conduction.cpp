@@ -17,6 +17,12 @@ mesh::HexMesh bar_mesh(double side, double height, int elems_xy, int elems_z) {
   return mesh::HexMesh(lines(elems_xy, side), lines(elems_xy, side), lines(elems_z, height));
 }
 
+/// Conductivity k on every element, in plane and through it.
+ConductivityField isotropic(const mesh::HexMesh& mesh, double k) {
+  const Vec per_elem(static_cast<std::size_t>(mesh.num_elems()), k);
+  return {per_elem, per_elem};
+}
+
 TEST(ConductionElement, SymmetricWithConstantTemperatureInKernel) {
   const auto ke = hex8_conduction_stiffness(120.0, 1.5, 2.0, 0.5);
   for (int a = 0; a < kCondDofs; ++a) {
@@ -77,7 +83,7 @@ TEST(ConductionSlab, MatchesAnalytic1dProfileWithIdealSink) {
   // T(z) = ambient + q z / k, nodally exact for linear elements.
   const double side = 10.0, height = 100.0, k = 100.0, q_mm2 = 1.0, ambient = 25.0;
   const mesh::HexMesh mesh = bar_mesh(side, height, 2, 8);
-  const Vec conductivities(static_cast<std::size_t>(mesh.num_elems()), k);
+  const ConductivityField conductivities = isotropic(mesh, k);
   const PowerMap power(1, 1, side, side, q_mm2);
 
   ThermalSolveOptions options;
@@ -97,7 +103,7 @@ TEST(ConductionSlab, ConvectiveSinkAddsFilmResistance) {
   const double side = 10.0, height = 50.0, k = 149.0, q_mm2 = 2.0, ambient = 25.0;
   const double film = 1.0e4;  // W/(m^2 K)
   const mesh::HexMesh mesh = bar_mesh(side, height, 2, 5);
-  const Vec conductivities(static_cast<std::size_t>(mesh.num_elems()), k);
+  const ConductivityField conductivities = isotropic(mesh, k);
   const PowerMap power(1, 1, side, side, q_mm2);
 
   ThermalSolveOptions options;
@@ -117,7 +123,7 @@ TEST(ConductionSlab, ConvectiveSinkAddsFilmResistance) {
 
 TEST(ConductionSlab, CgAndDirectAgree) {
   const mesh::HexMesh mesh = bar_mesh(20.0, 50.0, 3, 4);
-  const Vec conductivities(static_cast<std::size_t>(mesh.num_elems()), 149.0);
+  const ConductivityField conductivities = isotropic(mesh, 149.0);
   PowerMap power(2, 2, 20.0, 20.0, 1.0);
   power.set_tile(0, 0, 4.0);  // break lateral symmetry
 
@@ -138,7 +144,7 @@ TEST(ConductionSlab, DirectSolveIsBitIdenticalWithoutCacheColdAndWarm) {
   // resident key skips the operator assembly) give the same field bit for
   // bit from the same factor. The ambient sink makes the lifting non-trivial.
   const mesh::HexMesh mesh = bar_mesh(20.0, 50.0, 3, 4);
-  const Vec conductivities(static_cast<std::size_t>(mesh.num_elems()), 149.0);
+  const ConductivityField conductivities = isotropic(mesh, 149.0);
   PowerMap power(2, 2, 20.0, 20.0, 1.0);
   power.set_tile(0, 0, 4.0);
 
@@ -241,14 +247,14 @@ TEST(CapacitanceAssembly, AssembledDiagonalSumsToTotalMass) {
   const Vec capacity(static_cast<std::size_t>(mesh.num_elems()), 2.0e6);
   const double total_mass = 2.0e6 * (10.0 * 10.0 * 20.0) * 1e-18;
   for (bool lumped : {true, false}) {
-    const CsrMatrix m = assemble_capacitance(mesh, capacity, lumped);
+    const CsrMatrix m = CsrMatrix::from_triplets(capacitance_triplets(mesh, capacity, lumped));
     double sum = 0.0;
     for (double v : m.values()) sum += v;
     EXPECT_NEAR(sum, total_mass, 1e-12 * total_mass);
     EXPECT_LE(m.symmetry_error(), 1e-25);
   }
   // Lumped assembly is strictly diagonal.
-  const CsrMatrix diag = assemble_capacitance(mesh, capacity, true);
+  const CsrMatrix diag = CsrMatrix::from_triplets(capacitance_triplets(mesh, capacity, true));
   EXPECT_EQ(diag.nnz(), static_cast<la::offset_t>(mesh.num_nodes()));
 }
 

@@ -130,5 +130,23 @@ TEST(BlockConductivity, RejectsNonPositivePhaseConductivity) {
                std::invalid_argument);
 }
 
+TEST(BlockCapacity, RejectsNonPositivePhaseCapacity) {
+  // Every transient domain takes its capacities from block_capacity (through
+  // array_block_capacities or the package thermal model): a phase that
+  // stores no heat would leave the stepping operator singular.
+  fem::Material silicon = fem::silicon();
+  silicon.volumetric_heat_capacity = 0.0;
+  const fem::MaterialTable no_silicon(
+      {silicon, fem::copper(), fem::sio2_liner(), fem::organic_substrate()});
+  EXPECT_THROW((void)block_capacity(kGeometry, no_silicon, false, ConductivityModel::kTsvAware),
+               std::invalid_argument);
+  fem::Material copper = fem::copper();
+  copper.volumetric_heat_capacity = 0.0;
+  const fem::MaterialTable no_copper(
+      {fem::silicon(), copper, fem::sio2_liner(), fem::organic_substrate()});
+  EXPECT_THROW((void)block_capacity(kGeometry, no_copper, true, ConductivityModel::kTsvAware),
+               std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace ms::thermal

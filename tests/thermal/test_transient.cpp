@@ -30,6 +30,12 @@ mesh::HexMesh bar_mesh(double side, double height, int elems_xy, int elems_z) {
   return mesh::HexMesh(lines(elems_xy, side), lines(elems_xy, side), lines(elems_z, height));
 }
 
+/// Conductivity k on every element, in plane and through it.
+ConductivityField isotropic(const mesh::HexMesh& mesh, double k) {
+  const la::Vec per_elem(static_cast<std::size_t>(mesh.num_elems()), k);
+  return {per_elem, per_elem};
+}
+
 /// Max-abs relative mismatch of two nodal fields.
 double max_rel_diff(const la::Vec& a, const la::Vec& b) {
   double peak = 0.0;
@@ -41,7 +47,7 @@ double max_rel_diff(const la::Vec& a, const la::Vec& b) {
 
 TEST(TransientConduction, ConstantTraceRelaxesToSteadyState) {
   const mesh::HexMesh mesh = bar_mesh(30.0, 50.0, 3, 5);
-  const la::Vec k(static_cast<std::size_t>(mesh.num_elems()), 149.0);
+  const ConductivityField k = isotropic(mesh, 149.0);
   const la::Vec c(static_cast<std::size_t>(mesh.num_elems()), 1.63e6);
   PowerMap power(3, 3, 30.0, 30.0, 25.0);
   power.set_tile(1, 1, 120.0);  // non-uniform so the comparison is non-trivial
@@ -71,7 +77,7 @@ TEST(TransientConduction, ConstantTraceRelaxesToSteadyState) {
 
 TEST(TransientConduction, ConsistentCapacitanceAlsoRelaxesToSteadyState) {
   const mesh::HexMesh mesh = bar_mesh(30.0, 50.0, 3, 4);
-  const la::Vec k(static_cast<std::size_t>(mesh.num_elems()), 149.0);
+  const ConductivityField k = isotropic(mesh, 149.0);
   const la::Vec c(static_cast<std::size_t>(mesh.num_elems()), 1.63e6);
   const PowerMap power(3, 3, 30.0, 30.0, 60.0);
 
@@ -105,7 +111,8 @@ struct RcCase {
 
   [[nodiscard]] TransientTemperatureResult run(const std::string& scheme, double dt,
                                                int steps) const {
-    const la::Vec k(1, 1.0e6);  // ~isothermal: conduction much faster than the film
+    // ~isothermal: conduction much faster than the film
+    const ConductivityField k = isotropic(mesh, 1.0e6);
     const la::Vec c(1, capacity);
     TransientSolveOptions options;
     options.scheme = scheme;
@@ -177,7 +184,7 @@ TEST(TransientConduction, EnvelopeTracksLargestMagnitudeWhenDeltaTIsNegative) {
 
 TEST(TransientConduction, PeakEnvelopeDominatesEveryRecordedState) {
   const mesh::HexMesh mesh = bar_mesh(30.0, 50.0, 3, 4);
-  const la::Vec k(static_cast<std::size_t>(mesh.num_elems()), 149.0);
+  const ConductivityField k = isotropic(mesh, 149.0);
   const la::Vec c(static_cast<std::size_t>(mesh.num_elems()), 1.63e6);
   const PowerMap low(3, 3, 30.0, 30.0, 10.0);
   PowerMap high = low;
@@ -214,7 +221,7 @@ TEST(TransientConduction, StepperIsBitIdenticalWithoutCacheColdAndWarm) {
   // cache, a cold cache and a warm cache march the same history bit for bit
   // from the same factor of M/dt + theta K.
   const mesh::HexMesh mesh = bar_mesh(30.0, 50.0, 3, 4);
-  const la::Vec k(static_cast<std::size_t>(mesh.num_elems()), 149.0);
+  const ConductivityField k = isotropic(mesh, 149.0);
   const la::Vec c(static_cast<std::size_t>(mesh.num_elems()), 1.63e6);
   const PowerMap low(3, 3, 30.0, 30.0, 10.0);
   PowerMap high = low;
@@ -260,7 +267,7 @@ TEST(TransientConduction, StepperIsBitIdenticalWithoutCacheColdAndWarm) {
 
 TEST(TransientConduction, RejectsBadOptions) {
   const mesh::HexMesh mesh = bar_mesh(10.0, 20.0, 1, 1);
-  const la::Vec k(1, 100.0);
+  const ConductivityField k = isotropic(mesh, 100.0);
   const la::Vec c(1, 1.6e6);
   const PowerTrace trace = PowerTrace::constant(PowerMap(1, 1, 10.0, 10.0, 1.0), 1e-3);
   BlockReduction reduction;
@@ -273,13 +280,6 @@ TEST(TransientConduction, RejectsBadOptions) {
   EXPECT_THROW(solve_power_trace(mesh, k, c, trace, reduction, options), std::invalid_argument);
   options = {};
   EXPECT_THROW(solve_power_trace(mesh, k, c, PowerTrace(), reduction, options),
-               std::invalid_argument);
-  // Zero-conductivity / zero-capacity materials are rejected by the
-  // material-table overload.
-  fem::Material dead = fem::silicon();
-  dead.volumetric_heat_capacity = 0.0;
-  const fem::MaterialTable materials({dead});
-  EXPECT_THROW(solve_power_trace(mesh, materials, trace, reduction, options),
                std::invalid_argument);
 }
 
