@@ -17,6 +17,7 @@
 #include "obs/metrics.hpp"
 #include "obs/obs_cli.hpp"
 #include "obs/report.hpp"
+#include "obs/trace.hpp"
 #include "reliability/rainflow.hpp"
 #include "sweep/scenario_result.hpp"
 #include "util/json.hpp"
@@ -137,7 +138,8 @@ int main(int argc, char** argv) {
   const ms::obs::RunReport before_kernel = ms::obs::RunReport::capture();
   std::vector<ms::reliability::Cycle> cycles;
   {
-    ms::obs::ScopedDuration kernel_timer(
+    ms::obs::ScopedSpan kernel_span(
+        "bench.rainflow.kernel",
         ms::obs::MetricRegistry::global().histogram("bench.rainflow.kernel_seconds"));
     cycles = ms::reliability::rainflow_count(series);
   }

@@ -9,6 +9,7 @@
 #include "common.hpp"
 #include "obs/obs_cli.hpp"
 #include "sweep/scenario_result.hpp"
+#include "util/timer.hpp"
 
 int main(int argc, char** argv) {
   ms::util::CliParser cli("table3_convergence", "Paper Table 3 / Fig. 6: node-count convergence");

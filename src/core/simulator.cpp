@@ -196,8 +196,7 @@ ArrayResult MoreStressSimulator::run_panel(const Window& window,
 
   rom::GlobalSolveOptions solve_options = config_.global;
   solve_options.cancel = cancel_;
-  const bool cache_global = factor_cache_ != nullptr && solve_options.method == "direct";
-  if (cache_global) {
+  if (factor_cache_ != nullptr) {
     solve_options.factor_cache = factor_cache_;
     solve_options.factor_key = global_factor_key(window);
   }
@@ -208,7 +207,7 @@ ArrayResult MoreStressSimulator::run_panel(const Window& window,
   std::vector<Vec> extra_rhs;
   {
     MS_TRACE_SCOPE("core.global.assemble");
-    if (cache_global && factor_cache_->contains(solve_options.factor_key)) {
+    if (fem::factor_resident(solve_options.method, factor_cache_, solve_options.factor_key)) {
       // Warm path: the key's factorization and unlifted operator are already
       // resident (entries are never evicted, so contains() cannot go stale),
       // and assembly reduces to the load vectors. On a cold key the full

@@ -5,6 +5,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "core/sim_error.hpp"
+#include "la/cg.hpp"
 #include "la/shift_retry.hpp"
 #include "util/fault_injector.hpp"
 #include "util/timer.hpp"
@@ -178,6 +180,69 @@ DirectSolve solve_direct(CsrMatrix& a, std::vector<Vec>& rhss, const DirichletBc
   direct.solutions = direct.entry.factor->solve_multi(rhss);
   direct.triangular_seconds = timer.seconds();
   return direct;
+}
+
+namespace {
+
+/// The one reading of a solver's method name.
+bool is_direct(const std::string& method) {
+  if (method == "direct") return true;
+  if (method == "cg") return false;
+  throw std::invalid_argument("unknown solve method '" + method + "' (cg or direct)");
+}
+
+}  // namespace
+
+bool factor_resident(const std::string& method, const la::FactorCache* cache,
+                     const std::string& key) {
+  return is_direct(method) && cache != nullptr && !key.empty() && cache->contains(key);
+}
+
+std::vector<Vec> solve_linear(CsrMatrix& a, std::vector<Vec>& rhss, const DirichletBc& bc,
+                              const SolveMethod& how, const FactorSource& source,
+                              SolveStats& stats) {
+  assert(!rhss.empty());
+  util::WallTimer timer;
+  const std::size_t n = rhss.front().size();
+  std::vector<Vec> solutions;
+  if (is_direct(how.method)) {
+    DirectSolve direct = solve_direct(a, rhss, bc, source, stats);
+    solutions = std::move(direct.solutions);
+    stats.triangular_seconds = direct.triangular_seconds;
+    stats.matrix_bytes =
+        (direct.entry.matrix != nullptr ? *direct.entry.matrix : a).memory_bytes();
+    stats.solver_bytes = direct.entry.factor->memory_bytes();
+  } else {
+    apply_dirichlet(a, rhss, bc);
+    const auto precond = la::make_preconditioner(how.precond, a);
+    la::IterativeOptions iter;
+    iter.rel_tol = how.rel_tol;
+    iter.max_iterations = how.max_iterations;
+    iter.use_initial_guess = true;
+    solutions.assign(rhss.size(), Vec(n, how.start));
+    for (std::size_t c = 0; c < rhss.size(); ++c) {
+      const la::IterativeResult result =
+          la::conjugate_gradient(a, rhss[c], solutions[c], precond.get(), iter);
+      stats.iterations += result.iterations;
+      if (!result.converged) {
+        throw core::SimError(core::SimErrorCode::kDidNotConverge,
+                             std::string(source.stage) + ".solve",
+                             result.breakdown
+                                 ? std::string("CG breakdown: ") + result.breakdown_reason
+                                 : std::string("CG did not converge"),
+                             "iterations=" + std::to_string(result.iterations) +
+                                 " residual=" + std::to_string(result.residual_norm));
+      }
+    }
+    stats.matrix_bytes = a.memory_bytes();
+    // Krylov workspace: x, r, z, p, Ap + preconditioner state.
+    stats.solver_bytes = 5 * n * sizeof(double) + precond->memory_bytes();
+  }
+  stats.num_dofs = static_cast<idx_t>(n);
+  stats.num_rhs = static_cast<idx_t>(rhss.size());
+  stats.converged = true;  // an unconverged solve threw above
+  stats.solve_seconds = timer.seconds();
+  return solutions;
 }
 
 DofPartition partition_dofs(idx_t num_dofs, const std::vector<idx_t>& bc_dofs) {

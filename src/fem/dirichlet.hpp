@@ -3,8 +3,9 @@
 // (Sec. 4.2): constrained rows become identity rows with the prescribed
 // value on the right-hand side, and the coupling columns are moved to the
 // RHS of the free rows so the operator stays symmetric (and SPD). The one
-// direct-solve path every factorizing solver shares (lift, factor once,
-// solve the panel — cached across calls or not) lives here too.
+// linear-solve stage every solver shares lives here too: solve_linear reads
+// the method, and runs either the direct path (lift, factor once, solve the
+// panel — cached across calls or not) or the CG loop.
 
 #include <string>
 #include <vector>
@@ -103,6 +104,52 @@ struct DirectSolve {
 /// or cold, the solutions are bit-identical.
 DirectSolve solve_direct(CsrMatrix& a, std::vector<Vec>& rhss, const DirichletBc& bc,
                          const FactorSource& source, la::FactorStats& stats);
+
+/// One linear solve's record, the same for every solver that runs
+/// solve_linear; la::FactorStats holds the direct path's factor detail
+/// (zero / empty on cg, and 0 factorizations on a cache hit).
+struct SolveStats : la::FactorStats {
+  idx_t num_dofs = 0;
+  double solve_seconds = 0.0;       ///< the whole stage: lifting, factor or CG, solves
+  idx_t iterations = 0;             ///< CG iterations over all cases; 0 on the direct path
+  bool converged = false;
+  idx_t num_rhs = 0;                ///< right-hand sides solved in this call
+  std::size_t matrix_bytes = 0;     ///< CSR storage of the operator
+  std::size_t solver_bytes = 0;     ///< the factor, or the Krylov workspace + preconditioner
+  double triangular_seconds = 0.0;  ///< forward/backward substitutions only
+};
+
+/// A solver's method controls, as solve_linear reads them: `method` is
+/// "direct" or "cg"; the rest steer cg only, which starts every entry of
+/// every case at `start`.
+struct SolveMethod {
+  std::string method;
+  std::string precond;  ///< "none", "jacobi" or "ssor"
+  double rel_tol = 0.0;
+  idx_t max_iterations = 0;
+  double start = 0.0;
+};
+
+/// The one linear-solve stage of the ROM global, steady conduction and
+/// fine-FEM solvers: solve every case of `rhss` against `a` under `bc`.
+///  - "direct": solve_direct through `source` (cached or not, with the
+///    shift-retry ladder and the `<stage>.factor_build` probe);
+///  - "cg": lift `a` and `rhss` in place, then one preconditioned CG solve
+///    per case. A breakdown or a stop at max_iterations throws
+///    SimError(kDidNotConverge) at "<stage>.solve": no caller receives an
+///    unconverged iterate. `source`'s cache is not read.
+/// Any other method throws std::invalid_argument. On return `rhss` holds
+/// the lifted right-hand sides and `a` is lifted, unless a cache hit
+/// skipped the build. Fills every field of `stats`.
+std::vector<Vec> solve_linear(CsrMatrix& a, std::vector<Vec>& rhss, const DirichletBc& bc,
+                              const SolveMethod& how, const FactorSource& source,
+                              SolveStats& stats);
+
+/// Whether solve_linear by `method` will take the factor resident in
+/// `cache` under `key` without reading the operator, so the caller may
+/// leave it unassembled (only the direct path reads a cache).
+bool factor_resident(const std::string& method, const la::FactorCache* cache,
+                     const std::string& key);
 
 /// Partition dofs into free/constrained maps for reduced-system extraction:
 /// free_map[dof] = free index or -1; bc_map[dof] = constrained index or -1.

@@ -1,15 +1,15 @@
 #pragma once
 // Full fine-mesh FEM solver — the ANSYS stand-in (see DESIGN.md Sec. 2).
-// Assembles the thermoelastic system on the given mesh, applies Dirichlet
-// data by lifting, and solves with preconditioned CG (like the paper's
-// "iterative" ANSYS setting) or sparse Cholesky for small problems.
+// Assembles the thermoelastic system on the given mesh and hands it to the
+// shared linear-solve stage (fem::solve_linear): Dirichlet data by lifting,
+// then preconditioned CG (like the paper's "iterative" ANSYS setting) or
+// sparse Cholesky for small problems.
 
 #include <string>
 #include <vector>
 
 #include "fem/assembler.hpp"
 #include "fem/dirichlet.hpp"
-#include "util/timer.hpp"
 
 namespace ms::fem {
 
@@ -20,19 +20,10 @@ struct FemSolveOptions {
   idx_t max_iterations = 30000;
 };
 
-struct FemSolveStats {
-  idx_t num_dofs = 0;
+/// Fine-FEM record: the shared solve record (fem/dirichlet.hpp) plus the
+/// assembly that precedes it.
+struct FemSolveStats : SolveStats {
   double assemble_seconds = 0.0;
-  double solve_seconds = 0.0;
-  idx_t iterations = 0;           ///< 0 for the direct path
-  bool converged = false;
-  std::size_t matrix_bytes = 0;   ///< CSR storage
-  std::size_t solver_bytes = 0;   ///< factor / Krylov workspace estimate
-  // Direct-path factorization detail (zero / empty on the cg path):
-  double factor_seconds = 0.0;    ///< the one Cholesky factorization
-  la::offset_t factor_nnz = 0;    ///< nnz(L), diagonal included
-  double fill_ratio = 0.0;        ///< nnz(L) / nnz(tril(A))
-  std::string ordering;           ///< fill-reducing ordering ("amd")
   [[nodiscard]] double total_seconds() const { return assemble_seconds + solve_seconds; }
   [[nodiscard]] std::size_t total_bytes() const { return matrix_bytes + solver_bytes; }
 };

@@ -4,9 +4,8 @@
 
 namespace ms::la {
 
-IterativeResult conjugate_gradient(const std::function<void(const Vec&, Vec&)>& apply_a, const Vec& b,
-                                   Vec& x, const Preconditioner* precond,
-                                   const IterativeOptions& options) {
+IterativeResult conjugate_gradient(const CsrMatrix& a, const Vec& b, Vec& x,
+                                   const Preconditioner* precond, const IterativeOptions& options) {
   const std::size_t n = b.size();
   IterativeResult result;
   result.rhs_norm = norm2(b);
@@ -15,7 +14,7 @@ IterativeResult conjugate_gradient(const std::function<void(const Vec&, Vec&)>& 
   if (!options.use_initial_guess || x.size() != n) x.assign(n, 0.0);
 
   Vec r(n), z(n), p(n), ap(n);
-  apply_a(x, ap);
+  a.mul(x, ap);
   for (std::size_t i = 0; i < n; ++i) r[i] = b[i] - ap[i];
 
   double rnorm = norm2(r);
@@ -38,7 +37,7 @@ IterativeResult conjugate_gradient(const std::function<void(const Vec&, Vec&)>& 
   double rz = dot(r, z);
 
   for (idx_t it = 1; it <= options.max_iterations; ++it) {
-    apply_a(p, ap);
+    a.mul(p, ap);
     const double pap = dot(p, ap);
     if (!std::isfinite(pap)) {
       result.breakdown = true;
@@ -74,12 +73,6 @@ IterativeResult conjugate_gradient(const std::function<void(const Vec&, Vec&)>& 
   }
   result.residual_norm = rnorm;
   return result;
-}
-
-IterativeResult conjugate_gradient(const CsrMatrix& a, const Vec& b, Vec& x,
-                                   const Preconditioner* precond, const IterativeOptions& options) {
-  return conjugate_gradient([&a](const Vec& in, Vec& out) { a.mul(in, out); }, b, x, precond,
-                            options);
 }
 
 }  // namespace ms::la

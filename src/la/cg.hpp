@@ -1,9 +1,8 @@
 #pragma once
-// Preconditioned conjugate gradients for SPD systems. Used for the reduced
-// global problem (paper Sec. 4.3 solves it iteratively) and for the fine-mesh
-// reference FEM solves that stand in for ANSYS.
-
-#include <functional>
+// Preconditioned conjugate gradients for SPD systems: the CG path of the
+// linear-solve stage (fem::solve_linear) that the reduced global problem
+// (paper Sec. 4.3 solves it iteratively), steady conduction and the
+// fine-mesh reference FEM solves that stand in for ANSYS share.
 
 #include "la/precond.hpp"
 #include "la/sparse.hpp"
@@ -30,10 +29,5 @@ struct IterativeResult {
 /// Solve A x = b with PCG. `precond` may be null (identity).
 IterativeResult conjugate_gradient(const CsrMatrix& a, const Vec& b, Vec& x,
                                    const Preconditioner* precond, const IterativeOptions& options);
-
-/// Matrix-free variant: `apply_a` computes y = A x.
-IterativeResult conjugate_gradient(const std::function<void(const Vec&, Vec&)>& apply_a, const Vec& b,
-                                   Vec& x, const Preconditioner* precond,
-                                   const IterativeOptions& options);
 
 }  // namespace ms::la

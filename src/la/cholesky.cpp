@@ -53,19 +53,16 @@ CholeskyMetrics& chol_metrics() {
 SparseCholesky::SparseCholesky(const CsrMatrix& a, Options /*options*/) {
   if (a.rows() != a.cols()) throw std::invalid_argument("SparseCholesky: matrix must be square");
   CholeskyMetrics& metrics = chol_metrics();
-  MS_TRACE_SCOPE("la.cholesky.factor");
-  obs::ScopedDuration factor_timer(metrics.factor_seconds);
+  obs::ScopedSpan factor_span("la.cholesky.factor", metrics.factor_seconds);
   n_ = a.rows();
   {
-    MS_TRACE_SCOPE("la.cholesky.ordering");
-    obs::ScopedDuration timer(metrics.ordering_seconds);
+    obs::ScopedSpan span("la.cholesky.ordering", metrics.ordering_seconds);
     perm_ = amd_ordering(a);
   }
   // The numeric phase's subtree partition reuses the symbolic etree.
   std::vector<idx_t> parent;
   {
-    MS_TRACE_SCOPE("la.cholesky.symbolic");
-    obs::ScopedDuration timer(metrics.symbolic_seconds);
+    obs::ScopedSpan span("la.cholesky.symbolic", metrics.symbolic_seconds);
     LowerPattern pattern = lower_pattern(a, perm_);
     parent = elimination_tree(pattern);
     // Postorder the elimination tree so supernode columns land consecutively
@@ -101,8 +98,7 @@ SparseCholesky::SparseCholesky(const CsrMatrix& a, Options /*options*/) {
     snf_ = analyze_supernodes(pattern, parent, counts, kMaxSupernodeWidth);
   }
   {
-    MS_TRACE_SCOPE("la.cholesky.numeric");
-    obs::ScopedDuration timer(metrics.numeric_seconds);
+    obs::ScopedSpan span("la.cholesky.numeric", metrics.numeric_seconds);
     factorize_supernodal(a, perm_, parent, snf_, /*parallel=*/true);
   }
   metrics.factorizations.add(1);
@@ -139,8 +135,7 @@ std::vector<Vec> SparseCholesky::solve_multi(const std::vector<Vec>& cases) cons
 void SparseCholesky::solve_multi_with(const double* b, double* x, idx_t nrhs, Vec& work) const {
   assert(nrhs >= 1);
   CholeskyMetrics& metrics = chol_metrics();
-  MS_TRACE_SCOPE("la.cholesky.triangular_solve");
-  obs::ScopedDuration solve_timer(metrics.solve_seconds);
+  obs::ScopedSpan span("la.cholesky.triangular_solve", metrics.solve_seconds);
   metrics.solve_rhs.add(nrhs);
   work.resize(static_cast<std::size_t>(n_) * nrhs);
   double* y = work.data();

@@ -1,6 +1,5 @@
 #include "obs/metrics.hpp"
 
-#include <chrono>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -205,19 +204,6 @@ double MetricRegistry::gauge_value(const std::string& name) const {
 const Histogram* MetricRegistry::find_histogram(const std::string& name) const {
   const Entry* e = find(name);
   return e != nullptr && e->kind == MetricSample::Kind::kHistogram ? &e->histogram : nullptr;
-}
-
-ScopedDuration::ScopedDuration(Histogram& histogram)
-    : histogram_(histogram),
-      begin_ns_(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    std::chrono::steady_clock::now().time_since_epoch())
-                    .count()) {}
-
-ScopedDuration::~ScopedDuration() {
-  const std::int64_t end_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                  std::chrono::steady_clock::now().time_since_epoch())
-                                  .count();
-  histogram_.record(1e-9 * static_cast<double>(end_ns - begin_ns_));
 }
 
 }  // namespace ms::obs

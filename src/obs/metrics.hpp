@@ -150,18 +150,4 @@ class MetricRegistry {
   std::map<std::string, Entry> entries_;
 };
 
-/// RAII duration recorder: records the scope's wall time into
-/// `registry.histogram(name)` on destruction.
-class ScopedDuration {
- public:
-  explicit ScopedDuration(Histogram& histogram);
-  ~ScopedDuration();
-  ScopedDuration(const ScopedDuration&) = delete;
-  ScopedDuration& operator=(const ScopedDuration&) = delete;
-
- private:
-  Histogram& histogram_;
-  std::int64_t begin_ns_;
-};
-
 }  // namespace ms::obs

@@ -12,6 +12,7 @@
 #include <unordered_map>
 
 #include "obs/flight_recorder.hpp"
+#include "obs/metrics.hpp"
 #include "util/json.hpp"
 
 namespace ms::obs {
@@ -152,6 +153,10 @@ double span_begin(SpanId remote_parent) {
   span.traced = tracing_enabled();
   b.open.push_back(span);
   return now_us();
+}
+
+void record_since(Histogram& histogram, double begin_us) {
+  histogram.record(1e-6 * (now_us() - begin_us));
 }
 
 void span_end(const char* name, double begin_us) {

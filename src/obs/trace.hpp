@@ -40,6 +40,8 @@
 
 namespace ms::obs {
 
+class Histogram;
+
 /// Process-unique span identity (0 = none). Ids are assigned at span begin
 /// from one atomic counter, so they are unique across threads; *values* are
 /// schedule-dependent, but parent/child *edges* are deterministic.
@@ -122,6 +124,9 @@ double span_begin(SpanId remote_parent);
 /// Complete the span begun at `begin_us` (LIFO per thread).
 void span_end(const char* name, double begin_us);
 
+/// Record the seconds elapsed since `begin_us` (trace_now_us time base).
+void record_since(Histogram& histogram, double begin_us);
+
 }  // namespace detail
 
 /// RAII span. Prefer the MS_TRACE_SCOPE macro; instantiate directly (with
@@ -134,12 +139,21 @@ class ScopedSpan {
       : name_(name), active_(detail::span_capture_enabled()) {
     if (active_) begin_us_ = detail::span_begin(remote_parent);
   }
+  /// A timed stage: also records the span's wall time [s] into `histogram`
+  /// when it ends, whether or not spans are captured, so one stopwatch
+  /// serves the trace and the metric.
+  ScopedSpan(const char* name, Histogram& histogram) : ScopedSpan(name) {
+    histogram_ = &histogram;
+    if (!active_) begin_us_ = trace_now_us();
+  }
   ~ScopedSpan() { end(); }
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
 
   /// Complete the span before destruction (idempotent).
   void end() {
+    if (histogram_ != nullptr) detail::record_since(*histogram_, begin_us_);
+    histogram_ = nullptr;
     if (active_) detail::span_end(name_, begin_us_);
     active_ = false;
   }
@@ -147,6 +161,7 @@ class ScopedSpan {
  private:
   const char* name_;
   double begin_us_ = 0.0;
+  Histogram* histogram_ = nullptr;
   bool active_;
 };
 

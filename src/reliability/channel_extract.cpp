@@ -92,8 +92,8 @@ void extract_channel_history(const rom::BlockGrid& grid, const rom::RomModel& ts
                              const std::vector<rom::Vec>& solutions,
                              const std::vector<rom::BlockLoadField>& loads,
                              const rom::BlockRange& range, StressHistory& history) {
-  MS_TRACE_SCOPE("reliability.channel_extract");
-  obs::ScopedDuration timer(
+  obs::ScopedSpan span(
+      "reliability.channel_extract",
       obs::MetricRegistry::global().histogram("reliability.channel_extract_seconds"));
   const bool any_dummy =
       rom::validate_block_inputs("extract_channel_history", grid, tsv_model, dummy_model, mask,
@@ -105,11 +105,13 @@ void extract_channel_history(const rom::BlockGrid& grid, const rom::RomModel& ts
   if (history.blocks_x() != range.width() || history.blocks_y() != range.height()) {
     throw std::invalid_argument("extract_channel_history: history extent must match the range");
   }
-  if (tsv_model.bump_shear_samples.rows() == 0 ||
-      (dummy_model != nullptr && dummy_model->bump_shear_samples.rows() == 0)) {
-    throw std::logic_error(
-        "extract_channel_history: model carries no bump-plane samples (rebuild the local stage)");
-  }
+  // build_prune_order and the screen index the sample matrices by their
+  // expected shape, so check it before either reads them.
+  const rom::RomModel* used_dummy = any_dummy ? dummy_model : nullptr;
+  rom::require_samples("extract_channel_history", tsv_model, used_dummy,
+                       &rom::RomModel::stress_samples, fem::kVoigt, "mid-plane stress");
+  rom::require_samples("extract_channel_history", tsv_model, used_dummy,
+                       &rom::RomModel::bump_shear_samples, 2, "bump-plane shear");
   for (const rom::BlockLoadField& load : loads) {
     load.validate_extent(grid.blocks_x(), grid.blocks_y());
   }

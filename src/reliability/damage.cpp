@@ -49,9 +49,8 @@ ReliabilityReport assess_history(const StressHistory& history, const FatigueMode
   if (history.num_steps() == 0) {
     throw std::invalid_argument("assess_history: empty stress history");
   }
-  MS_TRACE_SCOPE("reliability.assess");
-  obs::ScopedDuration assess_timer(
-      obs::MetricRegistry::global().histogram("reliability.assess_seconds"));
+  obs::ScopedSpan span("reliability.assess",
+                       obs::MetricRegistry::global().histogram("reliability.assess_seconds"));
   ReliabilityReport report;
   report.blocks_x = history.blocks_x();
   report.blocks_y = history.blocks_y();

@@ -4,14 +4,10 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/sim_error.hpp"
-#include "fem/dirichlet.hpp"
-#include "la/cg.hpp"
 #include "obs/metrics.hpp"
 #include "obs/query_scope.hpp"
 #include "obs/trace.hpp"
 #include "util/fault_injector.hpp"
-#include "util/timer.hpp"
 
 namespace ms::rom {
 namespace {
@@ -58,72 +54,30 @@ std::vector<Vec> solve_global_multi(GlobalProblem& problem, std::vector<Vec> ext
   std::vector<Vec> rhs_cases;
   rhs_cases.reserve(extra_rhs.size() + 1);
   rhs_cases.push_back(std::move(problem.rhs));
-  for (Vec& rhs : extra_rhs) {
+  for (Vec& rhs : extra_rhs) rhs_cases.push_back(std::move(rhs));
+  for (const Vec& rhs : rhs_cases) {
     if (static_cast<idx_t>(rhs.size()) != problem.num_dofs) {
       throw std::invalid_argument("solve_global_multi: rhs size must match the problem");
     }
-    rhs_cases.push_back(std::move(rhs));
   }
-  util::WallTimer timer;
-  const idx_t n = problem.num_dofs;
-  const idx_t num_cases = static_cast<idx_t>(rhs_cases.size());
-  std::vector<Vec> solutions(rhs_cases.size());
-  idx_t iterations = 0;
-  std::size_t matrix_bytes = problem.stiffness.memory_bytes();
-  std::size_t solver_bytes = 0;
-  double triangular_seconds = 0.0;
+  // One factor sweep for the whole panel on the direct path; with a factor
+  // cache attached a resident key skips the build (and the caller may skip
+  // the assembly).
+  const fem::FactorSource source{options.factor_cache, options.factor_key, options.cancel,
+                                 "rom.global"};
   GlobalSolveStats local;
-
-  if (options.method == "direct") {
-    // One factor sweep for the whole panel; with a factor cache attached a
-    // resident key skips the build (and the caller may skip the assembly).
-    const fem::FactorSource source{options.factor_cache, options.factor_key, options.cancel,
-                                   "rom.global"};
-    fem::DirectSolve direct = fem::solve_direct(problem.stiffness, rhs_cases, bc, source, local);
-    solutions = std::move(direct.solutions);
-    triangular_seconds = direct.triangular_seconds;
-    if (direct.entry.matrix != nullptr) matrix_bytes = direct.entry.matrix->memory_bytes();
-    solver_bytes = direct.entry.factor->memory_bytes();
-  } else if (options.method == "cg") {
-    fem::apply_dirichlet(problem.stiffness, rhs_cases, bc);
-    auto precond = la::make_preconditioner(options.precond, problem.stiffness);
-    la::IterativeOptions iter;
-    iter.rel_tol = options.rel_tol;
-    iter.max_iterations = options.max_iterations;
-    for (idx_t c = 0; c < num_cases; ++c) {
-      const la::IterativeResult result =
-          la::conjugate_gradient(problem.stiffness, rhs_cases[c], solutions[c], precond.get(),
-                                 iter);
-      iterations += result.iterations;
-      if (!result.converged) {
-        throw core::SimError(core::SimErrorCode::kDidNotConverge, "rom.global.solve",
-                             result.breakdown
-                                 ? std::string("CG breakdown: ") + result.breakdown_reason
-                                 : std::string("CG did not converge"),
-                             "iterations=" + std::to_string(result.iterations) + " residual=" +
-                                 std::to_string(result.residual_norm));
-      }
-    }
-    solver_bytes = 5 * static_cast<std::size_t>(n) * sizeof(double) + precond->memory_bytes();
-  } else {
-    throw std::invalid_argument("solve_global: unknown method '" + options.method + "'");
-  }
+  std::vector<Vec> solutions = fem::solve_linear(
+      problem.stiffness, rhs_cases, bc,
+      {options.method, options.precond, options.rel_tol, options.max_iterations, 0.0}, source,
+      local);
   // `nan` probe: poison the first solution entry so the stage-boundary
   // health sweep downstream must catch it (tests/robustness).
-  if (util::FaultInjector::enabled() && !solutions.empty() && !solutions.front().empty() &&
+  if (util::FaultInjector::enabled() && !solutions.front().empty() &&
       util::FaultInjector::global().consume("rom.global.solve") == util::FaultAction::kNan) {
     solutions.front().front() = std::numeric_limits<double>::quiet_NaN();
   }
 
   problem.rhs = std::move(rhs_cases.front());  // keep the lifted primary rhs visible
-  local.num_dofs = problem.num_dofs;
-  local.num_rhs = num_cases;
-  local.solve_seconds = timer.seconds();
-  local.triangular_seconds = triangular_seconds;
-  local.iterations = iterations;
-  local.converged = true;  // an unconverged solve threw above
-  local.matrix_bytes = matrix_bytes;
-  local.solver_bytes = solver_bytes;
   publish_global_stats(local);
   if (stats != nullptr) *stats = local;
   return solutions;

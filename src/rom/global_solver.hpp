@@ -40,19 +40,10 @@ struct GlobalSolveOptions {
   core::CancelToken cancel;
 };
 
-/// One global solve's record; the factor detail (one factorization per
-/// call no matter how many RHS on a cold direct solve, 0 on a cache hit and
-/// on iterative paths) comes from la::FactorStats.
-struct GlobalSolveStats : la::FactorStats {
-  idx_t num_dofs = 0;
-  double solve_seconds = 0.0;     ///< total: factorization + triangular solves
-  idx_t iterations = 0;
-  bool converged = false;
-  idx_t num_rhs = 0;              ///< right-hand sides solved in this call
-  std::size_t matrix_bytes = 0;
-  std::size_t solver_bytes = 0;
-  double triangular_seconds = 0.0;///< forward/backward substitutions only
-};
+/// One global solve's record (fem/dirichlet.hpp): the factor detail is one
+/// factorization per call no matter how many RHS on a cold direct solve, 0
+/// on a cache hit and on cg.
+using GlobalSolveStats = fem::SolveStats;
 
 /// Apply `bc` by lifting, then solve. Returns the nodal displacement vector.
 /// The direct path recovers an SPD breakdown with the diagonal shift-retry
@@ -64,9 +55,9 @@ Vec solve_global(GlobalProblem& problem, const DirichletBc& bc,
 
 /// Multi-load variant: solve problem.rhs plus every vector of `extra_rhs`
 /// against the same lifted operator. The direct path factors once and runs
-/// all cases as one multi-RHS panel (fem::solve_direct); iterative paths
-/// loop. problem.stiffness is left lifted unless a cache hit skipped the
-/// build. Returns one solution per case — index 0 is
+/// all cases as one multi-RHS panel (fem::solve_direct); cg loops over
+/// them (fem::solve_linear). problem.stiffness is left lifted unless a
+/// cache hit skipped the build. Returns one solution per case — index 0 is
 /// problem.rhs, index 1 + k is extra_rhs[k]. All right-hand sides must be
 /// unlifted (the lifting is applied here, like solve_global does).
 std::vector<Vec> solve_global_multi(GlobalProblem& problem, std::vector<Vec> extra_rhs,

@@ -48,9 +48,8 @@ DenseMatrix boundary_weights(const mesh::HexMesh& mesh, const std::vector<idx_t>
 RomModel run_local_stage(const mesh::TsvGeometry& geometry, const mesh::BlockMeshSpec& spec,
                          const fem::MaterialTable& materials, BlockKind kind,
                          const LocalStageOptions& options) {
-  MS_TRACE_SCOPE("rom.local.stage");
-  obs::ScopedDuration stage_timer(
-      obs::MetricRegistry::global().histogram("rom.local.stage_seconds"));
+  obs::ScopedSpan stage_span("rom.local.stage",
+                             obs::MetricRegistry::global().histogram("rom.local.stage_seconds"));
   util::WallTimer timer;
   if (options.nodes_x < 2 || options.nodes_y < 2 || options.nodes_z < 2) {
     throw std::invalid_argument("run_local_stage: need >= 2 interpolation nodes per axis");

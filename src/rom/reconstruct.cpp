@@ -44,17 +44,8 @@ std::vector<std::array<double, R>> reconstruct_samples(
     blocks_of[is_dummy ? 1 : 0].push_back(b);
   }
   const RomModel* models[2] = {&tsv_model, dummy_model};
-  // The TSV model sets the shape, so it is always checked; the dummy only
-  // where the range uses it.
-  for (int m = 0; m < 2; ++m) {
-    if (m == 1 && blocks_of[1].empty()) continue;
-    const DenseMatrix& sm = models[m]->*samples;
-    if (sm.rows() != R * npts || sm.cols() != nk) {
-      throw std::logic_error(caller + ": " + (m == 0 ? "TSV" : "dummy") + " model carries no " +
-                             what + " samples of " + std::to_string(R * npts) + " x " +
-                             std::to_string(nk) + " (rebuild the local stage)");
-    }
-  }
+  require_samples(caller, tsv_model, blocks_of[1].empty() ? nullptr : dummy_model, samples, R,
+                  what);
 
   const std::size_t width = static_cast<std::size_t>(bw) * s;
   std::vector<std::array<double, R>> out(width * static_cast<std::size_t>(range.height()) * s);
@@ -96,6 +87,24 @@ std::vector<std::array<double, R>> reconstruct_samples(
 }
 
 }  // namespace
+
+void require_samples(const std::string& caller, const RomModel& tsv_model,
+                     const RomModel* dummy_model, DenseMatrix RomModel::*samples,
+                     int rows_per_point, const char* what) {
+  const idx_t s = tsv_model.samples_per_block;
+  const idx_t rows = rows_per_point * s * s;
+  const idx_t cols = tsv_model.num_element_dofs() + 1;
+  for (const RomModel* model : {&tsv_model, dummy_model}) {
+    if (model == nullptr) continue;
+    const DenseMatrix& sm = model->*samples;
+    if (sm.rows() != rows || sm.cols() != cols) {
+      throw std::logic_error(caller + ": " + (model == &tsv_model ? "TSV" : "dummy") +
+                             " model carries no " + what + " samples of " +
+                             std::to_string(rows) + " x " + std::to_string(cols) +
+                             " (rebuild the local stage)");
+    }
+  }
+}
 
 std::vector<fem::Stress6> reconstruct_plane_stress(const BlockGrid& grid,
                                                    const RomModel& tsv_model,

@@ -5,12 +5,25 @@
 // Sample positions coincide exactly with fem::make_block_plane_grid, so ROM
 // and reference fields compare point-for-point.
 
+#include <string>
+
 #include "fem/stress.hpp"
 #include "rom/block_grid.hpp"
 #include "rom/global_assembler.hpp"
 #include "rom/rom_model.hpp"
 
 namespace ms::rom {
+
+/// The shape check every reader of a sample matrix runs before indexing
+/// it: `samples` of the TSV model, and of `dummy_model` unless null, must
+/// hold `rows_per_point` rows per sample point and one column per
+/// coefficient, (rows_per_point * s^2) x (n + 1) with the TSV model's s and
+/// n. Throws std::logic_error prefixed with `caller`: a model built without
+/// those samples, or for another shape, is an internal defect, not a bad
+/// input.
+void require_samples(const std::string& caller, const RomModel& tsv_model,
+                     const RomModel* dummy_model, DenseMatrix RomModel::*samples,
+                     int rows_per_point, const char* what);
 
 /// Mid-plane von Mises field over `range`, y-major with s samples per block
 /// (same ordering as fem::sample_plane_stress on the region's plane grid).

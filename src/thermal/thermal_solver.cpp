@@ -6,11 +6,8 @@
 #include <memory>
 #include <stdexcept>
 
-#include "core/sim_error.hpp"
 #include "fem/dirichlet.hpp"
-#include "la/cg.hpp"
 #include "la/cholesky.hpp"
-#include "la/precond.hpp"
 #include "obs/metrics.hpp"
 #include "obs/query_scope.hpp"
 #include "obs/trace.hpp"
@@ -79,8 +76,8 @@ TemperatureField solve_power_map(const mesh::HexMesh& mesh, const ConductivityFi
   // On a resident cache hit the operator never needs assembling — only the
   // load vector and the constrained-dof set (the cached entry keeps the
   // unlifted matrix for the rhs lifting).
-  la::FactorCache* cache = options.method == "direct" ? source.shared_cache() : nullptr;
-  const bool skip_matrix = cache != nullptr && cache->contains(options.factor_key);
+  const bool skip_matrix =
+      fem::factor_resident(options.method, options.factor_cache, options.factor_key);
   {
     MS_TRACE_SCOPE("thermal.steady.assemble");
     if (!skip_matrix) {
@@ -108,39 +105,16 @@ TemperatureField solve_power_map(const mesh::HexMesh& mesh, const ConductivityFi
 
     if (!skip_matrix) k = CsrMatrix::from_triplets(triplets);
   }
-  local.num_dofs = static_cast<idx_t>(mesh.num_nodes());
   local.assemble_seconds = timer.seconds();
 
-  timer.reset();
-  Vec t;
-  if (options.method == "direct") {
-    std::vector<Vec> cases;
-    cases.push_back(std::move(rhs));
-    t = std::move(fem::solve_direct(k, cases, bc, source, local).solutions.front());
-    local.converged = true;
-  } else if (options.method == "cg") {
-    fem::apply_dirichlet(k, rhs, bc);
-    t.assign(rhs.size(), options.ambient);  // warm start at the sink value
-    const la::JacobiPreconditioner precond(k);
-    la::IterativeOptions iter;
-    iter.rel_tol = options.rel_tol;
-    iter.max_iterations = options.max_iterations;
-    iter.use_initial_guess = true;
-    const la::IterativeResult result = la::conjugate_gradient(k, rhs, t, &precond, iter);
-    if (!result.converged) {
-      throw core::SimError(
-          core::SimErrorCode::kDidNotConverge, "thermal.steady.solve",
-          result.breakdown ? std::string("CG breakdown: ") + result.breakdown_reason
-                           : std::string("CG did not converge"),
-          "iterations=" + std::to_string(result.iterations) +
-              " residual=" + std::to_string(result.residual_norm));
-    }
-    local.iterations = result.iterations;
-    local.converged = result.converged;
-  } else {
-    throw std::invalid_argument("solve_power_map: method must be 'cg' or 'direct'");
-  }
-  local.solve_seconds = timer.seconds();
+  // CG starts at the sink value.
+  std::vector<Vec> cases;
+  cases.push_back(std::move(rhs));
+  Vec t = std::move(fem::solve_linear(k, cases, bc,
+                                      {options.method, "jacobi", options.rel_tol,
+                                       options.max_iterations, options.ambient},
+                                      source, local)
+                        .front());
   publish_steady_stats(local);
   if (stats != nullptr) *stats = local;
   return TemperatureField(mesh, std::move(t));

@@ -4,10 +4,10 @@
 // enters at the z-max face (the active layer), leaves at the z-min face into
 // the heat sink / substrate — either an ideal (Dirichlet) sink at ambient or
 // a convective film — and the lateral faces are adiabatic. Steady state is
-// solved with the same la:: CG / sparse Cholesky stack as the mechanical
-// problems; the transient θ-scheme factorizes M/Δt + θK once and re-solves
-// per step, so a trace of hundreds of steps costs one factorization plus
-// that many triangular solves.
+// solved through the same linear-solve stage as the mechanical problems
+// (fem::solve_linear: CG or sparse Cholesky); the transient θ-scheme
+// factorizes M/Δt + θK once and re-solves per step, so a trace of hundreds
+// of steps costs one factorization plus that many triangular solves.
 
 #include <cstdint>
 #include <limits>
@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "core/cancel.hpp"
+#include "fem/dirichlet.hpp"
 #include "fem/material.hpp"
 #include "la/factor_cache.hpp"
 #include "mesh/tsv_block.hpp"
@@ -47,14 +48,10 @@ struct ThermalSolveOptions {
   core::CancelToken cancel;
 };
 
-/// Steady conduction record; la::FactorStats holds the direct path's
-/// factor detail (zero / empty on the cg path).
-struct ThermalSolveStats : la::FactorStats {
-  idx_t num_dofs = 0;
+/// Steady conduction record: the shared solve record (fem/dirichlet.hpp)
+/// plus the assembly that precedes it.
+struct ThermalSolveStats : fem::SolveStats {
   double assemble_seconds = 0.0;
-  double solve_seconds = 0.0;
-  idx_t iterations = 0;          ///< 0 on the direct path
-  bool converged = false;
   [[nodiscard]] double total_seconds() const { return assemble_seconds + solve_seconds; }
 };
 

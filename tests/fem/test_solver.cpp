@@ -4,9 +4,11 @@
 
 #include <cmath>
 
+#include "core/sim_error.hpp"
 #include "fem/stress.hpp"
 #include "mesh/grading.hpp"
 #include "mesh/tsv_block.hpp"
+#include "util/fault_injector.hpp"
 
 namespace ms::fem {
 namespace {
@@ -110,6 +112,47 @@ TEST(Solver, TsvBlockPeakStressAtViaInterface) {
   const double r = std::hypot(x - 7.5, y - 7.5);
   EXPECT_LT(r, 2.0 * g.liner_radius());  // peak within twice the via radius
   EXPECT_GT(vm[arg], 100.0);             // hundreds of MPa scale
+}
+
+TEST(Solver, CgAtIterationCapThrowsDidNotConverge) {
+  // The reference every accuracy figure rests on must not hand back an
+  // unconverged iterate: the shared solve stage's policy holds here too.
+  const mesh::HexMesh m = box_mesh(4);
+  const DirichletBc bc = DirichletBc::clamp_nodes(m.top_bottom_nodes());
+  FemSolveOptions options;
+  options.method = "cg";
+  options.max_iterations = 2;
+  try {
+    (void)solve_thermal_stress(m, MaterialTable::standard(), -250.0, bc, options);
+    FAIL() << "expected SimError(kDidNotConverge)";
+  } catch (const core::SimError& e) {
+    EXPECT_EQ(e.code(), core::SimErrorCode::kDidNotConverge);
+    EXPECT_EQ(e.stage(), "fem.solve");
+    EXPECT_NE(e.context().find("iterations=2"), std::string::npos) << e.context();
+  }
+}
+
+TEST(Solver, DirectPathRecoversInjectedPivotBreakdownByShift) {
+  // The direct path factors through the shift-retry ladder: a simulated
+  // pivot breakdown at fem.factor yields a degraded, shifted solve.
+  const mesh::HexMesh m = box_mesh(3);
+  const DirichletBc bc = DirichletBc::clamp_nodes(m.top_bottom_nodes());
+  FemSolveOptions options;
+  options.method = "direct";
+  FemSolveStats clean;
+  const Vec u_clean =
+      solve_thermal_stress(m, MaterialTable::standard(), -250.0, bc, options, &clean);
+  EXPECT_FALSE(clean.degraded);
+
+  util::FaultInjector::global().configure("fem.factor:spd:1:1");
+  FemSolveStats stats;
+  const Vec u = solve_thermal_stress(m, MaterialTable::standard(), -250.0, bc, options, &stats);
+  util::FaultInjector::global().reset();
+  EXPECT_TRUE(stats.degraded);
+  EXPECT_GT(stats.diagonal_shift, 0.0);
+  EXPECT_EQ(stats.num_factorizations, 1);
+  EXPECT_NE(u, u_clean);  // the shifted operator's answer, close to the clean one
+  EXPECT_LT(la::max_abs_diff(u, u_clean), 1e-6 * la::norm_inf(u_clean));
 }
 
 TEST(Solver, UnknownMethodThrows) {

@@ -105,16 +105,5 @@ TEST(Cg, IterationCapReported) {
   EXPECT_GT(result.residual_norm, 0.0);
 }
 
-TEST(Cg, MatrixFreeVariantAgrees) {
-  const CsrMatrix a = laplacian_2d(6);
-  const Vec b = smooth_rhs(a.rows());
-  IterativeOptions options;
-  options.rel_tol = 1e-12;
-  Vec x1, x2;
-  conjugate_gradient(a, b, x1, nullptr, options);
-  conjugate_gradient([&a](const Vec& in, Vec& out) { a.mul(in, out); }, b, x2, nullptr, options);
-  EXPECT_LT(max_abs_diff(x1, x2), 1e-13);
-}
-
 }  // namespace
 }  // namespace ms::la

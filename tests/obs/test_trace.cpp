@@ -14,6 +14,7 @@
 #include <omp.h>
 #endif
 
+#include "obs/metrics.hpp"
 #include "util/json.hpp"
 
 namespace ms::obs {
@@ -75,6 +76,24 @@ TEST_F(TraceTest, ScopedSpanEndIsIdempotent) {
     span.end();  // second end and the destructor must both be no-ops
   }
   EXPECT_EQ(span_count(), 1u);
+  EXPECT_EQ(open_span_count(), 0u);
+}
+
+TEST_F(TraceTest, TimedSpanRecordsScopeWallTime) {
+  // The histogram receives the scope's wall time once per span, whether or
+  // not spans are captured, and end() before destruction records it once.
+  MetricRegistry reg;
+  Histogram& seconds = reg.histogram("scope_seconds");
+  for (const bool capture : {false, true}) {
+    set_tracing_enabled(capture);
+    ScopedSpan span("timed", seconds);
+    volatile double sink = 0.0;
+    for (int i = 0; i < 1000; ++i) sink = sink + 1.0;
+    span.end();
+  }
+  EXPECT_EQ(seconds.count(), 2);
+  EXPECT_GE(reg.histogram_sum("scope_seconds"), 0.0);
+  EXPECT_EQ(span_count(), 1u);  // only the captured pass leaves a span
   EXPECT_EQ(open_span_count(), 0u);
 }
 

@@ -10,7 +10,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "fem/dirichlet.hpp"
@@ -206,6 +210,44 @@ TEST(ChannelExtract, RejectsShortSolution) {
   history.resize_steps({0.0, 1.0});
   EXPECT_THROW(extract_channel_history(grid, tsv, nullptr, {}, solutions, loads, range, history),
                std::invalid_argument);
+}
+
+TEST(ChannelExtract, RejectsModelWithShortStressSamples) {
+  // Extraction reads 6 s^2 stress rows and 2 s^2 bump-shear rows per model
+  // by shape; a model with half its stress rows used to be read past their
+  // end before the parallel region. Each model the call uses is checked,
+  // with reconstruction's classification: an internal defect (logic_error),
+  // not a bad spec (invalid_argument).
+  const rom::BlockGrid grid(2, 2, 3, 3, 3, geometry().pitch, geometry().height);
+  const rom::BlockRange range = rom::BlockRange::all(grid);
+  const std::vector<rom::Vec> solutions(2, rom::Vec(grid.num_dofs(), 1e-4));
+  const std::vector<rom::BlockLoadField> loads(2, step_load(2, 2, 0));
+  const rom::BlockMask mask{1, 0, 0, 1};
+  const auto halved = [](const rom::RomModel& model) {
+    rom::RomModel cut = model;
+    const la::DenseMatrix& full = model.stress_samples;
+    cut.stress_samples = la::DenseMatrix(full.rows() / 2, full.cols());
+    std::copy(full.data().begin(), full.data().begin() + cut.stress_samples.data().size(),
+              cut.stress_samples.data().begin());
+    return cut;
+  };
+  const rom::RomModel short_tsv = halved(model_of(rom::BlockKind::Tsv));
+  const rom::RomModel short_dummy = halved(model_of(rom::BlockKind::Dummy));
+  const std::pair<const rom::RomModel*, const rom::RomModel*> cases[] = {
+      {&short_tsv, &model_of(rom::BlockKind::Dummy)},
+      {&model_of(rom::BlockKind::Tsv), &short_dummy}};
+  for (const auto& [tsv, dummy] : cases) {
+    StressHistory history(2, 2);
+    history.resize_steps({0.0, 1.0});
+    try {
+      extract_channel_history(grid, *tsv, dummy, mask, solutions, loads, range, history);
+      ADD_FAILURE() << "expected std::logic_error";
+    } catch (const std::invalid_argument& e) {
+      ADD_FAILURE() << "classified as a bad input: " << e.what();
+    } catch (const std::logic_error& e) {
+      EXPECT_NE(std::string(e.what()).find("mid-plane stress"), std::string::npos) << e.what();
+    }
+  }
 }
 
 TEST(ChannelExtract, BumpPlaneSamplesMatchFineFemPlaneSample) {

@@ -466,6 +466,25 @@ TEST(GlobalSolver, CgAtIterationCapThrowsDidNotConverge) {
   }
 }
 
+TEST(GlobalSolver, RejectsRhsOfOtherSize) {
+  // The lifting reads one rhs entry per operator row; a short primary rhs
+  // used to be caught only by an assert, which release builds compile out.
+  const BlockGrid grid = make_grid(2, 2);
+  for (const char* method : {"cg", "direct"}) {
+    GlobalSolveOptions options;
+    options.method = method;
+    GlobalProblem problem = assemble_global(grid, tsv_model(), nullptr, {}, -250.0);
+    problem.rhs.resize(problem.rhs.size() / 2);
+    EXPECT_THROW((void)solve_global(problem, clamp_top_bottom(grid), options),
+                 std::invalid_argument)
+        << method;
+    GlobalProblem extra = assemble_global(grid, tsv_model(), nullptr, {}, -250.0);
+    EXPECT_THROW((void)solve_global_multi(extra, {Vec(3, 0.0)}, clamp_top_bottom(grid), options),
+                 std::invalid_argument)
+        << method;
+  }
+}
+
 TEST(GlobalSolver, SubmodelBoundaryInterpolatesCallback) {
   const BlockGrid grid = make_grid(2, 1);
   // Linear displacement field: u = (ax, by, cz).

@@ -1,0 +1,171 @@
+// Seeded reference-free invariants of array scenarios, checked through
+// simulate(spec) on a small direct-solver configuration. The clamped array
+// problem and the conduction problem are linear, so the relations below need
+// no fine-FEM reference:
+//
+//   - zero load gives exactly zero stress;
+//   - scaling the load by 1/2 halves every stress component exactly (a
+//     power-of-two scale commutes with every rounding), and by 0.3 within
+//     kTolEps machine epsilons of the field's largest component;
+//   - steady power maps superpose on the stress tensors (von Mises is not
+//     linear, so tensors are compared): s(a,h) + s(0,0) = s(a,0) + s(0,h);
+//   - an x-mirrored hotspot gives the x-mirrored field (xz and xy flip sign).
+//
+// Sub-model rows are absent on purpose: the sub-model's boundary data does
+// not yet follow the window's own load (ROADMAP item 1).
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <random>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "core/simulator.hpp"
+#include "sweep/scenario_result.hpp"
+#include "sweep/scenario_spec.hpp"
+
+namespace ms::sweep {
+namespace {
+
+using Field = std::vector<fem::Stress6>;
+
+constexpr double kEps = std::numeric_limits<double>::epsilon();
+/// Bound on an inexact relation, in machine epsilons of the field's
+/// largest component. The measured residuals are about 1 eps (0.3 scaling),
+/// 10 eps (superposition) and 26 eps (mirror).
+constexpr double kTolEps = 128.0;
+constexpr int kEdge = 4;
+constexpr int kSamples = 8;  ///< samples per block edge
+
+core::SimulationConfig direct_config() {
+  core::SimulationConfig config = core::SimulationConfig::paper_default();
+  config.mesh_spec = {6, 3};
+  config.local.nodes_x = config.local.nodes_y = config.local.nodes_z = 3;
+  config.local.samples_per_block = kSamples;
+  config.global.method = "direct";
+  config.coupling.solve.method = "direct";
+  return config;
+}
+
+core::MoreStressSimulator& simulator() {
+  static core::MoreStressSimulator sim(direct_config());
+  return sim;
+}
+
+Field uniform_stress(double delta_t) {
+  ScenarioSpec spec;
+  spec.blocks_x = spec.blocks_y = kEdge;
+  spec.delta_t = delta_t;
+  const ScenarioResult r = simulator().simulate(spec);
+  EXPECT_FALSE(r.failed()) << r.error.message;
+  return r.base().stress;
+}
+
+Field power_stress(double background, double hotspot_peak, double hotspot_x, double hotspot_y) {
+  ScenarioSpec spec;
+  spec.blocks_x = spec.blocks_y = kEdge;
+  spec.load = LoadKind::kPower;
+  spec.power.background = background;
+  spec.power.hotspot_peak = hotspot_peak;
+  spec.power.hotspot_x = hotspot_x;
+  spec.power.hotspot_y = hotspot_y;
+  const ScenarioResult r = simulator().simulate(spec);
+  EXPECT_FALSE(r.failed()) << r.error.message;
+  return r.base().stress;
+}
+
+double max_abs(const Field& f) {
+  double m = 0.0;
+  for (const fem::Stress6& s : f) {
+    for (double v : s) m = std::max(m, std::abs(v));
+  }
+  return m;
+}
+
+/// max |a - b| over every component, each side a signed sum of fields.
+double max_diff(const std::vector<std::pair<double, const Field*>>& lhs,
+                const std::vector<std::pair<double, const Field*>>& rhs) {
+  const std::size_t n = lhs.front().second->size();
+  double m = 0.0;
+  for (std::size_t p = 0; p < n; ++p) {
+    for (int c = 0; c < fem::kVoigt; ++c) {
+      double l = 0.0;
+      double r = 0.0;
+      for (const auto& [w, f] : lhs) l += w * (*f)[p][c];
+      for (const auto& [w, f] : rhs) r += w * (*f)[p][c];
+      m = std::max(m, std::abs(l - r));
+    }
+  }
+  return m;
+}
+
+/// The field of the x-mirrored problem: columns reversed, and the two shear
+/// components with one x index (xz, xy) negated.
+Field mirror_x(const Field& f) {
+  const std::size_t width = static_cast<std::size_t>(kEdge) * kSamples;
+  Field out(f.size());
+  for (std::size_t p = 0; p < f.size(); ++p) {
+    const std::size_t row = p / width;
+    const std::size_t col = p % width;
+    fem::Stress6 s = f[row * width + (width - 1 - col)];
+    s[4] = -s[4];
+    s[5] = -s[5];
+    out[p] = s;
+  }
+  return out;
+}
+
+TEST(ScenarioInvariants, ArrayRelationsHoldWithoutReference) {
+  std::mt19937_64 rng(20261018);
+  std::uniform_real_distribution<double> delta_t(-300.0, -200.0);
+  std::uniform_real_distribution<double> background(5.0, 40.0);
+  std::uniform_real_distribution<double> peak(50.0, 300.0);
+  std::uniform_real_distribution<double> off_centre(0.15, 0.4);
+  std::uniform_real_distribution<double> row(0.2, 0.8);
+
+  const Field zero = uniform_stress(0.0);
+  ASSERT_EQ(zero.size(), static_cast<std::size_t>(kEdge * kEdge * kSamples * kSamples));
+  for (const fem::Stress6& s : zero) {
+    for (double v : s) ASSERT_EQ(v, 0.0);
+  }
+
+  for (int draw = 0; draw < 2; ++draw) {
+    SCOPED_TRACE("draw " + std::to_string(draw));
+    // Load scaling.
+    const double dt = delta_t(rng);
+    const Field full = uniform_stress(dt);
+    const Field half = uniform_stress(0.5 * dt);
+    const Field scaled = uniform_stress(0.3 * dt);
+    const double scale = max_abs(full);
+    ASSERT_GT(scale, 0.0);
+    for (std::size_t p = 0; p < full.size(); ++p) {
+      for (int c = 0; c < fem::kVoigt; ++c) ASSERT_EQ(half[p][c], 0.5 * full[p][c]);
+    }
+    EXPECT_LE(max_diff({{1.0, &scaled}}, {{0.3, &full}}), kTolEps * kEps * scale);
+
+    // Superposition of steady power maps: background a, hotspot peak h.
+    const double a = background(rng);
+    const double h = peak(rng);
+    const double x = off_centre(rng);
+    const double y = row(rng);
+    const Field both = power_stress(a, h, x, y);
+    const Field none = power_stress(0.0, 0.0, x, y);
+    const Field only_a = power_stress(a, 0.0, x, y);
+    const Field only_h = power_stress(0.0, h, x, y);
+    const double power_scale = max_abs(both);
+    ASSERT_GT(power_scale, 0.0);
+    EXPECT_LE(max_diff({{1.0, &both}, {1.0, &none}}, {{1.0, &only_a}, {1.0, &only_h}}),
+              kTolEps * kEps * power_scale);
+
+    // Mirror symmetry: the hotspot at 1 - x gives the mirrored field.
+    const Field mirrored = mirror_x(power_stress(0.0, h, 1.0 - x, y));
+    EXPECT_LE(max_diff({{1.0, &mirrored}}, {{1.0, &only_h}}), kTolEps * kEps * max_abs(only_h));
+  }
+}
+
+}  // namespace
+}  // namespace ms::sweep
