@@ -1,5 +1,5 @@
 // Ablation A2 (DESIGN.md): the global-stage solver. The paper solves the
-// reduced system with GMRES (Sec. 4.3); after lifting, the system is SPD so
+// reduced system with GMRES (Sec. 4.3); its free block is SPD, so
 // CG applies (GMRES, measured slower than CG with the same preconditioner,
 // was removed), and for moderate sizes a sparse direct factorization is also
 // viable. This bench compares wall time and iteration counts, and verifies

@@ -54,32 +54,28 @@ const fem::AssembledSystem& block_system() {
 /// Interior (free-dof) block stiffness: what the local stage factors.
 const la::CsrMatrix& block_matrix() {
   static const la::CsrMatrix a = [] {
-    const auto& sys = block_system();
     const mesh::HexMesh block = mesh::build_tsv_block_mesh(kGeometry, kSpec);
-    std::vector<la::idx_t> bc_dofs;
-    for (la::idx_t node : block.boundary_nodes()) {
-      for (int c = 0; c < 3; ++c) bc_dofs.push_back(3 * node + c);
-    }
-    const fem::DofPartition part = fem::partition_dofs(sys.num_dofs, bc_dofs);
-    return sys.stiffness.submatrix(part.free_map, part.num_free, part.free_map, part.num_free);
+    const auto& sys = block_system();
+    return fem::DirichletSplit(sys.num_dofs, fem::DirichletBc::clamp_nodes(block.boundary_nodes()))
+        .free_block(sys.stiffness);
   }();
   return a;
 }
 
-/// Clamped coarse package stiffness: the scenario-2 direct solve at the
-/// demo bench size (the matrix behind package_solve_seconds).
+/// Free block of the bottom-clamped coarse package stiffness: what the
+/// scenario-2 direct solve factors at the demo bench size (the matrix behind
+/// package_solve_seconds).
 const la::CsrMatrix& package_matrix() {
   static const la::CsrMatrix a = [] {
     const chiplet::PackageGeometry geom = chiplet::demo_package_geometry(kGeometry.pitch, 6,
                                                                          kGeometry.height);
     const mesh::HexMesh mesh =
         chiplet::build_package_coarse_mesh(geom, chiplet::demo_coarse_spec());
-    fem::AssembledSystem sys = fem::assemble_system(mesh, chiplet::package_materials());
+    const fem::AssembledSystem sys = fem::assemble_system(mesh, chiplet::package_materials());
     std::vector<la::idx_t> bottom;
     for (la::idx_t id = 0; id < mesh.nodes_x() * mesh.nodes_y(); ++id) bottom.push_back(id);
-    la::Vec rhs(sys.num_dofs, 0.0);
-    fem::apply_dirichlet(sys.stiffness, rhs, fem::DirichletBc::clamp_nodes(bottom));
-    return sys.stiffness;
+    return fem::DirichletSplit(sys.num_dofs, fem::DirichletBc::clamp_nodes(bottom))
+        .free_block(sys.stiffness);
   }();
   return a;
 }
@@ -159,22 +155,23 @@ void BM_SparseCholeskySolve(benchmark::State& state) {
 BENCHMARK(BM_SparseCholeskySolve)->Arg(1)->Arg(8);
 
 void BM_CgUnitBlock(benchmark::State& state) {
-  // CG with SSOR on the clamped unit block (reference-solver inner loop).
-  fem::AssembledSystem sys = [] {
-    const mesh::HexMesh block = mesh::build_tsv_block_mesh(kGeometry, kSpec);
-    return fem::assemble_system(block, materials());
-  }();
+  // CG with SSOR on the free block of the top/bottom-clamped unit block
+  // (reference-solver inner loop).
   const mesh::HexMesh block = mesh::build_tsv_block_mesh(kGeometry, kSpec);
-  la::Vec rhs = sys.thermal_load;
-  la::scale(rhs, -250.0);
-  fem::apply_dirichlet(sys.stiffness, rhs,
-                       fem::DirichletBc::clamp_nodes(block.top_bottom_nodes()));
-  const la::SsorPreconditioner precond(sys.stiffness);
+  const auto& sys = block_system();
+  const fem::DirichletSplit split(sys.num_dofs,
+                                  fem::DirichletBc::clamp_nodes(block.top_bottom_nodes()));
+  const la::CsrMatrix a = split.free_block(sys.stiffness);
+  la::Vec load = sys.thermal_load;
+  la::scale(load, -250.0);
+  la::Vec rhs(static_cast<std::size_t>(split.num_free()));
+  split.reduce(split.coupling(sys.stiffness), load.data(), split.values().data(), rhs.data());
+  const la::SsorPreconditioner precond(a);
   la::IterativeOptions options;
   options.rel_tol = 1e-7;
   for (auto _ : state) {
     la::Vec x;
-    const auto result = la::conjugate_gradient(sys.stiffness, rhs, x, &precond, options);
+    const auto result = la::conjugate_gradient(a, rhs, x, &precond, options);
     benchmark::DoNotOptimize(result.iterations);
   }
 }

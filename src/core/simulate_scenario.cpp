@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 #include "chiplet/displacement_field.hpp"
 #include "core/simulator.hpp"
@@ -67,15 +68,35 @@ ResolvedPackage resolve_package(const sweep::ScenarioSpec& spec, const Simulatio
   return resolved;
 }
 
-/// The package's own coarse displacement in the window's local frame.
+/// The package's own coarse displacement in the window's local frame, times
+/// `scale`.
 std::function<std::array<double, 3>(const mesh::Point3&)> package_boundary_of(
-    const ResolvedPackage& resolved) {
+    const ResolvedPackage& resolved, double scale) {
   const chiplet::DisplacementField local =
       chiplet::DisplacementField(resolved.package->mesh(), resolved.package->displacement())
           .shifted(resolved.placement.origin);
   // The closure keeps the package alive: the field references its mesh/u.
   const std::shared_ptr<const chiplet::PackageModel> keep = resolved.package;
-  return [local, keep](const mesh::Point3& p) { return local(p); };
+  return [local, keep, scale](const mesh::Point3& p) {
+    std::array<double, 3> u = local(p);
+    for (double& c : u) c *= scale;
+    return u;
+  };
+}
+
+/// The factor a sub-model's package displacement takes. The clamped package
+/// problem is linear in its load, so a uniform ΔT scales the displacement
+/// solved at the package's own load to the spec's ΔT. Power and trace loads,
+/// and per-block load fields, still take it as solved at the package's load.
+double package_boundary_scale(const sweep::ScenarioSpec& spec, const chiplet::PackageModel& package,
+                              double uniform_delta_t) {
+  if (spec.load != sweep::LoadKind::kUniform || spec.load_field != nullptr) return 1.0;
+  if (package.thermal_load() == 0.0) {
+    throw std::invalid_argument(
+        "sub-model package solved at zero thermal load: its displacement cannot be scaled to "
+        "the scenario's delta_t");
+  }
+  return uniform_delta_t / package.thermal_load();
 }
 
 /// Recorded-history indices the fatigue panel solves: every stride-th record
@@ -120,13 +141,16 @@ sweep::ScenarioResult MoreStressSimulator::simulate(const sweep::ScenarioSpec& s
   const bool submodel = spec.kind == sweep::ScenarioKind::kSubmodel;
   const int bx = spec.blocks_x;
   const int by = spec.blocks_y;
+  const double uniform_delta_t = std::isnan(spec.delta_t) ? config_.thermal_load : spec.delta_t;
   ResolvedPackage resolved;
-  if (spec.reads_package()) resolved = resolve_package(spec, config_);
+  Displacement boundary = spec.displacement;
+  if (spec.reads_package()) {
+    resolved = resolve_package(spec, config_);
+    boundary = package_boundary_of(
+        resolved, package_boundary_scale(spec, *resolved.package, uniform_delta_t));
+  }
   const Window window =
-      submodel ? submodel_window(bx, by, spec.dummy_rings,
-                                 spec.reads_package() ? package_boundary_of(resolved)
-                                                      : spec.displacement)
-               : array_window(bx, by);
+      submodel ? submodel_window(bx, by, spec.dummy_rings, boundary) : array_window(bx, by);
 
   const auto power_map = [&]() {
     if (spec.power_map != nullptr) return *spec.power_map;
@@ -156,8 +180,7 @@ sweep::ScenarioResult MoreStressSimulator::simulate(const sweep::ScenarioSpec& s
         const rom::BlockLoadField load =
             spec.load_field != nullptr
                 ? *spec.load_field
-                : rom::BlockLoadField::uniform(
-                      std::isnan(spec.delta_t) ? config_.thermal_load : spec.delta_t);
+                : rom::BlockLoadField::uniform(uniform_delta_t);
         result.array = std::make_shared<ArrayResult>(run_global(window, load));
         break;
       }

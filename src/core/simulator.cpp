@@ -156,8 +156,8 @@ MoreStressSimulator::Window MoreStressSimulator::submodel_window(
 
 std::string MoreStressSimulator::global_factor_key(const Window& window) {
   // The key must determine the assembled operator's values and the
-  // constrained-dof set — BC *values* are lifted against the cached unlifted
-  // operator, so they vary freely under one key. The reduced element
+  // constrained-dof set — BC *values* enter only through the cached coupling
+  // K_fc, so they vary freely under one key. The reduced element
   // matrices fingerprint geometry, mesh, materials, and node counts in one
   // shot (any change reruns the local stage and shifts the hash); the mask
   // and constrained dofs cover layout and boundary structure.
@@ -208,7 +208,7 @@ ArrayResult MoreStressSimulator::run_panel(const Window& window,
   {
     MS_TRACE_SCOPE("core.global.assemble");
     if (fem::factor_resident(solve_options.method, factor_cache_, solve_options.factor_key)) {
-      // Warm path: the key's factorization and unlifted operator are already
+      // Warm path: the key's factorization and coupling are already
       // resident (entries are never evicted, so contains() cannot go stale),
       // and assembly reduces to the load vectors. On a cold key the full
       // operator is assembled below and the solver populates the cache.

@@ -145,8 +145,8 @@ class MoreStressSimulator {
                         const std::vector<rom::BlockLoadField>& extra_loads,
                         double* consume_seconds, const PanelConsumer& consumer);
   /// Global stage for `load`, plus one fully reconstructed case per entry of
-  /// `extra_loads` (transient snapshots) against the same assembled and
-  /// lifted operator — on the direct path all cases share one factorization
+  /// `extra_loads` (transient snapshots) against the same assembled
+  /// operator — on the direct path all cases share one factorization
   /// and run as a multi-RHS panel. Per-case results land in `extra_results`.
   ArrayResult run_global(const Window& window, const rom::BlockLoadField& load,
                          const std::vector<rom::BlockLoadField>& extra_loads = {},
@@ -206,7 +206,7 @@ class MoreStressSimulator {
   /// model built for other inputs.
   [[nodiscard]] std::string model_fingerprint(rom::BlockKind kind) const;
   [[nodiscard]] std::string cache_path(rom::BlockKind kind) const;
-  /// Factor-cache key of the lifted global operator: model fingerprints and
+  /// Factor-cache key of the global operator: model fingerprints and
   /// load hashes (covering materials), mask, and constrained-dof set. Forces
   /// the needed models to exist.
   std::string global_factor_key(const Window& window);

@@ -28,109 +28,83 @@ DirichletBc DirichletBc::clamp_nodes(const std::vector<idx_t>& nodes, const Vec&
   return bc;
 }
 
-namespace {
-
-/// Expand the (dofs, values) pairs into dense constrained/value arrays.
-void expand_bc(idx_t n, const DirichletBc& bc, std::vector<char>& constrained, Vec& value) {
-  constrained.assign(n, 0);
-  value.assign(n, 0.0);
-  for (std::size_t k = 0; k < bc.dofs.size(); ++k) {
-    const idx_t d = bc.dofs[k];
-    assert(d >= 0 && d < n);
+DofPartition partition_dofs(idx_t num_dofs, const std::vector<idx_t>& bc_dofs) {
+  std::vector<char> constrained(num_dofs, 0);
+  for (idx_t d : bc_dofs) {
+    assert(d >= 0 && d < num_dofs);
     constrained[d] = 1;
-    value[d] = bc.values[k];
+  }
+  DofPartition part;
+  part.free_map.assign(num_dofs, -1);
+  part.bc_map.assign(num_dofs, -1);
+  for (idx_t d = 0; d < num_dofs; ++d) {
+    if (constrained[d]) {
+      part.bc_map[d] = part.num_bc++;
+    } else {
+      part.free_map[d] = part.num_free++;
+    }
+  }
+  return part;
+}
+
+DirichletSplit::DirichletSplit(idx_t num_dofs, const DirichletBc& bc) {
+  assert(bc.dofs.size() == bc.values.size());
+  for (idx_t d : bc.dofs) {
+    if (d < 0 || d >= num_dofs) {
+      throw std::invalid_argument("DirichletSplit: constrained dof " + std::to_string(d) +
+                                  " outside [0, " + std::to_string(num_dofs) + ")");
+    }
+  }
+  part_ = partition_dofs(num_dofs, bc.dofs);
+  values_.assign(static_cast<std::size_t>(part_.num_bc), 0.0);
+  for (std::size_t k = 0; k < bc.dofs.size(); ++k) values_[part_.bc_map[bc.dofs[k]]] = bc.values[k];
+}
+
+void DirichletSplit::require_operator(const CsrMatrix& a) const {
+  if (a.rows() != num_dofs() || a.cols() != num_dofs()) {
+    throw std::invalid_argument("DirichletSplit: the operator is " + std::to_string(a.rows()) +
+                                " x " + std::to_string(a.cols()) + ", the split has " +
+                                std::to_string(num_dofs()) + " dofs");
   }
 }
 
-/// The rhs half of the lifting against the *unlifted* operator: constrained
-/// entries take the prescribed value, free entries receive the column
-/// correction. Reads exactly the matrix values the fused loop reads before
-/// zeroing them, so rhs-half-then-matrix-half reproduces the fused result
-/// bit for bit.
-void apply_dirichlet_rhs_impl(const CsrMatrix& a, Vec* const* rhss, std::size_t num_rhs,
-                              const DirichletBc& bc) {
-  assert(a.rows() == a.cols());
-  const idx_t n = a.rows();
-  for (std::size_t c = 0; c < num_rhs; ++c) {
-    assert(static_cast<idx_t>(rhss[c]->size()) == n);
-    (void)rhss[c];
-  }
+CsrMatrix DirichletSplit::free_block(const CsrMatrix& a) const {
+  require_operator(a);
+  return a.submatrix(part_.free_map, part_.num_free, part_.free_map, part_.num_free);
+}
 
-  std::vector<char> constrained;
-  Vec value;
-  expand_bc(n, bc, constrained, value);
+CsrMatrix DirichletSplit::coupling(const CsrMatrix& a) const {
+  require_operator(a);
+  return a.submatrix(part_.free_map, part_.num_free, part_.bc_map, part_.num_bc);
+}
 
-  const auto& vals = a.values();
-  const auto& row_ptr = a.row_ptr();
-  const auto& col = a.col_idx();
-  for (idx_t r = 0; r < n; ++r) {
+void DirichletSplit::reduce(const CsrMatrix& coupling, const double* f, const double* g,
+                            double* out) const {
+  assert(coupling.rows() == part_.num_free && coupling.cols() == part_.num_bc);
+  const auto& row_ptr = coupling.row_ptr();
+  const auto& col = coupling.col_idx();
+  const auto& vals = coupling.values();
+  const idx_t n = num_dofs();
+  for (idx_t d = 0; d < n; ++d) {
+    const idx_t r = part_.free_map[d];
+    if (r < 0) continue;
+    double sum = 0.0;
     const la::offset_t end = row_ptr[static_cast<std::size_t>(r) + 1];
-    if (constrained[r]) {
-      for (std::size_t c = 0; c < num_rhs; ++c) (*rhss[c])[r] = value[r];
-      continue;
-    }
-    for (la::offset_t k = row_ptr[r]; k < end; ++k) {
-      if (constrained[col[k]]) {
-        const double av = vals[k] * value[col[k]];
-        for (std::size_t c = 0; c < num_rhs; ++c) (*rhss[c])[r] -= av;
-      }
-    }
+    for (la::offset_t k = row_ptr[r]; k < end; ++k) sum += vals[k] * g[col[k]];
+    out[r] = f[d] - sum;
   }
 }
 
-}  // namespace
-
-void apply_dirichlet_rhs(const CsrMatrix& a, Vec& rhs, const DirichletBc& bc) {
-  Vec* one = &rhs;
-  apply_dirichlet_rhs_impl(a, &one, 1, bc);
-}
-
-void apply_dirichlet_rhs(const CsrMatrix& a, std::vector<Vec>& rhss, const DirichletBc& bc) {
-  std::vector<Vec*> ptrs;
-  ptrs.reserve(rhss.size());
-  for (Vec& rhs : rhss) ptrs.push_back(&rhs);
-  apply_dirichlet_rhs_impl(a, ptrs.data(), ptrs.size(), bc);
-}
-
-void apply_dirichlet_matrix(CsrMatrix& a, const DirichletBc& bc) {
-  assert(a.rows() == a.cols());
-  const idx_t n = a.rows();
-  std::vector<char> constrained;
-  Vec value;
-  expand_bc(n, bc, constrained, value);
-
-  auto& vals = a.values();
-  const auto& row_ptr = a.row_ptr();
-  const auto& col = a.col_idx();
-  for (idx_t r = 0; r < n; ++r) {
-    const la::offset_t end = row_ptr[static_cast<std::size_t>(r) + 1];
-    if (constrained[r]) {
-      for (la::offset_t k = row_ptr[r]; k < end; ++k) vals[k] = (col[k] == r) ? 1.0 : 0.0;
-      continue;
-    }
-    for (la::offset_t k = row_ptr[r]; k < end; ++k) {
-      if (constrained[col[k]]) vals[k] = 0.0;
-    }
+void DirichletSplit::expand(const double* x_f, const double* g, double* out) const {
+  const idx_t n = num_dofs();
+  for (idx_t d = 0; d < n; ++d) {
+    const idx_t r = part_.free_map[d];
+    out[d] = r >= 0 ? x_f[r] : g[part_.bc_map[d]];
   }
 }
 
-void apply_dirichlet(CsrMatrix& a, Vec& rhs, const DirichletBc& bc) {
-  Vec* one = &rhs;
-  apply_dirichlet_rhs_impl(a, &one, 1, bc);
-  apply_dirichlet_matrix(a, bc);
-}
-
-void apply_dirichlet(CsrMatrix& a, std::vector<Vec>& rhss, const DirichletBc& bc) {
-  std::vector<Vec*> ptrs;
-  ptrs.reserve(rhss.size());
-  for (Vec& rhs : rhss) ptrs.push_back(&rhs);
-  apply_dirichlet_rhs_impl(a, ptrs.data(), ptrs.size(), bc);
-  apply_dirichlet_matrix(a, bc);
-}
-
-la::FactorCache::Entry fetch_factor(CsrMatrix& a, const DirichletBc& bc,
-                                    const FactorSource& source, bool keep_unlifted,
-                                    la::FactorStats& stats) {
+la::FactorCache::Entry fetch_factor(CsrMatrix& a, const DirichletSplit& split,
+                                    const FactorSource& source, la::FactorStats& stats) {
   util::WallTimer timer;
   la::FactorCache* cache = source.shared_cache();
   const auto build = [&]() {
@@ -144,8 +118,8 @@ la::FactorCache::Entry fetch_factor(CsrMatrix& a, const DirichletBc& bc,
       throw std::logic_error(site + ": a factor build needs the assembled operator");
     }
     la::FactorCache::Entry fresh;
-    if (cache != nullptr && keep_unlifted) fresh.matrix = std::make_shared<const CsrMatrix>(a);
-    apply_dirichlet_matrix(a, bc);
+    fresh.coupling = std::make_shared<const CsrMatrix>(split.coupling(a));
+    a = split.free_block(a);
     la::ShiftRetryResult factored =
         la::factor_with_shift_retry(a, (std::string(source.stage) + ".factor").c_str());
     fresh.factor = std::move(factored.factor);
@@ -166,19 +140,22 @@ la::FactorCache::Entry fetch_factor(CsrMatrix& a, const DirichletBc& bc,
   return entry;
 }
 
-DirectSolve solve_direct(CsrMatrix& a, std::vector<Vec>& rhss, const DirichletBc& bc,
+DirectSolve solve_direct(CsrMatrix& a, const std::vector<Vec>& rhss, const DirichletSplit& split,
                          const FactorSource& source, la::FactorStats& stats) {
-  // Without a cache nothing keeps an unlifted copy, so the rhs half reads
-  // `a` before the build lifts it; with one, it reads the entry's copy
-  // (which a warm caller need not have assembled).
-  const bool cached = source.shared_cache() != nullptr;
-  if (!cached) apply_dirichlet_rhs(a, rhss, bc);
   DirectSolve direct;
-  direct.entry = fetch_factor(a, bc, source, /*keep_unlifted=*/true, stats);
-  if (cached) apply_dirichlet_rhs(*direct.entry.matrix, rhss, bc);
+  direct.entry = fetch_factor(a, split, source, stats);
+  std::vector<Vec> reduced(rhss.size(), Vec(static_cast<std::size_t>(split.num_free())));
+  for (std::size_t c = 0; c < rhss.size(); ++c) {
+    split.reduce(*direct.entry.coupling, rhss[c].data(), split.values().data(),
+                 reduced[c].data());
+  }
   util::WallTimer timer;
-  direct.solutions = direct.entry.factor->solve_multi(rhss);
+  const std::vector<Vec> free_x = direct.entry.factor->solve_multi(reduced);
   direct.triangular_seconds = timer.seconds();
+  direct.solutions.assign(rhss.size(), Vec(static_cast<std::size_t>(split.num_dofs())));
+  for (std::size_t c = 0; c < rhss.size(); ++c) {
+    split.expand(free_x[c].data(), split.values().data(), direct.solutions[c].data());
+  }
   return direct;
 }
 
@@ -198,31 +175,33 @@ bool factor_resident(const std::string& method, const la::FactorCache* cache,
   return is_direct(method) && cache != nullptr && !key.empty() && cache->contains(key);
 }
 
-std::vector<Vec> solve_linear(CsrMatrix& a, std::vector<Vec>& rhss, const DirichletBc& bc,
+std::vector<Vec> solve_linear(CsrMatrix& a, const std::vector<Vec>& rhss, const DirichletBc& bc,
                               const SolveMethod& how, const FactorSource& source,
                               SolveStats& stats) {
   assert(!rhss.empty());
   util::WallTimer timer;
-  const std::size_t n = rhss.front().size();
+  const auto n = static_cast<idx_t>(rhss.front().size());
+  const DirichletSplit split(n, bc);
   std::vector<Vec> solutions;
   if (is_direct(how.method)) {
-    DirectSolve direct = solve_direct(a, rhss, bc, source, stats);
+    DirectSolve direct = solve_direct(a, rhss, split, source, stats);
     solutions = std::move(direct.solutions);
     stats.triangular_seconds = direct.triangular_seconds;
-    stats.matrix_bytes =
-        (direct.entry.matrix != nullptr ? *direct.entry.matrix : a).memory_bytes();
+    stats.matrix_bytes = a.memory_bytes() + direct.entry.coupling->memory_bytes();
     stats.solver_bytes = direct.entry.factor->memory_bytes();
   } else {
-    apply_dirichlet(a, rhss, bc);
+    const CsrMatrix coupling = split.coupling(a);
+    a = split.free_block(a);
     const auto precond = la::make_preconditioner(how.precond, a);
     la::IterativeOptions iter;
     iter.rel_tol = how.rel_tol;
     iter.max_iterations = how.max_iterations;
-    iter.use_initial_guess = true;
-    solutions.assign(rhss.size(), Vec(n, how.start));
+    Vec b(static_cast<std::size_t>(split.num_free()));
+    Vec x;
+    solutions.assign(rhss.size(), Vec(static_cast<std::size_t>(n)));
     for (std::size_t c = 0; c < rhss.size(); ++c) {
-      const la::IterativeResult result =
-          la::conjugate_gradient(a, rhss[c], solutions[c], precond.get(), iter);
+      split.reduce(coupling, rhss[c].data(), split.values().data(), b.data());
+      const la::IterativeResult result = la::conjugate_gradient(a, b, x, precond.get(), iter);
       stats.iterations += result.iterations;
       if (!result.converged) {
         throw core::SimError(core::SimErrorCode::kDidNotConverge,
@@ -233,35 +212,17 @@ std::vector<Vec> solve_linear(CsrMatrix& a, std::vector<Vec>& rhss, const Dirich
                              "iterations=" + std::to_string(result.iterations) +
                                  " residual=" + std::to_string(result.residual_norm));
       }
+      split.expand(x.data(), split.values().data(), solutions[c].data());
     }
-    stats.matrix_bytes = a.memory_bytes();
+    stats.matrix_bytes = a.memory_bytes() + coupling.memory_bytes();
     // Krylov workspace: x, r, z, p, Ap + preconditioner state.
-    stats.solver_bytes = 5 * n * sizeof(double) + precond->memory_bytes();
+    stats.solver_bytes = 5 * b.size() * sizeof(double) + precond->memory_bytes();
   }
-  stats.num_dofs = static_cast<idx_t>(n);
+  stats.num_dofs = n;
   stats.num_rhs = static_cast<idx_t>(rhss.size());
   stats.converged = true;  // an unconverged solve threw above
   stats.solve_seconds = timer.seconds();
   return solutions;
-}
-
-DofPartition partition_dofs(idx_t num_dofs, const std::vector<idx_t>& bc_dofs) {
-  std::vector<char> constrained(num_dofs, 0);
-  for (idx_t d : bc_dofs) {
-    assert(d >= 0 && d < num_dofs);
-    constrained[d] = 1;
-  }
-  DofPartition part;
-  part.free_map.assign(num_dofs, -1);
-  part.bc_map.assign(num_dofs, -1);
-  for (idx_t d = 0; d < num_dofs; ++d) {
-    if (constrained[d]) {
-      part.bc_map[d] = part.num_bc++;
-    } else {
-      part.free_map[d] = part.num_free++;
-    }
-  }
-  return part;
 }
 
 }  // namespace ms::fem

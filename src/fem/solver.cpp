@@ -29,7 +29,7 @@ void publish_fem_stats(const FemSolveStats& s) {
 /// assembled operator through the one linear-solve stage (direct: one
 /// factorization + one multi-RHS panel; cg: loop), and fill the stats
 /// record.
-std::vector<Vec> solve_assembled(AssembledSystem& sys, std::vector<Vec> rhs_cases,
+std::vector<Vec> solve_assembled(AssembledSystem& sys, const std::vector<Vec>& rhs_cases,
                                  const DirichletBc& bc, const FemSolveOptions& options,
                                  FemSolveStats* stats, double assemble_seconds) {
   MS_TRACE_SCOPE("fem.solve");
@@ -40,8 +40,7 @@ std::vector<Vec> solve_assembled(AssembledSystem& sys, std::vector<Vec> rhs_case
   const FactorSource source{nullptr, no_key, never_cancelled, "fem"};
   std::vector<Vec> solutions = solve_linear(
       sys.stiffness, rhs_cases, bc,
-      {options.method, options.precond, options.rel_tol, options.max_iterations, 0.0}, source,
-      local);
+      {options.method, options.precond, options.rel_tol, options.max_iterations}, source, local);
   publish_fem_stats(local);
   if (stats != nullptr) *stats = local;
   return solutions;
@@ -56,8 +55,7 @@ Vec solve_thermal_stress(const mesh::HexMesh& mesh, const MaterialTable& materia
   AssembledSystem sys = assemble_system(mesh, materials);
   std::vector<Vec> rhs{sys.thermal_load};
   la::scale(rhs.front(), thermal_load);
-  return std::move(
-      solve_assembled(sys, std::move(rhs), bc, options, stats, timer.seconds()).front());
+  return std::move(solve_assembled(sys, rhs, bc, options, stats, timer.seconds()).front());
 }
 
 Vec solve_thermal_stress(const mesh::HexMesh& mesh, const MaterialTable& materials,
@@ -83,7 +81,7 @@ std::vector<Vec> solve_thermal_stress_multi(const mesh::HexMesh& mesh,
   for (std::size_t c = 1; c < delta_t_cases.size(); ++c) {
     rhs_cases.push_back(assemble_thermal_load(mesh, materials, delta_t_cases[c]));
   }
-  return solve_assembled(sys, std::move(rhs_cases), bc, options, stats, timer.seconds());
+  return solve_assembled(sys, rhs_cases, bc, options, stats, timer.seconds());
 }
 
 }  // namespace ms::fem

@@ -1,9 +1,9 @@
 #pragma once
 // Full fine-mesh FEM solver — the ANSYS stand-in (see DESIGN.md Sec. 2).
 // Assembles the thermoelastic system on the given mesh and hands it to the
-// shared linear-solve stage (fem::solve_linear): Dirichlet data by lifting,
-// then preconditioned CG (like the paper's "iterative" ANSYS setting) or
-// sparse Cholesky for small problems.
+// shared linear-solve stage (fem::solve_linear): Dirichlet dofs eliminated,
+// then preconditioned CG on the free block (like the paper's "iterative"
+// ANSYS setting) or sparse Cholesky for small problems.
 
 #include <string>
 #include <vector>
@@ -28,7 +28,7 @@ struct FemSolveStats : SolveStats {
   [[nodiscard]] std::size_t total_bytes() const { return matrix_bytes + solver_bytes; }
 };
 
-/// One-call convenience: assemble, lift, solve; returns the full displacement
+/// One-call convenience: assemble, eliminate, solve; returns the full displacement
 /// vector (prescribed dofs carry their boundary values).
 Vec solve_thermal_stress(const mesh::HexMesh& mesh, const MaterialTable& materials,
                          double thermal_load, const DirichletBc& bc,
@@ -41,7 +41,7 @@ Vec solve_thermal_stress(const mesh::HexMesh& mesh, const MaterialTable& materia
                          const FemSolveOptions& options = {}, FemSolveStats* stats = nullptr);
 
 /// Several per-element ΔT load cases on one mesh and boundary set: the
-/// system is assembled and lifted once, and on the direct path factored once
+/// system is assembled and reduced once, and on the direct path factored once
 /// with every case solved as one multi-RHS panel (the reference-FEM harness
 /// uses this to validate transient snapshot histories at one factorization).
 /// Returns one displacement vector per case.

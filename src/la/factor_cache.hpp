@@ -2,14 +2,14 @@
 // Cross-scenario factorization memoization for the sweep engine.
 //
 // A sweep over a trace family (duty / period / amplitude variations of one
-// layout) re-solves the same lifted operator with different right-hand
-// sides; the factorization — the dominant cost of every direct path — can
-// be built once and shared. FactorCache maps an opaque string key (composed
-// by the caller from everything that determines the lifted operator: mesh,
-// materials, mask, and the constrained-dof *set* — BC
-// values excluded, see DESIGN.md) to a factorized operator plus, when the
-// caller needs right-hand-side lifting against the original matrix, the
-// unlifted operator it was built from.
+// layout) re-solves the same operator with different right-hand sides and
+// boundary values; the factorization — the dominant cost of every direct
+// path — can be built once and shared. FactorCache maps an opaque string key
+// (composed by the caller from everything that determines the operator: mesh,
+// materials, mask, and the constrained-dof *set* — BC values excluded, see
+// DESIGN.md) to the factor of the operator's free block K_ff plus the
+// free-by-constrained coupling K_fc, against which every caller reduces its
+// right-hand sides under its own boundary values.
 //
 // It is a util::SingleFlightCache recorded as `la.factor_cache.*`: one build
 // per key under contention, so `num_factorizations` stays deterministic. A
@@ -43,13 +43,13 @@ struct FactorStats {
   double diagonal_shift = 0.0;
 };
 
-/// One cached factorization.
+/// One cached factorization (fem::fetch_factor builds it).
 struct FactorEntry {
-  /// The operator *before* Dirichlet lifting, kept when the caller lifts
-  /// right-hand sides separately (null when the path never needs it, e.g.
-  /// the transient stepper which re-assembles A for the correction term).
-  std::shared_ptr<const CsrMatrix> matrix;
+  /// The factor of K_ff, the operator's free block.
   std::shared_ptr<const SparseCholesky> factor;
+  /// K_fc, the free-by-constrained coupling: a hit reduces each right-hand
+  /// side f to f_f − K_fc g under its own boundary values g.
+  std::shared_ptr<const CsrMatrix> coupling;
   /// Non-zero when the factor was rescued by the diagonal shift-retry
   /// ladder (see la/shift_retry.hpp): every solve through this entry —
   /// warm hits included — must report its stats as degraded.

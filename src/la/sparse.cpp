@@ -172,9 +172,18 @@ CsrMatrix CsrMatrix::submatrix(const std::vector<idx_t>& row_map, idx_t new_rows
   m.rows_ = new_rows;
   m.cols_ = new_cols;
   m.row_ptr_.assign(static_cast<std::size_t>(new_rows) + 1, 0);
+  // Count the kept entries first, so each array is allocated once.
+  std::size_t kept = 0;
   for (idx_t nr = 0; nr < new_rows; ++nr) {
     const idx_t r = old_row_of[nr];
     if (r < 0) throw std::invalid_argument("CsrMatrix::submatrix: row map not surjective");
+    const offset_t end = row_ptr_[static_cast<std::size_t>(r) + 1];
+    for (offset_t k = row_ptr_[r]; k < end; ++k) kept += col_map[col_idx_[k]] >= 0 ? 1 : 0;
+  }
+  m.col_idx_.reserve(kept);
+  m.values_.reserve(kept);
+  for (idx_t nr = 0; nr < new_rows; ++nr) {
+    const idx_t r = old_row_of[nr];
     const offset_t end = row_ptr_[static_cast<std::size_t>(r) + 1];
     for (offset_t k = row_ptr_[r]; k < end; ++k) {
       const idx_t nc = col_map[col_idx_[k]];

@@ -1,8 +1,9 @@
 #pragma once
 // Global-stage assembly (paper Sec. 4.3): scatter each block's reduced
 // element stiffness/load into the global sparse system with the standard FEM
-// assembly procedure, then lift Dirichlet data (clamped surfaces for
-// standalone arrays; interpolated coarse displacements for sub-modeling).
+// assembly procedure. The solve eliminates the Dirichlet data (clamped
+// surfaces for standalone arrays; interpolated coarse displacements for
+// sub-modeling).
 
 #include <functional>
 #include <string>

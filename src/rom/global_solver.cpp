@@ -68,8 +68,7 @@ std::vector<Vec> solve_global_multi(GlobalProblem& problem, std::vector<Vec> ext
   GlobalSolveStats local;
   std::vector<Vec> solutions = fem::solve_linear(
       problem.stiffness, rhs_cases, bc,
-      {options.method, options.precond, options.rel_tol, options.max_iterations, 0.0}, source,
-      local);
+      {options.method, options.precond, options.rel_tol, options.max_iterations}, source, local);
   // `nan` probe: poison the first solution entry so the stage-boundary
   // health sweep downstream must catch it (tests/robustness).
   if (util::FaultInjector::enabled() && !solutions.front().empty() &&
@@ -77,7 +76,7 @@ std::vector<Vec> solve_global_multi(GlobalProblem& problem, std::vector<Vec> ext
     solutions.front().front() = std::numeric_limits<double>::quiet_NaN();
   }
 
-  problem.rhs = std::move(rhs_cases.front());  // keep the lifted primary rhs visible
+  problem.rhs = std::move(rhs_cases.front());  // hand the primary rhs back as passed
   publish_global_stats(local);
   if (stats != nullptr) *stats = local;
   return solutions;

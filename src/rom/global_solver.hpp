@@ -1,5 +1,5 @@
 #pragma once
-// Solve the reduced global system (paper Eq. 20). The lifted system is SPD,
+// Solve the reduced global system (paper Eq. 20). Its free block K_ff is SPD,
 // so preconditioned CG is the default and a sparse direct path is the
 // alternative. (The paper uses GMRES; on this SPD system CG with the same
 // preconditioner converges in about as many iterations at lower cost.)
@@ -25,12 +25,13 @@ struct GlobalSolveOptions {
   la::SparseCholesky::Options factor;
   /// Cross-call factorization memoization (direct path only; iterative
   /// paths ignore it). When `factor_cache` is set and `factor_key` is
-  /// non-empty, the lifted operator's factorization is looked up / stored
-  /// under the key together with the unlifted operator (needed to lift the
-  /// right-hand sides). The key must determine the assembled matrix values
-  /// and the constrained-dof *set*; BC values may vary freely between
-  /// callers sharing a key (lifting splits cleanly, see fem/dirichlet.hpp).
-  /// On a hit the caller may leave problem.stiffness unassembled (empty)
+  /// non-empty, the factorization of the free block K_ff is looked up /
+  /// stored under the key together with the coupling K_fc (needed to reduce
+  /// the right-hand sides). The key must determine the assembled matrix
+  /// values and the constrained-dof *set*; BC values may vary freely between
+  /// callers sharing a key (they enter only through K_fc, see
+  /// fem/dirichlet.hpp). On a hit the caller may leave problem.stiffness
+  /// unassembled (empty)
   /// and fill only problem.rhs / problem.num_dofs. Warm or cold, the
   /// returned solutions are bit-identical to the uncached path.
   la::FactorCache* factor_cache = nullptr;
@@ -45,7 +46,8 @@ struct GlobalSolveOptions {
 /// on a cache hit and on cg.
 using GlobalSolveStats = fem::SolveStats;
 
-/// Apply `bc` by lifting, then solve. Returns the nodal displacement vector.
+/// Eliminate `bc`'s dofs, then solve. Returns the nodal displacement vector,
+/// the prescribed values in the constrained dofs.
 /// The direct path recovers an SPD breakdown with the diagonal shift-retry
 /// ladder (la/shift_retry.hpp; the stats record the shift as degraded). A
 /// CG solve that breaks down or stops at max_iterations throws
@@ -54,12 +56,12 @@ Vec solve_global(GlobalProblem& problem, const DirichletBc& bc,
                  const GlobalSolveOptions& options = {}, GlobalSolveStats* stats = nullptr);
 
 /// Multi-load variant: solve problem.rhs plus every vector of `extra_rhs`
-/// against the same lifted operator. The direct path factors once and runs
+/// against the same operator. The direct path factors K_ff once and runs
 /// all cases as one multi-RHS panel (fem::solve_direct); cg loops over
-/// them (fem::solve_linear). problem.stiffness is left lifted unless a
-/// cache hit skipped the build. Returns one solution per case — index 0 is
-/// problem.rhs, index 1 + k is extra_rhs[k]. All right-hand sides must be
-/// unlifted (the lifting is applied here, like solve_global does).
+/// them (fem::solve_linear). problem.stiffness holds K_ff afterwards, the
+/// matrix that was factored, unless a cache hit skipped the build;
+/// problem.rhs is left as passed. Returns one solution per case — index 0
+/// is problem.rhs, index 1 + k is extra_rhs[k].
 std::vector<Vec> solve_global_multi(GlobalProblem& problem, std::vector<Vec> extra_rhs,
                                     const DirichletBc& bc, const GlobalSolveOptions& options = {},
                                     GlobalSolveStats* stats = nullptr);

@@ -62,14 +62,10 @@ RomModel run_local_stage(const mesh::TsvGeometry& geometry, const mesh::BlockMes
   const fem::AssembledSystem sys = fem::assemble_system(block, materials);
   const idx_t num_dofs = sys.num_dofs;
 
-  // Partition fine-mesh dofs into boundary (prescribed) and free sets.
+  // Split fine-mesh dofs into boundary (prescribed) and free sets.
   const std::vector<idx_t> bnodes = block.boundary_nodes();
-  std::vector<idx_t> bc_dofs;
-  bc_dofs.reserve(3 * bnodes.size());
-  for (idx_t node : bnodes) {
-    for (int c = 0; c < 3; ++c) bc_dofs.push_back(fem::dof_of(node, c));
-  }
-  const fem::DofPartition part = fem::partition_dofs(num_dofs, bc_dofs);
+  const fem::DirichletSplit split(num_dofs, fem::DirichletBc::clamp_nodes(bnodes));
+  const fem::DofPartition& part = split.partition();
 
   const SurfaceNodeSet sns(options.nodes_x, options.nodes_y, options.nodes_z, geometry.pitch,
                            geometry.pitch, geometry.height);
@@ -77,10 +73,8 @@ RomModel run_local_stage(const mesh::TsvGeometry& geometry, const mesh::BlockMes
 
   const DenseMatrix weights = boundary_weights(block, bnodes, sns);
 
-  const CsrMatrix a_ff =
-      sys.stiffness.submatrix(part.free_map, part.num_free, part.free_map, part.num_free);
-  const CsrMatrix a_fb =
-      sys.stiffness.submatrix(part.free_map, part.num_free, part.bc_map, part.num_bc);
+  const CsrMatrix a_ff = split.free_block(sys.stiffness);
+  const CsrMatrix a_fb = split.coupling(sys.stiffness);
 
   assemble_span.end();
 
@@ -96,11 +90,11 @@ RomModel run_local_stage(const mesh::TsvGeometry& geometry, const mesh::BlockMes
   const idx_t num_panels = (total_rhs + kPanelWidth - 1) / kPanelWidth;
   obs::MetricRegistry::global().counter("rom.local.panels").add(num_panels);
   std::vector<Vec> basis(static_cast<std::size_t>(total_rhs));
+  const Vec no_load(static_cast<std::size_t>(num_dofs), 0.0);
 #ifdef _OPENMP
 #pragma omp parallel
 #endif
   {
-    Vec u_bc(part.num_bc), rhs_f(part.num_free);
     Vec rhs_block, bc_panel, x_panel, chol_work;
 #ifdef _OPENMP
 #pragma omp for schedule(dynamic)
@@ -113,45 +107,29 @@ RomModel run_local_stage(const mesh::TsvGeometry& geometry, const mesh::BlockMes
       bc_panel.assign(static_cast<std::size_t>(part.num_bc) * cols, 0.0);
       for (idx_t col = 0; col < cols; ++col) {
         const idx_t i = i0 + col;
+        double* u_col = bc_panel.data() + static_cast<std::size_t>(col) * part.num_bc;
+        // Basis i < n: no load, and the i-th surface-node unit displacement
+        // interpolated to every boundary mesh node (component c only) as
+        // boundary data. Thermal basis: unit thermal load, zero boundary
+        // motion (Eq. 15).
         if (i < n) {
           const idx_t m = i / 3;
           const int c = static_cast<int>(i % 3);
-          // Boundary data: the i-th surface-node unit displacement
-          // interpolated to every boundary mesh node (component c only).
-          std::fill(u_bc.begin(), u_bc.end(), 0.0);
           for (idx_t b = 0; b < static_cast<idx_t>(bnodes.size()); ++b) {
             const double w = weights(b, m);
-            if (w != 0.0) u_bc[part.bc_map[fem::dof_of(bnodes[b], c)]] = w;
-          }
-          a_fb.mul(u_bc, rhs_f);
-          la::scale(rhs_f, -1.0);
-          std::copy(u_bc.begin(), u_bc.end(),
-                    bc_panel.begin() + static_cast<std::size_t>(col) * part.num_bc);
-        } else {
-          // Thermal basis: unit thermal load, zero boundary motion (Eq. 15).
-          std::fill(rhs_f.begin(), rhs_f.end(), 0.0);
-          for (idx_t d = 0; d < num_dofs; ++d) {
-            if (part.free_map[d] >= 0) rhs_f[part.free_map[d]] = sys.thermal_load[d];
+            if (w != 0.0) u_col[part.bc_map[fem::dof_of(bnodes[b], c)]] = w;
           }
         }
-        std::copy(rhs_f.begin(), rhs_f.end(),
-                  rhs_block.begin() + static_cast<std::size_t>(col) * part.num_free);
+        split.reduce(a_fb, (i < n ? no_load : sys.thermal_load).data(), u_col,
+                     rhs_block.data() + static_cast<std::size_t>(col) * part.num_free);
       }
       x_panel.resize(static_cast<std::size_t>(part.num_free) * cols);
       chol.solve_multi_with(rhs_block.data(), x_panel.data(), cols, chol_work);
       for (idx_t col = 0; col < cols; ++col) {
-        const idx_t i = i0 + col;
-        const double* alpha_f = x_panel.data() + static_cast<std::size_t>(col) * part.num_free;
-        const double* u_col = bc_panel.data() + static_cast<std::size_t>(col) * part.num_bc;
-        Vec f(num_dofs, 0.0);
-        for (idx_t d = 0; d < num_dofs; ++d) {
-          if (part.free_map[d] >= 0) {
-            f[d] = alpha_f[part.free_map[d]];
-          } else if (i < n) {
-            f[d] = u_col[part.bc_map[d]];
-          }
-        }
-        basis[i] = std::move(f);
+        Vec& f = basis[i0 + col];
+        f.resize(static_cast<std::size_t>(num_dofs));
+        split.expand(x_panel.data() + static_cast<std::size_t>(col) * part.num_free,
+                     bc_panel.data() + static_cast<std::size_t>(col) * part.num_bc, f.data());
       }
     }
   }

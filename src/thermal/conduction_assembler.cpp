@@ -84,8 +84,8 @@ Vec assemble_power_load(const mesh::HexMesh& mesh, const PowerMap& power) {
   return rhs;
 }
 
-void add_convective_face(const mesh::HexMesh& mesh, double film_coefficient, double ambient,
-                         int face, la::TripletList& triplets, Vec& rhs) {
+void add_convective_face(const mesh::HexMesh& mesh, double film_coefficient, int face,
+                         la::TripletList& triplets) {
   if (film_coefficient <= 0.0) {
     throw std::invalid_argument("add_convective_face: film coefficient must be positive");
   }
@@ -101,14 +101,9 @@ void add_convective_face(const mesh::HexMesh& mesh, double film_coefficient, dou
       const auto nodes = mesh.elem_nodes(e);
       const int base = (face == 0) ? 0 : 4;
       for (int a = base; a < base + 4; ++a) {
-        double row_sum = 0.0;
         for (int b = base; b < base + 4; ++b) {
           triplets.add(nodes[a], nodes[b], me[a * kCondDofs + b]);
-          row_sum += me[a * kCondDofs + b];
         }
-        // The Robin rhs term is the film matrix applied to the constant
-        // ambient field, i.e. the row sum times T_amb.
-        rhs[nodes[a]] += row_sum * ambient;
       }
     }
   }

@@ -1,6 +1,6 @@
 #pragma once
 // Assembly of the steady-state conduction system K T = f over a HexMesh.
-// One DoF per node (dof = node id), so the fem Dirichlet lifting machinery
+// One DoF per node (dof = node id), so the fem Dirichlet elimination
 // applies unchanged. Heat enters through a PowerMap sampled on the z-max
 // face (the active-layer convention for dies); it leaves through a Dirichlet
 // or convective ambient boundary installed by the thermal solver.
@@ -50,10 +50,11 @@ double effective_block_capacity(const mesh::TsvGeometry& geometry,
 Vec assemble_power_load(const mesh::HexMesh& mesh, const PowerMap& power);
 
 /// Add a convective (Robin) ambient boundary on a z face: the stiffness
-/// gains the film matrix, the rhs gains film * ambient on the face nodes.
-/// `face` is 0 for z-min, 1 for z-max.
-void add_convective_face(const mesh::HexMesh& mesh, double film_coefficient, double ambient,
-                         int face, la::TripletList& triplets, Vec& rhs);
+/// gains the film matrix. The solvers work in the rise over ambient, so the
+/// film's ambient term, and with it any rhs share, is zero. `face` is 0 for
+/// z-min, 1 for z-max.
+void add_convective_face(const mesh::HexMesh& mesh, double film_coefficient, int face,
+                         la::TripletList& triplets);
 
 /// Area-weighted vertical effective conductivity of a TSV unit block
 /// (parallel Cu / liner / Si paths): the coarse array thermal mesh uses one

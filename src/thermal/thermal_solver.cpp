@@ -55,6 +55,15 @@ void publish_transient_stats(const TransientSolveStats& s) {
   obs::QueryScope::observe_seconds("thermal.transient.step_seconds", s.step_seconds);
 }
 
+/// The ideal sink: the whole z-min face held at the rise over ambient θ = 0.
+fem::DirichletBc ideal_sink(const mesh::HexMesh& mesh) {
+  fem::DirichletBc bc;
+  for (idx_t j = 0; j < mesh.nodes_y(); ++j) {
+    for (idx_t i = 0; i < mesh.nodes_x(); ++i) bc.add(mesh.node_id(i, j, 0), 0.0);
+  }
+  return bc;
+}
+
 }  // namespace
 
 TemperatureField solve_power_map(const mesh::HexMesh& mesh, const ConductivityField& conductivity,
@@ -67,54 +76,36 @@ TemperatureField solve_power_map(const mesh::HexMesh& mesh, const ConductivityFi
   MS_TRACE_SCOPE("thermal.steady.solve");
   ThermalSolveStats local;
   util::WallTimer timer;
-  la::TripletList triplets;
-  Vec rhs;
+  std::vector<Vec> cases;
   fem::DirichletBc bc;
   CsrMatrix k;
   const fem::FactorSource source{options.factor_cache, options.factor_key, options.cancel,
                                  "thermal.steady"};
-  // On a resident cache hit the operator never needs assembling — only the
-  // load vector and the constrained-dof set (the cached entry keeps the
-  // unlifted matrix for the rhs lifting).
-  const bool skip_matrix =
-      fem::factor_resident(options.method, options.factor_cache, options.factor_key);
   {
     MS_TRACE_SCOPE("thermal.steady.assemble");
-    if (!skip_matrix) {
-      triplets = conduction_triplets(mesh, conductivity.in_plane, conductivity.through_plane);
-    }
-    rhs = assemble_power_load(mesh, power);
-
-    if (options.sink_film_coefficient > 0.0) {
-      if (skip_matrix) {
-        la::TripletList film_triplets;
-        add_convective_face(mesh, options.sink_film_coefficient, options.ambient, /*face=*/0,
-                            film_triplets, rhs);
-      } else {
-        add_convective_face(mesh, options.sink_film_coefficient, options.ambient, /*face=*/0,
-                            triplets, rhs);
+    // On a resident cache hit the operator never needs assembling — only the
+    // load vector and the constrained-dof set.
+    if (!fem::factor_resident(options.method, options.factor_cache, options.factor_key)) {
+      la::TripletList triplets =
+          conduction_triplets(mesh, conductivity.in_plane, conductivity.through_plane);
+      if (options.sink_film_coefficient > 0.0) {
+        add_convective_face(mesh, options.sink_film_coefficient, /*face=*/0, triplets);
       }
-    } else {
-      // Ideal sink: the whole z-min face held at ambient.
-      for (idx_t j = 0; j < mesh.nodes_y(); ++j) {
-        for (idx_t i = 0; i < mesh.nodes_x(); ++i) {
-          bc.add(mesh.node_id(i, j, 0), options.ambient);
-        }
-      }
+      k = CsrMatrix::from_triplets(triplets);
     }
-
-    if (!skip_matrix) k = CsrMatrix::from_triplets(triplets);
+    cases.push_back(assemble_power_load(mesh, power));
+    if (options.sink_film_coefficient == 0.0) bc = ideal_sink(mesh);
   }
   local.assemble_seconds = timer.seconds();
 
-  // CG starts at the sink value.
-  std::vector<Vec> cases;
-  cases.push_back(std::move(rhs));
-  Vec t = std::move(fem::solve_linear(k, cases, bc,
-                                      {options.method, "jacobi", options.rel_tol,
-                                       options.max_iterations, options.ambient},
-                                      source, local)
-                        .front());
+  // Solve for the rise over ambient under homogeneous sink data, then add
+  // the ambient back once: a zero power map gives exactly the ambient.
+  Vec t = std::move(
+      fem::solve_linear(k, cases, bc,
+                        {options.method, "jacobi", options.rel_tol, options.max_iterations},
+                        source, local)
+          .front());
+  for (double& v : t) v += options.ambient;
   publish_steady_stats(local);
   if (stats != nullptr) *stats = local;
   return TemperatureField(mesh, std::move(t));
@@ -177,21 +168,16 @@ TransientTemperatureResult solve_power_trace(const mesh::HexMesh& mesh,
   util::WallTimer timer;
   const idx_t n = mesh.num_nodes();
 
-  // Conduction operator K (film terms included, so the Robin boundary is
-  // θ-weighted like the interior) and its constant ambient rhs share.
+  // The march is for the rise over ambient θ = T − ambient, under the same
+  // homogeneous sink data as the steady solve. Conduction operator K, film
+  // terms included, so the Robin boundary is θ-weighted like the interior.
   la::TripletList k_triplets =
       conduction_triplets(mesh, conductivity.in_plane, conductivity.through_plane);
-  Vec f_bc(static_cast<std::size_t>(n), 0.0);
   fem::DirichletBc bc;
   if (options.base.sink_film_coefficient > 0.0) {
-    add_convective_face(mesh, options.base.sink_film_coefficient, options.base.ambient,
-                        /*face=*/0, k_triplets, f_bc);
+    add_convective_face(mesh, options.base.sink_film_coefficient, /*face=*/0, k_triplets);
   } else {
-    for (idx_t j = 0; j < mesh.nodes_y(); ++j) {
-      for (idx_t i = 0; i < mesh.nodes_x(); ++i) {
-        bc.add(mesh.node_id(i, j, 0), options.base.ambient);
-      }
-    }
+    bc = ideal_sink(mesh);
   }
   const CsrMatrix k = CsrMatrix::from_triplets(k_triplets);
 
@@ -207,7 +193,7 @@ TransientTemperatureResult solve_power_trace(const mesh::HexMesh& mesh,
         capacitance_triplets(mesh, capacity_per_elem, /*lumped=*/false));
   }
 
-  // A = M/Δt + θK, assembled once, Dirichlet-lifted once, factored once.
+  // A = M/Δt + θK, assembled once; its free block is factored once.
   la::TripletList a_triplets(n, n);
   a_triplets.reserve(k_triplets.size() + (options.lumped_capacitance
                                               ? static_cast<std::size_t>(n)
@@ -227,20 +213,6 @@ TransientTemperatureResult solve_power_trace(const mesh::HexMesh& mesh,
     }
   }
   CsrMatrix a = CsrMatrix::from_triplets(a_triplets);
-
-  // The sink value is constant in time, so the Dirichlet column correction
-  // A(free, constrained) * T_sink is one fixed vector: compute it before the
-  // factor build lifts A, then subtract it from every step's rhs.
-  std::vector<char> constrained(static_cast<std::size_t>(n), 0);
-  Vec corr(static_cast<std::size_t>(n), 0.0);
-  if (!bc.dofs.empty()) {
-    Vec sink(static_cast<std::size_t>(n), 0.0);
-    for (std::size_t i = 0; i < bc.dofs.size(); ++i) {
-      sink[bc.dofs[i]] = bc.values[i];
-      constrained[bc.dofs[i]] = 1;
-    }
-    a.mul(sink, corr);
-  }
   // Power loads are linear in the map, so precompute one load vector per
   // keyframe and blend vectors per step instead of re-assembling; this is
   // assembly work, so it lands in assemble_seconds, not the stepping time.
@@ -255,13 +227,12 @@ TransientTemperatureResult solve_power_trace(const mesh::HexMesh& mesh,
   assemble_span.end();
 
   timer.reset();
-  // The stepping operator's factorization is shareable across traces: the
-  // assembly above is cheap and the correction term is already taken, so
-  // only the factor itself is memoized (Entry.matrix stays null).
+  // The stepping operator's factorization is shareable across traces, with
+  // the coupling every step's rhs is reduced against.
   const fem::FactorSource source{options.base.factor_cache, options.base.factor_key,
                                  options.base.cancel, "thermal.transient"};
-  const std::shared_ptr<const la::SparseCholesky> factor =
-      fem::fetch_factor(a, bc, source, /*keep_unlifted=*/false, local).factor;
+  const fem::DirichletSplit split(n, bc);
+  const la::FactorCache::Entry stepper = fem::fetch_factor(a, split, source, local);
 
   obs::ScopedSpan step_span("thermal.transient.step");
   timer.reset();
@@ -279,10 +250,10 @@ TransientTemperatureResult solve_power_trace(const mesh::HexMesh& mesh,
     }
   };
 
-  const double t_init = std::isnan(options.initial_temperature) ? options.base.ambient
-                                                                : options.initial_temperature;
-  Vec t(static_cast<std::size_t>(n), t_init);
-  for (std::size_t i = 0; i < bc.dofs.size(); ++i) t[bc.dofs[i]] = bc.values[i];
+  const double ambient = options.base.ambient;
+  Vec t(static_cast<std::size_t>(n),
+        std::isnan(options.initial_temperature) ? 0.0 : options.initial_temperature - ambient);
+  for (idx_t d : bc.dofs) t[d] = 0.0;
 
   const BlockAverager averager = block_averager(mesh, reduction);
   TransientTemperatureResult result;
@@ -290,7 +261,9 @@ TransientTemperatureResult solve_power_trace(const mesh::HexMesh& mesh,
   result.blocks_y = reduction.blocks_y;
   result.times.reserve(static_cast<std::size_t>(num_steps) + 1);
   result.block_delta_t.reserve(static_cast<std::size_t>(num_steps) + 1);
-  const auto record = [&](double time, const Vec& nodal) {
+  Vec nodal(static_cast<std::size_t>(n));
+  const auto record = [&](double time, const Vec& rise) {
+    for (idx_t i = 0; i < n; ++i) nodal[i] = rise[i] + ambient;
     std::vector<double> blocks = averager.reduce(nodal);
     for (double& b : blocks) b -= reduction.reference;
     result.times.push_back(time);
@@ -303,6 +276,8 @@ TransientTemperatureResult solve_power_trace(const mesh::HexMesh& mesh,
   Vec kt(static_cast<std::size_t>(n));
   Vec mt(static_cast<std::size_t>(n));
   Vec rhs(static_cast<std::size_t>(n));
+  Vec rhs_free(static_cast<std::size_t>(split.num_free()));
+  Vec t_free(rhs_free.size());
   Vec solve_scratch;  // local, so a shared cached factor is thread-safe
   power_load_at(0.0, f_prev);
   for (int step = 1; step <= num_steps; ++step) {
@@ -315,17 +290,11 @@ TransientTemperatureResult solve_power_trace(const mesh::HexMesh& mesh,
       m_consistent.mul(t, mt);
     }
     for (idx_t i = 0; i < n; ++i) {
-      rhs[i] = mt[i] / dt - (1.0 - theta) * kt[i] + theta * f_next[i] +
-               (1.0 - theta) * f_prev[i] + f_bc[i];
+      rhs[i] = mt[i] / dt - (1.0 - theta) * kt[i] + theta * f_next[i] + (1.0 - theta) * f_prev[i];
     }
-    if (!bc.dofs.empty()) {
-      for (idx_t i = 0; i < n; ++i) {
-        if (constrained[i]) continue;
-        rhs[i] -= corr[i];
-      }
-      for (std::size_t i = 0; i < bc.dofs.size(); ++i) rhs[bc.dofs[i]] = bc.values[i];
-    }
-    factor->solve_with(rhs, t, solve_scratch);
+    split.reduce(*stepper.coupling, rhs.data(), split.values().data(), rhs_free.data());
+    stepper.factor->solve_with(rhs_free, t_free, solve_scratch);
+    split.expand(t_free.data(), split.values().data(), t.data());
     // Per-step cooperative cancellation/deadline check and fault probe (the
     // `nan` action poisons the state vector; `stall` sleeps in fire()).
     options.base.cancel.check("thermal.transient.step");
@@ -364,7 +333,8 @@ TransientTemperatureResult solve_power_trace(const mesh::HexMesh& mesh,
   const double span = result.times.back() - result.times.front();
   for (double& avg : result.time_average) avg /= span;
 
-  result.final_field = TemperatureField(mesh, std::move(t));
+  // `nodal` holds the last recorded state, the ambient added back.
+  result.final_field = TemperatureField(mesh, std::move(nodal));
   return result;
 }
 

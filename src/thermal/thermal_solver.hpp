@@ -3,11 +3,14 @@
 // per-block ΔT history) out. The standard die stack-up is assumed: heat
 // enters at the z-max face (the active layer), leaves at the z-min face into
 // the heat sink / substrate — either an ideal (Dirichlet) sink at ambient or
-// a convective film — and the lateral faces are adiabatic. Steady state is
-// solved through the same linear-solve stage as the mechanical problems
-// (fem::solve_linear: CG or sparse Cholesky); the transient θ-scheme
-// factorizes M/Δt + θK once and re-solves per step, so a trace of hundreds
-// of steps costs one factorization plus that many triangular solves.
+// a convective film — and the lateral faces are adiabatic. Both solves work
+// in the rise over ambient, T − ambient, under homogeneous sink data, and add
+// the ambient back once, so zero power gives exactly the ambient. Steady
+// state is solved through the same linear-solve stage as the mechanical
+// problems (fem::solve_linear: CG or sparse Cholesky); the transient θ-scheme
+// factorizes the free block of M/Δt + θK once (fem::fetch_factor) and
+// re-solves per step, so a trace of hundreds of steps costs one
+// factorization plus that many triangular solves.
 
 #include <cstdint>
 #include <limits>

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+
 #include "fem/assembler.hpp"
 #include "la/cholesky.hpp"
 #include "mesh/grading.hpp"
@@ -28,97 +32,82 @@ TEST(DirichletBc, ClampNodesWithValues) {
   EXPECT_THROW(DirichletBc::clamp_nodes({1, 2}, {0.1}), std::invalid_argument);
 }
 
-TEST(ApplyDirichlet, ConstrainedRowsBecomeIdentity) {
-  const mesh::HexMesh m = box_mesh(2);
-  AssembledSystem sys = assemble_system(m, MaterialTable::standard());
-  Vec rhs = sys.thermal_load;
-  DirichletBc bc;
-  bc.add(0, 0.25);
-  bc.add(5, -1.0);
-  apply_dirichlet(sys.stiffness, rhs, bc);
-
-  EXPECT_DOUBLE_EQ(sys.stiffness.coeff(0, 0), 1.0);
-  EXPECT_DOUBLE_EQ(rhs[0], 0.25);
-  EXPECT_DOUBLE_EQ(rhs[5], -1.0);
-  // Row 0 is zero except the diagonal; column 0 also zeroed (symmetry kept).
-  for (idx_t j = 1; j < sys.stiffness.cols(); ++j) {
-    EXPECT_DOUBLE_EQ(sys.stiffness.coeff(0, j), 0.0);
-  }
-  for (idx_t i = 1; i < sys.stiffness.rows(); ++i) {
-    EXPECT_DOUBLE_EQ(sys.stiffness.coeff(i, 0), 0.0);
-  }
-  EXPECT_LT(sys.stiffness.symmetry_error(), 1e-9);
+/// Solve K u = f under `bc` by elimination: factor K_ff, reduce f, expand.
+Vec solve_split(const la::CsrMatrix& k, const Vec& f, const DirichletBc& bc) {
+  const DirichletSplit split(k.rows(), bc);
+  Vec reduced(static_cast<std::size_t>(split.num_free()));
+  split.reduce(split.coupling(k), f.data(), split.values().data(), reduced.data());
+  const Vec x_f = la::SparseCholesky(split.free_block(k)).solve(reduced);
+  Vec u(f.size());
+  split.expand(x_f.data(), split.values().data(), u.data());
+  return u;
 }
 
-TEST(ApplyDirichlet, SolutionHonorsPrescribedValues) {
-  const mesh::HexMesh m = box_mesh(3);
-  AssembledSystem sys = assemble_system(m, MaterialTable::standard());
-  Vec rhs = sys.thermal_load;
-  la::scale(rhs, -100.0);  // some thermal load
-
-  const DirichletBc bc = DirichletBc::clamp_nodes(m.top_bottom_nodes());
-  apply_dirichlet(sys.stiffness, rhs, bc);
-  const Vec u = la::SparseCholesky(sys.stiffness).solve(rhs);
-  for (std::size_t k = 0; k < bc.dofs.size(); ++k) {
-    EXPECT_NEAR(u[bc.dofs[k]], bc.values[k], 1e-12);
-  }
-}
-
-TEST(ApplyDirichlet, LiftingMovesLoadToRhs) {
-  // Prescribe a nonzero value and check the free equations see -A_fb * u_bc.
-  const mesh::HexMesh m = box_mesh(2);
-  AssembledSystem sys = assemble_system(m, MaterialTable::standard());
-  const la::CsrMatrix original = sys.stiffness;
-  Vec rhs(sys.num_dofs, 0.0);
-  DirichletBc bc;
-  const idx_t constrained = 4;
-  const double value = 2.5;
-  bc.add(constrained, value);
-  apply_dirichlet(sys.stiffness, rhs, bc);
-  for (idx_t r = 0; r < sys.num_dofs; ++r) {
-    if (r == constrained) continue;
-    EXPECT_NEAR(rhs[r], -original.coeff(r, constrained) * value, 1e-12);
-  }
-}
-
-TEST(ApplyDirichlet, SplitHalvesMatchFusedBitwise) {
-  // The factorization cache relies on this identity: the rhs half against
-  // the *unlifted* operator plus the matrix half must reproduce the fused
-  // apply_dirichlet exactly, bit for bit, for nonzero prescribed values.
-  const mesh::HexMesh m = box_mesh(3);
-  const AssembledSystem sys = assemble_system(m, MaterialTable::standard());
+/// Clamped top and bottom of a box, with non-zero prescribed values.
+DirichletBc moving_clamp(const mesh::HexMesh& m) {
   DirichletBc bc = DirichletBc::clamp_nodes(m.top_bottom_nodes());
   for (std::size_t k = 0; k < bc.values.size(); ++k) {
     bc.values[k] = 0.01 * static_cast<double>(k % 7) - 0.02;
   }
+  return bc;
+}
 
-  la::CsrMatrix fused_a = sys.stiffness;
-  Vec fused_rhs = sys.thermal_load;
-  apply_dirichlet(fused_a, fused_rhs, bc);
+TEST(DirichletSplit, ConstrainedEntriesEqualPrescribedValues) {
+  const mesh::HexMesh m = box_mesh(3);
+  const AssembledSystem sys = assemble_system(m, MaterialTable::standard());
+  Vec f = sys.thermal_load;
+  la::scale(f, -100.0);  // some thermal load
+  const DirichletBc bc = moving_clamp(m);
+  const Vec u = solve_split(sys.stiffness, f, bc);
+  ASSERT_EQ(u.size(), f.size());
+  for (std::size_t k = 0; k < bc.dofs.size(); ++k) EXPECT_EQ(u[bc.dofs[k]], bc.values[k]);
+}
 
-  la::CsrMatrix split_a = sys.stiffness;
-  Vec split_rhs = sys.thermal_load;
-  apply_dirichlet_rhs(split_a, split_rhs, bc);  // against the unlifted operator
-  apply_dirichlet_matrix(split_a, bc);
+TEST(DirichletSplit, FreeRowsHoldWithinRoundoff) {
+  // The reduced system K_ff x_f = f_f − K_fc g is the free rows of K u = f
+  // with u carrying g: the largest free-row residual stays within n eps of
+  // the largest row magnitude |f_r| + sum |K_rk u_k|.
+  const mesh::HexMesh m = box_mesh(3);
+  const AssembledSystem sys = assemble_system(m, MaterialTable::standard());
+  Vec f = sys.thermal_load;
+  la::scale(f, -100.0);
+  const DirichletBc bc = moving_clamp(m);
+  const Vec u = solve_split(sys.stiffness, f, bc);
 
-  ASSERT_EQ(split_rhs.size(), fused_rhs.size());
-  for (std::size_t i = 0; i < fused_rhs.size(); ++i) {
-    EXPECT_EQ(split_rhs[i], fused_rhs[i]) << "rhs mismatch at dof " << i;
+  std::vector<char> constrained(f.size(), 0);
+  for (idx_t d : bc.dofs) constrained[d] = 1;
+  const la::CsrMatrix& k = sys.stiffness;
+  double residual = 0.0;
+  double scale = 0.0;
+  for (idx_t r = 0; r < k.rows(); ++r) {
+    if (constrained[r]) continue;
+    double ku = 0.0;
+    double magnitude = std::abs(f[r]);
+    for (la::offset_t p = k.row_ptr()[r]; p < k.row_ptr()[static_cast<std::size_t>(r) + 1]; ++p) {
+      ku += k.values()[p] * u[k.col_idx()[p]];
+      magnitude += std::abs(k.values()[p] * u[k.col_idx()[p]]);
+    }
+    residual = std::max(residual, std::abs(ku - f[r]));
+    scale = std::max(scale, magnitude);
   }
-  EXPECT_EQ(split_a.values(), fused_a.values());
+  ASSERT_GT(scale, 0.0);
+  EXPECT_LE(residual,
+            static_cast<double>(k.rows()) * std::numeric_limits<double>::epsilon() * scale);
+}
 
-  // Multi-rhs overload: same identity across a panel.
-  std::vector<Vec> fused_panel = {sys.thermal_load, Vec(sys.num_dofs, 0.5)};
-  la::CsrMatrix fused_pa = sys.stiffness;
-  apply_dirichlet(fused_pa, fused_panel, bc);
-  std::vector<Vec> split_panel = {sys.thermal_load, Vec(sys.num_dofs, 0.5)};
-  la::CsrMatrix split_pa = sys.stiffness;
-  apply_dirichlet_rhs(split_pa, split_panel, bc);
-  apply_dirichlet_matrix(split_pa, bc);
-  for (std::size_t r = 0; r < fused_panel.size(); ++r) {
-    EXPECT_EQ(split_panel[r], fused_panel[r]) << "panel rhs " << r;
-  }
-  EXPECT_EQ(split_pa.values(), fused_pa.values());
+TEST(DirichletSplit, DuplicateConstraintsLastValueWins) {
+  const mesh::HexMesh m = box_mesh(2);
+  const AssembledSystem sys = assemble_system(m, MaterialTable::standard());
+  DirichletBc bc = DirichletBc::clamp_nodes(m.top_bottom_nodes());
+  bc.add(4, 0.5);
+  bc.add(4, -1.25);
+  const DirichletSplit split(sys.num_dofs, bc);
+  EXPECT_EQ(split.num_free(), sys.num_dofs - static_cast<idx_t>(3 * m.top_bottom_nodes().size()));
+  EXPECT_EQ(split.values()[split.partition().bc_map[4]], -1.25);
+  const Vec u = solve_split(sys.stiffness, sys.thermal_load, bc);
+  EXPECT_EQ(u[4], -1.25);
+  EXPECT_THROW(DirichletSplit(sys.num_dofs, DirichletBc{{sys.num_dofs}, {0.0}}),
+               std::invalid_argument);
 }
 
 TEST(PartitionDofs, SplitsAndNumbersConsistently) {

@@ -33,9 +33,7 @@ CsrMatrix laplacian_2d(idx_t m) {
 
 FactorCache::Entry build_entry(idx_t m) {
   FactorCache::Entry entry;
-  auto matrix = std::make_shared<CsrMatrix>(laplacian_2d(m));
-  entry.factor = std::make_shared<SparseCholesky>(*matrix);
-  entry.matrix = std::move(matrix);
+  entry.factor = std::make_shared<SparseCholesky>(laplacian_2d(m));
   return entry;
 }
 
@@ -45,7 +43,7 @@ TEST(FactorCache, SharedFactorSolvesConcurrentlyThroughEveryEntryPoint) {
   // bit for bit (the TSan job runs this suite, so a shared scratch races).
   FactorCache cache;
   const FactorCache::Entry entry = cache.get_or_create("k", [] { return build_entry(12); });
-  const auto n = static_cast<std::size_t>(entry.matrix->rows());
+  const auto n = static_cast<std::size_t>(entry.factor->order());
   std::vector<Vec> cases(3, Vec(n));
   for (std::size_t c = 0; c < cases.size(); ++c) {
     for (std::size_t i = 0; i < n; ++i) cases[c][i] = std::sin(0.1 * static_cast<double>(i + c));

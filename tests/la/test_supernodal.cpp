@@ -36,26 +36,22 @@ CsrMatrix tsv_block_matrix() {
   const mesh::BlockMeshSpec spec{8, 6};
   const mesh::HexMesh block = mesh::build_tsv_block_mesh(geometry, spec);
   const fem::AssembledSystem sys = fem::assemble_system(block, fem::MaterialTable::standard());
-  std::vector<idx_t> bc_dofs;
-  for (idx_t node : block.boundary_nodes()) {
-    for (int c = 0; c < 3; ++c) bc_dofs.push_back(3 * node + c);
-  }
-  const fem::DofPartition part = fem::partition_dofs(sys.num_dofs, bc_dofs);
-  return sys.stiffness.submatrix(part.free_map, part.num_free, part.free_map, part.num_free);
+  return fem::DirichletSplit(sys.num_dofs, fem::DirichletBc::clamp_nodes(block.boundary_nodes()))
+      .free_block(sys.stiffness);
 }
 
-/// Clamped coarse package stiffness — the scenario-2 direct solve (shrunk
-/// mesh so the test stays fast; same structure as the production matrix).
+/// Free block of the bottom-clamped coarse package stiffness — what the
+/// scenario-2 direct solve factors (shrunk mesh so the test stays fast; same
+/// structure as the production matrix).
 CsrMatrix package_matrix() {
   const chiplet::PackageGeometry geometry = chiplet::demo_package_geometry(15.0, 6, 50.0);
   const chiplet::CoarseMeshSpec spec{10, 10, 2, 2, 2};
   const mesh::HexMesh mesh = chiplet::build_package_coarse_mesh(geometry, spec);
-  fem::AssembledSystem sys = fem::assemble_system(mesh, chiplet::package_materials());
+  const fem::AssembledSystem sys = fem::assemble_system(mesh, chiplet::package_materials());
   std::vector<idx_t> bottom;
   for (idx_t id = 0; id < mesh.nodes_x() * mesh.nodes_y(); ++id) bottom.push_back(id);
-  Vec rhs(sys.num_dofs, 0.0);
-  fem::apply_dirichlet(sys.stiffness, rhs, fem::DirichletBc::clamp_nodes(bottom));
-  return sys.stiffness;
+  return fem::DirichletSplit(sys.num_dofs, fem::DirichletBc::clamp_nodes(bottom))
+      .free_block(sys.stiffness);
 }
 
 void expect_factors_match(const CsrMatrix& a, double tol) {

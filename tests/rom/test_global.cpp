@@ -467,8 +467,9 @@ TEST(GlobalSolver, CgAtIterationCapThrowsDidNotConverge) {
 }
 
 TEST(GlobalSolver, RejectsRhsOfOtherSize) {
-  // The lifting reads one rhs entry per operator row; a short primary rhs
-  // used to be caught only by an assert, which release builds compile out.
+  // The elimination reads one rhs entry per operator row; a short primary
+  // rhs used to be caught only by an assert, which release builds compile
+  // out.
   const BlockGrid grid = make_grid(2, 2);
   for (const char* method : {"cg", "direct"}) {
     GlobalSolveOptions options;
@@ -507,13 +508,17 @@ TEST(GlobalSolver, DirectPanelIsBitIdenticalWithoutCacheColdAndWarm) {
   // The one direct-solve path: a call without a cache, a cold cache, and a
   // warm cache whose caller leaves the operator unassembled solve the same
   // 3-case panel bit for bit from the same factor. Non-zero boundary values
-  // make the rhs half of the lifting non-trivial.
+  // make the coupling term f_f − K_fc g non-trivial, and a warm hit under a
+  // second boundary field (the path warm sub-model hits take) must equal
+  // that field's own uncached solve.
   const BlockGrid grid = make_grid(3, 2);
-  const std::function<std::array<double, 3>(const mesh::Point3&)> field =
-      [](const mesh::Point3& p) {
-        return std::array<double, 3>{1e-3 * p.x, -2e-3 * p.y, 5e-4 * p.z};
-      };
-  const fem::DirichletBc bc = submodel_boundary(grid, field);
+  const auto boundary = [&](double sx, double sy, double sz) {
+    return submodel_boundary(grid, [=](const mesh::Point3& p) {
+      return std::array<double, 3>{sx * p.x, sy * p.y, sz * p.z};
+    });
+  };
+  const fem::DirichletBc bc = boundary(1e-3, -2e-3, 5e-4);
+  const fem::DirichletBc other_bc = boundary(-4e-4, 7e-4, 3e-3);
   const BlockLoadField hot(3, 2, Vec{-250.0, -200.0, -150.0, -120.0, -90.0, -60.0});
   const auto extra_rhs = [&] {
     return std::vector<Vec>{
@@ -523,46 +528,66 @@ TEST(GlobalSolver, DirectPanelIsBitIdenticalWithoutCacheColdAndWarm) {
   GlobalSolveOptions options;
   options.method = "direct";
 
-  GlobalProblem plain = assemble_global(grid, tsv_model(), nullptr, {}, -250.0);
+  const GlobalProblem assembled = assemble_global(grid, tsv_model(), nullptr, {}, -250.0);
+  GlobalProblem plain = assembled;
   GlobalSolveStats plain_stats;
   const std::vector<Vec> expected =
       solve_global_multi(plain, extra_rhs(), bc, options, &plain_stats);
   ASSERT_EQ(expected.size(), 3u);
-  // Without a cache the caller's operator is left lifted, as apply_dirichlet
-  // leaves it (and no unlifted copy exists to hold instead).
-  GlobalProblem lifted = assemble_global(grid, tsv_model(), nullptr, {}, -250.0);
-  fem::apply_dirichlet(lifted.stiffness, lifted.rhs, bc);
-  EXPECT_EQ(plain.stiffness.row_ptr(), lifted.stiffness.row_ptr());
-  EXPECT_EQ(plain.stiffness.col_idx(), lifted.stiffness.col_idx());
-  EXPECT_EQ(plain.stiffness.values(), lifted.stiffness.values());
-  EXPECT_EQ(plain.rhs, lifted.rhs);
+  // Without a cache the caller's operator is left holding the free block
+  // K_ff it factored (the benchmark's replay factors it again to count
+  // flops), and the primary rhs is handed back as passed.
+  const fem::DofPartition part = fem::partition_dofs(assembled.num_dofs, bc.dofs);
+  const la::CsrMatrix k_ff =
+      assembled.stiffness.submatrix(part.free_map, part.num_free, part.free_map, part.num_free);
+  EXPECT_EQ(plain.stiffness.rows(), k_ff.rows());
+  EXPECT_EQ(plain.stiffness.cols(), k_ff.cols());
+  EXPECT_EQ(plain.stiffness.row_ptr(), k_ff.row_ptr());
+  EXPECT_EQ(plain.stiffness.col_idx(), k_ff.col_idx());
+  EXPECT_EQ(plain.stiffness.values(), k_ff.values());
+  EXPECT_EQ(plain.rhs, assembled.rhs);
+  GlobalProblem other_plain = assembled;
+  const std::vector<Vec> other_expected =
+      solve_global_multi(other_plain, extra_rhs(), other_bc, options);
 
   la::FactorCache cache;
   options.factor_cache = &cache;
   options.factor_key = "global";
-  GlobalProblem cold = assemble_global(grid, tsv_model(), nullptr, {}, -250.0);
+  GlobalProblem cold = assembled;
   GlobalSolveStats cold_stats;
   const std::vector<Vec> cold_x = solve_global_multi(cold, extra_rhs(), bc, options, &cold_stats);
-  GlobalProblem warm;  // resident key: the load vectors only
-  warm.num_dofs = grid.num_dofs();
-  warm.rhs = assemble_global_rhs(grid, tsv_model(), nullptr, {}, BlockLoadField::uniform(-250.0));
+  const auto warm_problem = [&] {  // resident key: the load vectors only
+    GlobalProblem warm;
+    warm.num_dofs = grid.num_dofs();
+    warm.rhs = assembled.rhs;
+    return warm;
+  };
+  GlobalProblem warm = warm_problem();
   GlobalSolveStats warm_stats;
   const std::vector<Vec> warm_x = solve_global_multi(warm, extra_rhs(), bc, options, &warm_stats);
+  GlobalProblem other_warm = warm_problem();
+  GlobalSolveStats other_stats;
+  const std::vector<Vec> other_x =
+      solve_global_multi(other_warm, extra_rhs(), other_bc, options, &other_stats);
 
   EXPECT_EQ(cold_x, expected);
   EXPECT_EQ(warm_x, expected);
-  for (const GlobalSolveStats* s : {&cold_stats, &warm_stats}) {
+  EXPECT_EQ(other_x, other_expected);
+  EXPECT_NE(other_x, expected);
+  for (const GlobalSolveStats* s : {&cold_stats, &warm_stats, &other_stats}) {
     EXPECT_EQ(s->factor_nnz, plain_stats.factor_nnz);
     EXPECT_EQ(s->fill_ratio, plain_stats.fill_ratio);
     EXPECT_EQ(s->num_supernodes, plain_stats.num_supernodes);
     EXPECT_EQ(s->ordering, plain_stats.ordering);
+    EXPECT_EQ(s->num_dofs, assembled.num_dofs);
   }
   EXPECT_GT(plain_stats.factor_nnz, 0);
   EXPECT_EQ(plain_stats.num_factorizations, 1);
   EXPECT_EQ(cold_stats.num_factorizations, 1);
   EXPECT_EQ(warm_stats.num_factorizations, 0);
+  EXPECT_EQ(other_stats.num_factorizations, 0);
   EXPECT_EQ(cache.misses(), 1u);
-  EXPECT_EQ(cache.hits(), 1u);
+  EXPECT_EQ(cache.hits(), 2u);
 }
 
 TEST(Reconstruct, RegionShapesAndSubregion) {

@@ -1,18 +1,24 @@
-// Seeded reference-free invariants of array scenarios, checked through
-// simulate(spec) on a small direct-solver configuration. The clamped array
-// problem and the conduction problem are linear, so the relations below need
-// no fine-FEM reference:
+// Seeded reference-free invariants of array and sub-model scenarios, checked
+// through simulate(spec) on a small direct-solver configuration. The clamped
+// array problem, the clamped package problem and the conduction problem are
+// linear, so the relations below need no fine-FEM reference:
 //
-//   - zero load gives exactly zero stress;
+//   - zero load gives exactly zero stress: a uniform ΔT of 0, and zero power
+//     in the steady, transient and fatigue analyses (conduction solves for
+//     the rise over ambient, so zero power leaves exactly the ambient);
 //   - scaling the load by 1/2 halves every stress component exactly (a
 //     power-of-two scale commutes with every rounding), and by 0.3 within
 //     kTolEps machine epsilons of the field's largest component;
+//   - doubling a trace's power doubles the transient and fatigue stress
+//     within kTolEps (the ambient is added back before the block reduction,
+//     so ΔT doubles only to rounding);
 //   - steady power maps superpose on the stress tensors (von Mises is not
 //     linear, so tensors are compared): s(a,h) + s(0,0) = s(a,0) + s(0,h);
 //   - an x-mirrored hotspot gives the x-mirrored field (xz and xy flip sign).
 //
-// Sub-model rows are absent on purpose: the sub-model's boundary data does
-// not yet follow the window's own load (ROADMAP item 1).
+// Sub-model rows cover the uniform load only: its boundary displacement is
+// the package's, scaled to the spec's ΔT. Power and trace sub-models still
+// take the package's displacement at the package's own load.
 
 #include <gtest/gtest.h>
 
@@ -24,6 +30,7 @@
 #include <utility>
 #include <vector>
 
+#include "chiplet/package_model.hpp"
 #include "core/simulator.hpp"
 #include "sweep/scenario_result.hpp"
 #include "sweep/scenario_spec.hpp"
@@ -36,7 +43,7 @@ using Field = std::vector<fem::Stress6>;
 constexpr double kEps = std::numeric_limits<double>::epsilon();
 /// Bound on an inexact relation, in machine epsilons of the field's
 /// largest component. The measured residuals are about 1 eps (0.3 scaling),
-/// 10 eps (superposition) and 26 eps (mirror).
+/// 10 eps (superposition), 26 eps (mirror) and a few eps (power x2).
 constexpr double kTolEps = 128.0;
 constexpr int kEdge = 4;
 constexpr int kSamples = 8;  ///< samples per block edge
@@ -56,13 +63,25 @@ core::MoreStressSimulator& simulator() {
   return sim;
 }
 
+double max_abs(const Field& f) {
+  double m = 0.0;
+  for (const fem::Stress6& s : f) {
+    for (double v : s) m = std::max(m, std::abs(v));
+  }
+  return m;
+}
+
+Field stress_of(const ScenarioSpec& spec) {
+  const ScenarioResult r = simulator().simulate(spec);
+  EXPECT_FALSE(r.failed()) << r.error.message;
+  return r.failed() ? Field{} : r.base().stress;
+}
+
 Field uniform_stress(double delta_t) {
   ScenarioSpec spec;
   spec.blocks_x = spec.blocks_y = kEdge;
   spec.delta_t = delta_t;
-  const ScenarioResult r = simulator().simulate(spec);
-  EXPECT_FALSE(r.failed()) << r.error.message;
-  return r.base().stress;
+  return stress_of(spec);
 }
 
 Field power_stress(double background, double hotspot_peak, double hotspot_x, double hotspot_y) {
@@ -73,17 +92,51 @@ Field power_stress(double background, double hotspot_peak, double hotspot_x, dou
   spec.power.hotspot_peak = hotspot_peak;
   spec.power.hotspot_x = hotspot_x;
   spec.power.hotspot_y = hotspot_y;
-  const ScenarioResult r = simulator().simulate(spec);
-  EXPECT_FALSE(r.failed()) << r.error.message;
-  return r.base().stress;
+  return stress_of(spec);
 }
 
-double max_abs(const Field& f) {
-  double m = 0.0;
+/// Stress at the peak envelope of the declarative square-wave trace between
+/// idle and the power map (background, centred hotspot peak).
+Field trace_stress(AnalysisKind analysis, double background, double hotspot_peak) {
+  ScenarioSpec spec;
+  spec.blocks_x = spec.blocks_y = kEdge;
+  spec.analysis = analysis;
+  spec.load = LoadKind::kTrace;
+  spec.power.background = background;
+  spec.power.hotspot_peak = hotspot_peak;
+  return stress_of(spec);
+}
+
+/// A 2x2 sub-model padded by one dummy ring, in the demo package solved at
+/// the config's own load (built once and shared, as the sweep engine does).
+Field submodel_stress(double delta_t) {
+  static const std::shared_ptr<const chiplet::PackageModel> package = [] {
+    const core::SimulationConfig& config = simulator().config();
+    return chiplet::build_demo_package(config.geometry.pitch, 4, config.geometry.height,
+                                       config.thermal_load);
+  }();
+  ScenarioSpec spec;
+  spec.kind = ScenarioKind::kSubmodel;
+  spec.blocks_x = spec.blocks_y = 2;
+  spec.dummy_rings = 1;
+  spec.delta_t = delta_t;
+  spec.package = package;
+  return stress_of(spec);
+}
+
+void expect_all_zero(const Field& f) {
+  ASSERT_FALSE(f.empty());
   for (const fem::Stress6& s : f) {
-    for (double v : s) m = std::max(m, std::abs(v));
+    for (double v : s) ASSERT_EQ(v, 0.0);
   }
-  return m;
+}
+
+void expect_exact_half(const Field& half, const Field& full) {
+  ASSERT_EQ(half.size(), full.size());
+  ASSERT_GT(max_abs(full), 0.0);
+  for (std::size_t p = 0; p < full.size(); ++p) {
+    for (int c = 0; c < fem::kVoigt; ++c) ASSERT_EQ(half[p][c], 0.5 * full[p][c]);
+  }
 }
 
 /// max |a - b| over every component, each side a signed sum of fields.
@@ -129,9 +182,8 @@ TEST(ScenarioInvariants, ArrayRelationsHoldWithoutReference) {
 
   const Field zero = uniform_stress(0.0);
   ASSERT_EQ(zero.size(), static_cast<std::size_t>(kEdge * kEdge * kSamples * kSamples));
-  for (const fem::Stress6& s : zero) {
-    for (double v : s) ASSERT_EQ(v, 0.0);
-  }
+  expect_all_zero(zero);
+  expect_all_zero(power_stress(0.0, 0.0, 0.5, 0.5));
 
   for (int draw = 0; draw < 2; ++draw) {
     SCOPED_TRACE("draw " + std::to_string(draw));
@@ -140,12 +192,8 @@ TEST(ScenarioInvariants, ArrayRelationsHoldWithoutReference) {
     const Field full = uniform_stress(dt);
     const Field half = uniform_stress(0.5 * dt);
     const Field scaled = uniform_stress(0.3 * dt);
-    const double scale = max_abs(full);
-    ASSERT_GT(scale, 0.0);
-    for (std::size_t p = 0; p < full.size(); ++p) {
-      for (int c = 0; c < fem::kVoigt; ++c) ASSERT_EQ(half[p][c], 0.5 * full[p][c]);
-    }
-    EXPECT_LE(max_diff({{1.0, &scaled}}, {{0.3, &full}}), kTolEps * kEps * scale);
+    expect_exact_half(half, full);
+    EXPECT_LE(max_diff({{1.0, &scaled}}, {{0.3, &full}}), kTolEps * kEps * max_abs(full));
 
     // Superposition of steady power maps: background a, hotspot peak h.
     const double a = background(rng);
@@ -165,6 +213,32 @@ TEST(ScenarioInvariants, ArrayRelationsHoldWithoutReference) {
     const Field mirrored = mirror_x(power_stress(0.0, h, 1.0 - x, y));
     EXPECT_LE(max_diff({{1.0, &mirrored}}, {{1.0, &only_h}}), kTolEps * kEps * max_abs(only_h));
   }
+}
+
+TEST(ScenarioInvariants, TraceRelationsHoldWithoutReference) {
+  std::mt19937_64 rng(20261019);
+  std::uniform_real_distribution<double> background(5.0, 40.0);
+  std::uniform_real_distribution<double> peak(50.0, 300.0);
+  const double a = background(rng);
+  const double h = peak(rng);
+  for (const AnalysisKind analysis : {AnalysisKind::kTransient, AnalysisKind::kFatigue}) {
+    SCOPED_TRACE(to_string(analysis));
+    expect_all_zero(trace_stress(analysis, 0.0, 0.0));
+    const Field once = trace_stress(analysis, a, h);
+    const Field twice = trace_stress(analysis, 2.0 * a, 2.0 * h);
+    ASSERT_EQ(once.size(), twice.size());
+    const double scale = max_abs(twice);
+    ASSERT_GT(scale, 0.0);
+    EXPECT_LE(max_diff({{1.0, &twice}}, {{2.0, &once}}), kTolEps * kEps * scale);
+  }
+}
+
+TEST(ScenarioInvariants, SubmodelRelationsHoldWithoutReference) {
+  std::mt19937_64 rng(20261020);
+  std::uniform_real_distribution<double> delta_t(-300.0, -200.0);
+  expect_all_zero(submodel_stress(0.0));
+  const double dt = delta_t(rng);
+  expect_exact_half(submodel_stress(0.5 * dt), submodel_stress(dt));
 }
 
 }  // namespace

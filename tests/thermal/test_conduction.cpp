@@ -142,7 +142,8 @@ TEST(ConductionSlab, CgAndDirectAgree) {
 TEST(ConductionSlab, DirectSolveIsBitIdenticalWithoutCacheColdAndWarm) {
   // The one direct-solve path: no cache, a cold cache, and a warm cache (the
   // resident key skips the operator assembly) give the same field bit for
-  // bit from the same factor. The ambient sink makes the lifting non-trivial.
+  // bit from the same factor. The sink temperature is not in the key: a warm
+  // hit at another ambient equals that ambient's own uncached solve.
   const mesh::HexMesh mesh = bar_mesh(20.0, 50.0, 3, 4);
   const ConductivityField conductivities = isotropic(mesh, 149.0);
   PowerMap power(2, 2, 20.0, 20.0, 1.0);
@@ -154,6 +155,9 @@ TEST(ConductionSlab, DirectSolveIsBitIdenticalWithoutCacheColdAndWarm) {
   ThermalSolveStats plain_stats;
   const TemperatureField expected =
       solve_power_map(mesh, conductivities, power, options, &plain_stats);
+  ThermalSolveOptions other = options;
+  other.ambient = 10.0;
+  const TemperatureField other_expected = solve_power_map(mesh, conductivities, power, other);
 
   la::FactorCache cache;
   options.factor_cache = &cache;
@@ -161,10 +165,17 @@ TEST(ConductionSlab, DirectSolveIsBitIdenticalWithoutCacheColdAndWarm) {
   ThermalSolveStats cold_stats, warm_stats;
   const TemperatureField cold = solve_power_map(mesh, conductivities, power, options, &cold_stats);
   const TemperatureField warm = solve_power_map(mesh, conductivities, power, options, &warm_stats);
+  other.factor_cache = &cache;
+  other.factor_key = options.factor_key;
+  ThermalSolveStats other_stats;
+  const TemperatureField other_warm =
+      solve_power_map(mesh, conductivities, power, other, &other_stats);
 
   EXPECT_EQ(cold.nodal(), expected.nodal());
   EXPECT_EQ(warm.nodal(), expected.nodal());
-  for (const ThermalSolveStats* s : {&cold_stats, &warm_stats}) {
+  EXPECT_EQ(other_warm.nodal(), other_expected.nodal());
+  EXPECT_NE(other_warm.nodal(), expected.nodal());
+  for (const ThermalSolveStats* s : {&cold_stats, &warm_stats, &other_stats}) {
     EXPECT_EQ(s->factor_nnz, plain_stats.factor_nnz);
     EXPECT_EQ(s->fill_ratio, plain_stats.fill_ratio);
     EXPECT_EQ(s->num_supernodes, plain_stats.num_supernodes);
@@ -174,7 +185,8 @@ TEST(ConductionSlab, DirectSolveIsBitIdenticalWithoutCacheColdAndWarm) {
   EXPECT_EQ(plain_stats.num_factorizations, 1);
   EXPECT_EQ(cold_stats.num_factorizations, 1);
   EXPECT_EQ(warm_stats.num_factorizations, 0);
-  EXPECT_EQ(cache.hits(), 1u);
+  EXPECT_EQ(other_stats.num_factorizations, 0);
+  EXPECT_EQ(cache.hits(), 2u);
 }
 
 TEST(EffectiveConductivity, LiesBetweenConstituentsAndExceedsSilicon) {

@@ -219,7 +219,9 @@ TEST(TransientConduction, PeakEnvelopeDominatesEveryRecordedState) {
 TEST(TransientConduction, StepperIsBitIdenticalWithoutCacheColdAndWarm) {
   // The stepper takes its factor through the one factor-fetching path: no
   // cache, a cold cache and a warm cache march the same history bit for bit
-  // from the same factor of M/dt + theta K.
+  // from the same factor of M/dt + theta K. The sink temperature is not in
+  // the key: a warm hit at another ambient equals that ambient's own
+  // uncached march.
   const mesh::HexMesh mesh = bar_mesh(30.0, 50.0, 3, 4);
   const ConductivityField k = isotropic(mesh, 149.0);
   const la::Vec c(static_cast<std::size_t>(mesh.num_elems()), 1.63e6);
@@ -238,6 +240,10 @@ TEST(TransientConduction, StepperIsBitIdenticalWithoutCacheColdAndWarm) {
   TransientSolveStats plain_stats;
   const TransientTemperatureResult expected =
       solve_power_trace(mesh, k, c, trace, reduction, options, &plain_stats);
+  TransientSolveOptions other = options;
+  other.base.ambient = 40.0;
+  const TransientTemperatureResult other_expected =
+      solve_power_trace(mesh, k, c, trace, reduction, other);
 
   la::FactorCache cache;
   options.base.factor_cache = &cache;
@@ -247,12 +253,20 @@ TEST(TransientConduction, StepperIsBitIdenticalWithoutCacheColdAndWarm) {
       solve_power_trace(mesh, k, c, trace, reduction, options, &cold_stats);
   const TransientTemperatureResult warm =
       solve_power_trace(mesh, k, c, trace, reduction, options, &warm_stats);
+  other.base.factor_cache = &cache;
+  other.base.factor_key = options.base.factor_key;
+  TransientSolveStats other_stats;
+  const TransientTemperatureResult other_warm =
+      solve_power_trace(mesh, k, c, trace, reduction, other, &other_stats);
 
   for (const TransientTemperatureResult* r : {&cold, &warm}) {
     EXPECT_EQ(r->block_delta_t, expected.block_delta_t);
     EXPECT_EQ(r->final_field.nodal(), expected.final_field.nodal());
   }
-  for (const TransientSolveStats* s : {&cold_stats, &warm_stats}) {
+  EXPECT_EQ(other_warm.block_delta_t, other_expected.block_delta_t);
+  EXPECT_EQ(other_warm.final_field.nodal(), other_expected.final_field.nodal());
+  EXPECT_NE(other_warm.block_delta_t, expected.block_delta_t);
+  for (const TransientSolveStats* s : {&cold_stats, &warm_stats, &other_stats}) {
     EXPECT_EQ(s->factor_nnz, plain_stats.factor_nnz);
     EXPECT_EQ(s->fill_ratio, plain_stats.fill_ratio);
     EXPECT_EQ(s->num_supernodes, plain_stats.num_supernodes);
@@ -262,7 +276,8 @@ TEST(TransientConduction, StepperIsBitIdenticalWithoutCacheColdAndWarm) {
   EXPECT_EQ(plain_stats.num_factorizations, 1);
   EXPECT_EQ(cold_stats.num_factorizations, 1);
   EXPECT_EQ(warm_stats.num_factorizations, 0);
-  EXPECT_EQ(cache.hits(), 1u);
+  EXPECT_EQ(other_stats.num_factorizations, 0);
+  EXPECT_EQ(cache.hits(), 2u);
 }
 
 TEST(TransientConduction, RejectsBadOptions) {
