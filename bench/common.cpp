@@ -1,6 +1,9 @@
 #include "common.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <limits>
 #include <stdexcept>
 
 #include "obs/obs_cli.hpp"
@@ -156,6 +159,29 @@ std::vector<int> parse_int_list(const std::string& text) {
     pos = comma + 1;
   }
   if (out.empty()) throw std::invalid_argument("expected a comma-separated integer list");
+  return out;
+}
+
+double OverheadSamples::ratio() const {
+  return enabled_seconds / std::max(disabled_seconds, 1e-12);
+}
+
+OverheadSamples measure_overhead(double one_run_seconds,
+                                 const std::function<void(bool enabled)>& set_enabled,
+                                 const std::function<void()>& run) {
+  OverheadSamples out;
+  out.repeats = std::max(1, static_cast<int>(std::ceil(0.5 / std::max(one_run_seconds, 1e-3))));
+  const auto sample = [&](bool enabled) {
+    set_enabled(enabled);
+    util::WallTimer timer;
+    for (int r = 0; r < out.repeats; ++r) run();
+    return timer.seconds();
+  };
+  out.disabled_seconds = out.enabled_seconds = std::numeric_limits<double>::infinity();
+  for (int rep = 0; rep < 3; ++rep) {
+    out.disabled_seconds = std::min(out.disabled_seconds, sample(false));
+    out.enabled_seconds = std::min(out.enabled_seconds, sample(true));
+  }
   return out;
 }
 

@@ -5,6 +5,7 @@
 // (ANSYS-substitute reference / linear superposition / MORE-Stress) whose
 // rows the tables print.
 
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -66,5 +67,22 @@ void print_table1_block(double pitch, const std::vector<ArrayCaseResult>& result
 
 /// Parse a comma-separated list of integers ("10,15,20").
 std::vector<int> parse_int_list(const std::string& text);
+
+/// Wall time of the same work with instrumentation off and on, long enough
+/// for their ratio to resolve a few percent: each sample runs the work
+/// `repeats` times, sized from `one_run_seconds` (an untimed warm-up run's
+/// wall time) so a sample lasts at least 0.5 s at the warm-up's pace. Off
+/// and on samples alternate, and each side keeps its fastest of 3.
+struct OverheadSamples {
+  int repeats = 1;
+  double disabled_seconds = 0.0;  ///< the fastest sample with instrumentation off
+  double enabled_seconds = 0.0;   ///< the fastest sample with instrumentation on
+  [[nodiscard]] double ratio() const;
+};
+/// `set_enabled` switches the instrumentation; the last `run` is an enabled
+/// one, and the caller restores the state afterwards.
+OverheadSamples measure_overhead(double one_run_seconds,
+                                 const std::function<void(bool enabled)>& set_enabled,
+                                 const std::function<void()>& run);
 
 }  // namespace ms::bench

@@ -147,27 +147,34 @@ int main(int argc, char** argv) {
               num_scenarios, warm_stats.wall_seconds, warm_qps, warm_qps / cold_qps,
               static_cast<long long>(warm_factorizations), pareto_count);
 
-  // --- fully-enabled telemetry pass: same warm caches, everything on -------
+  // --- telemetry overhead: same warm caches, everything on vs off ---------
   // Span tracing + flight recorder (the event log is on the whole run when
-  // --events-jsonl is given, so it cancels out of the ratio). The gate in
-  // tools/bench_gate.py holds telemetry_overhead_ratio to <= 1.05.
+  // --events-jsonl is given, so it cancels out of the ratio). The warm pass
+  // above is the warm-up that sizes each sample (bench::measure_overhead).
+  // The gate in tools/bench_gate.py holds telemetry_overhead_ratio to <= 1.05.
   const bool was_tracing = ms::obs::tracing_enabled();
-  ms::obs::set_tracing_enabled(true);
-  ms::obs::FlightRecorder::set_enabled(true);
-  ms::sweep::SweepStats telemetry_stats;
-  const std::vector<ms::sweep::ScenarioResult> telemetry_pass =
-      engine.run(specs, &telemetry_stats);
+  ms::sweep::SweepStats telemetry_stats;  // of the last pass, an enabled one
+  std::int64_t attributed_hits = 0;
+  const ms::bench::OverheadSamples samples = ms::bench::measure_overhead(
+      warm_stats.wall_seconds,
+      [](bool enabled) {
+        ms::obs::set_tracing_enabled(enabled);
+        ms::obs::FlightRecorder::set_enabled(enabled);
+      },
+      [&] {
+        attributed_hits = 0;
+        for (const ms::sweep::ScenarioResult& r : engine.run(specs, &telemetry_stats)) {
+          attributed_hits += r.telemetry.count("la.factor_cache.hits");
+        }
+      });
   ms::obs::set_tracing_enabled(was_tracing);
   ms::obs::FlightRecorder::set_enabled(false);
-  std::int64_t attributed_hits = 0;
-  for (const ms::sweep::ScenarioResult& r : telemetry_pass) {
-    attributed_hits += r.telemetry.count("factor_cache.hits");
-  }
-  const double telemetry_ratio = telemetry_stats.wall_seconds / warm_stats.wall_seconds;
-  std::printf("\n=== telemetry on (tracing + flight recorder + attribution) ===\n");
-  std::printf("%d queries in %.3f s (%.3fx warm baseline); "
+  std::printf("\n=== telemetry on (tracing + flight recorder + attribution), "
+              "%d passes per sample, min of 3 ===\n",
+              samples.repeats);
+  std::printf("off %.3f s, on %.3f s (%.3fx); last pass: "
               "%lld attributed factor-cache hits (global delta %llu)\n",
-              num_scenarios, telemetry_stats.wall_seconds, telemetry_ratio,
+              samples.disabled_seconds, samples.enabled_seconds, samples.ratio(),
               static_cast<long long>(attributed_hits),
               static_cast<unsigned long long>(telemetry_stats.factor_cache_hits));
 
@@ -191,9 +198,10 @@ int main(int argc, char** argv) {
             .set("num_factorizations", warm_factorizations)
             .set("pareto_count", pareto_count)
             .set("bitwise_identical", bitwise ? 1 : 0)
-            .set("telemetry_disabled_seconds", warm_stats.wall_seconds)
-            .set("telemetry_enabled_seconds", telemetry_stats.wall_seconds)
-            .set("telemetry_overhead_ratio", telemetry_ratio));
+            .set("telemetry_repeats", samples.repeats)
+            .set("telemetry_disabled_seconds", samples.disabled_seconds)
+            .set("telemetry_enabled_seconds", samples.enabled_seconds)
+            .set("telemetry_overhead_ratio", samples.ratio()));
     ms::util::write_bench_json(json_path, "sweep", records);
     std::printf("\nwrote %s (%d cases)\n", json_path.c_str(), static_cast<int>(records.size()));
   }

@@ -309,10 +309,12 @@ int main(int argc, char** argv) {
                           .set("memory_bytes", result.stats.memory_bytes));
   }
 
-  // --- tracing overhead: instrumented vs disabled, min of 3 ----------------
+  // --- tracing overhead: instrumented vs disabled ---------------------------
   // Gated by tools/bench_gate.py: the span/metric layer must stay within a
-  // few percent of the untraced pipeline. Min-of-3 suppresses scheduler
-  // noise; the same solve runs in both states so the work is identical.
+  // few percent of the untraced pipeline. One solve lasts tens of
+  // milliseconds, so each sample repeats it to half a second (see
+  // bench::measure_overhead); the same solve runs in both states so the work
+  // is identical.
   {
     const int edge = ms::bench::parse_int_list(cli.get_string("sizes")).front();
     ms::thermal::PowerMap power = ms::thermal::PowerMap::per_block(
@@ -321,30 +323,23 @@ int main(int argc, char** argv) {
     power.add_gaussian_hotspot(mid, mid, 1.5 * config.geometry.pitch, cli.get_double("peak"));
     const ms::sweep::ScenarioSpec spec = power_spec(edge, power);
     const bool was_enabled = ms::obs::tracing_enabled();
-    const auto min_of_3 = [&](bool traced) {
-      ms::obs::set_tracing_enabled(traced);
-      double best = 0.0;
-      for (int rep = 0; rep < 3; ++rep) {
-        ms::util::WallTimer timer;  // wall clock: the registry cannot time itself
-        (void)sim.simulate(spec);
-        const double seconds = timer.seconds();
-        if (rep == 0 || seconds < best) best = seconds;
-      }
-      return best;
-    };
-    const double disabled_seconds = min_of_3(false);
-    const double enabled_seconds = min_of_3(true);
+    ms::util::WallTimer warmup;  // wall clock: the registry cannot time itself
+    (void)sim.simulate(spec);
+    const ms::bench::OverheadSamples samples = ms::bench::measure_overhead(
+        warmup.seconds(), [](bool traced) { ms::obs::set_tracing_enabled(traced); },
+        [&] { (void)sim.simulate(spec); });
     ms::obs::set_tracing_enabled(was_enabled);
-    const double ratio = enabled_seconds / std::max(disabled_seconds, 1e-12);
-    std::printf("\n=== tracing overhead (array %dx%d, min of 3) ===\n", edge, edge);
-    std::printf("disabled %.3f s, enabled %.3f s -> ratio %.3f\n", disabled_seconds,
-                enabled_seconds, ratio);
+    std::printf("\n=== tracing overhead (array %dx%d, %d solves per sample, min of 3) ===\n",
+                edge, edge, samples.repeats);
+    std::printf("disabled %.3f s, enabled %.3f s -> ratio %.3f\n", samples.disabled_seconds,
+                samples.enabled_seconds, samples.ratio());
     records.push_back(ms::util::JsonObject()
                           .set("scenario", "trace_overhead")
                           .set("edge", edge)
-                          .set("disabled_seconds", disabled_seconds)
-                          .set("enabled_seconds", enabled_seconds)
-                          .set("trace_overhead_ratio", ratio));
+                          .set("repeats", samples.repeats)
+                          .set("disabled_seconds", samples.disabled_seconds)
+                          .set("enabled_seconds", samples.enabled_seconds)
+                          .set("trace_overhead_ratio", samples.ratio()));
   }
 
   const std::string json_path = cli.get_string("json");

@@ -6,11 +6,11 @@ namespace ms::core {
 
 void CancelToken::check_slow(const char* stage) const {
   if (cancelled()) {
-    obs::MetricRegistry::global().counter("robustness.cancelled").add(1);
+    obs::count("robustness.cancelled");
     throw SimError(SimErrorCode::kCancelled, stage, "query cancelled");
   }
   if (deadline_expired()) {
-    obs::MetricRegistry::global().counter("robustness.deadline_exceeded").add(1);
+    obs::count("robustness.deadline_exceeded");
     throw SimError(SimErrorCode::kDeadlineExceeded, stage, "query deadline exceeded");
   }
 }

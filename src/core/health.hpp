@@ -18,7 +18,7 @@ namespace ms::core {
 /// is NaN/Inf. No-op when the field is empty.
 inline void require_finite(const char* stage, const char* what, const double* x, std::size_t n) {
   if (n == 0 || la::all_finite(x, n)) return;
-  obs::MetricRegistry::global().counter("robustness.nonfinite_detected").add(1);
+  obs::count("robustness.nonfinite_detected");
   throw SimError(SimErrorCode::kNonFiniteField, stage,
                  std::string("non-finite values in ") + what);
 }

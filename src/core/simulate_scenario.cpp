@@ -10,7 +10,6 @@
 #include "chiplet/displacement_field.hpp"
 #include "core/simulator.hpp"
 #include "obs/metrics.hpp"
-#include "obs/query_scope.hpp"
 #include "reliability/stress_history.hpp"
 #include "sweep/scenario_result.hpp"
 #include "sweep/scenario_spec.hpp"
@@ -237,14 +236,12 @@ sweep::ScenarioResult MoreStressSimulator::simulate(const sweep::ScenarioSpec& s
   if (result.diagonal_shift != 0.0) result.status = sweep::ScenarioStatus::kDegraded;
   result.simulate_seconds = timer.seconds();
 
-  auto& reg = obs::MetricRegistry::global();
-  reg.counter("sweep.scenarios").add(1);
-  reg.histogram("sweep.scenario_seconds").record(result.simulate_seconds);
+  obs::count("sweep.scenarios");
+  obs::observe_seconds("sweep.scenario_seconds", result.simulate_seconds);
   // Per-analysis-kind latency: steady/transient/fatigue scenarios have very
   // different cost profiles, so the combined histogram hides regressions.
-  reg.histogram(std::string("sweep.scenario_seconds.") + sweep::to_string(spec.analysis))
-      .record(result.simulate_seconds);
-  obs::QueryScope::observe_seconds("scenario_seconds", result.simulate_seconds);
+  obs::observe_seconds(std::string("sweep.scenario_seconds.") + sweep::to_string(spec.analysis),
+                       result.simulate_seconds);
   return result;
 }
 

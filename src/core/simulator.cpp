@@ -112,13 +112,13 @@ double MoreStressSimulator::prepare_local_stage(bool with_dummy) {
 
 namespace {
 
-/// Mirror the stages a completed run adds around its global solve into the
-/// registry — the same values RunStats reports (asserted by the regression
-/// lock in tests/obs). The solve itself published rom.global.* already.
+/// Record the stages a completed run adds around its global solve — the same
+/// values RunStats reports (asserted by the regression lock in tests/obs).
+/// The solve itself published rom.global.* already.
 void publish_run_stats(const RunStats& s) {
+  obs::observe_seconds("core.run.assemble_seconds", s.assemble_seconds);
+  obs::observe_seconds("core.run.reconstruct_seconds", s.reconstruct_seconds);
   auto& reg = obs::MetricRegistry::global();
-  reg.histogram("core.run.assemble_seconds").record(s.assemble_seconds);
-  reg.histogram("core.run.reconstruct_seconds").record(s.reconstruct_seconds);
   reg.gauge("core.run.local_stage_seconds").set(s.local_stage_seconds);
   reg.gauge("core.run.memory_bytes").set(static_cast<double>(s.memory_bytes));
 }

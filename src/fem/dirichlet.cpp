@@ -8,6 +8,7 @@
 #include "core/sim_error.hpp"
 #include "la/cg.hpp"
 #include "la/shift_retry.hpp"
+#include "obs/metrics.hpp"
 #include "util/fault_injector.hpp"
 #include "util/timer.hpp"
 
@@ -168,6 +169,29 @@ bool is_direct(const std::string& method) {
   throw std::invalid_argument("unknown solve method '" + method + "' (cg or direct)");
 }
 
+/// The one publication of a solve record, under `<stage>.*`: its counts and
+/// durations through obs::count / obs::observe_seconds (so the query running
+/// the solve is charged too), the last solve's sizes and health as gauges.
+void publish(const std::string& stage, const SolveStats& s) {
+  obs::count(stage + ".solves");
+  obs::count(stage + ".rhs", s.num_rhs);
+  obs::count(stage + ".factorizations", s.num_factorizations);
+  obs::count(stage + ".iterations", s.iterations);
+  obs::observe_seconds(stage + ".solve_seconds", s.solve_seconds);
+  obs::observe_seconds(stage + ".factor_seconds", s.factor_seconds);
+  obs::observe_seconds(stage + ".triangular_seconds", s.triangular_seconds);
+  auto& reg = obs::MetricRegistry::global();
+  reg.gauge(stage + ".num_dofs").set(static_cast<double>(s.num_dofs));
+  reg.gauge(stage + ".converged").set(s.converged ? 1.0 : 0.0);
+  reg.gauge(stage + ".matrix_bytes").set(static_cast<double>(s.matrix_bytes));
+  reg.gauge(stage + ".solver_bytes").set(static_cast<double>(s.solver_bytes));
+  reg.gauge(stage + ".factor_nnz").set(static_cast<double>(s.factor_nnz));
+  reg.gauge(stage + ".fill_ratio").set(s.fill_ratio);
+  reg.gauge(stage + ".num_supernodes").set(static_cast<double>(s.num_supernodes));
+  reg.gauge(stage + ".degraded").set(s.degraded ? 1.0 : 0.0);
+  reg.gauge(stage + ".diagonal_shift").set(s.diagonal_shift);
+}
+
 }  // namespace
 
 bool factor_resident(const std::string& method, const la::FactorCache* cache,
@@ -222,6 +246,7 @@ std::vector<Vec> solve_linear(CsrMatrix& a, const std::vector<Vec>& rhss, const 
   stats.num_rhs = static_cast<idx_t>(rhss.size());
   stats.converged = true;  // an unconverged solve threw above
   stats.solve_seconds = timer.seconds();
+  publish(source.stage, stats);
   return solutions;
 }
 

@@ -86,8 +86,9 @@ class DirichletSplit {
 /// non-empty the factor is shared under the key (which must determine the
 /// operator's values and the constrained-dof set; BC values may differ
 /// between callers); otherwise it is built for the call alone. `stage`
-/// prefixes the build's cancel check and fault probe ("<stage>.factor_build")
-/// and the shift-retry site ("<stage>.factor").
+/// prefixes the build's cancel check and fault probe ("<stage>.factor_build"),
+/// the shift-retry site ("<stage>.factor") and solve_linear's metrics
+/// ("rom.global", "thermal.steady" or "fem").
 struct FactorSource {
   la::FactorCache* cache;
   const std::string& key;
@@ -154,7 +155,8 @@ struct SolveMethod {
 ///    cache is not read.
 /// Any other method throws std::invalid_argument. `rhss` is left as passed.
 /// On return `a` holds K_ff, the matrix factored or iterated on, unless a
-/// cache hit skipped the build. Fills every field of `stats`.
+/// cache hit skipped the build. Fills every field of `stats` and records
+/// them once, under "<stage>.*" (a failed solve records nothing).
 std::vector<Vec> solve_linear(CsrMatrix& a, const std::vector<Vec>& rhss, const DirichletBc& bc,
                               const SolveMethod& how, const FactorSource& source,
                               SolveStats& stats);

@@ -10,25 +10,10 @@ namespace ms::fem {
 
 namespace {
 
-/// Mirror the exact out-param values into the registry (regression-locked
-/// against the legacy struct by tests/obs).
-void publish_fem_stats(const FemSolveStats& s) {
-  auto& reg = obs::MetricRegistry::global();
-  reg.counter("fem.solves").add(1);
-  reg.counter("fem.iterations").add(s.iterations);
-  reg.histogram("fem.assemble_seconds").record(s.assemble_seconds);
-  reg.histogram("fem.solve_seconds").record(s.solve_seconds);
-  reg.histogram("fem.factor_seconds").record(s.factor_seconds);
-  reg.gauge("fem.num_dofs").set(static_cast<double>(s.num_dofs));
-  reg.gauge("fem.converged").set(s.converged ? 1.0 : 0.0);
-  reg.gauge("fem.factor_nnz").set(static_cast<double>(s.factor_nnz));
-  reg.gauge("fem.fill_ratio").set(s.fill_ratio);
-}
-
 /// Shared tail of every entry point: solve all load cases against the
 /// assembled operator through the one linear-solve stage (direct: one
 /// factorization + one multi-RHS panel; cg: loop), and fill the stats
-/// record.
+/// record (solve_linear publishes it as "fem.*"; the assembly is ours).
 std::vector<Vec> solve_assembled(AssembledSystem& sys, const std::vector<Vec>& rhs_cases,
                                  const DirichletBc& bc, const FemSolveOptions& options,
                                  FemSolveStats* stats, double assemble_seconds) {
@@ -41,7 +26,7 @@ std::vector<Vec> solve_assembled(AssembledSystem& sys, const std::vector<Vec>& r
   std::vector<Vec> solutions = solve_linear(
       sys.stiffness, rhs_cases, bc,
       {options.method, options.precond, options.rel_tol, options.max_iterations}, source, local);
-  publish_fem_stats(local);
+  obs::observe_seconds("fem.assemble_seconds", assemble_seconds);
   if (stats != nullptr) *stats = local;
   return solutions;
 }

@@ -19,7 +19,10 @@ bool is_identity_order(const std::vector<idx_t>& order) {
 
 // Registry handles are stable for the process lifetime; cache them once so
 // the per-panel solve path records with lock-free atomics only (no registry
-// mutex inside OpenMP regions).
+// mutex inside OpenMP regions). They write the registry only, not the
+// query's row: the triangular solves also run on the local stage's OpenMP
+// team, where no query scope is installed, so a row would get a share that
+// depends on the thread schedule.
 struct CholeskyMetrics {
   obs::Counter& factorizations;
   obs::Counter& solve_rhs;

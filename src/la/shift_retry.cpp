@@ -57,10 +57,9 @@ ShiftRetryResult factor_with_shift_retry(const CsrMatrix& a, const char* stage) 
   double shift = kInitialShiftScale * (diag_norm > 0.0 ? diag_norm : 1.0);
   CsrMatrix shifted = a;  // one copy, diagonal rewritten per attempt
 
-  auto& retries = obs::MetricRegistry::global().counter("robustness.spd_shift_retries");
   for (int attempt = 0; attempt < kMaxShiftedAttempts; ++attempt, shift *= 2.0) {
     ++result.attempts;
-    retries.add(1);
+    obs::count("robustness.spd_shift_retries");
     if (!set_shifted_diagonal(shifted, base_diag, shift)) {
       throw NotPositiveDefiniteError(std::string(stage) +
                                      ": matrix stores no diagonal entry, cannot shift-retry");

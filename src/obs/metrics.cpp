@@ -9,6 +9,8 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+thread_local QueryTelemetry* t_query_sink = nullptr;
+
 /// Atomic add for doubles (CAS loop; uncontended in practice — metrics are
 /// recorded per solve call, not per element).
 void atomic_add(std::atomic<double>& target, double delta) {
@@ -204,6 +206,20 @@ double MetricRegistry::gauge_value(const std::string& name) const {
 const Histogram* MetricRegistry::find_histogram(const std::string& name) const {
   const Entry* e = find(name);
   return e != nullptr && e->kind == MetricSample::Kind::kHistogram ? &e->histogram : nullptr;
+}
+
+QueryScope::QueryScope(QueryTelemetry& sink) : previous_(t_query_sink) { t_query_sink = &sink; }
+
+QueryScope::~QueryScope() { t_query_sink = previous_; }
+
+void count(const std::string& name, std::int64_t n) {
+  MetricRegistry::global().counter(name).add(n);
+  if (t_query_sink != nullptr) t_query_sink->counts[name] += n;
+}
+
+void observe_seconds(const std::string& name, double seconds) {
+  MetricRegistry::global().histogram(name).record(seconds);
+  if (t_query_sink != nullptr) t_query_sink->seconds[name] += seconds;
 }
 
 }  // namespace ms::obs

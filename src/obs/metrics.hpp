@@ -6,9 +6,15 @@
 // RunReport exporter, the benches, and the sweep engine's per-query
 // accounting read from.
 //
-//   auto& reg = ms::obs::MetricRegistry::global();
-//   reg.counter("rom.global.solves").add(1);
-//   reg.histogram("rom.global.solve_seconds").record(t);
+// A count or a duration is recorded by one call, which also charges the
+// query the calling thread runs, if any (see QueryScope below):
+//
+//   ms::obs::count("rom.global.solves");
+//   ms::obs::observe_seconds("rom.global.solve_seconds", t);
+//
+// Gauges, and the handles a hot path caches, go to the registry directly:
+//
+//   ms::obs::MetricRegistry::global().gauge("rom.global.num_dofs").set(n);
 //
 // Thread safety: metric *lookup* takes a mutex (amortized away by caching
 // the returned reference — handles are stable for the registry's lifetime);
@@ -149,5 +155,48 @@ class MetricRegistry {
   // handle references stable across inserts.
   std::map<std::string, Entry> entries_;
 };
+
+/// One query's share of the registry's counters and duration histograms,
+/// keyed by the registry names ("la.factor_cache.hits",
+/// "rom.global.solve_seconds"), so a row and a RunReport join by exact
+/// name. std::map keeps rendering deterministic.
+struct QueryTelemetry {
+  std::map<std::string, std::int64_t> counts;
+  std::map<std::string, double> seconds;
+
+  [[nodiscard]] std::int64_t count(const std::string& name) const {
+    const auto it = counts.find(name);
+    return it == counts.end() ? 0 : it->second;
+  }
+  [[nodiscard]] double secs(const std::string& name) const {
+    const auto it = seconds.find(name);
+    return it == seconds.end() ? 0.0 : it->second;
+  }
+  [[nodiscard]] bool empty() const { return counts.empty() && seconds.empty(); }
+};
+
+/// RAII installer: until destruction, count and observe_seconds on *this
+/// thread* also add into `sink`. Nesting restores the outer scope on exit.
+/// The sink is a plain thread-local pointer, so only what the installing
+/// thread records reaches it: OpenMP team threads and pool handoffs carry
+/// no scope (DESIGN.md "Query-scoped telemetry").
+class QueryScope {
+ public:
+  explicit QueryScope(QueryTelemetry& sink);
+  ~QueryScope();
+  QueryScope(const QueryScope&) = delete;
+  QueryScope& operator=(const QueryScope&) = delete;
+
+ private:
+  QueryTelemetry* previous_;
+};
+
+/// Add `n` to the registry counter `name` and, when the calling thread has
+/// a QueryScope installed, to its count of the same name.
+void count(const std::string& name, std::int64_t n = 1);
+
+/// Record `seconds` in the registry histogram `name` and, when the calling
+/// thread has a QueryScope installed, add it to its seconds of the same name.
+void observe_seconds(const std::string& name, double seconds);
 
 }  // namespace ms::obs

@@ -141,7 +141,9 @@ class ScopedSpan {
   }
   /// A timed stage: also records the span's wall time [s] into `histogram`
   /// when it ends, whether or not spans are captured, so one stopwatch
-  /// serves the trace and the metric.
+  /// serves the trace and the metric. The registry only: timed stages also
+  /// run on OpenMP team threads, which carry no query scope, so a row's
+  /// share would depend on the thread schedule.
   ScopedSpan(const char* name, Histogram& histogram) : ScopedSpan(name) {
     histogram_ = &histogram;
     if (!active_) begin_us_ = trace_now_us();

@@ -345,10 +345,9 @@ void extract_channel_history(const rom::BlockGrid& grid, const rom::RomModel& ts
     }
   }
 
-  auto& registry = obs::MetricRegistry::global();
-  registry.counter("reliability.screen.evaluated_point_steps").add(evaluated);
-  registry.counter("reliability.screen.total_point_steps")
-      .add(static_cast<long long>(num_blocks) * s * s * num_steps);
+  obs::count("reliability.screen.evaluated_point_steps", evaluated);
+  obs::count("reliability.screen.total_point_steps",
+             static_cast<long long>(num_blocks) * s * s * num_steps);
 }
 
 }  // namespace ms::reliability

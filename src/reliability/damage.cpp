@@ -72,10 +72,8 @@ ReliabilityReport assess_history(const StressHistory& history, const FatigueMode
     a.half_cycle_counts.assign(num_blocks, 0.0);
     a.min_life_cycles = kInf;
     std::vector<Cycle> min_life_cycles_set;
-    obs::Counter& rainflow_series = obs::MetricRegistry::global().counter("reliability.rainflow_series");
     for (std::size_t b = 0; b < num_blocks; ++b) {
       const std::vector<Cycle> cycles = rainflow_count(history.series(channel, b));
-      rainflow_series.add(1);
       for (const Cycle& cyc : cycles) a.half_cycle_counts[b] += cyc.count;
       a.damage[b] = miner_damage(cycles, *model);
       if (a.damage[b] > 0.0) a.cycles_to_failure[b] = 1.0 / a.damage[b];
@@ -85,6 +83,7 @@ ReliabilityReport assess_history(const StressHistory& history, const FatigueMode
         min_life_cycles_set = cycles;
       }
     }
+    obs::count("reliability.rainflow_series", static_cast<std::int64_t>(num_blocks));
     if (a.min_life_block >= 0) {
       a.min_life_matrix = bin_cycles(min_life_cycles_set, options.range_bins, options.mean_bins);
     }

@@ -4,48 +4,10 @@
 #include <stdexcept>
 #include <utility>
 
-#include "obs/metrics.hpp"
-#include "obs/query_scope.hpp"
 #include "obs/trace.hpp"
 #include "util/fault_injector.hpp"
 
 namespace ms::rom {
-namespace {
-
-// Publish the exact values a GlobalSolveStats out-param receives, so the
-// RunReport and the legacy struct can never disagree (the regression-lock
-// test in tests/obs asserts this equality).
-void publish_global_stats(const GlobalSolveStats& s) {
-  auto& reg = obs::MetricRegistry::global();
-  reg.counter("rom.global.solves").add(1);
-  reg.counter("rom.global.rhs").add(s.num_rhs);
-  reg.counter("rom.global.factorizations").add(s.num_factorizations);
-  reg.counter("rom.global.iterations").add(s.iterations);
-  reg.histogram("rom.global.solve_seconds").record(s.solve_seconds);
-  reg.histogram("rom.global.factor_seconds").record(s.factor_seconds);
-  reg.histogram("rom.global.triangular_seconds").record(s.triangular_seconds);
-  reg.gauge("rom.global.num_dofs").set(static_cast<double>(s.num_dofs));
-  reg.gauge("rom.global.converged").set(s.converged ? 1.0 : 0.0);
-  reg.gauge("rom.global.matrix_bytes").set(static_cast<double>(s.matrix_bytes));
-  reg.gauge("rom.global.solver_bytes").set(static_cast<double>(s.solver_bytes));
-  reg.gauge("rom.global.factor_nnz").set(static_cast<double>(s.factor_nnz));
-  reg.gauge("rom.global.fill_ratio").set(s.fill_ratio);
-  reg.gauge("rom.global.num_supernodes").set(static_cast<double>(s.num_supernodes));
-  reg.gauge("rom.global.degraded").set(s.degraded ? 1.0 : 0.0);
-  reg.gauge("rom.global.diagonal_shift").set(s.diagonal_shift);
-  // Query attribution: publish runs on the worker thread that executed the
-  // solve, so the active QueryScope (if any) is the owning scenario's. The
-  // per-query counts mirror the registry counters above 1:1 — that identity
-  // is what the reconciliation test in tests/sweep locks.
-  obs::QueryScope::count("global.solves");
-  obs::QueryScope::count("rhs", s.num_rhs);
-  obs::QueryScope::count("factorizations", s.num_factorizations);
-  obs::QueryScope::observe_seconds("global.solve_seconds", s.solve_seconds);
-  obs::QueryScope::observe_seconds("global.factor_seconds", s.factor_seconds);
-  obs::QueryScope::observe_seconds("global.triangular_seconds", s.triangular_seconds);
-}
-
-}  // namespace
 
 std::vector<Vec> solve_global_multi(GlobalProblem& problem, std::vector<Vec> extra_rhs,
                                     const DirichletBc& bc, const GlobalSolveOptions& options,
@@ -62,7 +24,7 @@ std::vector<Vec> solve_global_multi(GlobalProblem& problem, std::vector<Vec> ext
   }
   // One factor sweep for the whole panel on the direct path; with a factor
   // cache attached a resident key skips the build (and the caller may skip
-  // the assembly).
+  // the assembly). The solve publishes its record as "rom.global.*".
   const fem::FactorSource source{options.factor_cache, options.factor_key, options.cancel,
                                  "rom.global"};
   GlobalSolveStats local;
@@ -77,7 +39,6 @@ std::vector<Vec> solve_global_multi(GlobalProblem& problem, std::vector<Vec> ext
   }
 
   problem.rhs = std::move(rhs_cases.front());  // hand the primary rhs back as passed
-  publish_global_stats(local);
   if (stats != nullptr) *stats = local;
   return solutions;
 }

@@ -88,7 +88,7 @@ RomModel run_local_stage(const mesh::TsvGeometry& geometry, const mesh::BlockMes
   // Basis fields F = [f_0 ... f_{n-1}, f_T] as full fine-mesh vectors.
   const idx_t total_rhs = n + 1;  // interpolation bases + the thermal basis
   const idx_t num_panels = (total_rhs + kPanelWidth - 1) / kPanelWidth;
-  obs::MetricRegistry::global().counter("rom.local.panels").add(num_panels);
+  obs::count("rom.local.panels", num_panels);
   std::vector<Vec> basis(static_cast<std::size_t>(total_rhs));
   const Vec no_load(static_cast<std::size_t>(num_dofs), 0.0);
 #ifdef _OPENMP

@@ -14,7 +14,7 @@
 #include "core/results.hpp"
 #include "core/sim_error.hpp"
 #include "obs/flight_recorder.hpp"
-#include "obs/query_scope.hpp"
+#include "obs/metrics.hpp"
 #include "sweep/scenario_spec.hpp"
 
 namespace ms::sweep {
@@ -68,9 +68,11 @@ struct ScenarioResult {
   [[nodiscard]] bool failed() const { return status == ScenarioStatus::kFailed; }
 
   // --- attributed observability ----------------------------------------------
-  /// This query's own telemetry (cache hits/misses, factorizations, RHS
-  /// count, stage durations, queue wait), filled by SweepEngine via the
-  /// worker's obs::QueryScope. Empty when the query ran outside an engine.
+  /// This query's own share of the registry's counts and durations (cache
+  /// hits/misses, factorizations, RHS count, stage durations), under the
+  /// registry's names, plus its queue wait as "queue_wait_seconds"; filled
+  /// by SweepEngine via the worker's obs::QueryScope. Empty when the query
+  /// ran outside an engine.
   obs::QueryTelemetry telemetry;
   /// Flight-recorder snapshot of the worker's recent spans and log lines;
   /// captured only when status is degraded/failed and the engine's recorder

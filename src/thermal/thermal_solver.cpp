@@ -9,7 +9,6 @@
 #include "fem/dirichlet.hpp"
 #include "la/cholesky.hpp"
 #include "obs/metrics.hpp"
-#include "obs/query_scope.hpp"
 #include "obs/trace.hpp"
 #include "thermal/conduction_assembler.hpp"
 #include "util/fault_injector.hpp"
@@ -18,41 +17,18 @@
 namespace ms::thermal {
 namespace {
 
-// Mirror the exact out-param values into the registry (see the regression
-// lock in tests/obs: RunReport fields must equal the legacy structs).
-void publish_steady_stats(const ThermalSolveStats& s) {
-  auto& reg = obs::MetricRegistry::global();
-  reg.counter("thermal.steady.solves").add(1);
-  reg.counter("thermal.steady.iterations").add(s.iterations);
-  reg.histogram("thermal.steady.assemble_seconds").record(s.assemble_seconds);
-  reg.histogram("thermal.steady.solve_seconds").record(s.solve_seconds);
-  reg.histogram("thermal.steady.factor_seconds").record(s.factor_seconds);
-  reg.gauge("thermal.steady.num_dofs").set(static_cast<double>(s.num_dofs));
-  reg.gauge("thermal.steady.converged").set(s.converged ? 1.0 : 0.0);
-  reg.gauge("thermal.steady.factor_nnz").set(static_cast<double>(s.factor_nnz));
-  reg.gauge("thermal.steady.fill_ratio").set(s.fill_ratio);
-  // Worker-thread publish → the active QueryScope is the owning scenario's.
-  obs::QueryScope::count("thermal.steady.solves");
-  obs::QueryScope::observe_seconds("thermal.steady.assemble_seconds", s.assemble_seconds);
-  obs::QueryScope::observe_seconds("thermal.steady.solve_seconds", s.solve_seconds);
-  obs::QueryScope::observe_seconds("thermal.steady.factor_seconds", s.factor_seconds);
-}
-
+/// The θ-stepper's record: it factors through fem::fetch_factor and steps
+/// itself, so solve_linear's "<stage>.*" record does not cover it.
 void publish_transient_stats(const TransientSolveStats& s) {
+  obs::count("thermal.transient.solves");
+  obs::count("thermal.transient.steps", s.num_steps);
+  obs::observe_seconds("thermal.transient.assemble_seconds", s.assemble_seconds);
+  obs::observe_seconds("thermal.transient.factor_seconds", s.factor_seconds);
+  obs::observe_seconds("thermal.transient.step_seconds", s.step_seconds);
   auto& reg = obs::MetricRegistry::global();
-  reg.counter("thermal.transient.solves").add(1);
-  reg.counter("thermal.transient.steps").add(s.num_steps);
-  reg.histogram("thermal.transient.assemble_seconds").record(s.assemble_seconds);
-  reg.histogram("thermal.transient.factor_seconds").record(s.factor_seconds);
-  reg.histogram("thermal.transient.step_seconds").record(s.step_seconds);
   reg.gauge("thermal.transient.num_dofs").set(static_cast<double>(s.num_dofs));
   reg.gauge("thermal.transient.factor_nnz").set(static_cast<double>(s.factor_nnz));
   reg.gauge("thermal.transient.fill_ratio").set(s.fill_ratio);
-  obs::QueryScope::count("thermal.transient.solves");
-  obs::QueryScope::count("thermal.transient.steps", s.num_steps);
-  obs::QueryScope::observe_seconds("thermal.transient.assemble_seconds", s.assemble_seconds);
-  obs::QueryScope::observe_seconds("thermal.transient.factor_seconds", s.factor_seconds);
-  obs::QueryScope::observe_seconds("thermal.transient.step_seconds", s.step_seconds);
 }
 
 /// The ideal sink: the whole z-min face held at the rise over ambient θ = 0.
@@ -106,7 +82,8 @@ TemperatureField solve_power_map(const mesh::HexMesh& mesh, const ConductivityFi
                         source, local)
           .front());
   for (double& v : t) v += options.ambient;
-  publish_steady_stats(local);
+  // solve_linear published the solve as "thermal.steady.*"; the assembly is ours.
+  obs::observe_seconds("thermal.steady.assemble_seconds", local.assemble_seconds);
   if (stats != nullptr) *stats = local;
   return TemperatureField(mesh, std::move(t));
 }

@@ -14,10 +14,9 @@
 // cheap handle (shared_ptr or a struct of them) to something immutable.
 //
 // Traffic is recorded under the cache's metric name, e.g. "la.factor_cache":
-// the registry gets `<metric>.hits`, `.misses`, `.build_failures` and the
-// `.wait_seconds` histogram, and the active obs::QueryScope gets the same
-// events keyed without the subsystem prefix ("factor_cache.hits"), so each
-// scenario row carries its own cache traffic.
+// `<metric>.hits`, `.misses`, `.build_failures` and the `.wait_seconds`
+// histogram, through obs::count / obs::observe_seconds, so each scenario row
+// carries its own cache traffic under the same names.
 
 #include <atomic>
 #include <chrono>
@@ -30,17 +29,14 @@
 #include <utility>
 
 #include "obs/metrics.hpp"
-#include "obs/query_scope.hpp"
 
 namespace ms::util {
 
 template <typename Value>
 class SingleFlightCache {
  public:
-  /// `metric` is the registry prefix ("<subsystem>.<cache>"); the query-scope
-  /// prefix is the part after the first '.'.
-  explicit SingleFlightCache(std::string metric)
-      : metric_(std::move(metric)), scope_(metric_.substr(metric_.find('.') + 1)) {}
+  /// `metric` prefixes every metric name ("<subsystem>.<cache>").
+  explicit SingleFlightCache(std::string metric) : metric_(std::move(metric)) {}
 
   /// Return the value under `key`, running `build` if absent. Concurrent
   /// callers of one absent key block until the single in-flight build
@@ -68,8 +64,7 @@ class SingleFlightCache {
           const double waited =
               std::chrono::duration<double>(std::chrono::steady_clock::now() - wait_begin)
                   .count();
-          obs::MetricRegistry::global().histogram(metric_ + ".wait_seconds").record(waited);
-          obs::QueryScope::observe_seconds((scope_ + ".wait_seconds").c_str(), waited);
+          obs::observe_seconds(metric_ + ".wait_seconds", waited);
         }
         auto found = slots_.find(key);
         if (found != slots_.end() && found->second.ready) {
@@ -138,13 +133,9 @@ class SingleFlightCache {
     Value value;
   };
 
-  void record(const char* event) const {
-    obs::MetricRegistry::global().counter(metric_ + event).add(1);
-    obs::QueryScope::count((scope_ + event).c_str());
-  }
+  void record(const char* event) const { obs::count(metric_ + event); }
 
   const std::string metric_;
-  const std::string scope_;
   mutable std::mutex mutex_;
   std::condition_variable ready_cv_;
   std::unordered_map<std::string, Slot> slots_;

@@ -1,16 +1,19 @@
 // Query-scoped observability locks for the sweep engine: every result row
-// carries its own QueryTelemetry, and the per-row numbers must reconcile
-// EXACTLY with the batch-level SweepStats and the payload's solve stats —
-// attribution is bookkeeping, not sampling. Also locks the cross-thread span
+// carries its own QueryTelemetry under the registry's metric names, and the
+// per-row numbers must reconcile EXACTLY with the registry's deltas, the
+// batch-level SweepStats and the payload's solve stats — attribution is
+// bookkeeping, not sampling. Also locks the cross-thread span
 // handoff (worker query spans parent under the enqueuing batch span), the
 // flight-recorder snapshot on injected-fault failures, and the structured
 // event-log lifecycle.
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -18,7 +21,7 @@
 #include "core/simulator.hpp"
 #include "obs/event_log.hpp"
 #include "obs/flight_recorder.hpp"
-#include "obs/query_scope.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sweep/scenario_result.hpp"
 #include "sweep/scenario_spec.hpp"
@@ -55,6 +58,26 @@ std::vector<ScenarioSpec> trace_family(int count) {
     spec.trace.period = 6e-5;
     spec.trace.duty = (i + 1.0) / (count + 1.0);
     spec.trace.cycles = 1;
+    specs.push_back(std::move(spec));
+  }
+  return specs;
+}
+
+/// Steady power-map sub-models at `count` locations of one demo package,
+/// which the engine builds inside the first query that needs it.
+std::vector<ScenarioSpec> submodel_family(int count) {
+  std::vector<ScenarioSpec> specs;
+  for (int i = 0; i < count; ++i) {
+    ScenarioSpec spec;
+    spec.name = "sub" + std::to_string(i);
+    spec.kind = ScenarioKind::kSubmodel;
+    spec.load = LoadKind::kPower;
+    spec.blocks_x = 2;
+    spec.blocks_y = 2;
+    spec.dummy_rings = 1;
+    spec.location = 1 + i;
+    spec.power.background = 2.0;
+    spec.power.hotspot_peak = 20.0;
     specs.push_back(std::move(spec));
   }
   return specs;
@@ -97,13 +120,13 @@ TEST_F(QueryTelemetryTest, PerRowTelemetryReconcilesExactlyWithSweepStats) {
 
   // The per-row attributed cache traffic sums to the batch-level cache
   // deltas — every hit and miss is charged to exactly one scenario.
-  EXPECT_EQ(sum_counts(cold, "factor_cache.hits"),
+  EXPECT_EQ(sum_counts(cold, "la.factor_cache.hits"),
             static_cast<std::int64_t>(cold_stats.factor_cache_hits));
-  EXPECT_EQ(sum_counts(cold, "factor_cache.misses"),
+  EXPECT_EQ(sum_counts(cold, "la.factor_cache.misses"),
             static_cast<std::int64_t>(cold_stats.factor_cache_misses));
-  EXPECT_EQ(sum_counts(cold, "model_cache.hits"),
+  EXPECT_EQ(sum_counts(cold, "rom.model_cache.hits"),
             static_cast<std::int64_t>(cold_stats.model_cache_hits));
-  EXPECT_EQ(sum_counts(cold, "model_cache.misses"),
+  EXPECT_EQ(sum_counts(cold, "rom.model_cache.misses"),
             static_cast<std::int64_t>(cold_stats.model_cache_misses));
   // This trace family has exactly two operator structures and one ROM model.
   EXPECT_EQ(cold_stats.factor_cache_misses, 2u);
@@ -112,15 +135,15 @@ TEST_F(QueryTelemetryTest, PerRowTelemetryReconcilesExactlyWithSweepStats) {
   for (const ScenarioResult& r : cold) {
     ASSERT_NE(r.fatigue, nullptr) << r.name;
     // Row-level identities against the payload's own solver bookkeeping.
-    EXPECT_EQ(r.telemetry.count("factorizations"),
+    EXPECT_EQ(r.telemetry.count("rom.global.factorizations"),
               r.fatigue->stats.solve.num_factorizations) << r.name;
-    EXPECT_EQ(r.telemetry.count("rhs"), r.fatigue->stats.solve.num_rhs) << r.name;
-    EXPECT_GE(r.telemetry.count("global.solves"), 1) << r.name;
+    EXPECT_EQ(r.telemetry.count("rom.global.rhs"), r.fatigue->stats.solve.num_rhs) << r.name;
+    EXPECT_GE(r.telemetry.count("rom.global.solves"), 1) << r.name;
     // Stage durations and the queue wait are present on every row.
     EXPECT_EQ(r.telemetry.seconds.count("queue_wait_seconds"), 1u) << r.name;
-    EXPECT_EQ(r.telemetry.seconds.count("scenario_seconds"), 1u) << r.name;
-    EXPECT_GT(r.telemetry.secs("scenario_seconds"), 0.0) << r.name;
-    EXPECT_GE(r.telemetry.secs("global.solve_seconds"), 0.0) << r.name;
+    EXPECT_EQ(r.telemetry.seconds.count("sweep.scenario_seconds"), 1u) << r.name;
+    EXPECT_GT(r.telemetry.secs("sweep.scenario_seconds"), 0.0) << r.name;
+    EXPECT_GE(r.telemetry.secs("rom.global.solve_seconds"), 0.0) << r.name;
   }
 
   // Warm pass: every operator is a cache hit, so zero attributed
@@ -128,14 +151,88 @@ TEST_F(QueryTelemetryTest, PerRowTelemetryReconcilesExactlyWithSweepStats) {
   SweepStats warm_stats;
   const std::vector<ScenarioResult> warm = engine.run(specs, &warm_stats);
   EXPECT_EQ(warm_stats.factor_cache_misses, 0u);
-  EXPECT_EQ(sum_counts(warm, "factorizations"), 0);
-  EXPECT_EQ(sum_counts(warm, "factor_cache.hits"),
+  EXPECT_EQ(sum_counts(warm, "rom.global.factorizations"), 0);
+  EXPECT_EQ(sum_counts(warm, "la.factor_cache.hits"),
             static_cast<std::int64_t>(warm_stats.factor_cache_hits));
   for (const ScenarioResult& r : warm) {
-    EXPECT_EQ(r.telemetry.count("factor_cache.hits"), 2) << r.name;
-    EXPECT_EQ(r.telemetry.count("factor_cache.misses"), 0) << r.name;
-    EXPECT_EQ(r.telemetry.count("model_cache.hits"), 1) << r.name;
+    EXPECT_EQ(r.telemetry.count("la.factor_cache.hits"), 2) << r.name;
+    EXPECT_EQ(r.telemetry.count("la.factor_cache.misses"), 0) << r.name;
+    EXPECT_EQ(r.telemetry.count("rom.model_cache.hits"), 1) << r.name;
   }
+}
+
+TEST(QueryTelemetry, RowKeysAreRegistryNamesAndReconcile) {
+  util::FaultInjector::global().reset();
+  std::vector<ScenarioSpec> specs = trace_family(4);
+  for (ScenarioSpec& spec : submodel_family(2)) specs.push_back(std::move(spec));
+  SweepOptions options;
+  options.config = small_config();
+  options.num_threads = 2;
+  SweepEngine engine(options);
+
+  // Deltas from zero: no earlier test's sums cost the subtraction digits.
+  auto& registry = obs::MetricRegistry::global();
+  registry.reset();
+  const std::vector<ScenarioResult> rows = engine.run(specs);
+  ASSERT_EQ(rows.size(), specs.size());
+  std::map<std::string, obs::MetricSample> metrics;
+  for (obs::MetricSample& m : registry.snapshot()) metrics[m.name] = std::move(m);
+
+  // Every row key names a registry metric of the matching kind, and the
+  // rows' sums are the registry's: counts exactly, durations to rounding.
+  std::map<std::string, std::int64_t> count_sums;
+  std::map<std::string, double> seconds_sums;
+  for (const ScenarioResult& r : rows) {
+    ASSERT_FALSE(r.failed()) << r.name << ": " << r.error.message;
+    for (const auto& [key, n] : r.telemetry.counts) count_sums[key] += n;
+    for (const auto& [key, t] : r.telemetry.seconds) seconds_sums[key] += t;
+  }
+  const auto registered = [&metrics](const std::string& key, obs::MetricSample::Kind kind) {
+    const auto it = metrics.find(key);
+    const bool found = it != metrics.end() && it->second.kind == kind;
+    EXPECT_TRUE(found) << key << " is not a registry name of its kind";
+    return found ? &it->second : nullptr;
+  };
+  for (const auto& [key, n] : count_sums) {
+    if (const obs::MetricSample* m = registered(key, obs::MetricSample::Kind::kCounter)) {
+      EXPECT_EQ(n, m->count) << key;
+    }
+  }
+  ASSERT_EQ(seconds_sums.count("queue_wait_seconds"), 1u);
+  seconds_sums.erase("queue_wait_seconds");  // the one row-only key
+  for (const auto& [key, t] : seconds_sums) {
+    if (const obs::MetricSample* m = registered(key, obs::MetricSample::Kind::kHistogram)) {
+      EXPECT_NEAR(t, m->value, 1e-12 * std::abs(m->value)) << key;
+    }
+  }
+
+  std::int64_t fem_solves = 0;
+  for (const ScenarioResult& r : rows) {
+    const obs::QueryTelemetry& row = r.telemetry;
+    EXPECT_EQ(row.count("sweep.scenarios"), 1) << r.name;
+    EXPECT_GT(row.secs("sweep.scenario_seconds"), 0.0) << r.name;
+    if (r.fatigue != nullptr) {
+      // The screen's evaluated fraction: every block's s^2 sample points at
+      // every solved step are screened, and some are evaluated.
+      const std::int64_t s = options.config.local.samples_per_block;
+      const std::int64_t evaluated = row.count("reliability.screen.evaluated_point_steps");
+      const std::int64_t total = row.count("reliability.screen.total_point_steps");
+      EXPECT_GT(evaluated, 0) << r.name;
+      EXPECT_LE(evaluated, total) << r.name;
+      EXPECT_EQ(total, static_cast<std::int64_t>(r.fatigue->history.num_blocks()) * s * s *
+                           static_cast<std::int64_t>(r.fatigue->history.num_steps()))
+          << r.name;
+    } else {
+      ASSERT_NE(r.thermal, nullptr) << r.name;
+      EXPECT_EQ(row.count("thermal.steady.factorizations"),
+                r.thermal->thermal_stats.num_factorizations) << r.name;
+      // The demo package is built once, inside the query that missed it,
+      // and its FEM solve is charged to that row alone.
+      EXPECT_EQ(row.count("fem.solves"), row.count("sweep.package_cache.misses")) << r.name;
+      fem_solves += row.count("fem.solves");
+    }
+  }
+  EXPECT_EQ(fem_solves, 1);
 }
 
 TEST_F(QueryTelemetryTest, WorkerQuerySpansParentUnderTheBatchSpanAcrossThreads) {

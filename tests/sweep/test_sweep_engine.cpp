@@ -146,7 +146,7 @@ TEST(SweepEngine, SubmodelScenariosShareOneDemoPackage) {
   std::int64_t row_misses = 0;
   for (std::size_t i = 0; i < specs.size(); ++i) {
     ASSERT_NE(rows[i].array, nullptr) << specs[i].name;
-    row_misses += rows[i].telemetry.count("package_cache.misses");
+    row_misses += rows[i].telemetry.count("sweep.package_cache.misses");
     core::MoreStressSimulator cold(small_config());
     const ScenarioResult expected = cold.simulate(specs[i]);
     EXPECT_EQ(rows[i].array->von_mises, expected.array->von_mises) << specs[i].name;

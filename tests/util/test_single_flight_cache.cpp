@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
-#include "obs/query_scope.hpp"
 
 namespace ms::util {
 namespace {
@@ -182,8 +181,8 @@ TEST(SingleFlightCache, BuiltReportsWhetherThisCallRanTheBuilder) {
 }
 
 TEST(SingleFlightCache, RecordsTrafficUnderItsMetricNameInRegistryAndQueryScope) {
-  // Registry names carry the full metric name; the query scope drops the
-  // subsystem prefix, as "la.factor_cache.hits" -> "factor_cache.hits".
+  // The registry and the query scope both get the full metric name, as
+  // "la.factor_cache.hits".
   auto& registry = obs::MetricRegistry::global();
   const auto registered = [&registry](const char* event) {
     return registry.counter_value(std::string("test.naming_cache.") + event);
@@ -205,9 +204,9 @@ TEST(SingleFlightCache, RecordsTrafficUnderItsMetricNameInRegistryAndQueryScope)
   EXPECT_EQ(registered("hits") - hits0, 1);
   EXPECT_EQ(registered("misses") - misses0, 2);
   EXPECT_EQ(registered("build_failures") - failures0, 1);
-  EXPECT_EQ(telemetry.count("naming_cache.hits"), 1);
-  EXPECT_EQ(telemetry.count("naming_cache.misses"), 2);
-  EXPECT_EQ(telemetry.count("naming_cache.build_failures"), 1);
+  EXPECT_EQ(telemetry.count("test.naming_cache.hits"), 1);
+  EXPECT_EQ(telemetry.count("test.naming_cache.misses"), 2);
+  EXPECT_EQ(telemetry.count("test.naming_cache.build_failures"), 1);
 }
 
 }  // namespace

@@ -19,7 +19,6 @@
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs_cli.hpp"
-#include "obs/query_scope.hpp"
 #include "obs/trace.hpp"
 #include "sweep/scenario_spec.hpp"
 #include "sweep/sweep_engine.hpp"
