@@ -170,15 +170,19 @@ OverheadSamples measure_overhead(double one_run_seconds,
                                  const std::function<void(bool enabled)>& set_enabled,
                                  const std::function<void()>& run) {
   OverheadSamples out;
-  out.repeats = std::max(1, static_cast<int>(std::ceil(0.5 / std::max(one_run_seconds, 1e-3))));
   const auto sample = [&](bool enabled) {
     set_enabled(enabled);
     util::WallTimer timer;
     for (int r = 0; r < out.repeats; ++r) run();
     return timer.seconds();
   };
+  // One slow warm run must not shorten every sample: size them from the
+  // fastest of the caller's warm run and two more.
+  double fastest = one_run_seconds;
+  for (int warm = 0; warm < 2; ++warm) fastest = std::min(fastest, sample(false));
+  out.repeats = std::max(1, static_cast<int>(std::ceil(0.5 / std::max(fastest, 1e-3))));
   out.disabled_seconds = out.enabled_seconds = std::numeric_limits<double>::infinity();
-  for (int rep = 0; rep < 3; ++rep) {
+  for (int rep = 0; rep < 5; ++rep) {
     out.disabled_seconds = std::min(out.disabled_seconds, sample(false));
     out.enabled_seconds = std::min(out.enabled_seconds, sample(true));
   }

@@ -70,9 +70,10 @@ std::vector<int> parse_int_list(const std::string& text);
 
 /// Wall time of the same work with instrumentation off and on, long enough
 /// for their ratio to resolve a few percent: each sample runs the work
-/// `repeats` times, sized from `one_run_seconds` (an untimed warm-up run's
-/// wall time) so a sample lasts at least 0.5 s at the warm-up's pace. Off
-/// and on samples alternate, and each side keeps its fastest of 3.
+/// `repeats` times, sized so a sample lasts at least 0.5 s at the pace of the
+/// fastest of three warm runs (`one_run_seconds`, the caller's own warm run,
+/// and two more with instrumentation off). Off and on samples alternate, and
+/// each side keeps its fastest of 5.
 struct OverheadSamples {
   int repeats = 1;
   double disabled_seconds = 0.0;  ///< the fastest sample with instrumentation off

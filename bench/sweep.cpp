@@ -150,7 +150,8 @@ int main(int argc, char** argv) {
   // --- telemetry overhead: same warm caches, everything on vs off ---------
   // Span tracing + flight recorder (the event log is on the whole run when
   // --events-jsonl is given, so it cancels out of the ratio). The warm pass
-  // above is the warm-up that sizes each sample (bench::measure_overhead).
+  // above is the first of the three warm runs that size each sample
+  // (bench::measure_overhead).
   // The gate in tools/bench_gate.py holds telemetry_overhead_ratio to <= 1.05.
   const bool was_tracing = ms::obs::tracing_enabled();
   ms::sweep::SweepStats telemetry_stats;  // of the last pass, an enabled one
@@ -170,7 +171,7 @@ int main(int argc, char** argv) {
   ms::obs::set_tracing_enabled(was_tracing);
   ms::obs::FlightRecorder::set_enabled(false);
   std::printf("\n=== telemetry on (tracing + flight recorder + attribution), "
-              "%d passes per sample, min of 3 ===\n",
+              "%d passes per sample, min of 5 ===\n",
               samples.repeats);
   std::printf("off %.3f s, on %.3f s (%.3fx); last pass: "
               "%lld attributed factor-cache hits (global delta %llu)\n",

@@ -329,7 +329,7 @@ int main(int argc, char** argv) {
         warmup.seconds(), [](bool traced) { ms::obs::set_tracing_enabled(traced); },
         [&] { (void)sim.simulate(spec); });
     ms::obs::set_tracing_enabled(was_enabled);
-    std::printf("\n=== tracing overhead (array %dx%d, %d solves per sample, min of 3) ===\n",
+    std::printf("\n=== tracing overhead (array %dx%d, %d solves per sample, min of 5) ===\n",
                 edge, edge, samples.repeats);
     std::printf("disabled %.3f s, enabled %.3f s -> ratio %.3f\n", samples.disabled_seconds,
                 samples.enabled_seconds, samples.ratio());

@@ -74,7 +74,7 @@ struct TransientResult : ArrayResult {
 /// Result of a cycle-resolved fatigue run (array or sub-model scenario).
 /// The ArrayResult base is the peak-envelope stress solve; the per-step
 /// stress states ride in `history` as per-block channel records — the full
-/// fields are reduced step by step and never kept. The envelope and every
+/// per-step fields are never built. The envelope and every
 /// recorded step share one global assembly and one factorization
 /// (stats.solve.num_factorizations == 1 on a cold direct solve,
 /// stats.solve.num_rhs == history steps + 1).
@@ -85,7 +85,7 @@ struct FatigueResult : ArrayResult {
   std::vector<int> history_steps;           ///< recorded-history indices ROM-solved
   reliability::StressHistory history;       ///< per-step per-block channel peaks
   reliability::ReliabilityReport report;    ///< rainflow + Miner verdict
-  double history_seconds = 0.0;             ///< per-step reconstruction + reduction
+  double history_seconds = 0.0;             ///< channel extraction of the recorded steps
   double reliability_seconds = 0.0;         ///< rainflow counting + damage models
 };
 

@@ -8,8 +8,11 @@
 #include <stdexcept>
 
 #include "chiplet/displacement_field.hpp"
+#include "core/health.hpp"
 #include "core/simulator.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
+#include "reliability/channel_extract.hpp"
 #include "reliability/stress_history.hpp"
 #include "sweep/scenario_result.hpp"
 #include "sweep/scenario_spec.hpp"
@@ -24,18 +27,26 @@ double peak_of(const std::vector<double>& field) {
 }
 
 /// Largest diagonal shift any solve behind this result took (0 = no solver
-/// needed the shift-retry ladder; the scenario then reports kDegraded).
+/// needed the shift-retry ladder; the scenario then reports kDegraded). A
+/// transient's snapshots share the panel's solve, so its stats cover them.
 double max_shift_of(const sweep::ScenarioResult& result) {
   double shift = result.base().stats.solve.diagonal_shift;
   const auto fold = [&shift](double s) { shift = std::max(shift, s); };
   if (result.thermal) fold(result.thermal->thermal_stats.diagonal_shift);
-  if (result.transient) {
-    fold(result.transient->thermal_stats.diagonal_shift);
-    for (const ArrayResult& snapshot : result.transient->snapshots)
-      fold(snapshot.stats.solve.diagonal_shift);
-  }
+  if (result.transient) fold(result.transient->thermal_stats.diagonal_shift);
   if (result.fatigue) fold(result.fatigue->thermal_stats.diagonal_shift);
   return shift;
+}
+
+/// Record the stages a completed run adds around its global solve — the same
+/// values RunStats reports (asserted by the regression lock in tests/obs).
+/// The solve itself published rom.global.* already.
+void publish_run_stats(const RunStats& s) {
+  obs::observe_seconds("core.run.assemble_seconds", s.assemble_seconds);
+  obs::observe_seconds("core.run.reconstruct_seconds", s.reconstruct_seconds);
+  auto& reg = obs::MetricRegistry::global();
+  reg.gauge("core.run.local_stage_seconds").set(s.local_stage_seconds);
+  reg.gauge("core.run.memory_bytes").set(static_cast<double>(s.memory_bytes));
 }
 
 struct ResolvedPackage {
@@ -113,11 +124,13 @@ std::vector<int> select_history_steps(std::size_t num_records, int stride) {
   return steps;
 }
 
-/// Per-block ΔT loads of the selected recorded steps.
-std::vector<rom::BlockLoadField> loads_of_steps(const thermal::TransientTemperatureResult& t,
-                                                const std::vector<int>& steps) {
+/// The loads of a trace's global panel: the per-block peak envelope first,
+/// then the per-block ΔT of each selected recorded step.
+std::vector<rom::BlockLoadField> panel_loads(const thermal::TransientTemperatureResult& t,
+                                             const std::vector<int>& steps) {
   std::vector<rom::BlockLoadField> loads;
-  loads.reserve(steps.size());
+  loads.reserve(steps.size() + 1);
+  loads.emplace_back(t.blocks_x, t.blocks_y, la::Vec(t.peak_envelope));
   for (int step : steps) {
     if (step < 0 || static_cast<std::size_t>(step) >= t.num_records()) {
       throw std::invalid_argument("snapshot step outside the recorded history");
@@ -173,50 +186,82 @@ sweep::ScenarioResult MoreStressSimulator::simulate(const sweep::ScenarioSpec& s
     return trace.duration();
   };
 
+  // Every analysis solves one global panel; its follow-up reads the panel's
+  // solutions directly.
   switch (spec.analysis) {
     case sweep::AnalysisKind::kSteady: {
       if (spec.load == sweep::LoadKind::kUniform) {
-        const rom::BlockLoadField load =
-            spec.load_field != nullptr
-                ? *spec.load_field
-                : rom::BlockLoadField::uniform(uniform_delta_t);
-        result.array = std::make_shared<ArrayResult>(run_global(window, load));
+        const rom::BlockLoadField load = spec.load_field != nullptr
+                                             ? *spec.load_field
+                                             : rom::BlockLoadField::uniform(uniform_delta_t);
+        result.array = std::make_shared<ArrayResult>(run_panel(window, {load}).primary);
         break;
       }
       auto thermal = std::make_shared<ThermalResult>();
       run_steady(domain(), power_map(), *thermal);
-      static_cast<ArrayResult&>(*thermal) = run_global(window, thermal->load);
+      static_cast<ArrayResult&>(*thermal) = run_panel(window, {thermal->load}).primary;
       result.thermal = std::move(thermal);
       break;
     }
     case sweep::AnalysisKind::kTransient: {
-      // The envelope and every requested snapshot share the global operator:
-      // one assembly + one factorization + one multi-RHS panel.
+      // The envelope and every requested snapshot share one assembly and one
+      // factorization; each snapshot then reconstructs on the whole team.
       auto transient = std::make_shared<TransientResult>();
       march(transient->transient, transient->thermal_stats);
-      transient->envelope_load = rom::BlockLoadField(window.blocks_x, window.blocks_y,
-                                                     Vec(transient->transient.peak_envelope));
       transient->snapshot_steps = spec.snapshot_steps;
-      static_cast<ArrayResult&>(*transient) =
-          run_global(window, transient->envelope_load,
-                     loads_of_steps(transient->transient, spec.snapshot_steps),
-                     &transient->snapshots);
+      std::vector<rom::BlockLoadField> loads =
+          panel_loads(transient->transient, spec.snapshot_steps);
+      Panel panel = run_panel(window, loads);
+      static_cast<ArrayResult&>(*transient) = std::move(panel.primary);
+      transient->envelope_load = std::move(loads.front());
+      for (std::size_t c = 0; c < panel.others.size(); ++c) {
+        ArrayResult& snapshot = transient->snapshots.emplace_back();
+        snapshot.stats = transient->stats;  // the panel's shared assembly and solve
+        snapshot.solution = std::move(panel.others[c]);
+        reconstruct(window, loads[c + 1], snapshot);
+      }
       result.transient = std::move(transient);
       break;
     }
     case sweep::AnalysisKind::kFatigue: {
+      // The envelope and every recorded step share one panel; the steps'
+      // solutions reduce straight to per-block channels, batched over all
+      // steps per block, and their full fields are never built.
       auto fatigue = std::make_shared<FatigueResult>();
       const double duration = march(fatigue->transient, fatigue->thermal_stats);
-      fatigue->envelope_load = rom::BlockLoadField(window.blocks_x, window.blocks_y,
-                                                   Vec(fatigue->transient.peak_envelope));
       fatigue->history_steps = select_history_steps(fatigue->transient.num_records(),
                                                     spec.fatigue.record_stride);
+      std::vector<rom::BlockLoadField> loads =
+          panel_loads(fatigue->transient, fatigue->history_steps);
+      Panel panel = run_panel(window, loads);
+      static_cast<ArrayResult&>(*fatigue) = std::move(panel.primary);
+      fatigue->envelope_load = std::move(loads.front());
+      loads.erase(loads.begin());  // the steps' loads, in panel order
+
       std::vector<double> step_times;
       for (int step : fatigue->history_steps) step_times.push_back(fatigue->transient.times[step]);
-      static_cast<ArrayResult&>(*fatigue) = run_fatigue_panel(
-          window, fatigue->envelope_load,
-          loads_of_steps(fatigue->transient, fatigue->history_steps), step_times,
-          &fatigue->history, &fatigue->history_seconds);
+      fatigue->history = reliability::StressHistory(window.report.width(), window.report.height());
+      fatigue->history.resize_steps(step_times);
+      util::WallTimer extract_timer;
+      {
+        MS_TRACE_SCOPE("core.fatigue.channel_extract");
+        reliability::extract_channel_history(window.grid, tsv_model(),
+                                             window.uses_dummy ? &dummy_model() : nullptr,
+                                             window.mask, panel.others, loads, window.report,
+                                             fatigue->history);
+      }
+      require_finite("fatigue.channels", "channel history", fatigue->history.raw_data().data(),
+                     fatigue->history.raw_data().size());
+      fatigue->history_seconds = extract_timer.seconds();
+      // The multi-RHS panel is the allocation that scales with trace length:
+      // num_rhs right-hand sides and as many solutions held simultaneously,
+      // plus the retained channel history.
+      const fem::SolveStats& solve = fatigue->stats.solve;
+      fatigue->stats.memory_bytes += 2 * static_cast<std::size_t>(solve.num_rhs) *
+                                         static_cast<std::size_t>(solve.num_dofs) *
+                                         sizeof(double) +
+                                     fatigue->history.memory_bytes();
+
       util::WallTimer assess_timer;
       fatigue->report = assess_fatigue(fatigue->history, duration, spec.fatigue);
       fatigue->reliability_seconds = assess_timer.seconds();
@@ -224,6 +269,9 @@ sweep::ScenarioResult MoreStressSimulator::simulate(const sweep::ScenarioSpec& s
       break;
     }
   }
+  // Once per query, from the completed stats: a fatigue run's memory
+  // includes its panel and history.
+  publish_run_stats(result.base().stats);
 
   result.peak_von_mises = peak_of(result.base().von_mises);
   if (result.fatigue != nullptr) {

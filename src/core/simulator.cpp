@@ -9,9 +9,7 @@
 
 #include "chiplet/package_thermal.hpp"
 #include "core/health.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "reliability/channel_extract.hpp"
 #include "rom/local_stage.hpp"
 #include "thermal/conduction_assembler.hpp"
 #include "util/fault_injector.hpp"
@@ -110,48 +108,28 @@ double MoreStressSimulator::prepare_local_stage(bool with_dummy) {
   return tsv_cached && (!with_dummy || dummy_model_ != nullptr) ? 0.0 : timer.seconds();
 }
 
-namespace {
-
-/// Record the stages a completed run adds around its global solve — the same
-/// values RunStats reports (asserted by the regression lock in tests/obs).
-/// The solve itself published rom.global.* already.
-void publish_run_stats(const RunStats& s) {
-  obs::observe_seconds("core.run.assemble_seconds", s.assemble_seconds);
-  obs::observe_seconds("core.run.reconstruct_seconds", s.reconstruct_seconds);
-  auto& reg = obs::MetricRegistry::global();
-  reg.gauge("core.run.local_stage_seconds").set(s.local_stage_seconds);
-  reg.gauge("core.run.memory_bytes").set(static_cast<double>(s.memory_bytes));
-}
-
-}  // namespace
-
 rom::BlockGrid MoreStressSimulator::block_grid(int blocks_x, int blocks_y) const {
   return rom::BlockGrid(blocks_x, blocks_y, config_.local.nodes_x, config_.local.nodes_y,
                         config_.local.nodes_z, config_.geometry.pitch, config_.geometry.height);
 }
 
 MoreStressSimulator::Window MoreStressSimulator::array_window(int blocks_x, int blocks_y) const {
-  const rom::BlockGrid grid = block_grid(blocks_x, blocks_y);
-  Window window;
-  window.blocks_x = blocks_x;
-  window.blocks_y = blocks_y;
-  window.bc = rom::clamp_top_bottom(grid);
-  window.report = rom::BlockRange::all(grid);
-  return window;
+  rom::BlockGrid grid = block_grid(blocks_x, blocks_y);
+  fem::DirichletBc bc = rom::clamp_top_bottom(grid);
+  const rom::BlockRange report = rom::BlockRange::all(grid);
+  return Window{std::move(grid), {}, std::move(bc), report, false};
 }
 
 MoreStressSimulator::Window MoreStressSimulator::submodel_window(
     int tsv_blocks_x, int tsv_blocks_y, int dummy_rings, const Displacement& boundary) const {
-  Window window;
-  window.blocks_x = tsv_blocks_x + 2 * dummy_rings;
-  window.blocks_y = tsv_blocks_y + 2 * dummy_rings;
-  const rom::BlockGrid grid = block_grid(window.blocks_x, window.blocks_y);
-  window.mask = mesh::padded_tsv_mask(window.blocks_x, window.blocks_y, dummy_rings);
-  window.bc = rom::submodel_boundary(grid, boundary);
-  window.report = {dummy_rings, dummy_rings + tsv_blocks_x, dummy_rings,
-                   dummy_rings + tsv_blocks_y};
-  window.uses_dummy = dummy_rings > 0;
-  return window;
+  const int blocks_x = tsv_blocks_x + 2 * dummy_rings;
+  const int blocks_y = tsv_blocks_y + 2 * dummy_rings;
+  rom::BlockGrid grid = block_grid(blocks_x, blocks_y);
+  fem::DirichletBc bc = rom::submodel_boundary(grid, boundary);
+  const rom::BlockRange report{dummy_rings, dummy_rings + tsv_blocks_x, dummy_rings,
+                               dummy_rings + tsv_blocks_y};
+  return Window{std::move(grid), mesh::padded_tsv_mask(blocks_x, blocks_y, dummy_rings),
+                std::move(bc), report, dummy_rings > 0};
 }
 
 std::string MoreStressSimulator::global_factor_key(const Window& window) {
@@ -172,25 +150,24 @@ std::string MoreStressSimulator::global_factor_key(const Window& window) {
   h = util::fnv1a(window.mask, h);
   h = util::fnv1a(window.bc.dofs, h);
   char buf[128];
-  std::snprintf(buf, sizeof(buf), "glob_b%dx%d_n%d%d%d_d%d_%016llx", window.blocks_x,
-                window.blocks_y, config_.local.nodes_x, config_.local.nodes_y,
+  std::snprintf(buf, sizeof(buf), "glob_b%dx%d_n%d%d%d_d%d_%016llx", window.grid.blocks_x(),
+                window.grid.blocks_y(), config_.local.nodes_x, config_.local.nodes_y,
                 config_.local.nodes_z, window.uses_dummy ? 1 : 0,
                 static_cast<unsigned long long>(h));
   return buf;
 }
 
-ArrayResult MoreStressSimulator::run_panel(const Window& window,
-                                           const rom::BlockLoadField& primary_load,
-                                           const std::vector<rom::BlockLoadField>& extra_loads,
-                                           double* consume_seconds,
-                                           const PanelConsumer& consumer) {
+MoreStressSimulator::Panel MoreStressSimulator::run_panel(
+    const Window& window, const std::vector<rom::BlockLoadField>& loads) {
   MS_TRACE_SCOPE("core.global.panel");
   cancel_.check("global.panel");
   const rom::RomModel& tsv = tsv_model();
   const rom::RomModel* dummy = window.uses_dummy ? &dummy_model() : nullptr;
+  const rom::BlockGrid& grid = window.grid;
   const rom::BlockMask& mask = window.mask;
 
-  ArrayResult result;
+  Panel panel;
+  ArrayResult& result = panel.primary;
   result.stats.local_stage_seconds =
       tsv.local_stage_seconds + (dummy != nullptr ? dummy->local_stage_seconds : 0.0);
 
@@ -202,9 +179,8 @@ ArrayResult MoreStressSimulator::run_panel(const Window& window,
   }
 
   util::WallTimer timer;
-  const rom::BlockGrid grid = block_grid(window.blocks_x, window.blocks_y);
   rom::GlobalProblem problem;
-  std::vector<Vec> extra_rhs;
+  std::vector<Vec> other_rhs;
   {
     MS_TRACE_SCOPE("core.global.assemble");
     if (fem::factor_resident(solve_options.method, factor_cache_, solve_options.factor_key)) {
@@ -213,92 +189,55 @@ ArrayResult MoreStressSimulator::run_panel(const Window& window,
       // and assembly reduces to the load vectors. On a cold key the full
       // operator is assembled below and the solver populates the cache.
       problem.num_dofs = grid.num_dofs();
-      problem.rhs = rom::assemble_global_rhs(grid, tsv, dummy, mask, primary_load);
+      problem.rhs = rom::assemble_global_rhs(grid, tsv, dummy, mask, loads.front());
     } else {
-      problem = rom::assemble_global(grid, tsv, dummy, mask, primary_load);
+      problem = rom::assemble_global(grid, tsv, dummy, mask, loads.front());
     }
-    // The reduced stiffness is load-independent, so every extra case costs
+    // The reduced stiffness is load-independent, so every other case costs
     // one load-vector assembly against the shared operator.
-    extra_rhs.reserve(extra_loads.size());
-    for (const rom::BlockLoadField& extra : extra_loads) {
-      extra_rhs.push_back(rom::assemble_global_rhs(grid, tsv, dummy, mask, extra));
+    other_rhs.reserve(loads.size() - 1);
+    for (std::size_t c = 1; c < loads.size(); ++c) {
+      other_rhs.push_back(rom::assemble_global_rhs(grid, tsv, dummy, mask, loads[c]));
     }
   }
   result.stats.assemble_seconds = timer.seconds();
 
   cancel_.check("global.solve");
-  std::vector<Vec> solutions = rom::solve_global_multi(problem, std::move(extra_rhs), window.bc,
+  std::vector<Vec> solutions = rom::solve_global_multi(problem, std::move(other_rhs), window.bc,
                                                        solve_options, &result.stats.solve);
   for (const Vec& solution : solutions) {
     require_finite("global.solve", "global solution", solution);
   }
   result.solution = std::move(solutions.front());
+  panel.others.assign(std::make_move_iterator(solutions.begin() + 1),
+                      std::make_move_iterator(solutions.end()));
 
-  cancel_.check("global.reconstruct");
-  timer.reset();
-  {
-    MS_TRACE_SCOPE("core.global.reconstruct");
-    result.stress = rom::reconstruct_plane_stress(grid, tsv, dummy, mask, result.solution,
-                                                  primary_load, window.report);
-    result.von_mises = fem::to_von_mises(result.stress);
-  }
-  require_finite("global.reconstruct", "von Mises field", result.von_mises.data(),
-                 result.von_mises.size());
-  result.stats.reconstruct_seconds = timer.seconds();
-
-  result.region_blocks_x = window.report.width();
-  result.region_blocks_y = window.report.height();
-  result.samples_per_block = tsv.samples_per_block;
+  reconstruct(window, loads.front(), result);
   result.stats.memory_bytes = result.stats.solve.matrix_bytes + result.stats.solve.solver_bytes +
                               tsv.memory_bytes() +
                               (dummy != nullptr ? dummy->memory_bytes() : 0) +
                               result.stress.size() * sizeof(fem::Stress6) +
                               result.solution.size() * sizeof(double);
-
-  timer.reset();
-  if (consumer) {
-    MS_TRACE_SCOPE("core.global.consume");
-    const PanelCaseContext ctx{grid, tsv, dummy, window, result.stats};
-    // Consumers write disjoint slots (documented contract), so cases
-    // parallelize; each case sees the completed primary stats.
-#ifdef _OPENMP
-#pragma omp parallel for schedule(dynamic)
-#endif
-    for (std::ptrdiff_t c = 0; c < static_cast<std::ptrdiff_t>(extra_loads.size()); ++c) {
-      consumer(static_cast<std::size_t>(c), solutions[static_cast<std::size_t>(c) + 1],
-               extra_loads[static_cast<std::size_t>(c)], ctx);
-    }
-  }
-  if (consume_seconds != nullptr) *consume_seconds = timer.seconds();
-  return result;
+  return panel;
 }
 
-ArrayResult MoreStressSimulator::run_global(const Window& window, const rom::BlockLoadField& load,
-                                            const std::vector<rom::BlockLoadField>& extra_loads,
-                                            std::vector<ArrayResult>* extra_results) {
-  PanelConsumer consumer;
-  if (extra_results != nullptr) {
-    extra_results->clear();
-    extra_results->resize(extra_loads.size());
-    consumer = [extra_results](std::size_t c, Vec& solution, const rom::BlockLoadField& load_c,
-                               const PanelCaseContext& ctx) {
-      ArrayResult& extra = (*extra_results)[c];
-      extra.stats = ctx.base_stats;  // shared assembly/factorization cost
-      extra.solution = std::move(solution);
-      util::WallTimer reconstruct_timer;
-      extra.stress =
-          rom::reconstruct_plane_stress(ctx.grid, ctx.tsv, ctx.dummy, ctx.window.mask,
-                                        extra.solution, load_c, ctx.window.report);
-      extra.von_mises = fem::to_von_mises(extra.stress);
-      extra.stats.reconstruct_seconds = reconstruct_timer.seconds();
-      extra.region_blocks_x = ctx.window.report.width();
-      extra.region_blocks_y = ctx.window.report.height();
-      extra.samples_per_block = ctx.tsv.samples_per_block;
-    };
+void MoreStressSimulator::reconstruct(const Window& window, const rom::BlockLoadField& load,
+                                      ArrayResult& result) {
+  cancel_.check("global.reconstruct");
+  util::WallTimer timer;
+  {
+    MS_TRACE_SCOPE("core.global.reconstruct");
+    result.stress = rom::reconstruct_plane_stress(
+        window.grid, tsv_model(), window.uses_dummy ? &dummy_model() : nullptr, window.mask,
+        result.solution, load, window.report);
+    result.von_mises = fem::to_von_mises(result.stress);
   }
-  ArrayResult result = run_panel(window, load, extra_loads, nullptr, consumer);
-  publish_run_stats(result.stats);
-  return result;
+  require_finite("global.reconstruct", "von Mises field", result.von_mises.data(),
+                 result.von_mises.size());
+  result.stats.reconstruct_seconds = timer.seconds();
+  result.region_blocks_x = window.report.width();
+  result.region_blocks_y = window.report.height();
+  result.samples_per_block = tsv_model().samples_per_block;
 }
 
 namespace {
@@ -315,20 +254,32 @@ void require_footprint(const thermal::PowerMap& power, double extent_x, double e
   }
 }
 
-/// Factor-cache key of a steady conduction solve. The conductivity fields
-/// fingerprint the geometry, materials, layout, and conductivity model; the
-/// mesh dimensions and film coefficient fix the sparsity pattern and the
-/// constrained-dof set (film == 0 means a Dirichlet sink on the z-min face).
-/// The sink *temperature* and the power input are rhs-only and excluded.
+/// Fingerprint of a conduction operator's coefficients: the mesh's grid
+/// lines (which fix every element's shape, so meshes with the same counts but
+/// another height or grading key apart) and the per-element conductivities
+/// (which fingerprint the geometry, materials, layout and conductivity model).
+std::uint64_t conduction_hash(const mesh::HexMesh& mesh,
+                              const thermal::ConductivityField& conductivity) {
+  std::uint64_t h = util::fnv1a(mesh.xs());
+  h = util::fnv1a(mesh.ys(), h);
+  h = util::fnv1a(mesh.zs(), h);
+  h = util::fnv1a(conductivity.in_plane, h);
+  return util::fnv1a(conductivity.through_plane, h);
+}
+
+/// Factor-cache key of a steady conduction solve: conduction_hash, plus the
+/// mesh dimensions and film coefficient, which fix the sparsity pattern and
+/// the constrained-dof set (film == 0 means a Dirichlet sink on the z-min
+/// face). The sink *temperature* and the power input are rhs-only and
+/// excluded.
 std::string thermal_steady_key(const mesh::HexMesh& mesh,
                                const thermal::ConductivityField& conductivity,
                                const thermal::ThermalSolveOptions& solve) {
-  std::uint64_t h = util::fnv1a(conductivity.in_plane);
-  h = util::fnv1a(conductivity.through_plane, h);
   char buf[160];
   std::snprintf(buf, sizeof(buf), "thermS_n%lld_e%lld_f%.17g_%016llx",
                 static_cast<long long>(mesh.num_nodes()), static_cast<long long>(mesh.num_elems()),
-                solve.sink_film_coefficient, static_cast<unsigned long long>(h));
+                solve.sink_film_coefficient,
+                static_cast<unsigned long long>(conduction_hash(mesh, conductivity)));
   return buf;
 }
 
@@ -338,9 +289,7 @@ std::string thermal_transient_key(const mesh::HexMesh& mesh,
                                   const thermal::ConductivityField& conductivity,
                                   const Vec& capacities,
                                   const thermal::TransientSolveOptions& options) {
-  std::uint64_t h = util::fnv1a(conductivity.in_plane);
-  h = util::fnv1a(conductivity.through_plane, h);
-  h = util::fnv1a(capacities, h);
+  const std::uint64_t h = util::fnv1a(capacities, conduction_hash(mesh, conductivity));
   char buf[224];
   std::snprintf(buf, sizeof(buf), "thermT_n%lld_e%lld_f%.17g_dt%.17g_%s_l%d_%016llx",
                 static_cast<long long>(mesh.num_nodes()), static_cast<long long>(mesh.num_elems()),
@@ -357,27 +306,28 @@ MoreStressSimulator::ThermalDomain MoreStressSimulator::thermal_domain(
   MS_TRACE_SCOPE("core.thermal.domain");
   const ThermalCouplingOptions& coupling = config_.coupling;
   const double pitch = config_.geometry.pitch;
+  const int blocks_x = window.grid.blocks_x();
+  const int blocks_y = window.grid.blocks_y();
   ThermalDomain domain;
-  domain.reduction.blocks_x = window.blocks_x;
-  domain.reduction.blocks_y = window.blocks_y;
+  domain.reduction.blocks_x = blocks_x;
+  domain.reduction.blocks_y = blocks_y;
   domain.reduction.pitch = pitch;
   domain.reduction.reference = coupling.stress_free_temperature;
   if (package == nullptr) {
-    domain.mesh = thermal::build_array_thermal_mesh(config_.geometry, window.blocks_x,
-                                                    window.blocks_y, coupling.elems_per_block_xy,
-                                                    coupling.elems_z);
+    domain.mesh = thermal::build_array_thermal_mesh(config_.geometry, blocks_x, blocks_y,
+                                                    coupling.elems_per_block_xy, coupling.elems_z);
     domain.conductivity = thermal::array_block_conductivities(
-        domain.mesh, config_.geometry, config_.materials, window.blocks_x, window.blocks_y,
-        window.mask, coupling.conductivity_model);
-    domain.capacity = thermal::array_block_capacities(
-        domain.mesh, config_.geometry, config_.materials, window.blocks_x, window.blocks_y,
-        window.mask, coupling.conductivity_model);
-    domain.plan_x = window.blocks_x * pitch;
-    domain.plan_y = window.blocks_y * pitch;
+        domain.mesh, config_.geometry, config_.materials, blocks_x, blocks_y, window.mask,
+        coupling.conductivity_model);
+    domain.capacity = thermal::array_block_capacities(domain.mesh, config_.geometry,
+                                                      config_.materials, blocks_x, blocks_y,
+                                                      window.mask, coupling.conductivity_model);
+    domain.plan_x = blocks_x * pitch;
+    domain.plan_y = blocks_y * pitch;
     domain.plan_name = "array extent";
     return domain;
   }
-  if (placement.blocks_x != window.blocks_x || placement.blocks_y != window.blocks_y) {
+  if (placement.blocks_x != blocks_x || placement.blocks_y != blocks_y) {
     throw std::invalid_argument(
         "sub-model: placement must cover the padded window "
         "(tsv_blocks + 2*dummy_rings per axis)");
@@ -454,51 +404,6 @@ thermal::TransientTemperatureResult MoreStressSimulator::run_transient(
   require_finite("thermal.transient", "dT peak envelope",
                  transient.peak_envelope.data(), transient.peak_envelope.size());
   return transient;
-}
-
-ArrayResult MoreStressSimulator::run_fatigue_panel(
-    const Window& window, const rom::BlockLoadField& envelope_load,
-    const std::vector<rom::BlockLoadField>& step_loads, const std::vector<double>& step_times,
-    reliability::StressHistory* history, double* history_seconds) {
-  MS_TRACE_SCOPE("core.fatigue.panel");
-  // The panel consumer only stashes each step's solution; the channel
-  // reduction runs once afterwards, batched over all steps per block
-  // (reliability/channel_extract.hpp), instead of rebuilding the dense
-  // plane-stress field step by step.
-  *history = reliability::StressHistory(window.report.width(), window.report.height());
-  history->resize_steps(step_times);
-  std::vector<Vec> step_solutions(step_loads.size());
-  const PanelConsumer stash_step = [&step_solutions](std::size_t s, Vec& solution,
-                                                     const rom::BlockLoadField&,
-                                                     const PanelCaseContext&) {
-    step_solutions[s] = std::move(solution);
-  };
-
-  // The whole fatigue history — envelope plus every selected step — runs as
-  // one multi-RHS panel against a single factorization on the direct path.
-  double consume_seconds = 0.0;
-  ArrayResult result = run_panel(window, envelope_load, step_loads, &consume_seconds, stash_step);
-
-  util::WallTimer extract_timer;
-  {
-    MS_TRACE_SCOPE("core.fatigue.channel_extract");
-    reliability::extract_channel_history(
-        block_grid(window.blocks_x, window.blocks_y), tsv_model(),
-        window.uses_dummy ? &dummy_model() : nullptr, window.mask, step_solutions, step_loads,
-        window.report, *history);
-  }
-  require_finite("fatigue.channels", "channel history",
-                 history->raw_data().data(), history->raw_data().size());
-  if (history_seconds != nullptr) *history_seconds = consume_seconds + extract_timer.seconds();
-  // The multi-RHS panel is the allocation that scales with trace length:
-  // num_rhs right-hand sides and as many solutions held simultaneously, plus
-  // the retained channel history.
-  result.stats.memory_bytes += 2 * static_cast<std::size_t>(result.stats.solve.num_rhs) *
-                                   static_cast<std::size_t>(result.stats.solve.num_dofs) *
-                                   sizeof(double) +
-                               history->memory_bytes();
-  publish_run_stats(result.stats);
-  return result;
 }
 
 reliability::ReliabilityReport MoreStressSimulator::assess_fatigue(

@@ -104,8 +104,7 @@ class MoreStressSimulator {
   /// sub-model is dummy-ring padded, driven by the package displacement on
   /// its outer faces and reported over the inner TSV region only.
   struct Window {
-    int blocks_x = 0;
-    int blocks_y = 0;
+    rom::BlockGrid grid;
     rom::BlockMask mask;
     fem::DirichletBc bc;
     rom::BlockRange report;
@@ -116,50 +115,24 @@ class MoreStressSimulator {
   [[nodiscard]] Window submodel_window(int tsv_blocks_x, int tsv_blocks_y, int dummy_rings,
                                        const Displacement& boundary) const;
 
-  /// Read-only context handed to a PanelConsumer alongside each extra
-  /// solution: everything needed to reconstruct fields for that case.
-  struct PanelCaseContext {
-    const rom::BlockGrid& grid;
-    const rom::RomModel& tsv;
-    const rom::RomModel* dummy;
-    const Window& window;
-    const RunStats& base_stats;  ///< primary result's completed stats
+  /// The global stage's answer for one panel: `loads[0]` fully reconstructed,
+  /// and the global solutions of `loads[1..]` in order.
+  struct Panel {
+    ArrayResult primary;
+    std::vector<Vec> others;
   };
-  /// Called once per entry of `extra_loads` with the case index, that case's
-  /// global solution (mutable — consumers may move from it), and its load.
-  /// Invoked inside an OpenMP parallel for: consumers must write disjoint
-  /// slots and take no locks.
-  using PanelConsumer =
-      std::function<void(std::size_t case_idx, Vec& solution, const rom::BlockLoadField& load,
-                         const PanelCaseContext& ctx)>;
-  /// The one multi-RHS panel core both run_global and run_fatigue_panel are
-  /// built on: assemble the global operator once, solve [primary | extras]
-  /// as a single panel (one factorization on the direct path), reconstruct
-  /// the primary case fully, then hand every extra solution to `consumer`.
-  /// `consume_seconds` (optional) receives the wall time of the consumer
-  /// loop. The returned stats do NOT yet include consumer-specific memory —
-  /// wrappers account for what they retain. With a factor cache attached, a
-  /// resident key skips the operator assembly entirely (load vectors only)
-  /// and the factorization.
-  ArrayResult run_panel(const Window& window, const rom::BlockLoadField& primary_load,
-                        const std::vector<rom::BlockLoadField>& extra_loads,
-                        double* consume_seconds, const PanelConsumer& consumer);
-  /// Global stage for `load`, plus one fully reconstructed case per entry of
-  /// `extra_loads` (transient snapshots) against the same assembled
-  /// operator — on the direct path all cases share one factorization
-  /// and run as a multi-RHS panel. Per-case results land in `extra_results`.
-  ArrayResult run_global(const Window& window, const rom::BlockLoadField& load,
-                         const std::vector<rom::BlockLoadField>& extra_loads = {},
-                         std::vector<ArrayResult>* extra_results = nullptr);
-  /// The batched fatigue core shared by both scenarios: solve [envelope |
-  /// one case per step load] as a single multi-RHS panel, reconstruct the
-  /// envelope fully (the returned ArrayResult), and reduce every step's
-  /// solution straight into `history` (full per-step fields are never
-  /// retained).
-  ArrayResult run_fatigue_panel(const Window& window, const rom::BlockLoadField& envelope_load,
-                                const std::vector<rom::BlockLoadField>& step_loads,
-                                const std::vector<double>& step_times,
-                                reliability::StressHistory* history, double* history_seconds);
+  /// The one global stage of every analysis: assemble the reduced operator
+  /// once, solve every entry of `loads` as one multi-RHS panel (one
+  /// factorization on the direct path) and reconstruct `loads[0]`. With a
+  /// factor cache attached, a resident key skips the operator assembly
+  /// (load vectors only) and the factorization. The primary's stats count
+  /// the whole panel's assembly and solve; the caller accounts for what it
+  /// keeps of the other solutions.
+  Panel run_panel(const Window& window, const std::vector<rom::BlockLoadField>& loads);
+  /// Reconstruct `result.solution` under `load` over the window's report
+  /// range on the whole OpenMP team: fills the stress and von Mises fields,
+  /// their shape, and stats.reconstruct_seconds.
+  void reconstruct(const Window& window, const rom::BlockLoadField& load, ArrayResult& result);
   /// Where the thermal stage runs: a conduction mesh with per-element
   /// conductivities and heat capacities, the reduction of its nodal field to
   /// the window's per-block ΔT (measured from coupling.stress_free_temperature),

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include <filesystem>
 #include <vector>
@@ -146,6 +147,56 @@ TEST(Simulator, ModelFileCopiedUnderAnotherConfigsNameIsRebuilt) {
   EXPECT_EQ(from_dir.solution, no_cache.solution);
   std::filesystem::remove_all(base_dir);
   std::filesystem::remove_all(dir);
+}
+
+template <typename T>
+bool bitwise_equal(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
+}
+
+TEST(Simulator, SharedFactorCacheServesOnlyOperatorsOfTheSameThermalMesh) {
+  // Two configs whose conduction meshes share node and element counts and
+  // whose per-element conductivities and capacities are equal, but whose
+  // grid lines are not: the height moves every z line. A cache shared
+  // between them must serve neither the other's conduction factor nor its
+  // stepper factor.
+  SimulationConfig config = small_config();
+  config.local.samples_per_block = 8;
+  config.global.method = "direct";
+  config.coupling.solve.method = "direct";
+  SimulationConfig taller = config;
+  taller.geometry.height = 80.0;
+
+  sweep::ScenarioSpec steady = specs::array_spec(3, 3);
+  steady.load = sweep::LoadKind::kPower;
+  steady.power.background = 20.0;
+  steady.power.hotspot_peak = 150.0;
+  sweep::ScenarioSpec transient = steady;
+  transient.analysis = sweep::AnalysisKind::kTransient;
+  transient.load = sweep::LoadKind::kTrace;
+
+  la::FactorCache cache;
+  MoreStressSimulator first(config);
+  MoreStressSimulator second(taller);
+  MoreStressSimulator alone(taller);
+  first.set_factor_cache(&cache);
+  second.set_factor_cache(&cache);
+  for (const sweep::ScenarioSpec& spec : {steady, transient}) {
+    SCOPED_TRACE(sweep::to_string(spec.analysis));
+    (void)first.simulate(spec);
+    const sweep::ScenarioResult shared = second.simulate(spec);
+    const sweep::ScenarioResult own = alone.simulate(spec);
+    ASSERT_FALSE(shared.failed()) << shared.error.message;
+    ASSERT_FALSE(own.failed()) << own.error.message;
+    const rom::BlockLoadField& shared_load =
+        shared.thermal ? shared.thermal->load : shared.transient->envelope_load;
+    const rom::BlockLoadField& own_load =
+        own.thermal ? own.thermal->load : own.transient->envelope_load;
+    EXPECT_TRUE(bitwise_equal(shared_load.values(), own_load.values()));
+    EXPECT_TRUE(bitwise_equal(shared.base().stress, own.base().stress));
+    EXPECT_TRUE(bitwise_equal(shared.base().solution, own.base().solution));
+  }
 }
 
 TEST(Simulator, SubmodelUsesDummyRingsAndReportsInnerRegion) {
