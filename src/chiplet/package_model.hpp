@@ -74,9 +74,9 @@ mesh::HexMesh build_package_coarse_mesh(const PackageGeometry& geometry,
 class PackageModel {
  public:
   /// Build the coarse mesh, clamp the substrate bottom, solve for the given
-  /// thermal load with a sparse direct factorization (AMD + supernodal by
-  /// default; `solve_options` overrides the solver configuration — the
-  /// method is forced to "direct").
+  /// thermal load with a sparse direct factorization (the mesh's nested
+  /// dissection + supernodal; `solve_options` overrides the solver
+  /// configuration — the method is forced to "direct").
   PackageModel(const PackageGeometry& geometry, const CoarseMeshSpec& spec, double thermal_load,
                fem::FemSolveOptions solve_options = {});
 

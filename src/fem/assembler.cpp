@@ -85,6 +85,10 @@ inline la::offset_t find_entry(const CsrMatrix& a, idx_t row, idx_t col) {
 
 }  // namespace
 
+la::Permutation stiffness_order(const mesh::HexMesh& mesh) {
+  return la::grid_nested_dissection(mesh.nodes_x(), mesh.nodes_y(), mesh.nodes_z(), 3);
+}
+
 AssembledSystem assemble_system(const mesh::HexMesh& mesh, const MaterialTable& materials,
                                 const Vec* delta_t_per_elem) {
   if (delta_t_per_elem != nullptr &&

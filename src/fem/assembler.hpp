@@ -6,6 +6,7 @@
 // which makes assembly of even the 50x50-array reference mesh cheap.
 
 #include "fem/hex8.hpp"
+#include "la/ordering.hpp"
 #include "la/sparse.hpp"
 #include "mesh/hex_mesh.hpp"
 
@@ -20,6 +21,10 @@ using la::Vec;
 inline idx_t dof_of(idx_t node, int component) { return 3 * node + component; }
 inline idx_t node_of(idx_t dof) { return dof / 3; }
 inline int component_of(idx_t dof) { return static_cast<int>(dof % 3); }
+
+/// The fill-reducing order of a stiffness assembled on `mesh`: the mesh's
+/// nested dissection, three dofs per node as dof_of numbers them.
+la::Permutation stiffness_order(const mesh::HexMesh& mesh);
 
 struct AssembledSystem {
   CsrMatrix stiffness;   ///< K, full symmetric storage

@@ -79,6 +79,22 @@ CsrMatrix DirichletSplit::coupling(const CsrMatrix& a) const {
   return a.submatrix(part_.free_map, part_.num_free, part_.bc_map, part_.num_bc);
 }
 
+la::Permutation DirichletSplit::free_order(const la::Permutation& order) const {
+  if (order.size() != num_dofs() || !order.is_valid()) {
+    throw std::invalid_argument("DirichletSplit: the order is not a permutation of the " +
+                                std::to_string(num_dofs()) + " dofs");
+  }
+  la::Permutation out;
+  out.perm.reserve(static_cast<std::size_t>(part_.num_free));
+  for (const idx_t dof : order.perm) {
+    const idx_t r = part_.free_map[dof];
+    if (r >= 0) out.perm.push_back(r);
+  }
+  out.inv_perm.assign(static_cast<std::size_t>(part_.num_free), 0);
+  for (idx_t i = 0; i < part_.num_free; ++i) out.inv_perm[out.perm[i]] = i;
+  return out;
+}
+
 void DirichletSplit::reduce(const CsrMatrix& coupling, const double* f, const double* g,
                             double* out) const {
   assert(coupling.rows() == part_.num_free && coupling.cols() == part_.num_bc);
@@ -121,8 +137,10 @@ la::FactorCache::Entry fetch_factor(CsrMatrix& a, const DirichletSplit& split,
     la::FactorCache::Entry fresh;
     fresh.coupling = std::make_shared<const CsrMatrix>(split.coupling(a));
     a = split.free_block(a);
+    const la::Permutation order =
+        source.order.size() == 0 ? la::Permutation{} : split.free_order(source.order);
     la::ShiftRetryResult factored =
-        la::factor_with_shift_retry(a, (std::string(source.stage) + ".factor").c_str());
+        la::factor_with_shift_retry(a, (std::string(source.stage) + ".factor").c_str(), order);
     fresh.factor = std::move(factored.factor);
     fresh.diagonal_shift = factored.shift;
     return fresh;

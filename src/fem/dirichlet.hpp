@@ -13,6 +13,7 @@
 
 #include "core/cancel.hpp"
 #include "la/factor_cache.hpp"
+#include "la/ordering.hpp"
 #include "la/sparse.hpp"
 
 namespace ms::fem {
@@ -68,6 +69,10 @@ class DirichletSplit {
   [[nodiscard]] CsrMatrix free_block(const CsrMatrix& a) const;
   /// K_fc: the free rows of `a` restricted to the constrained columns.
   [[nodiscard]] CsrMatrix coupling(const CsrMatrix& a) const;
+  /// The order of K_ff that `order`, an order of all dofs, induces: its
+  /// free dofs in sequence, renumbered to free indices. Throws
+  /// std::invalid_argument unless `order` is a permutation of the dofs.
+  [[nodiscard]] la::Permutation free_order(const la::Permutation& order) const;
 
   /// out = f_f − K_fc g, with `f` one value per dof, `g` one per
   /// constrained dof and `out` num_free values (`coupling` is K_fc).
@@ -88,12 +93,16 @@ class DirichletSplit {
 /// between callers); otherwise it is built for the call alone. `stage`
 /// prefixes the build's cancel check and fault probe ("<stage>.factor_build"),
 /// the shift-retry site ("<stage>.factor") and solve_linear's metrics
-/// ("rom.global", "thermal.steady" or "fem").
+/// ("rom.global", "thermal.steady" or "fem"). `order` is the operator's
+/// fill-reducing order over all of its dofs, the nested dissection of the
+/// mesh it was assembled on; it is empty for the ROM lattice, whose free
+/// block is ordered by AMD.
 struct FactorSource {
   la::FactorCache* cache;
   const std::string& key;
   const core::CancelToken& cancel;
   const char* stage;
+  la::Permutation order = {};
 
   /// The cache the factor is shared through, or null when built for the call.
   [[nodiscard]] la::FactorCache* shared_cache() const { return key.empty() ? nullptr : cache; }
@@ -102,9 +111,10 @@ struct FactorSource {
 /// The factor half of a direct solve: the factorization of `split`'s free
 /// block of `a` and the coupling K_fc, from the cache (built at most once
 /// per key) or built here. The build runs the cancel check and the fault
-/// probe, keeps K_fc in the entry, replaces `a` by K_ff and factors it with
-/// the shift-retry ladder. On a hit `a` is left as passed, and may be
-/// unassembled. `stats` receives the factor detail.
+/// probe, keeps K_fc in the entry, replaces `a` by K_ff and factors it under
+/// the source's order restricted to the free dofs, with the shift-retry
+/// ladder. On a hit `a` is left as passed, and may be unassembled. `stats`
+/// receives the factor detail.
 la::FactorCache::Entry fetch_factor(CsrMatrix& a, const DirichletSplit& split,
                                     const FactorSource& source, la::FactorStats& stats);
 

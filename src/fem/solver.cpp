@@ -11,18 +11,20 @@ namespace ms::fem {
 namespace {
 
 /// Shared tail of every entry point: solve all load cases against the
-/// assembled operator through the one linear-solve stage (direct: one
-/// factorization + one multi-RHS panel; cg: loop), and fill the stats
-/// record (solve_linear publishes it as "fem.*"; the assembly is ours).
-std::vector<Vec> solve_assembled(AssembledSystem& sys, const std::vector<Vec>& rhs_cases,
-                                 const DirichletBc& bc, const FemSolveOptions& options,
-                                 FemSolveStats* stats, double assemble_seconds) {
+/// operator assembled on `mesh` through the one linear-solve stage (direct:
+/// one factorization under the mesh's order + one multi-RHS panel; cg:
+/// loop), and fill the stats record (solve_linear publishes it as "fem.*";
+/// the assembly is ours).
+std::vector<Vec> solve_assembled(const mesh::HexMesh& mesh, AssembledSystem& sys,
+                                 const std::vector<Vec>& rhs_cases, const DirichletBc& bc,
+                                 const FemSolveOptions& options, FemSolveStats* stats,
+                                 double assemble_seconds) {
   MS_TRACE_SCOPE("fem.solve");
   FemSolveStats local;
   local.assemble_seconds = assemble_seconds;
   const std::string no_key;
   const core::CancelToken never_cancelled;
-  const FactorSource source{nullptr, no_key, never_cancelled, "fem"};
+  const FactorSource source{nullptr, no_key, never_cancelled, "fem", stiffness_order(mesh)};
   std::vector<Vec> solutions = solve_linear(
       sys.stiffness, rhs_cases, bc,
       {options.method, options.precond, options.rel_tol, options.max_iterations}, source, local);
@@ -40,7 +42,8 @@ Vec solve_thermal_stress(const mesh::HexMesh& mesh, const MaterialTable& materia
   AssembledSystem sys = assemble_system(mesh, materials);
   std::vector<Vec> rhs{sys.thermal_load};
   la::scale(rhs.front(), thermal_load);
-  return std::move(solve_assembled(sys, rhs, bc, options, stats, timer.seconds()).front());
+  return std::move(
+      solve_assembled(mesh, sys, rhs, bc, options, stats, timer.seconds()).front());
 }
 
 Vec solve_thermal_stress(const mesh::HexMesh& mesh, const MaterialTable& materials,
@@ -66,7 +69,7 @@ std::vector<Vec> solve_thermal_stress_multi(const mesh::HexMesh& mesh,
   for (std::size_t c = 1; c < delta_t_cases.size(); ++c) {
     rhs_cases.push_back(assemble_thermal_load(mesh, materials, delta_t_cases[c]));
   }
-  return solve_assembled(sys, rhs_cases, bc, options, stats, timer.seconds());
+  return solve_assembled(mesh, sys, rhs_cases, bc, options, stats, timer.seconds());
 }
 
 }  // namespace ms::fem

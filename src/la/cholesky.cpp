@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -53,14 +55,27 @@ CholeskyMetrics& chol_metrics() {
 
 }  // namespace
 
-SparseCholesky::SparseCholesky(const CsrMatrix& a, Options /*options*/) {
+SparseCholesky::SparseCholesky(const CsrMatrix& a, Options /*options*/) : ordering_name_("amd") {
+  factor(a, nullptr);
+}
+
+SparseCholesky::SparseCholesky(const CsrMatrix& a, Permutation order)
+    : ordering_name_("nested-dissection") {
+  factor(a, &order);
+}
+
+void SparseCholesky::factor(const CsrMatrix& a, Permutation* order) {
   if (a.rows() != a.cols()) throw std::invalid_argument("SparseCholesky: matrix must be square");
+  if (order != nullptr && (order->size() != a.rows() || !order->is_valid())) {
+    throw std::invalid_argument("SparseCholesky: the order is not a permutation of the " +
+                                std::to_string(a.rows()) + " rows");
+  }
   CholeskyMetrics& metrics = chol_metrics();
   obs::ScopedSpan factor_span("la.cholesky.factor", metrics.factor_seconds);
   n_ = a.rows();
   {
     obs::ScopedSpan span("la.cholesky.ordering", metrics.ordering_seconds);
-    perm_ = amd_ordering(a);
+    perm_ = order != nullptr ? std::move(*order) : amd_ordering(a);
   }
   // The numeric phase's subtree partition reuses the symbolic etree.
   std::vector<idx_t> parent;

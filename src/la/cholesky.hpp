@@ -1,10 +1,12 @@
 #pragma once
-// Sparse Cholesky (L L^T) for SPD systems, in the one configuration every
-// solve path runs:
+// Sparse Cholesky (L L^T) for SPD systems, in one configuration with one
+// choice, the fill-reducing order:
 //
-//  - approximate minimum degree ordering (far less fill than a bandwidth
-//    ordering on 3D hex meshes), additionally postordered by its
-//    elimination tree so supernode columns land consecutively
+//  - an operator assembled on a hex mesh comes with its grid's nested
+//    dissection (la::grid_nested_dissection, restricted to the free dofs);
+//    any other matrix, the ROM global lattice among them, is ordered by
+//    approximate minimum degree. Either order is additionally postordered
+//    by its elimination tree so supernode columns land consecutively
 //    (fill-neutral);
 //  - a symbolic phase over the values-free strictly-lower pattern of
 //    P A P^T (no permuted copy of A's values is ever built);
@@ -33,14 +35,22 @@ class SparseCholesky {
   /// register/cache sweet spot).
   static constexpr idx_t kMaxSupernodeWidth = 48;
 
-  /// No fields: the factorization has one configuration. The type stays
-  /// only because the benchmark of record (perfbench/src/replay.cpp) passes
+  /// No fields: the factorization has one configuration, and the order is
+  /// the matrix's, never a setting. The type stays only because the
+  /// benchmark of record (perfbench/src/replay.cpp) passes
   /// rom::GlobalSolveOptions' `factor` to the two-argument constructor.
   struct Options {};
 
-  /// Factor a symmetric positive definite matrix (full symmetric storage).
-  /// Throws std::runtime_error if a non-positive pivot is hit.
+  /// Factor a symmetric positive definite matrix (full symmetric storage)
+  /// under an AMD order. Throws std::runtime_error if a non-positive pivot
+  /// is hit.
   explicit SparseCholesky(const CsrMatrix& a, Options options = {});
+
+  /// Same, under `order` (perm[new] = old over the n rows): a mesh
+  /// operator's grid order, which ordering_name() reports as
+  /// "nested-dissection". Throws std::invalid_argument unless `order` is a
+  /// permutation of size n.
+  SparseCholesky(const CsrMatrix& a, Permutation order);
 
   // The factor never changes after construction and every solve keeps its
   // scratch local to the call (or in the caller's `work`), so one factor may
@@ -74,11 +84,12 @@ class SparseCholesky {
 
   [[nodiscard]] idx_t num_supernodes() const { return snf_.num_supernodes; }
 
-  /// Name of the fill-reducing ordering, for solver stats.
-  [[nodiscard]] static const char* ordering_name() { return "amd"; }
+  /// Name of the fill-reducing order this factor used, for solver stats:
+  /// "amd" or "nested-dissection".
+  [[nodiscard]] const char* ordering_name() const { return ordering_name_; }
 
-  /// The symmetric permutation L factors (AMD composed with the etree
-  /// postorder): L L^T = P A P^T with perm[new] = old.
+  /// The symmetric permutation L factors (the fill-reducing order composed
+  /// with the etree postorder): L L^T = P A P^T with perm[new] = old.
   [[nodiscard]] const Permutation& permutation() const { return perm_; }
 
   /// Bytes held to produce and apply the factor: the factor itself
@@ -94,6 +105,11 @@ class SparseCholesky {
                       std::vector<double>& values) const;
 
  private:
+  /// Order `a` by `*order`, or by AMD when null, then run the symbolic and
+  /// numeric phases.
+  void factor(const CsrMatrix& a, Permutation* order);
+
+  const char* ordering_name_;
   idx_t n_ = 0;
   Permutation perm_;
   offset_t matrix_lower_nnz_ = 0;  // nnz(tril(A)), for fill_ratio

@@ -33,7 +33,7 @@ struct FactorStats {
   offset_t factor_nnz = 0;      ///< nnz(L), diagonal included
   double fill_ratio = 0.0;      ///< nnz(L) / nnz(tril(A))
   idx_t num_supernodes = 0;     ///< panels of the supernodal factor
-  std::string ordering;         ///< fill-reducing ordering ("amd")
+  std::string ordering;         ///< the factor's order: "nested-dissection" or "amd"
   /// Factorizations this call ran: 1 on a build, 0 on a cache hit (and on
   /// iterative paths) — the batching invariant fatigue runs assert.
   int num_factorizations = 0;

@@ -1,8 +1,10 @@
 #include "la/ordering.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cstdint>
+#include <stdexcept>
 
 namespace ms::la {
 
@@ -15,6 +17,15 @@ Permutation Permutation::identity(idx_t n) {
     p.inv_perm[i] = i;
   }
   return p;
+}
+
+bool Permutation::is_valid() const {
+  const idx_t n = size();
+  if (static_cast<idx_t>(inv_perm.size()) != n) return false;
+  for (idx_t i = 0; i < n; ++i) {
+    if (perm[i] < 0 || perm[i] >= n || inv_perm[perm[i]] != i) return false;
+  }
+  return true;
 }
 
 Permutation Permutation::then(const Permutation& second) const {
@@ -386,6 +397,68 @@ Permutation amd_ordering(const CsrMatrix& a) {
   }
   assert(static_cast<idx_t>(out.perm.size()) == n);
   out.inv_perm.assign(n, 0);
+  for (idx_t i = 0; i < n; ++i) out.inv_perm[out.perm[i]] = i;
+  return out;
+}
+
+namespace {
+
+/// A box of grid nodes, [lo, hi) per axis.
+struct GridBox {
+  std::array<idx_t, 3> lo;
+  std::array<idx_t, 3> hi;
+};
+
+/// Append the dofs of `box`'s nodes to `perm` in natural order (i fastest)
+/// on an nx x ny grid.
+void number_naturally(const GridBox& box, idx_t nx, idx_t ny, idx_t dofs_per_node,
+                      std::vector<idx_t>& perm) {
+  for (idx_t k = box.lo[2]; k < box.hi[2]; ++k) {
+    for (idx_t j = box.lo[1]; j < box.hi[1]; ++j) {
+      for (idx_t i = box.lo[0]; i < box.hi[0]; ++i) {
+        const idx_t node = (k * ny + j) * nx + i;
+        for (idx_t c = 0; c < dofs_per_node; ++c) perm.push_back(node * dofs_per_node + c);
+      }
+    }
+  }
+}
+
+/// Append the dofs of `box`'s nodes to `perm` in nested-dissection order.
+void dissect(const GridBox& box, idx_t nx, idx_t ny, idx_t dofs_per_node,
+             std::vector<idx_t>& perm) {
+  int axis = 0;
+  for (int a = 1; a < 3; ++a) {
+    if (box.hi[a] - box.lo[a] > box.hi[axis] - box.lo[axis]) axis = a;
+  }
+  const idx_t length = box.hi[axis] - box.lo[axis];
+  if (length < 3) {
+    number_naturally(box, nx, ny, dofs_per_node, perm);
+    return;
+  }
+  const idx_t mid = box.lo[axis] + length / 2;
+  GridBox lower = box;
+  GridBox upper = box;
+  GridBox plane = box;
+  lower.hi[axis] = mid;
+  upper.lo[axis] = mid + 1;
+  plane.lo[axis] = mid;
+  plane.hi[axis] = mid + 1;
+  dissect(lower, nx, ny, dofs_per_node, perm);
+  dissect(upper, nx, ny, dofs_per_node, perm);
+  number_naturally(plane, nx, ny, dofs_per_node, perm);
+}
+
+}  // namespace
+
+Permutation grid_nested_dissection(idx_t nx, idx_t ny, idx_t nz, idx_t dofs_per_node) {
+  if (nx < 0 || ny < 0 || nz < 0 || dofs_per_node < 1) {
+    throw std::invalid_argument("grid_nested_dissection: need node counts >= 0 and dofs >= 1");
+  }
+  const idx_t n = nx * ny * nz * dofs_per_node;
+  Permutation out;
+  out.perm.reserve(static_cast<std::size_t>(n));
+  dissect(GridBox{{0, 0, 0}, {nx, ny, nz}}, nx, ny, dofs_per_node, out.perm);
+  out.inv_perm.assign(static_cast<std::size_t>(n), 0);
   for (idx_t i = 0; i < n; ++i) out.inv_perm[out.perm[i]] = i;
   return out;
 }

@@ -34,9 +34,16 @@ bool set_shifted_diagonal(CsrMatrix& m, const Vec& base_diag, double shift) {
   return true;
 }
 
+/// One factorization attempt of `a`, under `order` or, when it is empty, AMD.
+std::shared_ptr<SparseCholesky> factor_under(const CsrMatrix& a, const Permutation& order) {
+  return order.size() == 0 ? std::make_shared<SparseCholesky>(a)
+                           : std::make_shared<SparseCholesky>(a, order);
+}
+
 }  // namespace
 
-ShiftRetryResult factor_with_shift_retry(const CsrMatrix& a, const char* stage) {
+ShiftRetryResult factor_with_shift_retry(const CsrMatrix& a, const char* stage,
+                                         const Permutation& order) {
   ShiftRetryResult result;
   // The `spd` fault action simulates a pivot breakdown of the clean attempt,
   // driving the retry ladder without needing a genuinely indefinite operator.
@@ -45,7 +52,7 @@ ShiftRetryResult factor_with_shift_retry(const CsrMatrix& a, const char* stage) 
       util::FaultInjector::global().consume(stage) == util::FaultAction::kSpd;
   if (!inject_breakdown) {
     try {
-      result.factor = std::make_shared<SparseCholesky>(a);
+      result.factor = factor_under(a, order);
       return result;
     } catch (const NotPositiveDefiniteError&) {
       // Fall through to the shifted ladder.
@@ -65,7 +72,7 @@ ShiftRetryResult factor_with_shift_retry(const CsrMatrix& a, const char* stage) 
                                      ": matrix stores no diagonal entry, cannot shift-retry");
     }
     try {
-      result.factor = std::make_shared<SparseCholesky>(shifted);
+      result.factor = factor_under(shifted, order);
       result.shift = shift;
       MS_LOG_WARN("%s: factored with diagonal shift %.3e after %d attempts (degraded)", stage,
                   shift, result.attempts);

@@ -26,8 +26,11 @@ struct ShiftRetryResult {
 };
 
 /// Factor `a` (SPD expected), retrying with escalating diagonal shifts on
-/// pivot breakdown. `stage` names the call site for fault-injection probes
-/// and metrics. Throws NotPositiveDefiniteError if all attempts fail.
-ShiftRetryResult factor_with_shift_retry(const CsrMatrix& a, const char* stage);
+/// pivot breakdown. Every attempt factors under `order`, a mesh operator's
+/// grid order, or under AMD when it is empty. `stage` names the call site
+/// for fault-injection probes and metrics. Throws NotPositiveDefiniteError
+/// if all attempts fail.
+ShiftRetryResult factor_with_shift_retry(const CsrMatrix& a, const char* stage,
+                                         const Permutation& order = {});
 
 }  // namespace ms::la

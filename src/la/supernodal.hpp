@@ -6,7 +6,7 @@
 // and multi-RHS triangular panel solves.
 //
 // Columns with identical below-diagonal structure (fundamental supernodes,
-// abundant after an AMD ordering of FEM matrices) are stored as one dense
+// abundant after a fill-reducing ordering of FEM matrices) are stored as one dense
 // column-major panel, so the numeric phase runs as dense rank-k updates —
 // cache-friendly and SIMD-friendly — instead of the scalar column-at-a-time
 // up-looking loop. No phase materialises P A P^T's values: the symbolic

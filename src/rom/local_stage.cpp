@@ -78,12 +78,13 @@ RomModel run_local_stage(const mesh::TsvGeometry& geometry, const mesh::BlockMes
 
   assemble_span.end();
 
-  // One factorization, n+1 solves (paper Sec. 4.2). The right-hand sides are
-  // batched into column panels of kPanelWidth and solved through
-  // solve_multi_with, so the factor streams through the cache once per panel
-  // instead of once per solve; panels only share the immutable factor, so
-  // they parallelize embarrassingly with per-thread workspaces.
-  const SparseCholesky chol(a_ff);
+  // One factorization under the block mesh's order, n+1 solves (paper
+  // Sec. 4.2). The right-hand sides are batched into column panels of
+  // kPanelWidth and solved through solve_multi_with, so the factor streams
+  // through the cache once per panel instead of once per solve; panels only
+  // share the immutable factor, so they parallelize embarrassingly with
+  // per-thread workspaces.
+  const SparseCholesky chol(a_ff, split.free_order(fem::stiffness_order(block)));
 
   // Basis fields F = [f_0 ... f_{n-1}, f_T] as full fine-mesh vectors.
   const idx_t total_rhs = n + 1;  // interpolation bases + the thermal basis

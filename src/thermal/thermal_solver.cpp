@@ -31,6 +31,12 @@ void publish_transient_stats(const TransientSolveStats& s) {
   reg.gauge("thermal.transient.fill_ratio").set(s.fill_ratio);
 }
 
+/// The conduction operators' fill-reducing order: the mesh's nested
+/// dissection, one dof per node.
+la::Permutation conduction_order(const mesh::HexMesh& mesh) {
+  return la::grid_nested_dissection(mesh.nodes_x(), mesh.nodes_y(), mesh.nodes_z(), 1);
+}
+
 /// The ideal sink: the whole z-min face held at the rise over ambient θ = 0.
 fem::DirichletBc ideal_sink(const mesh::HexMesh& mesh) {
   fem::DirichletBc bc;
@@ -56,7 +62,7 @@ TemperatureField solve_power_map(const mesh::HexMesh& mesh, const ConductivityFi
   fem::DirichletBc bc;
   CsrMatrix k;
   const fem::FactorSource source{options.factor_cache, options.factor_key, options.cancel,
-                                 "thermal.steady"};
+                                 "thermal.steady", conduction_order(mesh)};
   {
     MS_TRACE_SCOPE("thermal.steady.assemble");
     // On a resident cache hit the operator never needs assembling — only the
@@ -170,26 +176,30 @@ TransientTemperatureResult solve_power_trace(const mesh::HexMesh& mesh,
         capacitance_triplets(mesh, capacity_per_elem, /*lumped=*/false));
   }
 
-  // A = M/Δt + θK, assembled once; its free block is factored once.
-  la::TripletList a_triplets(n, n);
-  a_triplets.reserve(k_triplets.size() + (options.lumped_capacitance
-                                              ? static_cast<std::size_t>(n)
-                                              : static_cast<std::size_t>(m_consistent.nnz())));
-  for (std::size_t t = 0; t < k_triplets.size(); ++t) {
-    a_triplets.add(k_triplets.row_indices()[t], k_triplets.col_indices()[t],
-                   theta * k_triplets.values()[t]);
-  }
-  if (options.lumped_capacitance) {
-    for (idx_t i = 0; i < n; ++i) a_triplets.add(i, i, m_diag[i] / dt);
-  } else {
-    for (idx_t r = 0; r < n; ++r) {
-      for (la::offset_t p = m_consistent.row_ptr()[r];
-           p < m_consistent.row_ptr()[static_cast<std::size_t>(r) + 1]; ++p) {
-        a_triplets.add(r, m_consistent.col_idx()[p], m_consistent.values()[p] / dt);
+  // A = M/Δt + θK; its free block is factored once. Only a factor build reads
+  // it, so a resident factor leaves it unassembled.
+  CsrMatrix a;
+  if (!fem::factor_resident("direct", options.base.factor_cache, options.base.factor_key)) {
+    la::TripletList a_triplets(n, n);
+    a_triplets.reserve(k_triplets.size() + (options.lumped_capacitance
+                                                ? static_cast<std::size_t>(n)
+                                                : static_cast<std::size_t>(m_consistent.nnz())));
+    for (std::size_t t = 0; t < k_triplets.size(); ++t) {
+      a_triplets.add(k_triplets.row_indices()[t], k_triplets.col_indices()[t],
+                     theta * k_triplets.values()[t]);
+    }
+    if (options.lumped_capacitance) {
+      for (idx_t i = 0; i < n; ++i) a_triplets.add(i, i, m_diag[i] / dt);
+    } else {
+      for (idx_t r = 0; r < n; ++r) {
+        for (la::offset_t p = m_consistent.row_ptr()[r];
+             p < m_consistent.row_ptr()[static_cast<std::size_t>(r) + 1]; ++p) {
+          a_triplets.add(r, m_consistent.col_idx()[p], m_consistent.values()[p] / dt);
+        }
       }
     }
+    a = CsrMatrix::from_triplets(a_triplets);
   }
-  CsrMatrix a = CsrMatrix::from_triplets(a_triplets);
   // Power loads are linear in the map, so precompute one load vector per
   // keyframe and blend vectors per step instead of re-assembling; this is
   // assembly work, so it lands in assemble_seconds, not the stepping time.
@@ -207,7 +217,7 @@ TransientTemperatureResult solve_power_trace(const mesh::HexMesh& mesh,
   // The stepping operator's factorization is shareable across traces, with
   // the coupling every step's rhs is reduced against.
   const fem::FactorSource source{options.base.factor_cache, options.base.factor_key,
-                                 options.base.cancel, "thermal.transient"};
+                                 options.base.cancel, "thermal.transient", conduction_order(mesh)};
   const fem::DirichletSplit split(n, bc);
   const la::FactorCache::Entry stepper = fem::fetch_factor(a, split, source, local);
 

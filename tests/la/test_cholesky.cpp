@@ -157,6 +157,28 @@ TEST(SparseCholesky, RejectsRectangular) {
   EXPECT_THROW(SparseCholesky{a}, std::invalid_argument);
 }
 
+TEST(SparseCholesky, GridOrderIsFactoredAndNamedOrRejected) {
+  // The grid's order is factored under (composed with the etree postorder)
+  // and named; anything but a permutation of the n rows is rejected.
+  const CsrMatrix a = laplacian_2d(6);
+  const idx_t n = a.rows();
+  const Permutation grid = grid_nested_dissection(6, 6, 1, 1);
+  const SparseCholesky given(a, grid);
+  EXPECT_EQ(std::string(given.ordering_name()), "nested-dissection");
+  const Vec b(static_cast<std::size_t>(n), 1.0);
+  Vec r;
+  a.mul(given.solve(b), r);
+  for (idx_t i = 0; i < n; ++i) EXPECT_NEAR(r[i], 1.0, 1e-12);
+
+  EXPECT_THROW(SparseCholesky(a, Permutation::identity(n - 1)), std::invalid_argument);
+  Permutation repeated = Permutation::identity(n);
+  repeated.perm[1] = 0;
+  EXPECT_THROW(SparseCholesky(a, repeated), std::invalid_argument);
+  Permutation uninverted = grid;
+  uninverted.inv_perm = Permutation::identity(n).inv_perm;
+  EXPECT_THROW(SparseCholesky(a, uninverted), std::invalid_argument);
+}
+
 TEST(SparseCholesky, MultipleSolvesReuseFactor) {
   const CsrMatrix a = laplacian_2d(6);
   const SparseCholesky chol(a);

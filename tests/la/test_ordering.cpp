@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <numeric>
 
 #include "la/cholesky_oracles.hpp"
+#include "la/supernodal.hpp"
 
 namespace ms::la {
 namespace {
@@ -197,6 +200,151 @@ TEST(Amd, NoWorseThanNaturalOnChain) {
   // one (nnz(L) == 2n - 1) even from a scrambled labeling.
   const CsrMatrix a = shuffled_laplacian(50, 7);
   EXPECT_EQ(symbolic_factor_nnz(a, amd_ordering(a)), 2 * 50 - 1);
+}
+
+/// The graph of a hex8 operator on an nx x ny x nz node grid: every node
+/// coupled to its 26 neighbours, `dofs` coupled dofs per node (i fastest,
+/// dof = node * dofs + c), as the conduction and stiffness assemblies give.
+CsrMatrix hex8_grid_graph(idx_t nx, idx_t ny, idx_t nz, idx_t dofs) {
+  const idx_t n = nx * ny * nz * dofs;
+  TripletList t(n, n);
+  const auto id = [nx, ny](idx_t i, idx_t j, idx_t k) { return (k * ny + j) * nx + i; };
+  for (idx_t k = 0; k < nz; ++k) {
+    for (idx_t j = 0; j < ny; ++j) {
+      for (idx_t i = 0; i < nx; ++i) {
+        for (idx_t dk = -1; dk <= 1; ++dk) {
+          for (idx_t dj = -1; dj <= 1; ++dj) {
+            for (idx_t di = -1; di <= 1; ++di) {
+              const idx_t a = i + di, b = j + dj, c = k + dk;
+              if (a < 0 || b < 0 || c < 0 || a >= nx || b >= ny || c >= nz) continue;
+              const bool self = di == 0 && dj == 0 && dk == 0;
+              for (idx_t p = 0; p < dofs; ++p) {
+                for (idx_t q = 0; q < dofs; ++q) {
+                  t.add(id(i, j, k) * dofs + p, id(a, b, c) * dofs + q,
+                        self && p == q ? 27.0 * static_cast<double>(dofs) : -0.5);
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  return CsrMatrix::from_triplets(t);
+}
+
+/// nnz(L) and the numeric phase's work measure, the sum of squared column
+/// counts, of the Cholesky factor under `p`.
+struct FillCounts {
+  double nnz = 0.0;
+  double sum_col_sq = 0.0;
+};
+FillCounts fill_counts(const CsrMatrix& a, const Permutation& p) {
+  const LowerPattern pattern = lower_pattern(a, p);
+  const std::vector<idx_t> parent = elimination_tree(pattern);
+  FillCounts f;
+  for (const idx_t c : cholesky_column_counts(pattern, parent)) {
+    f.nnz += c;
+    f.sum_col_sq += static_cast<double>(c) * c;
+  }
+  return f;
+}
+
+TEST(GridNestedDissection, IsAPermutationWithNodeDofsTogether) {
+  const std::array<std::array<idx_t, 3>, 4> grids{{{1, 1, 1}, {2, 2, 2}, {1, 9, 1}, {40, 3, 2}}};
+  for (const auto& g : grids) {
+    for (const idx_t dofs : {1, 3}) {
+      const idx_t n = g[0] * g[1] * g[2] * dofs;
+      const Permutation p = grid_nested_dissection(g[0], g[1], g[2], dofs);
+      expect_valid_permutation(p, n);
+      for (idx_t i = 0; i < n; i += dofs) {
+        ASSERT_EQ(p.perm[i] % dofs, 0) << "a node's first dof starts each group";
+        for (idx_t c = 1; c < dofs; ++c) ASSERT_EQ(p.perm[i + c], p.perm[i] + c);
+      }
+    }
+  }
+}
+
+/// Walk the dissection as grid_nested_dissection defines it and check, for
+/// every box it splits: the box's nodes hold one contiguous range of the
+/// order, the lower half's range comes first, then the upper half's, then
+/// the separator plane; and no edge of `a` joins the two halves.
+void expect_dissected(const CsrMatrix& a, const Permutation& p, idx_t nx, idx_t ny,
+                      std::array<idx_t, 3> lo, std::array<idx_t, 3> hi) {
+  const auto node = [nx, ny](idx_t i, idx_t j, idx_t k) { return (k * ny + j) * nx + i; };
+  // [first, last] positions of a box's nodes in the order, and its size.
+  struct Range {
+    idx_t first, last, count;
+  };
+  const auto range = [&](std::array<idx_t, 3> l, std::array<idx_t, 3> h) {
+    Range r{a.rows(), -1, 0};
+    for (idx_t k = l[2]; k < h[2]; ++k) {
+      for (idx_t j = l[1]; j < h[1]; ++j) {
+        for (idx_t i = l[0]; i < h[0]; ++i) {
+          const idx_t pos = p.inv_perm[node(i, j, k)];
+          r.first = std::min(r.first, pos);
+          r.last = std::max(r.last, pos);
+          ++r.count;
+        }
+      }
+    }
+    return r;
+  };
+  const Range box = range(lo, hi);
+  ASSERT_EQ(box.last - box.first + 1, box.count) << "a box is numbered contiguously";
+  int axis = 0;
+  for (int ax = 1; ax < 3; ++ax) {
+    if (hi[ax] - lo[ax] > hi[axis] - lo[axis]) axis = ax;
+  }
+  if (hi[axis] - lo[axis] < 3) return;
+  const idx_t mid = lo[axis] + (hi[axis] - lo[axis]) / 2;
+  std::array<idx_t, 3> lower_hi = hi, upper_lo = lo, plane_lo = lo, plane_hi = hi;
+  lower_hi[axis] = mid;
+  upper_lo[axis] = mid + 1;
+  plane_lo[axis] = mid;
+  plane_hi[axis] = mid + 1;
+  const Range lower = range(lo, lower_hi);
+  const Range upper = range(upper_lo, hi);
+  const Range plane = range(plane_lo, plane_hi);
+  EXPECT_EQ(lower.first, box.first);
+  EXPECT_EQ(upper.first, lower.last + 1);
+  EXPECT_EQ(plane.first, upper.last + 1) << "the plane is numbered after both halves";
+  for (idx_t k = lo[2]; k < lower_hi[2]; ++k) {
+    for (idx_t j = lo[1]; j < lower_hi[1]; ++j) {
+      for (idx_t i = lo[0]; i < lower_hi[0]; ++i) {
+        const idx_t u = node(i, j, k);
+        for (offset_t q = a.row_ptr()[u]; q < a.row_ptr()[static_cast<std::size_t>(u) + 1]; ++q) {
+          const idx_t pos = p.inv_perm[a.col_idx()[q]];
+          EXPECT_FALSE(pos >= upper.first && pos <= upper.last) << "an edge crosses a separator";
+        }
+      }
+    }
+  }
+  expect_dissected(a, p, nx, ny, lo, lower_hi);
+  expect_dissected(a, p, nx, ny, upper_lo, hi);
+}
+
+TEST(GridNestedDissection, SeparatorsSplitTheirBoxes) {
+  for (const std::array<idx_t, 3> g : {std::array<idx_t, 3>{9, 7, 5}, {4, 11, 6}, {6, 6, 13}}) {
+    const CsrMatrix a = hex8_grid_graph(g[0], g[1], g[2], 1);
+    expect_dissected(a, grid_nested_dissection(g[0], g[1], g[2], 1), g[0], g[1], {0, 0, 0}, g);
+  }
+}
+
+TEST(GridNestedDissection, BeatsAmdFillOnHex8Grids) {
+  // The rule orders only hex8 operators (27-point node graphs). On the
+  // 7-point graph of laplacian_3d AMD wins instead (12^3: nnz(L) 70,835
+  // under AMD against 106,189 under the plane dissection), so that graph is
+  // not used here. Measured (ND vs AMD): 12^3 136,304 vs 182,549 and
+  // Σcol² 1.54e7 vs 3.25e7; 17x17x8 192,226 vs 241,871; 6^3 6,172 vs 6,507.
+  for (const std::array<idx_t, 3> g :
+       {std::array<idx_t, 3>{12, 12, 12}, {17, 17, 8}, {6, 6, 6}}) {
+    const CsrMatrix a = hex8_grid_graph(g[0], g[1], g[2], 1);
+    const FillCounts nd = fill_counts(a, grid_nested_dissection(g[0], g[1], g[2], 1));
+    const FillCounts amd = fill_counts(a, amd_ordering(a));
+    EXPECT_LT(nd.nnz, amd.nnz) << g[0] << "x" << g[1] << "x" << g[2];
+    EXPECT_LT(nd.sum_col_sq, amd.sum_col_sq) << g[0] << "x" << g[1] << "x" << g[2];
+  }
 }
 
 TEST(Permutation, ThenComposes) {

@@ -40,19 +40,26 @@ CsrMatrix tsv_block_matrix() {
       .free_block(sys.stiffness);
 }
 
-/// Free block of the bottom-clamped coarse package stiffness — what the
-/// scenario-2 direct solve factors (shrunk mesh so the test stays fast; same
-/// structure as the production matrix).
-CsrMatrix package_matrix() {
+/// The bottom-clamped coarse package stiffness — what the scenario-2 direct
+/// solve factors (shrunk mesh so the test stays fast; same structure as the
+/// production matrix): its free block, and the grid order the solve
+/// factors that block under.
+struct PackageOperator {
+  CsrMatrix free_block;
+  Permutation grid_order;
+};
+PackageOperator package_operator() {
   const chiplet::PackageGeometry geometry = chiplet::demo_package_geometry(15.0, 6, 50.0);
   const chiplet::CoarseMeshSpec spec{10, 10, 2, 2, 2};
   const mesh::HexMesh mesh = chiplet::build_package_coarse_mesh(geometry, spec);
   const fem::AssembledSystem sys = fem::assemble_system(mesh, chiplet::package_materials());
   std::vector<idx_t> bottom;
   for (idx_t id = 0; id < mesh.nodes_x() * mesh.nodes_y(); ++id) bottom.push_back(id);
-  return fem::DirichletSplit(sys.num_dofs, fem::DirichletBc::clamp_nodes(bottom))
-      .free_block(sys.stiffness);
+  const fem::DirichletSplit split(sys.num_dofs, fem::DirichletBc::clamp_nodes(bottom));
+  return {split.free_block(sys.stiffness), split.free_order(fem::stiffness_order(mesh))};
 }
+
+CsrMatrix package_matrix() { return package_operator().free_block; }
 
 void expect_factors_match(const CsrMatrix& a, double tol) {
   const SparseCholesky sn(a);
@@ -343,6 +350,32 @@ TEST(Supernodal, RowSplitTopPhaseIsBitwiseAtEveryTeamSize) {
     const testutil::TeamSizeScope team(threads);
     SupernodalFactor split = symbolic;
     factorize_supernodal(a, chol.permutation(), parent, split, /*parallel=*/true);
+    ASSERT_EQ(split.values.size(), serial.values.size());
+    EXPECT_EQ(std::memcmp(split.values.data(), serial.values.data(),
+                          serial.values.size() * sizeof(double)),
+              0)
+        << "team size " << threads;
+  }
+}
+
+TEST(Supernodal, GridOrderFactorIsBitwiseAtEveryTeamSize) {
+  // Nested dissection gives a balanced elimination tree, which the subtree
+  // partition and the row-split top phase cut differently from AMD's. Under
+  // the package's grid order too, every team size must reproduce the
+  // serial factor bit for bit.
+  const PackageOperator op = package_operator();
+  const SparseCholesky chol(op.free_block, op.grid_order);
+  const LowerPattern pattern = lower_pattern(op.free_block, chol.permutation());
+  const std::vector<idx_t> parent = elimination_tree(pattern);
+  const std::vector<idx_t> counts = cholesky_column_counts(pattern, parent);
+  const SupernodalFactor symbolic =
+      analyze_supernodes(pattern, parent, counts, SparseCholesky::kMaxSupernodeWidth);
+  SupernodalFactor serial = symbolic;
+  factorize_supernodal(op.free_block, chol.permutation(), parent, serial, /*parallel=*/false);
+  for (const int threads : {1, 2, 3, 4}) {
+    const testutil::TeamSizeScope team(threads);
+    SupernodalFactor split = symbolic;
+    factorize_supernodal(op.free_block, chol.permutation(), parent, split, /*parallel=*/true);
     ASSERT_EQ(split.values.size(), serial.values.size());
     EXPECT_EQ(std::memcmp(split.values.data(), serial.values.data(),
                           serial.values.size() * sizeof(double)),
