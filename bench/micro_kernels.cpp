@@ -165,7 +165,8 @@ void BM_CgUnitBlock(benchmark::State& state) {
   la::Vec load = sys.thermal_load;
   la::scale(load, -250.0);
   la::Vec rhs(static_cast<std::size_t>(split.num_free()));
-  split.reduce(split.coupling(sys.stiffness), load.data(), split.values().data(), rhs.data());
+  split.lift(split.coupling(sys.stiffness), split.values().data(), rhs.data());
+  split.reduce(load.data(), rhs.data(), rhs.data());
   const la::SsorPreconditioner precond(a);
   la::IterativeOptions options;
   options.rel_tol = 1e-7;

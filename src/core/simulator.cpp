@@ -179,32 +179,32 @@ MoreStressSimulator::Panel MoreStressSimulator::run_panel(
   }
 
   util::WallTimer timer;
-  rom::GlobalProblem problem;
-  std::vector<Vec> other_rhs;
+  const fem::DirichletSplit split(grid.num_dofs(), window.bc);
+  std::vector<Vec> solutions;
   {
-    MS_TRACE_SCOPE("core.global.assemble");
-    if (fem::factor_resident(solve_options.method, factor_cache_, solve_options.factor_key)) {
+    fem::SplitOperator op;  // released before reconstruction
+    std::vector<Vec> rhss;
+    {
+      MS_TRACE_SCOPE("core.global.assemble");
       // Warm path: the key's factorization and coupling are already
       // resident (entries are never evicted, so contains() cannot go stale),
-      // and assembly reduces to the load vectors. On a cold key the full
-      // operator is assembled below and the solver populates the cache.
-      problem.num_dofs = grid.num_dofs();
-      problem.rhs = rom::assemble_global_rhs(grid, tsv, dummy, mask, loads.front());
-    } else {
-      problem = rom::assemble_global(grid, tsv, dummy, mask, loads.front());
+      // and assembly reduces to the load vectors. On a cold key the split
+      // operator is assembled here and the solver populates the cache.
+      if (!fem::factor_resident(solve_options.method, factor_cache_, solve_options.factor_key)) {
+        op = rom::assemble_stiffness(grid, tsv, dummy, mask, split);
+      }
+      // The reduced stiffness is load-independent, so every case costs one
+      // load-vector assembly against the shared operator.
+      rhss.reserve(loads.size());
+      for (const rom::BlockLoadField& load : loads) {
+        rhss.push_back(rom::assemble_global_rhs(grid, tsv, dummy, mask, load));
+      }
     }
-    // The reduced stiffness is load-independent, so every other case costs
-    // one load-vector assembly against the shared operator.
-    other_rhs.reserve(loads.size() - 1);
-    for (std::size_t c = 1; c < loads.size(); ++c) {
-      other_rhs.push_back(rom::assemble_global_rhs(grid, tsv, dummy, mask, loads[c]));
-    }
-  }
-  result.stats.assemble_seconds = timer.seconds();
+    result.stats.assemble_seconds = timer.seconds();
 
-  cancel_.check("global.solve");
-  std::vector<Vec> solutions = rom::solve_global_multi(problem, std::move(other_rhs), window.bc,
-                                                       solve_options, &result.stats.solve);
+    cancel_.check("global.solve");
+    solutions = rom::solve_global_split(op, rhss, split, solve_options, &result.stats.solve);
+  }
   for (const Vec& solution : solutions) {
     require_finite("global.solve", "global solution", solution);
   }

@@ -121,13 +121,15 @@ class MoreStressSimulator {
     ArrayResult primary;
     std::vector<Vec> others;
   };
-  /// The one global stage of every analysis: assemble the reduced operator
-  /// once, solve every entry of `loads` as one multi-RHS panel (one
-  /// factorization on the direct path) and reconstruct `loads[0]`. With a
-  /// factor cache attached, a resident key skips the operator assembly
-  /// (load vectors only) and the factorization. The primary's stats count
-  /// the whole panel's assembly and solve; the caller accounts for what it
-  /// keeps of the other solutions.
+  /// The one global stage of every analysis: split the window's dofs by its
+  /// boundary once, assemble the reduced operator's free block K_ff and
+  /// coupling K_fc (never its constrained rows), solve every entry of
+  /// `loads` as one multi-RHS panel (one factorization on the direct path),
+  /// release the operator and reconstruct `loads[0]`. With a factor cache
+  /// attached, a resident key skips the operator assembly (load vectors
+  /// only) and the factorization. The primary's stats count the whole
+  /// panel's assembly and solve; the caller accounts for what it keeps of
+  /// the other solutions.
   Panel run_panel(const Window& window, const std::vector<rom::BlockLoadField>& loads);
   /// Reconstruct `result.solution` under `load` over the window's report
   /// range on the whole OpenMP team: fills the stress and von Mises fields,

@@ -49,7 +49,11 @@ DofPartition partition_dofs(idx_t num_dofs, const std::vector<idx_t>& bc_dofs) {
 }
 
 DirichletSplit::DirichletSplit(idx_t num_dofs, const DirichletBc& bc) {
-  assert(bc.dofs.size() == bc.values.size());
+  if (bc.dofs.size() != bc.values.size()) {
+    throw std::invalid_argument("DirichletSplit: " + std::to_string(bc.dofs.size()) +
+                                " constrained dofs but " + std::to_string(bc.values.size()) +
+                                " values");
+  }
   for (idx_t d : bc.dofs) {
     if (d < 0 || d >= num_dofs) {
       throw std::invalid_argument("DirichletSplit: constrained dof " + std::to_string(d) +
@@ -66,6 +70,17 @@ void DirichletSplit::require_operator(const CsrMatrix& a) const {
     throw std::invalid_argument("DirichletSplit: the operator is " + std::to_string(a.rows()) +
                                 " x " + std::to_string(a.cols()) + ", the split has " +
                                 std::to_string(num_dofs()) + " dofs");
+  }
+}
+
+void DirichletSplit::require_operator(const SplitOperator& op) const {
+  if (op.free.rows() != part_.num_free || op.free.cols() != part_.num_free ||
+      op.coupling.rows() != part_.num_free || op.coupling.cols() != part_.num_bc) {
+    throw std::invalid_argument(
+        "DirichletSplit: the split operator is " + std::to_string(op.free.rows()) + " x " +
+        std::to_string(op.free.cols()) + " and " + std::to_string(op.coupling.rows()) + " x " +
+        std::to_string(op.coupling.cols()) + ", the split has " + std::to_string(part_.num_free) +
+        " free and " + std::to_string(part_.num_bc) + " constrained dofs");
   }
 }
 
@@ -95,20 +110,24 @@ la::Permutation DirichletSplit::free_order(const la::Permutation& order) const {
   return out;
 }
 
-void DirichletSplit::reduce(const CsrMatrix& coupling, const double* f, const double* g,
-                            double* out) const {
+void DirichletSplit::lift(const CsrMatrix& coupling, const double* g, double* out) const {
   assert(coupling.rows() == part_.num_free && coupling.cols() == part_.num_bc);
   const auto& row_ptr = coupling.row_ptr();
   const auto& col = coupling.col_idx();
   const auto& vals = coupling.values();
-  const idx_t n = num_dofs();
-  for (idx_t d = 0; d < n; ++d) {
-    const idx_t r = part_.free_map[d];
-    if (r < 0) continue;
+  for (idx_t r = 0; r < part_.num_free; ++r) {
     double sum = 0.0;
     const la::offset_t end = row_ptr[static_cast<std::size_t>(r) + 1];
     for (la::offset_t k = row_ptr[r]; k < end; ++k) sum += vals[k] * g[col[k]];
-    out[r] = f[d] - sum;
+    out[r] = sum;
+  }
+}
+
+void DirichletSplit::reduce(const double* f, const double* lift, double* out) const {
+  const idx_t n = num_dofs();
+  for (idx_t d = 0; d < n; ++d) {
+    const idx_t r = part_.free_map[d];
+    if (r >= 0) out[r] = f[d] - lift[r];
   }
 }
 
@@ -120,7 +139,7 @@ void DirichletSplit::expand(const double* x_f, const double* g, double* out) con
   }
 }
 
-la::FactorCache::Entry fetch_factor(CsrMatrix& a, const DirichletSplit& split,
+la::FactorCache::Entry fetch_factor(SplitOperator& op, const DirichletSplit& split,
                                     const FactorSource& source, la::FactorStats& stats) {
   util::WallTimer timer;
   la::FactorCache* cache = source.shared_cache();
@@ -131,16 +150,16 @@ la::FactorCache::Entry fetch_factor(CsrMatrix& a, const DirichletSplit& split,
     const std::string site = std::string(source.stage) + ".factor_build";
     source.cancel.check(site.c_str());
     if (util::FaultInjector::enabled()) util::FaultInjector::global().fire(site.c_str());
-    if (a.rows() == 0) {
+    if (op.free.rows() == 0 && split.num_free() > 0) {
       throw std::logic_error(site + ": a factor build needs the assembled operator");
     }
+    split.require_operator(op);
     la::FactorCache::Entry fresh;
-    fresh.coupling = std::make_shared<const CsrMatrix>(split.coupling(a));
-    a = split.free_block(a);
+    fresh.coupling = std::make_shared<const CsrMatrix>(std::move(op.coupling));
     const la::Permutation order =
         source.order.size() == 0 ? la::Permutation{} : split.free_order(source.order);
-    la::ShiftRetryResult factored =
-        la::factor_with_shift_retry(a, (std::string(source.stage) + ".factor").c_str(), order);
+    la::ShiftRetryResult factored = la::factor_with_shift_retry(
+        op.free, (std::string(source.stage) + ".factor").c_str(), order);
     fresh.factor = std::move(factored.factor);
     fresh.diagonal_shift = factored.shift;
     return fresh;
@@ -159,14 +178,16 @@ la::FactorCache::Entry fetch_factor(CsrMatrix& a, const DirichletSplit& split,
   return entry;
 }
 
-DirectSolve solve_direct(CsrMatrix& a, const std::vector<Vec>& rhss, const DirichletSplit& split,
-                         const FactorSource& source, la::FactorStats& stats) {
+DirectSolve solve_direct(SplitOperator& op, const std::vector<Vec>& rhss,
+                         const DirichletSplit& split, const FactorSource& source,
+                         la::FactorStats& stats) {
   DirectSolve direct;
-  direct.entry = fetch_factor(a, split, source, stats);
-  std::vector<Vec> reduced(rhss.size(), Vec(static_cast<std::size_t>(split.num_free())));
+  direct.entry = fetch_factor(op, split, source, stats);
+  Vec lift(static_cast<std::size_t>(split.num_free()));
+  split.lift(*direct.entry.coupling, split.values().data(), lift.data());
+  std::vector<Vec> reduced(rhss.size(), Vec(lift.size()));
   for (std::size_t c = 0; c < rhss.size(); ++c) {
-    split.reduce(*direct.entry.coupling, rhss[c].data(), split.values().data(),
-                 reduced[c].data());
+    split.reduce(rhss[c].data(), lift.data(), reduced[c].data());
   }
   util::WallTimer timer;
   const std::vector<Vec> free_x = direct.entry.factor->solve_multi(reduced);
@@ -217,32 +238,40 @@ bool factor_resident(const std::string& method, const la::FactorCache* cache,
   return is_direct(method) && cache != nullptr && !key.empty() && cache->contains(key);
 }
 
-std::vector<Vec> solve_linear(CsrMatrix& a, const std::vector<Vec>& rhss, const DirichletBc& bc,
-                              const SolveMethod& how, const FactorSource& source,
-                              SolveStats& stats) {
+std::vector<Vec> solve_linear(SplitOperator& op, const std::vector<Vec>& rhss,
+                              const DirichletSplit& split, const SolveMethod& how,
+                              const FactorSource& source, SolveStats& stats) {
   assert(!rhss.empty());
   util::WallTimer timer;
-  const auto n = static_cast<idx_t>(rhss.front().size());
-  const DirichletSplit split(n, bc);
+  const idx_t n = split.num_dofs();
+  for (const Vec& rhs : rhss) {
+    if (rhs.size() != static_cast<std::size_t>(n)) {
+      throw std::invalid_argument("solve_linear: a right-hand side has " +
+                                  std::to_string(rhs.size()) + " values, the split has " +
+                                  std::to_string(n) + " dofs");
+    }
+  }
   std::vector<Vec> solutions;
   if (is_direct(how.method)) {
-    DirectSolve direct = solve_direct(a, rhss, split, source, stats);
+    DirectSolve direct = solve_direct(op, rhss, split, source, stats);
     solutions = std::move(direct.solutions);
     stats.triangular_seconds = direct.triangular_seconds;
-    stats.matrix_bytes = a.memory_bytes() + direct.entry.coupling->memory_bytes();
+    stats.matrix_bytes = op.free.memory_bytes() + direct.entry.coupling->memory_bytes();
     stats.solver_bytes = direct.entry.factor->memory_bytes();
   } else {
-    const CsrMatrix coupling = split.coupling(a);
-    a = split.free_block(a);
+    split.require_operator(op);
+    const CsrMatrix& a = op.free;
     const auto precond = la::make_preconditioner(how.precond, a);
     la::IterativeOptions iter;
     iter.rel_tol = how.rel_tol;
     iter.max_iterations = how.max_iterations;
-    Vec b(static_cast<std::size_t>(split.num_free()));
+    Vec lift(static_cast<std::size_t>(split.num_free()));
+    split.lift(op.coupling, split.values().data(), lift.data());
+    Vec b(lift.size());
     Vec x;
     solutions.assign(rhss.size(), Vec(static_cast<std::size_t>(n)));
     for (std::size_t c = 0; c < rhss.size(); ++c) {
-      split.reduce(coupling, rhss[c].data(), split.values().data(), b.data());
+      split.reduce(rhss[c].data(), lift.data(), b.data());
       const la::IterativeResult result = la::conjugate_gradient(a, b, x, precond.get(), iter);
       stats.iterations += result.iterations;
       if (!result.converged) {
@@ -256,7 +285,7 @@ std::vector<Vec> solve_linear(CsrMatrix& a, const std::vector<Vec>& rhss, const 
       }
       split.expand(x.data(), split.values().data(), solutions[c].data());
     }
-    stats.matrix_bytes = a.memory_bytes() + coupling.memory_bytes();
+    stats.matrix_bytes = a.memory_bytes() + op.coupling.memory_bytes();
     // Krylov workspace: x, r, z, p, Ap + preconditioner state.
     stats.solver_bytes = 5 * b.size() * sizeof(double) + precond->memory_bytes();
   }

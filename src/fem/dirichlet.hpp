@@ -3,8 +3,9 @@
 // local stage gives its prescribed boundary (Sec. 4.2): the dofs split into
 // free (f) and constrained (c) sets, only the free block K_ff is factored or
 // iterated on, each right-hand side enters as f_f − K_fc g (g the prescribed
-// values), and the solution carries g in its constrained dofs. The one
-// linear-solve stage every solver shares lives here too: solve_linear reads
+// values, the lift K_fc g computed once per solve), and the solution carries
+// g in its constrained dofs. The one linear-solve stage every solver shares
+// lives here too: solve_linear takes the split operator {K_ff, K_fc}, reads
 // the method, and runs either the direct path (factor K_ff once, solve the
 // panel — cached across calls or not) or the CG loop on K_ff.
 
@@ -48,6 +49,13 @@ struct DofPartition {
 };
 DofPartition partition_dofs(idx_t num_dofs, const std::vector<idx_t>& bc_dofs);
 
+/// An operator split by a DirichletSplit: its free block and the
+/// free-by-constrained coupling. Its constrained rows are not kept.
+struct SplitOperator {
+  CsrMatrix free;      ///< K_ff
+  CsrMatrix coupling;  ///< K_fc
+};
+
 /// The free/constrained split of one Dirichlet problem, the only Dirichlet
 /// treatment of every solve. Free and constrained indices ascend with the
 /// dof. The elimination's solution is the one the symmetric lifting gives
@@ -56,7 +64,8 @@ DofPartition partition_dofs(idx_t num_dofs, const std::vector<idx_t>& bc_dofs);
 class DirichletSplit {
  public:
   /// Partition `num_dofs` dofs by `bc`. A dof constrained twice takes its
-  /// last value. Throws std::invalid_argument on a dof out of range.
+  /// last value. Throws std::invalid_argument on a dof out of range, or
+  /// unless `bc` holds one value per dof.
   DirichletSplit(idx_t num_dofs, const DirichletBc& bc);
 
   [[nodiscard]] idx_t num_dofs() const { return static_cast<idx_t>(part_.free_map.size()); }
@@ -69,14 +78,26 @@ class DirichletSplit {
   [[nodiscard]] CsrMatrix free_block(const CsrMatrix& a) const;
   /// K_fc: the free rows of `a` restricted to the constrained columns.
   [[nodiscard]] CsrMatrix coupling(const CsrMatrix& a) const;
+  /// Both blocks of the square operator `a`.
+  [[nodiscard]] SplitOperator extract(const CsrMatrix& a) const {
+    return {free_block(a), coupling(a)};
+  }
+  /// Throws std::invalid_argument unless `op` holds a K_ff (num_free square)
+  /// and a K_fc (num_free rows, one column per constrained dof) of this split.
+  void require_operator(const SplitOperator& op) const;
   /// The order of K_ff that `order`, an order of all dofs, induces: its
   /// free dofs in sequence, renumbered to free indices. Throws
   /// std::invalid_argument unless `order` is a permutation of the dofs.
   [[nodiscard]] la::Permutation free_order(const la::Permutation& order) const;
 
-  /// out = f_f − K_fc g, with `f` one value per dof, `g` one per
-  /// constrained dof and `out` num_free values (`coupling` is K_fc).
-  void reduce(const CsrMatrix& coupling, const double* f, const double* g, double* out) const;
+  /// out = K_fc g, the lift of the prescribed values `g` (one per
+  /// constrained dof): num_free values, each its row of `coupling` (K_fc)
+  /// summed from zero in stored order. One lift serves every right-hand
+  /// side under the same g.
+  void lift(const CsrMatrix& coupling, const double* g, double* out) const;
+  /// out = f_f − lift, with `f` one value per dof and `lift` (from lift())
+  /// and `out` num_free values; `out` may be `lift`.
+  void reduce(const double* f, const double* lift, double* out) const;
   /// out = the full vector: x_f on the free dofs, g on the constrained ones.
   void expand(const double* x_f, const double* g, double* out) const;
 
@@ -108,14 +129,14 @@ struct FactorSource {
   [[nodiscard]] la::FactorCache* shared_cache() const { return key.empty() ? nullptr : cache; }
 };
 
-/// The factor half of a direct solve: the factorization of `split`'s free
-/// block of `a` and the coupling K_fc, from the cache (built at most once
+/// The factor half of a direct solve: the factorization of the split
+/// operator's K_ff and its coupling K_fc, from the cache (built at most once
 /// per key) or built here. The build runs the cancel check and the fault
-/// probe, keeps K_fc in the entry, replaces `a` by K_ff and factors it under
-/// the source's order restricted to the free dofs, with the shift-retry
-/// ladder. On a hit `a` is left as passed, and may be unassembled. `stats`
-/// receives the factor detail.
-la::FactorCache::Entry fetch_factor(CsrMatrix& a, const DirichletSplit& split,
+/// probe, moves `op.coupling` into the entry and factors `op.free` under the
+/// source's order restricted to the free dofs, with the shift-retry ladder.
+/// On a hit `op` is left as passed, and may be empty. `stats` receives the
+/// factor detail.
+la::FactorCache::Entry fetch_factor(SplitOperator& op, const DirichletSplit& split,
                                     const FactorSource& source, la::FactorStats& stats);
 
 /// What solve_direct produced and solved with.
@@ -125,19 +146,20 @@ struct DirectSolve {
   double triangular_seconds = 0.0;  ///< the panel's forward/backward sweeps
 };
 
-/// The one direct-solve path: fetch the factor, reduce every right-hand side
-/// against the entry's K_fc, solve the cases as one multi-RHS panel and
-/// expand the solutions. Cached or not, warm or cold, the solutions are
-/// bit-identical.
-DirectSolve solve_direct(CsrMatrix& a, const std::vector<Vec>& rhss, const DirichletSplit& split,
-                         const FactorSource& source, la::FactorStats& stats);
+/// The one direct-solve path: fetch the factor, lift the prescribed values
+/// once through the entry's K_fc, reduce every right-hand side by that lift,
+/// solve the cases as one multi-RHS panel and expand the solutions. Cached or
+/// not, warm or cold, the solutions are bit-identical.
+DirectSolve solve_direct(SplitOperator& op, const std::vector<Vec>& rhss,
+                         const DirichletSplit& split, const FactorSource& source,
+                         la::FactorStats& stats);
 
 /// One linear solve's record, the same for every solver that runs
 /// solve_linear; la::FactorStats holds the direct path's factor detail
 /// (zero / empty on cg, and 0 factorizations on a cache hit).
 struct SolveStats : la::FactorStats {
   idx_t num_dofs = 0;               ///< the full system, constrained dofs included
-  double solve_seconds = 0.0;       ///< the whole stage: elimination, factor or CG, solves
+  double solve_seconds = 0.0;       ///< the whole stage: factor or CG, lift, reductions, solves
   idx_t iterations = 0;             ///< CG iterations over all cases; 0 on the direct path
   bool converged = false;
   idx_t num_rhs = 0;                ///< right-hand sides solved in this call
@@ -156,20 +178,22 @@ struct SolveMethod {
 };
 
 /// The one linear-solve stage of the ROM global, steady conduction and
-/// fine-FEM solvers: solve every case of `rhss` against `a` under `bc`.
+/// fine-FEM solvers: solve every case of `rhss` (one value per dof of
+/// `split`, else std::invalid_argument) against the split operator `op`.
 ///  - "direct": solve_direct through `source` (cached or not, with the
 ///    shift-retry ladder and the `<stage>.factor_build` probe);
-///  - "cg": one preconditioned CG solve of K_ff per case. A breakdown or a
-///    stop at max_iterations throws SimError(kDidNotConverge) at
-///    "<stage>.solve": no caller receives an unconverged iterate. `source`'s
-///    cache is not read.
+///  - "cg": one preconditioned CG solve of K_ff per case, every case reduced
+///    by one lift. A breakdown or a stop at max_iterations throws
+///    SimError(kDidNotConverge) at "<stage>.solve": no caller receives an
+///    unconverged iterate. `source`'s cache is not read.
 /// Any other method throws std::invalid_argument. `rhss` is left as passed.
-/// On return `a` holds K_ff, the matrix factored or iterated on, unless a
-/// cache hit skipped the build. Fills every field of `stats` and records
-/// them once, under "<stage>.*" (a failed solve records nothing).
-std::vector<Vec> solve_linear(CsrMatrix& a, const std::vector<Vec>& rhss, const DirichletBc& bc,
-                              const SolveMethod& how, const FactorSource& source,
-                              SolveStats& stats);
+/// On return `op.free` still holds K_ff, the matrix factored or iterated on
+/// (empty when a cache hit let the caller skip the assembly). Fills every
+/// field of `stats` and records them once, under "<stage>.*" (a failed
+/// solve records nothing).
+std::vector<Vec> solve_linear(SplitOperator& op, const std::vector<Vec>& rhss,
+                              const DirichletSplit& split, const SolveMethod& how,
+                              const FactorSource& source, SolveStats& stats);
 
 /// Whether solve_linear by `method` will take the factor resident in
 /// `cache` under `key` without reading the operator, so the caller may

@@ -10,16 +10,14 @@
 namespace ms::rom {
 namespace {
 
-/// Everything either entry point reads, checked before any loop indexes by
-/// it. The TSV model sets the shape, so it is always checked; the dummy
-/// only where the mask uses it. `stiffness` adds the element stiffness of
-/// each model in use to the element load.
+/// Everything an assembly reads, checked before any loop indexes by it. The
+/// TSV model sets the shape, so it is always checked; the dummy only where
+/// the mask uses it. `stiffness` adds the element stiffness of each model in
+/// use to the element load.
 void validate_inputs(const std::string& caller, const BlockGrid& grid, const RomModel& tsv_model,
-                     const RomModel* dummy_model, const BlockMask& mask,
-                     const BlockLoadField& load, bool stiffness) {
+                     const RomModel* dummy_model, const BlockMask& mask, bool stiffness) {
   const bool uses_dummy = validate_block_inputs(caller, grid, tsv_model, dummy_model, mask,
                                                 BlockRange::all(grid));
-  load.validate_extent(grid.blocks_x(), grid.blocks_y());
   const idx_t n = tsv_model.num_element_dofs();
   for (const RomModel* model : {&tsv_model, uses_dummy ? dummy_model : nullptr}) {
     if (model == nullptr) continue;
@@ -51,26 +49,41 @@ BlockSpan blocks_on_line(int g, int step, int num_blocks) {
   return {std::max(b - 1, 0), std::min(b, num_blocks - 1)};
 }
 
-/// The global stiffness straight into CSR, with no triplets and no sort.
-/// Node p couples to every surface node of the <= 4 blocks that hold it:
-/// the global nodes of the lattice box those blocks span, whose ids ascend
-/// when the box is walked k, j, i (the order BlockGrid numbers them in).
-/// Its three dof rows share that column list. The rows are counted first;
-/// then the OpenMP team splits the nodes, and each node fills its rows'
-/// columns and adds, block by block in ascending block id, that block's
-/// element-stiffness rows into them. A block's surface nodes ascend in
-/// global id too, so one forward walk of the row finds each one's slot.
-/// Every entry is thus a sum from zero over its blocks in ascending id, as
-/// a serial block-by-block assembly adds them, at every team size, and a
-/// symmetric element stiffness gives an exactly symmetric operator.
-CsrMatrix assemble_stiffness(const BlockGrid& grid, const RomModel& tsv_model,
-                             const RomModel* dummy_model, const BlockMask& mask) {
+}  // namespace
+
+/// Straight into CSR, with no triplets, no sort and no constrained row. Node
+/// p couples to every surface node of the <= 4 blocks that hold it: the
+/// global nodes of the lattice box those blocks span, whose ids ascend when
+/// the box is walked k, j, i (the order BlockGrid numbers them in). Each of
+/// p's free rows holds those nodes' dofs, a free one in K_ff and a
+/// constrained one in K_fc, under its split index; split indices ascend with
+/// the dof, so both column lists ascend, and p's free rows share them. The
+/// rows of the nodes with a free dof are counted first; then the OpenMP team
+/// splits those nodes, and each fills its rows' columns and adds, block by
+/// block in ascending block id, that block's element-stiffness rows into
+/// them. A block's surface nodes ascend in global id too, so one forward walk
+/// of each column list finds every slot. Every entry is thus a sum from zero
+/// over its blocks in ascending id, as a serial block-by-block assembly adds
+/// them, at every team size, and a symmetric element stiffness gives an
+/// exactly symmetric K_ff. Validation and every allocation come first, so the
+/// parallel regions neither allocate nor throw.
+fem::SplitOperator assemble_stiffness(const BlockGrid& grid, const RomModel& tsv_model,
+                                      const RomModel* dummy_model, const BlockMask& mask,
+                                      const fem::DirichletSplit& split) {
+  MS_TRACE_SCOPE("rom.global.assemble");
+  validate_inputs("assemble_stiffness", grid, tsv_model, dummy_model, mask, true);
+  if (split.num_dofs() != grid.num_dofs()) {
+    throw std::invalid_argument("assemble_stiffness: the split has " +
+                                std::to_string(split.num_dofs()) + " dofs, the grid " +
+                                std::to_string(grid.num_dofs()));
+  }
   const SurfaceNodeSet& sns = grid.surface_nodes();
   const int step_x = sns.nx() - 1;
   const int step_y = sns.ny() - 1;
   const int blocks_x = grid.blocks_x();
-  const idx_t num_nodes = grid.num_nodes();
-  const idx_t num_dofs = grid.num_dofs();
+  const fem::DofPartition& part = split.partition();
+  const idx_t* free_map = part.free_map.data();
+  const idx_t* bc_map = part.bc_map.data();
 
   const auto spans_of = [&](idx_t p) {
     const auto& [gi, gj, gk] = grid.node_ijk(p);
@@ -89,34 +102,85 @@ CsrMatrix assemble_stiffness(const BlockGrid& grid, const RomModel& tsv_model,
     }
   };
 
-  std::vector<la::offset_t> row_ptr(static_cast<std::size_t>(num_dofs) + 1, 0);
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (idx_t p = 0; p < num_nodes; ++p) {
-    const auto [sx, sy] = spans_of(p);
-    la::offset_t len = 0;
-    for_each_coupled_node(sx, sy, [&](idx_t) { len += 3; });
-    for (int c = 0; c < 3; ++c) row_ptr[static_cast<std::size_t>(3 * p + c) + 1] = len;
+  // The nodes with a free dof, the only ones that own a row.
+  std::vector<idx_t> nodes;
+  for (idx_t p = 0; p < grid.num_nodes(); ++p) {
+    if (free_map[3 * p] >= 0 || free_map[3 * p + 1] >= 0 || free_map[3 * p + 2] >= 0) {
+      nodes.push_back(p);
+    }
   }
-  for (std::size_t r = 0; r < static_cast<std::size_t>(num_dofs); ++r) row_ptr[r + 1] += row_ptr[r];
+  const auto num_listed = static_cast<std::ptrdiff_t>(nodes.size());
 
-  std::vector<idx_t> col_idx(static_cast<std::size_t>(row_ptr.back()));
-  std::vector<double> values(col_idx.size(), 0.0);
+  const auto num_free = static_cast<std::size_t>(split.num_free());
+  std::vector<la::offset_t> ff_ptr(num_free + 1, 0);
+  std::vector<la::offset_t> fc_ptr(num_free + 1, 0);
 #ifdef _OPENMP
 #pragma omp parallel for schedule(static)
 #endif
-  for (idx_t p = 0; p < num_nodes; ++p) {
+  for (std::ptrdiff_t t = 0; t < num_listed; ++t) {
+    const idx_t p = nodes[static_cast<std::size_t>(t)];
     const auto [sx, sy] = spans_of(p);
-    const la::offset_t r0 = row_ptr[static_cast<std::size_t>(3 * p)];
-    const la::offset_t len = row_ptr[static_cast<std::size_t>(3 * p) + 1] - r0;
-    idx_t* cols = col_idx.data() + r0;
-    la::offset_t t = 0;
+    la::offset_t num_ff = 0;
+    la::offset_t num_fc = 0;
     for_each_coupled_node(sx, sy, [&](idx_t q) {
-      for (int c = 0; c < 3; ++c) cols[t++] = 3 * q + c;
+      for (int c = 0; c < 3; ++c) ++(free_map[3 * q + c] >= 0 ? num_ff : num_fc);
     });
-    std::copy_n(cols, len, cols + len);
-    std::copy_n(cols, len, cols + 2 * len);
+    for (int c = 0; c < 3; ++c) {
+      const idx_t r = free_map[3 * p + c];
+      if (r < 0) continue;
+      ff_ptr[static_cast<std::size_t>(r) + 1] = num_ff;
+      fc_ptr[static_cast<std::size_t>(r) + 1] = num_fc;
+    }
+  }
+  for (std::size_t r = 0; r < num_free; ++r) {
+    ff_ptr[r + 1] += ff_ptr[r];
+    fc_ptr[r + 1] += fc_ptr[r];
+  }
+
+  std::vector<idx_t> ff_col(static_cast<std::size_t>(ff_ptr.back()));
+  std::vector<double> ff_val(ff_col.size(), 0.0);
+  std::vector<idx_t> fc_col(static_cast<std::size_t>(fc_ptr.back()));
+  std::vector<double> fc_val(fc_col.size(), 0.0);
+#ifdef _OPENMP
+#pragma omp parallel for schedule(static)
+#endif
+  for (std::ptrdiff_t t = 0; t < num_listed; ++t) {
+    const idx_t p = nodes[static_cast<std::size_t>(t)];
+    // p's free rows share one K_ff and one K_fc column list: the first free
+    // row's lists are written and copied to the others. ff[c] and fc[c] are
+    // row c's values in each block, null where component c is constrained.
+    const idx_t* rows = free_map + 3 * p;
+    const int first = rows[0] >= 0 ? 0 : (rows[1] >= 0 ? 1 : 2);
+    double* ff[3] = {};
+    double* fc[3] = {};
+    for (int c = 0; c < 3; ++c) {
+      if (rows[c] < 0) continue;
+      ff[c] = ff_val.data() + ff_ptr[static_cast<std::size_t>(rows[c])];
+      fc[c] = fc_val.data() + fc_ptr[static_cast<std::size_t>(rows[c])];
+    }
+    const auto r0 = static_cast<std::size_t>(rows[first]);
+    const la::offset_t num_ff = ff_ptr[r0 + 1] - ff_ptr[r0];
+    const la::offset_t num_fc = fc_ptr[r0 + 1] - fc_ptr[r0];
+    idx_t* ff_cols = ff_col.data() + ff_ptr[r0];
+    idx_t* fc_cols = fc_col.data() + fc_ptr[r0];
+    const auto [sx, sy] = spans_of(p);
+    la::offset_t t_ff = 0;
+    la::offset_t t_fc = 0;
+    for_each_coupled_node(sx, sy, [&](idx_t q) {
+      for (int c = 0; c < 3; ++c) {
+        const idx_t d = 3 * q + c;
+        if (free_map[d] >= 0) {
+          ff_cols[t_ff++] = free_map[d];
+        } else {
+          fc_cols[t_fc++] = bc_map[d];
+        }
+      }
+    });
+    for (int c = first + 1; c < 3; ++c) {
+      if (rows[c] < 0) continue;
+      std::copy_n(ff_cols, num_ff, ff_col.data() + ff_ptr[static_cast<std::size_t>(rows[c])]);
+      std::copy_n(fc_cols, num_fc, fc_col.data() + fc_ptr[static_cast<std::size_t>(rows[c])]);
+    }
 
     const auto& [gi, gj, gk] = grid.node_ijk(p);
     for (int by = sy.lo; by <= sy.hi; ++by) {
@@ -126,31 +190,46 @@ CsrMatrix assemble_stiffness(const BlockGrid& grid, const RomModel& tsv_model,
         const int ox = bx * step_x;
         const int oy = by * step_y;
         const idx_t mp = sns.index_of(gi - ox, gj - oy, gk);
-        la::offset_t slot = 0;
+        la::offset_t at_ff = 0;
+        la::offset_t at_fc = 0;
         for (idx_t m = 0; m < sns.count(); ++m) {
           const auto& [i, j, kk] = sns.node_ijk(m);
-          const idx_t col = 3 * grid.node_at(ox + i, oy + j, kk);
-          while (cols[slot] != col) {
-            slot += 3;
-            assert(slot < len);
+          const idx_t d = 3 * grid.node_at(ox + i, oy + j, kk);
+          // Each component of q: its block (K_ff or K_fc), and its slot
+          // there, where that block's cursor walks forward to its column.
+          bool to_ff[3];
+          la::offset_t slot[3];
+          for (int cq = 0; cq < 3; ++cq) {
+            to_ff[cq] = free_map[d + cq] >= 0;
+            if (to_ff[cq]) {
+              while (ff_cols[at_ff] != free_map[d + cq]) {
+                ++at_ff;
+                assert(at_ff < num_ff);
+              }
+              slot[cq] = at_ff;
+            } else {
+              while (fc_cols[at_fc] != bc_map[d + cq]) {
+                ++at_fc;
+                assert(at_fc < num_fc);
+              }
+              slot[cq] = at_fc;
+            }
           }
           for (int c = 0; c < 3; ++c) {
+            if (ff[c] == nullptr) continue;
             const double* src =
                 k.data().data() + static_cast<std::size_t>(3 * mp + c) * k.cols() + 3 * m;
-            double* dst = values.data() + r0 + c * len + slot;
-            dst[0] += src[0];
-            dst[1] += src[1];
-            dst[2] += src[2];
+            for (int cq = 0; cq < 3; ++cq) (to_ff[cq] ? ff[c] : fc[c])[slot[cq]] += src[cq];
           }
         }
       }
     }
   }
-  return CsrMatrix::from_raw(num_dofs, num_dofs, std::move(row_ptr), std::move(col_idx),
-                             std::move(values));
+  return {CsrMatrix::from_raw(split.num_free(), split.num_free(), std::move(ff_ptr),
+                              std::move(ff_col), std::move(ff_val)),
+          CsrMatrix::from_raw(split.num_free(), static_cast<idx_t>(part.num_bc),
+                              std::move(fc_ptr), std::move(fc_col), std::move(fc_val))};
 }
-
-}  // namespace
 
 bool validate_block_inputs(const std::string& caller, const BlockGrid& grid,
                            const RomModel& tsv_model, const RomModel* dummy_model,
@@ -191,12 +270,11 @@ bool validate_block_inputs(const std::string& caller, const BlockGrid& grid,
 GlobalProblem assemble_global(const BlockGrid& grid, const RomModel& tsv_model,
                               const RomModel* dummy_model, const BlockMask& mask,
                               const BlockLoadField& load) {
-  MS_TRACE_SCOPE("rom.global.assemble");
-  validate_inputs("assemble_global", grid, tsv_model, dummy_model, mask, load, true);
   GlobalProblem problem;
   problem.num_dofs = grid.num_dofs();
   problem.rhs = assemble_global_rhs(grid, tsv_model, dummy_model, mask, load);
-  problem.stiffness = assemble_stiffness(grid, tsv_model, dummy_model, mask);
+  const fem::DirichletSplit whole(problem.num_dofs, {});
+  problem.stiffness = assemble_stiffness(grid, tsv_model, dummy_model, mask, whole).free;
   return problem;
 }
 
@@ -204,7 +282,8 @@ Vec assemble_global_rhs(const BlockGrid& grid, const RomModel& tsv_model,
                         const RomModel* dummy_model, const BlockMask& mask,
                         const BlockLoadField& load) {
   MS_TRACE_SCOPE("rom.global.assemble_rhs");
-  validate_inputs("assemble_global_rhs", grid, tsv_model, dummy_model, mask, load, false);
+  validate_inputs("assemble_global_rhs", grid, tsv_model, dummy_model, mask, false);
+  load.validate_extent(grid.blocks_x(), grid.blocks_y());
   const idx_t n = tsv_model.num_element_dofs();
   Vec rhs(static_cast<std::size_t>(grid.num_dofs()), 0.0);
   // Neighbouring blocks share surface dofs, so the accumulation stays serial

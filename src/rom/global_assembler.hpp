@@ -1,9 +1,11 @@
 #pragma once
 // Global-stage assembly (paper Sec. 4.3): scatter each block's reduced
 // element stiffness/load into the global sparse system with the standard FEM
-// assembly procedure. The solve eliminates the Dirichlet data (clamped
-// surfaces for standalone arrays; interpolated coarse displacements for
-// sub-modeling).
+// assembly procedure. The stiffness is written straight into the blocks the
+// solve keeps after eliminating the Dirichlet data (clamped surfaces for
+// standalone arrays; interpolated coarse displacements for sub-modeling):
+// the free block K_ff and the coupling K_fc. Constrained rows are never
+// formed.
 
 #include <functional>
 #include <string>
@@ -44,9 +46,22 @@ struct GlobalProblem {
   idx_t num_dofs = 0;
 };
 
-/// Assemble the unconstrained global system: each block's reduced load is
-/// scaled by its own ΔT from `load`. `dummy_model` may be null when the mask
-/// selects no dummy blocks.
+/// The global stiffness under `split` (of the grid's dofs, else
+/// std::invalid_argument), written straight into CSR as its free block K_ff
+/// and coupling K_fc: the rows of constrained dofs are never formed. Every
+/// entry is the sum from zero of its blocks' element entries in ascending
+/// block id, at every OpenMP team size, so both blocks are bitwise what
+/// `split.extract` takes from the whole lattice, which is this writer under
+/// an empty split. `dummy_model` may be null when the mask selects no dummy
+/// blocks.
+fem::SplitOperator assemble_stiffness(const BlockGrid& grid, const RomModel& tsv_model,
+                                      const RomModel* dummy_model, const BlockMask& mask,
+                                      const fem::DirichletSplit& split);
+
+/// Assemble the unconstrained global system: the whole lattice (the writer
+/// under an empty split) and the load, each block's reduced load scaled by
+/// its own ΔT from `load`. The product path assembles only the split blocks;
+/// this whole-lattice form serves callers that hold one matrix.
 GlobalProblem assemble_global(const BlockGrid& grid, const RomModel& tsv_model,
                               const RomModel* dummy_model, const BlockMask& mask,
                               const BlockLoadField& load);

@@ -1,7 +1,6 @@
 #include "rom/global_solver.hpp"
 
 #include <limits>
-#include <stdexcept>
 #include <utility>
 
 #include "obs/trace.hpp"
@@ -9,19 +8,10 @@
 
 namespace ms::rom {
 
-std::vector<Vec> solve_global_multi(GlobalProblem& problem, std::vector<Vec> extra_rhs,
-                                    const DirichletBc& bc, const GlobalSolveOptions& options,
-                                    GlobalSolveStats* stats) {
+std::vector<Vec> solve_global_split(fem::SplitOperator& op, const std::vector<Vec>& rhss,
+                                    const fem::DirichletSplit& split,
+                                    const GlobalSolveOptions& options, GlobalSolveStats* stats) {
   MS_TRACE_SCOPE("rom.global.solve");
-  std::vector<Vec> rhs_cases;
-  rhs_cases.reserve(extra_rhs.size() + 1);
-  rhs_cases.push_back(std::move(problem.rhs));
-  for (Vec& rhs : extra_rhs) rhs_cases.push_back(std::move(rhs));
-  for (const Vec& rhs : rhs_cases) {
-    if (static_cast<idx_t>(rhs.size()) != problem.num_dofs) {
-      throw std::invalid_argument("solve_global_multi: rhs size must match the problem");
-    }
-  }
   // One factor sweep for the whole panel on the direct path; with a factor
   // cache attached a resident key skips the build (and the caller may skip
   // the assembly). The solve publishes its record as "rom.global.*".
@@ -29,17 +19,34 @@ std::vector<Vec> solve_global_multi(GlobalProblem& problem, std::vector<Vec> ext
                                  "rom.global"};
   GlobalSolveStats local;
   std::vector<Vec> solutions = fem::solve_linear(
-      problem.stiffness, rhs_cases, bc,
-      {options.method, options.precond, options.rel_tol, options.max_iterations}, source, local);
+      op, rhss, split, {options.method, options.precond, options.rel_tol, options.max_iterations},
+      source, local);
   // `nan` probe: poison the first solution entry so the stage-boundary
   // health sweep downstream must catch it (tests/robustness).
   if (util::FaultInjector::enabled() && !solutions.front().empty() &&
       util::FaultInjector::global().consume("rom.global.solve") == util::FaultAction::kNan) {
     solutions.front().front() = std::numeric_limits<double>::quiet_NaN();
   }
-
-  problem.rhs = std::move(rhs_cases.front());  // hand the primary rhs back as passed
   if (stats != nullptr) *stats = local;
+  return solutions;
+}
+
+std::vector<Vec> solve_global_multi(GlobalProblem& problem, std::vector<Vec> extra_rhs,
+                                    const DirichletBc& bc, const GlobalSolveOptions& options,
+                                    GlobalSolveStats* stats) {
+  const fem::DirichletSplit split(problem.num_dofs, bc);
+  fem::SplitOperator op;
+  if (problem.stiffness.rows() != 0) {
+    op = split.extract(problem.stiffness);
+    problem.stiffness = CsrMatrix();
+  }
+  std::vector<Vec> rhs_cases;
+  rhs_cases.reserve(extra_rhs.size() + 1);
+  rhs_cases.push_back(std::move(problem.rhs));
+  for (Vec& rhs : extra_rhs) rhs_cases.push_back(std::move(rhs));
+  std::vector<Vec> solutions = solve_global_split(op, rhs_cases, split, options, stats);
+  problem.stiffness = std::move(op.free);
+  problem.rhs = std::move(rhs_cases.front());  // hand the primary rhs back as passed
   return solutions;
 }
 

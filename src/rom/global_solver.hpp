@@ -30,10 +30,10 @@ struct GlobalSolveOptions {
   /// the right-hand sides). The key must determine the assembled matrix
   /// values and the constrained-dof *set*; BC values may vary freely between
   /// callers sharing a key (they enter only through K_fc, see
-  /// fem/dirichlet.hpp). On a hit the caller may leave problem.stiffness
-  /// unassembled (empty)
-  /// and fill only problem.rhs / problem.num_dofs. Warm or cold, the
-  /// returned solutions are bit-identical to the uncached path.
+  /// fem/dirichlet.hpp). On a hit the caller may leave the operator
+  /// unassembled (an empty split operator, or an empty problem.stiffness)
+  /// and assemble only the load vectors. Warm or cold, the returned
+  /// solutions are bit-identical to the uncached path.
   la::FactorCache* factor_cache = nullptr;
   std::string factor_key;
   /// Cooperative cancellation/deadline token, checked at the factorization
@@ -46,24 +46,35 @@ struct GlobalSolveOptions {
 /// on a cache hit and on cg.
 using GlobalSolveStats = fem::SolveStats;
 
-/// Eliminate `bc`'s dofs, then solve. Returns the nodal displacement vector,
-/// the prescribed values in the constrained dofs.
-/// The direct path recovers an SPD breakdown with the diagonal shift-retry
-/// ladder (la/shift_retry.hpp; the stats record the shift as degraded). A
-/// CG solve that breaks down or stops at max_iterations throws
-/// SimError(kDidNotConverge).
-Vec solve_global(GlobalProblem& problem, const DirichletBc& bc,
-                 const GlobalSolveOptions& options = {}, GlobalSolveStats* stats = nullptr);
+/// The global stage's solve: every case of `rhss` against the split
+/// operator `op` (rom::assemble_stiffness under `split`; it may be empty
+/// when the factor is resident under options.factor_key). The direct path
+/// factors K_ff once, lifts the prescribed values once and runs all cases
+/// as one multi-RHS panel (fem::solve_direct); cg loops over them
+/// (fem::solve_linear). The direct path recovers an SPD breakdown with the
+/// diagonal shift-retry ladder (la/shift_retry.hpp; the stats record the
+/// shift as degraded). A CG solve that breaks down or stops at
+/// max_iterations throws SimError(kDidNotConverge). On return `op.free`
+/// holds K_ff. Returns one nodal displacement vector per case, the
+/// prescribed values in the constrained dofs.
+std::vector<Vec> solve_global_split(fem::SplitOperator& op, const std::vector<Vec>& rhss,
+                                    const fem::DirichletSplit& split,
+                                    const GlobalSolveOptions& options,
+                                    GlobalSolveStats* stats = nullptr);
 
-/// Multi-load variant: solve problem.rhs plus every vector of `extra_rhs`
-/// against the same operator. The direct path factors K_ff once and runs
-/// all cases as one multi-RHS panel (fem::solve_direct); cg loops over
-/// them (fem::solve_linear). problem.stiffness holds K_ff afterwards, the
-/// matrix that was factored, unless a cache hit skipped the build;
-/// problem.rhs is left as passed. Returns one solution per case — index 0
-/// is problem.rhs, index 1 + k is extra_rhs[k].
+/// Whole-lattice form of solve_global_split: split problem.stiffness (the
+/// assembled lattice, or empty when the factor is resident) by `bc`, as a
+/// mesh caller does, then solve problem.rhs plus every vector of
+/// `extra_rhs`. problem.stiffness holds K_ff afterwards, the matrix that was
+/// factored or iterated on, whenever it was assembled; problem.rhs is left
+/// as passed. Returns one solution per case — index 0 is problem.rhs,
+/// index 1 + k is extra_rhs[k].
 std::vector<Vec> solve_global_multi(GlobalProblem& problem, std::vector<Vec> extra_rhs,
                                     const DirichletBc& bc, const GlobalSolveOptions& options = {},
                                     GlobalSolveStats* stats = nullptr);
+
+/// Single-load form of solve_global_multi.
+Vec solve_global(GlobalProblem& problem, const DirichletBc& bc,
+                 const GlobalSolveOptions& options = {}, GlobalSolveStats* stats = nullptr);
 
 }  // namespace ms::rom

@@ -121,8 +121,10 @@ RomModel run_local_stage(const mesh::TsvGeometry& geometry, const mesh::BlockMes
             if (w != 0.0) u_col[part.bc_map[fem::dof_of(bnodes[b], c)]] = w;
           }
         }
-        split.reduce(a_fb, (i < n ? no_load : sys.thermal_load).data(), u_col,
-                     rhs_block.data() + static_cast<std::size_t>(col) * part.num_free);
+        // Each column has its own boundary data, so its own lift.
+        double* rhs_col = rhs_block.data() + static_cast<std::size_t>(col) * part.num_free;
+        split.lift(a_fb, u_col, rhs_col);
+        split.reduce((i < n ? no_load : sys.thermal_load).data(), rhs_col, rhs_col);
       }
       x_panel.resize(static_cast<std::size_t>(part.num_free) * cols);
       chol.solve_multi_with(rhs_block.data(), x_panel.data(), cols, chol_work);

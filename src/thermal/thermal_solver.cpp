@@ -59,31 +59,36 @@ TemperatureField solve_power_map(const mesh::HexMesh& mesh, const ConductivityFi
   ThermalSolveStats local;
   util::WallTimer timer;
   std::vector<Vec> cases;
-  fem::DirichletBc bc;
-  CsrMatrix k;
+  fem::SplitOperator op;
+  const fem::DirichletSplit split(
+      mesh.num_nodes(),
+      options.sink_film_coefficient == 0.0 ? ideal_sink(mesh) : fem::DirichletBc{});
   const fem::FactorSource source{options.factor_cache, options.factor_key, options.cancel,
                                  "thermal.steady", conduction_order(mesh)};
   {
     MS_TRACE_SCOPE("thermal.steady.assemble");
     // On a resident cache hit the operator never needs assembling — only the
     // load vector and the constrained-dof set.
+    // The triplets are released before the split, as the whole matrix is
+    // after it.
     if (!fem::factor_resident(options.method, options.factor_cache, options.factor_key)) {
-      la::TripletList triplets =
-          conduction_triplets(mesh, conductivity.in_plane, conductivity.through_plane);
-      if (options.sink_film_coefficient > 0.0) {
-        add_convective_face(mesh, options.sink_film_coefficient, /*face=*/0, triplets);
-      }
-      k = CsrMatrix::from_triplets(triplets);
+      op = split.extract([&] {
+        la::TripletList triplets =
+            conduction_triplets(mesh, conductivity.in_plane, conductivity.through_plane);
+        if (options.sink_film_coefficient > 0.0) {
+          add_convective_face(mesh, options.sink_film_coefficient, /*face=*/0, triplets);
+        }
+        return CsrMatrix::from_triplets(triplets);
+      }());
     }
     cases.push_back(assemble_power_load(mesh, power));
-    if (options.sink_film_coefficient == 0.0) bc = ideal_sink(mesh);
   }
   local.assemble_seconds = timer.seconds();
 
   // Solve for the rise over ambient under homogeneous sink data, then add
   // the ambient back once: a zero power map gives exactly the ambient.
   Vec t = std::move(
-      fem::solve_linear(k, cases, bc,
+      fem::solve_linear(op, cases, split,
                         {options.method, "jacobi", options.rel_tol, options.max_iterations},
                         source, local)
           .front());
@@ -176,29 +181,33 @@ TransientTemperatureResult solve_power_trace(const mesh::HexMesh& mesh,
         capacitance_triplets(mesh, capacity_per_elem, /*lumped=*/false));
   }
 
-  // A = M/Δt + θK; its free block is factored once. Only a factor build reads
-  // it, so a resident factor leaves it unassembled.
-  CsrMatrix a;
+  // A = M/Δt + θK, split by the sink; its free block is factored once. Only
+  // a factor build reads it, so a resident factor leaves it unassembled. Its
+  // triplets are released before the split.
+  const fem::DirichletSplit split(n, bc);
+  fem::SplitOperator a;
   if (!fem::factor_resident("direct", options.base.factor_cache, options.base.factor_key)) {
-    la::TripletList a_triplets(n, n);
-    a_triplets.reserve(k_triplets.size() + (options.lumped_capacitance
-                                                ? static_cast<std::size_t>(n)
-                                                : static_cast<std::size_t>(m_consistent.nnz())));
-    for (std::size_t t = 0; t < k_triplets.size(); ++t) {
-      a_triplets.add(k_triplets.row_indices()[t], k_triplets.col_indices()[t],
-                     theta * k_triplets.values()[t]);
-    }
-    if (options.lumped_capacitance) {
-      for (idx_t i = 0; i < n; ++i) a_triplets.add(i, i, m_diag[i] / dt);
-    } else {
-      for (idx_t r = 0; r < n; ++r) {
-        for (la::offset_t p = m_consistent.row_ptr()[r];
-             p < m_consistent.row_ptr()[static_cast<std::size_t>(r) + 1]; ++p) {
-          a_triplets.add(r, m_consistent.col_idx()[p], m_consistent.values()[p] / dt);
+    a = split.extract([&] {
+      la::TripletList a_triplets(n, n);
+      a_triplets.reserve(k_triplets.size() + (options.lumped_capacitance
+                                                  ? static_cast<std::size_t>(n)
+                                                  : static_cast<std::size_t>(m_consistent.nnz())));
+      for (std::size_t t = 0; t < k_triplets.size(); ++t) {
+        a_triplets.add(k_triplets.row_indices()[t], k_triplets.col_indices()[t],
+                       theta * k_triplets.values()[t]);
+      }
+      if (options.lumped_capacitance) {
+        for (idx_t i = 0; i < n; ++i) a_triplets.add(i, i, m_diag[i] / dt);
+      } else {
+        for (idx_t r = 0; r < n; ++r) {
+          for (la::offset_t p = m_consistent.row_ptr()[r];
+               p < m_consistent.row_ptr()[static_cast<std::size_t>(r) + 1]; ++p) {
+            a_triplets.add(r, m_consistent.col_idx()[p], m_consistent.values()[p] / dt);
+          }
         }
       }
-    }
-    a = CsrMatrix::from_triplets(a_triplets);
+      return CsrMatrix::from_triplets(a_triplets);
+    }());
   }
   // Power loads are linear in the map, so precompute one load vector per
   // keyframe and blend vectors per step instead of re-assembling; this is
@@ -218,8 +227,10 @@ TransientTemperatureResult solve_power_trace(const mesh::HexMesh& mesh,
   // the coupling every step's rhs is reduced against.
   const fem::FactorSource source{options.base.factor_cache, options.base.factor_key,
                                  options.base.cancel, "thermal.transient", conduction_order(mesh)};
-  const fem::DirichletSplit split(n, bc);
   const la::FactorCache::Entry stepper = fem::fetch_factor(a, split, source, local);
+  // The sink data is the same at every step, so one lift serves the trace.
+  Vec lift(static_cast<std::size_t>(split.num_free()));
+  split.lift(*stepper.coupling, split.values().data(), lift.data());
 
   obs::ScopedSpan step_span("thermal.transient.step");
   timer.reset();
@@ -279,7 +290,7 @@ TransientTemperatureResult solve_power_trace(const mesh::HexMesh& mesh,
     for (idx_t i = 0; i < n; ++i) {
       rhs[i] = mt[i] / dt - (1.0 - theta) * kt[i] + theta * f_next[i] + (1.0 - theta) * f_prev[i];
     }
-    split.reduce(*stepper.coupling, rhs.data(), split.values().data(), rhs_free.data());
+    split.reduce(rhs.data(), lift.data(), rhs_free.data());
     stepper.factor->solve_with(rhs_free, t_free, solve_scratch);
     split.expand(t_free.data(), split.values().data(), t.data());
     // Per-step cooperative cancellation/deadline check and fault probe (the

@@ -4,7 +4,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <string>
 
 #include "fem/assembler.hpp"
 #include "la/cholesky.hpp"
@@ -36,7 +38,8 @@ TEST(DirichletBc, ClampNodesWithValues) {
 Vec solve_split(const la::CsrMatrix& k, const Vec& f, const DirichletBc& bc) {
   const DirichletSplit split(k.rows(), bc);
   Vec reduced(static_cast<std::size_t>(split.num_free()));
-  split.reduce(split.coupling(k), f.data(), split.values().data(), reduced.data());
+  split.lift(split.coupling(k), split.values().data(), reduced.data());
+  split.reduce(f.data(), reduced.data(), reduced.data());
   const Vec x_f = la::SparseCholesky(split.free_block(k)).solve(reduced);
   Vec u(f.size());
   split.expand(x_f.data(), split.values().data(), u.data());
@@ -108,6 +111,88 @@ TEST(DirichletSplit, DuplicateConstraintsLastValueWins) {
   EXPECT_EQ(u[4], -1.25);
   EXPECT_THROW(DirichletSplit(sys.num_dofs, DirichletBc{{sys.num_dofs}, {0.0}}),
                std::invalid_argument);
+}
+
+TEST(DirichletSplit, RejectsValuesOfOtherLength) {
+  // The constructor reads one value per constrained dof; a short value list
+  // used to be caught only by an assert, which release builds compile out.
+  DirichletBc short_values{{0, 1, 2}, {0.0, 0.0}};
+  EXPECT_THROW(DirichletSplit(9, short_values), std::invalid_argument);
+  DirichletBc long_values{{0}, {0.0, 1.0}};
+  EXPECT_THROW(DirichletSplit(9, long_values), std::invalid_argument);
+}
+
+/// The per-column reduction of f under g that one lift per panel replaced:
+/// each free row of K_fc summed from zero in stored order, then subtracted
+/// from f.
+Vec reduce_per_column(const la::CsrMatrix& coupling, const DofPartition& part, const Vec& f,
+                      const Vec& g) {
+  Vec out(static_cast<std::size_t>(part.num_free));
+  for (idx_t d = 0; d < static_cast<idx_t>(f.size()); ++d) {
+    const idx_t r = part.free_map[d];
+    if (r < 0) continue;
+    double sum = 0.0;
+    for (la::offset_t k = coupling.row_ptr()[r];
+         k < coupling.row_ptr()[static_cast<std::size_t>(r) + 1]; ++k) {
+      sum += coupling.values()[k] * g[coupling.col_idx()[k]];
+    }
+    out[r] = f[d] - sum;
+  }
+  return out;
+}
+
+bool same_bits(const Vec& a, const Vec& b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+TEST(DirichletSplit, OneLiftPerPanelMatchesPerColumnReductionBitwise) {
+  // One lift K_fc g serves every right-hand side of a panel. Each reduced
+  // right-hand side, and the direct solve built on them, must keep the bits
+  // of the per-column reduction, signed zeros included, under non-zero and
+  // under zero boundary values (where -0 - (+0) must stay -0).
+  const mesh::HexMesh m = box_mesh(3);
+  const AssembledSystem sys = assemble_system(m, MaterialTable::standard());
+  std::vector<Vec> panel(4, sys.thermal_load);
+  la::scale(panel[0], -100.0);
+  la::scale(panel[1], 37.5);
+  for (std::size_t d = 0; d < panel[2].size(); ++d) panel[2][d] = d % 2 == 0 ? -0.0 : 0.0;
+  for (std::size_t d = 0; d < panel[3].size(); d += 3) panel[3][d] = d % 2 == 0 ? -0.0 : 0.0;
+  for (const bool moving : {true, false}) {
+    const DirichletBc bc =
+        moving ? moving_clamp(m) : DirichletBc::clamp_nodes(m.top_bottom_nodes());
+    const DirichletSplit split(sys.num_dofs, bc);
+    SplitOperator op = split.extract(sys.stiffness);
+    const la::CsrMatrix k_ff = op.free;
+    const la::CsrMatrix k_fc = op.coupling;
+    Vec lift(static_cast<std::size_t>(split.num_free()));
+    split.lift(k_fc, split.values().data(), lift.data());
+    std::vector<Vec> expected;
+    for (std::size_t c = 0; c < panel.size(); ++c) {
+      expected.push_back(reduce_per_column(k_fc, split.partition(), panel[c], split.values()));
+      Vec reduced(lift.size());
+      split.reduce(panel[c].data(), lift.data(), reduced.data());
+      EXPECT_TRUE(same_bits(reduced, expected.back()))
+          << (moving ? "moving" : "clamped") << " boundary, column " << c;
+    }
+    if (!moving) {  // under zero values the panel's -0 entries stay -0
+      EXPECT_TRUE(std::any_of(expected[2].begin(), expected[2].end(),
+                              [](double v) { return v == 0.0 && std::signbit(v); }));
+    }
+
+    const std::string no_key;
+    const core::CancelToken never_cancelled;
+    SolveStats stats;
+    const std::vector<Vec> solved = solve_linear(op, panel, split, {"direct", "none", 0.0, 0},
+                                                 {nullptr, no_key, never_cancelled, "fem"}, stats);
+    const std::vector<Vec> free_x = la::SparseCholesky(k_ff).solve_multi(expected);
+    for (std::size_t c = 0; c < panel.size(); ++c) {
+      Vec u(panel[c].size());
+      split.expand(free_x[c].data(), split.values().data(), u.data());
+      EXPECT_TRUE(same_bits(solved[c], u))
+          << (moving ? "moving" : "clamped") << " boundary, solve " << c;
+    }
+  }
 }
 
 TEST(PartitionDofs, SplitsAndNumbersConsistently) {

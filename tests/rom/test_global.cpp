@@ -218,7 +218,8 @@ Vec random_vec(std::size_t size, double scale, unsigned seed) {
 
 template <typename T>
 bool same_bits(const std::vector<T>& a, const std::vector<T>& b) {
-  return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
 }
 
 /// A model of make_grid's node counts whose element stiffness (not
@@ -406,6 +407,67 @@ TEST(GlobalAssembler, MatchesBlockOrderReferenceBitwise) {
           ++k;
         }
         EXPECT_EQ(mismatches, 0) << where;
+      }
+    }
+  }
+}
+
+TEST(GlobalAssembler, SplitWriterMatchesExtractedBlocksBitwise) {
+  // The writer's K_ff and K_fc against the free block and coupling that
+  // DirichletSplit extracts from the whole lattice of serial block-order
+  // sums, by memcmp of row pointers, columns and values, at team sizes 1-4.
+  // The constraint sets are whole nodes (clamped top and bottom; the outer
+  // boundary with non-zero values) and single seeded dofs, so a node may
+  // hold free and constrained components.
+  const RomModel tsv = random_element_model(BlockKind::Tsv, 41);
+  const RomModel dummy = random_element_model(BlockKind::Dummy, 43);
+  for (const auto& [blocks_x, blocks_y] : {std::pair{1, 1}, std::pair{3, 2}, std::pair{5, 4}}) {
+    const BlockGrid grid = make_grid(blocks_x, blocks_y);
+    BlockMask mask(static_cast<std::size_t>(grid.num_blocks()));
+    for (int b = 0; b < grid.num_blocks(); ++b) mask[static_cast<std::size_t>(b)] = b % 2;
+    fem::DirichletBc singles;
+    std::mt19937_64 rng(47);
+    for (idx_t d = 0; d < grid.num_dofs(); ++d) {
+      if (rng() % 5 == 0) singles.add(d, 1e-3 * static_cast<double>(rng() % 7));
+    }
+    const std::vector<std::pair<std::string, fem::DirichletBc>> constraint_sets{
+        {"clamped", clamp_top_bottom(grid)},
+        {"boundary", submodel_boundary(grid,
+                                       [](const mesh::Point3& p) {
+                                         return std::array<double, 3>{1e-3 * p.x, -2e-3 * p.y,
+                                                                      5e-4 * p.z};
+                                       })},
+        {"singles", singles}};
+    for (const bool masked : {false, true}) {
+      const RomModel* dm = masked ? &dummy : nullptr;
+      const BlockMask& mk = masked ? mask : BlockMask{};
+      const BlockOrderReference ref = block_order_reference(grid, tsv, dm, mk);
+      const CsrMatrix pattern = CsrMatrix::from_triplets(ref.triplets);
+      std::vector<double> sums;
+      for (const auto& entry : ref.sums) sums.push_back(entry.second.first);
+      const CsrMatrix whole = CsrMatrix::from_raw(grid.num_dofs(), grid.num_dofs(),
+                                                  pattern.row_ptr(), pattern.col_idx(), sums);
+      for (const auto& [set_name, bc] : constraint_sets) {
+        const fem::DirichletSplit split(grid.num_dofs(), bc);
+        const CsrMatrix k_ff = split.free_block(whole);
+        const CsrMatrix k_fc = split.coupling(whole);
+        ASSERT_LT(split.num_free(), grid.num_dofs()) << set_name;
+        for (const int threads : {1, 2, 3, 4}) {
+          const testutil::TeamSizeScope team(threads);
+          const std::string where = std::to_string(blocks_x) + "x" + std::to_string(blocks_y) +
+                                    (masked ? ", masked, " : ", ") + set_name + ", team " +
+                                    std::to_string(threads);
+          const fem::SplitOperator op = assemble_stiffness(grid, tsv, dm, mk, split);
+          const std::pair<const CsrMatrix*, const CsrMatrix*> blocks[] = {{&op.free, &k_ff},
+                                                                           {&op.coupling, &k_fc}};
+          for (const auto& [got, want] : blocks) {
+            EXPECT_EQ(got->rows(), want->rows()) << where;
+            EXPECT_EQ(got->cols(), want->cols()) << where;
+            EXPECT_TRUE(same_bits(got->row_ptr(), want->row_ptr())) << where;
+            EXPECT_TRUE(same_bits(got->col_idx(), want->col_idx())) << where;
+            EXPECT_TRUE(same_bits(got->values(), want->values())) << where;
+          }
+        }
       }
     }
   }
