@@ -25,7 +25,7 @@ using la::Vec;
 /// detail, shift) as the solver reported it.
 struct RunStats {
   double local_stage_seconds = 0.0;   ///< one-shot cost (amortized)
-  double assemble_seconds = 0.0;
+  double assemble_seconds = 0.0;      ///< load vectors + operator (solve.assemble_seconds)
   double reconstruct_seconds = 0.0;
   std::size_t memory_bytes = 0;       ///< models + matrix + solver workspace
   rom::GlobalSolveStats solve;        ///< the one global solve (panel) of this run

@@ -122,12 +122,13 @@ class MoreStressSimulator {
     std::vector<Vec> others;
   };
   /// The one global stage of every analysis: split the window's dofs by its
-  /// boundary once, assemble the reduced operator's free block K_ff and
-  /// coupling K_fc (never its constrained rows), solve every entry of
-  /// `loads` as one multi-RHS panel (one factorization on the direct path),
-  /// release the operator and reconstruct `loads[0]`. With a factor cache
-  /// attached, a resident key skips the operator assembly (load vectors
-  /// only) and the factorization. The primary's stats count the whole
+  /// boundary once, assemble the load vectors, solve every entry of `loads`
+  /// as one multi-RHS panel (one factorization on the direct path) and
+  /// reconstruct `loads[0]`. The solve stage assembles the reduced
+  /// operator's free block K_ff and coupling K_fc (never its constrained
+  /// rows) only where it reads them: with a factor cache attached, a
+  /// resident key, or one another query is building, costs neither the
+  /// assembly nor the factorization. The primary's stats count the whole
   /// panel's assembly and solve; the caller accounts for what it keeps of
   /// the other solutions.
   Panel run_panel(const Window& window, const std::vector<rom::BlockLoadField>& loads);

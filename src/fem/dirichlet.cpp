@@ -29,25 +29,6 @@ DirichletBc DirichletBc::clamp_nodes(const std::vector<idx_t>& nodes, const Vec&
   return bc;
 }
 
-DofPartition partition_dofs(idx_t num_dofs, const std::vector<idx_t>& bc_dofs) {
-  std::vector<char> constrained(num_dofs, 0);
-  for (idx_t d : bc_dofs) {
-    assert(d >= 0 && d < num_dofs);
-    constrained[d] = 1;
-  }
-  DofPartition part;
-  part.free_map.assign(num_dofs, -1);
-  part.bc_map.assign(num_dofs, -1);
-  for (idx_t d = 0; d < num_dofs; ++d) {
-    if (constrained[d]) {
-      part.bc_map[d] = part.num_bc++;
-    } else {
-      part.free_map[d] = part.num_free++;
-    }
-  }
-  return part;
-}
-
 DirichletSplit::DirichletSplit(idx_t num_dofs, const DirichletBc& bc) {
   if (bc.dofs.size() != bc.values.size()) {
     throw std::invalid_argument("DirichletSplit: " + std::to_string(bc.dofs.size()) +
@@ -60,7 +41,17 @@ DirichletSplit::DirichletSplit(idx_t num_dofs, const DirichletBc& bc) {
                                   " outside [0, " + std::to_string(num_dofs) + ")");
     }
   }
-  part_ = partition_dofs(num_dofs, bc.dofs);
+  std::vector<char> constrained(num_dofs, 0);
+  for (idx_t d : bc.dofs) constrained[d] = 1;
+  part_.free_map.assign(num_dofs, -1);
+  part_.bc_map.assign(num_dofs, -1);
+  for (idx_t d = 0; d < num_dofs; ++d) {
+    if (constrained[d]) {
+      part_.bc_map[d] = part_.num_bc++;
+    } else {
+      part_.free_map[d] = part_.num_free++;
+    }
+  }
   values_.assign(static_cast<std::size_t>(part_.num_bc), 0.0);
   for (std::size_t k = 0; k < bc.dofs.size(); ++k) values_[part_.bc_map[bc.dofs[k]]] = bc.values[k];
 }
@@ -139,66 +130,6 @@ void DirichletSplit::expand(const double* x_f, const double* g, double* out) con
   }
 }
 
-la::FactorCache::Entry fetch_factor(SplitOperator& op, const DirichletSplit& split,
-                                    const FactorSource& source, la::FactorStats& stats) {
-  util::WallTimer timer;
-  la::FactorCache* cache = source.shared_cache();
-  const auto build = [&]() {
-    // Cancellation and fault checks live inside the builder on purpose: a
-    // cancelled or injected-fault build throws, the cache clears the slot
-    // (waiters retry), and no pending slot is ever poisoned.
-    const std::string site = std::string(source.stage) + ".factor_build";
-    source.cancel.check(site.c_str());
-    if (util::FaultInjector::enabled()) util::FaultInjector::global().fire(site.c_str());
-    if (op.free.rows() == 0 && split.num_free() > 0) {
-      throw std::logic_error(site + ": a factor build needs the assembled operator");
-    }
-    split.require_operator(op);
-    la::FactorCache::Entry fresh;
-    fresh.coupling = std::make_shared<const CsrMatrix>(std::move(op.coupling));
-    const la::Permutation order =
-        source.order.size() == 0 ? la::Permutation{} : split.free_order(source.order);
-    la::ShiftRetryResult factored = la::factor_with_shift_retry(
-        op.free, (std::string(source.stage) + ".factor").c_str(), order);
-    fresh.factor = std::move(factored.factor);
-    fresh.diagonal_shift = factored.shift;
-    return fresh;
-  };
-  bool built = true;
-  la::FactorCache::Entry entry =
-      cache != nullptr ? cache->get_or_create(source.key, build, &built) : build();
-  stats.factor_seconds = timer.seconds();
-  stats.factor_nnz = entry.factor->factor_nnz();
-  stats.fill_ratio = entry.factor->fill_ratio();
-  stats.num_supernodes = entry.factor->num_supernodes();
-  stats.ordering = entry.factor->ordering_name();
-  stats.num_factorizations = built ? 1 : 0;
-  stats.degraded = entry.diagonal_shift != 0.0;
-  stats.diagonal_shift = entry.diagonal_shift;
-  return entry;
-}
-
-DirectSolve solve_direct(SplitOperator& op, const std::vector<Vec>& rhss,
-                         const DirichletSplit& split, const FactorSource& source,
-                         la::FactorStats& stats) {
-  DirectSolve direct;
-  direct.entry = fetch_factor(op, split, source, stats);
-  Vec lift(static_cast<std::size_t>(split.num_free()));
-  split.lift(*direct.entry.coupling, split.values().data(), lift.data());
-  std::vector<Vec> reduced(rhss.size(), Vec(lift.size()));
-  for (std::size_t c = 0; c < rhss.size(); ++c) {
-    split.reduce(rhss[c].data(), lift.data(), reduced[c].data());
-  }
-  util::WallTimer timer;
-  const std::vector<Vec> free_x = direct.entry.factor->solve_multi(reduced);
-  direct.triangular_seconds = timer.seconds();
-  direct.solutions.assign(rhss.size(), Vec(static_cast<std::size_t>(split.num_dofs())));
-  for (std::size_t c = 0; c < rhss.size(); ++c) {
-    split.expand(free_x[c].data(), split.values().data(), direct.solutions[c].data());
-  }
-  return direct;
-}
-
 namespace {
 
 /// The one reading of a solver's method name.
@@ -231,14 +162,58 @@ void publish(const std::string& stage, const SolveStats& s) {
   reg.gauge(stage + ".diagonal_shift").set(s.diagonal_shift);
 }
 
-}  // namespace
-
-bool factor_resident(const std::string& method, const la::FactorCache* cache,
-                     const std::string& key) {
-  return is_direct(method) && cache != nullptr && !key.empty() && cache->contains(key);
+/// The stage's one call of a solve's assembler: timed into
+/// stats.assemble_seconds, its shapes checked against `split`.
+SplitOperator assemble_operator(const AssembleOperator& assemble, const DirichletSplit& split,
+                                la::FactorStats& stats) {
+  util::WallTimer timer;
+  SplitOperator op = assemble();
+  stats.assemble_seconds = timer.seconds();
+  split.require_operator(op);
+  return op;
 }
 
-std::vector<Vec> solve_linear(SplitOperator& op, const std::vector<Vec>& rhss,
+}  // namespace
+
+la::FactorCache::Entry fetch_factor(const AssembleOperator& assemble, const DirichletSplit& split,
+                                    const FactorSource& source, la::FactorStats& stats) {
+  util::WallTimer timer;
+  la::FactorCache* cache = source.shared_cache();
+  stats.assemble_seconds = 0.0;
+  const auto build = [&]() {
+    // Cancellation and fault checks live inside the builder on purpose: a
+    // cancelled or injected-fault build throws before it assembles, the
+    // cache clears the slot (waiters retry), and no pending slot is ever
+    // poisoned.
+    const std::string site = std::string(source.stage) + ".factor_build";
+    source.cancel.check(site.c_str());
+    if (util::FaultInjector::enabled()) util::FaultInjector::global().fire(site.c_str());
+    SplitOperator op = assemble_operator(assemble, split, stats);
+    la::FactorCache::Entry fresh;
+    fresh.coupling = std::make_shared<const CsrMatrix>(std::move(op.coupling));
+    const la::Permutation order =
+        source.order.size() == 0 ? la::Permutation{} : split.free_order(source.order);
+    la::ShiftRetryResult factored = la::factor_with_shift_retry(
+        op.free, (std::string(source.stage) + ".factor").c_str(), order);
+    fresh.factor = std::move(factored.factor);
+    fresh.diagonal_shift = factored.shift;
+    return fresh;
+  };
+  bool built = true;
+  la::FactorCache::Entry entry =
+      cache != nullptr ? cache->get_or_create(source.key, build, &built) : build();
+  stats.factor_seconds = timer.seconds() - stats.assemble_seconds;
+  stats.factor_nnz = entry.factor->factor_nnz();
+  stats.fill_ratio = entry.factor->fill_ratio();
+  stats.num_supernodes = entry.factor->num_supernodes();
+  stats.ordering = entry.factor->ordering_name();
+  stats.num_factorizations = built ? 1 : 0;
+  stats.degraded = entry.diagonal_shift != 0.0;
+  stats.diagonal_shift = entry.diagonal_shift;
+  return entry;
+}
+
+std::vector<Vec> solve_linear(const AssembleOperator& assemble, const std::vector<Vec>& rhss,
                               const DirichletSplit& split, const SolveMethod& how,
                               const FactorSource& source, SolveStats& stats) {
   assert(!rhss.empty());
@@ -253,13 +228,34 @@ std::vector<Vec> solve_linear(SplitOperator& op, const std::vector<Vec>& rhss,
   }
   std::vector<Vec> solutions;
   if (is_direct(how.method)) {
-    DirectSolve direct = solve_direct(op, rhss, split, source, stats);
-    solutions = std::move(direct.solutions);
-    stats.triangular_seconds = direct.triangular_seconds;
-    stats.matrix_bytes = op.free.memory_bytes() + direct.entry.coupling->memory_bytes();
-    stats.solver_bytes = direct.entry.factor->memory_bytes();
+    std::size_t free_bytes = 0;  // K_ff, when this call's build assembled it
+    const la::FactorCache::Entry entry = fetch_factor(
+        [&] {
+          SplitOperator op = assemble();
+          free_bytes = op.free.memory_bytes();
+          return op;
+        },
+        split, source, stats);
+    Vec lift(static_cast<std::size_t>(split.num_free()));
+    split.lift(*entry.coupling, split.values().data(), lift.data());
+    std::vector<Vec> reduced(rhss.size(), Vec(lift.size()));
+    for (std::size_t c = 0; c < rhss.size(); ++c) {
+      split.reduce(rhss[c].data(), lift.data(), reduced[c].data());
+    }
+    util::WallTimer triangular;
+    const std::vector<Vec> free_x = entry.factor->solve_multi(reduced);
+    stats.triangular_seconds = triangular.seconds();
+    // Allocated after the sweeps: allocated ahead of the factorization, they
+    // slowed the large-array reconstruction that follows (DESIGN.md, "One
+    // Dirichlet elimination").
+    solutions.assign(rhss.size(), Vec(static_cast<std::size_t>(n)));
+    for (std::size_t c = 0; c < rhss.size(); ++c) {
+      split.expand(free_x[c].data(), split.values().data(), solutions[c].data());
+    }
+    stats.matrix_bytes = free_bytes + entry.coupling->memory_bytes();
+    stats.solver_bytes = entry.factor->memory_bytes();
   } else {
-    split.require_operator(op);
+    const SplitOperator op = assemble_operator(assemble, split, stats);
     const CsrMatrix& a = op.free;
     const auto precond = la::make_preconditioner(how.precond, a);
     la::IterativeOptions iter;
@@ -292,7 +288,7 @@ std::vector<Vec> solve_linear(SplitOperator& op, const std::vector<Vec>& rhss,
   stats.num_dofs = n;
   stats.num_rhs = static_cast<idx_t>(rhss.size());
   stats.converged = true;  // an unconverged solve threw above
-  stats.solve_seconds = timer.seconds();
+  stats.solve_seconds = timer.seconds() - stats.assemble_seconds;
   publish(source.stage, stats);
   return solutions;
 }

@@ -5,10 +5,12 @@
 // iterated on, each right-hand side enters as f_f − K_fc g (g the prescribed
 // values, the lift K_fc g computed once per solve), and the solution carries
 // g in its constrained dofs. The one linear-solve stage every solver shares
-// lives here too: solve_linear takes the split operator {K_ff, K_fc}, reads
-// the method, and runs either the direct path (factor K_ff once, solve the
-// panel — cached across calls or not) or the CG loop on K_ff.
+// lives here too: solve_linear takes how to assemble the split operator
+// {K_ff, K_fc}, reads the method, and runs either the direct path (factor
+// K_ff once, solve the panel — cached across calls or not) or the CG loop on
+// K_ff, assembling the operator only where it is read.
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -39,15 +41,14 @@ struct DirichletBc {
   static DirichletBc clamp_nodes(const std::vector<idx_t>& nodes, const Vec& vals = {});
 };
 
-/// Partition dofs into free/constrained maps for reduced-system extraction:
-/// free_map[dof] = free index or -1; bc_map[dof] = constrained index or -1.
+/// A split's free/constrained maps: free_map[dof] = free index or -1;
+/// bc_map[dof] = constrained index or -1.
 struct DofPartition {
   std::vector<idx_t> free_map;
   std::vector<idx_t> bc_map;
   idx_t num_free = 0;
   idx_t num_bc = 0;
 };
-DofPartition partition_dofs(idx_t num_dofs, const std::vector<idx_t>& bc_dofs);
 
 /// An operator split by a DirichletSplit: its free block and the
 /// free-by-constrained coupling. Its constrained rows are not kept.
@@ -55,6 +56,12 @@ struct SplitOperator {
   CsrMatrix free;      ///< K_ff
   CsrMatrix coupling;  ///< K_fc
 };
+
+/// How a solve assembles its split operator. The solve stage calls it only
+/// where it reads the operator: in the factor build that claims the key
+/// (after its cancel check and fault probe) and on cg, never on a hit or a
+/// wait on another caller's build.
+using AssembleOperator = std::function<SplitOperator()>;
 
 /// The free/constrained split of one Dirichlet problem, the only Dirichlet
 /// treatment of every solve. Free and constrained indices ascend with the
@@ -132,38 +139,27 @@ struct FactorSource {
 /// The factor half of a direct solve: the factorization of the split
 /// operator's K_ff and its coupling K_fc, from the cache (built at most once
 /// per key) or built here. The build runs the cancel check and the fault
-/// probe, moves `op.coupling` into the entry and factors `op.free` under the
-/// source's order restricted to the free dofs, with the shift-retry ladder.
-/// On a hit `op` is left as passed, and may be empty. `stats` receives the
-/// factor detail.
-la::FactorCache::Entry fetch_factor(SplitOperator& op, const DirichletSplit& split,
+/// probe, then `assemble` (timed into stats.assemble_seconds), moves the
+/// coupling into the entry and factors K_ff under the source's order
+/// restricted to the free dofs, with the shift-retry ladder. A hit, or a wait
+/// on another caller's build, does not assemble. `stats` receives the factor
+/// detail.
+la::FactorCache::Entry fetch_factor(const AssembleOperator& assemble, const DirichletSplit& split,
                                     const FactorSource& source, la::FactorStats& stats);
 
-/// What solve_direct produced and solved with.
-struct DirectSolve {
-  std::vector<Vec> solutions;       ///< one per right-hand side, in order
-  la::FactorCache::Entry entry;
-  double triangular_seconds = 0.0;  ///< the panel's forward/backward sweeps
-};
-
-/// The one direct-solve path: fetch the factor, lift the prescribed values
-/// once through the entry's K_fc, reduce every right-hand side by that lift,
-/// solve the cases as one multi-RHS panel and expand the solutions. Cached or
-/// not, warm or cold, the solutions are bit-identical.
-DirectSolve solve_direct(SplitOperator& op, const std::vector<Vec>& rhss,
-                         const DirichletSplit& split, const FactorSource& source,
-                         la::FactorStats& stats);
-
 /// One linear solve's record, the same for every solver that runs
-/// solve_linear; la::FactorStats holds the direct path's factor detail
-/// (zero / empty on cg, and 0 factorizations on a cache hit).
+/// solve_linear; la::FactorStats holds the operator's assembly and the
+/// direct path's factor detail (zero / empty on cg, and 0 factorizations on
+/// a cache hit).
 struct SolveStats : la::FactorStats {
   idx_t num_dofs = 0;               ///< the full system, constrained dofs included
-  double solve_seconds = 0.0;       ///< the whole stage: factor or CG, lift, reductions, solves
+  /// The whole stage but the operator's assembly: factor or CG, lift,
+  /// reductions, solves.
+  double solve_seconds = 0.0;
   idx_t iterations = 0;             ///< CG iterations over all cases; 0 on the direct path
   bool converged = false;
   idx_t num_rhs = 0;                ///< right-hand sides solved in this call
-  std::size_t matrix_bytes = 0;     ///< CSR storage of K_ff (when assembled) and K_fc
+  std::size_t matrix_bytes = 0;     ///< CSR storage of K_ff (when this call assembled it) and K_fc
   std::size_t solver_bytes = 0;     ///< the factor, or the Krylov workspace + preconditioner
   double triangular_seconds = 0.0;  ///< forward/backward substitutions only
 };
@@ -179,26 +175,23 @@ struct SolveMethod {
 
 /// The one linear-solve stage of the ROM global, steady conduction and
 /// fine-FEM solvers: solve every case of `rhss` (one value per dof of
-/// `split`, else std::invalid_argument) against the split operator `op`.
-///  - "direct": solve_direct through `source` (cached or not, with the
-///    shift-retry ladder and the `<stage>.factor_build` probe);
-///  - "cg": one preconditioned CG solve of K_ff per case, every case reduced
-///    by one lift. A breakdown or a stop at max_iterations throws
-///    SimError(kDidNotConverge) at "<stage>.solve": no caller receives an
-///    unconverged iterate. `source`'s cache is not read.
+/// `split`, else std::invalid_argument) against the split operator that
+/// `assemble` returns (its shapes are checked against `split`).
+///  - "direct": fetch_factor through `source` (cached or not, with the
+///    shift-retry ladder and the `<stage>.factor_build` probe), one lift of
+///    the prescribed values through the entry's K_fc, and every case solved
+///    as one multi-RHS panel. Cached or not, warm or cold, the solutions are
+///    bit-identical.
+///  - "cg": assemble, then one preconditioned CG solve of K_ff per case,
+///    every case reduced by one lift. A breakdown or a stop at
+///    max_iterations throws SimError(kDidNotConverge) at "<stage>.solve": no
+///    caller receives an unconverged iterate. `source`'s cache is not read.
 /// Any other method throws std::invalid_argument. `rhss` is left as passed.
-/// On return `op.free` still holds K_ff, the matrix factored or iterated on
-/// (empty when a cache hit let the caller skip the assembly). Fills every
-/// field of `stats` and records them once, under "<stage>.*" (a failed
-/// solve records nothing).
-std::vector<Vec> solve_linear(SplitOperator& op, const std::vector<Vec>& rhss,
+/// Fills every field of `stats` and records them once, under "<stage>.*" (a
+/// failed solve records nothing); the assembly is timed apart, in
+/// stats.assemble_seconds, which the solver that owns the record publishes.
+std::vector<Vec> solve_linear(const AssembleOperator& assemble, const std::vector<Vec>& rhss,
                               const DirichletSplit& split, const SolveMethod& how,
                               const FactorSource& source, SolveStats& stats);
-
-/// Whether solve_linear by `method` will take the factor resident in
-/// `cache` under `key` without reading the operator, so the caller may
-/// leave it unassembled (only the direct path reads a cache).
-bool factor_resident(const std::string& method, const la::FactorCache* cache,
-                     const std::string& key);
 
 }  // namespace ms::fem

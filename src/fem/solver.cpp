@@ -10,12 +10,12 @@ namespace ms::fem {
 
 namespace {
 
-/// Shared tail of every entry point: split the operator assembled on `mesh`
-/// by `bc` (the split counts as assembly; the whole matrix is released),
-/// solve all load cases through the one linear-solve stage (direct: one
-/// factorization under the mesh's order + one multi-RHS panel; cg: loop),
-/// and fill the stats record (solve_linear publishes it as "fem.*"; the
-/// assembly is ours).
+/// Shared tail of every entry point: solve all load cases through the one
+/// linear-solve stage (direct: one factorization under the mesh's order + one
+/// multi-RHS panel; cg: loop), whose assembler splits the operator assembled
+/// on `mesh` by `bc` (the split counts as assembly; the whole matrix is
+/// released), and fill the stats record (solve_linear publishes it as
+/// "fem.*"; the assembly is ours).
 std::vector<Vec> solve_assembled(const mesh::HexMesh& mesh, AssembledSystem& sys,
                                  const std::vector<Vec>& rhs_cases, const DirichletBc& bc,
                                  const FemSolveOptions& options, FemSolveStats* stats,
@@ -23,16 +23,20 @@ std::vector<Vec> solve_assembled(const mesh::HexMesh& mesh, AssembledSystem& sys
   MS_TRACE_SCOPE("fem.solve");
   util::WallTimer timer;
   const DirichletSplit split(sys.num_dofs, bc);
-  SplitOperator op = split.extract(sys.stiffness);
-  sys.stiffness = CsrMatrix();
+  assemble_seconds += timer.seconds();  // the partition counts as assembly too
   FemSolveStats local;
-  local.assemble_seconds = assemble_seconds + timer.seconds();
   const std::string no_key;
   const core::CancelToken never_cancelled;
   const FactorSource source{nullptr, no_key, never_cancelled, "fem", stiffness_order(mesh)};
   std::vector<Vec> solutions = solve_linear(
-      op, rhs_cases, split,
+      [&] {
+        SplitOperator op = split.extract(sys.stiffness);
+        sys.stiffness = CsrMatrix();
+        return op;
+      },
+      rhs_cases, split,
       {options.method, options.precond, options.rel_tol, options.max_iterations}, source, local);
+  local.assemble_seconds += assemble_seconds;
   obs::observe_seconds("fem.assemble_seconds", local.assemble_seconds);
   if (stats != nullptr) *stats = local;
   return solutions;

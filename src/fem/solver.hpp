@@ -20,10 +20,9 @@ struct FemSolveOptions {
   idx_t max_iterations = 30000;
 };
 
-/// Fine-FEM record: the shared solve record (fem/dirichlet.hpp) plus the
-/// assembly that precedes it.
+/// Fine-FEM record: the shared solve record (fem/dirichlet.hpp), whose
+/// assemble_seconds also counts the system assembled ahead of it.
 struct FemSolveStats : SolveStats {
-  double assemble_seconds = 0.0;
   [[nodiscard]] double total_seconds() const { return assemble_seconds + solve_seconds; }
   [[nodiscard]] std::size_t total_bytes() const { return matrix_bytes + solver_bytes; }
 };

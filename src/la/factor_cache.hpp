@@ -26,10 +26,12 @@
 namespace ms::la {
 
 /// Factorization detail of one direct solve, filled once from the factor
-/// it solved with (zero / empty on iterative paths). The solver stats
-/// structs inherit it, so `stats.factor_nnz` reads the same on all of them.
+/// it solved with (zero / empty on iterative paths, but for
+/// assemble_seconds). The solver stats structs inherit it, so
+/// `stats.factor_nnz` reads the same on all of them.
 struct FactorStats {
-  double factor_seconds = 0.0;  ///< obtaining the factor: the build, or the cache lookup
+  double assemble_seconds = 0.0;  ///< the operator's assembly by a build (or cg); 0 on a hit
+  double factor_seconds = 0.0;    ///< obtaining the factor but its assembly: build or lookup
   offset_t factor_nnz = 0;      ///< nnz(L), diagonal included
   double fill_ratio = 0.0;      ///< nnz(L) / nnz(tril(A))
   idx_t num_supernodes = 0;     ///< panels of the supernodal factor

@@ -30,10 +30,9 @@ struct GlobalSolveOptions {
   /// the right-hand sides). The key must determine the assembled matrix
   /// values and the constrained-dof *set*; BC values may vary freely between
   /// callers sharing a key (they enter only through K_fc, see
-  /// fem/dirichlet.hpp). On a hit the caller may leave the operator
-  /// unassembled (an empty split operator, or an empty problem.stiffness)
-  /// and assemble only the load vectors. Warm or cold, the returned
-  /// solutions are bit-identical to the uncached path.
+  /// fem/dirichlet.hpp). A hit, or a wait on another caller's build, never
+  /// runs the caller's assembler. Warm or cold, the returned solutions are
+  /// bit-identical to the uncached path.
   la::FactorCache* factor_cache = nullptr;
   std::string factor_key;
   /// Cooperative cancellation/deadline token, checked at the factorization
@@ -47,34 +46,32 @@ struct GlobalSolveOptions {
 using GlobalSolveStats = fem::SolveStats;
 
 /// The global stage's solve: every case of `rhss` against the split
-/// operator `op` (rom::assemble_stiffness under `split`; it may be empty
-/// when the factor is resident under options.factor_key). The direct path
-/// factors K_ff once, lifts the prescribed values once and runs all cases
-/// as one multi-RHS panel (fem::solve_direct); cg loops over them
-/// (fem::solve_linear). The direct path recovers an SPD breakdown with the
-/// diagonal shift-retry ladder (la/shift_retry.hpp; the stats record the
-/// shift as degraded). A CG solve that breaks down or stops at
-/// max_iterations throws SimError(kDidNotConverge). On return `op.free`
-/// holds K_ff. Returns one nodal displacement vector per case, the
-/// prescribed values in the constrained dofs.
-std::vector<Vec> solve_global_split(fem::SplitOperator& op, const std::vector<Vec>& rhss,
+/// operator `assemble` returns (rom::assemble_stiffness under `split`), which
+/// the stage runs only when it reads the operator: in the factor build that
+/// claims options.factor_key, or on cg. The direct path factors K_ff once,
+/// lifts the prescribed values once and runs all cases as one multi-RHS
+/// panel; cg loops over them (fem::solve_linear). The direct path recovers
+/// an SPD breakdown with the diagonal shift-retry ladder (la/shift_retry.hpp;
+/// the stats record the shift as degraded). A CG solve that breaks down or
+/// stops at max_iterations throws SimError(kDidNotConverge). Returns one
+/// nodal displacement vector per case, the prescribed values in the
+/// constrained dofs.
+std::vector<Vec> solve_global_split(const fem::AssembleOperator& assemble,
+                                    const std::vector<Vec>& rhss,
                                     const fem::DirichletSplit& split,
                                     const GlobalSolveOptions& options,
                                     GlobalSolveStats* stats = nullptr);
 
-/// Whole-lattice form of solve_global_split: split problem.stiffness (the
-/// assembled lattice, or empty when the factor is resident) by `bc`, as a
-/// mesh caller does, then solve problem.rhs plus every vector of
-/// `extra_rhs`. problem.stiffness holds K_ff afterwards, the matrix that was
-/// factored or iterated on, whenever it was assembled; problem.rhs is left
-/// as passed. Returns one solution per case — index 0 is problem.rhs,
-/// index 1 + k is extra_rhs[k].
+/// Whole-lattice form of solve_global_split: its assembler splits
+/// problem.stiffness (the assembled lattice; it may be empty when the factor
+/// is resident) by `bc`, as a mesh caller does, and leaves a copy of K_ff,
+/// the matrix factored or iterated on, in problem.stiffness; then it solves
+/// problem.rhs plus every vector of `extra_rhs`. When the stage does not
+/// assemble (a resident or awaited factor), problem.stiffness is left as
+/// passed; problem.rhs always is. Returns one solution per case — index 0 is
+/// problem.rhs, index 1 + k is extra_rhs[k].
 std::vector<Vec> solve_global_multi(GlobalProblem& problem, std::vector<Vec> extra_rhs,
                                     const DirichletBc& bc, const GlobalSolveOptions& options = {},
                                     GlobalSolveStats* stats = nullptr);
-
-/// Single-load form of solve_global_multi.
-Vec solve_global(GlobalProblem& problem, const DirichletBc& bc,
-                 const GlobalSolveOptions& options = {}, GlobalSolveStats* stats = nullptr);
 
 }  // namespace ms::rom

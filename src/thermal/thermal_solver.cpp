@@ -17,8 +17,9 @@
 namespace ms::thermal {
 namespace {
 
-/// The θ-stepper's record: it factors through fem::fetch_factor and steps
-/// itself, so solve_linear's "<stage>.*" record does not cover it.
+/// The θ-stepper's record: it factors through fem::fetch_factor (which
+/// assembles the stepping operator) and steps itself, so solve_linear's
+/// "<stage>.*" record does not cover it.
 void publish_transient_stats(const TransientSolveStats& s) {
   obs::count("thermal.transient.solves");
   obs::count("thermal.transient.steps", s.num_steps);
@@ -59,7 +60,6 @@ TemperatureField solve_power_map(const mesh::HexMesh& mesh, const ConductivityFi
   ThermalSolveStats local;
   util::WallTimer timer;
   std::vector<Vec> cases;
-  fem::SplitOperator op;
   const fem::DirichletSplit split(
       mesh.num_nodes(),
       options.sink_film_coefficient == 0.0 ? ideal_sink(mesh) : fem::DirichletBc{});
@@ -67,33 +67,35 @@ TemperatureField solve_power_map(const mesh::HexMesh& mesh, const ConductivityFi
                                  "thermal.steady", conduction_order(mesh)};
   {
     MS_TRACE_SCOPE("thermal.steady.assemble");
-    // On a resident cache hit the operator never needs assembling — only the
-    // load vector and the constrained-dof set.
-    // The triplets are released before the split, as the whole matrix is
-    // after it.
-    if (!fem::factor_resident(options.method, options.factor_cache, options.factor_key)) {
-      op = split.extract([&] {
-        la::TripletList triplets =
-            conduction_triplets(mesh, conductivity.in_plane, conductivity.through_plane);
-        if (options.sink_film_coefficient > 0.0) {
-          add_convective_face(mesh, options.sink_film_coefficient, /*face=*/0, triplets);
-        }
-        return CsrMatrix::from_triplets(triplets);
-      }());
-    }
     cases.push_back(assemble_power_load(mesh, power));
   }
-  local.assemble_seconds = timer.seconds();
+  const double load_seconds = timer.seconds();
 
   // Solve for the rise over ambient under homogeneous sink data, then add
-  // the ambient back once: a zero power map gives exactly the ambient.
+  // the ambient back once: a zero power map gives exactly the ambient. The
+  // stage assembles the operator only when it reads it (a resident factor
+  // needs the load vector and the constrained-dof set alone); the triplets
+  // are released before the split, as the whole matrix is after it.
   Vec t = std::move(
-      fem::solve_linear(op, cases, split,
-                        {options.method, "jacobi", options.rel_tol, options.max_iterations},
-                        source, local)
+      fem::solve_linear(
+          [&] {
+            MS_TRACE_SCOPE("thermal.steady.assemble");
+            return split.extract([&] {
+              la::TripletList triplets =
+                  conduction_triplets(mesh, conductivity.in_plane, conductivity.through_plane);
+              if (options.sink_film_coefficient > 0.0) {
+                add_convective_face(mesh, options.sink_film_coefficient, /*face=*/0, triplets);
+              }
+              return CsrMatrix::from_triplets(triplets);
+            }());
+          },
+          cases, split, {options.method, "jacobi", options.rel_tol, options.max_iterations},
+          source, local)
           .front());
   for (double& v : t) v += options.ambient;
-  // solve_linear published the solve as "thermal.steady.*"; the assembly is ours.
+  // solve_linear published the solve as "thermal.steady.*"; the assembly,
+  // the operator's included, is ours to publish.
+  local.assemble_seconds += load_seconds;
   obs::observe_seconds("thermal.steady.assemble_seconds", local.assemble_seconds);
   if (stats != nullptr) *stats = local;
   return TemperatureField(mesh, std::move(t));
@@ -181,34 +183,7 @@ TransientTemperatureResult solve_power_trace(const mesh::HexMesh& mesh,
         capacitance_triplets(mesh, capacity_per_elem, /*lumped=*/false));
   }
 
-  // A = M/Δt + θK, split by the sink; its free block is factored once. Only
-  // a factor build reads it, so a resident factor leaves it unassembled. Its
-  // triplets are released before the split.
   const fem::DirichletSplit split(n, bc);
-  fem::SplitOperator a;
-  if (!fem::factor_resident("direct", options.base.factor_cache, options.base.factor_key)) {
-    a = split.extract([&] {
-      la::TripletList a_triplets(n, n);
-      a_triplets.reserve(k_triplets.size() + (options.lumped_capacitance
-                                                  ? static_cast<std::size_t>(n)
-                                                  : static_cast<std::size_t>(m_consistent.nnz())));
-      for (std::size_t t = 0; t < k_triplets.size(); ++t) {
-        a_triplets.add(k_triplets.row_indices()[t], k_triplets.col_indices()[t],
-                       theta * k_triplets.values()[t]);
-      }
-      if (options.lumped_capacitance) {
-        for (idx_t i = 0; i < n; ++i) a_triplets.add(i, i, m_diag[i] / dt);
-      } else {
-        for (idx_t r = 0; r < n; ++r) {
-          for (la::offset_t p = m_consistent.row_ptr()[r];
-               p < m_consistent.row_ptr()[static_cast<std::size_t>(r) + 1]; ++p) {
-            a_triplets.add(r, m_consistent.col_idx()[p], m_consistent.values()[p] / dt);
-          }
-        }
-      }
-      return CsrMatrix::from_triplets(a_triplets);
-    }());
-  }
   // Power loads are linear in the map, so precompute one load vector per
   // keyframe and blend vectors per step instead of re-assembling; this is
   // assembly work, so it lands in assemble_seconds, not the stepping time.
@@ -219,15 +194,43 @@ TransientTemperatureResult solve_power_trace(const mesh::HexMesh& mesh,
   }
   local.num_dofs = n;
   local.num_steps = num_steps;
-  local.assemble_seconds = timer.seconds();
+  const double own_assemble_seconds = timer.seconds();
   assemble_span.end();
 
-  timer.reset();
   // The stepping operator's factorization is shareable across traces, with
-  // the coupling every step's rhs is reduced against.
+  // the coupling every step's rhs is reduced against. A = M/Δt + θK, split
+  // by the sink, is assembled only by the build (a resident factor never
+  // reads it), its triplets released before the split.
   const fem::FactorSource source{options.base.factor_cache, options.base.factor_key,
                                  options.base.cancel, "thermal.transient", conduction_order(mesh)};
-  const la::FactorCache::Entry stepper = fem::fetch_factor(a, split, source, local);
+  const la::FactorCache::Entry stepper = fem::fetch_factor(
+      [&] {
+        MS_TRACE_SCOPE("thermal.transient.assemble");
+        return split.extract([&] {
+          la::TripletList a_triplets(n, n);
+          a_triplets.reserve(k_triplets.size() +
+                             (options.lumped_capacitance
+                                  ? static_cast<std::size_t>(n)
+                                  : static_cast<std::size_t>(m_consistent.nnz())));
+          for (std::size_t t = 0; t < k_triplets.size(); ++t) {
+            a_triplets.add(k_triplets.row_indices()[t], k_triplets.col_indices()[t],
+                           theta * k_triplets.values()[t]);
+          }
+          if (options.lumped_capacitance) {
+            for (idx_t i = 0; i < n; ++i) a_triplets.add(i, i, m_diag[i] / dt);
+          } else {
+            for (idx_t r = 0; r < n; ++r) {
+              for (la::offset_t p = m_consistent.row_ptr()[r];
+                   p < m_consistent.row_ptr()[static_cast<std::size_t>(r) + 1]; ++p) {
+                a_triplets.add(r, m_consistent.col_idx()[p], m_consistent.values()[p] / dt);
+              }
+            }
+          }
+          return CsrMatrix::from_triplets(a_triplets);
+        }());
+      },
+      split, source, local);
+  local.assemble_seconds += own_assemble_seconds;
   // The sink data is the same at every step, so one lift serves the trace.
   Vec lift(static_cast<std::size_t>(split.num_free()));
   split.lift(*stepper.coupling, split.values().data(), lift.data());

@@ -51,10 +51,9 @@ struct ThermalSolveOptions {
   core::CancelToken cancel;
 };
 
-/// Steady conduction record: the shared solve record (fem/dirichlet.hpp)
-/// plus the assembly that precedes it.
+/// Steady conduction record: the shared solve record (fem/dirichlet.hpp),
+/// whose assemble_seconds also counts the load vector assembled ahead of it.
 struct ThermalSolveStats : fem::SolveStats {
-  double assemble_seconds = 0.0;
   [[nodiscard]] double total_seconds() const { return assemble_seconds + solve_seconds; }
 };
 
@@ -90,11 +89,11 @@ struct TransientSolveOptions {
 };
 
 /// Transient march record; la::FactorStats describes the one factor of the
-/// stepping operator M/Δt + θK.
+/// stepping operator M/Δt + θK, and its assemble_seconds also counts K, M
+/// and the keyframe loads.
 struct TransientSolveStats : la::FactorStats {
   idx_t num_dofs = 0;
   int num_steps = 0;
-  double assemble_seconds = 0.0;
   double step_seconds = 0.0;     ///< all per-step rhs builds + triangular solves
   [[nodiscard]] double total_seconds() const {
     return assemble_seconds + factor_seconds + step_seconds;

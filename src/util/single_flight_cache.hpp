@@ -101,9 +101,10 @@ class SingleFlightCache {
     return value;
   }
 
-  /// True when `key` is resident and ready (in-flight builds don't count).
-  /// Lets callers skip work only a miss needs, e.g. the global stage skips
-  /// operator assembly when the factor is already resident.
+  /// True when `key` is resident and ready; a build in flight does not
+  /// count. No product path calls it: the solve stage hands its assembler to
+  /// the build instead. The benchmark's layer replay (perfbench) does, to
+  /// skip assembling a resident operator.
   [[nodiscard]] bool contains(const std::string& key) const {
     const std::lock_guard<std::mutex> lock(mutex_);
     auto it = slots_.find(key);

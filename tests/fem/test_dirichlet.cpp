@@ -183,8 +183,9 @@ TEST(DirichletSplit, OneLiftPerPanelMatchesPerColumnReductionBitwise) {
     const std::string no_key;
     const core::CancelToken never_cancelled;
     SolveStats stats;
-    const std::vector<Vec> solved = solve_linear(op, panel, split, {"direct", "none", 0.0, 0},
-                                                 {nullptr, no_key, never_cancelled, "fem"}, stats);
+    const std::vector<Vec> solved =
+        solve_linear([&] { return op; }, panel, split, {"direct", "none", 0.0, 0},
+                     {nullptr, no_key, never_cancelled, "fem"}, stats);
     const std::vector<Vec> free_x = la::SparseCholesky(k_ff).solve_multi(expected);
     for (std::size_t c = 0; c < panel.size(); ++c) {
       Vec u(panel[c].size());
@@ -196,7 +197,8 @@ TEST(DirichletSplit, OneLiftPerPanelMatchesPerColumnReductionBitwise) {
 }
 
 TEST(PartitionDofs, SplitsAndNumbersConsistently) {
-  const DofPartition part = partition_dofs(6, {1, 4});
+  const DirichletSplit split(6, DirichletBc{{1, 4}, {0.5, -0.5}});
+  const DofPartition& part = split.partition();
   EXPECT_EQ(part.num_free, 4);
   EXPECT_EQ(part.num_bc, 2);
   EXPECT_EQ(part.free_map[0], 0);
@@ -204,12 +206,18 @@ TEST(PartitionDofs, SplitsAndNumbersConsistently) {
   EXPECT_EQ(part.bc_map[1], 0);
   EXPECT_EQ(part.bc_map[4], 1);
   EXPECT_EQ(part.free_map[5], 3);
+  // The partition writes one mark per constrained dof, so a dof outside the
+  // range must be rejected before it is written.
+  EXPECT_THROW(DirichletSplit(6, DirichletBc{{6}, {0.0}}), std::invalid_argument);
+  EXPECT_THROW(DirichletSplit(6, DirichletBc{{-1}, {0.0}}), std::invalid_argument);
 }
 
 TEST(PartitionDofs, DuplicateConstraintsAreIdempotent) {
-  const DofPartition part = partition_dofs(4, {2, 2, 2});
+  const DirichletSplit split(4, DirichletBc{{2, 2, 2}, {1.0, 2.0, 3.0}});
+  const DofPartition& part = split.partition();
   EXPECT_EQ(part.num_bc, 1);
   EXPECT_EQ(part.num_free, 3);
+  EXPECT_EQ(split.values(), Vec{3.0});  // the last value wins
 }
 
 }  // namespace

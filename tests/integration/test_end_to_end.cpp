@@ -53,7 +53,7 @@ TEST(EndToEnd, PatchTestLinearFieldIsExact) {
   const rom::BlockGrid grid(2, 2, 3, 3, 3, config.geometry.pitch, config.geometry.height);
   rom::GlobalProblem problem = rom::assemble_global(grid, dummy, nullptr, {}, 0.0);
   const fem::DirichletBc bc = rom::submodel_boundary(grid, linear);
-  const la::Vec solution = rom::solve_global(problem, bc, config.global);
+  const la::Vec solution = rom::solve_global_multi(problem, {}, bc, config.global).front();
   const auto displacement = rom::reconstruct_plane_displacement(
       grid, dummy, nullptr, {}, solution, 0.0, rom::BlockRange::all(grid));
   const int s = config.local.samples_per_block;
@@ -84,7 +84,8 @@ TEST(EndToEnd, HomogeneousDomainThermalLoadMatchesFineFem) {
                                                    rom::BlockKind::Dummy, local);
   const rom::BlockGrid grid(2, 1, 4, 4, 4, config.geometry.pitch, config.geometry.height);
   rom::GlobalProblem problem = rom::assemble_global(grid, dummy, nullptr, {}, -250.0);
-  const la::Vec u = rom::solve_global(problem, rom::clamp_top_bottom(grid), config.global);
+  const la::Vec u =
+      rom::solve_global_multi(problem, {}, rom::clamp_top_bottom(grid), config.global).front();
   const auto rom_vm = rom::reconstruct_plane_von_mises(grid, dummy, nullptr, {}, u, -250.0,
                                                        rom::BlockRange::all(grid));
 

@@ -104,7 +104,7 @@ TEST(FactorOrdering, LocalStageUsesTheBlockGridOrderAndTheGlobalStageAmd) {
   rom::GlobalSolveOptions global;
   global.method = "direct";
   rom::GlobalSolveStats global_stats;
-  (void)rom::solve_global(problem, rom::clamp_top_bottom(lattice), global, &global_stats);
+  (void)rom::solve_global_multi(problem, {}, rom::clamp_top_bottom(lattice), global, &global_stats);
   EXPECT_EQ(global_stats.ordering, "amd");
 }
 

@@ -80,7 +80,7 @@ void lock_against_full_field(int blocks_x, int blocks_y, const rom::BlockMask& m
   for (int t = 0; t < num_steps; ++t) {
     loads.push_back(step_load(blocks_x, blocks_y, t));
     rom::GlobalProblem problem = rom::assemble_global(grid, tsv, dummy, mask, loads.back());
-    solutions.push_back(rom::solve_global(problem, bc, {}));
+    solutions.push_back(rom::solve_global_multi(problem, {}, bc, {}).front());
     times.push_back(static_cast<double>(t));
   }
 
@@ -265,7 +265,7 @@ TEST(ChannelExtract, BumpPlaneSamplesMatchFineFemPlaneSample) {
   const rom::BlockLoadField load = rom::BlockLoadField::uniform(-250.0);
   rom::GlobalProblem problem = rom::assemble_global(grid, tsv, nullptr, {}, load);
   const fem::DirichletBc rom_bc = rom::submodel_boundary(grid, smooth);
-  const rom::Vec u = rom::solve_global(problem, rom_bc, {});
+  const rom::Vec u = rom::solve_global_multi(problem, {}, rom_bc, {}).front();
   const auto rom_shear = rom::reconstruct_bump_plane_shear(grid, tsv, nullptr, {}, u, load,
                                                            rom::BlockRange::all(grid));
   std::vector<double> rom_resultant(rom_shear.size());

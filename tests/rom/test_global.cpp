@@ -485,8 +485,8 @@ TEST(GlobalSolver, CgDirectAgree) {
 
   GlobalProblem p1 = assemble_global(grid, tsv_model(), nullptr, {}, -250.0);
   GlobalProblem p2 = assemble_global(grid, tsv_model(), nullptr, {}, -250.0);
-  const Vec u_cg = solve_global(p1, bc, cg);
-  const Vec u_dir = solve_global(p2, bc, direct);
+  const Vec u_cg = solve_global_multi(p1, {}, bc, cg).front();
+  const Vec u_dir = solve_global_multi(p2, {}, bc, direct).front();
 
   const double scale = la::norm_inf(u_dir);
   EXPECT_GT(scale, 0.0);
@@ -498,7 +498,7 @@ TEST(GlobalSolver, ClampedDofsStayZero) {
   GlobalProblem problem = assemble_global(grid, tsv_model(), nullptr, {}, -250.0);
   const fem::DirichletBc bc = clamp_top_bottom(grid);
   GlobalSolveStats stats;
-  const Vec u = solve_global(problem, bc, {}, &stats);
+  const Vec u = solve_global_multi(problem, {}, bc, {}, &stats).front();
   EXPECT_TRUE(stats.converged);
   for (idx_t node : grid.nodes_top_bottom()) {
     for (int c = 0; c < 3; ++c) EXPECT_NEAR(u[3 * node + c], 0.0, 1e-12);
@@ -518,7 +518,7 @@ TEST(GlobalSolver, CgAtIterationCapThrowsDidNotConverge) {
   options.method = "cg";
   options.max_iterations = 2;
   try {
-    (void)solve_global(problem, clamp_top_bottom(grid), options);
+    (void)solve_global_multi(problem, {}, clamp_top_bottom(grid), options);
     FAIL() << "expected SimError(kDidNotConverge)";
   } catch (const core::SimError& e) {
     EXPECT_EQ(e.code(), core::SimErrorCode::kDidNotConverge);
@@ -538,7 +538,7 @@ TEST(GlobalSolver, RejectsRhsOfOtherSize) {
     options.method = method;
     GlobalProblem problem = assemble_global(grid, tsv_model(), nullptr, {}, -250.0);
     problem.rhs.resize(problem.rhs.size() / 2);
-    EXPECT_THROW((void)solve_global(problem, clamp_top_bottom(grid), options),
+    EXPECT_THROW((void)solve_global_multi(problem, {}, clamp_top_bottom(grid), options),
                  std::invalid_argument)
         << method;
     GlobalProblem extra = assemble_global(grid, tsv_model(), nullptr, {}, -250.0);
@@ -599,7 +599,8 @@ TEST(GlobalSolver, DirectPanelIsBitIdenticalWithoutCacheColdAndWarm) {
   // Without a cache the caller's operator is left holding the free block
   // K_ff it factored (the benchmark's replay factors it again to count
   // flops), and the primary rhs is handed back as passed.
-  const fem::DofPartition part = fem::partition_dofs(assembled.num_dofs, bc.dofs);
+  const fem::DirichletSplit split(assembled.num_dofs, bc);
+  const fem::DofPartition& part = split.partition();
   const la::CsrMatrix k_ff =
       assembled.stiffness.submatrix(part.free_map, part.num_free, part.free_map, part.num_free);
   EXPECT_EQ(plain.stiffness.rows(), k_ff.rows());
@@ -655,7 +656,7 @@ TEST(GlobalSolver, DirectPanelIsBitIdenticalWithoutCacheColdAndWarm) {
 TEST(Reconstruct, RegionShapesAndSubregion) {
   const BlockGrid grid = make_grid(3, 3);
   GlobalProblem problem = assemble_global(grid, tsv_model(), nullptr, {}, -250.0);
-  const Vec u = solve_global(problem, clamp_top_bottom(grid), {});
+  const Vec u = solve_global_multi(problem, {}, clamp_top_bottom(grid), {}).front();
   const int s = tsv_model().samples_per_block;
 
   const auto full = reconstruct_plane_von_mises(grid, tsv_model(), nullptr, {}, u, -250.0,
@@ -688,7 +689,7 @@ TEST(Reconstruct, FourFoldSymmetryOfCentredArray) {
 
   const BlockGrid grid = make_grid(3, 3);
   GlobalProblem problem = assemble_global(grid, model, nullptr, {}, -250.0);
-  const Vec u = solve_global(problem, clamp_top_bottom(grid), {});
+  const Vec u = solve_global_multi(problem, {}, clamp_top_bottom(grid), {}).front();
   const int s = model.samples_per_block;
   BlockRange inner{1, 2, 1, 2};
   const auto vm = reconstruct_plane_von_mises(grid, model, nullptr, {}, u, -250.0, inner);
@@ -708,7 +709,7 @@ TEST(Reconstruct, FourFoldSymmetryOfCentredArray) {
 TEST(Reconstruct, DisplacementRequiresSampling) {
   const BlockGrid grid = make_grid(2, 2);
   GlobalProblem problem = assemble_global(grid, tsv_model(), nullptr, {}, -250.0);
-  const Vec u = solve_global(problem, clamp_top_bottom(grid), {});
+  const Vec u = solve_global_multi(problem, {}, clamp_top_bottom(grid), {}).front();
   // tsv_model() was built with displacement sampling on (default) — works.
   EXPECT_NO_THROW(reconstruct_plane_displacement(grid, tsv_model(), nullptr, {}, u, -250.0,
                                                  BlockRange::all(grid)));
