@@ -1,6 +1,5 @@
 #include "fem/stress.hpp"
 
-#include <cassert>
 #include <cmath>
 #include <stdexcept>
 
@@ -19,8 +18,13 @@ std::array<double, kHexDofs> gather_elem_dofs(const mesh::HexMesh& mesh, const V
   return ue;
 }
 
+/// The one evaluation every stress and strain entry point shares; throws
+/// std::invalid_argument unless `u` holds three values per node.
 Stress6 strain_from_located(const mesh::HexMesh& mesh, const Vec& u,
                             const mesh::HexMesh::Location& loc) {
+  if (u.size() != static_cast<std::size_t>(3 * mesh.num_nodes())) {
+    throw std::invalid_argument("stress evaluation: displacement needs 3 values per node");
+  }
   const mesh::Point3 lo = mesh.elem_min(loc.elem);
   const mesh::Point3 hi = mesh.elem_max(loc.elem);
   const BMatrix b =
@@ -38,7 +42,6 @@ Stress6 strain_from_located(const mesh::HexMesh& mesh, const Vec& u,
 }  // namespace
 
 Stress6 strain_at(const mesh::HexMesh& mesh, const Vec& u, const mesh::Point3& p) {
-  assert(static_cast<la::idx_t>(u.size()) == 3 * mesh.num_nodes());
   return strain_from_located(mesh, u, mesh.locate(p));
 }
 

@@ -16,7 +16,9 @@ namespace ms::fem {
 using la::Vec;
 using Stress6 = std::array<double, kVoigt>;  ///< Voigt xx,yy,zz,yz,xz,xy
 
-/// sigma = D * (B u_e) - DT * D eps_th at the point p inside the mesh.
+/// sigma = D * (B u_e) - DT * D eps_th at the point p inside the mesh. This
+/// and every other stress and strain evaluation below throw
+/// std::invalid_argument unless `u` holds three values per node.
 Stress6 stress_at(const mesh::HexMesh& mesh, const MaterialTable& materials, const Vec& u,
                   double thermal_load, const mesh::Point3& p);
 

@@ -7,72 +7,6 @@
 
 namespace ms::la {
 
-CsrMatrix CsrMatrix::from_triplets(const TripletList& t, bool drop_zeros) {
-  CsrMatrix m;
-  m.rows_ = t.rows();
-  m.cols_ = t.cols();
-  const std::size_t nnz_in = t.size();
-  const auto& is = t.row_indices();
-  const auto& js = t.col_indices();
-  const auto& vs = t.values();
-
-  // Count entries per row, then bucket-sort triplets into row order.
-  std::vector<offset_t> count(static_cast<std::size_t>(m.rows_) + 1, 0);
-  for (std::size_t k = 0; k < nnz_in; ++k) {
-    assert(is[k] >= 0 && is[k] < m.rows_ && js[k] >= 0 && js[k] < m.cols_);
-    ++count[static_cast<std::size_t>(is[k]) + 1];
-  }
-  for (std::size_t r = 0; r < static_cast<std::size_t>(m.rows_); ++r) count[r + 1] += count[r];
-
-  std::vector<idx_t> cols(nnz_in);
-  std::vector<double> vals(nnz_in);
-  {
-    std::vector<offset_t> next(count.begin(), count.end() - 1);
-    for (std::size_t k = 0; k < nnz_in; ++k) {
-      const offset_t slot = next[is[k]]++;
-      cols[slot] = js[k];
-      vals[slot] = vs[k];
-    }
-  }
-
-  // Sort each row by column and merge duplicates in place: the merged rows
-  // are compacted to the front of the bucketed arrays, which become the CSR
-  // arrays. Each row is copied out before any of it is overwritten, and the
-  // write cursor `out` never passes the row's bucket start, because every
-  // kept entry consumes at least one bucketed one. `count` turns into the
-  // row pointer as the cursor passes each row.
-  offset_t out = 0;
-  offset_t begin = 0;
-  std::vector<std::pair<idx_t, double>> row_buf;
-  for (idx_t r = 0; r < m.rows_; ++r) {
-    const offset_t end = count[static_cast<std::size_t>(r) + 1];
-    row_buf.clear();
-    for (offset_t k = begin; k < end; ++k) row_buf.emplace_back(cols[k], vals[k]);
-    std::sort(row_buf.begin(), row_buf.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    for (std::size_t k = 0; k < row_buf.size();) {
-      const idx_t col = row_buf[k].first;
-      double sum = 0.0;
-      while (k < row_buf.size() && row_buf[k].first == col) sum += row_buf[k++].second;
-      if (drop_zeros && sum == 0.0) continue;
-      cols[out] = col;
-      vals[out] = sum;
-      ++out;
-    }
-    count[static_cast<std::size_t>(r) + 1] = out;
-    begin = end;
-  }
-  // Shrinking to fit would copy both arrays while the triplets and the
-  // buckets are still alive, raising the assembly peak; the arrays keep the
-  // bucketed capacity instead.
-  cols.resize(out);
-  vals.resize(out);
-  m.row_ptr_ = std::move(count);
-  m.col_idx_ = std::move(cols);
-  m.values_ = std::move(vals);
-  return m;
-}
-
 namespace {
 
 /// The part of from_raw's contract it asserts (sparse.hpp).

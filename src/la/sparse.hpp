@@ -1,7 +1,7 @@
 #pragma once
-// Sparse matrices: a COO triplet accumulator for FEM assembly and an
-// immutable CSR matrix for solves. Duplicate triplets are summed during
-// compression, which is exactly the FEM assembly semantic.
+// Sparse matrices: the CSR matrix every assembler writes (fem/assembler for
+// hex meshes, rom/global_assembler for the block lattice) and every solver
+// reads.
 
 #include <cstddef>
 #include <vector>
@@ -10,49 +10,10 @@
 
 namespace ms::la {
 
-/// Coordinate-format accumulator. add() is O(1); build CSR when done.
-class TripletList {
- public:
-  TripletList() = default;
-  TripletList(idx_t rows, idx_t cols) : rows_(rows), cols_(cols) {}
-
-  void reserve(std::size_t n) {
-    is_.reserve(n);
-    js_.reserve(n);
-    vs_.reserve(n);
-  }
-
-  /// Append a contribution; duplicates are summed at compression time.
-  void add(idx_t i, idx_t j, double v) {
-    is_.push_back(i);
-    js_.push_back(j);
-    vs_.push_back(v);
-  }
-
-  [[nodiscard]] std::size_t size() const { return vs_.size(); }
-  [[nodiscard]] idx_t rows() const { return rows_; }
-  [[nodiscard]] idx_t cols() const { return cols_; }
-
-  [[nodiscard]] const std::vector<idx_t>& row_indices() const { return is_; }
-  [[nodiscard]] const std::vector<idx_t>& col_indices() const { return js_; }
-  [[nodiscard]] const std::vector<double>& values() const { return vs_; }
-
- private:
-  idx_t rows_ = 0;
-  idx_t cols_ = 0;
-  std::vector<idx_t> is_, js_;
-  std::vector<double> vs_;
-};
-
 /// Compressed sparse row matrix (sorted column indices within each row).
 class CsrMatrix {
  public:
   CsrMatrix() = default;
-
-  /// Compress triplets, summing duplicates and dropping exact zeros produced
-  /// by cancellation only if `drop_zeros` is set (kept by default so symbolic
-  /// structure is stable across value changes).
-  static CsrMatrix from_triplets(const TripletList& t, bool drop_zeros = false);
 
   /// Adopt raw CSR arrays. Throws std::invalid_argument if their sizes
   /// disagree; asserts the rest of the contract: row pointers start at 0

@@ -37,7 +37,7 @@ std::array<double, kCondDofs * kCondDofs> hex8_conduction_stiffness(double kx, d
           for (int c = 0; c < 3; ++c) g[a][c] = grad[a][c] * jac[c];
         }
         for (int a = 0; a < kHexNodes; ++a) {
-          for (int b = 0; b < kHexNodes; ++b) {
+          for (int b = a; b < kHexNodes; ++b) {
             ke[a * kCondDofs + b] += detj_w * (k_axis[0] * g[a][0] * g[b][0] +
                                                k_axis[1] * g[a][1] * g[b][1] +
                                                k_axis[2] * g[a][2] * g[b][2]);
@@ -45,6 +45,12 @@ std::array<double, kCondDofs * kCondDofs> hex8_conduction_stiffness(double kx, d
         }
       }
     }
+  }
+  // The products above round differently with a and b swapped; mirroring
+  // the upper triangle makes the element matrix, and every sum of them,
+  // exactly symmetric.
+  for (int a = 1; a < kHexNodes; ++a) {
+    for (int b = 0; b < a; ++b) ke[a * kCondDofs + b] = ke[b * kCondDofs + a];
   }
   return ke;
 }

@@ -34,7 +34,8 @@ std::array<double, kCondDofs * kCondDofs> hex8_conduction_stiffness(double condu
 /// Orthotropic variant: a diagonal conductivity tensor diag(kx, ky, kz)
 /// [W/(m K)] aligned with the mesh axes — the form the TSV-aware effective
 /// block conductivity produces (in-plane kx = ky, through-plane kz). The
-/// isotropic overload is the kx = ky = kz special case.
+/// isotropic overload is the kx = ky = kz special case. Exactly symmetric:
+/// the lower triangle mirrors the upper one.
 std::array<double, kCondDofs * kCondDofs> hex8_conduction_stiffness(double kx, double ky, double kz,
                                                                     double hx, double hy,
                                                                     double hz);

@@ -3,66 +3,92 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
+#include <tuple>
 #include <utility>
 
+#include "fem/assembler.hpp"
 #include "thermal/conduction.hpp"
 
 namespace ms::thermal {
 
-la::TripletList conduction_triplets(const mesh::HexMesh& mesh, const Vec& in_plane_per_elem,
-                                    const Vec& through_plane_per_elem) {
-  if (in_plane_per_elem.size() != static_cast<std::size_t>(mesh.num_elems()) ||
-      through_plane_per_elem.size() != static_cast<std::size_t>(mesh.num_elems())) {
-    throw std::invalid_argument("conduction_triplets: one conductivity per element required");
-  }
-  const idx_t num_dofs = mesh.num_nodes();
-  la::TripletList triplets(num_dofs, num_dofs);
-  triplets.reserve(static_cast<std::size_t>(mesh.num_elems()) * kCondDofs * kCondDofs);
-  for (idx_t e = 0; e < mesh.num_elems(); ++e) {
-    const mesh::Point3 lo = mesh.elem_min(e);
-    const mesh::Point3 hi = mesh.elem_max(e);
-    const auto ke =
-        hex8_conduction_stiffness(in_plane_per_elem[e], in_plane_per_elem[e],
-                                  through_plane_per_elem[e], hi.x - lo.x, hi.y - lo.y, hi.z - lo.z);
-    const auto nodes = mesh.elem_nodes(e);
-    for (int a = 0; a < kCondDofs; ++a) {
-      for (int b = 0; b < kCondDofs; ++b) {
-        triplets.add(nodes[a], nodes[b], ke[a * kCondDofs + b]);
-      }
-    }
-  }
-  return triplets;
+namespace {
+
+/// What an element's conduction or capacitance terms depend on: its edge
+/// lengths, one or two coefficients and whether it carries the film.
+using ElementKey = std::tuple<double, double, double, double, double, bool>;
+
+ElementKey element_key(const mesh::HexMesh& mesh, idx_t e, double a, double b, bool film) {
+  const mesh::Point3 lo = mesh.elem_min(e);
+  const mesh::Point3 hi = mesh.elem_max(e);
+  return {hi.x - lo.x, hi.y - lo.y, hi.z - lo.z, a, b, film};
 }
 
-la::TripletList capacitance_triplets(const mesh::HexMesh& mesh, const Vec& capacity_per_elem,
-                                     bool lumped) {
-  if (capacity_per_elem.size() != static_cast<std::size_t>(mesh.num_elems())) {
-    throw std::invalid_argument("capacitance_triplets: one heat capacity per element required");
+void require_per_elem(const mesh::HexMesh& mesh, const Vec& field, const char* what) {
+  if (field.size() != static_cast<std::size_t>(mesh.num_elems())) {
+    throw std::invalid_argument(std::string(what) + ": one value per element required");
   }
-  const idx_t num_dofs = mesh.num_nodes();
-  la::TripletList triplets(num_dofs, num_dofs);
-  triplets.reserve(static_cast<std::size_t>(mesh.num_elems()) *
-                   (lumped ? kCondDofs : kCondDofs * kCondDofs));
-  for (idx_t e = 0; e < mesh.num_elems(); ++e) {
-    const mesh::Point3 lo = mesh.elem_min(e);
-    const mesh::Point3 hi = mesh.elem_max(e);
-    const double hx = hi.x - lo.x;
-    const double hy = hi.y - lo.y;
-    const double hz = hi.z - lo.z;
-    const auto nodes = mesh.elem_nodes(e);
-    if (lumped) {
-      const auto me = hex8_lumped_capacitance(capacity_per_elem[e], hx, hy, hz);
-      for (int a = 0; a < kCondDofs; ++a) triplets.add(nodes[a], nodes[a], me[a]);
-    } else {
-      const auto me = hex8_capacitance_matrix(capacity_per_elem[e], hx, hy, hz);
-      for (int a = 0; a < kCondDofs; ++a) {
-        for (int b = 0; b < kCondDofs; ++b) {
-          triplets.add(nodes[a], nodes[b], me[a * kCondDofs + b]);
+}
+
+/// The capacitance element terms: lumped vectors or consistent matrices.
+fem::ElementTerms capacitance_terms(const mesh::HexMesh& mesh, const Vec& capacity, bool lumped) {
+  require_per_elem(mesh, capacity, "capacitance assembly");
+  return fem::memoize_elements(
+      mesh, 1, [&](idx_t e) { return element_key(mesh, e, capacity[e], 0.0, false); },
+      [&](const ElementKey& key, fem::ElementTerms& terms) {
+        const double hx = std::get<0>(key), hy = std::get<1>(key), hz = std::get<2>(key);
+        const double c = std::get<3>(key);
+        if (lumped) {
+          const auto me = hex8_lumped_capacitance(c, hx, hy, hz);
+          terms.vectors.insert(terms.vectors.end(), me.begin(), me.end());
+        } else {
+          const auto me = hex8_capacitance_matrix(c, hx, hy, hz);
+          terms.matrices.insert(terms.matrices.end(), me.begin(), me.end());
         }
-      }
-    }
+      });
+}
+
+}  // namespace
+
+CsrMatrix assemble_conduction(const mesh::HexMesh& mesh, const ConductivityField& conductivity,
+                              double film_coefficient) {
+  require_per_elem(mesh, conductivity.in_plane, "assemble_conduction");
+  require_per_elem(mesh, conductivity.through_plane, "assemble_conduction");
+  if (film_coefficient < 0.0) {
+    throw std::invalid_argument("assemble_conduction: film coefficient must be >= 0");
   }
-  return triplets;
+  // The bottom layer's elements come first in element order.
+  const idx_t bottom = film_coefficient > 0.0 ? mesh.elems_x() * mesh.elems_y() : 0;
+  const fem::ElementTerms terms = fem::memoize_elements(
+      mesh, 1,
+      [&](idx_t e) {
+        return element_key(mesh, e, conductivity.in_plane[e], conductivity.through_plane[e],
+                           e < bottom);
+      },
+      [&](const ElementKey& key, fem::ElementTerms& terms) {
+        const auto& [hx, hy, hz, k_in, k_through, film] = key;
+        auto ke = hex8_conduction_stiffness(k_in, k_in, k_through, hx, hy, hz);
+        if (film) {
+          const auto me = hex8_face_film_matrix(film_coefficient, hx, hy, /*face=*/0);
+          for (std::size_t i = 0; i < ke.size(); ++i) ke[i] += me[i];
+        }
+        terms.matrices.insert(terms.matrices.end(), ke.begin(), ke.end());
+      });
+  CsrMatrix k = fem::mesh_pattern(mesh, 1);
+  fem::scatter(mesh, terms, &k, nullptr);
+  return k;
+}
+
+CsrMatrix assemble_capacitance(const mesh::HexMesh& mesh, const Vec& capacity_per_elem) {
+  CsrMatrix m = fem::mesh_pattern(mesh, 1);
+  fem::scatter(mesh, capacitance_terms(mesh, capacity_per_elem, false), &m, nullptr);
+  return m;
+}
+
+Vec assemble_lumped_capacitance(const mesh::HexMesh& mesh, const Vec& capacity_per_elem) {
+  Vec m(static_cast<std::size_t>(mesh.num_nodes()), 0.0);
+  fem::scatter(mesh, capacitance_terms(mesh, capacity_per_elem, true), nullptr, &m);
+  return m;
 }
 
 Vec assemble_power_load(const mesh::HexMesh& mesh, const PowerMap& power) {
@@ -82,31 +108,6 @@ Vec assemble_power_load(const mesh::HexMesh& mesh, const PowerMap& power) {
     }
   }
   return rhs;
-}
-
-void add_convective_face(const mesh::HexMesh& mesh, double film_coefficient, int face,
-                         la::TripletList& triplets) {
-  if (film_coefficient <= 0.0) {
-    throw std::invalid_argument("add_convective_face: film coefficient must be positive");
-  }
-  const idx_t kz = (face == 0) ? 0 : mesh.elems_z() - 1;
-  for (idx_t j = 0; j < mesh.elems_y(); ++j) {
-    for (idx_t i = 0; i < mesh.elems_x(); ++i) {
-      const idx_t e = mesh.elem_id(i, j, kz);
-      const mesh::Point3 lo = mesh.elem_min(e);
-      const mesh::Point3 hi = mesh.elem_max(e);
-      const double hx = hi.x - lo.x;
-      const double hy = hi.y - lo.y;
-      const auto me = hex8_face_film_matrix(film_coefficient, hx, hy, face);
-      const auto nodes = mesh.elem_nodes(e);
-      const int base = (face == 0) ? 0 : 4;
-      for (int a = base; a < base + 4; ++a) {
-        for (int b = base; b < base + 4; ++b) {
-          triplets.add(nodes[a], nodes[b], me[a * kCondDofs + b]);
-        }
-      }
-    }
-  }
 }
 
 namespace {

@@ -1,9 +1,10 @@
 #pragma once
 // Assembly of the steady-state conduction system K T = f over a HexMesh.
-// One DoF per node (dof = node id), so the fem Dirichlet elimination
-// applies unchanged. Heat enters through a PowerMap sampled on the z-max
-// face (the active-layer convention for dies); it leaves through a Dirichlet
-// or convective ambient boundary installed by the thermal solver.
+// One DoF per node (dof = node id), and K and the capacitance go through
+// fem/assembler's one pattern and colour scatter, so the fem Dirichlet
+// elimination applies unchanged. Heat enters through a PowerMap sampled on
+// the z-max face (the active-layer convention for dies); it leaves through a
+// Dirichlet or convective ambient boundary installed by the thermal solver.
 //
 // Units: mesh in um, conductivity in W/(m K), power maps in W/mm^2, film
 // coefficients in W/(m^2 K); assembled entries are W/K and W, temperatures
@@ -23,20 +24,31 @@ using la::CsrMatrix;
 using la::idx_t;
 using la::Vec;
 
-/// Conduction triplets with per-element in-plane (x = y) and through-plane
-/// (z) conductivities (each of size num_elems), the form the TSV-aware
-/// effective block model produces; compose with boundary terms before
-/// compressing to CSR.
-la::TripletList conduction_triplets(const mesh::HexMesh& mesh, const Vec& in_plane_per_elem,
-                                    const Vec& through_plane_per_elem);
+/// Per-element orthotropic conductivity field over a coarse thermal mesh
+/// (one in-plane and one through-plane value per element).
+struct ConductivityField {
+  Vec in_plane;
+  Vec through_plane;
+};
 
-/// Capacitance (thermal mass) triplets with per-element volumetric heat
-/// capacities (size num_elems, J/(m^3 K)): the M of the transient system
-/// M dT/dt + K T = f. `lumped` row-sums each element matrix onto the
-/// diagonal (the robust default for implicit stepping); consistent keeps the
-/// full tensor-product mass.
-la::TripletList capacitance_triplets(const mesh::HexMesh& mesh, const Vec& capacity_per_elem,
-                                     bool lumped);
+/// The conduction operator K on the mesh's one-dof pattern
+/// (fem::mesh_pattern), from per-element in-plane (x = y) and through-plane
+/// (z) conductivities. A positive `film_coefficient` adds the z-min film
+/// matrix to the bottom layer's element matrices: a convective sink, whose
+/// ambient term the solvers, working in the rise over ambient, never need.
+/// Exactly symmetric. Throws std::invalid_argument unless the field holds
+/// one value per element and the film coefficient is >= 0.
+CsrMatrix assemble_conduction(const mesh::HexMesh& mesh, const ConductivityField& conductivity,
+                              double film_coefficient);
+
+/// The consistent capacitance (thermal mass) M of the transient system
+/// M dT/dt + K T = f, on the same pattern as K, from per-element volumetric
+/// heat capacities (size num_elems, J/(m^3 K)). Exactly symmetric.
+CsrMatrix assemble_capacitance(const mesh::HexMesh& mesh, const Vec& capacity_per_elem);
+
+/// The lumped capacitance: each element matrix row-summed onto its diagonal
+/// (the robust default for implicit stepping), one value per node.
+Vec assemble_lumped_capacitance(const mesh::HexMesh& mesh, const Vec& capacity_per_elem);
 
 /// Volume-weighted effective heat capacity of a TSV unit block [J/(m^3 K)].
 /// Unlike conductivity, the volume average is exact for capacity (it is an
@@ -48,13 +60,6 @@ double effective_block_capacity(const mesh::TsvGeometry& geometry,
 /// map is sampled at each top-face centroid (elements finer than tiles see
 /// exact tile values, coarser elements see the centroid tile).
 Vec assemble_power_load(const mesh::HexMesh& mesh, const PowerMap& power);
-
-/// Add a convective (Robin) ambient boundary on a z face: the stiffness
-/// gains the film matrix. The solvers work in the rise over ambient, so the
-/// film's ambient term, and with it any rhs share, is zero. `face` is 0 for
-/// z-min, 1 for z-max.
-void add_convective_face(const mesh::HexMesh& mesh, double film_coefficient, int face,
-                         la::TripletList& triplets);
 
 /// Area-weighted vertical effective conductivity of a TSV unit block
 /// (parallel Cu / liner / Si paths): the coarse array thermal mesh uses one
@@ -103,13 +108,6 @@ BlockConductivity block_conductivity(const mesh::TsvGeometry& geometry,
 /// the exact volume-weighted three-phase average.
 double block_capacity(const mesh::TsvGeometry& geometry, const fem::MaterialTable& materials,
                       bool is_tsv, ConductivityModel model);
-
-/// Per-element orthotropic conductivity field over a coarse thermal mesh
-/// (one in-plane and one through-plane value per element).
-struct ConductivityField {
-  Vec in_plane;
-  Vec through_plane;
-};
 
 /// Centroid -> unit-block binning (clamped floor) plus the y-major TSV mask
 /// convention (1 = TSV, empty = all TSV): the one owner of the block-lookup

@@ -7,7 +7,6 @@
 #include <stdexcept>
 
 #include "fem/dirichlet.hpp"
-#include "la/cholesky.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "thermal/conduction_assembler.hpp"
@@ -74,20 +73,14 @@ TemperatureField solve_power_map(const mesh::HexMesh& mesh, const ConductivityFi
   // Solve for the rise over ambient under homogeneous sink data, then add
   // the ambient back once: a zero power map gives exactly the ambient. The
   // stage assembles the operator only when it reads it (a resident factor
-  // needs the load vector and the constrained-dof set alone); the triplets
-  // are released before the split, as the whole matrix is after it.
+  // needs the load vector and the constrained-dof set alone); the whole
+  // matrix is released after the split.
   Vec t = std::move(
       fem::solve_linear(
           [&] {
             MS_TRACE_SCOPE("thermal.steady.assemble");
-            return split.extract([&] {
-              la::TripletList triplets =
-                  conduction_triplets(mesh, conductivity.in_plane, conductivity.through_plane);
-              if (options.sink_film_coefficient > 0.0) {
-                add_convective_face(mesh, options.sink_film_coefficient, /*face=*/0, triplets);
-              }
-              return CsrMatrix::from_triplets(triplets);
-            }());
+            return split.extract(
+                assemble_conduction(mesh, conductivity, options.sink_film_coefficient));
           },
           cases, split, {options.method, "jacobi", options.rel_tol, options.max_iterations},
           source, local)
@@ -161,27 +154,15 @@ TransientTemperatureResult solve_power_trace(const mesh::HexMesh& mesh,
   // The march is for the rise over ambient θ = T − ambient, under the same
   // homogeneous sink data as the steady solve. Conduction operator K, film
   // terms included, so the Robin boundary is θ-weighted like the interior.
-  la::TripletList k_triplets =
-      conduction_triplets(mesh, conductivity.in_plane, conductivity.through_plane);
-  fem::DirichletBc bc;
-  if (options.base.sink_film_coefficient > 0.0) {
-    add_convective_face(mesh, options.base.sink_film_coefficient, /*face=*/0, k_triplets);
-  } else {
-    bc = ideal_sink(mesh);
-  }
-  const CsrMatrix k = CsrMatrix::from_triplets(k_triplets);
+  const CsrMatrix k = assemble_conduction(mesh, conductivity, options.base.sink_film_coefficient);
+  const fem::DirichletBc bc =
+      options.base.sink_film_coefficient > 0.0 ? fem::DirichletBc{} : ideal_sink(mesh);
 
-  // Capacitance M: diagonal vector when lumped, full matrix when consistent.
-  Vec m_diag;
-  CsrMatrix m_consistent;
-  if (options.lumped_capacitance) {
-    m_diag = CsrMatrix::from_triplets(
-                 capacitance_triplets(mesh, capacity_per_elem, /*lumped=*/true))
-                 .diagonal();
-  } else {
-    m_consistent = CsrMatrix::from_triplets(
-        capacitance_triplets(mesh, capacity_per_elem, /*lumped=*/false));
-  }
+  // Capacitance M: one value per node when lumped, else on K's pattern.
+  const bool lumped = options.lumped_capacitance;
+  const Vec m_diag = lumped ? assemble_lumped_capacitance(mesh, capacity_per_elem) : Vec{};
+  const CsrMatrix m_consistent =
+      lumped ? CsrMatrix{} : assemble_capacitance(mesh, capacity_per_elem);
 
   const fem::DirichletSplit split(n, bc);
   // Power loads are linear in the map, so precompute one load vector per
@@ -198,36 +179,24 @@ TransientTemperatureResult solve_power_trace(const mesh::HexMesh& mesh,
   assemble_span.end();
 
   // The stepping operator's factorization is shareable across traces, with
-  // the coupling every step's rhs is reduced against. A = M/Δt + θK, split
-  // by the sink, is assembled only by the build (a resident factor never
-  // reads it), its triplets released before the split.
+  // the coupling every step's rhs is reduced against. A = M/Δt + θK is one
+  // pass over K's values, built, split by the sink and released only by the
+  // build (a resident factor never reads it).
   const fem::FactorSource source{options.base.factor_cache, options.base.factor_key,
                                  options.base.cancel, "thermal.transient", conduction_order(mesh)};
   const la::FactorCache::Entry stepper = fem::fetch_factor(
       [&] {
         MS_TRACE_SCOPE("thermal.transient.assemble");
-        return split.extract([&] {
-          la::TripletList a_triplets(n, n);
-          a_triplets.reserve(k_triplets.size() +
-                             (options.lumped_capacitance
-                                  ? static_cast<std::size_t>(n)
-                                  : static_cast<std::size_t>(m_consistent.nnz())));
-          for (std::size_t t = 0; t < k_triplets.size(); ++t) {
-            a_triplets.add(k_triplets.row_indices()[t], k_triplets.col_indices()[t],
-                           theta * k_triplets.values()[t]);
+        std::vector<double> a(k.values().size());
+        for (idx_t r = 0; r < n; ++r) {
+          for (la::offset_t p = k.row_ptr()[r]; p < k.row_ptr()[static_cast<std::size_t>(r) + 1];
+               ++p) {
+            const double m = lumped ? (k.col_idx()[p] == r ? m_diag[r] : 0.0)
+                                    : m_consistent.values()[p];
+            a[p] = m / dt + theta * k.values()[p];
           }
-          if (options.lumped_capacitance) {
-            for (idx_t i = 0; i < n; ++i) a_triplets.add(i, i, m_diag[i] / dt);
-          } else {
-            for (idx_t r = 0; r < n; ++r) {
-              for (la::offset_t p = m_consistent.row_ptr()[r];
-                   p < m_consistent.row_ptr()[static_cast<std::size_t>(r) + 1]; ++p) {
-                a_triplets.add(r, m_consistent.col_idx()[p], m_consistent.values()[p] / dt);
-              }
-            }
-          }
-          return CsrMatrix::from_triplets(a_triplets);
-        }());
+        }
+        return split.extract(CsrMatrix::from_raw(n, n, k.row_ptr(), k.col_idx(), std::move(a)));
       },
       split, source, local);
   local.assemble_seconds += own_assemble_seconds;
@@ -285,7 +254,7 @@ TransientTemperatureResult solve_power_trace(const mesh::HexMesh& mesh,
     const double time = step * dt;
     power_load_at(time, f_next);
     k.mul(t, kt);
-    if (options.lumped_capacitance) {
+    if (lumped) {
       for (idx_t i = 0; i < n; ++i) mt[i] = m_diag[i] * t[i];
     } else {
       m_consistent.mul(t, mt);

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <random>
 
 #include "core/sim_error.hpp"
 #include "fem/stress.hpp"
@@ -112,6 +114,24 @@ TEST(Solver, TsvBlockPeakStressAtViaInterface) {
   const double r = std::hypot(x - 7.5, y - 7.5);
   EXPECT_LT(r, 2.0 * g.liner_radius());  // peak within twice the via radius
   EXPECT_GT(vm[arg], 100.0);             // hundreds of MPa scale
+}
+
+TEST(Solver, IdenticalCasesSolveBitwiseAlike) {
+  // One seeded per-element ΔT passed twice: both cases' loads come from the
+  // one colour-order scatter, so the panel's two solutions are bitwise equal.
+  const mesh::HexMesh m = mesh::build_array_mesh(mesh::TsvGeometry{}, {8, 6}, 2, 2);
+  const DirichletBc bc = DirichletBc::clamp_nodes(m.top_bottom_nodes());
+  Vec delta_t(static_cast<std::size_t>(m.num_elems()));
+  std::mt19937_64 rng(67);
+  std::uniform_real_distribution<double> draw(-250.0, 40.0);
+  for (double& v : delta_t) v = draw(rng);
+  FemSolveOptions options;
+  options.method = "direct";
+  const std::vector<Vec> u =
+      solve_thermal_stress_multi(m, MaterialTable::standard(), {delta_t, delta_t}, bc, options);
+  ASSERT_EQ(u.size(), 2u);
+  ASSERT_EQ(u[0].size(), u[1].size());
+  EXPECT_EQ(std::memcmp(u[0].data(), u[1].data(), u[0].size() * sizeof(double)), 0);
 }
 
 TEST(Solver, CgAtIterationCapThrowsDidNotConverge) {

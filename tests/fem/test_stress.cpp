@@ -73,6 +73,23 @@ TEST(StressAt, FullyConstrainedThermalStressIsAnalytic) {
   EXPECT_NEAR(von_mises(sigma), 0.0, 1e-9);  // hydrostatic
 }
 
+TEST(StressAt, RejectsDisplacementOfOtherLength) {
+  // Every evaluation entry point checks that u holds three values per node
+  // before it reads one: a displacement one node short throws instead of
+  // reading past its end.
+  const mesh::HexMesh m = box_mesh(2);
+  const MaterialTable table = MaterialTable::standard();
+  const Vec u(3 * (m.num_nodes() - 1), 0.0);
+  const Vec delta_t(static_cast<std::size_t>(m.num_elems()), -250.0);
+  const mesh::Point3 p{0.5, 0.5, 0.5};
+  const PlaneGrid grid = make_block_plane_grid(1.0, 1, 1, 2, 0.5);
+  EXPECT_THROW(stress_at(m, table, u, -250.0, p), std::invalid_argument);
+  EXPECT_THROW(stress_at(m, table, u, delta_t, p), std::invalid_argument);
+  EXPECT_THROW(strain_at(m, u, p), std::invalid_argument);
+  EXPECT_THROW(sample_plane_stress(m, table, u, -250.0, grid), std::invalid_argument);
+  EXPECT_THROW(sample_plane_stress(m, table, u, delta_t, grid), std::invalid_argument);
+}
+
 TEST(PlaneGrid, CellCentredSamples) {
   const PlaneGrid grid = make_block_plane_grid(10.0, 2, 1, 4, 5.0);
   ASSERT_EQ(grid.xs.size(), 8u);

@@ -21,12 +21,13 @@
 #include "la/ordering.hpp"
 #include "la/sparse.hpp"
 #include "la/supernodal.hpp"
+#include "util/triplets.hpp"
 
 namespace ms::la::oracle {
 
 /// B = P A P^T for a symmetric permutation (perm[new] = old).
 inline CsrMatrix permute_symmetric(const CsrMatrix& a, const Permutation& p) {
-  TripletList t(a.rows(), a.cols());
+  testutil::TripletList t(a.rows(), a.cols());
   t.reserve(static_cast<std::size_t>(a.nnz()));
   for (idx_t r = 0; r < a.rows(); ++r) {
     const idx_t nr = p.inv_perm[r];
@@ -35,7 +36,7 @@ inline CsrMatrix permute_symmetric(const CsrMatrix& a, const Permutation& p) {
       t.add(nr, p.inv_perm[a.col_idx()[k]], a.values()[k]);
     }
   }
-  return CsrMatrix::from_triplets(t);
+  return testutil::from_triplets(t);
 }
 
 /// L of P A P^T in compressed sparse column form, diagonal first and rows

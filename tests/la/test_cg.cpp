@@ -5,13 +5,14 @@
 #include <cmath>
 
 #include "la/cholesky.hpp"
+#include "util/triplets.hpp"
 
 namespace ms::la {
 namespace {
 
 CsrMatrix laplacian_2d(idx_t m) {
   const idx_t n = m * m;
-  TripletList t(n, n);
+  testutil::TripletList t(n, n);
   for (idx_t j = 0; j < m; ++j) {
     for (idx_t i = 0; i < m; ++i) {
       const idx_t u = j * m + i;
@@ -22,7 +23,7 @@ CsrMatrix laplacian_2d(idx_t m) {
       if (j + 1 < m) t.add(u, u + m, -1.0);
     }
   }
-  return CsrMatrix::from_triplets(t);
+  return testutil::from_triplets(t);
 }
 
 Vec smooth_rhs(idx_t n) {

@@ -8,6 +8,7 @@
 
 #include "la/cholesky_oracles.hpp"
 #include "la/dense.hpp"
+#include "util/triplets.hpp"
 
 namespace ms::la {
 namespace {
@@ -15,7 +16,7 @@ namespace {
 /// 2-D 5-point Laplacian on an m x m grid (SPD, sparse, realistic fill).
 CsrMatrix laplacian_2d(idx_t m) {
   const idx_t n = m * m;
-  TripletList t(n, n);
+  testutil::TripletList t(n, n);
   for (idx_t j = 0; j < m; ++j) {
     for (idx_t i = 0; i < m; ++i) {
       const idx_t u = j * m + i;
@@ -26,7 +27,7 @@ CsrMatrix laplacian_2d(idx_t m) {
       if (j + 1 < m) t.add(u, u + m, -1.0);
     }
   }
-  return CsrMatrix::from_triplets(t);
+  return testutil::from_triplets(t);
 }
 
 Vec smooth_rhs(idx_t n) {
@@ -139,10 +140,10 @@ TEST(SparseCholesky, SolveMultiMatchesColumnwiseSolvesBitwise) {
 }
 
 TEST(SparseCholesky, RejectsIndefinite) {
-  TripletList t(2, 2);
+  testutil::TripletList t(2, 2);
   t.add(0, 0, 1.0);
   t.add(1, 1, -1.0);
-  const CsrMatrix a = CsrMatrix::from_triplets(t);
+  const CsrMatrix a = testutil::from_triplets(t);
   // The supernodal factor, and the simplicial oracle under the natural
   // ordering (which meets the negative pivot last).
   EXPECT_THROW(SparseCholesky{a}, std::runtime_error);
@@ -151,9 +152,9 @@ TEST(SparseCholesky, RejectsIndefinite) {
 }
 
 TEST(SparseCholesky, RejectsRectangular) {
-  TripletList t(2, 3);
+  testutil::TripletList t(2, 3);
   t.add(0, 0, 1.0);
-  const CsrMatrix a = CsrMatrix::from_triplets(t);
+  const CsrMatrix a = testutil::from_triplets(t);
   EXPECT_THROW(SparseCholesky{a}, std::invalid_argument);
 }
 

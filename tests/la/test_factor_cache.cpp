@@ -17,6 +17,7 @@
 #include "fem/dirichlet.hpp"
 #include "util/fault_injector.hpp"
 #include "util/team_size_scope.hpp"
+#include "util/triplets.hpp"
 
 namespace ms::la {
 namespace {
@@ -24,7 +25,7 @@ namespace {
 /// 2-D 5-point Laplacian on an m x m grid (SPD, sparse, realistic fill).
 CsrMatrix laplacian_2d(idx_t m) {
   const idx_t n = m * m;
-  TripletList t(n, n);
+  testutil::TripletList t(n, n);
   for (idx_t j = 0; j < m; ++j) {
     for (idx_t i = 0; i < m; ++i) {
       const idx_t u = j * m + i;
@@ -35,7 +36,7 @@ CsrMatrix laplacian_2d(idx_t m) {
       if (j + 1 < m) t.add(u, u + m, -1.0);
     }
   }
-  return CsrMatrix::from_triplets(t);
+  return testutil::from_triplets(t);
 }
 
 FactorCache::Entry build_entry(idx_t m) {

@@ -9,6 +9,7 @@
 
 #include "la/cholesky_oracles.hpp"
 #include "la/supernodal.hpp"
+#include "util/triplets.hpp"
 
 namespace ms::la {
 namespace {
@@ -23,7 +24,7 @@ CsrMatrix shuffled_laplacian(idx_t n, unsigned seed) {
     state = state * 1664525u + 1013904223u;
     std::swap(shuffle[i], shuffle[state % (i + 1)]);
   }
-  TripletList t(n, n);
+  testutil::TripletList t(n, n);
   for (idx_t i = 0; i < n; ++i) {
     t.add(shuffle[i], shuffle[i], 2.0);
     if (i + 1 < n) {
@@ -31,7 +32,7 @@ CsrMatrix shuffled_laplacian(idx_t n, unsigned seed) {
       t.add(shuffle[i + 1], shuffle[i], -1.0);
     }
   }
-  return CsrMatrix::from_triplets(t);
+  return testutil::from_triplets(t);
 }
 
 TEST(Permutation, IdentityRoundTrip) {
@@ -72,14 +73,14 @@ TEST(Rcm, PermutedMatrixKeepsSpectrumProxy) {
 }
 
 TEST(Rcm, HandlesDisconnectedComponents) {
-  TripletList t(4, 4);
+  testutil::TripletList t(4, 4);
   t.add(0, 0, 1.0);
   t.add(1, 1, 1.0);
   t.add(2, 2, 1.0);
   t.add(3, 3, 1.0);
   t.add(0, 1, -0.5);
   t.add(1, 0, -0.5);  // one 2-node component + two isolated nodes
-  const CsrMatrix a = CsrMatrix::from_triplets(t);
+  const CsrMatrix a = testutil::from_triplets(t);
   const Permutation p = oracle::reverse_cuthill_mckee(a);
   std::vector<bool> seen(4, false);
   for (idx_t i : p.perm) seen[i] = true;
@@ -87,16 +88,16 @@ TEST(Rcm, HandlesDisconnectedComponents) {
 }
 
 TEST(Bandwidth, DiagonalIsZero) {
-  TripletList t(3, 3);
+  testutil::TripletList t(3, 3);
   for (idx_t i = 0; i < 3; ++i) t.add(i, i, 1.0);
-  EXPECT_EQ(oracle::bandwidth(CsrMatrix::from_triplets(t)), 0);
+  EXPECT_EQ(oracle::bandwidth(testutil::from_triplets(t)), 0);
 }
 
 /// 3-D 7-point Laplacian on an m^3 grid — the graph family every solve path
 /// in this repository produces (hex meshes), where minimum degree shines.
 CsrMatrix laplacian_3d(idx_t m) {
   const idx_t n = m * m * m;
-  TripletList t(n, n);
+  testutil::TripletList t(n, n);
   const auto id = [m](idx_t i, idx_t j, idx_t k) { return (k * m + j) * m + i; };
   for (idx_t k = 0; k < m; ++k) {
     for (idx_t j = 0; j < m; ++j) {
@@ -112,7 +113,7 @@ CsrMatrix laplacian_3d(idx_t m) {
       }
     }
   }
-  return CsrMatrix::from_triplets(t);
+  return testutil::from_triplets(t);
 }
 
 /// nnz(L) of the Cholesky factor under permutation `p` (symbolic only).
@@ -176,13 +177,13 @@ TEST(Amd, DeterministicAcrossRuns) {
 }
 
 TEST(Amd, HandlesDisconnectedComponentsAndIsolatedNodes) {
-  TripletList t(6, 6);
+  testutil::TripletList t(6, 6);
   for (idx_t i = 0; i < 6; ++i) t.add(i, i, 1.0);
   t.add(0, 1, -0.5);
   t.add(1, 0, -0.5);
   t.add(3, 4, -0.25);
   t.add(4, 3, -0.25);
-  const CsrMatrix a = CsrMatrix::from_triplets(t);
+  const CsrMatrix a = testutil::from_triplets(t);
   expect_valid_permutation(amd_ordering(a), 6);
 }
 
@@ -207,7 +208,7 @@ TEST(Amd, NoWorseThanNaturalOnChain) {
 /// dof = node * dofs + c), as the conduction and stiffness assemblies give.
 CsrMatrix hex8_grid_graph(idx_t nx, idx_t ny, idx_t nz, idx_t dofs) {
   const idx_t n = nx * ny * nz * dofs;
-  TripletList t(n, n);
+  testutil::TripletList t(n, n);
   const auto id = [nx, ny](idx_t i, idx_t j, idx_t k) { return (k * ny + j) * nx + i; };
   for (idx_t k = 0; k < nz; ++k) {
     for (idx_t j = 0; j < ny; ++j) {
@@ -230,7 +231,7 @@ CsrMatrix hex8_grid_graph(idx_t nx, idx_t ny, idx_t nz, idx_t dofs) {
       }
     }
   }
-  return CsrMatrix::from_triplets(t);
+  return testutil::from_triplets(t);
 }
 
 /// nnz(L) and the numeric phase's work measure, the sum of squared column

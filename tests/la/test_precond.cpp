@@ -4,17 +4,19 @@
 
 #include <cmath>
 
+#include "util/triplets.hpp"
+
 namespace ms::la {
 namespace {
 
 CsrMatrix spd_tridiag(idx_t n) {
-  TripletList t(n, n);
+  testutil::TripletList t(n, n);
   for (idx_t i = 0; i < n; ++i) {
     t.add(i, i, 4.0);
     if (i > 0) t.add(i, i - 1, -1.0);
     if (i + 1 < n) t.add(i, i + 1, -1.0);
   }
-  return CsrMatrix::from_triplets(t);
+  return testutil::from_triplets(t);
 }
 
 TEST(IdentityPreconditioner, IsIdentity) {
@@ -36,10 +38,10 @@ TEST(JacobiPreconditioner, DividesByDiagonal) {
 }
 
 TEST(JacobiPreconditioner, ZeroDiagonalIsSafe) {
-  TripletList t(2, 2);
+  testutil::TripletList t(2, 2);
   t.add(0, 1, 1.0);
   t.add(1, 0, 1.0);  // zero diagonal
-  const CsrMatrix a = CsrMatrix::from_triplets(t);
+  const CsrMatrix a = testutil::from_triplets(t);
   JacobiPreconditioner m(a);
   Vec z;
   m.apply({5.0, 7.0}, z);
@@ -49,11 +51,11 @@ TEST(JacobiPreconditioner, ZeroDiagonalIsSafe) {
 
 TEST(SsorPreconditioner, ExactForDiagonalMatrix) {
   // With no off-diagonals SSOR(omega=1) reduces to Jacobi.
-  TripletList t(3, 3);
+  testutil::TripletList t(3, 3);
   t.add(0, 0, 2.0);
   t.add(1, 1, 4.0);
   t.add(2, 2, 8.0);
-  const CsrMatrix a = CsrMatrix::from_triplets(t);
+  const CsrMatrix a = testutil::from_triplets(t);
   SsorPreconditioner m(a);
   Vec z;
   m.apply({2.0, 4.0, 8.0}, z);

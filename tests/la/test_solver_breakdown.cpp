@@ -12,19 +12,20 @@
 
 #include "la/cg.hpp"
 #include "la/vec.hpp"
+#include "util/triplets.hpp"
 
 namespace ms::la {
 namespace {
 
 CsrMatrix diagonal(std::initializer_list<double> entries) {
   const idx_t n = static_cast<idx_t>(entries.size());
-  TripletList t(n, n);
+  testutil::TripletList t(n, n);
   idx_t i = 0;
   for (double d : entries) {
     t.add(i, i, d);
     ++i;
   }
-  return CsrMatrix::from_triplets(t);
+  return testutil::from_triplets(t);
 }
 
 TEST(SolverBreakdown, CgReportsIndefiniteOperator) {
@@ -41,10 +42,10 @@ TEST(SolverBreakdown, CgReportsIndefiniteOperator) {
 }
 
 TEST(SolverBreakdown, CgReportsNonFiniteOperator) {
-  TripletList t(2, 2);
+  testutil::TripletList t(2, 2);
   t.add(0, 0, 1.0);
   t.add(1, 1, std::numeric_limits<double>::quiet_NaN());
-  const CsrMatrix a = CsrMatrix::from_triplets(t);
+  const CsrMatrix a = testutil::from_triplets(t);
   const Vec b(2, 1.0);
   Vec x(2, 0.0);
   const IterativeResult result = conjugate_gradient(a, b, x, nullptr, {});

@@ -7,6 +7,8 @@
 #include <utility>
 #include <vector>
 
+#include "util/triplets.hpp"
+
 namespace ms::la {
 namespace {
 
@@ -14,22 +16,22 @@ CsrMatrix small_matrix() {
   // [1 0 2]
   // [0 3 0]
   // [4 0 5]
-  TripletList t(3, 3);
+  testutil::TripletList t(3, 3);
   t.add(0, 0, 1.0);
   t.add(0, 2, 2.0);
   t.add(1, 1, 3.0);
   t.add(2, 0, 4.0);
   t.add(2, 2, 5.0);
-  return CsrMatrix::from_triplets(t);
+  return testutil::from_triplets(t);
 }
 
 TEST(CsrMatrix, FromTripletsSortsAndSums) {
-  TripletList t(2, 2);
+  testutil::TripletList t(2, 2);
   t.add(0, 1, 1.0);
   t.add(0, 0, 2.0);
   t.add(0, 1, 3.0);  // duplicate, summed
   t.add(1, 1, 4.0);
-  const CsrMatrix m = CsrMatrix::from_triplets(t);
+  const CsrMatrix m = testutil::from_triplets(t);
   EXPECT_EQ(m.nnz(), 3);
   EXPECT_DOUBLE_EQ(m.coeff(0, 0), 2.0);
   EXPECT_DOUBLE_EQ(m.coeff(0, 1), 4.0);
@@ -40,12 +42,12 @@ TEST(CsrMatrix, FromTripletsSortsAndSums) {
 }
 
 TEST(CsrMatrix, DropZerosControlsCancelledEntries) {
-  TripletList t(1, 2);
+  testutil::TripletList t(1, 2);
   t.add(0, 0, 1.0);
   t.add(0, 0, -1.0);
   t.add(0, 1, 2.0);
-  EXPECT_EQ(CsrMatrix::from_triplets(t, false).nnz(), 2);
-  EXPECT_EQ(CsrMatrix::from_triplets(t, true).nnz(), 1);
+  EXPECT_EQ(testutil::from_triplets(t, false).nnz(), 2);
+  EXPECT_EQ(testutil::from_triplets(t, true).nnz(), 1);
 }
 
 TEST(CsrMatrix, FromTripletsMatchesMapReferenceOnRandomTriplets) {
@@ -60,7 +62,7 @@ TEST(CsrMatrix, FromTripletsMatchesMapReferenceOnRandomTriplets) {
     std::mt19937 rng(seed);
     const idx_t rows = 1 + static_cast<idx_t>(rng() % 40);
     const idx_t cols = 1 + static_cast<idx_t>(rng() % 12);
-    TripletList t(rows, cols);
+    testutil::TripletList t(rows, cols);
     std::map<std::pair<idx_t, idx_t>, double> sums;
     std::vector<std::pair<idx_t, idx_t>> cancel_at;
     std::vector<double> cancel_by;
@@ -94,7 +96,7 @@ TEST(CsrMatrix, FromTripletsMatchesMapReferenceOnRandomTriplets) {
       }
       for (idx_t r = 0; r < rows; ++r) row_ptr[static_cast<std::size_t>(r) + 1] += row_ptr[r];
 
-      const CsrMatrix m = CsrMatrix::from_triplets(t, drop_zeros);
+      const CsrMatrix m = testutil::from_triplets(t, drop_zeros);
       ASSERT_EQ(m.rows(), rows);
       ASSERT_EQ(m.cols(), cols);
       EXPECT_EQ(m.row_ptr(), row_ptr) << "seed " << seed << ", drop_zeros " << drop_zeros;
@@ -131,10 +133,10 @@ TEST(CsrMatrix, DiagonalExtraction) {
 
 TEST(CsrMatrix, SymmetryError) {
   EXPECT_DOUBLE_EQ(small_matrix().symmetry_error(), 2.0);  // |2 - 4|
-  TripletList t(2, 2);
+  testutil::TripletList t(2, 2);
   t.add(0, 1, 7.0);
   t.add(1, 0, 7.0);
-  EXPECT_DOUBLE_EQ(CsrMatrix::from_triplets(t).symmetry_error(), 0.0);
+  EXPECT_DOUBLE_EQ(testutil::from_triplets(t).symmetry_error(), 0.0);
 }
 
 TEST(CsrMatrix, SubmatrixExtractsBlocks) {

@@ -25,6 +25,7 @@
 #include "obs/metrics.hpp"
 #include "util/fault_injector.hpp"
 #include "util/team_size_scope.hpp"
+#include "util/triplets.hpp"
 
 namespace ms::la {
 namespace {
@@ -305,7 +306,7 @@ TEST(Supernodal, ParallelNumericStillThrowsOnIndefiniteMatrix) {
   // Neither OpenMP phase may leak exceptions out of its region; the
   // non-positive-pivot failure must still surface as the usual throw.
   const CsrMatrix a = tsv_block_matrix();
-  TripletList t(a.rows(), a.cols());
+  testutil::TripletList t(a.rows(), a.cols());
   for (idx_t r = 0; r < a.rows(); ++r) {
     const offset_t end = a.row_ptr()[static_cast<std::size_t>(r) + 1];
     for (offset_t p = a.row_ptr()[r]; p < end; ++p) {
@@ -313,7 +314,7 @@ TEST(Supernodal, ParallelNumericStillThrowsOnIndefiniteMatrix) {
       t.add(r, c, r == c ? -a.values()[p] : a.values()[p]);  // flip the diagonal
     }
   }
-  const CsrMatrix indefinite = CsrMatrix::from_triplets(t);
+  const CsrMatrix indefinite = testutil::from_triplets(t);
   EXPECT_THROW(SparseCholesky{indefinite}, NotPositiveDefiniteError);
 
   // A late breakdown: only the last pivot, in the top phase's root

@@ -11,18 +11,19 @@
 
 #include "la/errors.hpp"
 #include "util/fault_injector.hpp"
+#include "util/triplets.hpp"
 
 namespace ms::la {
 namespace {
 
 CsrMatrix spd_tridiagonal(idx_t n) {
-  TripletList t(n, n);
+  testutil::TripletList t(n, n);
   for (idx_t i = 0; i < n; ++i) {
     t.add(i, i, 4.0);
     if (i > 0) t.add(i, i - 1, -1.0);
     if (i + 1 < n) t.add(i, i + 1, -1.0);
   }
-  return CsrMatrix::from_triplets(t);
+  return testutil::from_triplets(t);
 }
 
 TEST(ShiftRetry, CleanMatrixFactorsWithoutShift) {
@@ -61,10 +62,10 @@ TEST(ShiftRetry, HopelesslyIndefiniteMatrixStillFailsClassified) {
   util::FaultInjector::global().reset();
   // diag(1, -1): the ladder caps at 1e-12 * 2^7 * ||diag||,
   // far below the unit shift this operator would need.
-  TripletList t(2, 2);
+  testutil::TripletList t(2, 2);
   t.add(0, 0, 1.0);
   t.add(1, 1, -1.0);
-  const CsrMatrix a = CsrMatrix::from_triplets(t);
+  const CsrMatrix a = testutil::from_triplets(t);
   try {
     (void)factor_with_shift_retry(a, "test.factor");
     FAIL() << "expected NotPositiveDefiniteError";

@@ -13,6 +13,7 @@
 #include "rom/local_stage.hpp"
 #include "rom/reconstruct.hpp"
 #include "util/team_size_scope.hpp"
+#include "util/triplets.hpp"
 
 namespace ms::rom {
 namespace {
@@ -241,13 +242,13 @@ RomModel random_element_model(BlockKind kind, unsigned seed) {
 /// (row, col) their sum from zero in push order with the number of blocks
 /// that contributed.
 struct BlockOrderReference {
-  la::TripletList triplets;
+  testutil::TripletList triplets;
   std::map<std::pair<idx_t, idx_t>, std::pair<double, int>> sums;
 };
 
 BlockOrderReference block_order_reference(const BlockGrid& grid, const RomModel& tsv,
                                           const RomModel* dummy, const BlockMask& mask) {
-  BlockOrderReference ref{la::TripletList(grid.num_dofs(), grid.num_dofs()), {}};
+  BlockOrderReference ref{testutil::TripletList(grid.num_dofs(), grid.num_dofs()), {}};
   for (int by = 0; by < grid.blocks_y(); ++by) {
     for (int bx = 0; bx < grid.blocks_x(); ++bx) {
       const bool is_tsv =
@@ -385,7 +386,7 @@ TEST(GlobalAssembler, MatchesBlockOrderReferenceBitwise) {
       const RomModel* dm = masked ? &dummy : nullptr;
       const BlockMask& mk = masked ? mask : BlockMask{};
       const BlockOrderReference ref = block_order_reference(grid, tsv, dm, mk);
-      const CsrMatrix sorted = CsrMatrix::from_triplets(ref.triplets);
+      const CsrMatrix sorted = testutil::from_triplets(ref.triplets);
       std::vector<double> expected;
       for (const auto& entry : ref.sums) expected.push_back(entry.second.first);
       for (const int threads : {1, 2, 3, 4}) {
@@ -442,7 +443,7 @@ TEST(GlobalAssembler, SplitWriterMatchesExtractedBlocksBitwise) {
       const RomModel* dm = masked ? &dummy : nullptr;
       const BlockMask& mk = masked ? mask : BlockMask{};
       const BlockOrderReference ref = block_order_reference(grid, tsv, dm, mk);
-      const CsrMatrix pattern = CsrMatrix::from_triplets(ref.triplets);
+      const CsrMatrix pattern = testutil::from_triplets(ref.triplets);
       std::vector<double> sums;
       for (const auto& entry : ref.sums) sums.push_back(entry.second.first);
       const CsrMatrix whole = CsrMatrix::from_raw(grid.num_dofs(), grid.num_dofs(),

@@ -2,8 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <functional>
+#include <limits>
+#include <string>
+
+#include "chiplet/package_model.hpp"
+#include "chiplet/package_thermal.hpp"
+#include "fem/assembler.hpp"
 #include "thermal/conduction_assembler.hpp"
 #include "thermal/thermal_solver.hpp"
+#include "util/triplets.hpp"
 
 namespace ms::thermal {
 namespace {
@@ -189,6 +198,118 @@ TEST(ConductionSlab, DirectSolveIsBitIdenticalWithoutCacheColdAndWarm) {
   EXPECT_EQ(cache.hits(), 2u);
 }
 
+/// A thermal mesh with its per-element conductivities and capacities.
+struct ThermalMesh {
+  std::string name;
+  mesh::HexMesh mesh;
+  ConductivityField conductivity;
+  Vec capacity;
+};
+
+/// The 8x8 array thermal mesh of the fatigue sweep (one dummy ring) and the
+/// package conduction mesh at loc1 hosting a 4x4 array with one dummy ring,
+/// both at the default coupling densities (2 elements per pitch, 8 through
+/// the TSV height).
+std::vector<ThermalMesh> coupling_meshes() {
+  const mesh::TsvGeometry tsv;
+  const fem::MaterialTable materials = fem::MaterialTable::standard();
+  std::vector<ThermalMesh> meshes;
+  {
+    const std::vector<std::uint8_t> mask = mesh::padded_tsv_mask(8, 8, 1);
+    ThermalMesh m{"8x8 array", build_array_thermal_mesh(tsv, 8, 8, 2, 8), {}, {}};
+    m.conductivity = array_block_conductivities(m.mesh, tsv, materials, 8, 8, mask,
+                                                ConductivityModel::kTsvAware);
+    m.capacity = array_block_capacities(m.mesh, tsv, materials, 8, 8, mask,
+                                        ConductivityModel::kTsvAware);
+    meshes.push_back(std::move(m));
+  }
+  const int padded = 6;
+  const chiplet::PackageGeometry geometry =
+      chiplet::demo_package_geometry(tsv.pitch, padded, tsv.height);
+  chiplet::PackageThermalSpec spec;
+  spec.elems_z_interposer = 8;
+  chiplet::PackageThermalModel package = chiplet::build_package_thermal_model(
+      geometry, tsv, chiplet::standard_locations(geometry, tsv.pitch, padded, padded).front(),
+      mesh::padded_tsv_mask(padded, padded, 1), materials, spec);
+  meshes.push_back({"package loc1", std::move(package.mesh), std::move(package.conductivity),
+                    std::move(package.capacity)});
+  return meshes;
+}
+
+/// An element-by-element sum through testutil::from_triplets, the reference the
+/// mesh assembler's colour-order sums are compared with.
+CsrMatrix triplet_sum(const mesh::HexMesh& mesh,
+                      const std::function<std::array<double, kCondDofs * kCondDofs>(idx_t)>& ke) {
+  testutil::TripletList t(mesh.num_nodes(), mesh.num_nodes());
+  for (idx_t e = 0; e < mesh.num_elems(); ++e) {
+    const auto values = ke(e);
+    const auto nodes = mesh.elem_nodes(e);
+    for (int a = 0; a < kCondDofs; ++a) {
+      for (int b = 0; b < kCondDofs; ++b) t.add(nodes[a], nodes[b], values[a * kCondDofs + b]);
+    }
+  }
+  return testutil::from_triplets(t);
+}
+
+TEST(ConductionAssembly, OperatorsAreExactlySymmetricOnTheMeshPattern) {
+  // K under an ideal sink, K with the z-min film and the consistent M, on
+  // the fatigue sweep's array mesh and the package mesh: exactly symmetric,
+  // on the mesh pattern, and within 4 ulps of each row's largest magnitude
+  // of an element-by-element triplet sum (a different summation order).
+  const double film = 1.0e5;
+  for (const ThermalMesh& m : coupling_meshes()) {
+    const mesh::HexMesh& mesh = m.mesh;
+    const CsrMatrix pattern = fem::mesh_pattern(mesh, 1);
+    const auto edges = [&](idx_t e) {
+      const mesh::Point3 lo = mesh.elem_min(e);
+      const mesh::Point3 hi = mesh.elem_max(e);
+      return std::array<double, 3>{hi.x - lo.x, hi.y - lo.y, hi.z - lo.z};
+    };
+    const auto conduction = [&](double h) {
+      return [&, h](idx_t e) {
+        const auto [hx, hy, hz] = edges(e);
+        auto ke = hex8_conduction_stiffness(m.conductivity.in_plane[e], m.conductivity.in_plane[e],
+                                            m.conductivity.through_plane[e], hx, hy, hz);
+        if (h > 0.0 && e < mesh.elems_x() * mesh.elems_y()) {
+          const auto me = hex8_face_film_matrix(h, hx, hy, /*face=*/0);
+          for (std::size_t i = 0; i < ke.size(); ++i) ke[i] += me[i];
+        }
+        return ke;
+      };
+    };
+    const std::vector<std::tuple<std::string, CsrMatrix, CsrMatrix>> operators{
+        {"K", assemble_conduction(mesh, m.conductivity, 0.0), triplet_sum(mesh, conduction(0.0))},
+        {"K + film", assemble_conduction(mesh, m.conductivity, film),
+         triplet_sum(mesh, conduction(film))},
+        {"M", assemble_capacitance(mesh, m.capacity), triplet_sum(mesh, [&](idx_t e) {
+           const auto [hx, hy, hz] = edges(e);
+           return hex8_capacitance_matrix(m.capacity[e], hx, hy, hz);
+         })}};
+    for (const auto& [name, a, reference] : operators) {
+      const std::string where = m.name + ", " + name;
+      EXPECT_EQ(a.symmetry_error(), 0.0) << where;
+      ASSERT_EQ(a.row_ptr(), pattern.row_ptr()) << where;
+      ASSERT_EQ(a.col_idx(), pattern.col_idx()) << where;
+      ASSERT_EQ(reference.col_idx(), pattern.col_idx()) << where;
+      int far = 0;
+      for (idx_t r = 0; r < a.rows(); ++r) {
+        const la::offset_t begin = a.row_ptr()[r];
+        const la::offset_t end = a.row_ptr()[static_cast<std::size_t>(r) + 1];
+        double row_max = 0.0;
+        for (la::offset_t p = begin; p < end; ++p) {
+          row_max = std::max(row_max, std::abs(a.values()[p]));
+        }
+        const double ulp =
+            std::nextafter(row_max, std::numeric_limits<double>::infinity()) - row_max;
+        for (la::offset_t p = begin; p < end; ++p) {
+          if (std::abs(a.values()[p] - reference.values()[p]) > 4.0 * ulp) ++far;
+        }
+      }
+      EXPECT_EQ(far, 0) << where;
+    }
+  }
+}
+
 TEST(EffectiveConductivity, LiesBetweenConstituentsAndExceedsSilicon) {
   const mesh::TsvGeometry geometry{15.0, 5.0, 0.5, 50.0};
   const fem::MaterialTable materials = fem::MaterialTable::standard();
@@ -258,16 +379,17 @@ TEST(CapacitanceAssembly, AssembledDiagonalSumsToTotalMass) {
   const mesh::HexMesh mesh = bar_mesh(10.0, 20.0, 2, 3);
   const Vec capacity(static_cast<std::size_t>(mesh.num_elems()), 2.0e6);
   const double total_mass = 2.0e6 * (10.0 * 10.0 * 20.0) * 1e-18;
-  for (bool lumped : {true, false}) {
-    const CsrMatrix m = CsrMatrix::from_triplets(capacitance_triplets(mesh, capacity, lumped));
-    double sum = 0.0;
-    for (double v : m.values()) sum += v;
-    EXPECT_NEAR(sum, total_mass, 1e-12 * total_mass);
-    EXPECT_LE(m.symmetry_error(), 1e-25);
-  }
-  // Lumped assembly is strictly diagonal.
-  const CsrMatrix diag = CsrMatrix::from_triplets(capacitance_triplets(mesh, capacity, true));
-  EXPECT_EQ(diag.nnz(), static_cast<la::offset_t>(mesh.num_nodes()));
+  const CsrMatrix m = assemble_capacitance(mesh, capacity);
+  double sum = 0.0;
+  for (double v : m.values()) sum += v;
+  EXPECT_NEAR(sum, total_mass, 1e-12 * total_mass);
+  EXPECT_LE(m.symmetry_error(), 1e-25);
+  // Lumped assembly is strictly diagonal: one value per node.
+  const Vec diag = assemble_lumped_capacitance(mesh, capacity);
+  EXPECT_EQ(diag.size(), static_cast<std::size_t>(mesh.num_nodes()));
+  sum = 0.0;
+  for (double v : diag) sum += v;
+  EXPECT_NEAR(sum, total_mass, 1e-12 * total_mass);
 }
 
 TEST(CapacitanceAssembly, EffectiveBlockCapacityIsVolumeAverage) {
